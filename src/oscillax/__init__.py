@@ -9,6 +9,7 @@ from .evolve import (
     default_window,
     excursion_functions,
     first_passage_kernel,
+    first_passage_rows,
     marginal_sequence,
     step,
     transition_matrix,

@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConventionMismatch, ValidationError, WindowTooSmall
-from .model import Convention, LatticeDist, OscillatingModel
+from .model import Convention, LatticeDist, OscillatingModel, mirror_dist
 
 DEFAULT_LEAK_BUDGET = 1e-10
 
@@ -61,9 +61,7 @@ def default_window(model: OscillatingModel, horizon: int) -> Window:
 class TableKind(Enum):
     MARGINAL = "marginal"
     FIRST_PASSAGE = "first_passage"
-    SURVIVAL = "survival"
     EXCURSION = "excursion"
-    RENEWAL_OP = "renewal_op"
 
 
 @dataclass
@@ -77,10 +75,6 @@ class KernelTable:
     leak: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def cumulative_leak(self) -> np.ndarray:
-        return self.leak
-
 
 def _zeros(width: int, exact: bool):
     if exact:
@@ -90,14 +84,6 @@ def _zeros(width: int, exact: bool):
 
 def _zero(exact: bool):
     return Fraction(0) if exact else 0.0
-
-
-def _convolve_segment(seg, seg_base, kernel, k_lo):
-    """Convolve a position-indexed segment with a jump kernel.
-
-    Returns (result array, base position of result[0]).
-    """
-    return np.convolve(seg, kernel), seg_base + k_lo
 
 
 def _scatter(target, window: Window, arr, base):
@@ -131,8 +117,7 @@ def step(state, model: OscillatingModel, window: Window):
     left = state[:cut]
     if np.any(left != 0):
         k_lo, kern = model.left.dense_kernel(exact)
-        arr, base = _convolve_segment(left, window.lo, kern, k_lo)
-        b, a = _scatter(new, window, arr, base)
+        b, a = _scatter(new, window, np.convolve(left, kern), window.lo + k_lo)
         lk_lo += b
         lk_hi += a
     if not model.two_media:
@@ -145,8 +130,7 @@ def step(state, model: OscillatingModel, window: Window):
     right = state[idx0 + 1:]  # positions 1..hi under either convention
     if np.any(right != 0):
         k_lo, kern = model.right.dense_kernel(exact)
-        arr, base = _convolve_segment(right, 1, kern, k_lo)
-        b, a = _scatter(new, window, arr, base)
+        b, a = _scatter(new, window, np.convolve(right, kern), 1 + k_lo)
         lk_lo += b
         lk_hi += a
     return new, (lk_lo, lk_hi)
@@ -259,6 +243,117 @@ def passage_regions(side: Side, convention: Convention, dist: LatticeDist):
     return surv_lo, band
 
 
+def first_passage_rows(
+    dist: LatticeDist,
+    side: Side,
+    convention: Convention,
+    xs: Sequence[int],
+    horizon: int,
+    window: Window,
+    exact: bool = False,
+    keep_states: bool = False,
+) -> dict:
+    """First-passage kernels Q_n(x, .) for every start x in ``xs``, in one DP.
+
+    The walk with law ``dist`` runs on the survival segment of ``side``
+    ([window.lo, bound] or [bound, window.hi]) and is killed on leaving it:
+    mass that crosses into the arrival band is recorded as arrivals, mass
+    that leaves the window on the survival side is leak.  All rows share one
+    (rows x segment) state, and a step is one shifted axpy per atom of the
+    law over the span the rows can have reached so far.
+
+    Returns {x: KernelTable(FIRST_PASSAGE)}.  data['arrivals'] has shape
+    (horizon+1, band width) over the arrival band; data['survival'][n] is the
+    mass still strictly inside the medium after n steps, window leak counted
+    as surviving, so survival + sum(arrivals) == 1 exactly in rational mode.
+    ``keep_states`` adds data['states'], the (horizon+1, segment width)
+    history of the surviving mass.
+    """
+    bound, (band_lo, band_hi) = passage_regions(side, convention, dist)
+    negative = side is Side.FROM_NEGATIVE
+    seg_lo, seg_hi = (window.lo, bound) if negative else (bound, window.hi)
+    for x in xs:
+        if (x > bound) if negative else (x < bound):
+            raise ConventionMismatch(
+                f"start {x} not in survival region ({'<=' if negative else '>='} {bound})")
+        if not seg_lo <= x <= seg_hi:
+            raise ValidationError(f"start {x} outside the window segment [{seg_lo}, {seg_hi}]")
+    if not xs:
+        return {}
+    rows, width = len(xs), seg_hi - seg_lo + 1
+    dtype = object if exact else float
+    zero, one = _zero(exact), Fraction(1) if exact else 1.0
+    band_w = max(0, band_hi - band_lo + 1)
+    # segment ∪ band is one contiguous run of indices (relative to seg_lo);
+    # a destination outside it has left the window
+    band_i = band_lo - seg_lo
+    kept_lo, kept_hi = min(0, band_i), max(width - 1, band_i + band_w - 1)
+    state = np.full((rows, width), zero, dtype=dtype)
+    new = state.copy()
+    for r, x in enumerate(xs):
+        state[r, x - seg_lo] = one
+    arrivals = np.full((horizon + 1, rows, band_w), zero, dtype=dtype)
+    survival = np.full((rows, horizon + 1), zero, dtype=dtype)
+    survival[:, 0] = one
+    leak = np.full((rows, horizon + 1), zero, dtype=dtype)
+    states = None
+    if keep_states:
+        states = np.full((horizon + 1, rows, width), zero, dtype=dtype)
+        states[0] = state
+    k_lo, kern = dist.dense_kernel(exact)
+    jumps = [(k_lo + i, p) for i, p in enumerate(kern) if p != 0]
+    k_hi = k_lo + len(kern) - 1
+    # [lo, hi] holds every index that can carry mass; it only ever grows, so
+    # zeroing it in the spare buffer clears everything left there before
+    lo, hi = min(xs) - seg_lo, max(xs) - seg_lo
+    for n in range(1, horizon + 1):
+        next_lo, next_hi = max(0, lo + min(k_lo, 0)), min(width - 1, hi + max(k_hi, 0))
+        new[:, next_lo:next_hi + 1] = zero
+        lost = np.full(rows, zero, dtype=dtype)
+        for v, p in jumps:
+            # the span [lo, hi] lands on [lo + v, hi + v]
+            a, b = max(lo + v, 0), min(hi + v, width - 1)
+            if a <= b:
+                new[:, a:b + 1] += p * state[:, a - v:b - v + 1]
+            a, b = max(lo + v, band_i), min(hi + v, band_i + band_w - 1)
+            if a <= b:
+                arrivals[n, :, a - band_i:b - band_i + 1] += p * state[:, a - v:b - v + 1]
+            for a, b in ((lo + v, min(hi + v, kept_lo - 1)),
+                         (max(lo + v, kept_hi + 1), hi + v)):
+                if a <= b:
+                    lost += p * state[:, a - v:b - v + 1].sum(axis=1)
+        state, new = new, state
+        lo, hi = next_lo, next_hi
+        leak[:, n] = leak[:, n - 1] + lost
+        survival[:, n] = state.sum(axis=1) + leak[:, n]
+        if keep_states:
+            states[n] = state
+        if not np.any(state[:, lo:hi + 1]):
+            survival[:, n + 1:] = survival[:, n:n + 1]
+            leak[:, n + 1:] = leak[:, n:n + 1]
+            break
+    out = {}
+    for r, x in enumerate(xs):
+        data = {
+            "arrivals": arrivals[:, r],
+            "band": (band_lo, band_hi),
+            "survival": survival[r],
+            "final_state": state[r].copy(),
+            "segment": (seg_lo, seg_hi),
+        }
+        if keep_states:
+            data["states"] = states[:, r]
+        out[x] = KernelTable(
+            kind=TableKind.FIRST_PASSAGE,
+            window=window,
+            horizon=horizon,
+            data=data,
+            leak=leak[r],
+            meta={"x": x, "side": side, "convention": convention, "exact": exact},
+        )
+    return out
+
+
 def first_passage_kernel(
     dist: LatticeDist,
     side: Side,
@@ -268,69 +363,12 @@ def first_passage_kernel(
     window: Window,
     exact: bool = False,
 ) -> KernelTable:
-    """First-passage kernel rows Q_n(x, .) plus the survival sequence.
+    """First-passage kernel row Q_n(x, .) plus the survival sequence.
 
-    data['arrivals'] has shape (horizon+1, band width) over the arrival band;
-    data['survival'][n] = mass still strictly inside the medium after n steps
-    (window leak counted as surviving, so survival + sum(arrivals) == 1
-    exactly in rational mode).
+    The one-row case of :func:`first_passage_rows`; see there for the layout
+    of data['arrivals'], data['survival'] and the leak.
     """
-    bound, (band_lo, band_hi) = passage_regions(side, convention, dist)
-    if side is Side.FROM_NEGATIVE:
-        if x > bound:
-            raise ConventionMismatch(f"start {x} not in survival region (<= {bound})")
-        seg_lo, seg_hi = window.lo, bound
-    else:
-        if x < bound:
-            raise ConventionMismatch(f"start {x} not in survival region (>= {bound})")
-        seg_lo, seg_hi = bound, window.hi
-    width = seg_hi - seg_lo + 1
-    state = _zeros(width, exact)
-    state[x - seg_lo] = Fraction(1) if exact else 1.0
-    band_w = band_hi - band_lo + 1
-    arrivals = np.empty((horizon + 1, band_w), dtype=object if exact else float)
-    arrivals[:] = Fraction(0) if exact else 0.0
-    survival = _zeros(horizon + 1, exact)
-    survival[0] = Fraction(1) if exact else 1.0
-    leak = _zeros(horizon + 1, exact)
-    k_lo, kern = dist.dense_kernel(exact)
-    for n in range(1, horizon + 1):
-        if not np.any(state != 0):
-            survival[n:] = survival[n - 1]
-            leak[n:] = leak[n - 1]
-            break
-        arr, base = _convolve_segment(state, seg_lo, kern, k_lo)
-        new = _zeros(width, exact)
-        lost = _zero(exact)
-        absorbed = _zeros(band_w, exact)
-        for i, m in enumerate(arr):
-            if m == 0:
-                continue
-            pos = base + i
-            if seg_lo <= pos <= seg_hi:
-                new[pos - seg_lo] += m
-            elif band_lo <= pos <= band_hi:
-                absorbed[pos - band_lo] += m
-            else:
-                lost += m  # outside the window on the survival side
-        arrivals[n] = absorbed
-        state = new
-        leak[n] = leak[n - 1] + lost
-        survival[n] = state.sum() + leak[n]
-    return KernelTable(
-        kind=TableKind.FIRST_PASSAGE,
-        window=window,
-        horizon=horizon,
-        data={
-            "arrivals": arrivals,
-            "band": (band_lo, band_hi),
-            "survival": survival,
-            "final_state": state,
-            "segment": (seg_lo, seg_hi),
-        },
-        leak=leak,
-        meta={"x": x, "side": side, "convention": convention, "exact": exact},
-    )
+    return first_passage_rows(dist, side, convention, [x], horizon, window, exact)[x]
 
 
 def excursion_functions(
@@ -363,35 +401,17 @@ def excursion_functions(
                            {"V": V}, _zeros(horizon + 1, exact),
                            meta={"y": y, "exact": exact})
     if y <= (-1 if three else 0):
-        law = model.left
-        seg_lo, seg_hi = window.lo, -1 if three else 0
+        law, side = model.left, Side.FROM_NEGATIVE
     elif y >= 1:
-        law = model.right
-        seg_lo, seg_hi = 1, window.hi
+        law, side = model.right, Side.FROM_POSITIVE
     else:
         raise ValidationError("unreachable")
-    k_lo, kern = law.dense_kernel(exact)
-    kern_rev = kern[::-1]
-    k_hi = law.max_support
-    cur = _zeros(seg_hi - seg_lo + 1, exact)
-    cur[y - seg_lo] = one
-    leak = _zeros(horizon + 1, exact)
-    for n in range(1, horizon + 1):
-        # adjoint action: w(x) = sum_off law(off) * cur(x + off)
-        arr = np.convolve(cur, kern_rev)
-        base = seg_lo - k_hi
-        new = _zeros(seg_hi - seg_lo + 1, exact)
-        lost = _zero(exact)
-        for i, m in enumerate(arr):
-            if m == 0:
-                continue
-            pos = base + i
-            if seg_lo <= pos <= seg_hi:
-                new[pos - seg_lo] += m
-            else:
-                lost += m  # starting points outside the window
-        cur = new
-        leak[n] = leak[n - 1] + lost
-        V[n, window.index(seg_lo): window.index(seg_hi) + 1] = cur
+    # V_{n,y}(x) is the mass at x of the reversed walk started at y and killed
+    # on leaving the medium; mass it loses either way is reported as leak
+    t = first_passage_rows(mirror_dist(law), side, model.convention, [y], horizon,
+                           window, exact, keep_states=True)[y]
+    seg_lo, seg_hi = t.data["segment"]
+    V[1:, window.index(seg_lo): window.index(seg_hi) + 1] = t.data["states"][1:]
+    leak = t.leak + np.cumsum(t.data["arrivals"].sum(axis=1))
     return KernelTable(TableKind.EXCURSION, window, horizon, {"V": V}, leak,
                        meta={"y": y, "exact": exact})

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,8 @@ from .evolve import (
     Side,
     TableKind,
     Window,
-    first_passage_kernel,
+    _zeros,
+    first_passage_rows,
     passage_regions,
 )
 from .ladder import SQRT_2PI, LadderPotentials, LadderVariant, ladder_potentials
@@ -203,47 +205,51 @@ def build_Q(
 ) -> dict:
     """Per-step switching kernels Q_n(x, .) for selected rows.
 
-    Returns {x: KernelTable(FIRST_PASSAGE)}; for the origin row under the
-    three-media convention the closed form Q_n(0, y) = mu0(0)^(n-1) mu0(y)
-    is tabulated instead of a DP.  Mass accounting
-    survival_n + sum_{k<=n} arrivals_k = 1 holds exactly per row.
+    Returns {x: KernelTable(FIRST_PASSAGE)} in the order of ``rows``.  The
+    rows of each medium come from one batched :func:`first_passage_rows` DP;
+    for the origin row under the three-media convention the closed form
+    Q_n(0, y) = mu0(0)^(n-1) mu0(y) is tabulated instead.  Mass accounting
+    survival_n + sum_{k<=n} arrivals_k = 1 holds exactly per row.  A row
+    outside the window raises ValidationError.
     """
     window.check_margin(model)
     if rows is None:
         rows = essential_class(model)
-    out = {}
-    for x in rows:
-        if not model.two_media and x == 0:
-            p0 = model.origin.pmf_frac(0) if exact else model.origin.pmf(0)
-            vals = model.origin.values
-            band = (model.origin.min_support, model.origin.max_support)
-            bw = band[1] - band[0] + 1
-            arrivals = np.empty((horizon + 1, bw), dtype=object if exact else float)
-            from fractions import Fraction
-            arrivals[:] = Fraction(0) if exact else 0.0
-            survival = np.empty(horizon + 1, dtype=object if exact else float)
-            survival[0] = Fraction(1) if exact else 1.0
-            acc = Fraction(1) if exact else 1.0
-            for n in range(1, horizon + 1):
-                for v in vals:
-                    if v != 0:
-                        p = model.origin.pmf_frac(int(v)) if exact else model.origin.pmf(int(v))
-                        arrivals[n, int(v) - band[0]] = acc * p
-                acc = acc * p0
-                survival[n] = acc
-            out[x] = KernelTable(
-                TableKind.FIRST_PASSAGE, window, horizon,
-                {"arrivals": arrivals, "band": band, "survival": survival},
-                leak=np.zeros(horizon + 1),
-                meta={"x": 0, "closed_form": True, "exact": exact},
-            )
-        elif x <= (0 if model.two_media else -1):
-            out[x] = first_passage_kernel(model.left, Side.FROM_NEGATIVE,
-                                          model.convention, x, horizon, window, exact)
-        else:
-            out[x] = first_passage_kernel(model.right, Side.FROM_POSITIVE,
-                                          model.convention, x, horizon, window, exact)
-    return out
+    rows = list(dict.fromkeys(rows))
+    left_bound = 0 if model.two_media else -1
+    tables = first_passage_rows(model.left, Side.FROM_NEGATIVE, model.convention,
+                                [x for x in rows if x <= left_bound], horizon, window, exact)
+    tables.update(first_passage_rows(model.right, Side.FROM_POSITIVE, model.convention,
+                                     [x for x in rows if x >= 1], horizon, window, exact))
+    if not model.two_media and 0 in rows:
+        tables[0] = _origin_row(model, horizon, window, exact)
+    return {x: tables[x] for x in rows}
+
+
+def _origin_row(model: OscillatingModel, horizon: int, window: Window,
+                exact: bool) -> KernelTable:
+    """Closed-form Q_n(0, .) of the three-media origin: stay put, then jump."""
+    p0 = model.origin.pmf_frac(0) if exact else model.origin.pmf(0)
+    band = (model.origin.min_support, model.origin.max_support)
+    bw = band[1] - band[0] + 1
+    arrivals = np.empty((horizon + 1, bw), dtype=object if exact else float)
+    arrivals[:] = Fraction(0) if exact else 0.0
+    survival = np.empty(horizon + 1, dtype=object if exact else float)
+    survival[0] = Fraction(1) if exact else 1.0
+    acc = Fraction(1) if exact else 1.0
+    for n in range(1, horizon + 1):
+        for v in model.origin.values:
+            if v != 0:
+                p = model.origin.pmf_frac(int(v)) if exact else model.origin.pmf(int(v))
+                arrivals[n, int(v) - band[0]] = acc * p
+        acc = acc * p0
+        survival[n] = acc
+    return KernelTable(
+        TableKind.FIRST_PASSAGE, window, horizon,
+        {"arrivals": arrivals, "band": band, "survival": survival},
+        leak=_zeros(horizon + 1, exact),
+        meta={"x": 0, "closed_form": True, "exact": exact},
+    )
 
 
 def q_history_matrices(model: OscillatingModel, horizon: int, window: Window,
@@ -252,7 +258,6 @@ def q_history_matrices(model: OscillatingModel, horizon: int, window: Window,
     width = window.width
     if width > 256:
         raise ValidationError("full Q_n history is meant for small windows")
-    from fractions import Fraction
     Qn = np.zeros((horizon + 1, width, width)) if not exact else \
         np.full((horizon + 1, width, width), Fraction(0), dtype=object)
     hist = build_Q(model, horizon, window, rows=range(window.lo, window.hi + 1),
@@ -279,7 +284,6 @@ def renewal_sequence(Qn: np.ndarray, horizon: Optional[int] = None) -> np.ndarra
     T = np.zeros_like(Qn[: N + 1])
     eye = np.eye(width)
     if Qn.dtype == object:
-        from fractions import Fraction
         eye = np.full((width, width), Fraction(0), dtype=object)
         for i in range(width):
             eye[i, i] = Fraction(1)
@@ -359,7 +363,8 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
             cpow = Chat if cpow is None else np.matmul(cpow, Chat)
             prod = np.matmul(Rhat, cpow)
         if ell in ells:
-            out[ell] = scipy.fft.irfft(prod, n=M, axis=0, workers=-1)[: horizon + 1]
+            # copy, so the result does not pin the pad_factor-times longer buffer
+            out[ell] = scipy.fft.irfft(prod, n=M, axis=0, workers=-1)[: horizon + 1].copy()
     return out
 
 

@@ -21,9 +21,10 @@ from .errors import LeakDominated, SequenceTooNoisy, ValidationError
 from .evolve import (
     Side,
     Window,
-    first_passage_kernel,
-    marginal_sequence,
     excursion_functions,
+    first_passage_kernel,
+    first_passage_rows,
+    marginal_sequence,
 )
 from .ladder import LadderVariant, fluctuation_constants, ladder_potentials
 from .model import (
@@ -301,28 +302,21 @@ def _survival_landing(dist: LatticeDist, threshold_hi: bool, n_max: int, z_range
     """P[S_1..S_n strictly beyond the threshold, S_n = z] from S_0 = 0.
 
     threshold_hi=True keeps S_k >= 1 (kill on <= 0); False keeps S_k <= -1.
+    The first step lands on an atom v beyond the threshold, so the table is
+    sum_v mu(v) P_v[S_1..S_{n-1} beyond it, S_{n-1} = z], with every such v
+    run as one batch of first-passage rows.
     """
     half = n_max * max(abs(dist.min_support), abs(dist.max_support)) + 2
+    side = Side.FROM_POSITIVE if threshold_hi else Side.FROM_NEGATIVE
+    atoms = [(int(v), p) for v, p in zip(dist.values, dist.fracs if exact else dist.probs)
+             if (v >= 1 if threshold_hi else v <= -1)]
+    rows = first_passage_rows(dist, side, Convention.THREE_MEDIA, [v for v, _ in atoms],
+                              n_max - 1, Window(-half, half), exact, keep_states=True)
     lo, hi = (1, half) if threshold_hi else (-half, -1)
-    width = hi - lo + 1
     zero = Fraction(0) if exact else 0.0
-    state = np.full(width, zero, dtype=object if exact else float)
-    k_lo, kern = dist.dense_kernel(exact)
-    out = {}
-    for v, p in zip(dist.values, dist.fracs if exact else dist.probs):
-        if lo <= int(v) <= hi:
-            state[int(v) - lo] += p
-    for n in range(1, n_max + 1):
-        out[n] = {z: state[z - lo] for z in z_range if lo <= z <= hi}
-        arr = np.convolve(state, kern)
-        base = lo + k_lo
-        new = np.full(width, zero, dtype=object if exact else float)
-        for i, mval in enumerate(arr):
-            posn = base + i
-            if lo <= posn <= hi and mval != 0:
-                new[posn - lo] += mval
-        state = new
-    return out
+    return {n: {z: sum((p * rows[v].data["states"][n - 1][z - lo] for v, p in atoms), zero)
+                for z in z_range if lo <= z <= hi}
+            for n in range(1, n_max + 1)}
 
 
 def identity_suite(model: OscillatingModel, horizon: int = 40,

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_first_passage, enumerate_marginal
-from oscillax.errors import ConventionMismatch, WindowTooSmall
+from oscillax.errors import ConventionMismatch, ValidationError, WindowTooSmall
 from oscillax.evolve import (
     Side,
     Window,
     default_window,
     excursion_functions,
     first_passage_kernel,
+    first_passage_rows,
     marginal_sequence,
     step,
     transition_matrix,
@@ -162,6 +163,103 @@ class TestFirstPassage:
                                  Convention.THREE_MEDIA, 0, 4, Window(-16, 8))
 
 
+def _side_rows(side, convention, count):
+    """The ``count`` start rows nearest the boundary of a side's segment."""
+    if side is Side.FROM_POSITIVE:
+        return list(range(1, count + 1))
+    top = -1 if convention is Convention.THREE_MEDIA else 0
+    return list(range(top - count + 1, top + 1))
+
+
+_laws = st.dictionaries(st.integers(-3, 3), st.integers(1, 5), min_size=1, max_size=4)
+_sides = st.sampled_from(list(Side))
+_conventions = st.sampled_from(list(Convention))
+
+
+def _rational_law(weights):
+    tot = sum(weights.values())
+    return dist({v: F(w, tot) for v, w in weights.items()})
+
+
+class TestFirstPassageRows:
+    @settings(max_examples=40, deadline=None)
+    @given(_laws, _sides, _conventions)
+    def test_batch_matches_enumeration(self, weights, side, convention):
+        law = _rational_law(weights)
+        n_max, xs = 5, _side_rows(side, convention, 4)
+        w = Window(-24, 24)   # wide enough that nothing leaks in n_max steps
+        hist = first_passage_rows(law, side, convention, xs, n_max, w, exact=True)
+        absorb = ({"absorb_ge": 0 if convention is Convention.THREE_MEDIA else 1}
+                  if side is Side.FROM_NEGATIVE else {"absorb_le": 0})
+        for x in xs:
+            t = hist[x]
+            oracle, alive = enumerate_first_passage(law, x, n_max, **absorb)
+            bl, bh = t.data["band"]
+            assert all(bl <= y <= bh for _, y in oracle)
+            for n in range(1, n_max + 1):
+                for y in range(bl, bh + 1):
+                    assert t.data["arrivals"][n][y - bl] == oracle.get((n, y), F(0))
+            assert not any(t.leak)
+            assert t.data["survival"][n_max] == sum(alive.values(), F(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_laws, _sides, _conventions, st.booleans())
+    def test_batch_equals_single_rows(self, weights, side, convention, exact):
+        law = _rational_law(weights)
+        w, horizon = Window(-5, 5), 12   # narrow: rows leak and die at different times
+        xs = _side_rows(side, convention, 5)
+        batch = first_passage_rows(law, side, convention, xs, horizon, w, exact=exact)
+        for x in xs:
+            one = first_passage_kernel(law, side, convention, x, horizon, w, exact=exact)
+            for key in ("arrivals", "survival", "final_state"):
+                assert np.array_equal(batch[x].data[key], one.data[key]), (x, key)
+            assert np.array_equal(batch[x].leak, one.leak)
+            if exact:
+                arrivals = batch[x].data["arrivals"]
+                for n in range(horizon + 1):
+                    assert batch[x].data["survival"][n] + arrivals[: n + 1].sum() == 1
+
+    def test_rows_die_at_different_times(self):
+        # an upward-only law empties row x after at most |x| steps
+        law = dist({1: F(1, 2), 2: F(1, 2)})
+        xs = list(range(-6, 0))
+        w = Window(-8, 8)
+        batch = first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
+                                   xs, 10, w, exact=True)
+        for x in xs:
+            t = batch[x]
+            one = first_passage_kernel(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
+                                       x, 10, w, exact=True)
+            assert np.array_equal(t.data["arrivals"], one.data["arrivals"])
+            assert np.array_equal(t.data["survival"], one.data["survival"])
+            assert t.data["survival"][-x] == 0 and not t.data["survival"][-x:].any()
+            assert t.data["arrivals"].sum() == 1
+
+    def test_float_matches_exact(self, fix_zz):
+        w = Window(-16, 16)   # small enough that the far rows leak
+        for side, law, xs in ((Side.FROM_NEGATIVE, fix_zz.left, range(-8, 0)),
+                              (Side.FROM_POSITIVE, fix_zz.right, range(1, 9))):
+            fl = first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w)
+            ex = first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w, exact=True)
+            for x in xs:
+                for a, b in ((fl[x].data["arrivals"], ex[x].data["arrivals"]),
+                             (fl[x].data["survival"], ex[x].data["survival"]),
+                             (fl[x].leak, ex[x].leak)):
+                    assert np.max(np.abs(a - b.astype(float))) <= 1e-15
+                assert np.all(fl[x].leak >= 0)
+                assert np.all(np.diff(fl[x].leak) >= 0)
+            assert max(float(fl[x].leak[-1]) for x in xs) > 0
+
+    @pytest.mark.parametrize("side,x", [(Side.FROM_NEGATIVE, -20), (Side.FROM_POSITIVE, 20)])
+    def test_start_outside_window(self, fix_zz, side, x):
+        law = fix_zz.left if side is Side.FROM_NEGATIVE else fix_zz.right
+        with pytest.raises(ValidationError):
+            first_passage_kernel(law, side, Convention.THREE_MEDIA, x, 4, Window(-16, 16))
+        with pytest.raises(ValidationError):
+            first_passage_rows(law, side, Convention.THREE_MEDIA, [x // 4, x], 4,
+                               Window(-16, 16))
+
+
 class TestExcursions:
     def test_v0_indicator(self, fix_zz):
         w = Window(-16, 16)
@@ -207,6 +305,32 @@ class TestExcursions:
                             new[dest] = new.get(dest, F(0)) + mass * p
                 cur = new
                 assert V[n][w.index(x)] == cur.get(-3, F(0))
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.booleans(),
+           st.sampled_from([-4, -2, -1, 1, 3]))
+    def test_matches_survival_enumeration_random_models(self, a, b, c, two_media, y):
+        tot = a + b + c
+        left = dist({-1: F(a, tot), 0: F(b, tot), 2: F(c, tot)})
+        right = dist({-2: F(c, tot), 0: F(b, tot), 1: F(a, tot)})
+        m = validate_model(left, dist({-1: F(1, 2), 1: F(1, 2)}), right,
+                           two_media=two_media)
+        w, horizon = Window(-7, 7), 5   # narrow, so the window cuts paths too
+        V = excursion_functions(m, y, horizon, w, exact=True).data["V"]
+        law = m.law_at(y)
+        inside = (lambda p: w.lo <= p <= (0 if two_media else -1)) if y < 0 else \
+            (lambda p: 1 <= p <= w.hi)
+        for x in range(w.lo, w.hi + 1):
+            cur = {x: F(1)} if inside(x) else {}
+            for n in range(1, horizon + 1):
+                new = {}
+                for pos, mass in cur.items():
+                    for v, p in zip(law.values, law.fracs):
+                        if inside(pos + v):
+                            new[pos + v] = new.get(pos + v, F(0)) + mass * p
+                cur = new
+                assert V[n][w.index(x)] == cur.get(y, F(0)), (x, n)
 
 
 class TestTransitionMatrix:

@@ -42,6 +42,20 @@ class TestBuildQ:
             total = sum(t.data["arrivals"][n].sum() for n in range(51))
             assert total + t.data["survival"][50] == 1, x
 
+    def test_exact_rows_have_fraction_leak(self, fix_zz):
+        hist = build_Q(fix_zz, 12, Window(-16, 16), rows=[-3, 0, 2], exact=True)
+        for x, t in hist.items():
+            assert all(type(v) is F for v in t.leak), x
+
+    @pytest.mark.parametrize("x", [-20, 20])
+    def test_row_outside_window(self, fix_zz, x):
+        with pytest.raises(ValidationError):
+            build_Q(fix_zz, 4, Window(-16, 16), rows=[0, x])
+
+    def test_rows_keep_requested_order(self, fix_zz):
+        rows = [3, -2, 0, 1, -5]
+        assert list(build_Q(fix_zz, 4, Window(-16, 16), rows=rows)) == rows
+
     def test_row_matches_ladder_formula(self, fix_zz):
         # Q(-1, y) = mu_strict_asc(y + 1): the single-term overshoot identity
         sk = switching_kernel(fix_zz, Window(-256, 256))

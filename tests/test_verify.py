@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillax.errors import LeakDominated, SequenceTooNoisy
 from oscillax.evolve import Window, marginal_sequence
+from oscillax.model import dist
 from oscillax.verify import (
+    _survival_landing,
     convergence_suite,
     effective_leak,
     fit_rate_exponent,
@@ -139,3 +144,25 @@ class TestScalarChecks:
         rep = convergence_suite(fix_zp)
         assert rep["scalar_geometric_renewal_error"] < 1e-9
         assert rep["scalar_tail_convolution_error"] < 0.05
+
+
+class TestSurvivalLanding:
+    @settings(max_examples=30, deadline=None)
+    @given(st.dictionaries(st.integers(-3, 3), st.integers(1, 5), min_size=1, max_size=4),
+           st.booleans())
+    def test_matches_path_enumeration(self, weights, threshold_hi):
+        tot = sum(weights.values())
+        law = dist({v: F(w, tot) for v, w in weights.items()})
+        n_max = 6
+        zs = range(1, 7) if threshold_hi else range(-6, 0)
+        table = _survival_landing(law, threshold_hi, n_max, zs, exact=True)
+        beyond = (lambda p: p >= 1) if threshold_hi else (lambda p: p <= -1)
+        cur = {0: F(1)}
+        for n in range(1, n_max + 1):
+            new = {}
+            for pos, mass in cur.items():
+                for v, p in zip(law.values, law.fracs):
+                    if beyond(pos + v):
+                        new[pos + v] = new.get(pos + v, F(0)) + mass * p
+            cur = new
+            assert all(table[n].get(z, F(0)) == cur.get(z, F(0)) for z in zs), n
