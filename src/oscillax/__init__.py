@@ -57,11 +57,10 @@ from .switching import (
     WeightSpec,
     build_Q,
     default_weight,
+    dominant_eigenpair,
     doob_transform,
     limit_operator_E,
     limit_operator_E_ell,
-    power_iterate,
-    power_sequences,
     q_history_matrices,
     renewal_sequence,
     switching_kernel,

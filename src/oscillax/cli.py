@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -130,17 +129,18 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .switching import WeightSpec, default_weight, power_iterate, switching_kernel
+    from .switching import WeightSpec, default_weight, dominant_eigenpair, switching_kernel
 
     model = load_model(args.model)
     window = _window(args, model, args.horizon)
+    delta = args.delta
     if args.weight == "auto":
-        weight = default_weight(model, args.delta if args.delta else None)
+        weight = default_weight(model, delta)
     elif args.weight == "polynomial":
-        weight = WeightSpec("polynomial", args.delta or 0.5)
+        weight = WeightSpec("polynomial", 0.5 if delta is None else delta)
     else:
-        weight = default_weight(model, args.delta or 0.1)
-    spectral = power_iterate(switching_kernel(model, window), weight)
+        weight = default_weight(model, 0.1 if delta is None else delta)
+    spectral = dominant_eigenpair(switching_kernel(model, window), weight)
     _write_json(_outdir(args) / "spectrum.json", spectral.report())
     return EXIT_OK
 
@@ -241,17 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="oscillating random walk laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def rational(p):
+        p.add_argument("--rational", action="store_true",
+                       help="exact rational arithmetic (model probabilities must be rationals)")
+
     def common(p, model=True):
         if model:
             p.add_argument("model", help="model JSON file")
         p.add_argument("--window", "-W", type=int, default=None,
                        help="window half-width (default: diffusive rule)")
         p.add_argument("--horizon", "-n", type=int, default=4096)
-        p.add_argument("--seed", "-s", type=int, default=20240817)
-        p.add_argument("--threads", "-j", type=int, default=0,
-                       help="worker threads (0 = library default)")
-        p.add_argument("--rational", action="store_true",
-                       help="exact rational arithmetic where supported")
         p.add_argument("--out", "-o", default=None,
                        help="output directory (fallback: $OSCILLAX_OUT, then '.')")
 
@@ -261,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="P_x[X_n=y] sequence to CSV")
     common(p)
+    rational(p)
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="target", type=int, required=True)
     p.add_argument("--rescaled", action="store_true",
@@ -280,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="identity/convergence/asymptotics suites")
     common(p)
+    rational(p)
     p.add_argument("--suite", choices=["identities", "convergence", "asymptotics", "all"],
                    default="all")
     p.add_argument("--float-mode", action="store_true",
@@ -290,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--from", dest="start", type=int, default=0)
     p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--seed", "-s", type=int, default=20240817)
     p.set_defaults(fn=cmd_simulate, horizon=50)
 
     p = sub.add_parser("fixtures", help="write the shipped FIX-* model files")
@@ -300,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads and args.threads > 0:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.fn(args)
     except (ValidationError,) as exc:

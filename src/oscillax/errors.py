@@ -52,9 +52,7 @@ class DeficitTooLarge(OscillaxError):
 
 
 class NoConvergence(OscillaxError):
-    def __init__(self, message, gap_estimate=None):
-        self.gap_estimate = gap_estimate
-        super().__init__(message)
+    pass
 
 
 class PlateauNotReached(OscillaxError):

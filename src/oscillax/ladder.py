@@ -334,19 +334,6 @@ def nonpositive_probs(dist: LatticeDist, horizon: int) -> np.ndarray:
     return out
 
 
-def renewal_table_csv(dist: LatticeDist, x_max: int,
-                      solve_window: int = 40000) -> str:
-    """CSV of the four renewal functions: x, V_weak_asc, V_strict_asc,
-    V_weak_desc, V_strict_desc."""
-    pot = ladder_potentials(dist, depth=x_max, solve_window=solve_window)
-    lines = ["x,V_weak_asc,V_strict_asc,V_weak_desc,V_strict_desc"]
-    for x in range(0, x_max + 1):
-        vals = [pot.V(v, x) for v in (LadderVariant.WEAK_ASC, LadderVariant.STRICT_ASC,
-                                      LadderVariant.WEAK_DESC, LadderVariant.STRICT_DESC)]
-        lines.append(",".join([str(x)] + [f"{v:.17g}" for v in vals]))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class FluctuationConstants:
     c_direct: float

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -218,25 +218,6 @@ def argmin_laplace(d: LatticeDist) -> tuple[float, float]:
     if abs(d.mean) <= ZERO_DRIFT_TOL:
         lam = 0.0  # centered laws have their minimum exactly at the origin
     return lam, laplace(d, lam)
-
-
-@dataclass(frozen=True)
-class LaplaceProfile:
-    """Argmin data for one or two transforms; crossing present when it exists."""
-
-    lam: float
-    rho: float
-    crossing: Optional[tuple[float, float]] = None
-
-
-def laplace_profile(d: LatticeDist, other: Optional[LatticeDist] = None) -> LaplaceProfile:
-    """Argmin data for d; with ``other`` given, also the crossing of the two
-    transforms between their argmins (None stays None when they do not cross)."""
-    lam, rho = argmin_laplace(d)
-    crossing = None
-    if other is not None:
-        crossing = cross_point(d, other)
-    return LaplaceProfile(lam, rho, crossing)
 
 
 def tilt(d: LatticeDist, t: float) -> LatticeDist:

@@ -28,7 +28,6 @@ from .errors import (
 from .evolve import Window
 from .ladder import LadderVariant, ladder_potentials
 from .model import (
-    Convention,
     DriftCase,
     LatticeDist,
     OscillatingModel,
@@ -470,14 +469,14 @@ def predicted_constant_Cy(
     C_y = lambda_X(y) / (sqrt(pi/2) (sigma lam_X(-inf) + sigma' lam_X(+inf))),
     with the drifted-side term dropped in the (P,Z) case.
     """
-    from .switching import power_iterate, switching_kernel
+    from .switching import dominant_eigenpair, switching_kernel
 
     case = model.drift_case
     if case not in (DriftCase.ZZ, DriftCase.PZ):
         raise ValidationError(f"C_y formula applies to (Z,Z)/(P,Z), not {case.value}")
     window = window or Window(-256, 256)
     if spectral is None:
-        spectral = power_iterate(switching_kernel(model, window))
+        spectral = dominant_eigenpair(switching_kernel(model, window))
     prof = invariant_profile(model, spectral.nu, window)
     if case is DriftCase.ZZ:
         denom = SQRT_PI_OVER_2 * (model.left.sigma * prof.lam_minus_inf

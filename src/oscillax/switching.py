@@ -13,8 +13,7 @@ window, no time truncation); per-step histories come from the DP in
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -58,10 +57,15 @@ class WeightSpec:
         if self.kind == "polynomial":
             psi = 1.0 + np.abs(xs) ** (1.0 + self.delta)
         elif self.kind == "exponential":
-            psi = np.where(xs <= 0, np.exp(self.rate_neg * np.abs(xs)),
-                           np.exp(self.rate_pos * xs))
+            with np.errstate(over="ignore"):   # overflow is reported below
+                psi = np.where(xs <= 0, np.exp(self.rate_neg * np.abs(xs)),
+                               np.exp(self.rate_pos * xs))
         else:
             raise ValidationError(f"unknown weight kind {self.kind!r}")
+        if not np.all(np.isfinite(psi)):
+            raise ValidationError(
+                f"{self!r} overflows on window [{window.lo}, {window.hi}]: "
+                f"{int(np.sum(~np.isfinite(psi)))} of {psi.size} values are not finite")
         if not np.all(psi >= 1.0):
             raise ValidationError("weight must be >= 1 everywhere")
         # must dominate 1 + |x| at the window ends (compact inclusion heuristic)
@@ -130,13 +134,29 @@ def passage_resolvent(
 
 @dataclass
 class SwitchingKernel:
-    """Aggregate switching kernel on a window."""
+    """Aggregate switching kernel on a window, kept in factored form Q = R S_B.
+
+    Q(x, .) is nonzero only on the arrival band B = [band[0], band[1]], so the
+    kernel is stored as its band columns R (width x B); S_B selects the band.
+    The rows of R at the band sites form the B x B block C, and the nonzero
+    spectrum of Q is the spectrum of C.
+    """
 
     window: Window
-    Q: np.ndarray           # (width, width)
-    defect: np.ndarray      # 1 - row sums (escape probability + window truncation)
+    R: np.ndarray           # (width, B): R[i, j] = Q(window.lo + i, band[0] + j)
     band: tuple[int, int]   # columns that can be hit
+    defect: np.ndarray      # 1 - row sums (escape probability + window truncation)
     model: OscillatingModel
+
+    @property
+    def band_rows(self) -> slice:
+        """Window indices of the band sites: the rows of R that form C."""
+        return slice(self.window.index(self.band[0]), self.window.index(self.band[1]) + 1)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The B x B block Q restricted to the band (a view into R)."""
+        return self.R[self.band_rows]
 
     @property
     def markovian(self) -> bool:
@@ -147,49 +167,39 @@ class SwitchingKernel:
 
 def switching_kernel(model: OscillatingModel, window: Window,
                      refine: bool = True) -> SwitchingKernel:
-    """Assemble the aggregate kernel Q(x, y) for every x in the window.
+    """Assemble the band columns R of the aggregate kernel Q(x, y), every x.
 
-    ``refine`` Richardson-extrapolates the O(1/window) spatial-truncation error
-    of the resolvent rows using a half-window second solve (rows outside the
-    half window keep the plain solve); tiny negative artifacts are clipped.
+    Each medium's rows come from one banded resolvent solve; ``refine``
+    Richardson-extrapolates their O(1/window) spatial-truncation error with a
+    half-window second solve (rows outside the half window keep the plain
+    solve) and clips the tiny negative artifacts.  The three-media origin row
+    is the closed form mu0(y) / (1 - mu0(0)).  Memory is O(width * B); no
+    width x width array is formed.
     """
     window.check_margin(model)
-    width = window.width
-    Q = np.zeros((width, width))
-
-    def side_rows(dist, side):
+    sides = [(model.left, Side.FROM_NEGATIVE), (model.right, Side.FROM_POSITIVE)]
+    bands = [passage_regions(side, model.convention, dist)[1] for dist, side in sides]
+    if not model.two_media:
+        bands.append((model.origin.min_support, model.origin.max_support))
+    band_lo = min(lo for lo, _ in bands)
+    band_hi = max(hi for _, hi in bands)
+    R = np.zeros((window.width, band_hi - band_lo + 1))
+    for dist, side in sides:
         (sl, sh), (bl, bh), G = passage_resolvent(dist, side, model.convention, window)
         if refine:
             half = Window(window.lo // 2, max(window.hi // 2, 3 * model.max_jump))
             (hl, hh), _, Gh = passage_resolvent(dist, side, model.convention, half)
-            if side is Side.FROM_NEGATIVE:
-                # rows hl..hh sit at the tail end of the full segment
-                off = hl - sl
-                G[off: off + (hh - hl + 1)] = np.clip(
-                    2.0 * G[off: off + (hh - hl + 1)] - Gh, 0.0, None)
-            else:
-                G[hl - sl: hh - sl + 1] = np.clip(
-                    2.0 * G[hl - sl: hh - sl + 1] - Gh, 0.0, None)
-        return (sl, sh), (bl, bh), G
-
-    (sl, sh), (bl, bh), G = side_rows(model.left, Side.FROM_NEGATIVE)
-    Q[window.index(sl): window.index(sh) + 1,
-      window.index(bl): window.index(bh) + 1] = G
-    band_lo, band_hi = bl, bh
-    (sl, sh), (bl, bh), G = side_rows(model.right, Side.FROM_POSITIVE)
-    Q[window.index(sl): window.index(sh) + 1,
-      window.index(bl): window.index(bh) + 1] = G
-    band_lo, band_hi = min(band_lo, bl), max(band_hi, bh)
+            rows = slice(hl - sl, hh - sl + 1)
+            G[rows] = np.clip(2.0 * G[rows] - Gh, 0.0, None)
+        R[window.index(sl): window.index(sh) + 1, bl - band_lo: bh - band_lo + 1] = G
     if not model.two_media:
         p0 = model.origin.pmf(0)
         i0 = window.index(0)
         for v, p in zip(model.origin.values, model.origin.probs):
             if v != 0:
-                Q[i0, window.index(int(v))] = float(p) / (1.0 - p0)
-        band_lo = min(band_lo, model.origin.min_support)
-        band_hi = max(band_hi, model.origin.max_support)
-    defect = 1.0 - Q.sum(axis=1)
-    return SwitchingKernel(window, Q, defect, (band_lo, band_hi), model)
+                R[i0, int(v) - band_lo] = float(p) / (1.0 - p0)
+    defect = 1.0 - R.sum(axis=1)
+    return SwitchingKernel(window, R, (band_lo, band_hi), defect, model)
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +306,6 @@ def renewal_sequence(Qn: np.ndarray, horizon: Optional[int] = None) -> np.ndarra
     return T
 
 
-def power_sequences(Qn: np.ndarray, ells: Sequence[int], pad_factor: int = 4) -> dict:
-    """Q_n^{(ell)} for each requested ell via FFT over the time axis.
-
-    Treats {Q_n} as a matrix-valued polynomial and takes pointwise matrix
-    powers at the FFT frequencies; pad_factor controls aliasing from the
-    circular convolution (tails decay like n^{-3/2}, so 4N is ample for
-    percent-level diagnostics).
-    """
-    N = Qn.shape[0] - 1
-    M = pad_factor * N
-    fhat = scipy.fft.rfft(Qn, n=M, axis=0, workers=-1)
-    out = {}
-    power = fhat.copy()
-    max_ell = max(ells)
-    for ell in range(1, max_ell + 1):
-        if ell > 1:
-            power = np.matmul(power, fhat)
-        if ell in ells:
-            seq = scipy.fft.irfft(power, n=M, axis=0, workers=-1)[: N + 1]
-            out[ell] = seq
-    return out
-
-
 def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window,
                            ells: Sequence[int], pad_factor: int = 4,
                            rows: Optional[Sequence[int]] = None) -> dict:
@@ -366,11 +353,6 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
             # copy, so the result does not pin the pad_factor-times longer buffer
             out[ell] = scipy.fft.irfft(prod, n=M, axis=0, workers=-1)[: horizon + 1].copy()
     return out
-
-
-def weighted_norm(mat_cols: np.ndarray, psi: np.ndarray, psi_cols: np.ndarray) -> float:
-    """Operator norm on the weighted-sup space: max_x sum_y |M(x,y)| psi(y) / psi(x)."""
-    return float(np.max((np.abs(mat_cols) @ psi_cols) / psi))
 
 
 def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
@@ -441,12 +423,11 @@ def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
 class SpectralData:
     rho_psi: float
     H: np.ndarray
-    nu: Optional[np.ndarray]
+    nu: np.ndarray
     residual: float
     defect: np.ndarray
     window: Window
     markovian: bool
-    iterations: int
     weight: WeightSpec
 
     def report(self) -> dict:
@@ -456,89 +437,51 @@ class SpectralData:
             "defect_max": float(np.max(self.defect)),
             "markovian": self.markovian,
             "H": self.H.tolist(),
-            "nu": self.nu.tolist() if self.nu is not None else None,
+            "nu": self.nu.tolist(),
         }
 
 
-def power_iterate(
-    kernel: SwitchingKernel,
-    weight: Optional[WeightSpec] = None,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    want_left: bool = True,
-) -> SpectralData:
-    """Dominant eigenpair of Q in the weighted sup norm by power iteration.
+def dominant_eigenpair(kernel: SwitchingKernel,
+                       weight: Optional[WeightSpec] = None) -> SpectralData:
+    """Dominant eigenpair (rho, H, nu) of Q = R S_B, exactly from the B x B block C.
 
-    H is normalized so sup H/psi = 1; the left eigenvector is renormalized to
-    a probability vector when the kernel is markovian.  Raises NoConvergence
-    (with a spectral-gap estimate) if the Rayleigh quotient has not settled to
-    ``tol`` within ``max_iter`` iterations.
+    rho is the real eigenvalue of C with the largest real part: the Perron
+    root, also for periodic kernels whose spectrum holds -rho.  The right
+    eigenfunction is lifted off the band as H = R h_B / rho and normalized so
+    sup H/psi = 1 in the weight ``psi`` (default :func:`default_weight`); the
+    left eigenvector nu is C's, zero off B and summing to 1.  ``residual`` is
+    max_x |(Q H)(x) - rho H(x)| / psi(x).  Raises NoConvergence when rho <= 0
+    or H is not positive; H(x) = 0 only where the row Q(x, .) is zero, as on
+    far rows of a drifted medium whose return probability underflows.
     """
     window = kernel.window
     weight = weight or default_weight(kernel.model)
     psi = weight.values(window)
-    M = kernel.Q * (psi[None, :] / psi[:, None])
-    if window.width > 1024:
-        from scipy.sparse import csr_matrix
-        M = csr_matrix(M)
-
-    # lazy (damped) iteration: (M + I)/2 shares eigenvectors with M, maps the
-    # spectrum to (z+1)/2, and keeps the Perron root dominant even when the
-    # chain is periodic (e.g. unit-overshoot models)
-    def damped(vec, left=False):
-        prod = vec @ M if left else M @ vec
-        return 0.5 * (prod + vec)
-
-    h = np.ones(window.width)
-    lam_prev = np.inf
-    lam = 0.0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        h_new = damped(h)
-        lam = float(np.max(h_new))
-        if lam <= 0:
-            raise NoConvergence("iterate collapsed to zero")
-        h_new /= lam
-        if abs(lam - lam_prev) <= 0.5 * tol * max(lam, 1e-30):
-            h = h_new
-            break
-        lam_prev = lam
-        h = h_new
-    else:
-        gap = abs(lam - lam_prev) / max(lam, 1e-30)
-        raise NoConvergence(
-            f"power iteration did not settle in {max_iter} iterations", gap_estimate=gap
-        )
-    rho = 2.0 * lam - 1.0
-    residual = float(np.max(np.abs(M @ h - rho * h)))
-    lam = rho
-    nu = None
-    if want_left:
-        u = np.ones(window.width)
-        for it in range(max_iter):
-            u_new = damped(u, left=True)
-            s = float(np.max(u_new))
-            if s <= 0:
-                raise NoConvergence("left iterate collapsed to zero")
-            u_new /= s
-            if np.max(np.abs(u_new - u)) <= tol:
-                u = u_new
-                break
-            u = u_new
-        else:
-            raise NoConvergence(f"left iteration did not settle in {max_iter} iterations")
-        nu = u / psi
-        nu = np.clip(nu, 0.0, None)
-        nu /= nu.sum()
+    R, C, band = kernel.R, kernel.C, kernel.band_rows
+    vals, vecs = np.linalg.eig(C)
+    k = int(np.argmax(vals.real))
+    rho = float(vals[k].real)
+    if not rho > 0.0:
+        raise NoConvergence(f"switching kernel has no positive eigenvalue (rho = {rho:.3g})")
+    h_band = vecs[:, k].real
+    h_band *= np.sign(h_band.sum())   # eig fixes an eigenvector only up to sign
+    H = R @ (h_band / rho)
+    H /= np.max(H / psi)
+    if not (np.all(H[band] > 0.0) and np.all(H >= 0.0)):
+        raise NoConvergence(f"eigenfunction for rho = {rho:.17g} is not positive")
+    lvals, lvecs = np.linalg.eig(C.T)
+    nu_band = lvecs[:, int(np.argmin(np.abs(lvals - rho)))].real
+    nu = np.zeros(window.width)
+    nu[band] = nu_band / nu_band.sum()
+    residual = float(np.max(np.abs(R @ H[band] - rho * H) / psi))
     return SpectralData(
-        rho_psi=lam,
-        H=h * psi,
+        rho_psi=rho,
+        H=H,
         nu=nu,
         residual=residual,
         defect=kernel.defect,
         window=window,
         markovian=kernel.markovian,
-        iterations=iterations,
         weight=weight,
     )
 
@@ -687,13 +630,22 @@ def limit_operator_E(
     return E
 
 
-def limit_operator_E_ell(E: np.ndarray, Q: np.ndarray, ell: int) -> np.ndarray:
-    """E_ell = sum_{i=0}^{ell-1} Q^(i) E Q^(ell-1-i) with Q^(0) = I."""
-    width = E.shape[0]
-    powers = [np.eye(width)]
-    for _ in range(ell - 1):
-        powers.append(powers[-1] @ Q)
+def limit_operator_E_ell(E: np.ndarray, kernel: SwitchingKernel, ell: int) -> np.ndarray:
+    """E_ell = sum_{i=0}^{ell-1} Q^(i) E Q^(ell-1-i) with Q^(0) = I.
+
+    Uses the factored powers Q^(i) = R C^(i-1) S_B, so no power of Q is formed.
+    """
+    R, C, band = kernel.R, kernel.C, kernel.band_rows
+    # RC[i - 1] = R C^(i-1): the band columns of Q^(i), i >= 1
+    RC = [R]
+    for _ in range(ell - 2):
+        RC.append(RC[-1] @ C)
     out = np.zeros_like(E)
     for i in range(ell):
-        out += powers[i] @ E @ powers[ell - 1 - i]
+        j = ell - 1 - i
+        left = E if i == 0 else RC[i - 1] @ E[band]
+        if j == 0:
+            out += left
+        else:
+            out[:, band] += left @ RC[j - 1]
     return out

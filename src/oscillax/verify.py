@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -466,7 +466,7 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     plateau level and the renewal-tail sum against its ladder-constant limit;
     includes two synthetic scalar sanity checks of the machinery itself.
     """
-    from .switching import power_iterate, switching_kernel, switching_time_marginals
+    from .switching import dominant_eigenpair, switching_kernel, switching_time_marginals
 
     report = {}
     window = window or Window(-512, 512)
@@ -495,7 +495,7 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     if case not in (DriftCase.ZZ, DriftCase.PZ, DriftCase.PN):
         return report
 
-    spectral = power_iterate(switching_kernel(model, window))
+    spectral = dominant_eigenpair(switching_kernel(model, window))
     nu = spectral.nu
     # renewal-tail level: pi * (tail sum limit) is the plateau normalizer
     parts = {}

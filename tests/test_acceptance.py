@@ -19,8 +19,8 @@ from oscillax.regimes import classify, predicted_constant_Cy, select_tilt
 from oscillax.switching import (
     banded_power_sequences,
     limit_operator_E,
+    dominant_eigenpair,
     limit_operator_E_ell,
-    power_iterate,
     switching_kernel,
     WeightSpec,
 )
@@ -240,7 +240,7 @@ def test_criterion_10_operator_renewal(fix_zz):
     ok_ell = True
     details = []
     for ell in (1, 2, 3):
-        El = limit_operator_E_ell(E, sk.Q, ell)
+        El = limit_operator_E_ell(E, sk, ell)
         x, y = -1, 0
         row = deep["rows"][x]
         v1 = 2048 ** 1.5 * deep[ell][2048, row, y - dbl]
@@ -261,8 +261,8 @@ def test_criterion_10_operator_renewal(fix_zz):
 
 def test_criterion_11_doob_spectral(fix_zp):
     t0 = time.time()
-    s1 = power_iterate(switching_kernel(fix_zp, Window(-256, 256)))
-    s2 = power_iterate(switching_kernel(fix_zp, Window(-512, 512)))
+    s1 = dominant_eigenpair(switching_kernel(fix_zp, Window(-256, 256)))
+    s2 = dominant_eigenpair(switching_kernel(fix_zp, Window(-512, 512)))
     drift_stab = abs(s1.rho_psi - s2.rho_psi)
     ok = (s2.rho_psi <= 1.0 - 1e-3
           and float(np.min(s2.H)) > 0.0

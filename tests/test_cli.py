@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,31 @@ class TestCommands:
         assert rep["rho_psi"] < 0.999
         assert rep["defect_max"] <= 1.0
         assert len(rep["H"]) == 2 * 96 + 1
+
+    def test_spectrum_weight_overflow_exit_two(self, model_dir, tmp_path, capsys):
+        # the exponential weight of FIX-PP overflows at W = 2048
+        t0 = time.perf_counter()
+        assert main(["spectrum", str(model_dir / "FIX-PP.json"), "-W", "2048",
+                     "-o", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "not finite" in capsys.readouterr().err
+
+    def test_spectrum_delta_zero_is_used(self, model_dir, tmp_path, capsys):
+        # delta 0 gives psi = 1 + |x|, which fails the edge-dominance check
+        assert main(["spectrum", str(model_dir / "FIX-ZP.json"), "-W", "96",
+                     "--weight", "polynomial", "--delta", "0", "-o", str(tmp_path)]) == 2
+        assert "dominate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "FIX-ZZ.json", "--seed", "3"],
+        ["spectrum", "FIX-ZZ.json", "--rational"],
+        ["evolve", "FIX-ZZ.json", "--from", "0", "--to", "0", "--threads", "2"],
+    ], ids=["seed", "rational", "threads"])
+    def test_flags_scoped_to_their_commands(self, model_dir, argv):
+        argv = [argv[0], str(model_dir / argv[1]), *argv[2:]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_simulate_reproducible_bytes(self, model_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,19 +6,27 @@ import pytest
 
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import Window
+from oscillax.fixtures import FIXTURES
 from oscillax.ladder import LadderVariant, ladder_potentials
-from oscillax.model import dist, essential_class, geometric_tilt, validate_model
+from oscillax.model import (
+    Convention,
+    DriftCase,
+    OscillatingModel,
+    dist,
+    essential_class,
+    geometric_tilt,
+    validate_model,
+)
 from oscillax.switching import (
     SwitchingKernel,
     WeightSpec,
     banded_power_sequences,
     build_Q,
     default_weight,
+    dominant_eigenpair,
     doob_transform,
     limit_operator_E,
     limit_operator_E_ell,
-    power_iterate,
-    power_sequences,
     q_history_matrices,
     renewal_sequence,
     switching_kernel,
@@ -27,13 +35,27 @@ from oscillax.switching import (
 )
 
 
+def dense_q(sk):
+    """The full width x width matrix Q = R S_B, for checks on small windows."""
+    Q = np.zeros((sk.window.width, sk.window.width))
+    Q[:, sk.band_rows] = sk.R
+    return Q
+
+
+def period_two_model():
+    """+-1 with probability 1/2 in every medium: Q has eigenvalues rho and -rho."""
+    pm1 = dist({-1: F(1, 2), 1: F(1, 2)})
+    return OscillatingModel(pm1, pm1, pm1, Convention.THREE_MEDIA, D=1, Dprime=-1,
+                            D0_plus=1, D0_minus=-1, drift_case=DriftCase.ZZ)
+
+
 class TestBuildQ:
     def test_origin_row_closed_form(self, fix_zz):
         sk = switching_kernel(fix_zz, Window(-48, 48))
-        w = sk.window
-        assert sk.Q[w.index(0), w.index(1)] == pytest.approx(0.5)
-        assert sk.Q[w.index(0), w.index(-1)] == pytest.approx(0.5)
-        assert sk.Q[w.index(0), w.index(0)] == 0.0
+        w, bl = sk.window, sk.band[0]
+        assert sk.R[w.index(0), 1 - bl] == pytest.approx(0.5)
+        assert sk.R[w.index(0), -1 - bl] == pytest.approx(0.5)
+        assert sk.R[w.index(0), 0 - bl] == 0.0
 
     def test_mass_accounting_exact(self, fix_zz):
         w = Window(-48, 48)
@@ -59,11 +81,11 @@ class TestBuildQ:
     def test_row_matches_ladder_formula(self, fix_zz):
         # Q(-1, y) = mu_strict_asc(y + 1): the single-term overshoot identity
         sk = switching_kernel(fix_zz, Window(-256, 256))
-        w = sk.window
+        w, bl = sk.window, sk.band[0]
         pot = ladder_potentials(fix_zz.left)
         hs = pot.heights_exact[LadderVariant.STRICT_ASC]
-        assert sk.Q[w.index(-1), w.index(0)] == pytest.approx(hs[1], abs=2e-4)
-        assert sk.Q[w.index(-1), w.index(1)] == pytest.approx(hs[2], abs=2e-4)
+        assert sk.R[w.index(-1), 0 - bl] == pytest.approx(hs[1], abs=2e-4)
+        assert sk.R[w.index(-1), 1 - bl] == pytest.approx(hs[2], abs=2e-4)
 
     def test_origin_row_geometric_history(self):
         m = validate_model(dist({-1: F(1, 2), 0: F(1, 4), 2: F(1, 4)}),
@@ -113,37 +135,50 @@ class TestRenewalSequence:
         assert err <= 1e-14
 
 
+def direct_power_sum(Qn, prev):
+    """Q^(l)_n = sum_j Q^(l-1)_j Q_{n-j}, the time convolution done directly."""
+    out = np.zeros_like(Qn)
+    for n in range(2, Qn.shape[0]):
+        for j in range(1, n):
+            out[n] += prev[j] @ Qn[n - j]
+    return out
+
+
 class TestPowerSequences:
     def test_fft_matches_direct(self, fix_zz):
         w = Window(-8, 8)
         Qn = q_history_matrices(fix_zz, 32, w)
-        seqs = power_sequences(Qn, ells=[2, 3], pad_factor=8)
-        direct2 = np.zeros_like(Qn)
-        for n in range(2, 33):
-            for j in range(1, n):
-                direct2[n] += Qn[j] @ Qn[n - j]
-        assert np.max(np.abs(seqs[2][: 33] - direct2)) <= 1e-10
+        seqs = banded_power_sequences(fix_zz, 32, w, ells=[2, 3], pad_factor=8)
+        bl, bh = seqs["band"]
+        cols = slice(w.index(bl), w.index(bh) + 1)
+        direct2 = direct_power_sum(Qn, Qn)
+        direct3 = direct_power_sum(Qn, direct2)
+        assert np.max(np.abs(seqs[2][: 33] - direct2[:, :, cols])) <= 1e-10
+        assert np.max(np.abs(seqs[3][: 33] - direct3[:, :, cols])) <= 1e-10
 
     def test_banded_matches_dense(self, fix_zz):
+        # the dense power has no mass off the band, so the banded form is complete
         w = Window(-8, 8)
         Qn = q_history_matrices(fix_zz, 32, w)
-        dense = power_sequences(Qn, ells=[2], pad_factor=8)[2]
+        dense = direct_power_sum(Qn, Qn)
         banded = banded_power_sequences(fix_zz, 32, w, ells=[2], pad_factor=8)
         bl, bh = banded["band"]
         cols = slice(w.index(bl), w.index(bh) + 1)
-        assert np.max(np.abs(banded[2][: 33] - dense[: 33, :, cols])) <= 1e-9
+        embedded = np.zeros_like(dense)
+        embedded[:, :, cols] = banded[2][: 33]
+        assert np.max(np.abs(embedded - dense)) <= 1e-9
 
 
 class TestSpectra:
     def test_pn_markovian_unit_radius(self, fix_pn):
-        sd = power_iterate(switching_kernel(fix_pn, Window(-48, 48)))
+        sd = dominant_eigenpair(switching_kernel(fix_pn, Window(-48, 48)))
         assert sd.markovian
         assert sd.rho_psi == pytest.approx(1.0, abs=1e-9)
         support = [int(x) for x in sd.window.positions() if sd.nu[sd.window.index(int(x))] > 1e-12]
         assert support == essential_class(fix_pn) == [-1, 0, 1]
 
     def test_zp_submarkovian(self, fix_zp):
-        sd = power_iterate(switching_kernel(fix_zp, Window(-128, 128)))
+        sd = dominant_eigenpair(switching_kernel(fix_zp, Window(-128, 128)))
         assert not sd.markovian
         assert sd.rho_psi < 1.0 - 1e-3
         assert np.all(sd.H > 0)
@@ -151,19 +186,17 @@ class TestSpectra:
 
     def test_rank_one_projector(self, fix_zz):
         w = Window(-16, 16)
-        nu = np.zeros(w.width)
-        nu[w.index(-1)] = nu[w.index(0)] = nu[w.index(1)] = 1 / 3
-        Q = np.outer(np.ones(w.width), nu)
-        sk = SwitchingKernel(w, Q, 1.0 - Q.sum(axis=1), (-1, 1), fix_zz)
-        sd = power_iterate(sk)
+        R = np.full((w.width, 3), 1 / 3)
+        sk = SwitchingKernel(w, R, (-1, 1), 1.0 - R.sum(axis=1), fix_zz)
+        sd = dominant_eigenpair(sk)
         assert sd.rho_psi == pytest.approx(1.0, abs=1e-12)
         h = sd.H / sd.H[w.index(0)]
         assert np.max(np.abs(h - 1.0)) <= 1e-9
 
     def test_weight_robustness(self, fix_zp):
         sk = switching_kernel(fix_zp, Window(-128, 128))
-        s1 = power_iterate(sk, WeightSpec("polynomial", 0.5))
-        s2 = power_iterate(sk, WeightSpec("polynomial", 0.8))
+        s1 = dominant_eigenpair(sk, WeightSpec("polynomial", 0.5))
+        s2 = dominant_eigenpair(sk, WeightSpec("polynomial", 0.8))
         assert abs(s1.rho_psi - s2.rho_psi) <= 1e-8
 
     def test_weight_validation(self):
@@ -171,28 +204,75 @@ class TestSpectra:
             WeightSpec("polynomial", -1.0).values(Window(-8, 8))
 
 
+SPECTRAL_MODELS = [*sorted(FIXTURES), "period-2"]
+
+
+def spectral_model(name):
+    return period_two_model() if name == "period-2" else FIXTURES[name]()
+
+
+class TestDominantEigenpair:
+    @pytest.mark.parametrize("name", SPECTRAL_MODELS)
+    def test_matches_dense_eigensolve(self, name):
+        sk = switching_kernel(spectral_model(name), Window(-48, 48))
+        sd = dominant_eigenpair(sk)
+        Q = dense_q(sk)
+        assert sd.rho_psi == pytest.approx(np.max(np.linalg.eigvals(Q).real), abs=1e-12)
+        H, nu = sd.H, sd.nu
+        assert np.max(np.abs(Q @ H - sd.rho_psi * H)) <= 1e-12 * np.max(H)
+        assert np.max(np.abs(nu @ Q - sd.rho_psi * nu)) <= 1e-12
+        assert np.all(H > 0)
+        off_band = np.ones(sk.window.width, dtype=bool)
+        off_band[sk.band_rows] = False
+        assert not nu[off_band].any()
+        assert np.all(nu[sk.band_rows] > 0)
+        assert nu.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_period_two_picks_perron_root(self):
+        sk = switching_kernel(period_two_model(), Window(-48, 48))
+        spectrum = np.linalg.eigvals(sk.C)
+        assert np.min(spectrum.real) == pytest.approx(-np.max(spectrum.real), abs=1e-12)
+        assert dominant_eigenpair(sk).rho_psi > 0.99
+
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PZ", "FIX-PN", "FIX-ZP"])
+    def test_residual_at_w512(self, name):
+        sd = dominant_eigenpair(switching_kernel(FIXTURES[name](), Window(-512, 512)))
+        assert sd.residual <= 1e-12
+
+    def test_no_dense_kernel(self, fix_zz):
+        # the dense W x W kernel alone would be 537 MB at W = 4096
+        tracemalloc.start()
+        try:
+            dominant_eigenpair(switching_kernel(fix_zz, Window(-4096, 4096)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
 class TestDoob:
     def test_identity_transform(self, fix_zz):
-        sk = switching_kernel(fix_zz, Window(-24, 24))
-        out = doob_transform(sk.Q, np.ones(sk.window.width), 1.0)
-        assert np.array_equal(out, sk.Q)
+        Q = dense_q(switching_kernel(fix_zz, Window(-24, 24)))
+        out = doob_transform(Q, np.ones(Q.shape[0]), 1.0)
+        assert np.array_equal(out, Q)
 
     def test_power_structure(self, fix_zp):
         # (HQ)^(l) equals the conjugation of Q^(l) by (rho, H), l = 2, 3
         sk = switching_kernel(fix_zp, Window(-32, 32))
-        sd = power_iterate(sk)
-        HQ = doob_transform(sk.Q, sd.H, sd.rho_psi)
+        sd = dominant_eigenpair(sk)
+        Q = dense_q(sk)
+        HQ = doob_transform(Q, sd.H, sd.rho_psi)
         for ell in (2, 3):
             lhs = np.linalg.matrix_power(HQ, ell)
-            rhs = np.linalg.matrix_power(sk.Q, ell) * (
+            rhs = np.linalg.matrix_power(Q, ell) * (
                 sd.H[None, :] / sd.H[:, None]) / sd.rho_psi ** ell
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_markovization(self, fix_zp):
         # row sums of the transformed aggregate approach 1 (up to truncation)
         sk = switching_kernel(fix_zp, Window(-64, 64))
-        sd = power_iterate(sk)
-        HQ = doob_transform(sk.Q, sd.H, sd.rho_psi)
+        sd = dominant_eigenpair(sk)
+        HQ = doob_transform(dense_q(sk), sd.H, sd.rho_psi)
         rows = HQ.sum(axis=1)
         mid = slice(sk.window.index(-8), sk.window.index(8) + 1)
         assert np.max(np.abs(rows[mid] - 1.0)) <= 5e-3
@@ -201,7 +281,7 @@ class TestDoob:
         # sum_{n<=N} HQ_n row sums approach 1 as the horizon doubles
         w = Window(-96, 96)
         sk = switching_kernel(fix_zp, w)
-        sd = power_iterate(sk)
+        sd = dominant_eigenpair(sk)
         defects = []
         for N in (64, 128, 256):
             hist = build_Q(fix_zp, N, w, rows=[-1, 0, 1])
@@ -293,7 +373,18 @@ class TestLimitOperator:
         w = Window(-24, 24)
         E = limit_operator_E(fix_zz, w)
         sk = switching_kernel(fix_zz, w)
-        assert np.array_equal(limit_operator_E_ell(E, sk.Q, 1), E)
+        assert np.array_equal(limit_operator_E_ell(E, sk, 1), E)
+
+    def test_e_ell_matches_dense_powers(self, fix_zz):
+        # the factored Q^(i) = R C^(i-1) S_B give the dense-definition E_ell
+        w = Window(-24, 24)
+        E = limit_operator_E(fix_zz, w)
+        sk = switching_kernel(fix_zz, w)
+        Q = dense_q(sk)
+        for ell in (2, 3, 4):
+            powers = [np.linalg.matrix_power(Q, i) for i in range(ell)]
+            dense = sum(powers[i] @ E @ powers[ell - 1 - i] for i in range(ell))
+            assert np.max(np.abs(limit_operator_E_ell(E, sk, ell) - dense)) <= 1e-14
 
     def test_zz_pointwise_limit(self, fix_zz):
         # n^{3/2} Q_n(-1, 0) approaches E(-1, 0) (tested loosely here; the
