@@ -129,7 +129,13 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .switching import WeightSpec, default_weight, dominant_eigenpair, switching_kernel
+    from .switching import (
+        WeightSpec,
+        default_weight,
+        dominant_eigenpair,
+        exponential_weight,
+        switching_kernel,
+    )
 
     model = load_model(args.model)
     window = _window(args, model, args.horizon)
@@ -139,7 +145,7 @@ def cmd_spectrum(args) -> int:
     elif args.weight == "polynomial":
         weight = WeightSpec("polynomial", 0.5 if delta is None else delta)
     else:
-        weight = default_weight(model, 0.1 if delta is None else delta)
+        weight = exponential_weight(model, delta)
     spectral = dominant_eigenpair(switching_kernel(model, window), weight)
     _write_json(_outdir(args) / "spectrum.json", spectral.report())
     return EXIT_OK

@@ -26,9 +26,10 @@ from scipy.linalg import solve_banded
 from scipy.special import zeta
 
 from .errors import DeficitTooLarge, NotCentered, ValidationError
-from .model import LatticeDist, ZERO_DRIFT_TOL, is_strongly_aperiodic
+from .model import LatticeDist, ZERO_DRIFT_TOL, is_strongly_aperiodic, mirror_dist
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SOLVE_WINDOW = 40000   # sites per killed-walk Green solve in ladder_potentials
 
 
 class LadderVariant(Enum):
@@ -72,7 +73,6 @@ def ladder_height_dist(
     dist: LatticeDist,
     variant: LadderVariant,
     horizon: int,
-    window_half: Optional[int] = None,
 ) -> LadderHeights:
     """Ladder height distribution by first-passage DP up to a horizon.
 
@@ -82,13 +82,14 @@ def ladder_height_dist(
     """
     thr = _absorb_threshold(variant)
     max_j = max(abs(dist.min_support), abs(dist.max_support))
-    half = window_half or max(64, 8 * math.ceil(math.sqrt(horizon)) * max_j)
+    half = max(64, 8 * math.ceil(math.sqrt(horizon)) * max_j)
+    # the band holds every absorbing site, the free first step's atoms included
     if variant.ascending:
         surv_lo, surv_hi = -half, thr - 1
-        band = range(thr, thr + dist.max_support)
+        band = range(thr, dist.max_support + 1)
     else:
         surv_lo, surv_hi = thr + 1, half
-        band = range(thr + dist.min_support, thr + 1)
+        band = range(dist.min_support, thr + 1)
     k_lo, kern = dist.dense_kernel()
     width = surv_hi - surv_lo + 1
     state = np.zeros(width)
@@ -135,31 +136,50 @@ def ladder_height_dist(
 # Killed-walk Green functions (duality route)
 # ---------------------------------------------------------------------------
 
+def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray) -> np.ndarray:
+    """X = (I - A)^{-1} rhs for the walk with law ``dist`` killed on leaving [lo, hi].
+
+    A[x, x + v] = mu(v) for x and x + v in the segment, so X(x) sums rhs over
+    the visits of the killed walk started at x; the transpose I - A^T is the
+    killed matrix of ``mirror_dist(dist)`` on the same segment.  ``rhs`` is a
+    vector or a block of columns indexed by lo..hi.  One banded solve, plus
+    a second on the segment with its far end (the one away from the origin)
+    halved: X = 2 X - X_half on the sites both share removes the O(1/size)
+    truncation bias, and the result is clipped at 0.
+    """
+    maxj = max(abs(dist.min_support), abs(dist.max_support))
+
+    def solve(a, b):
+        size = b - a + 1
+        # (I - A) in solve_banded layout: ab[maxj + i - j, j] = M[i, j]
+        ab = np.zeros((2 * maxj + 1, size))
+        ab[maxj] = 1.0
+        for v, p in zip(dist.values, dist.probs):
+            v = int(v)
+            if abs(v) < size:
+                ab[maxj - v, max(v, 0): size + min(v, 0)] -= p
+        return solve_banded((maxj, maxj), ab, rhs[a - lo: b - lo + 1])
+
+    X = solve(lo, hi)
+    a, b = (lo // 2, hi) if hi <= 0 else (lo, hi // 2)
+    if a <= b:
+        X[a - lo: b - lo + 1] = 2.0 * X[a - lo: b - lo + 1] - solve(a, b)
+    return np.clip(X, 0.0, None)
+
+
 def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int) -> np.ndarray:
     """g[z] = sum_{n>=0} P[S_1..S_n all in [keep_lo, keep_hi], S_n = z], S_0 = start.
 
-    Solved as the banded linear system (I - A^T) g = first-step vector, where A
-    is the walk restricted to the kept region; the n = 0 term is included when
-    the start lies inside.  Truncation error is O(|z| / region size).
+    Row ``start`` of the killed Green function, i.e. the :func:`killed_green`
+    solve of the mirrored law against the first-step vector; the n = 0 term
+    is added when the start lies inside.
     """
-    size = keep_hi - keep_lo + 1
-    maxj = max(abs(dist.min_support), abs(dist.max_support))
-    # (I - A^T) in solve_banded layout: ab[maxj + (i - j), j] = M[i, j]
-    ab = np.zeros((2 * maxj + 1, size))
-    ab[maxj, :] = 1.0
-    for v, p in zip(dist.values, dist.probs):
-        v, p = int(v), float(p)
-        row = maxj + v
-        if v >= 0:
-            ab[row, : size - v] -= p
-        else:
-            ab[row, -v:] -= p
-    rhs = np.zeros(size)
+    rhs = np.zeros(keep_hi - keep_lo + 1)
     for v, p in zip(dist.values, dist.probs):
         z = start + int(v)
         if keep_lo <= z <= keep_hi:
             rhs[z - keep_lo] += float(p)
-    g = solve_banded((maxj, maxj), ab, rhs)
+    g = killed_green(mirror_dist(dist), keep_lo, keep_hi, rhs)
     if keep_lo <= start <= keep_hi:
         g[start - keep_lo] += 1.0
     return g
@@ -189,40 +209,31 @@ class LadderPotentials:
         return sum(h * p for h, p in self.heights_exact[variant].items())
 
 
-def ladder_potentials(dist: LatticeDist, depth: Optional[int] = None,
-                      solve_window: int = 40000, refine: bool = True) -> LadderPotentials:
+def ladder_potentials(dist: LatticeDist, depth: Optional[int] = None) -> LadderPotentials:
     """Compute U tables by killed-walk Green solves plus duality.
 
     Duality pairs each variant's renewal measure with survival probabilities of
     the opposite strictness/direction: e.g. the weak-descending U at {-w}
     equals the total time the walk spends at -w before its first strictly
-    positive value.  ``refine`` Richardson-extrapolates the O(1/window)
-    truncation error out of the tables using a half-size second solve.
+    positive value.  Each solve runs on max(SOLVE_WINDOW, 50 depth) sites and
+    is Richardson-refined by :func:`killed_green`.
     """
     maxj = max(abs(dist.min_support), abs(dist.max_support))
     depth = depth if depth is not None else max(2 * maxj + 2, 8)
-    W = max(solve_window, 50 * depth)
-
-    def tables(W):
-        U = {}
-        # weak descending U_- <-> stay <= 0 (kill on strict ascent)
-        g = killed_green_row(dist, -W, 0, 0)
-        U[LadderVariant.WEAK_DESC] = np.array([g[-d + W] for d in range(depth + 1)])
-        # strict ascending U_*+ <-> stay >= 1 after step 1 (kill on weak descent)
-        g = killed_green_row(dist, 1, W, 0)
-        U[LadderVariant.STRICT_ASC] = np.array([1.0] + [g[d - 1] for d in range(1, depth + 1)])
-        # weak ascending U_+ <-> stay >= 0 (kill on strict descent)
-        g = killed_green_row(dist, 0, W, 0)
-        U[LadderVariant.WEAK_ASC] = np.array([g[d] for d in range(depth + 1)])
-        # strict descending U_*- <-> stay <= -1 after step 1 (kill on weak ascent)
-        g = killed_green_row(dist, -W, -1, 0)
-        U[LadderVariant.STRICT_DESC] = np.array([1.0] + [g[-d + W] for d in range(1, depth + 1)])
-        return U
-
-    U = tables(W)
-    if refine:
-        U_half = tables(W // 2)
-        U = {k: 2.0 * U[k] - U_half[k] for k in U}
+    W = max(SOLVE_WINDOW, 50 * depth)
+    U = {}
+    # weak descending U_- <-> stay <= 0 (kill on strict ascent)
+    g = killed_green_row(dist, -W, 0, 0)
+    U[LadderVariant.WEAK_DESC] = np.array([g[-d + W] for d in range(depth + 1)])
+    # strict ascending U_*+ <-> stay >= 1 after step 1 (kill on weak descent)
+    g = killed_green_row(dist, 1, W, 0)
+    U[LadderVariant.STRICT_ASC] = np.array([1.0] + [g[d - 1] for d in range(1, depth + 1)])
+    # weak ascending U_+ <-> stay >= 0 (kill on strict descent)
+    g = killed_green_row(dist, 0, W, 0)
+    U[LadderVariant.WEAK_ASC] = np.array([g[d] for d in range(depth + 1)])
+    # strict descending U_*- <-> stay <= -1 after step 1 (kill on weak ascent)
+    g = killed_green_row(dist, -W, -1, 0)
+    U[LadderVariant.STRICT_DESC] = np.array([1.0] + [g[-d + W] for d in range(1, depth + 1)])
     pot = LadderPotentials(dist, depth, U)
     pmf = {int(v): float(p) for v, p in zip(dist.values, dist.probs)}
     # heights by the over-the-extremum identity:
@@ -358,7 +369,6 @@ def fluctuation_constants(
     dist: LatticeDist,
     ladder_horizon: int = 1 << 15,
     spitzer_horizon: int = 1 << 13,
-    solve_window: int = 40000,
     require_aperiodic: bool = True,
 ) -> FluctuationConstants:
     """The walk's fluctuation constant by three independent formulas.
@@ -377,7 +387,7 @@ def fluctuation_constants(
     if require_aperiodic and not is_strongly_aperiodic(dist):
         raise ValidationError("law must be strongly aperiodic")
     sigma = dist.sigma
-    pot = ladder_potentials(dist, solve_window=solve_window)
+    pot = ladder_potentials(dist)
     c_direct = sum(
         pot.V(LadderVariant.WEAK_DESC, w) * dist.tail_ge(w)
         for w in range(1, dist.max_support + 1)

@@ -406,6 +406,12 @@ def essential_class(model: OscillatingModel) -> list[int]:
     return sorted(sites)
 
 
+def arrival_band(model: OscillatingModel) -> tuple[int, int]:
+    """[min, max] of the essential class: the columns the switching kernel can hit."""
+    sites = essential_class(model)
+    return sites[0], sites[-1]
+
+
 # ---------------------------------------------------------------------------
 # Model files
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     ConventionMismatch,
@@ -26,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .evolve import Window
-from .ladder import LadderVariant, ladder_potentials
+from .ladder import LadderVariant, killed_green, ladder_potentials
 from .model import (
     DriftCase,
     LatticeDist,
@@ -35,6 +34,7 @@ from .model import (
     argmin_laplace,
     cross_point,
     laplace,
+    mirror_dist,
     mirror_model,
     tilt,
     validate_model,
@@ -340,45 +340,6 @@ def select_tilt(model: OscillatingModel, prediction: Optional[RegimePrediction] 
 # Predicted local-limit constant (null-recurrent cases)
 # ---------------------------------------------------------------------------
 
-def _occupation_row(dist: LatticeDist, seg_lo: int, seg_hi: int, nu_seg: np.ndarray,
-                    refine: bool = True) -> np.ndarray:
-    """h[y] = sum_x nu(x) G(x, y) for the walk killed on leaving [seg_lo, seg_hi].
-
-    One banded solve of (I - A^T) h = nu; Richardson-refined against a
-    half-size segment to kill the O(1/size) truncation bias.
-    """
-    def solve(lo, hi, rhs):
-        size = hi - lo + 1
-        maxj = max(abs(dist.min_support), abs(dist.max_support))
-        ab = np.zeros((2 * maxj + 1, size))
-        ab[maxj, :] = 1.0
-        for v, p in zip(dist.values, dist.probs):
-            v, p = int(v), float(p)
-            row = maxj + v  # M[i,j] = -p at i - j = v  (M = I - A^T)
-            if v >= 0:
-                ab[row, : size - v] -= p
-            else:
-                ab[row, -v:] -= p
-        return solve_banded((maxj, maxj), ab, rhs)
-
-    size = seg_hi - seg_lo + 1
-    h = solve(seg_lo, seg_hi, nu_seg)
-    if refine:
-        if seg_hi <= 0:
-            lo2 = seg_lo // 2
-            rhs2 = nu_seg[lo2 - seg_lo:]
-            h2 = solve(lo2, seg_hi, rhs2)
-            h = h.copy()
-            h[lo2 - seg_lo:] = 2.0 * h[lo2 - seg_lo:] - h2
-        else:
-            hi2 = seg_hi // 2
-            rhs2 = nu_seg[: hi2 - seg_lo + 1]
-            h2 = solve(seg_lo, hi2, rhs2)
-            h = h.copy()
-            h[: hi2 - seg_lo + 1] = 2.0 * h[: hi2 - seg_lo + 1] - h2
-    return np.clip(h, 0.0, None)
-
-
 @dataclass
 class InvariantProfile:
     """The walk's invariant measure via occupation times of the switching chain."""
@@ -404,18 +365,13 @@ def invariant_profile(
     and symmetrically on the right; the plateau of lambda_X over a probe band
     is required to agree within ``plateau_rel_tol`` as a consistency check.
     """
-    width = window.width
-    vals = np.zeros(width)
+    vals = np.zeros(window.width)
     theta_left = 0 if model.two_media else -1   # last site of the left medium
-    # left side
-    seg_lo, seg_hi = window.lo, theta_left
-    nu_seg = nu[window.index(seg_lo): window.index(seg_hi) + 1]
-    h = _occupation_row(model.left, seg_lo, seg_hi, nu_seg)
-    vals[window.index(seg_lo): window.index(seg_hi) + 1] = h
-    # right side
-    nu_seg = nu[window.index(1): window.index(window.hi) + 1]
-    h = _occupation_row(model.right, 1, window.hi, nu_seg)
-    vals[window.index(1): window.index(window.hi) + 1] = h
+    # occupation h(y) = sum_x nu(x) G(x, y) of each medium's killed walk solves
+    # (I - A^T) h = nu, and I - A^T is the killed matrix of the mirrored law
+    for law, lo, hi in ((model.left, window.lo, theta_left), (model.right, 1, window.hi)):
+        seg = slice(window.index(lo), window.index(hi) + 1)
+        vals[seg] = killed_green(mirror_dist(law), lo, hi, nu[seg])
     if not model.two_media:
         vals[window.index(0)] = nu[window.index(0)] / (1.0 - model.origin.pmf(0))
 

@@ -13,13 +13,12 @@ window, no time truncation); per-step histories come from the DP in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import solve_banded
 
 from .errors import ConventionMismatch, NoConvergence, ValidationError
 from .evolve import (
@@ -31,8 +30,16 @@ from .evolve import (
     first_passage_rows,
     passage_regions,
 )
-from .ladder import SQRT_2PI, LadderPotentials, LadderVariant, ladder_potentials
-from .model import Convention, LatticeDist, OscillatingModel, essential_class, tilt
+from .ladder import SQRT_2PI, LadderVariant, killed_green, ladder_potentials
+from .model import (
+    Convention,
+    LatticeDist,
+    OscillatingModel,
+    argmin_laplace,
+    arrival_band,
+    essential_class,
+    tilt,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +82,18 @@ class WeightSpec:
         return psi
 
 
-def default_weight(model: OscillatingModel, delta: float = None) -> WeightSpec:
-    """Polynomial weight for recurrent-type regimes, exponential for (N,P)/(P,P)."""
-    from .model import argmin_laplace  # local import to keep module load light
+def exponential_weight(model: OscillatingModel, delta: Optional[float] = None) -> WeightSpec:
+    """psi(x) = exp((|lambda'| + delta)|x|) for x <= 0, exp((|lambda| + delta) x) else."""
+    d = 0.1 if delta is None else delta
+    lam, _ = argmin_laplace(model.left)
+    lamp, _ = argmin_laplace(model.right)
+    return WeightSpec("exponential", d, rate_neg=abs(lamp) + d, rate_pos=abs(lam) + d)
 
-    case = model.drift_case.value
-    if case in ("(N,P)", "(P,P)", "(N,N)"):
-        d = 0.1 if delta is None else delta
-        lam, _ = argmin_laplace(model.left)
-        lamp, _ = argmin_laplace(model.right)
-        return WeightSpec("exponential", d, rate_neg=abs(lamp) + d, rate_pos=abs(lam) + d)
+
+def default_weight(model: OscillatingModel, delta: Optional[float] = None) -> WeightSpec:
+    """Polynomial weight for recurrent-type regimes, exponential for (N,P)/(P,P)/(N,N)."""
+    if model.drift_case.value in ("(N,P)", "(P,P)", "(N,N)"):
+        return exponential_weight(model, delta)
     return WeightSpec("polynomial", 0.5 if delta is None else delta)
 
 
@@ -97,39 +106,24 @@ def passage_resolvent(
     side: Side,
     convention: Convention,
     window: Window,
-    z: float = 1.0,
 ) -> tuple[tuple[int, int], tuple[int, int], np.ndarray]:
-    """G_z(x, y) = sum_{n>=1} z^n Q_n(x, y) for every start x in the medium.
+    """G(x, y) = sum_{n>=1} Q_n(x, y) for every start x in the medium.
 
-    Solves (I - z A) G = z B where A is the walk restricted to the surviving
-    segment and B the one-step arrival matrix; exact in n, window-truncated
-    in space.  Returns ((seg_lo, seg_hi), (band_lo, band_hi), G).
+    Solves (I - A) G = B by :func:`killed_green`, where A is the walk
+    restricted to the surviving segment and B the one-step arrival matrix;
+    exact in n, window-truncated (and Richardson-refined) in space.  Returns
+    ((seg_lo, seg_hi), (band_lo, band_hi), G).
     """
     bound, (band_lo, band_hi) = passage_regions(side, convention, dist)
-    if side is Side.FROM_NEGATIVE:
-        seg_lo, seg_hi = window.lo, bound
-    else:
-        seg_lo, seg_hi = bound, window.hi
-    size = seg_hi - seg_lo + 1
-    maxj = max(abs(dist.min_support), abs(dist.max_support))
-    ab = np.zeros((2 * maxj + 1, size))
-    ab[maxj, :] = 1.0
-    B = np.zeros((size, band_hi - band_lo + 1))
+    seg_lo, seg_hi = (window.lo, bound) if side is Side.FROM_NEGATIVE else (bound, window.hi)
+    xs = np.arange(seg_lo, seg_hi + 1)
+    B = np.zeros((xs.size, band_hi - band_lo + 1))
     for v, p in zip(dist.values, dist.probs):
-        v, p = int(v), float(p)
-        # A[x, x+v] = p  ->  M[i, j] = -z p at i - j = -v
-        row = maxj - v
-        if v >= 0:
-            ab[row, v:] -= z * p
-        else:
-            ab[row, : size + v] -= z * p
-        # direct arrivals x -> x+v into the band
-        xs = np.arange(seg_lo, seg_hi + 1)
-        dest = xs + v
+        # direct arrivals x -> x + v into the band
+        dest = xs + int(v)
         inside = (dest >= band_lo) & (dest <= band_hi)
-        B[inside, dest[inside] - band_lo] += z * p
-    G = solve_banded((maxj, maxj), ab, B)
-    return (seg_lo, seg_hi), (band_lo, band_hi), G
+        B[inside, dest[inside] - band_lo] += p
+    return (seg_lo, seg_hi), (band_lo, band_hi), killed_green(dist, seg_lo, seg_hi, B)
 
 
 @dataclass
@@ -165,32 +159,20 @@ class SwitchingKernel:
                 and self.model.right.mean <= ZERO_DRIFT_TOL)
 
 
-def switching_kernel(model: OscillatingModel, window: Window,
-                     refine: bool = True) -> SwitchingKernel:
+def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel:
     """Assemble the band columns R of the aggregate kernel Q(x, y), every x.
 
-    Each medium's rows come from one banded resolvent solve; ``refine``
-    Richardson-extrapolates their O(1/window) spatial-truncation error with a
-    half-window second solve (rows outside the half window keep the plain
-    solve) and clips the tiny negative artifacts.  The three-media origin row
+    Each medium's rows come from one :func:`passage_resolvent` solve, whose
+    O(1/window) spatial-truncation error is Richardson-extrapolated and
+    whose tiny negative artifacts are clipped.  The three-media origin row
     is the closed form mu0(y) / (1 - mu0(0)).  Memory is O(width * B); no
     width x width array is formed.
     """
     window.check_margin(model)
-    sides = [(model.left, Side.FROM_NEGATIVE), (model.right, Side.FROM_POSITIVE)]
-    bands = [passage_regions(side, model.convention, dist)[1] for dist, side in sides]
-    if not model.two_media:
-        bands.append((model.origin.min_support, model.origin.max_support))
-    band_lo = min(lo for lo, _ in bands)
-    band_hi = max(hi for _, hi in bands)
+    band_lo, band_hi = arrival_band(model)
     R = np.zeros((window.width, band_hi - band_lo + 1))
-    for dist, side in sides:
+    for dist, side in ((model.left, Side.FROM_NEGATIVE), (model.right, Side.FROM_POSITIVE)):
         (sl, sh), (bl, bh), G = passage_resolvent(dist, side, model.convention, window)
-        if refine:
-            half = Window(window.lo // 2, max(window.hi // 2, 3 * model.max_jump))
-            (hl, hh), _, Gh = passage_resolvent(dist, side, model.convention, half)
-            rows = slice(hl - sl, hh - sl + 1)
-            G[rows] = np.clip(2.0 * G[rows] - Gh, 0.0, None)
         R[window.index(sl): window.index(sh) + 1, bl - band_lo: bh - band_lo + 1] = G
     if not model.two_media:
         p0 = model.origin.pmf(0)
@@ -318,10 +300,7 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     key 'band'.  ``rows`` restricts the R stack (the output rows); the band
     rows themselves are always computed.
     """
-    band_lo = model.Dprime + 1 if model.two_media else min(model.Dprime + 1,
-                                                           model.origin.min_support)
-    band_hi = model.D if model.two_media else max(model.D - 1,
-                                                  model.origin.max_support)
+    band_lo, band_hi = arrival_band(model)
     band = list(range(band_lo, band_hi + 1))
     if rows is None:
         rows = sorted(set(range(window.lo, window.hi + 1)))
@@ -436,6 +415,7 @@ class SpectralData:
             "residual": self.residual,
             "defect_max": float(np.max(self.defect)),
             "markovian": self.markovian,
+            "weight": asdict(self.weight),
             "H": self.H.tolist(),
             "nu": self.nu.tolist(),
         }
@@ -585,12 +565,7 @@ def tilted_kernels(
 # Limit operator of n^{3/2} Q_n
 # ---------------------------------------------------------------------------
 
-def limit_operator_E(
-    model: OscillatingModel,
-    window: Window,
-    potentials_left: Optional[LadderPotentials] = None,
-    potentials_right: Optional[LadderPotentials] = None,
-) -> np.ndarray:
+def limit_operator_E(model: OscillatingModel, window: Window) -> np.ndarray:
     """Pointwise limit E(x,y) of n^{3/2} Q_n(x,y) on the window.
 
     Blocks whose driving law is drifted vanish (their kernels decay
@@ -604,7 +579,7 @@ def limit_operator_E(
     E = np.zeros((width, width))
     theta_left = 1 if model.two_media else 0   # first position outside the left medium
     if abs(model.left.mean) <= ZERO_DRIFT_TOL:
-        pot = potentials_left or ladder_potentials(model.left)
+        pot = ladder_potentials(model.left)
         sigma = model.left.sigma
         pmf = {int(v): float(p) for v, p in zip(model.left.values, model.left.probs)}
         for x in range(window.lo, theta_left):
@@ -616,7 +591,7 @@ def limit_operator_E(
                         for w in range(1, model.left.max_support + 1))
                 E[window.index(x), window.index(y)] = vsp * s / (sigma * SQRT_2PI)
     if abs(model.right.mean) <= ZERO_DRIFT_TOL:
-        pot = potentials_right or ladder_potentials(model.right)
+        pot = ladder_potentials(model.right)
         sigma = model.right.sigma
         pmf = {int(v): float(p) for v, p in zip(model.right.values, model.right.probs)}
         for x in range(1, window.hi + 1):

@@ -32,6 +32,7 @@ from .model import (
     DriftCase,
     LatticeDist,
     OscillatingModel,
+    arrival_band,
     geometric_tilt,
     laplace,
 )
@@ -339,9 +340,7 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
 
     # --- (i) trajectory decomposition ---------------------------------------
     pairs = list(pairs or [(0, 0), (-1, 1), (2, -2)])
-    band_lo = model.Dprime + 1 if model.two_media else min(model.Dprime + 1,
-                                                           model.origin.min_support)
-    band_hi = model.D if model.two_media else max(model.D - 1, model.origin.max_support)
+    band_lo, band_hi = arrival_band(model)
     band = list(range(band_lo, band_hi + 1))
     max_resid = zero
     for x, y in pairs:

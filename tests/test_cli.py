@@ -73,6 +73,31 @@ class TestCommands:
                      "--weight", "polynomial", "--delta", "0", "-o", str(tmp_path)]) == 2
         assert "dominate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["exponential", "polynomial"])
+    def test_spectrum_reports_requested_weight(self, model_dir, tmp_path, kind):
+        # FIX-ZZ is recurrent, so "auto" would pick the polynomial weight
+        assert main(["spectrum", str(model_dir / "FIX-ZZ.json"), "-W", "64",
+                     "--weight", kind, "-o", str(tmp_path)]) == 0
+        weight = json.loads((tmp_path / "spectrum.json").read_text())["weight"]
+        assert weight["kind"] == kind
+        if kind == "exponential":   # centered laws: argmin 0, rates = delta
+            assert weight["rate_neg"] == weight["rate_pos"] == weight["delta"] == 0.1
+
+    @pytest.mark.parametrize("half", [3, 4, 5, 8])
+    def test_spectrum_narrow_window(self, model_dir, tmp_path, half):
+        assert main(["spectrum", str(model_dir / "FIX-ZZ.json"), "-W", str(half),
+                     "-o", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "spectrum.json").read_text())
+        assert rep["residual"] <= 1e-8
+        assert len(rep["H"]) == 2 * half + 1
+
+    def test_verify_convergence_narrow_window(self, model_dir, tmp_path):
+        # an 11-site window cannot show the plateau: a reported failure, not a crash
+        assert main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "convergence",
+                     "-W", "5", "-n", "256", "-o", str(tmp_path)]) == 1
+        rep = json.loads((tmp_path / "verify.json").read_text())
+        assert rep["convergence"]["passed"] is False
+
     @pytest.mark.parametrize("argv", [
         ["classify", "FIX-ZZ.json", "--seed", "3"],
         ["spectrum", "FIX-ZZ.json", "--rational"],

@@ -3,18 +3,21 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillax.errors import DeficitTooLarge, NotCentered
-from oscillax.fixtures import MU_A
+from oscillax.fixtures import MU_A, fix_zz
 from oscillax.ladder import (
     LadderVariant,
     fluctuation_constants,
+    killed_green,
     killed_green_row,
     ladder_height_dist,
     ladder_potentials,
     renewal_function,
 )
-from oscillax.model import dist
+from oscillax.model import dist, mirror_dist
 
 TOY = dist({-1: F(1, 2), 1: F(1, 2)})       # nearest-neighbor walk
 MU_A_DIST = dist(MU_A)
@@ -34,6 +37,14 @@ class TestToyLadders:
         # positive side (prob 1/2)
         h = ladder_height_dist(TOY, LadderVariant.WEAK_DESC, 4096)
         assert h.heights[-1] == pytest.approx(0.5, abs=1e-12)
+        assert h.heights[0] == pytest.approx(0.5, abs=0.02)
+
+    def test_weak_ascending_heights(self):
+        # first weak ascent: +1 directly (prob 1/2) or back to 0 via the
+        # negative side (prob 1/2)
+        h = ladder_height_dist(TOY, LadderVariant.WEAK_ASC, 4096)
+        assert set(h.heights) == {0, 1}
+        assert h.heights[1] == pytest.approx(0.5, abs=1e-12)
         assert h.heights[0] == pytest.approx(0.5, abs=0.02)
 
     def test_renewal_function_is_identity(self):
@@ -103,6 +114,13 @@ class TestMuALadders:
             V = np.array([pot.V(variant, x) for x in range(31)])
             assert np.all(np.diff(V) >= -1e-12)
             assert np.all(V[1:] <= 2.5 * np.arange(1, 31))
+
+    def test_weak_ascending_first_step_at_max_support(self):
+        # the free first step of FIX-ZZ's left law lands on its top atom 2
+        left = fix_zz().left
+        h = ladder_height_dist(left, LadderVariant.WEAK_ASC, 1024)
+        assert h.heights[left.max_support] == pytest.approx(left.pmf(left.max_support))
+        assert sum(h.heights.values()) + h.mass_deficit == pytest.approx(1.0, abs=1e-15)
 
     def test_deficit_guard(self):
         with pytest.raises(DeficitTooLarge):
@@ -175,3 +193,53 @@ class TestGreenRow:
         # toy walk killed at >= 1: expected visits to 0 before first ascent = 2
         g = killed_green_row(TOY, -4000, 0, 0)
         assert g[-1] == pytest.approx(2.0, rel=1e-3)
+
+
+def _dense_killed(law, lo, hi):
+    """Dense I - A for the walk killed on leaving [lo, hi], A[x, x + v] = mu(v)."""
+    size = hi - lo + 1
+    A = np.zeros((size, size))
+    for v, p in zip(law.values, law.probs):
+        for i in range(max(0, -v), min(size, size - v)):
+            A[i, i + v] = p
+    return np.eye(size) - A
+
+
+def _dense_richardson(matrix, lo, hi, rhs):
+    """2 X - X_half on the far-end-halved segment, clipped, from dense solves."""
+    X = np.linalg.solve(matrix(lo, hi), rhs)
+    a, b = (lo // 2, hi) if hi <= 0 else (lo, hi // 2)
+    if a <= b:
+        shared = slice(a - lo, b - lo + 1)
+        X[shared] = 2.0 * X[shared] - np.linalg.solve(matrix(a, b), rhs[shared])
+    return np.clip(X, 0.0, None)
+
+
+# a walk that moves: at least one nonzero atom, so every segment kills it
+_moving_laws = st.dictionaries(st.integers(-3, 3), st.integers(1, 5), min_size=1,
+                               max_size=4).filter(lambda w: any(v != 0 for v in w))
+_segments = st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 24)).map(
+    lambda t: (t[0] - t[1] + 1, t[0]) if t[0] <= 0 else (t[0], t[0] + t[1] - 1))
+
+
+class TestKilledGreen:
+    @settings(max_examples=60, deadline=None)
+    @given(_moving_laws, _segments, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_richardson(self, weights, segment, cols, seed):
+        tot = sum(weights.values())
+        law = dist({v: F(w, tot) for v, w in weights.items()})
+        lo, hi = segment
+        rhs = np.random.default_rng(seed).random((hi - lo + 1, cols))
+        X = killed_green(law, lo, hi, rhs)
+        ref = _dense_richardson(lambda a, b: _dense_killed(law, a, b), lo, hi, rhs)
+        assert np.allclose(X, ref, rtol=1e-10, atol=1e-12)
+        # the mirrored law's killed matrix is the transpose on the same segment
+        Xt = killed_green(mirror_dist(law), lo, hi, rhs[:, 0])
+        ref_t = _dense_richardson(lambda a, b: _dense_killed(law, a, b).T, lo, hi, rhs[:, 0])
+        assert np.allclose(Xt, ref_t, rtol=1e-10, atol=1e-12)
+
+    def test_single_site_segments(self):
+        # [1, 1] has no far-end-halved segment; [-1, -1] halves to itself
+        law = dist({-1: F(1, 4), 0: F(1, 4), 1: F(1, 2)})
+        for lo, hi in ((1, 1), (-1, -1)):
+            assert killed_green(law, lo, hi, np.ones(1))[0] == pytest.approx(4.0 / 3.0)

@@ -6,12 +6,13 @@ import pytest
 
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import Window
-from oscillax.fixtures import FIXTURES
+from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.ladder import LadderVariant, ladder_potentials
 from oscillax.model import (
     Convention,
     DriftCase,
     OscillatingModel,
+    arrival_band,
     dist,
     essential_class,
     geometric_tilt,
@@ -96,6 +97,16 @@ class TestBuildQ:
         bl, _ = t.data["band"]
         for n in range(1, 7):
             assert t.data["arrivals"][n][1 - bl] == F(1, 2) ** (n - 1) * F(1, 4)
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES])
+def test_arrival_band_is_tight(name):
+    # one band for the kernel, the power sequences and the helper; each column is hit
+    model = {**FIXTURES, **SUBCASE_FIXTURES}[name]()
+    sk = switching_kernel(model, Window(-32, 32))
+    assert sk.band == arrival_band(model)
+    assert np.all(sk.R.sum(axis=0) > 0)
+    assert banded_power_sequences(model, 4, Window(-8, 8), [1])["band"] == sk.band
 
 
 class TestRenewalSequence:
