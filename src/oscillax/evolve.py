@@ -3,9 +3,12 @@
 Everything here evolves probability vectors indexed by an integer window
 [lo, hi].  Mass that steps outside the window is accumulated as *leak*, which
 is a rigorous bound on the truncation error of every reported probability.
-A rational mode (Fraction-valued vectors) backs the exact-identity tests; a
-rescaled mode keeps transient sequences representable far past the underflow
-point of raw doubles.
+A rational mode backs the exact-identity tests: after n steps every mass is
+an integer over D**n (D = ``common_denominator`` of the laws), so the DP runs
+on Python-int numerators with the integer weights p * D, carries cumulative
+leak as leak_n = leak_{n-1} * D + lost_n, and returns Fractions.  A rescaled
+mode keeps transient sequences representable far past the underflow point of
+raw doubles.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConventionMismatch, ValidationError, WindowTooSmall
-from .model import Convention, LatticeDist, OscillatingModel, mirror_dist
+from .model import Convention, LatticeDist, OscillatingModel, common_denominator, mirror_dist
 
 DEFAULT_LEAK_BUDGET = 1e-10
 
@@ -82,57 +85,47 @@ def _zeros(width: int, exact: bool):
     return np.zeros(width)
 
 
-def _zero(exact: bool):
-    return Fraction(0) if exact else 0.0
+# Fraction(numerator, denominator) elementwise, with broadcasting
+_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 def _scatter(target, window: Window, arr, base):
     """Add arr (positions base..base+len-1) into target over the window;
     returns (mass lost below lo, mass lost above hi)."""
-    lo_i = window.lo - base
-    hi_i = window.hi - base
-    s = max(0, lo_i)
-    e = min(len(arr) - 1, hi_i)
-    below = arr[:s].sum() if s > 0 else _zero(isinstance(arr[0], Fraction))
-    above = arr[e + 1:].sum() if e + 1 < len(arr) else _zero(isinstance(arr[0], Fraction))
-    if e >= s:
-        target[base + s - window.lo: base + e - window.lo + 1] += arr[s:e + 1]
-    return below, above
+    s = min(max(0, window.lo - base), len(arr))
+    e = max(min(len(arr), window.hi - base + 1), s)
+    target[base + s - window.lo: base + e - window.lo] += arr[s:e]
+    # an empty sum still costs a numpy call, and this runs three times a step
+    return arr[:s].sum() if s else 0, arr[e:].sum() if e < len(arr) else 0
 
 
-def step(state, model: OscillatingModel, window: Window):
+def step(state, model: OscillatingModel, window: Window, kernels=None):
     """One step of the oscillating walk; returns (new_state, leaked).
 
-    leaked is a pair (below_lo, above_hi); conservation
-    sum(new) + sum(leaked) == sum(state) holds exactly in rational mode.
+    ``kernels`` holds the (offset, dense weights) of the left, origin and
+    right laws, built once by the caller; it defaults to the float laws, or
+    the Fraction laws for an object-dtype state.  leaked is a pair
+    (below_lo, above_hi); conservation sum(new) + sum(leaked) == sum(state)
+    holds exactly in rational mode.
     """
-    exact = isinstance(state[0], Fraction)
-    width = window.width
+    if kernels is None:
+        exact = state.dtype == object
+        kernels = [d.dense_kernel(exact) for d in (model.left, model.origin, model.right)]
+    (l_lo, l_kern), (o_lo, o_kern), (r_lo, r_kern) = kernels
     idx0 = window.index(0)
-    new = _zeros(width, exact)
-    lk_lo = _zero(exact)
-    lk_hi = _zero(exact)
-    cut = idx0 + 1 if model.two_media else idx0  # left medium covers x <= cut-1+lo
-
-    left = state[:cut]
-    if np.any(left != 0):
-        k_lo, kern = model.left.dense_kernel(exact)
-        b, a = _scatter(new, window, np.convolve(left, kern), window.lo + k_lo)
-        lk_lo += b
-        lk_hi += a
-    if not model.two_media:
-        z = state[idx0]
-        if z != 0:
-            k_lo, kern = model.origin.dense_kernel(exact)
-            b, a = _scatter(new, window, z * kern, k_lo)
+    new = np.zeros(state.shape, dtype=state.dtype)
+    lk_lo = lk_hi = 0
+    # the three media split the window at cut and idx0 + 1; the origin medium
+    # is empty under the two-media convention
+    cut = idx0 + 1 if model.two_media else idx0
+    parts = ((state[:cut], l_kern, window.lo + l_lo),
+             (state[cut:idx0 + 1], o_kern, o_lo),
+             (state[idx0 + 1:], r_kern, 1 + r_lo))
+    for part, kern, base in parts:
+        if part.any():
+            b, a = _scatter(new, window, np.convolve(part, kern), base)
             lk_lo += b
             lk_hi += a
-    right = state[idx0 + 1:]  # positions 1..hi under either convention
-    if np.any(right != 0):
-        k_lo, kern = model.right.dense_kernel(exact)
-        b, a = _scatter(new, window, np.convolve(right, kern), 1 + k_lo)
-        lk_lo += b
-        lk_hi += a
     return new, (lk_lo, lk_hi)
 
 
@@ -170,22 +163,29 @@ def marginal_sequence(
     window = window or default_window(model, horizon)
     window.check_margin(model)
     ix, iy = window.index(x), window.index(y)
-    state = _zeros(window.width, exact)
-    state[ix] = Fraction(1) if exact else 1.0
-    values = _zeros(horizon + 1, exact)
+    laws = (model.left, model.origin, model.right)
+    # exact: integer numerators over scale = D**n (see the module docstring)
+    D = common_denominator(*laws) if exact else 1
+    kernels = [d.dense_kernel(exact, D) for d in laws]
+    dtype = object if exact else float
+    state = np.zeros(window.width, dtype=dtype)
+    state[ix] = 1
+    values = np.zeros(horizon + 1, dtype=dtype)
     values[0] = state[iy]
     log_values = np.full(horizon + 1, -np.inf)
     if x == y:
         log_values[0] = 0.0
-    leak = _zeros(horizon + 1, exact)
-    leak_lo = _zeros(horizon + 1, exact)
-    leak_hi = _zeros(horizon + 1, exact)
+    leak = np.zeros(horizon + 1, dtype=dtype)
+    leak_lo = np.zeros(horizon + 1, dtype=dtype)
+    leak_hi = np.zeros(horizon + 1, dtype=dtype)
     log_scale = 0.0
+    scale = 1
     for n in range(1, horizon + 1):
-        state, (lo_n, hi_n) = step(state, model, window)
-        scale_leak = math.exp(log_scale) if rescaled else 1.0
-        leak_lo[n] = leak_lo[n - 1] + lo_n * scale_leak
-        leak_hi[n] = leak_hi[n - 1] + hi_n * scale_leak
+        state, (lo_n, hi_n) = step(state, model, window, kernels)
+        scale *= D
+        scale_leak = math.exp(log_scale) if rescaled else 1
+        leak_lo[n] = leak_lo[n - 1] * D + lo_n * scale_leak
+        leak_hi[n] = leak_hi[n - 1] * D + hi_n * scale_leak
         leak[n] = leak_lo[n] + leak_hi[n]
         if rescaled:
             s = float(state.sum())
@@ -199,10 +199,15 @@ def marginal_sequence(
             values[n] = math.exp(log_values[n]) if log_values[n] > -700 else 0.0
         else:
             values[n] = state[iy]
-        if leak_budget is not None and float(leak[n]) > leak_budget:
+        if leak_budget is not None and leak[n] / scale > leak_budget:
             raise WindowTooSmall(
-                f"cumulative leak {float(leak[n]):.3e} exceeds budget {leak_budget:.3e} at n={n}"
+                f"cumulative leak {leak[n] / scale:.3e} exceeds budget {leak_budget:.3e} at n={n}"
             )
+    if exact:
+        scales = np.array([D ** n for n in range(horizon + 1)], dtype=object)
+        values, leak, leak_lo, leak_hi = (_fractions(a, scales)
+                                          for a in (values, leak, leak_lo, leak_hi))
+        state = _fractions(state, scale)
     data = {
         "values": values,
         "final_state": state,
@@ -281,35 +286,37 @@ def first_passage_rows(
     if not xs:
         return {}
     rows, width = len(xs), seg_hi - seg_lo + 1
+    # exact: integer numerators over D**n (see the module docstring)
+    D = common_denominator(dist) if exact else 1
     dtype = object if exact else float
-    zero, one = _zero(exact), Fraction(1) if exact else 1.0
     band_w = max(0, band_hi - band_lo + 1)
     # segment ∪ band is one contiguous run of indices (relative to seg_lo);
     # a destination outside it has left the window
     band_i = band_lo - seg_lo
     kept_lo, kept_hi = min(0, band_i), max(width - 1, band_i + band_w - 1)
-    state = np.full((rows, width), zero, dtype=dtype)
+    state = np.zeros((rows, width), dtype=dtype)
     new = state.copy()
     for r, x in enumerate(xs):
-        state[r, x - seg_lo] = one
-    arrivals = np.full((horizon + 1, rows, band_w), zero, dtype=dtype)
-    survival = np.full((rows, horizon + 1), zero, dtype=dtype)
-    survival[:, 0] = one
-    leak = np.full((rows, horizon + 1), zero, dtype=dtype)
+        state[r, x - seg_lo] = 1
+    arrivals = np.zeros((horizon + 1, rows, band_w), dtype=dtype)
+    survival = np.zeros((rows, horizon + 1), dtype=dtype)
+    survival[:, 0] = 1
+    leak = np.zeros((rows, horizon + 1), dtype=dtype)
     states = None
     if keep_states:
-        states = np.full((horizon + 1, rows, width), zero, dtype=dtype)
+        states = np.zeros((horizon + 1, rows, width), dtype=dtype)
         states[0] = state
-    k_lo, kern = dist.dense_kernel(exact)
+    k_lo, kern = dist.dense_kernel(exact, D)
     jumps = [(k_lo + i, p) for i, p in enumerate(kern) if p != 0]
     k_hi = k_lo + len(kern) - 1
     # [lo, hi] holds every index that can carry mass; it only ever grows, so
     # zeroing it in the spare buffer clears everything left there before
     lo, hi = min(xs) - seg_lo, max(xs) - seg_lo
+    n = 0  # the last step run, which the exact conversion below needs
     for n in range(1, horizon + 1):
         next_lo, next_hi = max(0, lo + min(k_lo, 0)), min(width - 1, hi + max(k_hi, 0))
-        new[:, next_lo:next_hi + 1] = zero
-        lost = np.full(rows, zero, dtype=dtype)
+        new[:, next_lo:next_hi + 1] = 0
+        lost = np.zeros(rows, dtype=dtype)
         for v, p in jumps:
             # the span [lo, hi] lands on [lo + v, hi + v]
             a, b = max(lo + v, 0), min(hi + v, width - 1)
@@ -324,7 +331,7 @@ def first_passage_rows(
                     lost += p * state[:, a - v:b - v + 1].sum(axis=1)
         state, new = new, state
         lo, hi = next_lo, next_hi
-        leak[:, n] = leak[:, n - 1] + lost
+        leak[:, n] = leak[:, n - 1] * D + lost
         survival[:, n] = state.sum(axis=1) + leak[:, n]
         if keep_states:
             states[n] = state
@@ -332,6 +339,14 @@ def first_passage_rows(
             survival[:, n + 1:] = survival[:, n:n + 1]
             leak[:, n + 1:] = leak[:, n:n + 1]
             break
+    if exact:
+        # entries past a break stay over D**n, n the last step run
+        scales = np.array([D ** min(m, n) for m in range(horizon + 1)], dtype=object)
+        arrivals = _fractions(arrivals, scales[:, None, None])
+        survival, leak = _fractions(survival, scales), _fractions(leak, scales)
+        state = _fractions(state, scales[-1])
+        if keep_states:
+            states = _fractions(states, scales[:, None, None])
     out = {}
     for r, x in enumerate(xs):
         data = {

@@ -119,13 +119,19 @@ class LatticeDist:
         """mu(-inf, w]."""
         return float(sum(p for v, p in zip(self.values, self.probs) if v <= w))
 
-    def dense_kernel(self, exact: bool = False):
-        """(offset of index 0, contiguous pmf array over [min,max] support)."""
+    def dense_kernel(self, exact: bool = False, scale: int = 1):
+        """(offset of index 0, contiguous pmf array over [min,max] support).
+
+        ``exact`` gives the rational probabilities times ``scale``, as Python
+        ints where they are integral: with a ``scale`` every denominator
+        divides (see :func:`common_denominator`) the whole kernel is integer.
+        """
         lo, hi = self.min_support, self.max_support
         if exact:
-            k = np.array([Fraction(0)] * (hi - lo + 1), dtype=object)
+            k = np.zeros(hi - lo + 1, dtype=object)
             for v, p in zip(self.values, self.fracs):
-                k[v - lo] = p
+                w = p * scale
+                k[v - lo] = w.numerator if w.denominator == 1 else w
         else:
             k = np.zeros(hi - lo + 1)
             for v, p in zip(self.values, self.probs):
@@ -159,6 +165,15 @@ def dist(atoms: Iterable) -> LatticeDist:
         return LatticeDist(values, probs, fracs)
     probs = np.array([float(p) for p in raw])
     return LatticeDist(values, probs, None)
+
+
+def common_denominator(*dists: LatticeDist) -> int:
+    """lcm D of the denominators of the exact laws given.
+
+    After n steps of a walk driven by these laws every probability is an
+    integer over D**n, which is what the exact DP engines compute on.
+    """
+    return math.lcm(*(p.denominator for d in dists for p in d.fracs))
 
 
 def mirror_dist(d: LatticeDist) -> LatticeDist:

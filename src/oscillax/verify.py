@@ -33,6 +33,7 @@ from .model import (
     LatticeDist,
     OscillatingModel,
     arrival_band,
+    common_denominator,
     geometric_tilt,
     laplace,
 )
@@ -339,51 +340,60 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     report = {"exact": exact}
 
     # --- (i) trajectory decomposition ---------------------------------------
+    # In exact mode every term of the sums at time n is an integer over D**n
+    # (D the common denominator of the three laws): they run on those integers.
+    D = common_denominator(model.left, model.origin, model.right) if exact else 1
+
+    def scaled(table):
+        """Rows table[n] * D**n, as ints in exact mode (D**n is a common denominator)."""
+        if not exact:
+            return table
+        return [np.array([f.numerator * (D ** n // f.denominator) for f in row], dtype=object)
+                for n, row in enumerate(table)]
+
     pairs = list(pairs or [(0, 0), (-1, 1), (2, -2)])
     band_lo, band_hi = arrival_band(model)
     band = list(range(band_lo, band_hi + 1))
     max_resid = zero
     for x, y in pairs:
-        rows = sorted(set(band) | {x})
-        hist = build_Q(model, horizon, window, rows=rows, exact=exact)
-
-        def q_row(k, xx):
-            t = hist[xx]
+        hist = build_Q(model, horizon, window, rows=sorted(set(band) | {x}), exact=exact)
+        q = {}   # arrivals of each row over the arrival band, per step
+        for xx, t in hist.items():
             bl, bh = t.data["band"]
-            row = np.full(len(band), zero, dtype=object if exact else float)
+            arr = np.full((horizon + 1, len(band)), zero, dtype=object if exact else float)
             for j, yy in enumerate(band):
                 if bl <= yy <= bh:
-                    row[j] = t.data["arrivals"][k][yy - bl]
-            return row
+                    arr[:, j] = t.data["arrivals"][:, yy - bl]
+            q[xx] = scaled(arr)
 
         # row vectors of sum_l Q^(l) over the arrival band, by the renewal
         # recursion written with the kernel factor on the right
         rows_T = [None] * (horizon + 1)
         for n in range(1, horizon + 1):
-            acc = q_row(n, x)
+            acc = q[x][n]
             for k in range(1, n):
                 prev = rows_T[n - k]
                 for j, zz in enumerate(band):
                     if prev[j] != 0:
-                        acc = acc + prev[j] * q_row(k, zz)
+                        acc = acc + prev[j] * q[zz][k]
             rows_T[n] = acc
         ex = excursion_functions(model, y, horizon, window, exact=exact)
-        V = ex.data["V"]
+        # V_{n}(z) for z in the band, then V_n(x) in the last column
+        V = scaled(ex.data["V"][:, [window.index(z) for z in band + [x]]])
         marg = marginal_sequence(model, x, y, horizon, window,
                                  leak_budget=None, exact=exact)
         vals = marg.data["values"]
         for n in range(0, horizon + 1):
-            total = V[n][window.index(x)]  # l = 0 term
+            total = V[n][-1]  # l = 0 term
             for k in range(1, n + 1):
                 rowk = rows_T[k]
-                for j, zz in enumerate(band):
+                for j in range(len(band)):
                     if rowk[j] != 0:
-                        total = total + rowk[j] * V[n - k][window.index(zz)]
-            resid = abs(total - vals[n])
+                        total = total + rowk[j] * V[n - k][j]
+            resid = abs((Fraction(total, D ** n) if exact else total) - vals[n])
             if resid > max_resid:
                 max_resid = resid
-    report["trajectory_decomposition_residual"] = float(max_resid) if not exact else (
-        0.0 if max_resid == 0 else float(max_resid))
+    report["trajectory_decomposition_residual"] = float(max_resid)
     report["trajectory_decomposition_exact_zero"] = bool(max_resid == 0)
 
     # --- (ii) tilting identity ----------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_first_passage, enumerate_marginal
@@ -19,7 +19,13 @@ from oscillax.evolve import (
     step,
     transition_matrix,
 )
-from oscillax.model import Convention, dist, validate_model
+from oscillax.model import (
+    Convention,
+    dist,
+    is_strongly_aperiodic,
+    mirror_model,
+    validate_model,
+)
 
 
 class TestStep:
@@ -108,6 +114,15 @@ class TestMarginalSequence:
     def test_leak_monotone(self, fix_zz):
         t = marginal_sequence(fix_zz, 0, 0, 128, Window(-24, 24), leak_budget=None)
         assert np.all(np.diff(t.leak.astype(float)) >= 0)
+
+    def test_exact_leak_stays_rational(self, fix_zz):
+        # the cumulative leak of the exact DP is a Fraction, so mass balances exactly
+        t = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), leak_budget=None, exact=True)
+        for key in ("leak_below", "leak_above"):
+            assert all(isinstance(v, F) for v in t.data[key])
+        assert all(isinstance(v, F) for v in t.leak)
+        assert t.leak[30] > 0
+        assert sum(t.data["final_state"]) + t.leak[30] == 1
 
     def test_default_window_rule(self, fix_zz):
         w = default_window(fix_zz, 4096)
@@ -379,3 +394,48 @@ class TestDriftTailBounds:
         assert all(np.isfinite(sups))
         for a, b in zip(sups, sups[1:]):
             assert b <= max(a, 1e-30) * 2.0
+
+
+def _three_atom_law(neg, w_neg, w_zero, pos, w_pos):
+    return _rational_law({-neg: w_neg, 0: w_zero, pos: w_pos})
+
+
+_weights = st.integers(1, 6)
+_three_atom_laws = st.builds(_three_atom_law, st.integers(1, 3), _weights, _weights,
+                             st.integers(1, 3), _weights).filter(is_strongly_aperiodic)
+
+
+@st.composite
+def _exact_models(draw, two_media):
+    left, origin, right = draw(_three_atom_laws), draw(_three_atom_laws), draw(_three_atom_laws)
+    # overshoot hypothesis: max left jump times min right jump is at most -2
+    assume(left.max_support * right.min_support <= -2)
+    return validate_model(left, origin, right, two_media=two_media)
+
+
+class TestMarginalProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(_exact_models(False), st.integers(-4, 4), st.integers(-4, 4))
+    def test_mirror_invariance_three_media(self, m, x, y):
+        # P_x[X_n = y](m) = P_{-x}[X_n = -y](mirror m) on a symmetric window,
+        # with the leak sides swapped; two media are excluded because there
+        # the origin changes medium under the mirror
+        w, horizon = Window(-9, 9), 14   # narrow, so both sides leak
+        t = marginal_sequence(m, x, y, horizon, w, leak_budget=None, exact=True)
+        tm = marginal_sequence(mirror_model(m), -x, -y, horizon, w, leak_budget=None, exact=True)
+        assert list(t.data["values"]) == list(tm.data["values"])
+        assert list(t.data["leak_below"]) == list(tm.data["leak_above"])
+        assert list(t.data["leak_above"]) == list(tm.data["leak_below"])
+        assert list(t.data["final_state"]) == list(tm.data["final_state"][::-1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.booleans().flatmap(_exact_models), st.integers(-4, 4), st.integers(-4, 4))
+    def test_float_within_leak_of_exact(self, m, x, y):
+        horizon = 16
+        small = marginal_sequence(m, x, y, horizon, Window(-6, 6), leak_budget=None)
+        half = abs(x) + horizon * m.max_jump + 1   # no path of this length leaves it
+        wide = marginal_sequence(m, x, y, horizon, Window(-half, half), leak_budget=None,
+                                 exact=True)
+        assert not any(wide.leak)
+        err = np.abs(small.data["values"] - wide.data["values"].astype(float))
+        assert np.all(err <= small.leak + 1e-12)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillax.errors import LeakDominated, SequenceTooNoisy
-from oscillax.evolve import Window, marginal_sequence
-from oscillax.model import dist
+from oscillax import verify
+from oscillax.evolve import Window, first_passage_kernel, marginal_sequence
+from oscillax.model import common_denominator, dist, geometric_tilt
 from oscillax.verify import (
     _survival_landing,
     convergence_suite,
@@ -128,6 +129,44 @@ class TestIdentitySuiteFloat:
     def test_two_media_exact(self, fix_pp):
         rep = identity_suite(fix_pp, horizon=20, pairs=[(0, 0), (-1, 1)])
         assert rep["all_exact_zero"]
+
+
+class TestIdentitySuiteSensitivity:
+    """One unit at the engines' scale 1/D**n must show as that exact residual."""
+
+    def test_decomposition_sees_one_unit(self, fix_zz, monkeypatch):
+        n0 = 9
+        delta = F(1, common_denominator(fix_zz.left, fix_zz.origin, fix_zz.right) ** n0)
+
+        def perturbed(*args, **kwargs):
+            t = marginal_sequence(*args, **kwargs)
+            t.data["values"][n0] += delta
+            return t
+
+        monkeypatch.setattr(verify, "marginal_sequence", perturbed)
+        rep = identity_suite(fix_zz, horizon=12, pairs=[(0, 0)])
+        assert not rep["trajectory_decomposition_exact_zero"]
+        assert rep["trajectory_decomposition_residual"] == float(delta)
+        assert rep["tilting_exact_zero"] and rep["duality_exact_zero"]
+
+    def test_tilting_sees_one_unit(self, fix_zz, monkeypatch):
+        ratio, n0, y0, x0 = F(1, 2), 5, 1, -1
+        left_t = geometric_tilt(fix_zz.left, ratio)
+        delta = F(1, common_denominator(left_t) ** n0)
+
+        def perturbed(law, *args, **kwargs):
+            t = first_passage_kernel(law, *args, **kwargs)
+            if law.fracs == left_t.fracs:
+                bl, _ = t.data["band"]
+                t.data["arrivals"][n0][y0 - bl] += delta
+            return t
+
+        monkeypatch.setattr(verify, "first_passage_kernel", perturbed)
+        rep = identity_suite(fix_zz, horizon=12, tilt_ratio=ratio, pairs=[(0, 0)])
+        assert not rep["tilting_exact_zero"]
+        L = sum(p * ratio ** v for v, p in zip(fix_zz.left.values, fix_zz.left.fracs))
+        assert rep["tilting_residual"] == float(L ** n0 * ratio ** (x0 - y0) * delta)
+        assert rep["trajectory_decomposition_exact_zero"] and rep["duality_exact_zero"]
 
 
 class TestScalarChecks:
