@@ -16,12 +16,10 @@ from .evolve import (
 )
 from .ladder import (
     FluctuationConstants,
-    LadderData,
     LadderVariant,
     fluctuation_constants,
-    ladder_height_dist,
     ladder_potentials,
-    renewal_function,
+    wiener_hopf_heights,
 )
 from .model import (
     Convention,

@@ -47,10 +47,6 @@ class WindowTooSmall(OscillaxError):
     pass
 
 
-class DeficitTooLarge(OscillaxError):
-    pass
-
-
 class NoConvergence(OscillaxError):
     pass
 

@@ -2,12 +2,12 @@
 
 Two independent computational routes are provided and cross-checked in tests:
 
-* a first-passage DP for the ladder height/epoch distributions, whose
-  truncation at horizon N leaves a reported mass deficit (O(1/sqrt(N)) for a
-  centered walk, geometric otherwise);
 * killed-walk Green functions obtained from banded linear solves, which give
   the renewal point masses U({z}) directly via time-reversal duality, with
-  error O(1/window) instead of O(1/sqrt(horizon)).
+  error O(1/window);
+* the Wiener-Hopf factorization of 1 - phi(u) into ascending and descending
+  ladder factors, read off from the roots of a polynomial of degree a + b for
+  a law on [-a, b]: exact up to root-finding error.
 
 The three fluctuation-constant formulas (defining sum, harmonic/occupation
 series, ladder-mean) deliberately use disjoint machinery so their agreement
@@ -22,14 +22,24 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.linalg import solve_banded
 from scipy.special import zeta
 
-from .errors import DeficitTooLarge, NotCentered, ValidationError
-from .model import LatticeDist, ZERO_DRIFT_TOL, is_strongly_aperiodic, mirror_dist
+from .errors import NotCentered, ValidationError
+from .model import (
+    ZERO_DRIFT_TOL,
+    LatticeDist,
+    _require_two_sided,
+    is_strongly_aperiodic,
+    mirror_dist,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SOLVE_WINDOW = 40000   # sites per killed-walk Green solve in ladder_potentials
+# for a law on a sublattice dZ, d > 1, 1 - phi has double roots on the unit
+# circle, which root finding splits by about sqrt(machine eps)
+UNIT_CIRCLE_TOL = 1e-6
 
 
 class LadderVariant(Enum):
@@ -42,94 +52,11 @@ class LadderVariant(Enum):
     def ascending(self) -> bool:
         return self in (LadderVariant.WEAK_ASC, LadderVariant.STRICT_ASC)
 
-    @property
-    def strict(self) -> bool:
-        return self in (LadderVariant.STRICT_ASC, LadderVariant.STRICT_DESC)
-
 
 def _absorb_threshold(variant: LadderVariant) -> int:
     # first position value that stops the excursion
     return {LadderVariant.WEAK_ASC: 0, LadderVariant.STRICT_ASC: 1,
             LadderVariant.WEAK_DESC: 0, LadderVariant.STRICT_DESC: -1}[variant]
-
-
-@dataclass
-class LadderHeights:
-    variant: LadderVariant
-    heights: dict
-    mass_deficit: float
-    epochs: np.ndarray          # P[ladder epoch = n], n = 0..horizon
-    tail_heights: dict          # conditional height law over the last dyadic block
-    horizon: int
-
-    def mean(self, tail_corrected: bool = True) -> float:
-        m = sum(h * p for h, p in self.heights.items())
-        if tail_corrected and self.mass_deficit > 0 and self.tail_heights:
-            m += self.mass_deficit * sum(h * p for h, p in self.tail_heights.items())
-        return m
-
-
-def ladder_height_dist(
-    dist: LatticeDist,
-    variant: LadderVariant,
-    horizon: int,
-) -> LadderHeights:
-    """Ladder height distribution by first-passage DP up to a horizon.
-
-    The deficit P[epoch > horizon] is reported, never hidden; tail_heights is
-    the empirical conditional height law over the last dyadic block, used for
-    deficit-corrected means.
-    """
-    thr = _absorb_threshold(variant)
-    max_j = max(abs(dist.min_support), abs(dist.max_support))
-    half = max(64, 8 * math.ceil(math.sqrt(horizon)) * max_j)
-    # the band holds every absorbing site, the free first step's atoms included
-    if variant.ascending:
-        surv_lo, surv_hi = -half, thr - 1
-        band = range(thr, dist.max_support + 1)
-    else:
-        surv_lo, surv_hi = thr + 1, half
-        band = range(dist.min_support, thr + 1)
-    k_lo, kern = dist.dense_kernel()
-    width = surv_hi - surv_lo + 1
-    state = np.zeros(width)
-    heights = {h: 0.0 for h in band}
-    epochs = np.zeros(horizon + 1)
-    tail = {h: 0.0 for h in band}
-    tail_from = horizon // 2
-    # one free step from the origin, then absorption applies
-    for v, p in zip(dist.values, dist.probs):
-        pos = int(v)
-        if (variant.ascending and pos >= thr) or (not variant.ascending and pos <= thr):
-            heights[pos] += float(p)
-            epochs[1] += float(p)
-        elif surv_lo <= pos <= surv_hi:
-            state[pos - surv_lo] += float(p)
-    for n in range(2, horizon + 1):
-        if not state.any():
-            break
-        arr = np.convolve(state, kern)
-        base = surv_lo + k_lo
-        new = np.zeros(width)
-        s_i, e_i = surv_lo - base, surv_hi - base
-        lo_c = max(0, s_i)
-        new[base + lo_c - surv_lo: surv_lo - surv_lo + width] = arr[lo_c: e_i + 1]
-        for h in band:
-            i = h - base
-            if 0 <= i < len(arr):
-                m = arr[i]
-                heights[h] += m
-                epochs[n] += m
-                if n >= tail_from:
-                    tail[h] += m
-        state = new
-    # deficit counts in-window survivors plus any mass that wandered past the
-    # window edge on the survival side (still unabsorbed either way)
-    deficit = 1.0 - float(sum(heights.values()))
-    total_tail = sum(tail.values())
-    tail_heights = {h: v / total_tail for h, v in tail.items() if total_tail > 0}
-    heights = {h: p for h, p in heights.items() if p > 0}
-    return LadderHeights(variant, heights, deficit, epochs, tail_heights, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -258,71 +185,39 @@ def ladder_potentials(dist: LatticeDist, depth: Optional[int] = None) -> LadderP
     return pot
 
 
-@dataclass
-class LadderData:
-    variant: LadderVariant
-    height_dist: dict
-    mass_deficit: float
-    renewal_V: np.ndarray    # V(0..x_max)
-    potential_U: np.ndarray  # U({z}) at distance 0..x_max
+# ---------------------------------------------------------------------------
+# Wiener-Hopf factorization (root route)
+# ---------------------------------------------------------------------------
 
+def wiener_hopf_heights(dist: LatticeDist) -> tuple[dict, dict]:
+    """Strict ascending and weak descending ladder height laws of a centered law.
 
-def renewal_function(
-    dist: LatticeDist,
-    variant: LadderVariant,
-    x_max: int,
-    horizon: int,
-    deficit_tol: float = 1e-3,
-) -> LadderData:
-    """U and V tables built from DP ladder heights by convolution powers.
-
-    Strict variants take at most x_max convolution powers because their
-    heights are >= 1 in modulus; weak variants reuse the strict table through
-    U_weak = U_strict / (1 - alpha), alpha the weak height mass at 0.
+    For a law on [-a, b], p(u) = u^a (1 - phi(u)) has degree a + b and a
+    double root at u = 1, divided out exactly.  The b - 1 remaining roots r_j
+    with |r_j| > 1 give 1 - E[u^H+] = (1 - u) prod_j (1 - u / r_j); dividing
+    p by that factor leaves u^a (1 - E[u^H-]).  Returns ({h: P[H+ = h]},
+    {h: P[H- = h]}) over h = 1..b and h = -a..0.
     """
-    strict_variant = LadderVariant.STRICT_ASC if variant.ascending else LadderVariant.STRICT_DESC
-    strict = ladder_height_dist(dist, strict_variant, horizon)
-    if strict.mass_deficit > deficit_tol:
-        raise DeficitTooLarge(
-            f"strict ladder deficit {strict.mass_deficit:.3e} exceeds {deficit_tol:.1e}"
-        )
-    # When the ladder time is known to be a.s. finite (centered walk, or drift
-    # along the ladder direction) the truncated heights are renormalized to a
-    # probability law; a defective variant keeps its genuine sub-unit mass.
-    proper = (abs(dist.mean) <= ZERO_DRIFT_TOL
-              or (variant.ascending and dist.mean > 0)
-              or (not variant.ascending and dist.mean < 0))
-    scale = 1.0 / (1.0 - strict.mass_deficit) if proper else 1.0
-    # distances d >= 1, pmf over d = |h|
-    h_pmf = np.zeros(x_max + 1)
-    for h, p in strict.heights.items():
-        d = abs(h)
-        if d <= x_max:
-            h_pmf[d] = p * scale
-    U = np.zeros(x_max + 1)
-    conv = np.zeros(x_max + 1)
-    conv[0] = 1.0
-    for _ in range(x_max + 1):
-        U += conv
-        if not conv.any():
-            break
-        conv = np.convolve(conv, h_pmf)[: x_max + 1]
-    deficit = strict.mass_deficit
-    if not variant.strict:
-        weak = ladder_height_dist(dist, variant, horizon)
-        if weak.mass_deficit > deficit_tol:
-            raise DeficitTooLarge(
-                f"weak ladder deficit {weak.mass_deficit:.3e} exceeds {deficit_tol:.1e}"
-            )
-        alpha = weak.heights.get(0, 0.0)
-        if proper:
-            alpha = alpha / (1.0 - weak.mass_deficit)
-        U = U / (1.0 - alpha)
-        height_dist, deficit = weak.heights, weak.mass_deficit
-    else:
-        height_dist = strict.heights
-    V = np.concatenate([[0.0], np.cumsum(U[:-1])]) if x_max >= 1 else np.zeros(1)
-    return LadderData(variant, height_dist, deficit, V, U)
+    if abs(dist.mean) > ZERO_DRIFT_TOL:
+        raise NotCentered(f"mean {dist.mean!r} is not 0")
+    _require_two_sided(dist)
+    a = -dist.min_support
+    _, coef = dist.dense_kernel()
+    coef = -coef
+    coef[a] += 1.0
+    # synthetic division by (u - 1)^2: p(1) = p'(1) = 0 leave no remainder
+    reduced = np.cumsum(np.cumsum(coef)[:-1])[:-1]
+    roots = P.polyroots(reduced)
+    if np.any(np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOL):
+        raise ValidationError("1 - phi has a root on the unit circle: support in dZ, d > 1")
+    outer = P.polyfromroots(roots[np.abs(roots) > 1.0])
+    outer = (outer / outer[0]).real
+    asc = P.polymul([1.0, -1.0], outer)
+    desc = P.polymul([1.0, -1.0], P.polydiv(reduced, outer)[0])
+    strict_asc = {h: float(-asc[h]) for h in range(1, len(asc))}
+    weak_desc = {h: float(-desc[h + a]) for h in range(-a, 0)}
+    weak_desc[0] = float(1.0 - desc[a])
+    return strict_asc, weak_desc
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +260,16 @@ class FluctuationConstants:
         return (max(cs) - min(cs)) / ref
 
 
+def direct_constant(dist: LatticeDist, pot: LadderPotentials) -> float:
+    """(1/(sigma sqrt(2 pi))) sum_{w>=1} V_-(w) mu[w, inf) from the killed-Green tables."""
+    return float(sum(
+        pot.V(LadderVariant.WEAK_DESC, w) * dist.tail_ge(w)
+        for w in range(1, dist.max_support + 1)
+    ) / (dist.sigma * SQRT_2PI))
+
+
 def fluctuation_constants(
     dist: LatticeDist,
-    ladder_horizon: int = 1 << 15,
     spitzer_horizon: int = 1 << 13,
     require_aperiodic: bool = True,
 ) -> FluctuationConstants:
@@ -378,23 +280,22 @@ def fluctuation_constants(
               extrapolated assuming P[S_n<=0] - 1/2 ~ a/sqrt(n)
     ladder:   sigma / (2 sqrt(2 pi) |E[weak descending height]|)
 
-    Requires a centered law; the aperiodicity check can be waived (the three
-    formulas, being factorization identities, agree even for periodic walks --
-    only the local-limit interpretation of c needs parity averaging there).
+    Requires a centered law.  The aperiodicity check can be waived for a law
+    whose support generates the integers: the three formulas, being
+    factorization identities, agree even for a periodic walk such as the
+    nearest-neighbor one -- only the local-limit interpretation of c needs
+    parity averaging there.  A law on a sublattice dZ, d > 1, has roots of
+    1 - phi on the unit circle and the ladder route raises ValidationError.
     """
     if abs(dist.mean) > ZERO_DRIFT_TOL:
         raise NotCentered(f"mean {dist.mean!r} is not 0")
     if require_aperiodic and not is_strongly_aperiodic(dist):
         raise ValidationError("law must be strongly aperiodic")
     sigma = dist.sigma
-    pot = ladder_potentials(dist)
-    c_direct = sum(
-        pot.V(LadderVariant.WEAK_DESC, w) * dist.tail_ge(w)
-        for w in range(1, dist.max_support + 1)
-    ) / (sigma * SQRT_2PI)
+    c_direct = direct_constant(dist, ladder_potentials(dist))
 
-    weak_desc = ladder_height_dist(dist, LadderVariant.WEAK_DESC, ladder_horizon)
-    mean_desc = weak_desc.mean(tail_corrected=True)
+    _, weak_desc = wiener_hopf_heights(dist)
+    mean_desc = sum(h * p for h, p in weak_desc.items())
     c_ladder = sigma / (2.0 * SQRT_2PI * abs(mean_desc))
 
     probs_le0 = nonpositive_probs(dist, spitzer_horizon)
@@ -406,7 +307,7 @@ def fluctuation_constants(
     tail = a_est * float(zeta(1.5) - np.sum(ns ** -1.5))
     c_spitzer = 0.5 / math.sqrt(math.pi) * math.exp(partial + tail)
     return FluctuationConstants(
-        c_direct=float(c_direct),
+        c_direct=c_direct,
         c_spitzer=float(c_spitzer),
         c_ladder=float(c_ladder),
         sigma=sigma,

@@ -31,6 +31,7 @@ from .model import (
     LatticeDist,
     OscillatingModel,
     TIE_TOL,
+    ZERO_DRIFT_TOL,
     argmin_laplace,
     cross_point,
     laplace,
@@ -374,8 +375,6 @@ def invariant_profile(
         vals[seg] = killed_green(mirror_dist(law), lo, hi, nu[seg])
     if not model.two_media:
         vals[window.index(0)] = nu[window.index(0)] / (1.0 - model.origin.pmf(0))
-
-    from .model import ZERO_DRIFT_TOL
 
     xs = window.positions()
     if abs(model.left.mean) <= ZERO_DRIFT_TOL:

@@ -32,6 +32,7 @@ from .evolve import (
 )
 from .ladder import SQRT_2PI, LadderVariant, killed_green, ladder_potentials
 from .model import (
+    ZERO_DRIFT_TOL,
     Convention,
     LatticeDist,
     OscillatingModel,
@@ -154,7 +155,6 @@ class SwitchingKernel:
 
     @property
     def markovian(self) -> bool:
-        from .model import ZERO_DRIFT_TOL
         return (self.model.left.mean >= -ZERO_DRIFT_TOL
                 and self.model.right.mean <= ZERO_DRIFT_TOL)
 
@@ -573,8 +573,6 @@ def limit_operator_E(model: OscillatingModel, window: Window) -> np.ndarray:
     (1/(sigma sqrt(2pi))) V_strict_toward(dist from boundary)
     * sum_w V_weak_away(w) mu(w + overshoot).
     """
-    from .model import ZERO_DRIFT_TOL
-
     width = window.width
     E = np.zeros((width, width))
     theta_left = 1 if model.two_media else 0   # first position outside the left medium

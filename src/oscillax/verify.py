@@ -26,16 +26,19 @@ from .evolve import (
     first_passage_rows,
     marginal_sequence,
 )
-from .ladder import LadderVariant, fluctuation_constants, ladder_potentials
+from .ladder import LadderVariant, direct_constant, ladder_potentials
 from .model import (
+    ZERO_DRIFT_TOL,
     Convention,
     DriftCase,
     LatticeDist,
     OscillatingModel,
+    argmin_laplace,
     arrival_band,
     common_denominator,
     geometric_tilt,
     laplace,
+    mirror_dist,
 )
 
 # ---------------------------------------------------------------------------
@@ -162,8 +165,6 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
     A centered side gets no discount (d = 1), so for recurrent models this
     reduces to the raw bound.
     """
-    from .model import ZERO_DRIFT_TOL, argmin_laplace
-
     window = table.window
     lo_cum = np.asarray(table.data["leak_below"], dtype=float)
     hi_cum = np.asarray(table.data["leak_above"], dtype=float)
@@ -507,25 +508,21 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     spectral = dominant_eigenpair(switching_kernel(model, window))
     nu = spectral.nu
     # renewal-tail level: pi * (tail sum limit) is the plateau normalizer
+    # each centered side in left form: the right walk is the mirrored law, whose
+    # strict ascending tables are the right law's strict descending ones;
+    # V vanishes at distances <= 0, i.e. on the other medium
+    xs = window.positions()
+    theta = 0 if model.two_media else -1
     parts = {}
-    tail_level = 0.0
-    if abs(model.left.mean) <= 1e-12:
-        c_left = fluctuation_constants(model.left)
-        pot = ladder_potentials(model.left)
-        theta = 0 if model.two_media else -1
-        nu_v = sum(float(nu[i]) * pot.V(LadderVariant.STRICT_ASC, theta + 1 - int(x))
-                   for i, x in enumerate(window.positions()) if x <= theta)
-        tail_level += 2 * c_left.c_direct * nu_v
-        parts["left"] = 2 * c_left.c_direct * nu_v
-    if abs(model.right.mean) <= 1e-12:
-        # the right-walk constant is the left-form constant of the mirrored law
-        from .model import mirror_dist
-        fcp = fluctuation_constants(mirror_dist(model.right))
-        potp = ladder_potentials(model.right)
-        nu_v = sum(float(nu[i]) * potp.V(LadderVariant.STRICT_DESC, int(x))
-                   for i, x in enumerate(window.positions()) if x >= 1)
-        tail_level += 2 * fcp.c_direct * nu_v
-        parts["right"] = 2 * fcp.c_direct * nu_v
+    for side, law, dists in (("left", model.left, theta + 1 - xs),
+                             ("right", mirror_dist(model.right), xs)):
+        if abs(law.mean) > ZERO_DRIFT_TOL:
+            continue
+        pot = ladder_potentials(law)
+        nu_v = sum(float(nu[i]) * pot.V(LadderVariant.STRICT_ASC, int(d))
+                   for i, d in enumerate(dists))
+        parts[side] = 2 * direct_constant(law, pot) * nu_v
+    tail_level = sum(parts.values())
     report["renewal_tail_parts"] = parts
 
     if case in (DriftCase.ZZ, DriftCase.PZ):

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillax.errors import DeficitTooLarge, NotCentered
+from oscillax.errors import NotCentered, ValidationError
 from oscillax.fixtures import MU_A, fix_zz
 from oscillax.ladder import (
     LadderVariant,
     fluctuation_constants,
     killed_green,
     killed_green_row,
-    ladder_height_dist,
     ladder_potentials,
-    renewal_function,
+    wiener_hopf_heights,
 )
 from oscillax.model import dist, mirror_dist
 
@@ -27,27 +26,22 @@ class TestToyLadders:
     """Nearest-neighbor walk: every ladder quantity is known in closed form."""
 
     def test_strict_ascending_heights_are_one(self):
-        h = ladder_height_dist(TOY, LadderVariant.STRICT_ASC, 4096)
-        assert set(h.heights) == {1}
-        assert h.heights[1] == pytest.approx(1.0, abs=0.02)
-        assert h.mass_deficit == pytest.approx(1.0 - h.heights[1], abs=1e-15)
+        asc, _ = wiener_hopf_heights(TOY)
+        assert asc == pytest.approx({1: 1.0}, abs=1e-12)
 
     def test_weak_descending_heights(self):
         # first weak descent: -1 directly (prob 1/2) or back to 0 via the
         # positive side (prob 1/2)
-        h = ladder_height_dist(TOY, LadderVariant.WEAK_DESC, 4096)
-        assert h.heights[-1] == pytest.approx(0.5, abs=1e-12)
-        assert h.heights[0] == pytest.approx(0.5, abs=0.02)
+        _, desc = wiener_hopf_heights(TOY)
+        assert desc == pytest.approx({-1: 0.5, 0: 0.5}, abs=1e-12)
 
     def test_weak_ascending_heights(self):
         # first weak ascent: +1 directly (prob 1/2) or back to 0 via the
-        # negative side (prob 1/2)
-        h = ladder_height_dist(TOY, LadderVariant.WEAK_ASC, 4096)
-        assert set(h.heights) == {0, 1}
-        assert h.heights[1] == pytest.approx(0.5, abs=1e-12)
-        assert h.heights[0] == pytest.approx(0.5, abs=0.02)
+        # negative side (prob 1/2); the weak descending law of the mirror
+        _, desc = wiener_hopf_heights(mirror_dist(TOY))
+        assert {-h: p for h, p in desc.items()} == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
 
-    def test_renewal_function_is_identity(self):
+    def test_strict_ascending_renewal_is_identity(self):
         pot = ladder_potentials(TOY)
         for x in (1, 2, 5, 8):
             assert pot.V(LadderVariant.STRICT_ASC, x) == pytest.approx(x, rel=1e-6)
@@ -60,19 +54,18 @@ class TestToyLadders:
         # c = 1/sqrt(2 pi): V_-(1) = 2, mu[1, inf) = 1/2, sigma = 1.
         # The walk is period-2, so the aperiodicity precondition is waived;
         # the three factorization identities hold regardless.
-        fc = fluctuation_constants(TOY, ladder_horizon=1 << 14,
-                                   spitzer_horizon=1 << 12, require_aperiodic=False)
+        fc = fluctuation_constants(TOY, spitzer_horizon=1 << 12, require_aperiodic=False)
         target = 1.0 / math.sqrt(2.0 * math.pi)
         assert fc.c_direct == pytest.approx(target, rel=1e-5)
-        assert fc.c_ladder == pytest.approx(target, rel=1e-3)
+        assert fc.c_ladder == pytest.approx(target, rel=1e-12)
         assert fc.c_spitzer == pytest.approx(target, rel=1e-3)
 
 
 class TestMuALadders:
     def test_strict_heights_support(self):
-        h = ladder_height_dist(MU_A_DIST, LadderVariant.STRICT_ASC, 10_000)
-        assert set(h.heights) <= {1, 2}
-        assert h.mass_deficit <= 0.02
+        asc, desc = wiener_hopf_heights(MU_A_DIST)
+        assert asc == pytest.approx({1: 0.5, 2: 0.5}, abs=1e-12)
+        assert desc == pytest.approx({-1: 0.5, 0: 0.5}, abs=1e-12)
 
     def test_exact_heights_via_duality(self):
         pot = ladder_potentials(MU_A_DIST)
@@ -91,22 +84,17 @@ class TestMuALadders:
         assert prod == pytest.approx(MU_A_DIST.variance / 2.0, rel=1e-6)
 
     def test_renewal_tables(self):
-        pot = ladder_potentials(MU_A_DIST)
+        pot = ladder_potentials(MU_A_DIST, depth=30)
         assert pot.V(LadderVariant.STRICT_ASC, 0) == 0.0
         assert pot.V(LadderVariant.STRICT_ASC, 1) == pytest.approx(1.0, abs=1e-9)
-        rf = renewal_function(MU_A_DIST, LadderVariant.STRICT_ASC, 10, 40_000,
-                              deficit_tol=0.02)
-        for x in range(1, 8):
-            assert rf.renewal_V[x] == pytest.approx(
-                pot.V(LadderVariant.STRICT_ASC, x), rel=5e-3)
+        asc, _ = wiener_hopf_heights(MU_A_DIST)
+        assert _renewal_residual(pot.U[LadderVariant.STRICT_ASC], asc) <= 1e-7
 
     def test_weak_variant_from_strict(self):
-        rf = renewal_function(MU_A_DIST, LadderVariant.WEAK_DESC, 8, 40_000,
-                              deficit_tol=0.02)
-        pot = ladder_potentials(MU_A_DIST)
-        for x in range(1, 6):
-            assert rf.renewal_V[x] == pytest.approx(
-                pot.V(LadderVariant.WEAK_DESC, x), rel=5e-3)
+        # the weak law, atom at 0 included, comes from dividing out the strict factor
+        pot = ladder_potentials(MU_A_DIST, depth=30)
+        _, desc = wiener_hopf_heights(MU_A_DIST)
+        assert _renewal_residual(pot.U[LadderVariant.WEAK_DESC], desc) <= 1e-7
 
     def test_nondecreasing_and_sublinear(self):
         pot = ladder_potentials(MU_A_DIST, depth=30)
@@ -118,14 +106,9 @@ class TestMuALadders:
     def test_weak_ascending_first_step_at_max_support(self):
         # the free first step of FIX-ZZ's left law lands on its top atom 2
         left = fix_zz().left
-        h = ladder_height_dist(left, LadderVariant.WEAK_ASC, 1024)
-        assert h.heights[left.max_support] == pytest.approx(left.pmf(left.max_support))
-        assert sum(h.heights.values()) + h.mass_deficit == pytest.approx(1.0, abs=1e-15)
-
-    def test_deficit_guard(self):
-        with pytest.raises(DeficitTooLarge):
-            renewal_function(MU_A_DIST, LadderVariant.STRICT_ASC, 10, 2000,
-                             deficit_tol=1e-3)
+        _, desc = wiener_hopf_heights(mirror_dist(left))
+        assert desc[-left.max_support] == pytest.approx(left.pmf(left.max_support), abs=1e-12)
+        assert sum(desc.values()) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPerStepDuality:
@@ -159,9 +142,65 @@ class TestFluctuationConstants:
     def test_atom_order_invariance(self):
         d1 = dist([(-1, F(1, 2)), (0, F(1, 4)), (2, F(1, 4))])
         d2 = dist([(2, F(1, 4)), (-1, F(1, 2)), (0, F(1, 4))])
-        f1 = fluctuation_constants(d1, ladder_horizon=4096, spitzer_horizon=2048)
-        f2 = fluctuation_constants(d2, ladder_horizon=4096, spitzer_horizon=2048)
+        f1 = fluctuation_constants(d1, spitzer_horizon=2048)
+        f2 = fluctuation_constants(d2, spitzer_horizon=2048)
         assert f1.as_tuple() == f2.as_tuple()
+
+
+def _renewal_residual(U, heights):
+    """max_d |U[d] - delta_0(d) - sum_h P[H = h] U[d - |h|]| over the table."""
+    out = 0.0
+    for d in range(len(U)):
+        rhs = float(d == 0) + sum(p * U[d - abs(h)] for h, p in heights.items() if abs(h) <= d)
+        out = max(out, abs(U[d] - rhs))
+    return out
+
+
+def _center(parts):
+    """Scale the negative and positive atoms so the law has mean 0."""
+    neg, pos, zero = parts
+    m_neg = sum(-v * w for v, w in neg.items())
+    m_pos = sum(v * w for v, w in pos.items())
+    weights = {v: w * m_pos for v, w in neg.items()}
+    weights.update({v: w * m_neg for v, w in pos.items()})
+    if zero:
+        weights[0] = zero
+    tot = sum(weights.values())
+    return dist({v: F(w, tot) for v, w in weights.items()})
+
+
+# centered laws with atoms on both sides whose support generates the integers
+_centered_laws = st.tuples(
+    st.dictionaries(st.integers(-3, -1), st.integers(1, 5), min_size=1, max_size=3),
+    st.dictionaries(st.integers(1, 3), st.integers(1, 5), min_size=1, max_size=3),
+    st.integers(0, 5),
+).filter(lambda t: math.gcd(*t[0], *t[1]) == 1).map(_center)
+
+
+class TestWienerHopfRoots:
+    @settings(max_examples=30, deadline=None)
+    @given(_centered_laws)
+    def test_root_laws(self, law):
+        asc, desc = wiener_hopf_heights(law)
+        assert sum(asc.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(desc.values()) == pytest.approx(1.0, abs=1e-12)
+        pot = ladder_potentials(law)
+        for variant, root in ((LadderVariant.STRICT_ASC, asc), (LadderVariant.WEAK_DESC, desc)):
+            exact = pot.heights_exact[variant]
+            for h in set(root) | set(exact):
+                assert root.get(h, 0.0) == pytest.approx(exact.get(h, 0.0), abs=1e-7), (variant, h)
+        mean_asc = sum(h * p for h, p in asc.items())
+        mean_desc = sum(h * p for h, p in desc.items())
+        assert mean_asc * abs(mean_desc) == pytest.approx(law.variance / 2.0, abs=1e-10)
+
+    def test_drifted_law_raises(self):
+        with pytest.raises(NotCentered):
+            wiener_hopf_heights(dist({-1: F(1, 4), 0: F(1, 4), 2: F(1, 2)}))
+
+    def test_sublattice_law_raises(self):
+        # {-2, 2} lives on 2Z: 1 - phi has a double root at u = -1
+        with pytest.raises(ValidationError):
+            wiener_hopf_heights(dist({-2: F(1, 2), 2: F(1, 2)}))
 
 
 class TestWeakVsStrictInLocalAsymptotics:

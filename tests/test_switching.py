@@ -13,6 +13,7 @@ from oscillax.model import (
     DriftCase,
     OscillatingModel,
     arrival_band,
+    common_denominator,
     dist,
     essential_class,
     geometric_tilt,
@@ -118,23 +119,31 @@ class TestRenewalSequence:
         assert (T[2] == Qn[2] + Qn[1] @ Qn[1]).all()
 
     def test_recursion_equals_direct_power_sum(self, fix_zz):
+        # both sides on the integer numerators Z_n = D^n Q_n: D^n T_n is the
+        # same recursion on Z because T_0 is never multiplied, and likewise
+        # D^n Q^(l)_n = sum_j D^j Q^(l-1)_j Z_(n-j)
         w = Window(-10, 10)
         N = 12
+        D = common_denominator(fix_zz.left, fix_zz.origin, fix_zz.right)
         Qn = q_history_matrices(fix_zz, N, w, exact=True)
-        T = renewal_sequence(Qn)
-        width = Qn.shape[1]
-        total = Qn.copy()
-        cur = Qn.copy()
+        scaled = np.array([Qn[n] * D ** n for n in range(N + 1)])
+        assert all(z.denominator == 1 for z in scaled.flat)
+        Z = np.vectorize(lambda z: z.numerator, otypes=[object])(scaled)
+        T = renewal_sequence(Z)
+        width = Z.shape[1]
+        total = Z.copy()
+        cur = Z.copy()
         for _ in range(2, N + 1):
-            new = np.full_like(cur, F(0))
+            new = np.full_like(cur, 0)
             for n in range(2, N + 1):
-                acc = np.full((width, width), F(0), dtype=object)
+                acc = np.full((width, width), 0, dtype=object)
                 for j in range(1, n):
-                    acc = acc + cur[j] @ Qn[n - j]
+                    acc = acc + cur[j] @ Z[n - j]
                 new[n] = acc
             cur = new
             total = total + cur
         for n in range(1, N + 1):
+            assert all(type(t) is int for t in T[n].flat)
             assert (T[n] == total[n]).all()
 
     def test_dp_matches_recursion(self, fix_zz):
