@@ -4,7 +4,10 @@ Two independent computational routes are provided and cross-checked in tests:
 
 * killed-walk Green functions obtained from banded linear solves, which give
   the renewal point masses U({z}) directly via time-reversal duality, with
-  error O(1/window);
+  error O(1/window); tables are kept for the strict ascending and weak
+  descending processes only, the weak ascending and strict descending ones
+  being those of the mirrored law, and :func:`centered_sides` puts each
+  centered medium of a model in this left form;
 * the Wiener-Hopf factorization of 1 - phi(u) into ascending and descending
   ladder factors, read off from the roots of a polynomial of degree a + b for
   a law on [-a, b]: exact up to root-finding error.
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -30,6 +32,7 @@ from .errors import NotCentered, ValidationError
 from .model import (
     ZERO_DRIFT_TOL,
     LatticeDist,
+    OscillatingModel,
     _require_two_sided,
     is_strongly_aperiodic,
     mirror_dist,
@@ -43,20 +46,11 @@ UNIT_CIRCLE_TOL = 1e-6
 
 
 class LadderVariant(Enum):
-    WEAK_ASC = "weak_asc"
+    """The two ladder processes with tables; the weak ascending and strict
+    descending ones of a law are these of ``mirror_dist(law)``."""
+
     STRICT_ASC = "strict_asc"
     WEAK_DESC = "weak_desc"
-    STRICT_DESC = "strict_desc"
-
-    @property
-    def ascending(self) -> bool:
-        return self in (LadderVariant.WEAK_ASC, LadderVariant.STRICT_ASC)
-
-
-def _absorb_threshold(variant: LadderVariant) -> int:
-    # first position value that stops the excursion
-    return {LadderVariant.WEAK_ASC: 0, LadderVariant.STRICT_ASC: 1,
-            LadderVariant.WEAK_DESC: 0, LadderVariant.STRICT_DESC: -1}[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -114,75 +108,84 @@ def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int) 
 
 @dataclass
 class LadderPotentials:
-    """Renewal point masses U({z}) for all four variants, via duality.
+    """Renewal point masses U({z}) of the strict ascending and weak descending
+    ladder processes, via duality.
 
     ``U[variant][d]`` is the mass the variant's renewal measure puts on the
-    single point at distance d from the origin (z = +d ascending, z = -d
-    descending), d = 0..depth.
+    single point at distance d from the origin (z = +d strict ascending,
+    z = -d weak descending), d = 0..SOLVE_WINDOW // 2: the Richardson-refined
+    half of each Green solve.  The weak ascending and strict descending
+    tables of a law are the tables of ``mirror_dist(law)``.
     """
 
     dist: LatticeDist
-    depth: int
     U: dict
+    V_table: dict   # V_table[variant][x] = sum(U[variant][:x])
     heights_exact: dict = field(default_factory=dict)
 
-    def V(self, variant: LadderVariant, x: int) -> float:
-        """Renewal function: ascending U[0,x), descending U(]-x,0]); V(0)=0."""
-        if x <= 0:
-            return 0.0
-        return float(np.sum(self.U[variant][:x]))
+    def V(self, variant: LadderVariant, x):
+        """Renewal function: ascending U[0,x), descending U(]-x,0]); V(x)=0 for x<=0.
+
+        ``x`` is an int or an int array; a distance beyond the table raises
+        ValidationError.
+        """
+        table = self.V_table[variant]
+        x = np.asarray(x)
+        if np.any(x >= len(table)):
+            raise ValidationError(
+                f"distance {int(np.max(x))} beyond the renewal table (max {len(table) - 1})")
+        out = table[np.maximum(x, 0)]
+        return float(out) if out.ndim == 0 else out
 
     def height_mean(self, variant: LadderVariant) -> float:
         return sum(h * p for h, p in self.heights_exact[variant].items())
 
 
-def ladder_potentials(dist: LatticeDist, depth: Optional[int] = None) -> LadderPotentials:
-    """Compute U tables by killed-walk Green solves plus duality.
+def ladder_potentials(dist: LatticeDist) -> LadderPotentials:
+    """Compute the two U tables by killed-walk Green solves plus duality.
 
-    Duality pairs each variant's renewal measure with survival probabilities of
-    the opposite strictness/direction: e.g. the weak-descending U at {-w}
-    equals the total time the walk spends at -w before its first strictly
-    positive value.  Each solve runs on max(SOLVE_WINDOW, 50 depth) sites and
-    is Richardson-refined by :func:`killed_green`.
+    Duality pairs each renewal measure with survival probabilities of the
+    opposite strictness/direction: the weak-descending U at {-w} is the total
+    time the walk spends at -w before its first strictly positive value, the
+    strict-ascending U at {d} the time at d after step 1 before its first
+    weak descent.  Each solve runs on SOLVE_WINDOW sites and is
+    Richardson-refined by :func:`killed_green` on the half next to the origin.
     """
-    maxj = max(abs(dist.min_support), abs(dist.max_support))
-    depth = depth if depth is not None else max(2 * maxj + 2, 8)
-    W = max(SOLVE_WINDOW, 50 * depth)
-    U = {}
-    # weak descending U_- <-> stay <= 0 (kill on strict ascent)
-    g = killed_green_row(dist, -W, 0, 0)
-    U[LadderVariant.WEAK_DESC] = np.array([g[-d + W] for d in range(depth + 1)])
-    # strict ascending U_*+ <-> stay >= 1 after step 1 (kill on weak descent)
-    g = killed_green_row(dist, 1, W, 0)
-    U[LadderVariant.STRICT_ASC] = np.array([1.0] + [g[d - 1] for d in range(1, depth + 1)])
-    # weak ascending U_+ <-> stay >= 0 (kill on strict descent)
-    g = killed_green_row(dist, 0, W, 0)
-    U[LadderVariant.WEAK_ASC] = np.array([g[d] for d in range(depth + 1)])
-    # strict descending U_*- <-> stay <= -1 after step 1 (kill on weak ascent)
-    g = killed_green_row(dist, -W, -1, 0)
-    U[LadderVariant.STRICT_DESC] = np.array([1.0] + [g[-d + W] for d in range(1, depth + 1)])
-    pot = LadderPotentials(dist, depth, U)
-    pmf = {int(v): float(p) for v, p in zip(dist.values, dist.probs)}
-    # heights by the over-the-extremum identity:
-    #   P[height = h] = sum_w U_dual({-w}) mu(h + w)   (ascending variants)
-    dual = {
-        LadderVariant.STRICT_ASC: LadderVariant.WEAK_DESC,
-        LadderVariant.WEAK_ASC: LadderVariant.STRICT_DESC,
-        LadderVariant.WEAK_DESC: LadderVariant.STRICT_ASC,
-        LadderVariant.STRICT_DESC: LadderVariant.WEAK_ASC,
+    W = SOLVE_WINDOW
+    U = {
+        # weak descending U_- <-> stay <= 0 (kill on strict ascent)
+        LadderVariant.WEAK_DESC: killed_green_row(dist, -W, 0, 0)[::-1][:W // 2 + 1],
+        # strict ascending U_*+ <-> stay >= 1 after step 1 (kill on weak descent)
+        LadderVariant.STRICT_ASC: np.append(1.0, killed_green_row(dist, 1, W, 0)[:W // 2]),
     }
-    for variant in LadderVariant:
-        thr = _absorb_threshold(variant)
-        hs = {}
-        Ud = U[dual[variant]]
-        if variant.ascending:
-            for h in range(thr, dist.max_support + 1):
-                hs[h] = sum(Ud[w] * pmf.get(h + w, 0.0) for w in range(0, depth + 1))
-        else:
-            for h in range(dist.min_support, thr + 1):
-                hs[h] = sum(Ud[w] * pmf.get(h - w, 0.0) for w in range(0, depth + 1))
-        pot.heights_exact[variant] = {h: p for h, p in hs.items() if p > 0}
+    pot = LadderPotentials(dist, U, {v: np.append(0.0, np.cumsum(u)) for v, u in U.items()})
+    pmf = {int(v): float(p) for v, p in zip(dist.values, dist.probs)}
+    maxj = max(abs(dist.min_support), abs(dist.max_support))
+    # heights by the over-the-extremum identity, each from the other table:
+    #   P[H*+ = h] = sum_w U_-({-w}) mu(h + w),  P[H- = h] = sum_w U*+({w}) mu(h - w)
+    u_wd, u_sa = U[LadderVariant.WEAK_DESC], U[LadderVariant.STRICT_ASC]
+    hs = {h: sum(u_wd[w] * pmf.get(h + w, 0.0) for w in range(maxj + 1))
+          for h in range(1, dist.max_support + 1)}
+    pot.heights_exact[LadderVariant.STRICT_ASC] = {h: p for h, p in hs.items() if p > 0}
+    hs = {h: sum(u_sa[w] * pmf.get(h - w, 0.0) for w in range(maxj + 1))
+          for h in range(dist.min_support, 1)}
+    pot.heights_exact[LadderVariant.WEAK_DESC] = {h: p for h, p in hs.items() if p > 0}
     return pot
+
+
+def centered_sides(model: OscillatingModel) -> list:
+    """Each centered medium of ``model`` in left form: (name, law, potentials, s, theta).
+
+    The right medium's left form is ``mirror_dist`` of its law, whose strict
+    ascending and weak descending tables are the right law's strict descending
+    and weak ascending ones.  Site x lies at distance theta - s x >= 1 from
+    the interface: s = +1 on the left, -1 on the right; theta = 1 on the left
+    of a two-media model, 0 otherwise.  A drifted medium is left out.
+    """
+    sides = (("left", model.left, 1, 1 if model.two_media else 0),
+             ("right", mirror_dist(model.right), -1, 0))
+    return [(name, law, ladder_potentials(law), s, theta)
+            for name, law, s, theta in sides if abs(law.mean) <= ZERO_DRIFT_TOL]
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from .errors import (
     ValidationError,
 )
 from .evolve import Window
-from .ladder import LadderVariant, killed_green, ladder_potentials
+from .ladder import LadderVariant, centered_sides, killed_green
 from .model import (
     DriftCase,
     LatticeDist,
     OscillatingModel,
     TIE_TOL,
-    ZERO_DRIFT_TOL,
     argmin_laplace,
     cross_point,
     laplace,
@@ -40,6 +39,7 @@ from .model import (
     tilt,
     validate_model,
 )
+from .switching import dominant_eigenpair, switching_kernel
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
@@ -376,24 +376,6 @@ def invariant_profile(
     if not model.two_media:
         vals[window.index(0)] = nu[window.index(0)] / (1.0 - model.origin.pmf(0))
 
-    xs = window.positions()
-    if abs(model.left.mean) <= ZERO_DRIFT_TOL:
-        pot_left = ladder_potentials(model.left)
-        nu_vsp = sum(float(nu[i]) * pot_left.V(LadderVariant.STRICT_ASC, theta_left + 1 - int(x))
-                     for i, x in enumerate(xs) if x <= theta_left)
-        mean_desc = pot_left.height_mean(LadderVariant.WEAK_DESC)
-        lam_minus = nu_vsp / abs(mean_desc)
-    else:
-        lam_minus = 0.0  # a drifted-away-from side is visited only finitely often
-    if abs(model.right.mean) <= ZERO_DRIFT_TOL:
-        pot_right = ladder_potentials(model.right)
-        nu_vsm = sum(float(nu[i]) * pot_right.V(LadderVariant.STRICT_DESC, int(x))
-                     for i, x in enumerate(xs) if x >= 1)
-        mean_asc = pot_right.height_mean(LadderVariant.WEAK_ASC)
-        lam_plus = nu_vsm / abs(mean_asc)
-    else:
-        lam_plus = 0.0
-
     def plateau(side):
         probe_hi = (abs(window.lo) if side < 0 else window.hi) // 4
         probe_lo = max(4, probe_hi // 2)
@@ -403,14 +385,21 @@ def invariant_profile(
         spread = float((np.max(sel) - np.min(sel)) / m) if m > 0 else math.inf
         return m, spread
 
-    pm = plateau(-1)
-    pp = plateau(+1)
-    # a drifted side has a vanishing tail level; only check the centered side(s)
-    if abs(model.left.mean) <= ZERO_DRIFT_TOL and pm[1] > plateau_rel_tol:
-        raise PlateauNotReached(f"left tail of lambda_X varies {pm[1]:.1%} over the probe band")
-    if abs(model.right.mean) <= ZERO_DRIFT_TOL and pp[1] > plateau_rel_tol:
-        raise PlateauNotReached(f"right tail of lambda_X varies {pp[1]:.1%} over the probe band")
-    return InvariantProfile(window, vals, lam_minus, lam_plus, pm, pp)
+    plateaus = {"left": plateau(-1), "right": plateau(+1)}
+    # tail levels of the centered sides (a drifted side is visited finitely often: 0);
+    # nu is exactly 0 off the arrival band, V is 0 on the other medium
+    support = np.flatnonzero(nu)
+    xs = window.positions()[support]
+    lam = {"left": 0.0, "right": 0.0}
+    for name, _, pot, s, theta in centered_sides(model):
+        nu_v = sum(nu[support] * pot.V(LadderVariant.STRICT_ASC, theta - s * xs))
+        lam[name] = float(nu_v) / abs(pot.height_mean(LadderVariant.WEAK_DESC))
+        spread = plateaus[name][1]
+        if spread > plateau_rel_tol:
+            raise PlateauNotReached(
+                f"{name} tail of lambda_X varies {spread:.1%} over the probe band")
+    return InvariantProfile(window, vals, lam["left"], lam["right"],
+                            plateaus["left"], plateaus["right"])
 
 
 def predicted_constant_Cy(
@@ -424,8 +413,6 @@ def predicted_constant_Cy(
     C_y = lambda_X(y) / (sqrt(pi/2) (sigma lam_X(-inf) + sigma' lam_X(+inf))),
     with the drifted-side term dropped in the (P,Z) case.
     """
-    from .switching import dominant_eigenpair, switching_kernel
-
     case = model.drift_case
     if case not in (DriftCase.ZZ, DriftCase.PZ):
         raise ValidationError(f"C_y formula applies to (Z,Z)/(P,Z), not {case.value}")

@@ -30,7 +30,7 @@ from .evolve import (
     first_passage_rows,
     passage_regions,
 )
-from .ladder import SQRT_2PI, LadderVariant, killed_green, ladder_potentials
+from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
 from .model import (
     ZERO_DRIFT_TOL,
     Convention,
@@ -39,7 +39,9 @@ from .model import (
     argmin_laplace,
     arrival_band,
     essential_class,
+    laplace,
     tilt,
+    validate_model,
 )
 
 
@@ -514,8 +516,6 @@ def tilted_kernels(
     R^n e^{t_ref(x-y)} Qtilde_n.  With t_left = t_right this reduces to the
     single-tilt construction.
     """
-    from .model import laplace, validate_model
-
     if not model.two_media:
         raise ConventionMismatch("tilted kernels are defined for two-media models")
     La = laplace(model.left, t_left)
@@ -569,37 +569,25 @@ def limit_operator_E(model: OscillatingModel, window: Window) -> np.ndarray:
     """Pointwise limit E(x,y) of n^{3/2} Q_n(x,y) on the window.
 
     Blocks whose driving law is drifted vanish (their kernels decay
-    geometrically, killing the polynomial term); a centered block contributes
-    (1/(sigma sqrt(2pi))) V_strict_toward(dist from boundary)
-    * sum_w V_weak_away(w) mu(w + overshoot).
+    geometrically, killing the polynomial term).  A centered side, in the
+    left form of :func:`ladder.centered_sides`, contributes for a site x at
+    distance d = theta - s x >= 1 and an arrival y = s (theta + k), k >= 0,
+    (1/(sigma sqrt(2pi))) V_strict_asc(d) * sum_w V_weak_desc(w) mu(w + k).
     """
-    width = window.width
-    E = np.zeros((width, width))
-    theta_left = 1 if model.two_media else 0   # first position outside the left medium
-    if abs(model.left.mean) <= ZERO_DRIFT_TOL:
-        pot = ladder_potentials(model.left)
-        sigma = model.left.sigma
-        pmf = {int(v): float(p) for v, p in zip(model.left.values, model.left.probs)}
-        for x in range(window.lo, theta_left):
-            vsp = pot.V(LadderVariant.STRICT_ASC, theta_left - x)
-            for y in range(theta_left, theta_left + model.left.max_support):
-                if y > window.hi:
-                    break
-                s = sum(pot.V(LadderVariant.WEAK_DESC, w) * pmf.get(w + y - theta_left, 0.0)
-                        for w in range(1, model.left.max_support + 1))
-                E[window.index(x), window.index(y)] = vsp * s / (sigma * SQRT_2PI)
-    if abs(model.right.mean) <= ZERO_DRIFT_TOL:
-        pot = ladder_potentials(model.right)
-        sigma = model.right.sigma
-        pmf = {int(v): float(p) for v, p in zip(model.right.values, model.right.probs)}
-        for x in range(1, window.hi + 1):
-            vsm = pot.V(LadderVariant.STRICT_DESC, x)
-            for y in range(model.right.min_support + 1, 1):
-                if y < window.lo:
-                    continue
-                s = sum(pot.V(LadderVariant.WEAK_ASC, w) * pmf.get(y - w, 0.0)
-                        for w in range(1, -model.right.min_support + 1))
-                E[window.index(x), window.index(y)] = vsm * s / (sigma * SQRT_2PI)
+    xs = window.positions()
+    blocks = []
+    for _, law, pot, s, theta in centered_sides(model):
+        rows = np.flatnonzero(theta - s * xs >= 1)
+        toward = pot.V(LadderVariant.STRICT_ASC, theta - s * xs[rows])
+        pmf = {int(v): float(p) for v, p in zip(law.values, law.probs)}
+        ks = [k for k in range(law.max_support) if window.lo <= s * (theta + k) <= window.hi]
+        away = [sum(pot.V(LadderVariant.WEAK_DESC, w) * pmf.get(w + k, 0.0)
+                    for w in range(1, law.max_support + 1)) for k in ks]
+        cols = [window.index(s * (theta + k)) for k in ks]
+        blocks.append((rows, cols, np.outer(toward, away) / (law.sigma * SQRT_2PI)))
+    E = np.zeros((window.width, window.width))
+    for rows, cols, block in blocks:
+        E[np.ix_(rows, cols)] = block
     return E
 
 

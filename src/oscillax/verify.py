@@ -26,7 +26,7 @@ from .evolve import (
     first_passage_rows,
     marginal_sequence,
 )
-from .ladder import LadderVariant, direct_constant, ladder_potentials
+from .ladder import LadderVariant, centered_sides, direct_constant
 from .model import (
     ZERO_DRIFT_TOL,
     Convention,
@@ -38,8 +38,8 @@ from .model import (
     common_denominator,
     geometric_tilt,
     laplace,
-    mirror_dist,
 )
+from .switching import build_Q, dominant_eigenpair, switching_kernel, switching_time_marginals
 
 # ---------------------------------------------------------------------------
 # Rate/exponent/constant fitting
@@ -168,18 +168,12 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
     window = table.window
     lo_cum = np.asarray(table.data["leak_below"], dtype=float)
     hi_cum = np.asarray(table.data["leak_above"], dtype=float)
+    # a drifted side's leak, escaped with its drift or against it, must fight that drift
     d_left = d_right = 1.0
-    if model.left.mean < -ZERO_DRIFT_TOL:   # escapes to -inf, must climb back
+    if abs(model.left.mean) > ZERO_DRIFT_TOL:
         lam, _ = argmin_laplace(model.left)
         d_left = math.exp(-abs(lam) * abs(window.lo))
-    if model.right.mean > ZERO_DRIFT_TOL:   # escapes to +inf
-        lamp, _ = argmin_laplace(model.right)
-        d_right = math.exp(-abs(lamp) * window.hi)
-    if model.left.mean > ZERO_DRIFT_TOL:
-        # left medium pushes toward the interface: mass below lo fights the drift
-        lam, _ = argmin_laplace(model.left)
-        d_left = math.exp(-abs(lam) * abs(window.lo))
-    if model.right.mean < -ZERO_DRIFT_TOL:
+    if abs(model.right.mean) > ZERO_DRIFT_TOL:
         lamp, _ = argmin_laplace(model.right)
         d_right = math.exp(-abs(lamp) * window.hi)
     # log-space recursion: the discounted bound keeps decaying geometrically
@@ -332,8 +326,6 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     In exact mode every residual must be identically zero; in float mode the
     suite reports the max absolute residuals (<= 1e-12 at these sizes).
     """
-    from .switching import build_Q
-
     window = window or Window(-64, 64)
     exact = exact and model.exact
     zero = Fraction(0) if exact else 0.0
@@ -476,8 +468,6 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     plateau level and the renewal-tail sum against its ladder-constant limit;
     includes two synthetic scalar sanity checks of the machinery itself.
     """
-    from .switching import dominant_eigenpair, switching_kernel, switching_time_marginals
-
     report = {}
     window = window or Window(-512, 512)
 
@@ -507,21 +497,15 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
 
     spectral = dominant_eigenpair(switching_kernel(model, window))
     nu = spectral.nu
-    # renewal-tail level: pi * (tail sum limit) is the plateau normalizer
-    # each centered side in left form: the right walk is the mirrored law, whose
-    # strict ascending tables are the right law's strict descending ones;
-    # V vanishes at distances <= 0, i.e. on the other medium
-    xs = window.positions()
-    theta = 0 if model.two_media else -1
+    # renewal-tail level: pi * (tail sum limit) is the plateau normalizer,
+    # summed over the centered sides in left form; nu is exactly 0 off the
+    # arrival band, V is 0 at distances <= 0 (the other medium)
+    support = np.flatnonzero(nu)
+    xs = window.positions()[support]
     parts = {}
-    for side, law, dists in (("left", model.left, theta + 1 - xs),
-                             ("right", mirror_dist(model.right), xs)):
-        if abs(law.mean) > ZERO_DRIFT_TOL:
-            continue
-        pot = ladder_potentials(law)
-        nu_v = sum(float(nu[i]) * pot.V(LadderVariant.STRICT_ASC, int(d))
-                   for i, d in enumerate(dists))
-        parts[side] = 2 * direct_constant(law, pot) * nu_v
+    for side, law, pot, s, theta in centered_sides(model):
+        nu_v = sum(nu[support] * pot.V(LadderVariant.STRICT_ASC, theta - s * xs))
+        parts[side] = 2 * direct_constant(law, pot) * float(nu_v)
     tail_level = sum(parts.values())
     report["renewal_tail_parts"] = parts
 
@@ -539,7 +523,6 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
         report["sqrt_n_Tn_final"] = series[-1][1]
 
         # tail of r_n: sqrt(n) * sum_{j>n} r_j  ->  tail_level
-        from .switching import build_Q
         rows = [int(x) for x in window.positions()
                 if nu[window.index(int(x))] > 1e-10 and abs(int(x)) <= 4 * model.max_jump]
         hist = build_Q(model, horizon, window, rows=rows)

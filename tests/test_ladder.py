@@ -84,24 +84,27 @@ class TestMuALadders:
         assert prod == pytest.approx(MU_A_DIST.variance / 2.0, rel=1e-6)
 
     def test_renewal_tables(self):
-        pot = ladder_potentials(MU_A_DIST, depth=30)
+        pot = ladder_potentials(MU_A_DIST)
         assert pot.V(LadderVariant.STRICT_ASC, 0) == 0.0
         assert pot.V(LadderVariant.STRICT_ASC, 1) == pytest.approx(1.0, abs=1e-9)
         asc, _ = wiener_hopf_heights(MU_A_DIST)
-        assert _renewal_residual(pot.U[LadderVariant.STRICT_ASC], asc) <= 1e-7
+        assert _renewal_residual(pot.U[LadderVariant.STRICT_ASC][:31], asc) <= 1e-7
 
     def test_weak_variant_from_strict(self):
         # the weak law, atom at 0 included, comes from dividing out the strict factor
-        pot = ladder_potentials(MU_A_DIST, depth=30)
+        pot = ladder_potentials(MU_A_DIST)
         _, desc = wiener_hopf_heights(MU_A_DIST)
-        assert _renewal_residual(pot.U[LadderVariant.WEAK_DESC], desc) <= 1e-7
+        assert _renewal_residual(pot.U[LadderVariant.WEAK_DESC][:31], desc) <= 1e-7
 
     def test_nondecreasing_and_sublinear(self):
-        pot = ladder_potentials(MU_A_DIST, depth=30)
-        for variant in LadderVariant:
-            V = np.array([pot.V(variant, x) for x in range(31)])
-            assert np.all(np.diff(V) >= -1e-12)
-            assert np.all(V[1:] <= 2.5 * np.arange(1, 31))
+        # MU_A's own tables and its mirror's (its weak ascending and strict
+        # descending ones): four renewal functions
+        for law in (MU_A_DIST, mirror_dist(MU_A_DIST)):
+            pot = ladder_potentials(law)
+            for variant in LadderVariant:
+                V = np.array([pot.V(variant, x) for x in range(31)])
+                assert np.all(np.diff(V) >= -1e-12)
+                assert np.all(V[1:] <= 2.5 * np.arange(1, 31))
 
     def test_weak_ascending_first_step_at_max_support(self):
         # the free first step of FIX-ZZ's left law lands on its top atom 2
@@ -218,11 +221,14 @@ class TestWeakVsStrictInLocalAsymptotics:
         V = excursion_functions(model, y, n, w)
         val = n ** 1.5 * V.data["V"][n][w.index(x)]
         pot = ladder_potentials(MU_A_DIST)
+        # the strict descending V of a law is the strict ascending V of its mirror
+        mirror_pot = ladder_potentials(mirror_dist(MU_A_DIST))
+        strict_desc = mirror_pot.V(LadderVariant.STRICT_ASC, abs(y))
         sigma = MU_A_DIST.sigma
         weak = (pot.V(LadderVariant.STRICT_ASC, abs(x))
                 * pot.V(LadderVariant.WEAK_DESC, abs(y)) / (sigma * math.sqrt(2 * math.pi)))
         strict = (pot.V(LadderVariant.STRICT_ASC, abs(x))
-                  * pot.V(LadderVariant.STRICT_DESC, abs(y)) / (sigma * math.sqrt(2 * math.pi)))
+                  * strict_desc / (sigma * math.sqrt(2 * math.pi)))
         assert val == pytest.approx(weak, rel=0.10)
         assert abs(val - strict) / weak > 0.2   # the strict variant is not it
 

@@ -15,10 +15,12 @@ from oscillax.model import (
 )
 from oscillax.regimes import (
     classify,
+    invariant_profile,
     predict,
     predicted_constant_Cy,
     select_tilt,
 )
+from oscillax.switching import dominant_eigenpair, switching_kernel
 
 # (subcase, rate, exponent) pinned per fixture; rates for the crossing
 # branches are filled from the classifier's own bisection (checked >= max rho)
@@ -82,6 +84,18 @@ class TestMirrorSymmetry:
                 "(P,Z)": "(Z,N)", "(Z,P)": "(N,Z)", "(P,P)": "(N,N)"}[p.drift_case.value]
             assert pm.rate == pytest.approx(p.rate, abs=1e-12)
             assert pm.exponent == p.exponent
+
+    def test_invariant_profile_mirrors(self, fix_zz, fix_pz):
+        # the mirrored model's nu is nu reversed; its lambda_X is lambda_X
+        # reversed, with the two tail levels swapped ((Z,N) for FIX-PZ)
+        w = Window(-256, 256)
+        for m in (fix_zz, fix_pz):
+            nu = dominant_eigenpair(switching_kernel(m, w)).nu
+            prof = invariant_profile(m, nu, w)
+            mprof = invariant_profile(mirror_model(m), nu[::-1], w)
+            assert mprof.lam_minus_inf == pytest.approx(prof.lam_plus_inf, rel=1e-12, abs=0)
+            assert mprof.lam_plus_inf == pytest.approx(prof.lam_minus_inf, rel=1e-12, abs=0)
+            assert np.allclose(mprof.values, prof.values[::-1], rtol=1e-12, atol=0)
 
 
 class TestNP:

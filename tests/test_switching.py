@@ -7,7 +7,7 @@ import pytest
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import Window
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
-from oscillax.ladder import LadderVariant, ladder_potentials
+from oscillax.ladder import SOLVE_WINDOW, LadderVariant, ladder_potentials, wiener_hopf_heights
 from oscillax.model import (
     Convention,
     DriftCase,
@@ -17,6 +17,7 @@ from oscillax.model import (
     dist,
     essential_class,
     geometric_tilt,
+    mirror_model,
     validate_model,
 )
 from oscillax.switching import (
@@ -388,6 +389,35 @@ class TestLimitOperator:
         E = limit_operator_E(fix_pz, w)
         assert not E[: w.index(0) + 1, :].any()
         assert E[w.index(1):, :].any()
+
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PZ", "FIX-ZP"])
+    def test_mirror_flips_e(self, name):
+        # three-media mirroring is x -> -x, so E flips on both axes exactly
+        m = FIXTURES[name]()
+        w = Window(-64, 64)
+        E = limit_operator_E(m, w)
+        assert np.array_equal(limit_operator_E(mirror_model(m), w), E[::-1, ::-1])
+
+    def test_row_sums_grow_like_v(self, fix_zz):
+        # E(x, .).sum() = c V_strict_asc(d) at every distance d = -x of the
+        # left medium; V(d) from the renewal recursion U = delta_0 + U * law(H+)
+        # on the Wiener-Hopf root law
+        w = Window(-64, 64)
+        E = limit_operator_E(fix_zz, w)
+        asc, _ = wiener_hopf_heights(fix_zz.left)
+        U = np.zeros(65)
+        for d in range(65):
+            U[d] = float(d == 0) + sum(p * U[d - h] for h, p in asc.items() if h <= d)
+        V = np.cumsum(U)   # V[d - 1] = U[0, d)
+        sums = E.sum(axis=1)
+        for d in range(1, 65):
+            ratio = sums[w.index(-d)] / sums[w.index(-1)]
+            assert ratio == pytest.approx(V[d - 1] / V[0], rel=1e-5), d
+
+    def test_v_beyond_table_raises(self, fix_zz):
+        pot = ladder_potentials(fix_zz.left)
+        with pytest.raises(ValidationError):
+            pot.V(LadderVariant.STRICT_ASC, SOLVE_WINDOW // 2 + 2)
 
     def test_e1_is_e(self, fix_zz):
         w = Window(-24, 24)
