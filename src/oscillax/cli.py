@@ -68,6 +68,13 @@ def _write_csv(path: Path, header, rows) -> None:
     print(path)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def _window(args, model, horizon) -> Window:
     if args.window:
         return Window(-args.window, args.window)
@@ -251,17 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rational", action="store_true",
                        help="exact rational arithmetic (model probabilities must be rationals)")
 
-    def common(p, model=True):
+    def common(p, model=True, window=True, horizon=True):
         if model:
             p.add_argument("model", help="model JSON file")
-        p.add_argument("--window", "-W", type=int, default=None,
-                       help="window half-width (default: diffusive rule)")
-        p.add_argument("--horizon", "-n", type=int, default=4096)
+        if window:
+            p.add_argument("--window", "-W", type=_positive_int, default=None,
+                           help="window half-width (default: diffusive rule)")
+        if horizon:
+            p.add_argument("--horizon", "-n", type=_positive_int, default=4096)
         p.add_argument("--out", "-o", default=None,
                        help="output directory (fallback: $OSCILLAX_OUT, then '.')")
 
     p = sub.add_parser("classify", help="regime classification report")
-    common(p)
+    common(p, window=False, horizon=False)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("evolve", help="P_x[X_n=y] sequence to CSV")
@@ -294,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo sampling of the walk")
-    common(p)
+    common(p, window=False)
     p.add_argument("--from", dest="start", type=int, default=0)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_positive_int, default=100_000)
     p.add_argument("--seed", "-s", type=int, default=20240817)
     p.set_defaults(fn=cmd_simulate, horizon=50)
 
     p = sub.add_parser("fixtures", help="write the shipped FIX-* model files")
-    common(p, model=False)
+    common(p, model=False, window=False, horizon=False)
     p.set_defaults(fn=cmd_fixtures)
     return ap
 

@@ -89,43 +89,50 @@ def _zeros(width: int, exact: bool):
 _fractions = np.frompyfunc(Fraction, 2, 1)
 
 
-def _scatter(target, window: Window, arr, base):
-    """Add arr (positions base..base+len-1) into target over the window;
-    returns (mass lost below lo, mass lost above hi)."""
-    s = min(max(0, window.lo - base), len(arr))
-    e = max(min(len(arr), window.hi - base + 1), s)
-    target[base + s - window.lo: base + e - window.lo] += arr[s:e]
-    # an empty sum still costs a numpy call, and this runs three times a step
-    return arr[:s].sum() if s else 0, arr[e:].sum() if e < len(arr) else 0
+def _scatter(target, window: Window, arr, base, lo: int, hi: int):
+    """Add the part of arr (positions base..base+len-1) landing in [lo, hi] into
+    target, indexed over the window; returns the slice bounds (s, e) of arr.
+    Conditionals, not min/max calls: this runs up to seven times a step."""
+    n, off = len(arr), base - window.lo
+    s = 0 if lo <= base else min(lo - base, n)
+    e = n if hi - base >= n - 1 else max(hi - base + 1, s)
+    target[off + s: off + e] += arr[s:e]
+    return s, e
 
 
-def step(state, model: OscillatingModel, window: Window, kernels=None):
+def step(state, model: OscillatingModel, window: Window, kernels=None, crossed=None):
     """One step of the oscillating walk; returns (new_state, leaked).
 
     ``kernels`` holds the (offset, dense weights) of the left, origin and
     right laws, built once by the caller; it defaults to the float laws, or
     the Fraction laws for an object-dtype state.  leaked is a pair
     (below_lo, above_hi); conservation sum(new) + sum(leaked) == sum(state)
-    holds exactly in rational mode.
+    holds exactly in rational mode.  If ``crossed`` (a window-indexed array)
+    is given, the mass that changes medium on this step is added into it at
+    its landing site.
     """
     if kernels is None:
         exact = state.dtype == object
         kernels = [d.dense_kernel(exact) for d in (model.left, model.origin, model.right)]
-    (l_lo, l_kern), (o_lo, o_kern), (r_lo, r_kern) = kernels
-    idx0 = window.index(0)
+    lo, hi = window.lo, window.hi
+    end = model.convention.left_end
     new = np.zeros(state.shape, dtype=state.dtype)
     lk_lo = lk_hi = 0
-    # the three media split the window at cut and idx0 + 1; the origin medium
-    # is empty under the two-media convention
-    cut = idx0 + 1 if model.two_media else idx0
-    parts = ((state[:cut], l_kern, window.lo + l_lo),
-             (state[cut:idx0 + 1], o_kern, o_lo),
-             (state[idx0 + 1:], r_kern, 1 + r_lo))
-    for part, kern, base in parts:
+    # the media are [lo, end], [end + 1, 0] and [1, hi]; the origin medium is
+    # empty under the two-media convention
+    for a, b, (k_lo, kern) in zip((lo, end + 1, 1), (end, 0, hi), kernels):
+        part = state[a - lo: b - lo + 1]
         if part.any():
-            b, a = _scatter(new, window, np.convolve(part, kern), base)
-            lk_lo += b
-            lk_hi += a
+            arr, base = np.convolve(part, kern), a + k_lo
+            s, e = _scatter(new, window, arr, base, lo, hi)
+            # an empty sum still costs a numpy call, and this runs three times a step
+            lk_lo += arr[:s].sum() if s else 0
+            lk_hi += arr[e:].sum() if e < len(arr) else 0
+            if crossed is not None:  # the mass landing outside [a, b] changed medium
+                if a > lo:
+                    _scatter(crossed, window, arr, base, lo, a - 1)
+                if b < hi:
+                    _scatter(crossed, window, arr, base, b + 1, hi)
     return new, (lk_lo, lk_hi)
 
 
@@ -240,7 +247,7 @@ def passage_regions(side: Side, convention: Convention, dist: LatticeDist):
     kills on reaching <= 0 under both conventions.
     """
     if side is Side.FROM_NEGATIVE:
-        surv_hi = -1 if convention is Convention.THREE_MEDIA else 0
+        surv_hi = convention.left_end
         band = (surv_hi + 1, surv_hi + dist.max_support)
         return surv_hi, band
     surv_lo = 1
@@ -405,8 +412,7 @@ def excursion_functions(
     V[:] = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     V[0, window.index(y)] = one
-    three = not model.two_media
-    if three and y == 0:
+    if not model.two_media and y == 0:
         p00 = model.origin.pmf_frac(0) if exact else model.origin.pmf(0)
         acc = one
         for n in range(1, horizon + 1):
@@ -415,7 +421,7 @@ def excursion_functions(
         return KernelTable(TableKind.EXCURSION, window, horizon,
                            {"V": V}, _zeros(horizon + 1, exact),
                            meta={"y": y, "exact": exact})
-    if y <= (-1 if three else 0):
+    if y <= model.convention.left_end:
         law, side = model.left, Side.FROM_NEGATIVE
     elif y >= 1:
         law, side = model.right, Side.FROM_POSITIVE

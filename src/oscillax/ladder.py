@@ -182,7 +182,7 @@ def centered_sides(model: OscillatingModel) -> list:
     the interface: s = +1 on the left, -1 on the right; theta = 1 on the left
     of a two-media model, 0 otherwise.  A drifted medium is left out.
     """
-    sides = (("left", model.left, 1, 1 if model.two_media else 0),
+    sides = (("left", model.left, 1, model.convention.left_end + 1),
              ("right", mirror_dist(model.right), -1, 0))
     return [(name, law, ladder_potentials(law), s, theta)
             for name, law, s, theta in sides if abs(law.mean) <= ZERO_DRIFT_TOL]

@@ -41,6 +41,11 @@ class Convention(Enum):
     THREE_MEDIA = "three_media"
     TWO_MEDIA = "two_media"
 
+    @property
+    def left_end(self) -> int:
+        """Last site of the left medium: 0 under two media, -1 under three."""
+        return 0 if self is Convention.TWO_MEDIA else -1
+
 
 class DriftCase(Enum):
     PN = "(P,N)"
@@ -345,11 +350,9 @@ class OscillatingModel:
 
     def law_at(self, x: int) -> LatticeDist:
         """Jump law used from position x."""
-        if self.two_media:
-            return self.left if x <= 0 else self.right
-        if x <= -1:
+        if x <= self.convention.left_end:
             return self.left
-        if x == 0:
+        if x <= 0:
             return self.origin
         return self.right
 

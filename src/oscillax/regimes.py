@@ -367,10 +367,10 @@ def invariant_profile(
     is required to agree within ``plateau_rel_tol`` as a consistency check.
     """
     vals = np.zeros(window.width)
-    theta_left = 0 if model.two_media else -1   # last site of the left medium
     # occupation h(y) = sum_x nu(x) G(x, y) of each medium's killed walk solves
     # (I - A^T) h = nu, and I - A^T is the killed matrix of the mirrored law
-    for law, lo, hi in ((model.left, window.lo, theta_left), (model.right, 1, window.hi)):
+    for law, lo, hi in ((model.left, window.lo, model.convention.left_end),
+                        (model.right, 1, window.hi)):
         seg = slice(window.index(lo), window.index(hi) + 1)
         vals[seg] = killed_green(mirror_dist(law), lo, hi, nu[seg])
     if not model.two_media:

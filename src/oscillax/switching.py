@@ -29,6 +29,7 @@ from .evolve import (
     _zeros,
     first_passage_rows,
     passage_regions,
+    step,
 )
 from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
 from .model import (
@@ -210,9 +211,9 @@ def build_Q(
     if rows is None:
         rows = essential_class(model)
     rows = list(dict.fromkeys(rows))
-    left_bound = 0 if model.two_media else -1
     tables = first_passage_rows(model.left, Side.FROM_NEGATIVE, model.convention,
-                                [x for x in rows if x <= left_bound], horizon, window, exact)
+                                [x for x in rows if x <= model.convention.left_end],
+                                horizon, window, exact)
     tables.update(first_passage_rows(model.right, Side.FROM_POSITIVE, model.convention,
                                      [x for x in rows if x >= 1], horizon, window, exact))
     if not model.two_media and 0 in rows:
@@ -342,57 +343,17 @@ def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
 
     A step is a switching time exactly when the walk changes medium, so
     T_n(x, z) is the probability that the step into time n crosses media and
-    lands at z.  One full-walk DP serves every n; this is the long-horizon
-    route the renewal recursion is checked against.
+    lands at z, which :func:`step` reads out.  One full-walk DP serves every
+    n; this is the long-horizon route the renewal recursion is checked against.
     """
     window.check_margin(model)
-    width = window.width
-    idx0 = window.index(0)
-    state = np.zeros(width)
+    kernels = [d.dense_kernel() for d in (model.left, model.origin, model.right)]
+    state = np.zeros(window.width)
     state[window.index(x)] = 1.0
-    T = np.zeros((horizon + 1, width))
-    T[0, window.index(x)] = 1.0  # T_0 = identity row
-    k_left = model.left.dense_kernel()
-    k_right = model.right.dense_kernel()
-    k_orig = model.origin.dense_kernel()
-    cut = idx0 + 1 if model.two_media else idx0
+    T = np.zeros((horizon + 1, window.width))
+    T[0] = state  # T_0 = identity row
     for n in range(1, horizon + 1):
-        new = np.zeros(width)
-        cross = np.zeros(width)
-        left = state[:cut]
-        if left.any():
-            arr = np.convolve(left, k_left[1])
-            base = window.lo + k_left[0]
-            s = max(0, window.lo - base)
-            e = min(len(arr) - 1, window.hi - base)
-            new[base + s - window.lo: base + e - window.lo + 1] += arr[s:e + 1]
-            # arrivals that left the left medium
-            first_out = (1 if model.two_media else 0) - base
-            if first_out <= e:
-                cross[base + max(s, first_out) - window.lo: base + e - window.lo + 1] += \
-                    arr[max(s, first_out): e + 1]
-        if not model.two_media:
-            z = state[idx0]
-            if z > 0:
-                for v, p in zip(model.origin.values, model.origin.probs):
-                    pos = int(v)
-                    if window.lo <= pos <= window.hi:
-                        new[pos - window.lo] += z * p
-                        if pos != 0:
-                            cross[pos - window.lo] += z * p
-        right = state[idx0 + 1:]
-        if right.any():
-            arr = np.convolve(right, k_right[1])
-            base = 1 + k_right[0]
-            s = max(0, window.lo - base)
-            e = min(len(arr) - 1, window.hi - base)
-            new[base + s - window.lo: base + e - window.lo + 1] += arr[s:e + 1]
-            last_out = 0 - base  # arrivals at <= 0 switched media
-            if last_out >= s:
-                cross[base + s - window.lo: base + min(e, last_out) - window.lo + 1] += \
-                    arr[s: min(e, last_out) + 1]
-        T[n] = cross
-        state = new
+        state, _ = step(state, model, window, kernels, crossed=T[n])
     return T
 
 

@@ -222,11 +222,9 @@ class SimResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def _class_of(positions: np.ndarray, two_media: bool) -> np.ndarray:
+def _class_of(positions: np.ndarray, left_end: int) -> np.ndarray:
     """Medium index per position: 0 left, 1 origin, 2 right."""
-    if two_media:
-        return np.where(positions <= 0, 0, 2)
-    return np.where(positions <= -1, 0, np.where(positions == 0, 1, 2))
+    return np.where(positions <= left_end, 0, np.where(positions <= 0, 1, 2))
 
 
 def simulate(
@@ -259,7 +257,7 @@ def simulate(
         m = min(chunk, n_paths - ci * chunk)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(ci))
         pos = np.full(m, x, dtype=np.int64)
-        cls = _class_of(pos, model.two_media)
+        cls = _class_of(pos, model.convention.left_end)
         first_switch = np.zeros(m, dtype=np.int64)  # 0 = not yet
         n_switch = np.zeros(m, dtype=np.int64)
         for n in range(1, n_steps + 1):
@@ -271,7 +269,7 @@ def simulate(
                     vals, cum = laws[idx]
                     inc[mask] = vals[np.searchsorted(cum, u[mask], side="right").clip(0, len(vals) - 1)]
             pos = pos + inc
-            new_cls = _class_of(pos, model.two_media)
+            new_cls = _class_of(pos, model.convention.left_end)
             changed = new_cls != cls
             n_switch += changed
             newly = changed & (first_switch == 0)
@@ -397,7 +395,7 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
         Lval = sum(p * tilt_ratio ** int(v) for v, p in zip(model.left.values, model.left.fracs))
     else:
         Lval = laplace(model.left, math.log(float(tilt_ratio)))
-    x0 = -1 if not model.two_media else 0
+    x0 = model.convention.left_end
     fp = first_passage_kernel(model.left, Side.FROM_NEGATIVE, model.convention,
                               x0, 20, window, exact=exact)
     fp_t = first_passage_kernel(left_t, Side.FROM_NEGATIVE, model.convention,
@@ -494,6 +492,8 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     case = model.drift_case
     if case not in (DriftCase.ZZ, DriftCase.PZ, DriftCase.PN):
         return report
+    if case in (DriftCase.ZZ, DriftCase.PZ) and horizon < 64:
+        raise ValidationError(f"horizon {horizon} is below 64, the first plateau point")
 
     spectral = dominant_eigenpair(switching_kernel(model, window))
     nu = spectral.nu

@@ -102,12 +102,38 @@ class TestCommands:
         ["classify", "FIX-ZZ.json", "--seed", "3"],
         ["spectrum", "FIX-ZZ.json", "--rational"],
         ["evolve", "FIX-ZZ.json", "--from", "0", "--to", "0", "--threads", "2"],
-    ], ids=["seed", "rational", "threads"])
+        ["classify", "FIX-ZZ.json", "-W", "64"],
+        ["simulate", "FIX-ZZ.json", "-W", "64"],
+        ["fixtures", "-n", "5"],
+    ], ids=["seed", "rational", "threads", "classify-window", "simulate-window",
+            "fixtures-horizon"])
     def test_flags_scoped_to_their_commands(self, model_dir, argv):
-        argv = [argv[0], str(model_dir / argv[1]), *argv[2:]]
+        if argv[1].endswith(".json"):
+            argv = [argv[0], str(model_dir / argv[1]), *argv[2:]]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--from", "0", "--to", "0", "-n", "-3"],
+        ["kernel", "-n", "-2"],
+        ["evolve", "--from", "0", "--to", "0", "-W", "0"],
+        ["spectrum", "-W", "0"],
+        ["simulate", "--paths", "-5"],
+        ["simulate", "--paths", "0"],
+    ], ids=["evolve-horizon", "kernel-horizon", "evolve-window", "spectrum-window",
+            "simulate-paths-negative", "simulate-paths-zero"])
+    def test_nonpositive_sizes_exit_two(self, model_dir, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(model_dir / "FIX-ZZ.json"), *argv[1:], "-o", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_verify_convergence_horizon_below_plateau_exit_two(self, model_dir, tmp_path,
+                                                                capsys):
+        assert main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "convergence",
+                     "-n", "32", "-o", str(tmp_path)]) == 2
+        assert "first plateau point" in capsys.readouterr().err
 
     def test_simulate_reproducible_bytes(self, model_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

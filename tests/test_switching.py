@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscillax.errors import ConventionMismatch, ValidationError
-from oscillax.evolve import Window
+from oscillax.evolve import Window, step
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.ladder import SOLVE_WINDOW, LadderVariant, ladder_potentials, wiener_hopf_heights
 from oscillax.model import (
@@ -36,6 +36,15 @@ from oscillax.switching import (
     switching_time_marginals,
     tilted_kernels,
 )
+
+
+def origin_zero_model():
+    """FIX-ZZ's media around an origin law that charges 0."""
+    zz = FIXTURES["FIX-ZZ"]()
+    return validate_model(zz.left, dist({-1: F(1, 4), 0: F(1, 2), 1: F(1, 4)}), zz.right)
+
+
+RENEWAL_MODELS = {**FIXTURES, "origin-0": origin_zero_model}
 
 
 def dense_q(sk):
@@ -147,13 +156,31 @@ class TestRenewalSequence:
             assert all(type(t) is int for t in T[n].flat)
             assert (T[n] == total[n]).all()
 
-    def test_dp_matches_recursion(self, fix_zz):
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP", "origin-0"])
+    def test_dp_matches_recursion(self, name):
+        model = RENEWAL_MODELS[name]()
         w = Window(-12, 12)
-        Qn = q_history_matrices(fix_zz, 40, w)
+        Qn = q_history_matrices(model, 40, w)
         T = renewal_sequence(Qn)
-        Tdp = switching_time_marginals(fix_zz, 0, 40, w)
+        Tdp = switching_time_marginals(model, 0, 40, w)
         err = max(np.max(np.abs(T[n][w.index(0)] - Tdp[n])) for n in range(1, 41))
         assert err <= 1e-14
+
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP", "FIX-PN", "origin-0"])
+    def test_step_crossings_equal_exact_recursion(self, name):
+        # the mass step reads out as changing medium is the row of the exact
+        # renewal sequence, entry for entry, on the same window
+        model = RENEWAL_MODELS[name]()
+        w, N = Window(-10, 10), 12
+        T = renewal_sequence(q_history_matrices(model, N, w, exact=True))
+        kernels = [d.dense_kernel(True) for d in (model.left, model.origin, model.right)]
+        for x in (-1, 0, 1):
+            state = np.full(w.width, F(0), dtype=object)
+            state[w.index(x)] = F(1)
+            for n in range(1, N + 1):
+                crossed = np.full(w.width, F(0), dtype=object)
+                state, _ = step(state, model, w, kernels, crossed=crossed)
+                assert (T[n][w.index(x)] == crossed).all()
 
 
 def direct_power_sum(Qn, prev):
