@@ -4,7 +4,6 @@ from .errors import OscillaxError, ValidationError
 from .evolve import (
     KernelTable,
     Side,
-    TableKind,
     Window,
     default_window,
     excursion_functions,
@@ -51,6 +50,7 @@ from .regimes import (
 )
 from .switching import (
     SpectralData,
+    StepKernels,
     SwitchingKernel,
     WeightSpec,
     build_Q,
@@ -59,7 +59,6 @@ from .switching import (
     doob_transform,
     limit_operator_E,
     limit_operator_E_ell,
-    q_history_matrices,
     renewal_sequence,
     switching_kernel,
     switching_time_marginals,

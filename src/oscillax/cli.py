@@ -114,23 +114,22 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    from .model import essential_class
+    from .model import arrival_band, essential_class
     from .switching import build_Q, switching_time_marginals
 
     model = load_model(args.model)
     horizon = args.horizon
     window = _window(args, model, horizon)
-    rows_x = essential_class(model)
-    hist = build_Q(model, horizon, window, rows=rows_x)
-    T = switching_time_marginals(model, 0, horizon, window)
-    out = []
-    for n in range(1, horizon + 1):
-        for x in rows_x:
-            t = hist[x]
-            bl, bh = t.data["band"]
-            for y in range(bl, bh + 1):
-                out.append((n, x, y, float(t.data["arrivals"][n][y - bl]),
-                            float(T[n][window.index(y)]) if window.lo <= y <= window.hi else 0.0))
+    band_lo, band_hi = arrival_band(model)
+    cols = slice(window.index(band_lo), window.index(band_hi) + 1)
+    # T_n(x, y) over the band, one full-walk DP per row x; run before build_Q
+    # so that an oversized horizon is refused before any DP starts
+    T = [switching_time_marginals(model, x, horizon, window)[:, cols].copy()
+         for x in essential_class(model)]
+    hist = build_Q(model, horizon, window)
+    out = [(n, x, y, float(hist.R[n, i, j]), float(T[i][n, j]))
+           for n in range(1, horizon + 1) for i, x in enumerate(hist.rows)
+           for j, y in enumerate(range(band_lo, band_hi + 1))]
     _write_csv(_outdir(args) / "kernel.csv", ["n", "x", "y", "Qn", "Tn"], out)
     return EXIT_OK
 

@@ -25,6 +25,7 @@ from .errors import ConventionMismatch, ValidationError, WindowTooSmall
 from .model import Convention, LatticeDist, OscillatingModel, common_denominator, mirror_dist
 
 DEFAULT_LEAK_BUDGET = 1e-10
+MAX_ARRAY_BYTES = 1 << 30   # largest single array any engine may allocate
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,20 @@ def default_window(model: OscillatingModel, horizon: int) -> Window:
     return Window(-half, half)
 
 
-class TableKind(Enum):
-    MARGINAL = "marginal"
-    FIRST_PASSAGE = "first_passage"
-    EXCURSION = "excursion"
+def check_size(*shapes) -> None:
+    """Refuse a call whose largest array, at 8 bytes an entry, would exceed
+    MAX_ARRAY_BYTES; callers check before they allocate anything."""
+    largest = max(shapes, key=math.prod)
+    if 8 * math.prod(largest) > MAX_ARRAY_BYTES:
+        raise ValidationError(
+            f"an array of shape {tuple(largest)} needs {8 * math.prod(largest) / 2**30:.3g} GiB, "
+            f"over the {MAX_ARRAY_BYTES / 2**30:.3g} GiB limit: lower the horizon or the window")
 
 
 @dataclass
 class KernelTable:
     """Indexed family of per-step vectors/matrices plus tracked leak."""
 
-    kind: TableKind
     window: Window
     horizon: int
     data: dict
@@ -79,10 +83,8 @@ class KernelTable:
     meta: dict = field(default_factory=dict)
 
 
-def _zeros(width: int, exact: bool):
-    if exact:
-        return np.array([Fraction(0)] * width, dtype=object)
-    return np.zeros(width)
+def _zeros(shape, exact: bool):
+    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
 
 
 # Fraction(numerator, denominator) elementwise, with broadcasting
@@ -139,6 +141,7 @@ def step(state, model: OscillatingModel, window: Window, kernels=None, crossed=N
 def transition_matrix(model: OscillatingModel, window: Window) -> np.ndarray:
     """Dense one-step transition matrix of the walk restricted to the window."""
     width = window.width
+    check_size((width, width))
     P = np.zeros((width, width))
     for x in range(window.lo, window.hi + 1):
         law = model.law_at(x)
@@ -169,6 +172,7 @@ def marginal_sequence(
         raise ValidationError("rescaled mode is float-only")
     window = window or default_window(model, horizon)
     window.check_margin(model)
+    check_size((horizon + 1,), (window.width,))
     ix, iy = window.index(x), window.index(y)
     laws = (model.left, model.origin, model.right)
     # exact: integer numerators over scale = D**n (see the module docstring)
@@ -225,7 +229,6 @@ def marginal_sequence(
         data["log_values"] = log_values
         data["log_scale"] = log_scale
     return KernelTable(
-        kind=TableKind.MARGINAL,
         window=window,
         horizon=horizon,
         data=data,
@@ -274,7 +277,7 @@ def first_passage_rows(
     (rows x segment) state, and a step is one shifted axpy per atom of the
     law over the span the rows can have reached so far.
 
-    Returns {x: KernelTable(FIRST_PASSAGE)}.  data['arrivals'] has shape
+    Returns {x: KernelTable}.  data['arrivals'] has shape
     (horizon+1, band width) over the arrival band; data['survival'][n] is the
     mass still strictly inside the medium after n steps, window leak counted
     as surviving, so survival + sum(arrivals) == 1 exactly in rational mode.
@@ -293,10 +296,11 @@ def first_passage_rows(
     if not xs:
         return {}
     rows, width = len(xs), seg_hi - seg_lo + 1
+    band_w = max(0, band_hi - band_lo + 1)
+    check_size((horizon + 1, rows, width if keep_states else band_w), (rows, width))
     # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(dist) if exact else 1
     dtype = object if exact else float
-    band_w = max(0, band_hi - band_lo + 1)
     # segment ∪ band is one contiguous run of indices (relative to seg_lo);
     # a destination outside it has left the window
     band_i = band_lo - seg_lo
@@ -366,7 +370,6 @@ def first_passage_rows(
         if keep_states:
             data["states"] = states[:, r]
         out[x] = KernelTable(
-            kind=TableKind.FIRST_PASSAGE,
             window=window,
             horizon=horizon,
             data=data,
@@ -407,9 +410,8 @@ def excursion_functions(
     sits at y at time n (and 0 for x outside that medium).
     """
     window.check_margin(model)
-    width = window.width
-    V = np.empty((horizon + 1, width), dtype=object if exact else float)
-    V[:] = Fraction(0) if exact else 0.0
+    check_size((horizon + 1, window.width))
+    V = _zeros((horizon + 1, window.width), exact)
     one = Fraction(1) if exact else 1.0
     V[0, window.index(y)] = one
     if not model.two_media and y == 0:
@@ -418,8 +420,7 @@ def excursion_functions(
         for n in range(1, horizon + 1):
             acc = acc * p00
             V[n, window.index(0)] = acc
-        return KernelTable(TableKind.EXCURSION, window, horizon,
-                           {"V": V}, _zeros(horizon + 1, exact),
+        return KernelTable(window, horizon, {"V": V}, _zeros(horizon + 1, exact),
                            meta={"y": y, "exact": exact})
     if y <= model.convention.left_end:
         law, side = model.left, Side.FROM_NEGATIVE
@@ -434,5 +435,5 @@ def excursion_functions(
     seg_lo, seg_hi = t.data["segment"]
     V[1:, window.index(seg_lo): window.index(seg_hi) + 1] = t.data["states"][1:]
     leak = t.leak + np.cumsum(t.data["arrivals"].sum(axis=1))
-    return KernelTable(TableKind.EXCURSION, window, horizon, {"V": V}, leak,
+    return KernelTable(window, horizon, {"V": V}, leak,
                        meta={"y": y, "exact": exact})

@@ -8,7 +8,8 @@ a finite window.
 
 Aggregate kernels are obtained from banded resolvent solves (exact within the
 window, no time truncation); per-step histories come from the DP in
-:mod:`oscillax.evolve` and carry explicit survival/leak accounting.
+:mod:`oscillax.evolve` and carry explicit survival/leak accounting.  Both
+keep only the arrival-band columns: Q(x, .) charges no other site.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import scipy.fft
 
 from .errors import ConventionMismatch, NoConvergence, ValidationError
 from .evolve import (
-    KernelTable,
     Side,
-    TableKind,
     Window,
     _zeros,
+    check_size,
     first_passage_rows,
     passage_regions,
     step,
@@ -191,103 +191,87 @@ def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel
 # Per-step history and renewal operators
 # ---------------------------------------------------------------------------
 
+@dataclass
+class StepKernels:
+    """Per-step switching kernels Q_n(x, .) of selected rows, on the arrival band.
+
+    Q_n(x, .) charges only the arrival band B = [band[0], band[1]], so the
+    history is one (N+1, rows, B) stack R[n, i, j] = Q_n(rows[i], band[0] + j).
+    survival[i, n] is the mass of row i still inside its medium after n
+    steps, window leak counted as surviving, so survival_n + sum_{k<=n} R_k
+    = 1 exactly in rational mode; leak[i, n] is the part that left the window.
+    """
+
+    rows: list[int]
+    band: tuple[int, int]
+    R: np.ndarray           # (N+1, rows, B)
+    survival: np.ndarray    # (rows, N+1)
+    leak: np.ndarray        # (rows, N+1)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The (N+1, B, B) block of the band rows, which must be among ``rows``."""
+        return self.R[:, [self.rows.index(y) for y in range(self.band[0], self.band[1] + 1)]]
+
+
 def build_Q(
     model: OscillatingModel,
     horizon: int,
     window: Window,
     rows: Optional[Sequence[int]] = None,
     exact: bool = False,
-) -> dict:
-    """Per-step switching kernels Q_n(x, .) for selected rows.
+) -> StepKernels:
+    """Per-step switching kernels Q_n(x, .) for ``rows`` (default: the essential class).
 
-    Returns {x: KernelTable(FIRST_PASSAGE)} in the order of ``rows``.  The
-    rows of each medium come from one batched :func:`first_passage_rows` DP;
-    for the origin row under the three-media convention the closed form
-    Q_n(0, y) = mu0(0)^(n-1) mu0(y) is tabulated instead.  Mass accounting
-    survival_n + sum_{k<=n} arrivals_k = 1 holds exactly per row.  A row
-    outside the window raises ValidationError.
+    Rows keep the requested order.  Each medium's rows come from one batched
+    :func:`first_passage_rows` DP and are written at that medium's band
+    columns; the three-media origin row is the closed form
+    Q_n(0, y) = mu0(0)^(n-1) mu0(y).  A row outside the window raises
+    ValidationError.
     """
     window.check_margin(model)
-    if rows is None:
-        rows = essential_class(model)
-    rows = list(dict.fromkeys(rows))
-    tables = first_passage_rows(model.left, Side.FROM_NEGATIVE, model.convention,
-                                [x for x in rows if x <= model.convention.left_end],
-                                horizon, window, exact)
-    tables.update(first_passage_rows(model.right, Side.FROM_POSITIVE, model.convention,
-                                     [x for x in rows if x >= 1], horizon, window, exact))
-    if not model.two_media and 0 in rows:
-        tables[0] = _origin_row(model, horizon, window, exact)
-    return {x: tables[x] for x in rows}
-
-
-def _origin_row(model: OscillatingModel, horizon: int, window: Window,
-                exact: bool) -> KernelTable:
-    """Closed-form Q_n(0, .) of the three-media origin: stay put, then jump."""
-    p0 = model.origin.pmf_frac(0) if exact else model.origin.pmf(0)
-    band = (model.origin.min_support, model.origin.max_support)
-    bw = band[1] - band[0] + 1
-    arrivals = np.empty((horizon + 1, bw), dtype=object if exact else float)
-    arrivals[:] = Fraction(0) if exact else 0.0
-    survival = np.empty(horizon + 1, dtype=object if exact else float)
-    survival[0] = Fraction(1) if exact else 1.0
-    acc = Fraction(1) if exact else 1.0
-    for n in range(1, horizon + 1):
-        for v in model.origin.values:
+    rows = list(dict.fromkeys(essential_class(model) if rows is None else rows))
+    band = arrival_band(model)
+    shape = (horizon + 1, len(rows), band[1] - band[0] + 1)
+    check_size(shape)
+    R = _zeros(shape, exact)
+    survival, leak = (_zeros((len(rows), horizon + 1), exact) for _ in range(2))
+    index = {x: i for i, x in enumerate(rows)}
+    end = model.convention.left_end
+    for law, side, xs in ((model.left, Side.FROM_NEGATIVE, [x for x in rows if x <= end]),
+                          (model.right, Side.FROM_POSITIVE, [x for x in rows if x >= 1])):
+        _, (bl, bh) = passage_regions(side, model.convention, law)
+        tables = first_passage_rows(law, side, model.convention, xs, horizon, window, exact)
+        for x, t in tables.items():
+            R[:, index[x], bl - band[0]: bh - band[0] + 1] = t.data["arrivals"]
+            survival[index[x]], leak[index[x]] = t.data["survival"], t.leak
+        del tables   # freed before the other medium's DP runs
+    if not model.two_media and 0 in index:
+        i0, origin = index[0], model.origin
+        p0 = origin.pmf_frac(0) if exact else origin.pmf(0)
+        survival[i0] = np.cumprod([Fraction(1) if exact else 1.0] + [p0] * horizon)
+        for v, p in zip(origin.values, origin.fracs if exact else origin.probs):
             if v != 0:
-                p = model.origin.pmf_frac(int(v)) if exact else model.origin.pmf(int(v))
-                arrivals[n, int(v) - band[0]] = acc * p
-        acc = acc * p0
-        survival[n] = acc
-    return KernelTable(
-        TableKind.FIRST_PASSAGE, window, horizon,
-        {"arrivals": arrivals, "band": band, "survival": survival},
-        leak=_zeros(horizon + 1, exact),
-        meta={"x": 0, "closed_form": True, "exact": exact},
-    )
+                R[1:, i0, int(v) - band[0]] = survival[i0, :-1] * p
+    return StepKernels(rows, band, R, survival, leak)
 
 
-def q_history_matrices(model: OscillatingModel, horizon: int, window: Window,
-                       exact: bool = False) -> np.ndarray:
-    """Dense (horizon+1, W, W) array of Q_n on a small window (tests/diagnostics)."""
-    width = window.width
-    if width > 256:
-        raise ValidationError("full Q_n history is meant for small windows")
-    Qn = np.zeros((horizon + 1, width, width)) if not exact else \
-        np.full((horizon + 1, width, width), Fraction(0), dtype=object)
-    hist = build_Q(model, horizon, window, rows=range(window.lo, window.hi + 1),
-                   exact=exact)
-    for x, table in hist.items():
-        bl, bh = table.data["band"]
-        arr = table.data["arrivals"]
-        for n in range(1, horizon + 1):
-            Qn[n, window.index(x), window.index(max(bl, window.lo)):
-               window.index(min(bh, window.hi)) + 1] = \
-                arr[n, max(bl, window.lo) - bl: (min(bh, window.hi)) - bl + 1]
-    return Qn
+def renewal_sequence(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Band columns of T_n = sum_{l>=1} Q^(l)_n by T_n = R_n + sum_{k<n} T_{n-k} C_k.
 
-
-def renewal_sequence(Qn: np.ndarray, horizon: Optional[int] = None) -> np.ndarray:
-    """T_n by the renewal convolution recursion T_n = sum_k Q_k T_{n-k}, T_0 = I.
-
-    ``Qn`` is the (N+1, W, W) per-step stack (Qn[0] ignored).  Quadratic in the
-    horizon; intended for exactness tests and small diagnostics, the production
-    path for long sequences is :func:`switching_time_marginals`.
+    ``R`` is an (N+1, rows, B) stack of per-step band columns and ``C`` the
+    (N+1, B, B) block of its band rows, as in :class:`StepKernels` (index 0
+    of both is ignored).  The identity T_0 is not a band operator, so T[0]
+    is 0.  The recursion is homogeneous in D^n, so it runs unchanged on the
+    integer numerators D^n Q_n of an exact history.  Quadratic in the
+    horizon; the long-horizon route is :func:`switching_time_marginals`.
     """
-    N = horizon if horizon is not None else Qn.shape[0] - 1
-    width = Qn.shape[1]
-    T = np.zeros_like(Qn[: N + 1])
-    eye = np.eye(width)
-    if Qn.dtype == object:
-        eye = np.full((width, width), Fraction(0), dtype=object)
-        for i in range(width):
-            eye[i, i] = Fraction(1)
-    T[0] = eye
-    for n in range(1, N + 1):
-        acc = Qn[n].copy()
-        for k in range(1, n):
-            acc = acc + Qn[k] @ T[n - k]
-        T[n] = acc
+    T = np.zeros_like(R)
+    for n in range(1, len(R)):
+        T[n] = R[n] + (T[n - 1:0:-1] @ C[1:n]).sum(axis=0)
     return T
 
 
@@ -300,30 +284,18 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     Q^{(ell)}(z) = R(z) C(z)^{ell-1} with R the (W x B) full kernel stack and
     C its band-restricted square; FFT over the time axis makes the whole family
     O(pad * N * W * B^2).  Returns {ell: (N+1, W, B) array} plus band info under
-    key 'band'.  ``rows`` restricts the R stack (the output rows); the band
-    rows themselves are always computed.
+    key 'band' and {x: row index} under 'rows'.  ``rows`` restricts the R stack
+    (the output rows); the band rows themselves are always computed.
     """
     band_lo, band_hi = arrival_band(model)
-    band = list(range(band_lo, band_hi + 1))
-    if rows is None:
-        rows = sorted(set(range(window.lo, window.hi + 1)))
-    else:
-        rows = sorted(set(rows) | set(band))
-    hist = build_Q(model, horizon, window, rows=rows)
-    B = len(band)
-    row_index = {x: i for i, x in enumerate(rows)}
-    R = np.zeros((horizon + 1, len(rows), B))
-    for x, table in hist.items():
-        bl, bh = table.data["band"]
-        arr = table.data["arrivals"]
-        for j, y in enumerate(band):
-            if bl <= y <= bh:
-                R[:, row_index[x], j] = arr[:, y - bl].astype(float)
-    C = np.stack([R[:, row_index[y], :] for y in band], axis=1)
+    band = range(band_lo, band_hi + 1)
+    rows = range(window.lo, window.hi + 1) if rows is None else sorted(set(rows) | set(band))
     M = pad_factor * horizon
-    Rhat = scipy.fft.rfft(R, n=M, axis=0, workers=-1)
-    Chat = scipy.fft.rfft(C, n=M, axis=0, workers=-1)
-    out = {"band": (band_lo, band_hi), "rows": row_index}
+    check_size((M, len(rows), len(band)))
+    hist = build_Q(model, horizon, window, rows=rows)
+    Rhat = scipy.fft.rfft(hist.R, n=M, axis=0, workers=-1)
+    Chat = scipy.fft.rfft(hist.C, n=M, axis=0, workers=-1)
+    out = {"band": hist.band, "rows": {x: i for i, x in enumerate(hist.rows)}}
     cpow = None
     for ell in range(1, max(ells) + 1):
         if ell == 1:
@@ -347,6 +319,7 @@ def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
     n; this is the long-horizon route the renewal recursion is checked against.
     """
     window.check_margin(model)
+    check_size((horizon + 1, window.width))
     kernels = [d.dense_kernel() for d in (model.left, model.origin, model.right)]
     state = np.zeros(window.width)
     state[window.index(x)] = 1.0
@@ -429,17 +402,17 @@ def dominant_eigenpair(kernel: SwitchingKernel,
     )
 
 
-def doob_transform(Qn: np.ndarray, H: np.ndarray, rho_psi: float) -> np.ndarray:
-    """Conjugate kernels by a positive eigenfunction: (1/rho) H^{-1} Q_n (H .).
+def doob_transform(R: np.ndarray, H: np.ndarray, band_rows: slice,
+                   rho_psi: float) -> np.ndarray:
+    """Conjugate band columns by a positive eigenfunction: (1/rho) H(x)^-1 Q(x, y) H(y).
 
-    Accepts a single (W, W) matrix or an (N+1, W, W) stack; the n-summed
+    ``R`` holds the band columns of one kernel (W, B) or of a per-step stack
+    (N+1, W, B), rows over the window; ``band_rows`` are the window indices
+    of the band sites (:attr:`SwitchingKernel.band_rows`).  The n-summed
     transform of the aggregate kernel is markovian when (rho_psi, H) is the
     dominant eigenpair.
     """
-    ratio = H[None, :] / H[:, None] / rho_psi
-    if Qn.ndim == 2:
-        return Qn * ratio
-    return Qn * ratio[None, :, :]
+    return R * (H[band_rows][None, :] / H[:, None] / rho_psi)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +422,10 @@ def doob_transform(Qn: np.ndarray, H: np.ndarray, rho_psi: float) -> np.ndarray:
 @dataclass
 class TiltedKernels:
     """Per-step kernels of the per-side tilted walk with the geometric factor
-    split off: Q_n(x,y) = R^n e^{t_ref (x-y)} Qtilde_n(x,y)."""
+    split off: Q_n(x,y) = R^n e^{t_ref (x-y)} Qtilde_n(x,y), on the arrival band."""
 
-    Qn: np.ndarray           # (N+1, W, W)
+    Qn: np.ndarray           # (N+1, W, B): Qn[n, i, j] = Qtilde_n(window.lo + i, band[0] + j)
+    band: tuple[int, int]
     window: Window
     rate: float              # R = max of the two transform values
     r: float                 # min/max ratio, 1.0 when the transforms agree
@@ -492,33 +466,19 @@ def tilted_kernels(
     left_t = tilt(model.left, t_left)
     right_t = tilt(model.right, t_right)
     tilted_model = validate_model(left_t, left_t, right_t, two_media=True)
-    width = window.width
-    Qn = np.zeros((horizon + 1, width, width))
-    hist_left = build_Q(tilted_model, horizon, window,
-                        rows=range(window.lo, 0 + 1))
-    hist_right = build_Q(tilted_model, horizon, window,
-                         rows=range(1, window.hi + 1))
-    ns = np.arange(horizon + 1, dtype=float)
-    damp = r ** ns
-    for x, table in {**hist_left, **hist_right}.items():
-        bl, bh = table.data["band"]
-        arr = table.data["arrivals"]
-        side = "left" if x <= 0 else "right"
-        t_side = t_left if side == "left" else t_right
-        for n in range(1, horizon + 1):
-            row = arr[n]
-            ys = np.arange(bl, bh + 1, dtype=float)
-            factor = np.exp((t_side - t_ref) * (x - ys))
-            if side == damped:
-                factor = factor * damp[n]
-            lo_c = max(bl, window.lo)
-            hi_c = min(bh, window.hi)
-            Qn[n, window.index(x), window.index(lo_c): window.index(hi_c) + 1] = (
-                row[lo_c - bl: hi_c - bl + 1] * factor[lo_c - bl: hi_c - bl + 1]
-            )
+    hist = build_Q(tilted_model, horizon, window, rows=range(window.lo, window.hi + 1))
+    xs = window.positions()
+    left = xs <= 0
+    ys = np.arange(hist.band[0], hist.band[1] + 1)
+    dt = np.where(left, t_left, t_right) - t_ref
+    # (1, W, B): e^{(t_side - t_ref)(x - y)}, times r^n on the rows of the damped side
+    factor = np.exp(dt[:, None] * (xs[:, None] - ys))[None]
+    if damped:
+        rn = r ** np.arange(horizon + 1, dtype=float)
+        factor = factor * np.where(left if damped == "left" else ~left, rn[:, None], 1.0)[..., None]
     return TiltedKernels(
-        Qn=Qn, window=window, rate=R, r=r, t_left=t_left, t_right=t_right,
-        t_ref=t_ref, damped_side=damped, tilted_model=tilted_model,
+        Qn=hist.R * factor, band=hist.band, window=window, rate=R, r=r, t_left=t_left,
+        t_right=t_right, t_ref=t_ref, damped_side=damped, tilted_model=tilted_model,
     )
 
 
@@ -527,35 +487,38 @@ def tilted_kernels(
 # ---------------------------------------------------------------------------
 
 def limit_operator_E(model: OscillatingModel, window: Window) -> np.ndarray:
-    """Pointwise limit E(x,y) of n^{3/2} Q_n(x,y) on the window.
+    """Pointwise limit E(x,y) of n^{3/2} Q_n(x,y) on the window, in band columns.
 
-    Blocks whose driving law is drifted vanish (their kernels decay
-    geometrically, killing the polynomial term).  A centered side, in the
-    left form of :func:`ladder.centered_sides`, contributes for a site x at
-    distance d = theta - s x >= 1 and an arrival y = s (theta + k), k >= 0,
+    Like Q_n, E charges only the arrival band, so it is returned as the
+    (W, B) array E[i, j] = E(window.lo + i, band[0] + j), the layout of
+    :attr:`SwitchingKernel.R`.  Blocks whose driving law is drifted vanish
+    (their kernels decay geometrically, killing the polynomial term).  A
+    centered side, in the left form of :func:`ladder.centered_sides`,
+    contributes for a site x at distance d = theta - s x >= 1 and an arrival
+    y = s (theta + k), k >= 0,
     (1/(sigma sqrt(2pi))) V_strict_asc(d) * sum_w V_weak_desc(w) mu(w + k).
     """
+    band_lo, band_hi = arrival_band(model)
     xs = window.positions()
-    blocks = []
+    E = np.zeros((window.width, band_hi - band_lo + 1))
     for _, law, pot, s, theta in centered_sides(model):
         rows = np.flatnonzero(theta - s * xs >= 1)
         toward = pot.V(LadderVariant.STRICT_ASC, theta - s * xs[rows])
         pmf = {int(v): float(p) for v, p in zip(law.values, law.probs)}
-        ks = [k for k in range(law.max_support) if window.lo <= s * (theta + k) <= window.hi]
+        ks = range(law.max_support)
         away = [sum(pot.V(LadderVariant.WEAK_DESC, w) * pmf.get(w + k, 0.0)
                     for w in range(1, law.max_support + 1)) for k in ks]
-        cols = [window.index(s * (theta + k)) for k in ks]
-        blocks.append((rows, cols, np.outer(toward, away) / (law.sigma * SQRT_2PI)))
-    E = np.zeros((window.width, window.width))
-    for rows, cols, block in blocks:
-        E[np.ix_(rows, cols)] = block
+        cols = [s * (theta + k) - band_lo for k in ks]
+        E[np.ix_(rows, cols)] = np.outer(toward, away) / (law.sigma * SQRT_2PI)
     return E
 
 
 def limit_operator_E_ell(E: np.ndarray, kernel: SwitchingKernel, ell: int) -> np.ndarray:
-    """E_ell = sum_{i=0}^{ell-1} Q^(i) E Q^(ell-1-i) with Q^(0) = I.
+    """E_ell = sum_{i=0}^{ell-1} Q^(i) E Q^(ell-1-i) with Q^(0) = I, in band columns.
 
-    Uses the factored powers Q^(i) = R C^(i-1) S_B, so no power of Q is formed.
+    ``E`` is the (W, B) band-column form of :func:`limit_operator_E`.  Uses
+    the factored powers Q^(i) = R C^(i-1) S_B, whose band rows are C^i, so
+    no power of Q is formed.
     """
     R, C, band = kernel.R, kernel.C, kernel.band_rows
     # RC[i - 1] = R C^(i-1): the band columns of Q^(i), i >= 1
@@ -566,8 +529,5 @@ def limit_operator_E_ell(E: np.ndarray, kernel: SwitchingKernel, ell: int) -> np
     for i in range(ell):
         j = ell - 1 - i
         left = E if i == 0 else RC[i - 1] @ E[band]
-        if j == 0:
-            out += left
-        else:
-            out[:, band] += left @ RC[j - 1]
+        out += left if j == 0 else left @ RC[j - 1][band]
     return out

@@ -39,7 +39,13 @@ from .model import (
     geometric_tilt,
     laplace,
 )
-from .switching import build_Q, dominant_eigenpair, switching_kernel, switching_time_marginals
+from .switching import (
+    build_Q,
+    dominant_eigenpair,
+    renewal_sequence,
+    switching_kernel,
+    switching_time_marginals,
+)
 
 # ---------------------------------------------------------------------------
 # Rate/exponent/constant fitting
@@ -314,6 +320,11 @@ def _survival_landing(dist: LatticeDist, threshold_hi: bool, n_max: int, z_range
             for n in range(1, n_max + 1)}
 
 
+# f.numerator * (s // f.denominator): the integer numerator of f over a multiple s
+# of its denominator, elementwise with broadcasting
+_numerators = np.frompyfunc(lambda f, s: f.numerator * (s // f.denominator), 2, 1)
+
+
 def identity_suite(model: OscillatingModel, horizon: int = 40,
                    window: Optional[Window] = None,
                    tilt_ratio: Fraction = Fraction(1, 2),
@@ -331,56 +342,32 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     report = {"exact": exact}
 
     # --- (i) trajectory decomposition ---------------------------------------
-    # In exact mode every term of the sums at time n is an integer over D**n
-    # (D the common denominator of the three laws): they run on those integers.
+    # a_n(x, y) = V_n(x) + sum_{k=1}^n sum_z T_k(x, z) V_{n-k}(z), z over the
+    # arrival band.  In exact mode every term at time n is an integer over
+    # D**n (D the common denominator of the three laws): they run on those
+    # integers, which the renewal recursion keeps.
     D = common_denominator(model.left, model.origin, model.right) if exact else 1
+    scales = np.array([D ** n for n in range(horizon + 1)], dtype=object)
 
     def scaled(table):
-        """Rows table[n] * D**n, as ints in exact mode (D**n is a common denominator)."""
-        if not exact:
-            return table
-        return [np.array([f.numerator * (D ** n // f.denominator) for f in row], dtype=object)
-                for n, row in enumerate(table)]
+        """table[n] * D**n, as ints in exact mode (D**n is a common denominator)."""
+        return _numerators(table.T, scales).T if exact else table
 
     pairs = list(pairs or [(0, 0), (-1, 1), (2, -2)])
     band_lo, band_hi = arrival_band(model)
     band = list(range(band_lo, band_hi + 1))
+    hist = build_Q(model, horizon, window, rows=band + [x for x, _ in pairs], exact=exact)
+    T = renewal_sequence(scaled(hist.R), scaled(hist.C))
     max_resid = zero
     for x, y in pairs:
-        hist = build_Q(model, horizon, window, rows=sorted(set(band) | {x}), exact=exact)
-        q = {}   # arrivals of each row over the arrival band, per step
-        for xx, t in hist.items():
-            bl, bh = t.data["band"]
-            arr = np.full((horizon + 1, len(band)), zero, dtype=object if exact else float)
-            for j, yy in enumerate(band):
-                if bl <= yy <= bh:
-                    arr[:, j] = t.data["arrivals"][:, yy - bl]
-            q[xx] = scaled(arr)
-
-        # row vectors of sum_l Q^(l) over the arrival band, by the renewal
-        # recursion written with the kernel factor on the right
-        rows_T = [None] * (horizon + 1)
-        for n in range(1, horizon + 1):
-            acc = q[x][n]
-            for k in range(1, n):
-                prev = rows_T[n - k]
-                for j, zz in enumerate(band):
-                    if prev[j] != 0:
-                        acc = acc + prev[j] * q[zz][k]
-            rows_T[n] = acc
         ex = excursion_functions(model, y, horizon, window, exact=exact)
-        # V_{n}(z) for z in the band, then V_n(x) in the last column
+        # V_n(z) for z in the band, then V_n(x) in the last column
         V = scaled(ex.data["V"][:, [window.index(z) for z in band + [x]]])
-        marg = marginal_sequence(model, x, y, horizon, window,
-                                 leak_budget=None, exact=exact)
-        vals = marg.data["values"]
+        Tx = T[:, hist.rows.index(x)]
+        vals = marginal_sequence(model, x, y, horizon, window,
+                                 leak_budget=None, exact=exact).data["values"]
         for n in range(0, horizon + 1):
-            total = V[n][-1]  # l = 0 term
-            for k in range(1, n + 1):
-                rowk = rows_T[k]
-                for j in range(len(band)):
-                    if rowk[j] != 0:
-                        total = total + rowk[j] * V[n - k][j]
+            total = V[n, -1] + (Tx[1:n + 1] * V[:n][::-1, :-1]).sum()   # l = 0 term first
             resid = abs((Fraction(total, D ** n) if exact else total) - vals[n])
             if resid > max_resid:
                 max_resid = resid
@@ -525,12 +512,12 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
         # tail of r_n: sqrt(n) * sum_{j>n} r_j  ->  tail_level
         rows = [int(x) for x in window.positions()
                 if nu[window.index(int(x))] > 1e-10 and abs(int(x)) <= 4 * model.max_jump]
-        hist = build_Q(model, horizon, window, rows=rows)
+        survival = build_Q(model, horizon, window, rows=rows).survival
         tail_series = []
         n = 64
         while n <= horizon:
-            s = sum(float(nu[window.index(xx)]) * float(hist[xx].data["survival"][n])
-                    for xx in rows)
+            s = sum(float(nu[window.index(xx)]) * float(survival[i, n])
+                    for i, xx in enumerate(rows))
             tail_series.append((n, math.sqrt(n) * s / tail_level))
             n *= 2
         report["rn_tail_plateau"] = tail_series

@@ -129,6 +129,20 @@ class TestCommands:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "-n", "1000000"],
+        ["verify", "--suite", "convergence", "-n", "1000000"],
+    ], ids=["kernel", "verify-convergence"])
+    def test_oversized_horizon_exit_two(self, model_dir, tmp_path, capsys, argv):
+        # the default window at this horizon is 32001 sites wide: the T_n table
+        # alone would need 238 GiB
+        t0 = time.perf_counter()
+        assert main([argv[0], str(model_dir / "FIX-ZZ.json"), *argv[1:],
+                     "-o", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "GiB" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_verify_convergence_horizon_below_plateau_exit_two(self, model_dir, tmp_path,
                                                                 capsys):
         assert main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "convergence",
@@ -155,6 +169,23 @@ class TestCommands:
         lines = (tmp_path / "kernel.csv").read_text().strip().splitlines()
         assert lines[0] == "n,x,y,Qn,Tn"
         assert len(lines) > 32
+
+    def test_kernel_csv_rows(self, model_dir, tmp_path):
+        # one row per (n, x, y), y over the whole arrival band; Tn is T_n(x, y)
+        assert main(["kernel", str(model_dir / "FIX-ZZ.json"), "-n", "4", "-W", "32",
+                     "-o", str(tmp_path)]) == 0
+        lines = (tmp_path / "kernel.csv").read_text().strip().splitlines()[1:]
+        table = {}
+        for line in lines:
+            n, x, y, qn, tn = line.split(",")
+            table[int(n), int(x), int(y)] = (float(qn), float(tn))
+        assert sorted(table) == [(n, x, y) for n in range(1, 5)
+                                 for x in (-1, 0, 1) for y in (-1, 0, 1)]
+        assert table[3, -1, 0] == (0.0625, 0.09375)
+        assert table[3, 0, 0] == (0.0, 0.125)
+        for n, x, y in table:
+            if x == -1:
+                assert table[n, -1, y][1] == table[n, 1, -y][1], (n, y)
 
     def test_env_out_fallback(self, model_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("OSCILLAX_OUT", str(tmp_path / "envout"))

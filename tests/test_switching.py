@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from oscillax.errors import ConventionMismatch, ValidationError
-from oscillax.evolve import Window, step
+from oscillax.evolve import (
+    Side,
+    Window,
+    default_window,
+    first_passage_rows,
+    marginal_sequence,
+    step,
+    transition_matrix,
+)
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.ladder import SOLVE_WINDOW, LadderVariant, ladder_potentials, wiener_hopf_heights
 from oscillax.model import (
@@ -30,7 +38,6 @@ from oscillax.switching import (
     doob_transform,
     limit_operator_E,
     limit_operator_E_ell,
-    q_history_matrices,
     renewal_sequence,
     switching_kernel,
     switching_time_marginals,
@@ -47,10 +54,11 @@ def origin_zero_model():
 RENEWAL_MODELS = {**FIXTURES, "origin-0": origin_zero_model}
 
 
-def dense_q(sk):
-    """The full width x width matrix Q = R S_B, for checks on small windows."""
+def dense_q(sk, cols=None):
+    """The full width x width matrix with band columns ``cols``, by default
+    Q = R S_B, for checks against a dense reference on small windows."""
     Q = np.zeros((sk.window.width, sk.window.width))
-    Q[:, sk.band_rows] = sk.R
+    Q[:, sk.band_rows] = sk.R if cols is None else cols
     return Q
 
 
@@ -59,6 +67,15 @@ def period_two_model():
     pm1 = dist({-1: F(1, 2), 1: F(1, 2)})
     return OscillatingModel(pm1, pm1, pm1, Convention.THREE_MEDIA, D=1, Dprime=-1,
                             D0_plus=1, D0_minus=-1, drift_case=DriftCase.ZZ)
+
+
+def window_rows(w):
+    return list(range(w.lo, w.hi + 1))
+
+
+def band_cols(w, band):
+    """Window indices of the arrival band."""
+    return slice(w.index(band[0]), w.index(band[1]) + 1)
 
 
 class TestBuildQ:
@@ -72,14 +89,13 @@ class TestBuildQ:
     def test_mass_accounting_exact(self, fix_zz):
         w = Window(-48, 48)
         hist = build_Q(fix_zz, 50, w, rows=essential_class(fix_zz), exact=True)
-        for x, t in hist.items():
-            total = sum(t.data["arrivals"][n].sum() for n in range(51))
-            assert total + t.data["survival"][50] == 1, x
+        for i, x in enumerate(hist.rows):
+            assert hist.R[:, i].sum() + hist.survival[i, 50] == 1, x
 
     def test_exact_rows_have_fraction_leak(self, fix_zz):
         hist = build_Q(fix_zz, 12, Window(-16, 16), rows=[-3, 0, 2], exact=True)
-        for x, t in hist.items():
-            assert all(type(v) is F for v in t.leak), x
+        for i, x in enumerate(hist.rows):
+            assert all(type(v) is F for v in hist.leak[i]), x
 
     @pytest.mark.parametrize("x", [-20, 20])
     def test_row_outside_window(self, fix_zz, x):
@@ -88,7 +104,9 @@ class TestBuildQ:
 
     def test_rows_keep_requested_order(self, fix_zz):
         rows = [3, -2, 0, 1, -5]
-        assert list(build_Q(fix_zz, 4, Window(-16, 16), rows=rows)) == rows
+        hist = build_Q(fix_zz, 4, Window(-16, 16), rows=rows)
+        assert hist.rows == rows
+        assert hist.R.shape == (5, 5, 3) and hist.survival.shape == (5, 5)
 
     def test_row_matches_ladder_formula(self, fix_zz):
         # Q(-1, y) = mu_strict_asc(y + 1): the single-term overshoot identity
@@ -104,10 +122,35 @@ class TestBuildQ:
                            dist({-1: F(1, 4), 0: F(1, 2), 1: F(1, 4)}),
                            dist({-2: F(1, 4), 0: F(1, 4), 1: F(1, 2)}))
         hist = build_Q(m, 6, Window(-16, 16), rows=[0], exact=True)
-        t = hist[0]
-        bl, _ = t.data["band"]
+        bl, _ = hist.band
         for n in range(1, 7):
-            assert t.data["arrivals"][n][1 - bl] == F(1, 2) ** (n - 1) * F(1, 4)
+            assert hist.R[n, 0, 1 - bl] == F(1, 2) ** (n - 1) * F(1, 4)
+
+    @pytest.mark.parametrize("name", RENEWAL_MODELS)
+    def test_rows_are_first_passage_arrivals(self, name):
+        # each row carries its medium's first-passage arrivals at that medium's
+        # columns and exact zeros elsewhere, and conserves mass at every n
+        model = RENEWAL_MODELS[name]()
+        w, N = Window(-16, 16), 12
+        hist = build_Q(model, N, w, rows=range(-5, 6), exact=True)
+        bl = hist.band[0]
+        conv = model.convention
+        for i, x in enumerate(hist.rows):
+            expected = np.full(hist.R[:, i].shape, F(0), dtype=object)
+            if conv.left_end < x <= 0:   # the three-media origin: stay put, then jump
+                p0 = model.origin.pmf_frac(0)
+                for v, p in zip(model.origin.values, model.origin.fracs):
+                    if v != 0:
+                        expected[1:, v - bl] = [p0 ** (n - 1) * p for n in range(1, N + 1)]
+            else:
+                law, side = ((model.left, Side.FROM_NEGATIVE) if x <= conv.left_end
+                             else (model.right, Side.FROM_POSITIVE))
+                t = first_passage_rows(law, side, conv, [x], N, w, exact=True)[x]
+                lo, hi = t.data["band"]
+                expected[:, lo - bl: hi - bl + 1] = t.data["arrivals"]
+            assert (hist.R[:, i] == expected).all(), x
+            for n in range(N + 1):
+                assert hist.survival[i, n] + hist.R[: n + 1, i].sum() == 1, (x, n)
 
 
 @pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES])
@@ -120,35 +163,44 @@ def test_arrival_band_is_tight(name):
     assert banded_power_sequences(model, 4, Window(-8, 8), [1])["band"] == sk.band
 
 
+def on_window(row, w, band):
+    """A band row written out over the whole window, zero off the band."""
+    full = np.zeros(w.width, dtype=row.dtype)
+    full[band_cols(w, band)] = row
+    return full
+
+
 class TestRenewalSequence:
     def test_small_expansions(self, fix_zz):
         w = Window(-10, 10)
-        Qn = q_history_matrices(fix_zz, 4, w, exact=True)
-        T = renewal_sequence(Qn)
-        assert (T[1] == Qn[1]).all()
-        assert (T[2] == Qn[2] + Qn[1] @ Qn[1]).all()
+        hist = build_Q(fix_zz, 4, w, rows=window_rows(w), exact=True)
+        R, C = hist.R, hist.C
+        T = renewal_sequence(R, C)
+        assert not T[0].any()
+        assert (T[1] == R[1]).all()
+        assert (T[2] == R[2] + R[1] @ C[1]).all()
 
     def test_recursion_equals_direct_power_sum(self, fix_zz):
         # both sides on the integer numerators Z_n = D^n Q_n: D^n T_n is the
-        # same recursion on Z because T_0 is never multiplied, and likewise
-        # D^n Q^(l)_n = sum_j D^j Q^(l-1)_j Z_(n-j)
+        # same recursion on Z, and likewise D^n Q^(l)_n = sum_j D^j Q^(l-1)_j Z_(n-j);
+        # in band form Q^(l-1)_j Q_(n-j) is the band columns times the band block
         w = Window(-10, 10)
         N = 12
         D = common_denominator(fix_zz.left, fix_zz.origin, fix_zz.right)
-        Qn = q_history_matrices(fix_zz, N, w, exact=True)
-        scaled = np.array([Qn[n] * D ** n for n in range(N + 1)])
+        hist = build_Q(fix_zz, N, w, rows=window_rows(w), exact=True)
+        scaled = hist.R * np.array([D ** n for n in range(N + 1)], dtype=object)[:, None, None]
         assert all(z.denominator == 1 for z in scaled.flat)
         Z = np.vectorize(lambda z: z.numerator, otypes=[object])(scaled)
-        T = renewal_sequence(Z)
-        width = Z.shape[1]
+        ZC = Z[:, [hist.rows.index(y) for y in range(hist.band[0], hist.band[1] + 1)]]
+        T = renewal_sequence(Z, ZC)
         total = Z.copy()
         cur = Z.copy()
         for _ in range(2, N + 1):
             new = np.full_like(cur, 0)
             for n in range(2, N + 1):
-                acc = np.full((width, width), 0, dtype=object)
+                acc = np.full(cur.shape[1:], 0, dtype=object)
                 for j in range(1, n):
-                    acc = acc + cur[j] @ Z[n - j]
+                    acc = acc + cur[j] @ ZC[n - j]
                 new[n] = acc
             cur = new
             total = total + cur
@@ -160,10 +212,12 @@ class TestRenewalSequence:
     def test_dp_matches_recursion(self, name):
         model = RENEWAL_MODELS[name]()
         w = Window(-12, 12)
-        Qn = q_history_matrices(model, 40, w)
-        T = renewal_sequence(Qn)
+        hist = build_Q(model, 40, w, rows=window_rows(w))
+        T = renewal_sequence(hist.R, hist.C)
         Tdp = switching_time_marginals(model, 0, 40, w)
-        err = max(np.max(np.abs(T[n][w.index(0)] - Tdp[n])) for n in range(1, 41))
+        i0 = hist.rows.index(0)
+        err = max(np.max(np.abs(on_window(T[n, i0], w, hist.band) - Tdp[n]))
+                  for n in range(1, 41))
         assert err <= 1e-14
 
     @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP", "FIX-PN", "origin-0"])
@@ -172,7 +226,8 @@ class TestRenewalSequence:
         # renewal sequence, entry for entry, on the same window
         model = RENEWAL_MODELS[name]()
         w, N = Window(-10, 10), 12
-        T = renewal_sequence(q_history_matrices(model, N, w, exact=True))
+        hist = build_Q(model, N, w, rows=window_rows(w), exact=True)
+        T = renewal_sequence(hist.R, hist.C)
         kernels = [d.dense_kernel(True) for d in (model.left, model.origin, model.right)]
         for x in (-1, 0, 1):
             state = np.full(w.width, F(0), dtype=object)
@@ -180,41 +235,41 @@ class TestRenewalSequence:
             for n in range(1, N + 1):
                 crossed = np.full(w.width, F(0), dtype=object)
                 state, _ = step(state, model, w, kernels, crossed=crossed)
-                assert (T[n][w.index(x)] == crossed).all()
+                assert (on_window(T[n, hist.rows.index(x)], w, hist.band) == crossed).all()
 
 
-def direct_power_sum(Qn, prev):
-    """Q^(l)_n = sum_j Q^(l-1)_j Q_{n-j}, the time convolution done directly."""
-    out = np.zeros_like(Qn)
-    for n in range(2, Qn.shape[0]):
+def direct_power_sum(C, prev):
+    """Band columns of Q^(l)_n = sum_j Q^(l-1)_j Q_{n-j}, the time convolution done
+    directly: Q^(l-1)_j Q_{n-j} is prev[j] times the band block C[n-j]."""
+    out = np.zeros_like(prev)
+    for n in range(2, prev.shape[0]):
         for j in range(1, n):
-            out[n] += prev[j] @ Qn[n - j]
+            out[n] += prev[j] @ C[n - j]
     return out
 
 
 class TestPowerSequences:
     def test_fft_matches_direct(self, fix_zz):
         w = Window(-8, 8)
-        Qn = q_history_matrices(fix_zz, 32, w)
+        hist = build_Q(fix_zz, 32, w, rows=window_rows(w))
         seqs = banded_power_sequences(fix_zz, 32, w, ells=[2, 3], pad_factor=8)
-        bl, bh = seqs["band"]
-        cols = slice(w.index(bl), w.index(bh) + 1)
-        direct2 = direct_power_sum(Qn, Qn)
-        direct3 = direct_power_sum(Qn, direct2)
-        assert np.max(np.abs(seqs[2][: 33] - direct2[:, :, cols])) <= 1e-10
-        assert np.max(np.abs(seqs[3][: 33] - direct3[:, :, cols])) <= 1e-10
+        direct2 = direct_power_sum(hist.C, hist.R)
+        direct3 = direct_power_sum(hist.C, direct2)
+        assert np.max(np.abs(seqs[2][: 33] - direct2)) <= 1e-10
+        assert np.max(np.abs(seqs[3][: 33] - direct3)) <= 1e-10
 
     def test_banded_matches_dense(self, fix_zz):
-        # the dense power has no mass off the band, so the banded form is complete
-        w = Window(-8, 8)
-        Qn = q_history_matrices(fix_zz, 32, w)
-        dense = direct_power_sum(Qn, Qn)
-        banded = banded_power_sequences(fix_zz, 32, w, ells=[2], pad_factor=8)
-        bl, bh = banded["band"]
-        cols = slice(w.index(bl), w.index(bh) + 1)
-        embedded = np.zeros_like(dense)
-        embedded[:, :, cols] = banded[2][: 33]
-        assert np.max(np.abs(embedded - dense)) <= 1e-9
+        # the full-walk DP lands every switch on the band, and up to the horizon
+        # the banded powers add up to it: T_n = sum_{l <= n} Q^(l)_n (padding
+        # to N * N steps keeps Q^(N) from wrapping around the FFT)
+        w, N = Window(-8, 8), 32
+        banded = banded_power_sequences(fix_zz, N, w, ells=range(1, N + 1), pad_factor=N)
+        total = sum(banded[ell][: N + 1] for ell in range(1, N + 1))
+        for x in window_rows(w):
+            Tdp = switching_time_marginals(fix_zz, x, N, w)
+            embedded = np.array([on_window(row, w, banded["band"])
+                                 for row in total[:, banded["rows"][x]]])
+            assert np.max(np.abs(embedded[1:] - Tdp[1:])) <= 1e-9, x
 
 
 class TestSpectra:
@@ -300,16 +355,16 @@ class TestDominantEigenpair:
 
 class TestDoob:
     def test_identity_transform(self, fix_zz):
-        Q = dense_q(switching_kernel(fix_zz, Window(-24, 24)))
-        out = doob_transform(Q, np.ones(Q.shape[0]), 1.0)
-        assert np.array_equal(out, Q)
+        sk = switching_kernel(fix_zz, Window(-24, 24))
+        out = doob_transform(sk.R, np.ones(sk.window.width), sk.band_rows, 1.0)
+        assert np.array_equal(out, sk.R)
 
     def test_power_structure(self, fix_zp):
         # (HQ)^(l) equals the conjugation of Q^(l) by (rho, H), l = 2, 3
         sk = switching_kernel(fix_zp, Window(-32, 32))
         sd = dominant_eigenpair(sk)
         Q = dense_q(sk)
-        HQ = doob_transform(Q, sd.H, sd.rho_psi)
+        HQ = dense_q(sk, doob_transform(sk.R, sd.H, sk.band_rows, sd.rho_psi))
         for ell in (2, 3):
             lhs = np.linalg.matrix_power(HQ, ell)
             rhs = np.linalg.matrix_power(Q, ell) * (
@@ -320,8 +375,7 @@ class TestDoob:
         # row sums of the transformed aggregate approach 1 (up to truncation)
         sk = switching_kernel(fix_zp, Window(-64, 64))
         sd = dominant_eigenpair(sk)
-        HQ = doob_transform(dense_q(sk), sd.H, sd.rho_psi)
-        rows = HQ.sum(axis=1)
+        rows = doob_transform(sk.R, sd.H, sk.band_rows, sd.rho_psi).sum(axis=1)
         mid = slice(sk.window.index(-8), sk.window.index(8) + 1)
         assert np.max(np.abs(rows[mid] - 1.0)) <= 5e-3
 
@@ -332,19 +386,9 @@ class TestDoob:
         sd = dominant_eigenpair(sk)
         defects = []
         for N in (64, 128, 256):
-            hist = build_Q(fix_zp, N, w, rows=[-1, 0, 1])
-            worst = 0.0
-            for x, t in hist.items():
-                bl, bh = t.data["band"]
-                total = 0.0
-                for n in range(1, N + 1):
-                    row = t.data["arrivals"][n].astype(float)
-                    ys = np.arange(bl, bh + 1)
-                    inside = (ys >= w.lo) & (ys <= w.hi)
-                    Hy = np.array([sd.H[w.index(int(y))] for y in ys[inside]])
-                    total += float(row[inside] @ Hy) / (sd.rho_psi * sd.H[w.index(x)])
-                worst = max(worst, abs(1.0 - total))
-            defects.append(worst)
+            hist = build_Q(fix_zp, N, w, rows=window_rows(w))
+            sums = doob_transform(hist.R[1:], sd.H, sk.band_rows, sd.rho_psi).sum(axis=(0, 2))
+            defects.append(max(abs(1.0 - sums[w.index(x)]) for x in (-1, 0, 1)))
         assert defects[2] < defects[1] < defects[0]
 
 
@@ -365,16 +409,15 @@ class TestTiltedKernels:
         hist_t = build_Q(tilted, 10, w, rows=[0, -2, 1], exact=True)
         Lval = sum(p * ratio ** int(v) for v, p in zip(fix_pp.left.values, fix_pp.left.fracs))
         Lpval = sum(p * ratio ** int(v) for v, p in zip(fix_pp.right.values, fix_pp.right.fracs))
-        for x in (0, -2, 1):
-            t, tt = hist[x], hist_t[x]
-            bl, bh = t.data["band"]
+        bl, bh = hist.band
+        for i, x in enumerate(hist.rows):
             Ln = Lval if x <= 0 else Lpval
             acc = F(1)
             for n in range(1, 11):
                 acc = acc * Ln
                 for y in range(bl, bh + 1):
-                    lhs = t.data["arrivals"][n][y - bl]
-                    rhs = acc * ratio ** (x - y) * tt.data["arrivals"][n][y - bl]
+                    lhs = hist.R[n, i, y - bl]
+                    rhs = acc * ratio ** (x - y) * hist_t.R[n, i, y - bl]
                     assert lhs == rhs, (x, n, y)
 
     def test_b2_damped_side_row_sums(self, fix_pp):
@@ -409,11 +452,28 @@ class TestTiltedKernels:
         assert tk.r == pytest.approx(1.0, abs=1e-12)
         assert tk.damped_side is None
 
+    def test_no_dense_stack(self, fix_pp):
+        # the dense (N+1, W, W) stack alone would be 2.2 GB here
+        from oscillax.regimes import classify, select_tilt
+
+        plan = select_tilt(fix_pp, classify(fix_pp))
+        w = Window(-1024, 1024)
+        tracemalloc.start()
+        try:
+            tk = tilted_kernels(fix_pp, plan.t_left, plan.t_right, 64, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tk.Qn.shape == (65, w.width, tk.band[1] - tk.band[0] + 1)
+        assert peak < 50e6
+
 
 class TestLimitOperator:
     def test_pz_left_rows_vanish(self, fix_pz):
         w = Window(-24, 24)
         E = limit_operator_E(fix_pz, w)
+        bl, bh = arrival_band(fix_pz)
+        assert E.shape == (w.width, bh - bl + 1)
         assert not E[: w.index(0) + 1, :].any()
         assert E[w.index(1):, :].any()
 
@@ -453,15 +513,17 @@ class TestLimitOperator:
         assert np.array_equal(limit_operator_E_ell(E, sk, 1), E)
 
     def test_e_ell_matches_dense_powers(self, fix_zz):
-        # the factored Q^(i) = R C^(i-1) S_B give the dense-definition E_ell
+        # the factored Q^(i) = R C^(i-1) S_B give the dense-definition E_ell,
+        # which has no mass off the band
         w = Window(-24, 24)
         E = limit_operator_E(fix_zz, w)
         sk = switching_kernel(fix_zz, w)
-        Q = dense_q(sk)
+        Q, Ed = dense_q(sk), dense_q(sk, E)
         for ell in (2, 3, 4):
             powers = [np.linalg.matrix_power(Q, i) for i in range(ell)]
-            dense = sum(powers[i] @ E @ powers[ell - 1 - i] for i in range(ell))
-            assert np.max(np.abs(limit_operator_E_ell(E, sk, ell) - dense)) <= 1e-14
+            dense = sum(powers[i] @ Ed @ powers[ell - 1 - i] for i in range(ell))
+            El = dense_q(sk, limit_operator_E_ell(E, sk, ell))
+            assert np.max(np.abs(El - dense)) <= 1e-14
 
     def test_zz_pointwise_limit(self, fix_zz):
         # n^{3/2} Q_n(-1, 0) approaches E(-1, 0) (tested loosely here; the
@@ -475,5 +537,32 @@ class TestLimitOperator:
         bl, _ = t.data["band"]
         val = 1024 ** 1.5 * t.data["arrivals"][1024][0 - bl]
         E = limit_operator_E(fix_zz, Window(-24, 24))
-        target = E[Window(-24, 24).index(-1), Window(-24, 24).index(0)]
+        target = E[Window(-24, 24).index(-1), 0 - arrival_band(fix_zz)[0]]
         assert val == pytest.approx(target, rel=0.1)
+
+
+HUGE = 10 ** 6
+
+
+class TestSizeGuard:
+    # each call would allocate far over MAX_ARRAY_BYTES (T alone would be 238 GiB
+    # for switching_time_marginals); it must be refused before allocating anything
+    @pytest.mark.parametrize("call", [
+        lambda m: switching_time_marginals(m, 0, HUGE, default_window(m, HUGE)),
+        lambda m: build_Q(m, 1000 * HUGE, Window(-64, 64)),
+        lambda m: banded_power_sequences(m, HUGE, Window(-64, 64), ells=[1]),
+        lambda m: first_passage_rows(m.left, Side.FROM_NEGATIVE, m.convention,
+                                     list(range(-16000, 0)), 10, Window(-16000, 16000)),
+        lambda m: marginal_sequence(m, 0, 0, 1000 * HUGE),
+        lambda m: transition_matrix(m, Window(-16000, 16000)),
+    ], ids=["switching_time_marginals", "build_Q", "banded_power_sequences",
+            "first_passage_rows", "marginal_sequence", "transition_matrix"])
+    def test_refused_before_allocating(self, fix_zz, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="GiB"):
+                call(fix_zz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
