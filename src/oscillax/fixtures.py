@@ -108,16 +108,14 @@ def search_subcase_fixtures(grid_denominator: int = 12, max_per_case: int = 1) -
     constructions behind SUBCASE_FIXTURES (see ``subcase_witnesses``).
     """
     from .errors import OscillaxError
-    from .model import argmin_laplace, dist, laplace
-    from .regimes import classify
+    from .model import argmin_laplace, dist
+    from .regimes import _branch, _float_cmp, classify
 
     q = grid_denominator
     lefts, rights = [], []
     for i in range(1, q):
         for j in range(1, q - i):
-            k = q - i - j
-            if k < 1:
-                continue
+            k = q - i - j   # >= 1
             if -i + 2 * k > 0:
                 lefts.append({-1: F(i, q), 0: F(j, q), 2: F(k, q)})
             if -2 * i + k > 0:
@@ -131,21 +129,16 @@ def search_subcase_fixtures(grid_denominator: int = 12, max_per_case: int = 1) -
 
     P_left = [profile(a) for a in lefts]
     P_right = [profile(a) for a in rights]
-    tie = 1e-10
     found: dict[str, list] = {}
 
     def screen(ld, lam, rho, rd, lamp, rhop):
-        if abs(lam - lamp) <= tie:
-            return "A1" if abs(rho - rhop) <= tie else "A2"
-        if lam < lamp:
-            if abs(rho - rhop) <= tie:
-                return "B1"
-            if rho < rhop:
-                v = laplace(ld, lamp)
-                return "B2" if v < rhop - tie else ("B3" if v <= rhop + tie else "B4")
-            v = laplace(rd, lam)
-            return "B5" if v < rho - tie else ("B6" if v <= rho + tie else "B7")
-        return "C"
+        # float-only: near-ties are settled by the exact classifier on a hit
+        if _float_cmp(lam, lamp) == 0:
+            return "A1" if _float_cmp(rho, rhop) == 0 else "A2"
+        if lam > lamp:
+            return "C"
+        details = {"lambda": lam, "lambda_prime": lamp, "rho": rho, "rho_prime": rhop}
+        return "B%d" % _branch(ld, rd, details, _float_cmp)
 
     wanted = {"A1", "A2", "B1", "B2", "B3", "B4", "B5", "B6", "B7", "C"}
     for la, ld, lam, rho in P_left:

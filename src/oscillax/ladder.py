@@ -188,6 +188,21 @@ def centered_sides(model: OscillatingModel) -> list:
             for name, law, s, theta in sides if abs(law.mean) <= ZERO_DRIFT_TOL]
 
 
+def centered_tail_sums(model: OscillatingModel, nu: np.ndarray, window) -> list:
+    """Each centered side with its tail sum: (name, law, potentials, nu(V_strict_asc)).
+
+    The tail sum is sum_x nu(x) V_strict_asc(theta - s x) over a window-indexed
+    measure ``nu``, in the left form of :func:`centered_sides`.  It runs over
+    nu's support only: nu is exactly 0 off the arrival band, and V is 0 at
+    distances <= 0 (the other medium).
+    """
+    support = np.flatnonzero(nu)
+    xs = window.positions()[support]
+    return [(name, law, pot,
+             float(sum(nu[support] * pot.V(LadderVariant.STRICT_ASC, theta - s * xs))))
+            for name, law, pot, s, theta in centered_sides(model)]
+
+
 # ---------------------------------------------------------------------------
 # Wiener-Hopf factorization (root route)
 # ---------------------------------------------------------------------------

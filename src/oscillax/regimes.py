@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .evolve import Window
-from .ladder import LadderVariant, centered_sides, killed_green
+from .ladder import LadderVariant, centered_tail_sums, killed_green
 from .model import (
     DriftCase,
     LatticeDist,
@@ -58,8 +58,6 @@ class RegimePrediction:
     constant_kind: str                     # invariant_measure | local_constant | unknown
     subcase: Optional[str] = None          # A1, A2, B1..B7, C; set for (N,P)/(P,P)
     rate_kind: str = "one"                 # one|rho|rho_prime|rho_star|max_rho
-    tilt_t: Optional[float] = None
-    base_case_after_tilt: Optional[DriftCase] = None
     mirrored: bool = False
     details: dict = field(default_factory=dict)
 
@@ -71,9 +69,8 @@ class RegimePrediction:
             "exponent": self.exponent,
             "rate_kind": self.rate_kind,
             "constant_kind": self.constant_kind,
-            "tilt_t": self.tilt_t,
-            "base_case_after_tilt":
-                self.base_case_after_tilt.value if self.base_case_after_tilt else None,
+            "tilt_t": None,                  # predict() fills both from the tilt plan
+            "base_case_after_tilt": None,
             "mirrored": self.mirrored,
             "details": {k: float(v) for k, v in self.details.items()},
         }
@@ -97,12 +94,6 @@ def _sympy_argmin_u(d: LatticeDist):
     return roots[0]
 
 
-def _sympy_value(d: LatticeDist, u_expr):
-    import sympy
-
-    return sum(sympy.Rational(p) * u_expr ** int(v) for v, p in zip(d.values, d.fracs))
-
-
 def _exact_sign(expr) -> int:
     """Sign of an exact algebraic expression: 0 when it is identically zero."""
     import sympy
@@ -118,6 +109,11 @@ def _exact_sign(expr) -> int:
     if abs(val) < sympy.Float(10) ** -50:
         return 0
     return 1 if val > 0 else -1
+
+
+def _float_cmp(a: float, b: float, *_) -> int:
+    """Three-way float comparison that calls a difference within TIE_TOL a tie (0)."""
+    return 0 if abs(a - b) <= TIE_TOL else (-1 if a < b else 1)
 
 
 class _Comparator:
@@ -139,23 +135,74 @@ class _Comparator:
         return self._u[which]
 
     def cmp_lambda(self, lam: float, lamp: float) -> int:
-        if abs(lam - lamp) > TIE_TOL:
-            return -1 if lam < lamp else 1
+        if s := _float_cmp(lam, lamp):
+            return s
         self._exact_ready()
         import sympy
 
         return _exact_sign(sympy.log(self._u_star("L")) - sympy.log(self._u_star("R")))
 
     def _pair(self, which_dist: str, which_u: str):
+        """Exact transform value of one law at either law's argmin."""
+        import sympy
+
         d = self.left if which_dist == "L" else self.right
-        return _sympy_value(d, self._u_star(which_u))
+        u = self._u_star(which_u)
+        return sum(sympy.Rational(p) * u ** int(v) for v, p in zip(d.values, d.fracs))
 
     def cmp_values(self, a: float, b: float, da: str, ua: str, db: str, ub: str) -> int:
         """Compare transform values, e.g. rho = L at u_L vs rho' = L' at u_R."""
-        if abs(a - b) > TIE_TOL:
-            return -1 if a < b else 1
+        if s := _float_cmp(a, b):
+            return s
         self._exact_ready()
         return _exact_sign(self._pair(da, ua) - self._pair(db, ub))
+
+
+# ---------------------------------------------------------------------------
+# The finer branch table shared by case B (lambda < lambda') and case C
+# ---------------------------------------------------------------------------
+
+# branch k -> (rate kind, case-B exponent, details key of the tilt point);
+# the rate kind is also the details key of the case-B rate
+_BRANCHES = {
+    1: ("rho_star", 0.0, "lambda_star"),       # rho == rho': the transforms cross
+    2: ("rho_prime", 1.5, "lambda_prime"),     # rho < rho', L(lambda') < rho'
+    3: ("rho_prime", 0.5, "lambda_prime"),     # rho < rho', L(lambda') == rho'
+    4: ("rho_star", 0.0, "lambda_star"),       # rho < rho', L(lambda') > rho'
+    5: ("rho", 1.5, "lambda"),                 # rho > rho', L'(lambda) < rho
+    6: ("rho", 0.5, "lambda"),                 # rho > rho', L'(lambda) == rho
+    7: ("rho_star", 0.0, "lambda_star"),       # rho > rho', L'(lambda) > rho
+}
+
+
+def _branch(left: LatticeDist, right: LatticeDist, details: dict, cmp) -> int:
+    """Branch k = 1..7 of ``_BRANCHES`` for argmins lambda != lambda'.
+
+    ``details`` holds lambda, lambda_prime, rho and rho_prime and receives the
+    transform value the second comparison reads.  ``cmp(a, b, da, ua, db, ub)``
+    is a three-way comparison of transform values with the signature of
+    :meth:`_Comparator.cmp_values`; the fixture screen passes ``_float_cmp``.
+    """
+    rho, rhop = details["rho"], details["rho_prime"]
+    s_rho = cmp(rho, rhop, "L", "L", "R", "R")
+    if s_rho == 0:
+        return 1
+    if s_rho < 0:  # compare L(lambda') with rho'
+        val = details["L_at_lambda_prime"] = laplace(left, details["lambda_prime"])
+        return 3 + cmp(val, rhop, "L", "R", "R", "R")
+    val = details["Lprime_at_lambda"] = laplace(right, details["lambda"])
+    return 6 + cmp(val, rho, "R", "L", "L", "L")
+
+
+def _crossing_branch(model: OscillatingModel, details: dict, cmpx: _Comparator) -> int:
+    """``_branch`` with exact ties; a crossing branch also gets its crossing point."""
+    k = _branch(model.left, model.right, details, cmpx.cmp_values)
+    if _BRANCHES[k][0] == "rho_star":
+        star = cross_point(model.left, model.right)
+        if star is None:
+            raise CrossingMissing(f"branch {k} selected but the transforms do not cross")
+        details["rho_star"], details["lambda_star"] = star[1], star[0]
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -187,72 +234,20 @@ def classify(model: OscillatingModel) -> RegimePrediction:
     cmpx = _Comparator(model.left, model.right)
     pred = RegimePrediction(case, 0.0, 0.0, "unknown", details=details)
 
-    if case is DriftCase.NP:
-        # lambda > 0 > lambda'; any transform crossing sits at value >= 1, so a
-        # pure-geometric branch is impossible and the shape is always max/n^{3/2}
-        pred.subcase = "C"
-        pred.rate, pred.rate_kind = max(rho, rhop), "max_rho"
-        pred.exponent = 1.5
-        return pred
-
     s_lam = cmpx.cmp_lambda(lam, lamp)
-    if s_lam == 0:
-        s_rho = cmpx.cmp_values(rho, rhop, "L", "L", "R", "R")
-        if s_rho == 0:
-            pred.subcase, pred.rate, pred.rate_kind, pred.exponent = "A1", rho, "rho", 0.5
-        else:
-            pred.subcase, pred.rate, pred.rate_kind, pred.exponent = (
-                "A2", max(rho, rhop), "max_rho", 1.5)
-        return pred
-    if s_lam < 0:  # lambda < lambda': case B
-        s_rho = cmpx.cmp_values(rho, rhop, "L", "L", "R", "R")
-        if s_rho == 0:
-            star = cross_point(model.left, model.right)
-            if star is None:
-                raise CrossingMissing("B1 selected but the transforms do not cross")
-            details["rho_star"] = star[1]
-            details["lambda_star"] = star[0]
-            pred.subcase, pred.rate, pred.rate_kind, pred.exponent = (
-                "B1", star[1], "rho_star", 0.0)
-            return pred
-        if s_rho < 0:  # rho < rho': compare L(lambda') with rho'
-            val = laplace(model.left, lamp)
-            details["L_at_lambda_prime"] = val
-            s = cmpx.cmp_values(val, rhop, "L", "R", "R", "R")
-            if s < 0:
-                pred.subcase, pred.rate, pred.rate_kind, pred.exponent = (
-                    "B2", rhop, "rho_prime", 1.5)
-            elif s == 0:
-                pred.subcase, pred.rate, pred.rate_kind, pred.exponent = (
-                    "B3", rhop, "rho_prime", 0.5)
-            else:
-                star = cross_point(model.left, model.right)
-                if star is None:
-                    raise CrossingMissing("B4 selected but the transforms do not cross")
-                details["rho_star"], details["lambda_star"] = star[1], star[0]
-                pred.subcase, pred.rate, pred.rate_kind, pred.exponent = (
-                    "B4", star[1], "rho_star", 0.0)
-        else:  # rho > rho': compare L'(lambda) with rho
-            val = laplace(model.right, lam)
-            details["Lprime_at_lambda"] = val
-            s = cmpx.cmp_values(val, rho, "R", "L", "L", "L")
-            if s < 0:
-                pred.subcase, pred.rate, pred.rate_kind, pred.exponent = (
-                    "B5", rho, "rho", 1.5)
-            elif s == 0:
-                pred.subcase, pred.rate, pred.rate_kind, pred.exponent = (
-                    "B6", rho, "rho", 0.5)
-            else:
-                star = cross_point(model.left, model.right)
-                if star is None:
-                    raise CrossingMissing("B7 selected but the transforms do not cross")
-                details["rho_star"], details["lambda_star"] = star[1], star[0]
-                pred.subcase, pred.rate, pred.rate_kind, pred.exponent = (
-                    "B7", star[1], "rho_star", 0.0)
-        return pred
-    # lambda > lambda': case C, single shape regardless of the finer branch
-    pred.subcase = "C"
-    pred.rate, pred.rate_kind, pred.exponent = max(rho, rhop), "max_rho", 1.5
+    if s_lam == 0 and cmpx.cmp_values(rho, rhop, "L", "L", "R", "R") == 0:
+        pred.subcase, pred.rate, pred.rate_kind, pred.exponent = "A1", rho, "rho", 0.5
+    elif s_lam >= 0:
+        # same argmin with different minima (A2), or lambda > lambda' (case C,
+        # one shape whatever its finer branch).  (N,P) always lands in C, as
+        # lambda > 0 > lambda': any transform crossing sits at value >= 1, so a
+        # pure-geometric branch is impossible
+        pred.subcase = "A2" if s_lam == 0 else "C"
+        pred.rate, pred.rate_kind, pred.exponent = max(rho, rhop), "max_rho", 1.5
+    else:  # lambda < lambda': case B
+        k = _crossing_branch(model, details, cmpx)
+        pred.rate_kind, pred.exponent, _ = _BRANCHES[k]
+        pred.subcase, pred.rate = f"B{k}", details[pred.rate_kind]
     return pred
 
 
@@ -283,58 +278,29 @@ def select_tilt(model: OscillatingModel, prediction: Optional[RegimePrediction] 
     case = model.drift_case
     if case not in (DriftCase.NP, DriftCase.PP):
         raise ConventionMismatch(f"select_tilt applies to (N,P)/(P,P), not {case.value}")
-    lam = prediction.details["lambda"]
-    lamp = prediction.details["lambda_prime"]
-    rho, rhop = prediction.details["rho"], prediction.details["rho_prime"]
-
-    def finish(t_left, t_right, branch, single):
-        tl = tilt(model.left, t_left)
-        tr = tilt(model.right, t_right)
-        tilted = validate_model(tl, tl, tr, two_media=True)
-        La, Lb = laplace(model.left, t_left), laplace(model.right, t_right)
-        plan = TiltPlan(
-            t_left=t_left, t_right=t_right, single_t=single, branch=branch,
-            base_case=tilted.drift_case, tilted_model=tilted,
-            rate=max(La, Lb), r=min(La, Lb) / max(La, Lb),
-        )
-        return plan
-
-    if case is DriftCase.NP:
-        return finish(lam, lamp, "NP", None)
-
+    details = dict(prediction.details)
+    lam, lamp = details["lambda"], details["lambda_prime"]
     sub = prediction.subcase
-    if sub in ("A1", "A2"):
-        return finish(lam, lam, sub, lam)
-    if sub in ("B1", "B4", "B7"):
-        star = prediction.details.get("lambda_star")
-        if star is None:
-            raise CrossingMissing(f"{sub} requires a transform crossing")
-        return finish(star, star, sub, star)
-    if sub == "B2" or sub == "B3":
-        return finish(lamp, lamp, sub, lamp)
-    if sub in ("B5", "B6"):
-        return finish(lam, lam, sub, lam)
-    # case C: refine the branch the same way case B does, mirrored in order
-    cmpx = _Comparator(model.left, model.right)
-    s_rho = cmpx.cmp_values(rho, rhop, "L", "L", "R", "R")
-    if s_rho == 0:
-        branch = "C1"
-    elif s_rho < 0:
-        val = laplace(model.left, lamp)
-        s = cmpx.cmp_values(val, rhop, "L", "R", "R", "R")
-        branch = "C2" if s < 0 else ("C3" if s == 0 else "C4")
+    if case is DriftCase.NP:
+        t_left, t_right, single, branch = lam, lamp, None, "NP"
     else:
-        val = laplace(model.right, lam)
-        s = cmpx.cmp_values(val, rho, "R", "L", "L", "L")
-        branch = "C5" if s < 0 else ("C6" if s == 0 else "C7")
-    if branch in ("C1", "C4", "C7"):
-        star = cross_point(model.left, model.right)
-        if star is None:
-            raise CrossingMissing(f"{branch} requires a transform crossing")
-        return finish(star[0], star[0], branch, star[0])
-    if branch in ("C2", "C3"):
-        return finish(lamp, lamp, branch, lamp)
-    return finish(lam, lam, branch, lam)
+        if sub in ("A1", "A2"):
+            branch, key = sub, "lambda"
+        else:
+            # case B carries its branch in the subcase; case C refines into C1..C7
+            k = (_crossing_branch(model, details, _Comparator(model.left, model.right))
+                 if sub == "C" else int(sub[1]))
+            branch, key = f"{sub[0]}{k}", _BRANCHES[k][2]
+        t_left = t_right = single = details[key]
+    tl = tilt(model.left, t_left)
+    tr = tilt(model.right, t_right)
+    tilted = validate_model(tl, tl, tr, two_media=True)
+    La, Lb = laplace(model.left, t_left), laplace(model.right, t_right)
+    return TiltPlan(
+        t_left=t_left, t_right=t_right, single_t=single, branch=branch,
+        base_case=tilted.drift_case, tilted_model=tilted,
+        rate=max(La, Lb), r=min(La, Lb) / max(La, Lb),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +352,10 @@ def invariant_profile(
         return m, spread
 
     plateaus = {"left": plateau(-1), "right": plateau(+1)}
-    # tail levels of the centered sides (a drifted side is visited finitely often: 0);
-    # nu is exactly 0 off the arrival band, V is 0 on the other medium
-    support = np.flatnonzero(nu)
-    xs = window.positions()[support]
+    # tail levels of the centered sides (a drifted side is visited finitely often: 0)
     lam = {"left": 0.0, "right": 0.0}
-    for name, _, pot, s, theta in centered_sides(model):
-        nu_v = sum(nu[support] * pot.V(LadderVariant.STRICT_ASC, theta - s * xs))
-        lam[name] = float(nu_v) / abs(pot.height_mean(LadderVariant.WEAK_DESC))
+    for name, _, pot, nu_v in centered_tail_sums(model, nu, window):
+        lam[name] = nu_v / abs(pot.height_mean(LadderVariant.WEAK_DESC))
         spread = plateaus[name][1]
         if spread > plateau_rel_tol:
             raise PlateauNotReached(
@@ -420,11 +382,9 @@ def predicted_constant_Cy(
     if spectral is None:
         spectral = dominant_eigenpair(switching_kernel(model, window))
     prof = invariant_profile(model, spectral.nu, window)
-    if case is DriftCase.ZZ:
-        denom = SQRT_PI_OVER_2 * (model.left.sigma * prof.lam_minus_inf
-                                  + model.right.sigma * prof.lam_plus_inf)
-    else:
-        denom = SQRT_PI_OVER_2 * model.right.sigma * prof.lam_plus_inf
+    # a drifted side has tail level 0, which drops its term in the (P,Z) case
+    denom = SQRT_PI_OVER_2 * (model.left.sigma * prof.lam_minus_inf
+                              + model.right.sigma * prof.lam_plus_inf)
     return float(prof.values[window.index(y)] / denom), prof
 
 
@@ -438,8 +398,6 @@ def predict(model: OscillatingModel, window: Optional[Window] = None) -> dict:
         report["tilt_branch"] = plan.branch
         report["base_case_after_tilt"] = plan.base_case.value
         report["tilt_r"] = plan.r
-        pred.tilt_t = plan.single_t
-        pred.base_case_after_tilt = plan.base_case
     constants = {"kind": report["constant_kind"]}
     if pred.drift_case in (DriftCase.ZZ, DriftCase.PZ):
         c0, prof = predicted_constant_Cy(model, 0, window=window)

@@ -26,7 +26,7 @@ from .evolve import (
     first_passage_rows,
     marginal_sequence,
 )
-from .ladder import LadderVariant, centered_sides, direct_constant
+from .ladder import centered_tail_sums, direct_constant
 from .model import (
     ZERO_DRIFT_TOL,
     Convention,
@@ -393,9 +393,8 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     for n in range(1, 21):
         Ln = Ln * Lval
         for y in range(bl, bh + 1):
-            factor = ratio ** (x0 - y) if exact else ratio ** (x0 - y)
             lhs = fp.data["arrivals"][n][y - bl]
-            rhs = Ln * factor * fp_t.data["arrivals"][n][y - bl]
+            rhs = Ln * ratio ** (x0 - y) * fp_t.data["arrivals"][n][y - bl]
             resid = abs(lhs - rhs)
             if resid > max_resid:
                 max_resid = resid
@@ -485,14 +484,9 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     spectral = dominant_eigenpair(switching_kernel(model, window))
     nu = spectral.nu
     # renewal-tail level: pi * (tail sum limit) is the plateau normalizer,
-    # summed over the centered sides in left form; nu is exactly 0 off the
-    # arrival band, V is 0 at distances <= 0 (the other medium)
-    support = np.flatnonzero(nu)
-    xs = window.positions()[support]
-    parts = {}
-    for side, law, pot, s, theta in centered_sides(model):
-        nu_v = sum(nu[support] * pot.V(LadderVariant.STRICT_ASC, theta - s * xs))
-        parts[side] = 2 * direct_constant(law, pot) * float(nu_v)
+    # summed over the centered sides in left form
+    parts = {side: 2 * direct_constant(law, pot) * nu_v
+             for side, law, pot, nu_v in centered_tail_sums(model, nu, window)}
     tail_level = sum(parts.values())
     report["renewal_tail_parts"] = parts
 

@@ -1,0 +1,40 @@
+"""Every name a package module imports is used in that module.
+
+A stdlib ``ast`` scan standing in for a linter's unused-import rule.  Names
+are matched per module, not per scope; ``__init__.py`` is skipped because
+its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import oscillax
+
+MODULES = sorted(p for p in Path(oscillax.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_scan_flags_an_unused_import():
+    assert unused_imports("import math\nfrom os import path, sep\nsep\n") == [
+        "line 1: math", "line 2: path"]
+
+
+def test_no_unused_imports():
+    assert MODULES
+    found = {p.name: unused_imports(p.read_text()) for p in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -6,6 +6,7 @@ import pytest
 
 from oscillax.errors import ConventionMismatch, TieUnresolvable, ValidationError
 from oscillax.evolve import Window, marginal_sequence
+from oscillax.fixtures import _pp
 from oscillax.model import (
     DriftCase,
     dist,
@@ -143,6 +144,26 @@ class TestSelectTilt:
             # own rate reproduces the predicted rate
             residual_rate = classify(plan.tilted_model).rate
             assert plan.rate * residual_rate == pytest.approx(p.rate, abs=1e-9), name
+
+    @pytest.mark.parametrize("branch, left, right, base", [
+        ("C2", {-1: F(1, 6), 0: F(1, 12), 2: F(3, 4)},
+         {-1: F(1, 12), 0: F(1, 3), 2: F(7, 12)}, DriftCase.NZ),
+        ("C4", {-1: F(1, 4), 0: F(1, 3), 2: F(5, 12)},
+         {-1: F(1, 12), 0: F(2, 3), 2: F(1, 4)}, DriftCase.NP),
+        ("C5", {-1: F(1, 12), 0: F(1, 6), 2: F(3, 4)},
+         {-1: F(1, 12), 0: F(1, 12), 2: F(5, 6)}, DriftCase.ZP),
+        ("C7", {-1: F(1, 6), 0: F(1, 2), 2: F(1, 3)},
+         {-1: F(1, 12), 0: F(2, 3), 2: F(1, 4)}, DriftCase.NP),
+    ])
+    def test_case_C_branches(self, branch, left, right, base):
+        # denominator-12 grid models, one per reachable case-C branch beyond C1
+        m = _pp(left, right)
+        p = classify(m)
+        assert p.subcase == "C"
+        plan = select_tilt(m, p)
+        assert plan.branch == branch
+        assert plan.base_case is base
+        assert plan.rate * classify(plan.tilted_model).rate == pytest.approx(p.rate, abs=1e-9)
 
     def test_crossing_branches_use_lambda_star(self, subcase_models):
         for name in ("B1", "B4", "B7"):
