@@ -2,15 +2,14 @@
 
 Two independent computational routes are provided and cross-checked in tests:
 
-* killed-walk Green functions obtained from banded linear solves, which give
-  the renewal point masses U({z}) directly via time-reversal duality, with
-  error O(1/window); tables are kept for the strict ascending and weak
-  descending processes only, the weak ascending and strict descending ones
-  being those of the mirrored law, and :func:`centered_sides` puts each
-  centered medium of a model in this left form;
 * the Wiener-Hopf factorization of 1 - phi(u) into ascending and descending
   ladder factors, read off from the roots of a polynomial of degree a + b for
-  a law on [-a, b]: exact up to root-finding error.
+  a law on [-a, b]: exact up to root-finding error.  Its height laws feed the
+  renewal functions of :func:`ladder_potentials`, hence E(x, y), the tail
+  sums nu(V), the ladder means and the ladder-mean fluctuation constant;
+* killed-walk Green functions obtained from banded linear solves, which give
+  the renewal point masses U({z}) via time-reversal duality, with error
+  O(1/window): one such row feeds the direct fluctuation constant only.
 
 The three fluctuation-constant formulas (defining sum, harmonic/occupation
 series, ladder-mean) deliberately use disjoint machinery so their agreement
@@ -20,7 +19,7 @@ is a meaningful check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,7 +38,7 @@ from .model import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-SOLVE_WINDOW = 40000   # sites per killed-walk Green solve in ladder_potentials
+SOLVE_WINDOW = 40000   # sites of the killed-walk Green solve in direct_constant
 # for a law on a sublattice dZ, d > 1, 1 - phi has double roots on the unit
 # circle, which root finding splits by about sqrt(machine eps)
 UNIT_CIRCLE_TOL = 1e-6
@@ -108,69 +107,48 @@ def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int) 
 
 @dataclass
 class LadderPotentials:
-    """Renewal point masses U({z}) of the strict ascending and weak descending
-    ladder processes, via duality.
+    """Renewal measures of the strict ascending and weak descending ladder
+    processes from their height laws ``heights[variant]`` = {h: P[H = h]}.
 
-    ``U[variant][d]`` is the mass the variant's renewal measure puts on the
-    single point at distance d from the origin (z = +d strict ascending,
-    z = -d weak descending), d = 0..SOLVE_WINDOW // 2: the Richardson-refined
-    half of each Green solve.  The weak ascending and strict descending
-    tables of a law are the tables of ``mirror_dist(law)``.
+    The weak ascending and strict descending ones of a law are those of
+    ``mirror_dist(law)``; :func:`centered_sides` puts each centered medium of
+    a model in this left form.
     """
 
-    dist: LatticeDist
-    U: dict
-    V_table: dict   # V_table[variant][x] = sum(U[variant][:x])
-    heights_exact: dict = field(default_factory=dict)
+    heights: dict
+
+    def U(self, variant: LadderVariant, length: int) -> np.ndarray:
+        """u_d = sum_h P[|H| = h] u_{d-h} + [d = 0], the renewal mass at distance
+        d = 0..length-1: one lower-triangular banded Toeplitz solve."""
+        law = self.heights[variant]
+        band = max(abs(h) for h in law)
+        # I - T in solve_banded layout, ab[i - j, j] = M[i, j]: diagonal 1 - P[H = 0]
+        ab = np.zeros((band + 1, length))
+        ab[0] = 1.0
+        for h, p in law.items():
+            ab[abs(h), : length - abs(h)] -= p
+        return solve_banded((band, 0), ab, np.eye(1, length)[0])
 
     def V(self, variant: LadderVariant, x):
         """Renewal function: ascending U[0,x), descending U(]-x,0]); V(x)=0 for x<=0.
 
-        ``x`` is an int or an int array; a distance beyond the table raises
-        ValidationError.
+        ``x`` is an int or an int array.
         """
-        table = self.V_table[variant]
         x = np.asarray(x)
-        if np.any(x >= len(table)):
-            raise ValidationError(
-                f"distance {int(np.max(x))} beyond the renewal table (max {len(table) - 1})")
+        table = np.append(0.0, np.cumsum(self.U(variant, max(int(np.max(x)), 0))))
         out = table[np.maximum(x, 0)]
         return float(out) if out.ndim == 0 else out
 
     def height_mean(self, variant: LadderVariant) -> float:
-        return sum(h * p for h, p in self.heights_exact[variant].items())
+        return sum(h * p for h, p in self.heights[variant].items())
 
 
 def ladder_potentials(dist: LatticeDist) -> LadderPotentials:
-    """Compute the two U tables by killed-walk Green solves plus duality.
-
-    Duality pairs each renewal measure with survival probabilities of the
-    opposite strictness/direction: the weak-descending U at {-w} is the total
-    time the walk spends at -w before its first strictly positive value, the
-    strict-ascending U at {d} the time at d after step 1 before its first
-    weak descent.  Each solve runs on SOLVE_WINDOW sites and is
-    Richardson-refined by :func:`killed_green` on the half next to the origin.
-    """
-    W = SOLVE_WINDOW
-    U = {
-        # weak descending U_- <-> stay <= 0 (kill on strict ascent)
-        LadderVariant.WEAK_DESC: killed_green_row(dist, -W, 0, 0)[::-1][:W // 2 + 1],
-        # strict ascending U_*+ <-> stay >= 1 after step 1 (kill on weak descent)
-        LadderVariant.STRICT_ASC: np.append(1.0, killed_green_row(dist, 1, W, 0)[:W // 2]),
-    }
-    pot = LadderPotentials(dist, U, {v: np.append(0.0, np.cumsum(u)) for v, u in U.items()})
-    pmf = {int(v): float(p) for v, p in zip(dist.values, dist.probs)}
-    maxj = max(abs(dist.min_support), abs(dist.max_support))
-    # heights by the over-the-extremum identity, each from the other table:
-    #   P[H*+ = h] = sum_w U_-({-w}) mu(h + w),  P[H- = h] = sum_w U*+({w}) mu(h - w)
-    u_wd, u_sa = U[LadderVariant.WEAK_DESC], U[LadderVariant.STRICT_ASC]
-    hs = {h: sum(u_wd[w] * pmf.get(h + w, 0.0) for w in range(maxj + 1))
-          for h in range(1, dist.max_support + 1)}
-    pot.heights_exact[LadderVariant.STRICT_ASC] = {h: p for h, p in hs.items() if p > 0}
-    hs = {h: sum(u_sa[w] * pmf.get(h - w, 0.0) for w in range(maxj + 1))
-          for h in range(dist.min_support, 1)}
-    pot.heights_exact[LadderVariant.WEAK_DESC] = {h: p for h, p in hs.items() if p > 0}
-    return pot
+    """The renewal measures of ``dist``'s strict ascending and weak descending
+    ladder processes, from the Wiener-Hopf root laws."""
+    strict_asc, weak_desc = wiener_hopf_heights(dist)
+    return LadderPotentials({LadderVariant.STRICT_ASC: strict_asc,
+                             LadderVariant.WEAK_DESC: weak_desc})
 
 
 def centered_sides(model: OscillatingModel) -> list:
@@ -278,10 +256,12 @@ class FluctuationConstants:
         return (max(cs) - min(cs)) / ref
 
 
-def direct_constant(dist: LatticeDist, pot: LadderPotentials) -> float:
-    """(1/(sigma sqrt(2 pi))) sum_{w>=1} V_-(w) mu[w, inf) from the killed-Green tables."""
+def direct_constant(dist: LatticeDist) -> float:
+    """(1/(sigma sqrt(2 pi))) sum_{w>=1} V_-(w) mu[w, inf), V_- by duality: the
+    weak descending U at {-w} is the time at -w before the first strict ascent."""
+    v_weak_desc = np.cumsum(killed_green_row(dist, -SOLVE_WINDOW, 0, 0)[::-1])
     return float(sum(
-        pot.V(LadderVariant.WEAK_DESC, w) * dist.tail_ge(w)
+        v_weak_desc[w - 1] * dist.tail_ge(w)
         for w in range(1, dist.max_support + 1)
     ) / (dist.sigma * SQRT_2PI))
 
@@ -310,10 +290,9 @@ def fluctuation_constants(
     if require_aperiodic and not is_strongly_aperiodic(dist):
         raise ValidationError("law must be strongly aperiodic")
     sigma = dist.sigma
-    c_direct = direct_constant(dist, ladder_potentials(dist))
+    c_direct = direct_constant(dist)
 
-    _, weak_desc = wiener_hopf_heights(dist)
-    mean_desc = sum(h * p for h, p in weak_desc.items())
+    mean_desc = ladder_potentials(dist).height_mean(LadderVariant.WEAK_DESC)
     c_ladder = sigma / (2.0 * SQRT_2PI * abs(mean_desc))
 
     probs_le0 = nonpositive_probs(dist, spitzer_horizon)

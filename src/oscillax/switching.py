@@ -506,8 +506,9 @@ def limit_operator_E(model: OscillatingModel, window: Window) -> np.ndarray:
         toward = pot.V(LadderVariant.STRICT_ASC, theta - s * xs[rows])
         pmf = {int(v): float(p) for v, p in zip(law.values, law.probs)}
         ks = range(law.max_support)
-        away = [sum(pot.V(LadderVariant.WEAK_DESC, w) * pmf.get(w + k, 0.0)
-                    for w in range(1, law.max_support + 1)) for k in ks]
+        ws = range(1, law.max_support + 1)
+        v_weak_desc = pot.V(LadderVariant.WEAK_DESC, np.array(ws))
+        away = [sum(v * pmf.get(w + k, 0.0) for w, v in zip(ws, v_weak_desc)) for k in ks]
         cols = [s * (theta + k) - band_lo for k in ks]
         E[np.ix_(rows, cols)] = np.outer(toward, away) / (law.sigma * SQRT_2PI)
     return E

@@ -485,8 +485,8 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     nu = spectral.nu
     # renewal-tail level: pi * (tail sum limit) is the plateau normalizer,
     # summed over the centered sides in left form
-    parts = {side: 2 * direct_constant(law, pot) * nu_v
-             for side, law, pot, nu_v in centered_tail_sums(model, nu, window)}
+    parts = {side: 2 * direct_constant(law) * nu_v
+             for side, law, _, nu_v in centered_tail_sums(model, nu, window)}
     tail_level = sum(parts.values())
     report["renewal_tail_parts"] = parts
 

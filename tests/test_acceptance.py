@@ -63,7 +63,7 @@ def test_criterion_02_pn_convergence(fix_pn):
     P = transition_matrix(fix_pn, w)
     from scipy.sparse.linalg import eigs
 
-    vals, vecs = eigs(P.T, k=1, which="LM")
+    vals, vecs = eigs(P.T, k=1, which="LM", v0=np.ones(w.width))
     nu = np.real(vecs[:, 0])
     nu /= nu.sum()
     nu1 = float(nu[w.index(1)])

@@ -47,8 +47,10 @@ class TestToyLadders:
             assert pot.V(LadderVariant.STRICT_ASC, x) == pytest.approx(x, rel=1e-6)
 
     def test_weak_descending_potential_is_two(self):
-        pot = ladder_potentials(TOY)
-        assert np.allclose(pot.U[LadderVariant.WEAK_DESC][:6], 2.0, atol=1e-6)
+        u = ladder_potentials(TOY).U(LadderVariant.WEAK_DESC, 6)
+        assert np.allclose(u, 2.0, atol=1e-6)
+        tables, _ = _duality_tables(TOY)
+        assert np.allclose(u, tables[LadderVariant.WEAK_DESC][:6], atol=1e-6)
 
     def test_constants_closed_form(self):
         # c = 1/sqrt(2 pi): V_-(1) = 2, mu[1, inf) = 1/2, sigma = 1.
@@ -69,10 +71,13 @@ class TestMuALadders:
 
     def test_exact_heights_via_duality(self):
         pot = ladder_potentials(MU_A_DIST)
-        hs = pot.heights_exact[LadderVariant.STRICT_ASC]
+        _, heights = _duality_tables(MU_A_DIST)
+        for variant, hs in heights.items():
+            assert hs == pytest.approx(pot.heights[variant], abs=1e-6), variant
+        hs = heights[LadderVariant.STRICT_ASC]
         assert hs[1] == pytest.approx(0.5, abs=1e-6)
         assert hs[2] == pytest.approx(0.5, abs=1e-6)
-        hd = pot.heights_exact[LadderVariant.WEAK_DESC]
+        hd = heights[LadderVariant.WEAK_DESC]
         assert hd[0] == pytest.approx(0.5, abs=1e-6)
         assert hd[-1] == pytest.approx(0.5, abs=1e-6)
 
@@ -88,13 +93,46 @@ class TestMuALadders:
         assert pot.V(LadderVariant.STRICT_ASC, 0) == 0.0
         assert pot.V(LadderVariant.STRICT_ASC, 1) == pytest.approx(1.0, abs=1e-9)
         asc, _ = wiener_hopf_heights(MU_A_DIST)
-        assert _renewal_residual(pot.U[LadderVariant.STRICT_ASC][:31], asc) <= 1e-7
+        u = pot.U(LadderVariant.STRICT_ASC, 31)
+        assert _renewal_residual(u, asc) <= 1e-7
+        tables, _ = _duality_tables(MU_A_DIST)
+        assert _renewal_residual(tables[LadderVariant.STRICT_ASC][:31], asc) <= 1e-7
+        assert np.allclose(u, tables[LadderVariant.STRICT_ASC][:31], rtol=0, atol=1e-6)
 
     def test_weak_variant_from_strict(self):
         # the weak law, atom at 0 included, comes from dividing out the strict factor
         pot = ladder_potentials(MU_A_DIST)
         _, desc = wiener_hopf_heights(MU_A_DIST)
-        assert _renewal_residual(pot.U[LadderVariant.WEAK_DESC][:31], desc) <= 1e-7
+        u = pot.U(LadderVariant.WEAK_DESC, 31)
+        assert _renewal_residual(u, desc) <= 1e-7
+        tables, _ = _duality_tables(MU_A_DIST)
+        assert _renewal_residual(tables[LadderVariant.WEAK_DESC][:31], desc) <= 1e-7
+        assert np.allclose(u, tables[LadderVariant.WEAK_DESC][:31], rtol=0, atol=1e-6)
+
+    def test_matches_exact_renewal(self):
+        # u_d = [d = 0] + sum_h P[|H| = h] u_{d-h} in rationals, on MU_A's
+        # height laws {1: 1/2, 2: 1/2} and {-1: 1/2, 0: 1/2}
+        pot = ladder_potentials(MU_A_DIST)
+        for variant, law in ((LadderVariant.STRICT_ASC, {1: F(1, 2), 2: F(1, 2)}),
+                             (LadderVariant.WEAK_DESC, {-1: F(1, 2), 0: F(1, 2)})):
+            assert pot.heights[variant] == pytest.approx(
+                {h: float(p) for h, p in law.items()}, abs=1e-15)
+            exact = []
+            for d in range(201):
+                rhs = F(int(d == 0)) + sum(p * exact[d - abs(h)]
+                                           for h, p in law.items() if 0 < abs(h) <= d)
+                exact.append(rhs / (1 - law.get(0, F(0))))
+            u = pot.U(variant, 201)
+            assert np.max(np.abs(u - np.array(exact, dtype=float))) <= 1e-15, variant
+
+    def test_renewal_limit(self):
+        # u_d -> 1/E|H| (renewal theorem), checked at d = 40 000
+        model = fix_zz()
+        for law in (model.left, mirror_dist(model.right)):
+            pot = ladder_potentials(law)
+            for variant in LadderVariant:
+                u_far = pot.U(variant, 40001)[-1]
+                assert u_far * abs(pot.height_mean(variant)) == pytest.approx(1.0, abs=1e-12)
 
     def test_nondecreasing_and_sublinear(self):
         # MU_A's own tables and its mirror's (its weak ascending and strict
@@ -150,6 +188,29 @@ class TestFluctuationConstants:
         assert f1.as_tuple() == f2.as_tuple()
 
 
+def _duality_tables(law, size=40000):
+    """The killed-Green duality route, the reference for the root-law one.
+
+    ({variant: U table}, {variant: height law}): the weak descending U at
+    {-w} is the time at -w before the first strictly positive value, the
+    strict ascending U at {d} the time at d after step 1 before the first
+    weak descent, each a killed-Green row on ``size`` sites; the heights come
+    from the other variant's table by the over-the-extremum identity
+    P[H*+ = h] = sum_w U_-({-w}) mu(h + w),  P[H- = h] = sum_w U*+({w}) mu(h - w).
+    """
+    u_wd = killed_green_row(law, -size, 0, 0)[::-1]
+    u_sa = np.append(1.0, killed_green_row(law, 1, size, 0))
+    pmf = {int(v): float(p) for v, p in zip(law.values, law.probs)}
+    ws = range(max(abs(law.min_support), law.max_support) + 1)
+    asc = {h: sum(u_wd[w] * pmf.get(h + w, 0.0) for w in ws)
+           for h in range(1, law.max_support + 1)}
+    desc = {h: sum(u_sa[w] * pmf.get(h - w, 0.0) for w in ws)
+            for h in range(law.min_support, 1)}
+    return ({LadderVariant.WEAK_DESC: u_wd, LadderVariant.STRICT_ASC: u_sa},
+            {LadderVariant.STRICT_ASC: {h: p for h, p in asc.items() if p > 0},
+             LadderVariant.WEAK_DESC: {h: p for h, p in desc.items() if p > 0}})
+
+
 def _renewal_residual(U, heights):
     """max_d |U[d] - delta_0(d) - sum_h P[H = h] U[d - |h|]| over the table."""
     out = 0.0
@@ -187,9 +248,9 @@ class TestWienerHopfRoots:
         asc, desc = wiener_hopf_heights(law)
         assert sum(asc.values()) == pytest.approx(1.0, abs=1e-12)
         assert sum(desc.values()) == pytest.approx(1.0, abs=1e-12)
-        pot = ladder_potentials(law)
+        _, heights = _duality_tables(law)
         for variant, root in ((LadderVariant.STRICT_ASC, asc), (LadderVariant.WEAK_DESC, desc)):
-            exact = pot.heights_exact[variant]
+            exact = heights[variant]
             for h in set(root) | set(exact):
                 assert root.get(h, 0.0) == pytest.approx(exact.get(h, 0.0), abs=1e-7), (variant, h)
         mean_asc = sum(h * p for h, p in asc.items())

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oscillax.errors import ConventionMismatch, TieUnresolvable, ValidationError
+from oscillax.errors import ConventionMismatch, OscillaxError, TieUnresolvable, ValidationError
 from oscillax.evolve import Window, marginal_sequence
 from oscillax.fixtures import _pp
 from oscillax.model import (
@@ -75,6 +77,20 @@ class TestClassifyFixtures:
             classify(m)
 
 
+def _two_sided_law(atoms, weights):
+    """A law on [-2, 2] with integer weights and at least the three ``atoms``."""
+    weights = {**weights, **{v: weights.get(v, 0) + 1 for v in atoms}}
+    tot = sum(weights.values())
+    return dist({v: F(w, tot) for v, w in weights.items()})
+
+
+# atoms neg < 0 < pos and a third whose differences with them have gcd 1
+_APERIODIC_ATOMS = [(neg, pos, t) for neg in (-2, -1) for pos in (1, 2) for t in range(-2, 3)
+                    if math.gcd(pos - neg, t - neg) == 1]
+_two_sided_laws = st.builds(_two_sided_law, st.sampled_from(_APERIODIC_ATOMS),
+                            st.dictionaries(st.integers(-2, 2), st.integers(1, 3), max_size=3))
+
+
 class TestMirrorSymmetry:
     def test_mirrored_cases(self, fix_pz, fix_zp, fix_pp):
         for m in (fix_pz, fix_zp, fix_pp):
@@ -85,6 +101,30 @@ class TestMirrorSymmetry:
                 "(P,Z)": "(Z,N)", "(Z,P)": "(N,Z)", "(P,P)": "(N,N)"}[p.drift_case.value]
             assert pm.rate == pytest.approx(p.rate, abs=1e-12)
             assert pm.exponent == p.exponent
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_two_sided_laws, min_size=3, max_size=3))
+    def test_random_models(self, laws):
+        # three-media laws on [-2, 2]: a model and its mirror raise the same
+        # error or agree on rate and exponent
+        try:
+            m = validate_model(*laws)
+        except ValidationError:
+            assume(False)
+
+        def outcome(model):
+            try:
+                pred = classify(model)
+            except OscillaxError as exc:
+                return type(exc), None, None
+            return None, pred.rate, pred.exponent
+
+        err, rate, exponent = outcome(m)
+        m_err, m_rate, m_exponent = outcome(mirror_model(m))
+        assert err is m_err
+        if err is None:
+            assert abs(m_rate - rate) <= 1e-12
+            assert m_exponent == exponent
 
     def test_invariant_profile_mirrors(self, fix_zz, fix_pz):
         # the mirrored model's nu is nu reversed; its lambda_X is lambda_X
