@@ -4,6 +4,7 @@ from .errors import OscillaxError, ValidationError
 from .evolve import (
     KernelTable,
     Side,
+    StepKernels,
     Window,
     default_window,
     excursion_functions,
@@ -50,7 +51,6 @@ from .regimes import (
 )
 from .switching import (
     SpectralData,
-    StepKernels,
     SwitchingKernel,
     WeightSpec,
     build_Q,

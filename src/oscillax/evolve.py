@@ -242,20 +242,48 @@ class Side(Enum):
     FROM_POSITIVE = "from_positive"
 
 
-def passage_regions(side: Side, convention: Convention, dist: LatticeDist):
-    """(survival region max or min, arrival band) for a first-passage problem.
+def passage_regions(side: Side, convention: Convention, dist: LatticeDist, window: Window):
+    """((seg_lo, seg_hi), (band_lo, band_hi)): survival segment and arrival band.
 
     FROM_NEGATIVE under the three-media convention kills the walk on reaching
     >= 0; under the two-media convention on reaching >= 1.  FROM_POSITIVE
-    kills on reaching <= 0 under both conventions.
+    kills on reaching <= 0 under both conventions.  The segment is the part
+    of the window the walk survives on; the band is where its first passage
+    can land.
     """
     if side is Side.FROM_NEGATIVE:
-        surv_hi = convention.left_end
-        band = (surv_hi + 1, surv_hi + dist.max_support)
-        return surv_hi, band
-    surv_lo = 1
-    band = (surv_lo + dist.min_support, 0)
-    return surv_lo, band
+        end = convention.left_end
+        return (window.lo, end), (end + 1, end + dist.max_support)
+    return (1, window.hi), (1 + dist.min_support, 0)
+
+
+@dataclass
+class StepKernels:
+    """Per-step first-passage kernels Q_n(x, .) of selected rows, on a band.
+
+    Q_n(x, .) charges only the arrival band B = [band[0], band[1]], so the
+    history is one (N+1, rows, B) stack R[n, i, j] = Q_n(rows[i], band[0] + j).
+    survival[i, n] is the mass of row i still inside its medium after n
+    steps, window leak counted as surviving, so survival_n + sum_{k<=n} R_k
+    = 1 exactly in rational mode; leak[i, n] is the part that left the window.
+    ``states``, when kept, is the (N+1, rows, segment width) history of the
+    surviving mass over the survival segment of :func:`passage_regions`.
+    """
+
+    rows: list[int]
+    band: tuple[int, int]
+    R: np.ndarray           # (N+1, rows, B)
+    survival: np.ndarray    # (rows, N+1)
+    leak: np.ndarray        # (rows, N+1)
+    states: Optional[np.ndarray] = None   # (N+1, rows, segment width)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The (N+1, B, B) block of the band rows, which must be among ``rows``."""
+        return self.R[:, [self.rows.index(y) for y in range(self.band[0], self.band[1] + 1)]]
 
 
 def first_passage_rows(
@@ -267,34 +295,29 @@ def first_passage_rows(
     window: Window,
     exact: bool = False,
     keep_states: bool = False,
-) -> dict:
+) -> StepKernels:
     """First-passage kernels Q_n(x, .) for every start x in ``xs``, in one DP.
 
-    The walk with law ``dist`` runs on the survival segment of ``side``
-    ([window.lo, bound] or [bound, window.hi]) and is killed on leaving it:
-    mass that crosses into the arrival band is recorded as arrivals, mass
-    that leaves the window on the survival side is leak.  All rows share one
-    (rows x segment) state, and a step is one shifted axpy per atom of the
-    law over the span the rows can have reached so far.
+    The walk with law ``dist`` runs on the survival segment of ``side`` (see
+    :func:`passage_regions`) and is killed on leaving it: mass that crosses
+    into the arrival band is recorded as arrivals, mass that leaves the
+    window on the survival side is leak.  All rows share one (rows x segment)
+    state, and a step is one shifted axpy per atom of the law over the span
+    the rows can have reached so far.
 
-    Returns {x: KernelTable}.  data['arrivals'] has shape
-    (horizon+1, band width) over the arrival band; data['survival'][n] is the
-    mass still strictly inside the medium after n steps, window leak counted
-    as surviving, so survival + sum(arrivals) == 1 exactly in rational mode.
-    ``keep_states`` adds data['states'], the (horizon+1, segment width)
-    history of the surviving mass.
+    Returns the :class:`StepKernels` record of ``xs`` on the arrival band of
+    ``side``; ``keep_states`` fills its ``states``.
     """
-    bound, (band_lo, band_hi) = passage_regions(side, convention, dist)
+    xs = list(xs)
+    (seg_lo, seg_hi), (band_lo, band_hi) = passage_regions(side, convention, dist, window)
     negative = side is Side.FROM_NEGATIVE
-    seg_lo, seg_hi = (window.lo, bound) if negative else (bound, window.hi)
+    bound = seg_hi if negative else seg_lo
     for x in xs:
         if (x > bound) if negative else (x < bound):
             raise ConventionMismatch(
                 f"start {x} not in survival region ({'<=' if negative else '>='} {bound})")
         if not seg_lo <= x <= seg_hi:
             raise ValidationError(f"start {x} outside the window segment [{seg_lo}, {seg_hi}]")
-    if not xs:
-        return {}
     rows, width = len(xs), seg_hi - seg_lo + 1
     band_w = max(0, band_hi - band_lo + 1)
     check_size((horizon + 1, rows, width if keep_states else band_w), (rows, width))
@@ -322,7 +345,8 @@ def first_passage_rows(
     k_hi = k_lo + len(kern) - 1
     # [lo, hi] holds every index that can carry mass; it only ever grows, so
     # zeroing it in the spare buffer clears everything left there before
-    lo, hi = min(xs) - seg_lo, max(xs) - seg_lo
+    # (an empty xs runs one step on zero rows and returns an empty record)
+    lo, hi = min(xs, default=seg_lo) - seg_lo, max(xs, default=seg_lo) - seg_lo
     n = 0  # the last step run, which the exact conversion below needs
     for n in range(1, horizon + 1):
         next_lo, next_hi = max(0, lo + min(k_lo, 0)), min(width - 1, hi + max(k_hi, 0))
@@ -355,28 +379,9 @@ def first_passage_rows(
         scales = np.array([D ** min(m, n) for m in range(horizon + 1)], dtype=object)
         arrivals = _fractions(arrivals, scales[:, None, None])
         survival, leak = _fractions(survival, scales), _fractions(leak, scales)
-        state = _fractions(state, scales[-1])
         if keep_states:
             states = _fractions(states, scales[:, None, None])
-    out = {}
-    for r, x in enumerate(xs):
-        data = {
-            "arrivals": arrivals[:, r],
-            "band": (band_lo, band_hi),
-            "survival": survival[r],
-            "final_state": state[r].copy(),
-            "segment": (seg_lo, seg_hi),
-        }
-        if keep_states:
-            data["states"] = states[:, r]
-        out[x] = KernelTable(
-            window=window,
-            horizon=horizon,
-            data=data,
-            leak=leak[r],
-            meta={"x": x, "side": side, "convention": convention, "exact": exact},
-        )
-    return out
+    return StepKernels(xs, (band_lo, band_hi), arrivals, survival, leak, states)
 
 
 def first_passage_kernel(
@@ -390,10 +395,17 @@ def first_passage_kernel(
 ) -> KernelTable:
     """First-passage kernel row Q_n(x, .) plus the survival sequence.
 
-    The one-row case of :func:`first_passage_rows`; see there for the layout
-    of data['arrivals'], data['survival'] and the leak.
+    The one-row view of :func:`first_passage_rows`: data['arrivals'] is the
+    (horizon+1, band width) row of its stack over data['band'],
+    data['survival'] and the leak are the row's, and data['segment'] is the
+    survival segment.
     """
-    return first_passage_rows(dist, side, convention, [x], horizon, window, exact)[x]
+    fp = first_passage_rows(dist, side, convention, [x], horizon, window, exact)
+    segment, _ = passage_regions(side, convention, dist, window)
+    data = {"arrivals": fp.R[:, 0], "band": fp.band, "survival": fp.survival[0],
+            "segment": segment}
+    return KernelTable(window, horizon, data, fp.leak[0],
+                       meta={"x": x, "side": side, "convention": convention, "exact": exact})
 
 
 def excursion_functions(
@@ -430,10 +442,10 @@ def excursion_functions(
         raise ValidationError("unreachable")
     # V_{n,y}(x) is the mass at x of the reversed walk started at y and killed
     # on leaving the medium; mass it loses either way is reported as leak
-    t = first_passage_rows(mirror_dist(law), side, model.convention, [y], horizon,
-                           window, exact, keep_states=True)[y]
-    seg_lo, seg_hi = t.data["segment"]
-    V[1:, window.index(seg_lo): window.index(seg_hi) + 1] = t.data["states"][1:]
-    leak = t.leak + np.cumsum(t.data["arrivals"].sum(axis=1))
+    fp = first_passage_rows(mirror_dist(law), side, model.convention, [y], horizon,
+                            window, exact, keep_states=True)
+    (seg_lo, seg_hi), _ = passage_regions(side, model.convention, law, window)
+    V[1:, window.index(seg_lo): window.index(seg_hi) + 1] = fp.states[1:, 0]
+    leak = fp.leak[0] + np.cumsum(fp.R[:, 0].sum(axis=1))
     return KernelTable(window, horizon, {"V": V}, leak,
                        meta={"y": y, "exact": exact})

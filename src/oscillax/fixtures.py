@@ -95,23 +95,26 @@ SUBCASE_FIXTURES = {
 }
 
 
-def search_subcase_fixtures(grid_denominator: int = 12, max_per_case: int = 1) -> dict:
+GRID_DENOMINATOR = 12   # common denominator of the searched atom masses
+
+
+def search_subcase_fixtures() -> dict:
     """Grid-search three-atom two-media families for (P,P) subcase witnesses.
 
     Scans rational mass grids on supports {-1,0,2} and {-2,0,1} (either side),
     screening each admissible pair with cheap float transform geometry and
     confirming hits -- including near-tie candidates -- through the exact
-    classifier.  Returns {subcase: [(model, prediction), ...]}.
+    classifier.  Returns {subcase: [(model, prediction)]}, one hit a subcase.
 
     A denominator-12 grid reaches every subcase except B1 and B3, whose
-    defining equalities couple the two laws; those come from the parametric
-    constructions behind SUBCASE_FIXTURES (see ``subcase_witnesses``).
+    defining equalities couple the two laws; those come only from the
+    parametric constructions behind SUBCASE_FIXTURES.
     """
     from .errors import OscillaxError
     from .model import argmin_laplace, dist
     from .regimes import _branch, _float_cmp, classify
 
-    q = grid_denominator
+    q = GRID_DENOMINATOR
     lefts, rights = [], []
     for i in range(1, q):
         for j in range(1, q - i):
@@ -140,41 +143,36 @@ def search_subcase_fixtures(grid_denominator: int = 12, max_per_case: int = 1) -
         details = {"lambda": lam, "lambda_prime": lamp, "rho": rho, "rho_prime": rhop}
         return "B%d" % _branch(ld, rd, details, _float_cmp)
 
-    wanted = {"A1", "A2", "B1", "B2", "B3", "B4", "B5", "B6", "B7", "C"}
+    reachable = set(SUBCASE_FIXTURES) - {"B1", "B3"}
     for la, ld, lam, rho in P_left:
         for ra, rd, lamp, rhop in P_right:
             if ld.max_support * rd.min_support > -2:
                 continue
-            sub = screen(ld, lam, rho, rd, lamp, rhop)
-            if len(found.get(sub, [])) >= max_per_case:
+            if screen(ld, lam, rho, rd, lamp, rhop) in found:
                 continue
             try:
                 m = _pp(la, ra)
                 pred = classify(m)   # exact confirmation (ties go to sympy)
             except OscillaxError:
                 continue
-            bucket = found.setdefault(pred.subcase, [])
-            if len(bucket) < max_per_case:
-                bucket.append((m, pred))
-        if all(len(found.get(s, [])) >= max_per_case for s in wanted - {"B1", "B3"}):
+            found.setdefault(pred.subcase, [(m, pred)])
+        if reachable <= found.keys():
             break
     return found
 
 
-def subcase_witnesses(grid_denominator: int = 12) -> dict:
-    """One model per subcase label, from the two arms of the fixture oracle.
+def subcase_witnesses() -> dict:
+    """One model per subcase label: the pinned SUBCASE_FIXTURES, each checked
+    to classify as its label.
 
-    The pinned constructions are preferred as fit targets: they were chosen
-    with well-separated rates (a coarse grid happily produces a B4 whose
-    crossing value sits 2e-4 above rho', which classifies cleanly but needs
-    horizons far past 4096 to show its geometric regime).  The grid arm still
-    runs and completes any label missing a construction.
+    They are preferred over grid hits as fit targets: they were chosen with
+    well-separated rates (a coarse grid happily produces a B4 whose crossing
+    value sits 2e-4 above rho', which classifies cleanly but needs horizons
+    far past 4096 to show its geometric regime).
     """
     from .regimes import classify
 
     out = {}
-    for sub, hits in search_subcase_fixtures(grid_denominator).items():
-        out[sub] = hits[0][0]
     for name, fn in SUBCASE_FIXTURES.items():
         m = fn()
         assert classify(m).subcase == name

@@ -120,10 +120,6 @@ class LatticeDist:
         """mu[w, +inf)."""
         return float(sum(p for v, p in zip(self.values, self.probs) if v >= w))
 
-    def tail_le(self, w: int) -> float:
-        """mu(-inf, w]."""
-        return float(sum(p for v, p in zip(self.values, self.probs) if v <= w))
-
     def dense_kernel(self, exact: bool = False, scale: int = 1):
         """(offset of index 0, contiguous pmf array over [min,max] support).
 

@@ -24,7 +24,7 @@ from .errors import (
     TieUnresolvable,
     ValidationError,
 )
-from .evolve import Window
+from .evolve import Side, Window, passage_regions
 from .ladder import LadderVariant, centered_tail_sums, killed_green
 from .model import (
     DriftCase,
@@ -42,6 +42,7 @@ from .model import (
 from .switching import dominant_eigenpair, switching_kernel
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
+PLATEAU_REL_TOL = 0.02   # largest relative spread of lambda_X over a probe band
 
 _MIRROR = {
     DriftCase.ZN: DriftCase.PZ,
@@ -323,20 +324,19 @@ def invariant_profile(
     model: OscillatingModel,
     nu: np.ndarray,
     window: Window,
-    plateau_rel_tol: float = 0.02,
 ) -> InvariantProfile:
     """Occupation-time invariant measure lambda_X and its tail levels.
 
     The tail levels come from the ladder identities
     lambda_X(-inf) = nu(V_strict_asc(|.|)) / |E weak-desc height| (left side)
     and symmetrically on the right; the plateau of lambda_X over a probe band
-    is required to agree within ``plateau_rel_tol`` as a consistency check.
+    is required to agree within PLATEAU_REL_TOL as a consistency check.
     """
     vals = np.zeros(window.width)
     # occupation h(y) = sum_x nu(x) G(x, y) of each medium's killed walk solves
     # (I - A^T) h = nu, and I - A^T is the killed matrix of the mirrored law
-    for law, lo, hi in ((model.left, window.lo, model.convention.left_end),
-                        (model.right, 1, window.hi)):
+    for law, side in ((model.left, Side.FROM_NEGATIVE), (model.right, Side.FROM_POSITIVE)):
+        (lo, hi), _ = passage_regions(side, model.convention, law, window)
         seg = slice(window.index(lo), window.index(hi) + 1)
         vals[seg] = killed_green(mirror_dist(law), lo, hi, nu[seg])
     if not model.two_media:
@@ -357,7 +357,7 @@ def invariant_profile(
     for name, _, pot, nu_v in centered_tail_sums(model, nu, window):
         lam[name] = nu_v / abs(pot.height_mean(LadderVariant.WEAK_DESC))
         spread = plateaus[name][1]
-        if spread > plateau_rel_tol:
+        if spread > PLATEAU_REL_TOL:
             raise PlateauNotReached(
                 f"{name} tail of lambda_X varies {spread:.1%} over the probe band")
     return InvariantProfile(window, vals, lam["left"], lam["right"],

@@ -24,6 +24,7 @@ import scipy.fft
 from .errors import ConventionMismatch, NoConvergence, ValidationError
 from .evolve import (
     Side,
+    StepKernels,
     Window,
     _zeros,
     check_size,
@@ -118,8 +119,7 @@ def passage_resolvent(
     exact in n, window-truncated (and Richardson-refined) in space.  Returns
     ((seg_lo, seg_hi), (band_lo, band_hi), G).
     """
-    bound, (band_lo, band_hi) = passage_regions(side, convention, dist)
-    seg_lo, seg_hi = (window.lo, bound) if side is Side.FROM_NEGATIVE else (bound, window.hi)
+    (seg_lo, seg_hi), (band_lo, band_hi) = passage_regions(side, convention, dist, window)
     xs = np.arange(seg_lo, seg_hi + 1)
     B = np.zeros((xs.size, band_hi - band_lo + 1))
     for v, p in zip(dist.values, dist.probs):
@@ -191,32 +191,6 @@ def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel
 # Per-step history and renewal operators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StepKernels:
-    """Per-step switching kernels Q_n(x, .) of selected rows, on the arrival band.
-
-    Q_n(x, .) charges only the arrival band B = [band[0], band[1]], so the
-    history is one (N+1, rows, B) stack R[n, i, j] = Q_n(rows[i], band[0] + j).
-    survival[i, n] is the mass of row i still inside its medium after n
-    steps, window leak counted as surviving, so survival_n + sum_{k<=n} R_k
-    = 1 exactly in rational mode; leak[i, n] is the part that left the window.
-    """
-
-    rows: list[int]
-    band: tuple[int, int]
-    R: np.ndarray           # (N+1, rows, B)
-    survival: np.ndarray    # (rows, N+1)
-    leak: np.ndarray        # (rows, N+1)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def C(self) -> np.ndarray:
-        """The (N+1, B, B) block of the band rows, which must be among ``rows``."""
-        return self.R[:, [self.rows.index(y) for y in range(self.band[0], self.band[1] + 1)]]
-
-
 def build_Q(
     model: OscillatingModel,
     horizon: int,
@@ -243,12 +217,11 @@ def build_Q(
     end = model.convention.left_end
     for law, side, xs in ((model.left, Side.FROM_NEGATIVE, [x for x in rows if x <= end]),
                           (model.right, Side.FROM_POSITIVE, [x for x in rows if x >= 1])):
-        _, (bl, bh) = passage_regions(side, model.convention, law)
-        tables = first_passage_rows(law, side, model.convention, xs, horizon, window, exact)
-        for x, t in tables.items():
-            R[:, index[x], bl - band[0]: bh - band[0] + 1] = t.data["arrivals"]
-            survival[index[x]], leak[index[x]] = t.data["survival"], t.leak
-        del tables   # freed before the other medium's DP runs
+        fp = first_passage_rows(law, side, model.convention, xs, horizon, window, exact)
+        idx = [index[x] for x in xs]
+        R[:, idx, fp.band[0] - band[0]: fp.band[1] - band[0] + 1] = fp.R
+        survival[idx], leak[idx] = fp.survival, fp.leak
+        del fp   # freed before the other medium's DP runs
     if not model.two_media and 0 in index:
         i0, origin = index[0], model.origin
         p0 = origin.pmf_frac(0) if exact else origin.pmf(0)

@@ -25,6 +25,7 @@ from .evolve import (
     first_passage_kernel,
     first_passage_rows,
     marginal_sequence,
+    passage_regions,
 )
 from .ladder import centered_tail_sums, direct_constant
 from .model import (
@@ -51,6 +52,8 @@ from .switching import (
 # Rate/exponent/constant fitting
 # ---------------------------------------------------------------------------
 
+NOISE_TOL = 0.1   # largest residual rms of the log-linear fit
+
 @dataclass
 class AsymptoticFit:
     rho_hat: float
@@ -71,7 +74,6 @@ def fit_rate_exponent(
     leaks: Optional[np.ndarray] = None,
     fit_window: Optional[tuple[int, int]] = None,
     log_values: Optional[np.ndarray] = None,
-    noise_tol: float = 0.1,
 ) -> AsymptoticFit:
     """Estimate (rho, beta, C) from a_n ~ C rho^n n^{-beta}.
 
@@ -131,8 +133,8 @@ def fit_rate_exponent(
     (beta_hat, logC), res, *_ = np.linalg.lstsq(A, y, rcond=None)
     fitted = A @ np.array([beta_hat, logC])
     residual_rms = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    if residual_rms > noise_tol:
-        raise SequenceTooNoisy(f"residual rms {residual_rms:.3g} exceeds {noise_tol}")
+    if residual_rms > NOISE_TOL:
+        raise SequenceTooNoisy(f"residual rms {residual_rms:.3g} exceeds {NOISE_TOL}")
 
     # C: plateau mean of the rectified values over the top half of the window
     top = ns >= n_hi // 2
@@ -202,6 +204,8 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+CHUNK = 1 << 15   # paths per Philox stream; fixes which stream each path draws
+
 @dataclass
 class SimResult:
     counts: dict                 # n -> {y: hits}
@@ -239,8 +243,6 @@ def simulate(
     n_steps: int,
     n_paths: int,
     seed: int,
-    record: Optional[Sequence[int]] = None,
-    chunk: int = 1 << 15,
 ) -> SimResult:
     """Sample the walk with counter-based (Philox) streams, one per chunk.
 
@@ -248,19 +250,17 @@ def simulate(
     statistics track the first medium change and the total number of changes.
     Identical (seed, n_paths, n_steps) give byte-identical results.
     """
-    if record is None:
-        record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
-                         if 2 ** k <= n_steps} | {n_steps})
-    record = sorted(set(record))
+    record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
+                     if 2 ** k <= n_steps} | {n_steps})
     laws = {}
     for idx, d in ((0, model.left), (1, model.origin), (2, model.right)):
         laws[idx] = (np.asarray(d.values), np.cumsum(d.probs))
     counts = {n: {} for n in record}
     c1_hist = {}
     switch_hist = {}
-    n_chunks = (n_paths + chunk - 1) // chunk
+    n_chunks = (n_paths + CHUNK - 1) // CHUNK
     for ci in range(n_chunks):
-        m = min(chunk, n_paths - ci * chunk)
+        m = min(CHUNK, n_paths - ci * CHUNK)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(ci))
         pos = np.full(m, x, dtype=np.int64)
         cls = _class_of(pos, model.convention.left_end)
@@ -311,11 +311,12 @@ def _survival_landing(dist: LatticeDist, threshold_hi: bool, n_max: int, z_range
     side = Side.FROM_POSITIVE if threshold_hi else Side.FROM_NEGATIVE
     atoms = [(int(v), p) for v, p in zip(dist.values, dist.fracs if exact else dist.probs)
              if (v >= 1 if threshold_hi else v <= -1)]
-    rows = first_passage_rows(dist, side, Convention.THREE_MEDIA, [v for v, _ in atoms],
-                              n_max - 1, Window(-half, half), exact, keep_states=True)
-    lo, hi = (1, half) if threshold_hi else (-half, -1)
+    window = Window(-half, half)
+    fp = first_passage_rows(dist, side, Convention.THREE_MEDIA, [v for v, _ in atoms],
+                            n_max - 1, window, exact, keep_states=True)
+    (lo, hi), _ = passage_regions(side, Convention.THREE_MEDIA, dist, window)
     zero = Fraction(0) if exact else 0.0
-    return {n: {z: sum((p * rows[v].data["states"][n - 1][z - lo] for v, p in atoms), zero)
+    return {n: {z: sum((p * fp.states[n - 1, i, z - lo] for i, (_, p) in enumerate(atoms)), zero)
                 for z in z_range if lo <= z <= hi}
             for n in range(1, n_max + 1)}
 
@@ -408,16 +409,15 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     n_max = min(horizon, 24)
     zs = range(1, 2 * model.left.max_support + 1)
     lhs_tab = _survival_landing(model.left, True, n_max, zs, exact=exact)
+    # one DP over the starts -z; no mass leaves this window in n_max steps
+    fp = first_passage_rows(model.left, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
+                            [-z for z in zs], n_max,
+                            Window(-n_max * model.max_jump - zs[-1] - 2, model.max_jump + 2),
+                            exact=exact)
     max_resid = zero
-    for z in zs:
-        fp = first_passage_kernel(model.left, Side.FROM_NEGATIVE,
-                                  Convention.THREE_MEDIA, -z, n_max,
-                                  Window(-n_max * model.max_jump - z - 2,
-                                         model.max_jump + 2),
-                                  exact=exact)
-        bl, bh = fp.data["band"]
+    for i, z in enumerate(zs):
         for n in range(1, n_max + 1):
-            rhs = fp.data["arrivals"][n][0 - bl]   # landing exactly on the level
+            rhs = fp.R[n, i, 0 - fp.band[0]]   # landing exactly on the level
             resid = abs(lhs_tab[n].get(z, zero) - rhs)
             if resid > max_resid:
                 max_resid = resid
@@ -434,16 +434,6 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
 # Convergence checks
 # ---------------------------------------------------------------------------
 
-def scalar_renewal(qn: np.ndarray, horizon: int) -> np.ndarray:
-    """Scalar renewal recursion t_n = sum_k q_k t_{n-k}, t_0 = 1."""
-    t = np.zeros(horizon + 1)
-    t[0] = 1.0
-    for n in range(1, horizon + 1):
-        k = np.arange(1, n + 1)
-        t[n] = np.dot(qn[k], t[n - k])
-    return t
-
-
 def convergence_suite(model: OscillatingModel, horizon: int = 4096,
                       window: Optional[Window] = None) -> dict:
     """Operator-renewal convergence diagnostics for a recurrent-switch model.
@@ -455,13 +445,14 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     report = {}
     window = window or Window(-512, 512)
 
-    # synthetic: geometric epoch law has t_n -> q (elementary renewal theorem)
+    # synthetic: geometric epoch law has t_n -> q (elementary renewal theorem),
+    # run through the 1 x 1 band form of the recursion that T_n uses
     q = 0.3
     ns = np.arange(0, 513)
     qn = np.zeros(513)
     qn[1:] = q * (1 - q) ** (ns[1:] - 1)
-    t = scalar_renewal(qn, 512)
-    report["scalar_geometric_renewal_error"] = float(abs(t[512] - q))
+    t = renewal_sequence(qn[:, None, None], qn[:, None, None])
+    report["scalar_geometric_renewal_error"] = float(abs(t[512, 0, 0] - q))
 
     # synthetic: n^{3/2}-convolution limit  P(g) + P(G)
     a, b = 0.7, 1.3

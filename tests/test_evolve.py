@@ -111,6 +111,20 @@ class TestMarginalSequence:
         assert np.allclose(np.log(plain.data["values"][sel]),
                            resc.data["log_values"][sel], atol=1e-9)
 
+    def test_rescaled_dynamic_range(self):
+        # FIX-PP-B3 at the CLI default window: by n = 4096 the origin holds
+        # about 1e-277 of the in-window bulk, about 1e46 above the subnormal
+        # floor, so the per-step normalisation must keep it resolved
+        from oscillax.fixtures import SUBCASE_FIXTURES
+
+        model = SUBCASE_FIXTURES["B3"]()
+        wide, narrow = (marginal_sequence(model, 0, 0, 4096, w, leak_budget=None,
+                                          rescaled=True).data["log_values"][512:]
+                        for w in (default_window(model, 4096), Window(-224, 256)))
+        assert default_window(model, 4096) == Window(-1024, 1024)
+        assert np.all(np.isfinite(wide))
+        assert np.max(np.abs(wide - narrow) / np.abs(narrow)) <= 1e-9
+
     def test_leak_monotone(self, fix_zz):
         t = marginal_sequence(fix_zz, 0, 0, 128, Window(-24, 24), leak_budget=None)
         assert np.all(np.diff(t.leak.astype(float)) >= 0)
@@ -206,16 +220,16 @@ class TestFirstPassageRows:
         hist = first_passage_rows(law, side, convention, xs, n_max, w, exact=True)
         absorb = ({"absorb_ge": 0 if convention is Convention.THREE_MEDIA else 1}
                   if side is Side.FROM_NEGATIVE else {"absorb_le": 0})
+        bl, bh = hist.band
         for x in xs:
-            t = hist[x]
+            i = hist.rows.index(x)
             oracle, alive = enumerate_first_passage(law, x, n_max, **absorb)
-            bl, bh = t.data["band"]
             assert all(bl <= y <= bh for _, y in oracle)
             for n in range(1, n_max + 1):
                 for y in range(bl, bh + 1):
-                    assert t.data["arrivals"][n][y - bl] == oracle.get((n, y), F(0))
-            assert not any(t.leak)
-            assert t.data["survival"][n_max] == sum(alive.values(), F(0))
+                    assert hist.R[n, i, y - bl] == oracle.get((n, y), F(0))
+            assert not any(hist.leak[i])
+            assert hist.survival[i, n_max] == sum(alive.values(), F(0))
 
     @settings(max_examples=40, deadline=None)
     @given(_laws, _sides, _conventions, st.booleans())
@@ -225,14 +239,14 @@ class TestFirstPassageRows:
         xs = _side_rows(side, convention, 5)
         batch = first_passage_rows(law, side, convention, xs, horizon, w, exact=exact)
         for x in xs:
+            i = batch.rows.index(x)
             one = first_passage_kernel(law, side, convention, x, horizon, w, exact=exact)
-            for key in ("arrivals", "survival", "final_state"):
-                assert np.array_equal(batch[x].data[key], one.data[key]), (x, key)
-            assert np.array_equal(batch[x].leak, one.leak)
+            for key, rec in (("arrivals", batch.R[:, i]), ("survival", batch.survival[i])):
+                assert np.array_equal(rec, one.data[key]), (x, key)
+            assert np.array_equal(batch.leak[i], one.leak)
             if exact:
-                arrivals = batch[x].data["arrivals"]
                 for n in range(horizon + 1):
-                    assert batch[x].data["survival"][n] + arrivals[: n + 1].sum() == 1
+                    assert batch.survival[i, n] + batch.R[: n + 1, i].sum() == 1
 
     def test_rows_die_at_different_times(self):
         # an upward-only law empties row x after at most |x| steps
@@ -242,13 +256,13 @@ class TestFirstPassageRows:
         batch = first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
                                    xs, 10, w, exact=True)
         for x in xs:
-            t = batch[x]
+            i = batch.rows.index(x)
             one = first_passage_kernel(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
                                        x, 10, w, exact=True)
-            assert np.array_equal(t.data["arrivals"], one.data["arrivals"])
-            assert np.array_equal(t.data["survival"], one.data["survival"])
-            assert t.data["survival"][-x] == 0 and not t.data["survival"][-x:].any()
-            assert t.data["arrivals"].sum() == 1
+            assert np.array_equal(batch.R[:, i], one.data["arrivals"])
+            assert np.array_equal(batch.survival[i], one.data["survival"])
+            assert batch.survival[i, -x] == 0 and not batch.survival[i, -x:].any()
+            assert batch.R[:, i].sum() == 1
 
     def test_float_matches_exact(self, fix_zz):
         w = Window(-16, 16)   # small enough that the far rows leak
@@ -257,13 +271,14 @@ class TestFirstPassageRows:
             fl = first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w)
             ex = first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w, exact=True)
             for x in xs:
-                for a, b in ((fl[x].data["arrivals"], ex[x].data["arrivals"]),
-                             (fl[x].data["survival"], ex[x].data["survival"]),
-                             (fl[x].leak, ex[x].leak)):
+                i = fl.rows.index(x)
+                for a, b in ((fl.R[:, i], ex.R[:, i]),
+                             (fl.survival[i], ex.survival[i]),
+                             (fl.leak[i], ex.leak[i])):
                     assert np.max(np.abs(a - b.astype(float))) <= 1e-15
-                assert np.all(fl[x].leak >= 0)
-                assert np.all(np.diff(fl[x].leak) >= 0)
-            assert max(float(fl[x].leak[-1]) for x in xs) > 0
+                assert np.all(fl.leak[i] >= 0)
+                assert np.all(np.diff(fl.leak[i]) >= 0)
+            assert max(float(fl.leak[i, -1]) for i in range(len(fl))) > 0
 
     @pytest.mark.parametrize("side,x", [(Side.FROM_NEGATIVE, -20), (Side.FROM_POSITIVE, 20)])
     def test_start_outside_window(self, fix_zz, side, x):

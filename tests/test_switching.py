@@ -144,9 +144,9 @@ class TestBuildQ:
             else:
                 law, side = ((model.left, Side.FROM_NEGATIVE) if x <= conv.left_end
                              else (model.right, Side.FROM_POSITIVE))
-                t = first_passage_rows(law, side, conv, [x], N, w, exact=True)[x]
-                lo, hi = t.data["band"]
-                expected[:, lo - bl: hi - bl + 1] = t.data["arrivals"]
+                fp = first_passage_rows(law, side, conv, [x], N, w, exact=True)
+                lo, hi = fp.band
+                expected[:, lo - bl: hi - bl + 1] = fp.R[:, 0]
             assert (hist.R[:, i] == expected).all(), x
             for n in range(N + 1):
                 assert hist.survival[i, n] + hist.R[: n + 1, i].sum() == 1, (x, n)
@@ -465,6 +465,20 @@ class TestTiltedKernels:
             tracemalloc.stop()
         assert tk.Qn.shape == (65, w.width, tk.band[1] - tk.band[0] + 1)
         assert peak < 50e6
+
+    def test_build_Q_peak_memory(self, fix_zz):
+        # the result stack, its survival and leak, and one medium's DP record
+        # at a time: about 29.7e6 bytes; a medium's record kept alive through
+        # the other medium's DP would add about 8.4e6
+        w = Window(-64, 64)
+        tracemalloc.start()
+        try:
+            hist = build_Q(fix_zz, 4096, w, rows=range(-64, 65))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hist.R.shape == (4097, 129, 3)
+        assert peak < 33e6
 
 
 class TestLimitOperator:

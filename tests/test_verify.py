@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oscillax.errors import LeakDominated, SequenceTooNoisy
 from oscillax import verify
-from oscillax.evolve import Window, first_passage_kernel, marginal_sequence
+from oscillax.evolve import Window, first_passage_kernel, first_passage_rows, marginal_sequence
 from oscillax.model import common_denominator, dist, geometric_tilt
 from oscillax.verify import (
     _survival_landing,
@@ -16,9 +16,9 @@ from oscillax.verify import (
     effective_leak,
     fit_rate_exponent,
     identity_suite,
-    scalar_renewal,
     simulate,
 )
+from oscillax.switching import renewal_sequence
 
 
 class TestFitter:
@@ -168,6 +168,25 @@ class TestIdentitySuiteSensitivity:
         assert rep["tilting_residual"] == float(L ** n0 * ratio ** (x0 - y0) * delta)
         assert rep["trajectory_decomposition_exact_zero"] and rep["duality_exact_zero"]
 
+    def test_duality_sees_one_unit(self, fix_zz, monkeypatch):
+        n0, z0 = 7, 2
+        delta = F(1, common_denominator(fix_zz.left) ** n0)
+        records = []
+
+        def perturbed(*args, **kwargs):
+            fp = first_passage_rows(*args, **kwargs)
+            if not kwargs.get("keep_states"):   # the batched record of the starts -z
+                records.append(fp)
+                fp.R[n0, fp.rows.index(-z0), 0 - fp.band[0]] += delta
+            return fp
+
+        monkeypatch.setattr(verify, "first_passage_rows", perturbed)
+        rep = identity_suite(fix_zz, horizon=12, pairs=[(0, 0)])
+        assert len(records) == 1
+        assert not rep["duality_exact_zero"]
+        assert rep["duality_residual"] == float(delta)
+        assert rep["trajectory_decomposition_exact_zero"] and rep["tilting_exact_zero"]
+
 
 class TestScalarChecks:
     def test_geometric_renewal(self):
@@ -175,9 +194,9 @@ class TestScalarChecks:
         ns = np.arange(1, 301)
         qn = np.zeros(301)
         qn[1:] = q * (1 - q) ** (ns - 1)
-        t = scalar_renewal(qn, 300)
+        t = renewal_sequence(qn[:, None, None], qn[:, None, None])
         # elementary renewal theorem: t_n -> 1/E[epoch] = q
-        assert t[300] == pytest.approx(q, abs=1e-12)
+        assert t[300, 0, 0] == pytest.approx(q, abs=1e-12)
 
     def test_suite_scalars(self, fix_zp):
         rep = convergence_suite(fix_zp)
