@@ -324,12 +324,18 @@ def first_passage_rows(
     # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(dist) if exact else 1
     dtype = object if exact else float
-    # segment ∪ band is one contiguous run of indices (relative to seg_lo);
-    # a destination outside it has left the window
-    band_i = band_lo - seg_lo
-    kept_lo, kept_hi = min(0, band_i), max(width - 1, band_i + band_w - 1)
+    k_lo, kern = dist.dense_kernel(exact, D)
+    jumps = [(k_lo + i, p) for i, p in enumerate(kern) if p != 0]
+    k_hi = k_lo + len(kern) - 1
+    # one buffer, indexed from buf_lo, holds every landing site of a step: the
+    # segment, the band next to it and the sites past the window's edge;
+    # segment ∪ band is one contiguous run, and a landing outside it has left
+    # the window
+    buf_lo = min(seg_lo + min(k_lo, 0), band_lo)
+    buf = np.zeros((rows, max(seg_hi + max(k_hi, 0), band_hi) - buf_lo + 1), dtype=dtype)
+    s, b = seg_lo - buf_lo, band_lo - buf_lo   # segment and band offsets in buf
+    kept_lo, kept_hi = min(seg_lo, band_lo) - buf_lo, max(seg_hi, band_hi) - buf_lo
     state = np.zeros((rows, width), dtype=dtype)
-    new = state.copy()
     for r, x in enumerate(xs):
         state[r, x - seg_lo] = 1
     arrivals = np.zeros((horizon + 1, rows, band_w), dtype=dtype)
@@ -340,32 +346,20 @@ def first_passage_rows(
     if keep_states:
         states = np.zeros((horizon + 1, rows, width), dtype=dtype)
         states[0] = state
-    k_lo, kern = dist.dense_kernel(exact, D)
-    jumps = [(k_lo + i, p) for i, p in enumerate(kern) if p != 0]
-    k_hi = k_lo + len(kern) - 1
-    # [lo, hi] holds every index that can carry mass; it only ever grows, so
-    # zeroing it in the spare buffer clears everything left there before
+    # [lo, hi] holds every segment index that can carry mass; it only ever
+    # grows, so zeroing its reach in buf clears everything left there before
     # (an empty xs runs one step on zero rows and returns an empty record)
     lo, hi = min(xs, default=seg_lo) - seg_lo, max(xs, default=seg_lo) - seg_lo
     n = 0  # the last step run, which the exact conversion below needs
     for n in range(1, horizon + 1):
-        next_lo, next_hi = max(0, lo + min(k_lo, 0)), min(width - 1, hi + max(k_hi, 0))
-        new[:, next_lo:next_hi + 1] = 0
-        lost = np.zeros(rows, dtype=dtype)
+        buf[:, s + lo + min(k_lo, 0):s + hi + max(k_hi, 0) + 1] = 0
         for v, p in jumps:
             # the span [lo, hi] lands on [lo + v, hi + v]
-            a, b = max(lo + v, 0), min(hi + v, width - 1)
-            if a <= b:
-                new[:, a:b + 1] += p * state[:, a - v:b - v + 1]
-            a, b = max(lo + v, band_i), min(hi + v, band_i + band_w - 1)
-            if a <= b:
-                arrivals[n, :, a - band_i:b - band_i + 1] += p * state[:, a - v:b - v + 1]
-            for a, b in ((lo + v, min(hi + v, kept_lo - 1)),
-                         (max(lo + v, kept_hi + 1), hi + v)):
-                if a <= b:
-                    lost += p * state[:, a - v:b - v + 1].sum(axis=1)
-        state, new = new, state
-        lo, hi = next_lo, next_hi
+            buf[:, s + lo + v:s + hi + v + 1] += p * state[:, lo:hi + 1]
+        arrivals[n] = buf[:, b:b + band_w]
+        lost = buf[:, :kept_lo].sum(axis=1) + buf[:, kept_hi + 1:].sum(axis=1)
+        lo, hi = max(0, lo + min(k_lo, 0)), min(width - 1, hi + max(k_hi, 0))
+        state[:, lo:hi + 1] = buf[:, s + lo:s + hi + 1]
         leak[:, n] = leak[:, n - 1] * D + lost
         survival[:, n] = state.sum(axis=1) + leak[:, n]
         if keep_states:

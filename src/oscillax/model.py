@@ -327,8 +327,6 @@ class OscillatingModel:
     convention: Convention
     D: int
     Dprime: int
-    D0_plus: Optional[int]
-    D0_minus: Optional[int]
     drift_case: DriftCase
 
     @property
@@ -385,8 +383,6 @@ def validate_model(
         raise O3Violated(d, dprime)
     if not (origin.min_support < 0 < origin.max_support):
         raise O4Violated("origin law must charge both strict half-lines")
-    d0_plus = max((v for v in origin.values if v >= 1), default=None)
-    d0_minus = min((v for v in origin.values if v <= -1), default=None)
     case = DriftCase(f"({_drift_letter(left.mean)},{_drift_letter(right.mean)})")
     return OscillatingModel(
         left=left,
@@ -395,8 +391,6 @@ def validate_model(
         convention=Convention.TWO_MEDIA if two_media else Convention.THREE_MEDIA,
         D=d,
         Dprime=dprime,
-        D0_plus=d0_plus,
-        D0_minus=d0_minus,
         drift_case=case,
     )
 
@@ -431,7 +425,11 @@ def arrival_band(model: OscillatingModel) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def _pairs_from_json(entries) -> LatticeDist:
-    return dist([(int(v), p) for v, p in entries])
+    pairs = [(v, p) for v, p in entries]
+    for v, _ in pairs:
+        if type(v) is not int:   # int() would read 2.7 as the atom 2
+            raise ValidationError(f"atom value {v!r} is not a JSON integer")
+    return dist(pairs)
 
 
 def _pairs_to_json(d: LatticeDist):
@@ -454,7 +452,9 @@ def load_model(source) -> OscillatingModel:
     try:
         left = _pairs_from_json(payload["left"])
         right = _pairs_from_json(payload["right"])
-        two_media = bool(payload.get("two_media", False))
+        two_media = payload.get("two_media", False)
+        if type(two_media) is not bool:   # bool("false") is True
+            raise ValidationError(f"two_media must be true or false, not {two_media!r}")
         origin = left if two_media else _pairs_from_json(payload["origin"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model file: {exc}") from exc

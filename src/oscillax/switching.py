@@ -249,36 +249,38 @@ def renewal_sequence(R: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window,
-                           ells: Sequence[int], pad_factor: int = 4,
+                           ells: Sequence[int],
                            rows: Optional[Sequence[int]] = None) -> dict:
     """Q_n^{(ell)} exploiting the narrow arrival band of the switching kernel.
 
     Q_n has nonzero columns only on the arrival band B, so
     Q^{(ell)}(z) = R(z) C(z)^{ell-1} with R the (W x B) full kernel stack and
-    C its band-restricted square; FFT over the time axis makes the whole family
-    O(pad * N * W * B^2).  Returns {ell: (N+1, W, B) array} plus band info under
-    key 'band' and {x: row index} under 'rows'.  ``rows`` restricts the R stack
+    C its band-restricted square; FFT over the time axis makes each power
+    O(N * W * B^2) once R and C are transformed.  The transform of
+    C^{(ell-1)} is cut back to n <= N after each product, so every product is
+    of two sequences on 0..N and 2N + 1 points hold it without wrap-around,
+    for every ell.  Returns {ell: (N+1, W, B) array} plus band info under key
+    'band' and {x: row index} under 'rows'.  ``rows`` restricts the R stack
     (the output rows); the band rows themselves are always computed.
     """
     band_lo, band_hi = arrival_band(model)
     band = range(band_lo, band_hi + 1)
     rows = range(window.lo, window.hi + 1) if rows is None else sorted(set(rows) | set(band))
-    M = pad_factor * horizon
+    M = scipy.fft.next_fast_len(2 * horizon + 1, real=True)
     check_size((M, len(rows), len(band)))
     hist = build_Q(model, horizon, window, rows=rows)
     Rhat = scipy.fft.rfft(hist.R, n=M, axis=0, workers=-1)
     Chat = scipy.fft.rfft(hist.C, n=M, axis=0, workers=-1)
     out = {"band": hist.band, "rows": {x: i for i, x in enumerate(hist.rows)}}
-    cpow = None
-    for ell in range(1, max(ells) + 1):
-        if ell == 1:
-            prod = Rhat
-        else:
-            cpow = Chat if cpow is None else np.matmul(cpow, Chat)
-            prod = np.matmul(Rhat, cpow)
+    if 1 in ells:
+        out[1] = hist.R
+    cpow = None   # transform of C^{(ell-1)}, cut to n <= N
+    for ell in range(2, max(ells) + 1):
+        cpow = Chat if cpow is None else scipy.fft.rfft(
+            scipy.fft.irfft(cpow @ Chat, n=M, axis=0)[: horizon + 1], n=M, axis=0)
         if ell in ells:
-            # copy, so the result does not pin the pad_factor-times longer buffer
-            out[ell] = scipy.fft.irfft(prod, n=M, axis=0, workers=-1)[: horizon + 1].copy()
+            # copy, so the result does not pin the twice longer transform buffer
+            out[ell] = scipy.fft.irfft(Rhat @ cpow, n=M, axis=0, workers=-1)[: horizon + 1].copy()
     return out
 
 

@@ -250,6 +250,9 @@ def simulate(
     statistics track the first medium change and the total number of changes.
     Identical (seed, n_paths, n_steps) give byte-identical results.
     """
+    if abs(x) + n_steps * model.max_jump > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"positions from {x} over {n_steps} steps can overflow 64-bit integers")
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
                      if 2 ** k <= n_steps} | {n_steps})
     laws = {}

@@ -149,6 +149,29 @@ class TestCommands:
                      "-n", "32", "-o", str(tmp_path)]) == 2
         assert "first plateau point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--from", "100000000000000000000"],
+        ["simulate", "--from", "9223372036854775800", "-n", "50"],
+    ], ids=["simulate-start-past-int64", "simulate-walk-past-int64"])
+    def test_simulate_int64_overflow_exit_two(self, model_dir, tmp_path, argv):
+        assert main([argv[0], str(model_dir / "FIX-ZZ.json"), *argv[1:],
+                     "-o", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("payload", [
+        {"left": [[-1, "1/2"], [0, "1/4"], [2.7, "1/4"]]},
+        {"two_media": "false"},
+    ], ids=["non-integer-atom", "string-two-media"])
+    def test_misread_model_file_exit_two(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"left": [[-1, "1/2"], [0, "1/4"], [2, "1/4"]],
+                                   "origin": [[-1, "1/2"], [1, "1/2"]],
+                                   "right": [[-2, "1/4"], [0, "1/4"], [1, "1/2"]],
+                                   **payload}))
+        out = tmp_path / "out"
+        assert main(["classify", str(bad), "-o", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_simulate_reproducible_bytes(self, model_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

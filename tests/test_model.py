@@ -232,6 +232,20 @@ class TestModelFiles:
         with pytest.raises(ValidationError):
             load_model({"left": [[-1, "1/2"]]})
 
+    def test_non_integer_atom(self):
+        # int(2.7) would silently make the atom 2
+        with pytest.raises(ValidationError, match="not a JSON integer"):
+            load_model({"left": [[-1, "1/2"], [0, "1/4"], [2.7, "1/4"]],
+                        "origin": [[-1, "1/2"], [1, "1/2"]],
+                        "right": [[-2, "1/4"], [0, "1/4"], [1, "1/2"]]})
+
+    def test_string_two_media(self):
+        # bool("false") is True, which would read the model as two-media
+        with pytest.raises(ValidationError, match="two_media"):
+            load_model({"left": [[-1, "1/2"], [0, "1/4"], [2, "1/4"]],
+                        "right": [[-2, "1/4"], [0, "1/4"], [1, "1/2"]],
+                        "two_media": "false"})
+
     def test_mirror_model_involution(self, fix_pz):
         m = mirror_model(mirror_model(fix_pz))
         assert m.left.as_pairs() == fix_pz.left.as_pairs()

@@ -66,7 +66,7 @@ def period_two_model():
     """+-1 with probability 1/2 in every medium: Q has eigenvalues rho and -rho."""
     pm1 = dist({-1: F(1, 2), 1: F(1, 2)})
     return OscillatingModel(pm1, pm1, pm1, Convention.THREE_MEDIA, D=1, Dprime=-1,
-                            D0_plus=1, D0_minus=-1, drift_case=DriftCase.ZZ)
+                            drift_case=DriftCase.ZZ)
 
 
 def window_rows(w):
@@ -251,24 +251,24 @@ class TestPowerSequences:
     def test_fft_matches_direct(self, fix_zz):
         w = Window(-8, 8)
         hist = build_Q(fix_zz, 32, w, rows=window_rows(w))
-        seqs = banded_power_sequences(fix_zz, 32, w, ells=[2, 3], pad_factor=8)
+        seqs = banded_power_sequences(fix_zz, 32, w, ells=[2, 3])
         direct2 = direct_power_sum(hist.C, hist.R)
         direct3 = direct_power_sum(hist.C, direct2)
         assert np.max(np.abs(seqs[2][: 33] - direct2)) <= 1e-10
         assert np.max(np.abs(seqs[3][: 33] - direct3)) <= 1e-10
 
-    def test_banded_matches_dense(self, fix_zz):
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PN", "FIX-PP"])
+    def test_banded_matches_dense(self, name):
         # the full-walk DP lands every switch on the band, and up to the horizon
-        # the banded powers add up to it: T_n = sum_{l <= n} Q^(l)_n (padding
-        # to N * N steps keeps Q^(N) from wrapping around the FFT)
-        w, N = Window(-8, 8), 32
-        banded = banded_power_sequences(fix_zz, N, w, ells=range(1, N + 1), pad_factor=N)
+        # the banded powers add up to it: T_n = sum_{l <= n} Q^(l)_n
+        model, w, N = FIXTURES[name](), Window(-8, 8), 32
+        banded = banded_power_sequences(model, N, w, ells=range(1, N + 1))
         total = sum(banded[ell][: N + 1] for ell in range(1, N + 1))
         for x in window_rows(w):
-            Tdp = switching_time_marginals(fix_zz, x, N, w)
+            Tdp = switching_time_marginals(model, x, N, w)
             embedded = np.array([on_window(row, w, banded["band"])
                                  for row in total[:, banded["rows"][x]]])
-            assert np.max(np.abs(embedded[1:] - Tdp[1:])) <= 1e-9, x
+            assert np.max(np.abs(embedded[1:] - Tdp[1:])) <= 1e-14, x
 
 
 class TestSpectra:
