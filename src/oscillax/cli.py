@@ -237,6 +237,8 @@ def cmd_verify(args) -> int:
                     "C_hat": fit.C_hat,
                     "residual_rms": fit.residual_rms,
                     "plateau_series": fit.plateau_series,
+                    "fit_window": fit.fit_window,
+                    "usable_points": fit.usable_points,
                 },
                 "passed": passed,
             }

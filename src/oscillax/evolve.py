@@ -91,50 +91,59 @@ def _zeros(shape, exact: bool):
 _fractions = np.frompyfunc(Fraction, 2, 1)
 
 
-def _scatter(target, window: Window, arr, base, lo: int, hi: int):
-    """Add the part of arr (positions base..base+len-1) landing in [lo, hi] into
-    target, indexed over the window; returns the slice bounds (s, e) of arr.
-    Conditionals, not min/max calls: this runs up to seven times a step."""
-    n, off = len(arr), base - window.lo
-    s = 0 if lo <= base else min(lo - base, n)
-    e = n if hi - base >= n - 1 else max(hi - base + 1, s)
-    target[off + s: off + e] += arr[s:e]
-    return s, e
+def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scale: int = 1):
+    """The per-step constants of :func:`step`, one entry per non-empty medium.
 
-
-def step(state, model: OscillatingModel, window: Window, kernels=None, crossed=None):
-    """One step of the oscillating walk; returns (new_state, leaked).
-
-    ``kernels`` holds the (offset, dense weights) of the left, origin and
-    right laws, built once by the caller; it defaults to the float laws, or
-    the Fraction laws for an object-dtype state.  leaked is a pair
-    (below_lo, above_hi); conservation sum(new) + sum(leaked) == sum(state)
-    holds exactly in rational mode.  If ``crossed`` (a window-indexed array)
-    is given, the mass that changes medium on this step is added into it at
-    its landing site.
+    An entry (src, kern, dst, kept, crossings) convolves the medium's sites
+    ``src`` with its law's dense kernel ``kern`` (``exact`` and ``scale`` as in
+    ``LatticeDist.dense_kernel``): arr[kept] lands on ``dst``, the parts of arr
+    before and after ``kept`` leave the window below and above, and each
+    (dst, src) pair of ``crossings`` lands in another medium.
     """
-    if kernels is None:
-        exact = state.dtype == object
-        kernels = [d.dense_kernel(exact) for d in (model.left, model.origin, model.right)]
-    lo, hi = window.lo, window.hi
-    end = model.convention.left_end
-    new = np.zeros(state.shape, dtype=state.dtype)
-    lk_lo = lk_hi = 0
+    lo, hi, end = window.lo, window.hi, model.convention.left_end
+    plan = []
     # the media are [lo, end], [end + 1, 0] and [1, hi]; the origin medium is
     # empty under the two-media convention
-    for a, b, (k_lo, kern) in zip((lo, end + 1, 1), (end, 0, hi), kernels):
-        part = state[a - lo: b - lo + 1]
-        if part.any():
-            arr, base = np.convolve(part, kern), a + k_lo
-            s, e = _scatter(new, window, arr, base, lo, hi)
-            # an empty sum still costs a numpy call, and this runs three times a step
-            lk_lo += arr[:s].sum() if s else 0
-            lk_hi += arr[e:].sum() if e < len(arr) else 0
-            if crossed is not None:  # the mass landing outside [a, b] changed medium
-                if a > lo:
-                    _scatter(crossed, window, arr, base, lo, a - 1)
-                if b < hi:
-                    _scatter(crossed, window, arr, base, b + 1, hi)
+    for a, b, law in ((lo, end, model.left), (end + 1, 0, model.origin), (1, hi, model.right)):
+        if a > b:
+            continue
+        k_lo, kern = law.dense_kernel(exact, scale)
+        base, n = a + k_lo, b - a + len(kern)   # arr covers base..base + n - 1
+
+        def landing(t_lo, t_hi):   # (dst, arr) slices of what lands in [t_lo, t_hi]
+            s = min(max(t_lo - base, 0), n)
+            e = max(min(t_hi - base + 1, n), s)
+            return slice(base - lo + s, base - lo + e), slice(s, e)
+
+        dst, kept = landing(lo, hi)
+        crossings = [landing(c, d) for c, d in ((lo, a - 1), (b + 1, hi)) if c <= d]
+        plan.append((slice(a - lo, b - lo + 1), kern, dst, kept, crossings))
+    return plan
+
+
+def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None):
+    """One step of the oscillating walk; returns (new_state, leaked).
+
+    ``plan`` is the :func:`walk_plan` of the model and window, built once by
+    the caller; it defaults to the float laws, or the Fraction laws for an
+    object-dtype state.  leaked is a pair (below_lo, above_hi); conservation
+    sum(new) + sum(leaked) == sum(state) holds exactly in rational mode.  If
+    ``crossed`` (a window-indexed array) is given, the mass that changes
+    medium on this step is added into it at its landing site.
+    """
+    if plan is None:
+        plan = walk_plan(model, window, state.dtype == object)
+    new = np.zeros(state.shape, dtype=state.dtype)
+    lk_lo = lk_hi = 0
+    for src, kern, dst, kept, crossings in plan:
+        arr = np.convolve(state[src], kern)
+        new[dst] += arr[kept]
+        # an empty sum still costs a numpy call
+        lk_lo += arr[:kept.start].sum() if kept.start else 0
+        lk_hi += arr[kept.stop:].sum() if kept.stop < len(arr) else 0
+        if crossed is not None:
+            for c_dst, c_src in crossings:
+                crossed[c_dst] += arr[c_src]
     return new, (lk_lo, lk_hi)
 
 
@@ -174,10 +183,9 @@ def marginal_sequence(
     window.check_margin(model)
     check_size((horizon + 1,), (window.width,))
     ix, iy = window.index(x), window.index(y)
-    laws = (model.left, model.origin, model.right)
     # exact: integer numerators over scale = D**n (see the module docstring)
-    D = common_denominator(*laws) if exact else 1
-    kernels = [d.dense_kernel(exact, D) for d in laws]
+    D = common_denominator(model.left, model.origin, model.right) if exact else 1
+    plan = walk_plan(model, window, exact, D)
     dtype = object if exact else float
     state = np.zeros(window.width, dtype=dtype)
     state[ix] = 1
@@ -186,13 +194,11 @@ def marginal_sequence(
     log_values = np.full(horizon + 1, -np.inf)
     if x == y:
         log_values[0] = 0.0
-    leak = np.zeros(horizon + 1, dtype=dtype)
-    leak_lo = np.zeros(horizon + 1, dtype=dtype)
-    leak_hi = np.zeros(horizon + 1, dtype=dtype)
+    leak, leak_lo, leak_hi = (np.zeros(horizon + 1, dtype=dtype) for _ in range(3))
     log_scale = 0.0
     scale = 1
     for n in range(1, horizon + 1):
-        state, (lo_n, hi_n) = step(state, model, window, kernels)
+        state, (lo_n, hi_n) = step(state, model, window, plan)
         scale *= D
         scale_leak = math.exp(log_scale) if rescaled else 1
         leak_lo[n] = leak_lo[n - 1] * D + lo_n * scale_leak

@@ -31,6 +31,7 @@ from .evolve import (
     first_passage_rows,
     passage_regions,
     step,
+    walk_plan,
 )
 from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
 from .model import (
@@ -295,13 +296,13 @@ def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
     """
     window.check_margin(model)
     check_size((horizon + 1, window.width))
-    kernels = [d.dense_kernel() for d in (model.left, model.origin, model.right)]
+    plan = walk_plan(model, window)
     state = np.zeros(window.width)
     state[window.index(x)] = 1.0
     T = np.zeros((horizon + 1, window.width))
     T[0] = state  # T_0 = identity row
     for n in range(1, horizon + 1):
-        state, _ = step(state, model, window, kernels, crossed=T[n])
+        state, _ = step(state, model, window, plan, crossed=T[n])
     return T
 
 

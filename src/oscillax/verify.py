@@ -205,6 +205,7 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 CHUNK = 1 << 15   # paths per Philox stream; fixes which stream each path draws
+G = 1 << 12       # inverse-CDF buckets per medium; u * G is exact for a double u
 
 @dataclass
 class SimResult:
@@ -232,9 +233,31 @@ class SimResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def _class_of(positions: np.ndarray, left_end: int) -> np.ndarray:
-    """Medium index per position: 0 left, 1 origin, 2 right."""
-    return np.where(positions <= left_end, 0, np.where(positions <= 0, 1, 2))
+def _inverse_cdf(dists):
+    """draw(cls, u): the jumps values[searchsorted(cumsum(probs), u, "right")],
+    clipped, of dists[cls].  Over the bucket [g/G, (g+1)/G) of law c that is
+    jump[c * G + g], unless a threshold lies inside the bucket: only those
+    draws run searchsorted."""
+    laws = [(np.asarray(d.values), np.cumsum(d.probs)) for d in dists]
+    edges = np.arange(G + 1) / G
+    jump, ambiguous = [], []
+    for vals, cum in laws:
+        k = np.searchsorted(cum, edges[:-1], side="right")
+        jump.append(vals[k.clip(0, len(vals) - 1)])
+        ambiguous.append(np.searchsorted(cum, edges[1:]) > k)
+    jump, ambiguous = np.concatenate(jump), np.concatenate(ambiguous)
+
+    def draw(cls, u):
+        bucket = cls * G + (u * G).astype(np.intp)
+        inc = jump[bucket]
+        fix = np.flatnonzero(ambiguous[bucket])
+        for c, (vals, cum) in enumerate(laws):
+            sel = fix[cls[fix] == c]
+            if len(sel):
+                inc[sel] = vals[np.searchsorted(cum, u[sel], side="right").clip(0, len(vals) - 1)]
+        return inc
+
+    return draw
 
 
 def simulate(
@@ -255,38 +278,25 @@ def simulate(
             f"positions from {x} over {n_steps} steps can overflow 64-bit integers")
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
                      if 2 ** k <= n_steps} | {n_steps})
-    laws = {}
-    for idx, d in ((0, model.left), (1, model.origin), (2, model.right)):
-        laws[idx] = (np.asarray(d.values), np.cumsum(d.probs))
-    counts = {n: {} for n in record}
-    c1_hist = {}
-    switch_hist = {}
-    n_chunks = (n_paths + CHUNK - 1) // CHUNK
-    for ci in range(n_chunks):
+    draw = _inverse_cdf((model.left, model.origin, model.right))
+    left_end = model.convention.left_end
+    counts, c1_hist, switch_hist = {n: {} for n in record}, {}, {}
+    for ci in range((n_paths + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n_paths - ci * CHUNK)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(ci))
         pos = np.full(m, x, dtype=np.int64)
-        cls = _class_of(pos, model.convention.left_end)
+        cls = np.add(pos > left_end, pos > 0, dtype=np.intp)   # 0 left, 1 origin, 2 right
         first_switch = np.zeros(m, dtype=np.int64)  # 0 = not yet
         n_switch = np.zeros(m, dtype=np.int64)
         for n in range(1, n_steps + 1):
-            u = rng.random(m)
-            inc = np.zeros(m, dtype=np.int64)
-            for idx in (0, 1, 2):
-                mask = cls == idx
-                if mask.any():
-                    vals, cum = laws[idx]
-                    inc[mask] = vals[np.searchsorted(cum, u[mask], side="right").clip(0, len(vals) - 1)]
-            pos = pos + inc
-            new_cls = _class_of(pos, model.convention.left_end)
+            pos = pos + draw(cls, rng.random(m))
+            new_cls = np.add(pos > left_end, pos > 0, dtype=np.intp)
             changed = new_cls != cls
             n_switch += changed
-            newly = changed & (first_switch == 0)
-            first_switch[newly] = n
+            first_switch[changed & (first_switch == 0)] = n
             cls = new_cls
             if n in counts:
-                ys, hs = np.unique(pos, return_counts=True)
-                for yy, hh in zip(ys, hs):
+                for yy, hh in zip(*np.unique(pos, return_counts=True)):
                     counts[n][int(yy)] = counts[n].get(int(yy), 0) + int(hh)
         for t, c in zip(*np.unique(first_switch, return_counts=True)):
             key = None if t == 0 else int(t)

@@ -41,6 +41,16 @@ class TestCommands:
         rep = json.loads((tmp_path / "verify.json").read_text())
         assert rep["identities"]["all_exact_zero"] is True
 
+    def test_verify_asymptotics_reports_fit_window(self, model_dir, tmp_path, capsys):
+        capsys.readouterr()   # drop what the model_dir fixture printed
+        assert main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "asymptotics",
+                     "-n", "512", "-o", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / "verify.json")]
+        fit = json.loads((tmp_path / "verify.json").read_text())["asymptotics"]["fit"]
+        assert fit["fit_window"] == [64, 512]
+        # every n in the window: a_n > 0 and the leak is far below 1% of it
+        assert fit["usable_points"] == 512 - 64 + 1
+
     def test_invalid_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"left": [[1, "1/2"], [2, "1/2"]],

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_first_passage, enumerate_marginal
+from conftest import enumerate_first_passage, enumerate_marginal, reference_step
+from oscillax import evolve
 from oscillax.errors import ConventionMismatch, ValidationError, WindowTooSmall
 from oscillax.evolve import (
     Side,
@@ -18,9 +19,12 @@ from oscillax.evolve import (
     marginal_sequence,
     step,
     transition_matrix,
+    walk_plan,
 )
+from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import (
     Convention,
+    common_denominator,
     dist,
     is_strongly_aperiodic,
     mirror_model,
@@ -426,6 +430,81 @@ def _exact_models(draw, two_media):
     # overshoot hypothesis: max left jump times min right jump is at most -2
     assume(left.max_support * right.min_support <= -2)
     return validate_model(left, origin, right, two_media=two_media)
+
+
+ALL_FIXTURES = {**FIXTURES, **{f"FIX-PP-{k}": fn for k, fn in SUBCASE_FIXTURES.items()}}
+
+
+def _kernels(model, exact=False, scale=1):
+    return [d.dense_kernel(exact, scale) for d in (model.left, model.origin, model.right)]
+
+
+class TestStepPlan:
+    """The step plan against the step it replaced (``conftest.reference_step``):
+    the same convolutions, added at each site in the same left, origin, right
+    order, so float results are bitwise equal and exact ones equal."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+    @pytest.mark.parametrize("rescaled", [False, True], ids=["float", "rescaled"])
+    def test_marginal_sequence_bitwise(self, name, rescaled, with_reference_step):
+        # a narrow, lopsided window, so both sides leak
+        model = ALL_FIXTURES[name]()
+        args = (model, 1, -1, 512, Window(-96, 128))
+        kw = dict(leak_budget=None, rescaled=rescaled)
+        ref = with_reference_step(evolve, _kernels(model), marginal_sequence, *args, **kw)
+        new = marginal_sequence(*args, **kw)
+        assert np.array_equal(new.leak, ref.leak)
+        for key in ("values", "leak_below", "leak_above", "final_state"):
+            assert np.array_equal(new.data[key], ref.data[key]), key
+        if rescaled:
+            assert np.array_equal(new.data["log_values"], ref.data["log_values"])
+            assert new.data["log_scale"] == ref.data["log_scale"]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_exact_marginal_sequence(self, name, with_reference_step):
+        model = FIXTURES[name]()
+        D = common_denominator(model.left, model.origin, model.right)
+        args = (model, 0, 2, 40, Window(-16, 16))
+        kw = dict(leak_budget=None, exact=True)
+        ref = with_reference_step(evolve, _kernels(model, True, D), marginal_sequence,
+                                  *args, **kw)
+        new = marginal_sequence(*args, **kw)
+        assert list(new.leak) == list(ref.leak)
+        for key in ("values", "leak_below", "leak_above", "final_state"):
+            assert list(new.data[key]) == list(ref.data[key]), key
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_exact_crossings(self, name):
+        model, w = FIXTURES[name](), Window(-16, 16)
+        plan = walk_plan(model, w, exact=True)
+        state = np.full(w.width, F(0), dtype=object)
+        state[w.index(1)] = F(1)
+        ref = state.copy()
+        for _ in range(24):
+            crossed, crossed_ref = (np.full(w.width, F(0), dtype=object) for _ in range(2))
+            state, leaked = step(state, model, w, plan, crossed=crossed)
+            ref, leaked_ref = reference_step(ref, model, w, crossed=crossed_ref)
+            assert (state == ref).all() and (crossed == crossed_ref).all()
+            assert leaked == leaked_ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans().flatmap(_exact_models), st.integers(-12, -1), st.integers(1, 12),
+           st.data())
+    def test_random_models(self, m, lo, hi, data):
+        # windows down to one site a side, where whole convolutions leave them
+        w = Window(lo, hi)
+        x = data.draw(st.integers(lo, hi))
+        for exact in (False, True):
+            plan = walk_plan(m, w, exact)
+            state = np.zeros(w.width, dtype=object if exact else float)
+            state[w.index(x)] = 1
+            ref = state.copy()
+            for _ in range(12):
+                crossed, crossed_ref = np.zeros_like(state), np.zeros_like(state)
+                state, leaked = step(state, m, w, plan, crossed=crossed)
+                ref, leaked_ref = reference_step(ref, m, w, crossed=crossed_ref)
+                assert np.array_equal(state, ref) and np.array_equal(crossed, crossed_ref)
+                assert leaked == leaked_ref
 
 
 class TestMarginalProperties:

@@ -89,6 +89,13 @@ _APERIODIC_ATOMS = [(neg, pos, t) for neg in (-2, -1) for pos in (1, 2) for t in
                     if math.gcd(pos - neg, t - neg) == 1]
 _two_sided_laws = st.builds(_two_sided_law, st.sampled_from(_APERIODIC_ATOMS),
                             st.dictionaries(st.integers(-2, 2), st.integers(1, 3), max_size=3))
+# centered laws on [-2, 2], so that random models can be (Z,Z) or (P,Z)
+_CENTERED_LAWS = [dist(law) for law in (
+    {-1: F(1, 4), 0: F(1, 2), 1: F(1, 4)},
+    {-1: F(1, 2), 0: F(1, 4), 2: F(1, 4)},
+    {-2: F(1, 4), 0: F(1, 4), 1: F(1, 2)},
+    {-2: F(1, 6), -1: F(1, 6), 0: F(1, 3), 1: F(1, 6), 2: F(1, 6)},
+)]
 
 
 class TestMirrorSymmetry:
@@ -125,6 +132,35 @@ class TestMirrorSymmetry:
         if err is None:
             assert abs(m_rate - rate) <= 1e-12
             assert m_exponent == exponent
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(_two_sided_laws, st.sampled_from(_CENTERED_LAWS)),
+                    min_size=3, max_size=3))
+    def test_random_models_predict(self, laws):
+        # predict on three-media laws on [-2, 2]: a model and its mirror raise
+        # the same error or agree on rate and exponent, and on C_0 where both
+        # report it; centered laws are mixed in so that (Z,Z) models occur
+        try:
+            m = validate_model(*laws)
+        except ValidationError:
+            assume(False)
+
+        def outcome(model):
+            try:
+                rep = predict(model)
+            except OscillaxError as exc:
+                return type(exc), None
+            return None, rep
+
+        err, rep = outcome(m)
+        m_err, m_rep = outcome(mirror_model(m))
+        assert err is m_err
+        if err is None:
+            assert abs(m_rep["rate"] - rep["rate"]) <= 1e-12
+            assert m_rep["exponent"] == rep["exponent"]
+            c0, m_c0 = rep["constants"].get("C_0"), m_rep["constants"].get("C_0")
+            if c0 is not None and m_c0 is not None:
+                assert m_c0 == pytest.approx(c0, rel=1e-9, abs=0)
 
     def test_invariant_profile_mirrors(self, fix_zz, fix_pz):
         # the mirrored model's nu is nu reversed; its lambda_X is lambda_X

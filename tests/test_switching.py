@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oscillax import switching
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import (
     Side,
@@ -13,6 +14,7 @@ from oscillax.evolve import (
     marginal_sequence,
     step,
     transition_matrix,
+    walk_plan,
 )
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.ladder import wiener_hopf_heights
@@ -227,14 +229,24 @@ class TestRenewalSequence:
         w, N = Window(-10, 10), 12
         hist = build_Q(model, N, w, rows=window_rows(w), exact=True)
         T = renewal_sequence(hist.R, hist.C)
-        kernels = [d.dense_kernel(True) for d in (model.left, model.origin, model.right)]
+        plan = walk_plan(model, w, exact=True)
         for x in (-1, 0, 1):
             state = np.full(w.width, F(0), dtype=object)
             state[w.index(x)] = F(1)
             for n in range(1, N + 1):
                 crossed = np.full(w.width, F(0), dtype=object)
-                state, _ = step(state, model, w, kernels, crossed=crossed)
+                state, _ = step(state, model, w, plan, crossed=crossed)
                 assert (on_window(T[n, hist.rows.index(x)], w, hist.band) == crossed).all()
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES, "origin-0"])
+def test_switching_time_marginals_match_reference_step(name, with_reference_step):
+    # the step plan against the step it replaced (conftest.reference_step)
+    model = {**RENEWAL_MODELS, **SUBCASE_FIXTURES}[name]()
+    w = Window(-40, 48)
+    kernels = [d.dense_kernel() for d in (model.left, model.origin, model.right)]
+    ref = with_reference_step(switching, kernels, switching_time_marginals, model, 1, 256, w)
+    assert np.array_equal(switching_time_marginals(model, 1, 256, w), ref)
 
 
 def direct_power_sum(C, prev):

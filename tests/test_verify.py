@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from oscillax.errors import LeakDominated, SequenceTooNoisy
 from oscillax import verify
 from oscillax.evolve import Window, first_passage_kernel, first_passage_rows, marginal_sequence
-from oscillax.model import common_denominator, dist, geometric_tilt
+from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
+from oscillax.model import common_denominator, dist, geometric_tilt, validate_model
 from oscillax.verify import (
+    CHUNK,
+    G,
+    SimResult,
     _survival_landing,
     convergence_suite,
     effective_leak,
@@ -69,6 +73,96 @@ class TestEffectiveLeak:
         raw = t.leak.astype(float)
         assert raw[-1] > 0.3          # the drifting bulk left the window
         assert eff[-1] < 1e-20        # but it cannot plausibly come back
+
+
+def reference_simulate(model, x, n_steps, n_paths, seed):
+    """The sampler before the bucketed lookup: a medium mask per step and a
+    searchsorted per medium."""
+    def class_of(positions):
+        return np.where(positions <= model.convention.left_end, 0,
+                        np.where(positions <= 0, 1, 2))
+
+    record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
+                     if 2 ** k <= n_steps} | {n_steps})
+    laws = {idx: (np.asarray(d.values), np.cumsum(d.probs))
+            for idx, d in enumerate((model.left, model.origin, model.right))}
+    counts, c1_hist, switch_hist = {n: {} for n in record}, {}, {}
+    for ci in range((n_paths + CHUNK - 1) // CHUNK):
+        m = min(CHUNK, n_paths - ci * CHUNK)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(ci))
+        pos = np.full(m, x, dtype=np.int64)
+        cls = class_of(pos)
+        first_switch = np.zeros(m, dtype=np.int64)
+        n_switch = np.zeros(m, dtype=np.int64)
+        for n in range(1, n_steps + 1):
+            u = rng.random(m)
+            inc = np.zeros(m, dtype=np.int64)
+            for idx in (0, 1, 2):
+                mask = cls == idx
+                if mask.any():
+                    vals, cum = laws[idx]
+                    inc[mask] = vals[np.searchsorted(cum, u[mask], side="right")
+                                     .clip(0, len(vals) - 1)]
+            pos = pos + inc
+            new_cls = class_of(pos)
+            changed = new_cls != cls
+            n_switch += changed
+            first_switch[changed & (first_switch == 0)] = n
+            cls = new_cls
+            if n in counts:
+                ys, hs = np.unique(pos, return_counts=True)
+                for yy, hh in zip(ys, hs):
+                    counts[n][int(yy)] = counts[n].get(int(yy), 0) + int(hh)
+        for t, c in zip(*np.unique(first_switch, return_counts=True)):
+            key = None if t == 0 else int(t)
+            c1_hist[key] = c1_hist.get(key, 0) + int(c)
+        for k, c in zip(*np.unique(n_switch, return_counts=True)):
+            switch_hist[int(k)] = switch_hist.get(int(k), 0) + int(c)
+    return SimResult(counts=counts, paths=n_paths, seed=seed, n_steps=n_steps,
+                     c1_histogram=c1_hist, switch_counts=switch_hist)
+
+
+def float_law_model():
+    """Float probabilities: the left law's cumsum ends at 0.9999999999999999, and
+    the right law has a threshold in the top percent of [0, 1)."""
+    return validate_model(dist({-1: 0.3, 0: 0.35, 2: 0.35}), dist({-1: 0.5, 1: 0.5}),
+                          dist({-2: 0.123, -1: 0.2, 0: 0.377, 1: 0.295, 2: 0.005}))
+
+
+SAMPLER_MODELS = {"FIX-ZZ": FIXTURES["FIX-ZZ"], "FIX-PN": FIXTURES["FIX-PN"],
+                  "FIX-PP-B1": SUBCASE_FIXTURES["B1"], "float": float_law_model}
+
+
+class TestSamplerStream:
+    """The bucketed inverse CDF draws the same jump for every u as the
+    searchsorted it replaced, so the sample stream of every seed is kept."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+    def test_same_result_as_reference(self, name):
+        model = SAMPLER_MODELS[name]()
+        if name in ("FIX-PP-B1", "float"):
+            # thresholds off the 1/G grid: some buckets fall back to searchsorted
+            assert any(np.any(np.cumsum(d.probs) * G % 1)
+                       for d in (model.left, model.origin, model.right))
+        # two chunks, the second one partial
+        for x, seed in ((0, 1), (3, 2)):
+            args = (model, x, 50, CHUNK + 5_000, seed)
+            assert simulate(*args) == reference_simulate(*args)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+    def test_lookup_at_edges_and_thresholds(self, name):
+        model = SAMPLER_MODELS[name]()
+        dists = (model.left, model.origin, model.right)
+        draw = verify._inverse_cdf(dists)
+        lower = np.arange(G) / G
+        for c, d in enumerate(dists):
+            cum = np.cumsum(d.probs)
+            u = np.concatenate([lower, np.nextafter(lower + 1 / G, 0), cum, np.nextafter(cum, 0),
+                                np.nextafter(cum, 2)])
+            u = u[u < 1]
+            vals = np.asarray(d.values)
+            expected = vals[np.searchsorted(cum, u, side="right").clip(0, len(vals) - 1)]
+            assert np.array_equal(draw(np.full(len(u), c), u), expected)
 
 
 class TestSimulate:
