@@ -8,7 +8,6 @@ from .evolve import (
     Window,
     default_window,
     excursion_functions,
-    first_passage_kernel,
     first_passage_rows,
     marginal_sequence,
     step,

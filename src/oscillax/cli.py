@@ -90,15 +90,11 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _check_rational(args, model) -> None:
+def cmd_evolve(args) -> int:
+    model = load_model(args.model)
     if args.rational and not model.exact:
         raise ValidationError(
             "--rational requires a model with exact (rational) probabilities")
-
-
-def cmd_evolve(args) -> int:
-    model = load_model(args.model)
-    _check_rational(args, model)
     horizon = args.horizon
     window = _window(args, model, horizon)
     rescaled = args.rescaled or model.drift_case in (DriftCase.PP, DriftCase.NP, DriftCase.NN)
@@ -114,19 +110,17 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    from .model import arrival_band, essential_class
+    from .model import essential_class
     from .switching import build_Q, switching_time_marginals
 
     model = load_model(args.model)
     horizon = args.horizon
     window = _window(args, model, horizon)
-    band_lo, band_hi = arrival_band(model)
-    cols = slice(window.index(band_lo), window.index(band_hi) + 1)
     # T_n(x, y) over the band, one full-walk DP per row x; run before build_Q
     # so that an oversized horizon is refused before any DP starts
-    T = [switching_time_marginals(model, x, horizon, window)[:, cols].copy()
-         for x in essential_class(model)]
+    T = [switching_time_marginals(model, x, horizon, window) for x in essential_class(model)]
     hist = build_Q(model, horizon, window)
+    band_lo, band_hi = hist.band
     out = [(n, x, y, float(hist.R[n, i, j]), float(T[i][n, j]))
            for n in range(1, horizon + 1) for i, x in enumerate(hist.rows)
            for j, y in enumerate(range(band_lo, band_hi + 1))]
@@ -186,7 +180,6 @@ def cmd_verify(args) -> int:
     from .verify import convergence_suite, fit_rate_exponent, identity_suite
 
     model = load_model(args.model)
-    _check_rational(args, model)
     suites = ["identities", "convergence", "asymptotics"] if args.suite == "all" else [args.suite]
     report = {}
     ok = True
@@ -255,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="oscillating random walk laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def rational(p):
-        p.add_argument("--rational", action="store_true",
-                       help="exact rational arithmetic (model probabilities must be rationals)")
-
     def common(p, model=True, window=True, horizon=True):
         if model:
             p.add_argument("model", help="model JSON file")
@@ -276,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="P_x[X_n=y] sequence to CSV")
     common(p)
-    rational(p)
+    p.add_argument("--rational", action="store_true",
+                   help="exact rational arithmetic (model probabilities must be rationals)")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="target", type=int, required=True)
     p.add_argument("--rescaled", action="store_true",
@@ -296,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="identity/convergence/asymptotics suites")
     common(p)
-    rational(p)
     p.add_argument("--suite", choices=["identities", "convergence", "asymptotics", "all"],
                    default="all")
     p.add_argument("--float-mode", action="store_true",
@@ -329,7 +318,7 @@ def main(argv=None) -> int:
     except OscillaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

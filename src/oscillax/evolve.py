@@ -63,8 +63,9 @@ def default_window(model: OscillatingModel, horizon: int) -> Window:
 
 
 def check_size(*shapes) -> None:
-    """Refuse a call whose largest array, at 8 bytes an entry, would exceed
-    MAX_ARRAY_BYTES; callers check before they allocate anything."""
+    """Refuse a call whose largest shape, at 8 bytes an entry, would exceed
+    MAX_ARRAY_BYTES; callers check before they allocate anything.  A shape is
+    an array's, or a DP's steps x sites, which bounds its work the same way."""
     largest = max(shapes, key=math.prod)
     if 8 * math.prod(largest) > MAX_ARRAY_BYTES:
         raise ValidationError(
@@ -382,30 +383,6 @@ def first_passage_rows(
         if keep_states:
             states = _fractions(states, scales[:, None, None])
     return StepKernels(xs, (band_lo, band_hi), arrivals, survival, leak, states)
-
-
-def first_passage_kernel(
-    dist: LatticeDist,
-    side: Side,
-    convention: Convention,
-    x: int,
-    horizon: int,
-    window: Window,
-    exact: bool = False,
-) -> KernelTable:
-    """First-passage kernel row Q_n(x, .) plus the survival sequence.
-
-    The one-row view of :func:`first_passage_rows`: data['arrivals'] is the
-    (horizon+1, band width) row of its stack over data['band'],
-    data['survival'] and the leak are the row's, and data['segment'] is the
-    survival segment.
-    """
-    fp = first_passage_rows(dist, side, convention, [x], horizon, window, exact)
-    segment, _ = passage_regions(side, convention, dist, window)
-    data = {"arrivals": fp.R[:, 0], "band": fp.band, "survival": fp.survival[0],
-            "segment": segment}
-    return KernelTable(window, horizon, data, fp.leak[0],
-                       meta={"x": x, "side": side, "convention": convention, "exact": exact})
 
 
 def excursion_functions(

@@ -214,10 +214,12 @@ def argmin_laplace(d: LatticeDist) -> tuple[float, float]:
     """Locate (lambda, rho) with rho = min L = L(lambda).
 
     Bisection on dL/dt over a bracketing interval grown geometrically from
-    [-1, 1]; two-sided support guarantees an interior minimum.
+    [-t0, t0], t0 = min(1, EXP_OVERFLOW / max|v|) so that L' is finite there;
+    two-sided support guarantees an interior minimum.
     """
     _require_two_sided(d)
-    a, b = -1.0, 1.0
+    b = min(1.0, EXP_OVERFLOW / max(-d.min_support, d.max_support))
+    a = -b
     while laplace_deriv(d, a) > 0:
         a *= 2.0
     while laplace_deriv(d, b) < 0:
@@ -456,7 +458,7 @@ def load_model(source) -> OscillatingModel:
         if type(two_media) is not bool:   # bool("false") is True
             raise ValidationError(f"two_media must be true or false, not {two_media!r}")
         origin = left if two_media else _pairs_from_json(payload["origin"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed model file: {exc}") from exc
     return validate_model(left, origin, right, two_media=two_media)
 

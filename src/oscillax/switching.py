@@ -287,22 +287,29 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
 
 def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
                              window: Window) -> np.ndarray:
-    """T_n(x, .) for n = 0..horizon by direct DP on the full walk.
+    """Band columns of T_n(x, .) for n = 0..horizon by direct DP on the full walk.
 
     A step is a switching time exactly when the walk changes medium, so
     T_n(x, z) is the probability that the step into time n crosses media and
-    lands at z, which :func:`step` reads out.  One full-walk DP serves every
-    n; this is the long-horizon route the renewal recursion is checked against.
+    lands at z, which :func:`step` reads out into one window-wide row.  Every
+    crossing lands on the arrival band, so the result is the (N+1, B) array
+    T[n, j] = T_n(x, band[0] + j) of :func:`renewal_sequence`, with T[0] = 0.
+    One full-walk DP serves every n; this is the long-horizon route the
+    renewal recursion is checked against.
     """
     window.check_margin(model)
     check_size((horizon + 1, window.width))
+    band_lo, band_hi = arrival_band(model)
+    cols = slice(window.index(band_lo), window.index(band_hi) + 1)
     plan = walk_plan(model, window)
     state = np.zeros(window.width)
     state[window.index(x)] = 1.0
-    T = np.zeros((horizon + 1, window.width))
-    T[0] = state  # T_0 = identity row
+    crossed = np.zeros(window.width)
+    T = np.zeros((horizon + 1, band_hi - band_lo + 1))
     for n in range(1, horizon + 1):
-        state, _ = step(state, model, window, plan, crossed=T[n])
+        crossed.fill(0.0)
+        state, _ = step(state, model, window, plan, crossed=crossed)
+        T[n] = crossed[cols]
     return T
 
 

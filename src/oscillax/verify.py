@@ -22,7 +22,6 @@ from .evolve import (
     Side,
     Window,
     excursion_functions,
-    first_passage_kernel,
     first_passage_rows,
     marginal_sequence,
     passage_regions,
@@ -276,6 +275,8 @@ def simulate(
     if abs(x) + n_steps * model.max_jump > np.iinfo(np.int64).max:
         raise ValidationError(
             f"positions from {x} over {n_steps} steps can overflow 64-bit integers")
+    if not 0 <= seed < 2 ** 128:
+        raise ValidationError(f"seed {seed} is not in [0, 2**128), the Philox key range")
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
                      if 2 ** k <= n_steps} | {n_steps})
     draw = _inverse_cdf((model.left, model.origin, model.right))
@@ -397,18 +398,16 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     else:
         Lval = laplace(model.left, math.log(float(tilt_ratio)))
     x0 = model.convention.left_end
-    fp = first_passage_kernel(model.left, Side.FROM_NEGATIVE, model.convention,
-                              x0, 20, window, exact=exact)
-    fp_t = first_passage_kernel(left_t, Side.FROM_NEGATIVE, model.convention,
-                                x0, 20, window, exact=exact)
-    bl, bh = fp.data["band"]
+    fp, fp_t = (first_passage_rows(law, Side.FROM_NEGATIVE, model.convention, [x0], 20,
+                                   window, exact=exact) for law in (model.left, left_t))
+    bl, bh = fp.band
     ratio = Fraction(tilt_ratio) if exact else float(tilt_ratio)
     Ln = one
     for n in range(1, 21):
         Ln = Ln * Lval
         for y in range(bl, bh + 1):
-            lhs = fp.data["arrivals"][n][y - bl]
-            rhs = Ln * ratio ** (x0 - y) * fp_t.data["arrivals"][n][y - bl]
+            lhs = fp.R[n, 0, y - bl]
+            rhs = Ln * ratio ** (x0 - y) * fp_t.R[n, 0, y - bl]
             resid = abs(lhs - rhs)
             if resid > max_resid:
                 max_resid = resid
@@ -498,10 +497,11 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
         bold_c = math.pi * tail_level
         report["bold_c"] = bold_c
         T = switching_time_marginals(model, 0, horizon, window)
+        j0 = 0 - arrival_band(model)[0]   # the band column of the origin
         series = []
         n = 64
         while n <= horizon:
-            val = math.sqrt(n) * T[n][window.index(0)] * bold_c / float(nu[window.index(0)])
+            val = math.sqrt(n) * T[n, j0] * bold_c / float(nu[window.index(0)])
             series.append((n, float(val)))
             n *= 2
         report["sqrt_n_Tn_plateau"] = series

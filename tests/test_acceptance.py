@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oscillax.evolve import Side, Window, first_passage_kernel, marginal_sequence, step, transition_matrix
+from oscillax.evolve import Side, Window, first_passage_rows, marginal_sequence, step, transition_matrix
 from oscillax.ladder import LadderVariant, fluctuation_constants, ladder_potentials
 from oscillax.model import Convention, DriftCase
 from oscillax.regimes import classify, predicted_constant_Cy, select_tilt
@@ -193,9 +193,9 @@ def test_criterion_09_epoch_asymptotics(fix_zz):
     n = 1 << 12
     oks, vals = [], []
     for x in (-1, -3):
-        t = first_passage_kernel(fix_zz.left, Side.FROM_NEGATIVE,
-                                 Convention.THREE_MEDIA, x, n, Window(-1400, 8))
-        f_n = float(t.data["arrivals"][n].sum())
+        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                               Convention.THREE_MEDIA, [x], n, Window(-1400, 8))
+        f_n = float(t.R[n, 0].sum())
         val = n ** 1.5 * f_n / pot.V(LadderVariant.STRICT_ASC, abs(x))
         rel = abs(val - fc.c_direct) / fc.c_direct
         oks.append(rel <= 0.05)

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 import time
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oscillax.cli import main
+from oscillax.cli import build_parser, main
 
 FIX_DIR = None
 
@@ -115,8 +117,9 @@ class TestCommands:
         ["classify", "FIX-ZZ.json", "-W", "64"],
         ["simulate", "FIX-ZZ.json", "-W", "64"],
         ["fixtures", "-n", "5"],
+        ["verify", "FIX-ZZ.json", "--rational"],
     ], ids=["seed", "rational", "threads", "classify-window", "simulate-window",
-            "fixtures-horizon"])
+            "fixtures-horizon", "verify-rational"])
     def test_flags_scoped_to_their_commands(self, model_dir, argv):
         if argv[1].endswith(".json"):
             argv = [argv[0], str(model_dir / argv[1]), *argv[2:]]
@@ -144,8 +147,8 @@ class TestCommands:
         ["verify", "--suite", "convergence", "-n", "1000000"],
     ], ids=["kernel", "verify-convergence"])
     def test_oversized_horizon_exit_two(self, model_dir, tmp_path, capsys, argv):
-        # the default window at this horizon is 32001 sites wide: the T_n table
-        # alone would need 238 GiB
+        # the default window at this horizon is 32001 sites wide: the T_n DP
+        # would run 10^6 steps over it, refused as a 238 GiB table would be
         t0 = time.perf_counter()
         assert main([argv[0], str(model_dir / "FIX-ZZ.json"), *argv[1:],
                      "-o", str(tmp_path)]) == 2
@@ -167,6 +170,35 @@ class TestCommands:
         assert main([argv[0], str(model_dir / "FIX-ZZ.json"), *argv[1:],
                      "-o", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "FIX-ZZ.json", "--seed", "-1"],
+        ["simulate", "FIX-ZZ.json", "--seed", str(2 ** 128)],
+        ["classify", "a-directory"],
+        ["classify", "FIX-ZZ.json", "-o", "a-file"],
+        ["classify", "zero-denominator.json"],
+    ], ids=["seed-negative", "seed-past-philox-key", "model-is-directory",
+            "out-is-file", "zero-denominator"])
+    def test_bad_input_exit_two(self, model_dir, tmp_path, capsys, argv):
+        # invalid input exits 2 with one error line, never a traceback with
+        # exit 1, the code of a verification failure
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "a-file").write_text("kept\n")
+        (tmp_path / "zero-denominator.json").write_text(json.dumps(
+            {"left": [[-1, "1/2"], [0, "1/0"], [2, "1/4"]],
+             "origin": [[-1, "1/2"], [1, "1/2"]],
+             "right": [[-2, "1/4"], [0, "1/4"], [1, "1/2"]]}))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        argv = [str(model_dir / a) if a == "FIX-ZZ.json"
+                else str(tmp_path / a) if (tmp_path / a).exists() else a for a in argv]
+        if "-o" not in argv:
+            argv += ["-o", str(tmp_path / "out")]
+        capsys.readouterr()   # drop what the model_dir fixture printed
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("payload", [
         {"left": [[-1, "1/2"], [0, "1/4"], [2.7, "1/4"]]},
@@ -224,6 +256,20 @@ class TestCommands:
         monkeypatch.setenv("OSCILLAX_OUT", str(tmp_path / "envout"))
         assert main(["classify", str(model_dir / "FIX-ZZ.json")]) == 0
         assert (tmp_path / "envout" / "classify.json").exists()
+
+
+def test_readme_flag_table_matches_parser():
+    # the README's per-command flag table lists each subcommand's option
+    # strings, "--out/-o" standing for the pair, and nothing else
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("The flags each command takes:\n\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for name, flags in re.findall(r"^\| `(\w+)` *\| (.*?) *\|$", section, re.MULTILINE):
+        table[name] = {s for f in flags.split(", ") for s in f.strip("`").split("/")}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+              for name, p in sub.choices.items()}
+    assert table == parsed
 
 
 class TestEntryPoint:

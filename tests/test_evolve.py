@@ -14,7 +14,6 @@ from oscillax.evolve import (
     Window,
     default_window,
     excursion_functions,
-    first_passage_kernel,
     first_passage_rows,
     marginal_sequence,
     step,
@@ -150,50 +149,50 @@ class TestMarginalSequence:
 class TestFirstPassage:
     def test_one_step_values(self, fix_zz):
         w = Window(-32, 8)
-        t = first_passage_kernel(fix_zz.left, Side.FROM_NEGATIVE,
-                                 Convention.THREE_MEDIA, -1, 8, w, exact=True)
-        bl, _ = t.data["band"]
-        assert t.data["arrivals"][1][1 - bl] == F(1, 4)   # jump +2 lands at +1
-        assert t.data["arrivals"][1][0 - bl] == F(0)      # mu(1) = 0
-        assert t.data["survival"][1] == F(3, 4)
+        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                               Convention.THREE_MEDIA, [-1], 8, w, exact=True)
+        bl, _ = t.band
+        assert t.R[1, 0, 1 - bl] == F(1, 4)   # jump +2 lands at +1
+        assert t.R[1, 0, 0 - bl] == F(0)      # mu(1) = 0
+        assert t.survival[0][1] == F(3, 4)
 
     def test_two_step_path(self, fix_zz):
         # single path -1 -> -2 -> 0 with probability mu(-1) mu(2)
         w = Window(-32, 8)
-        t = first_passage_kernel(fix_zz.left, Side.FROM_NEGATIVE,
-                                 Convention.THREE_MEDIA, -1, 8, w, exact=True)
-        bl, _ = t.data["band"]
-        assert t.data["arrivals"][2][0 - bl] == F(1, 2) * F(1, 4)
+        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                               Convention.THREE_MEDIA, [-1], 8, w, exact=True)
+        bl, _ = t.band
+        assert t.R[2, 0, 0 - bl] == F(1, 2) * F(1, 4)
 
     def test_matches_enumeration(self, fix_zz):
         oracle, _ = enumerate_first_passage(fix_zz.left, -2, 6, absorb_ge=0)
         w = Window(-40, 8)
-        t = first_passage_kernel(fix_zz.left, Side.FROM_NEGATIVE,
-                                 Convention.THREE_MEDIA, -2, 6, w, exact=True)
-        bl, bh = t.data["band"]
+        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                               Convention.THREE_MEDIA, [-2], 6, w, exact=True)
+        bl, bh = t.band
         for n in range(1, 7):
             for y in range(bl, bh + 1):
-                assert t.data["arrivals"][n][y - bl] == oracle.get((n, y), F(0))
+                assert t.R[n, 0, y - bl] == oracle.get((n, y), F(0))
 
     def test_survival_identity_exact(self, fix_zz):
         w = Window(-64, 8)
-        t = first_passage_kernel(fix_zz.left, Side.FROM_NEGATIVE,
-                                 Convention.THREE_MEDIA, -1, 64, w, exact=True)
-        absorbed = sum(t.data["arrivals"][n].sum() for n in range(65))
-        assert absorbed + t.data["survival"][64] == 1
+        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                               Convention.THREE_MEDIA, [-1], 64, w, exact=True)
+        absorbed = sum(t.R[n, 0].sum() for n in range(65))
+        assert absorbed + t.survival[0][64] == 1
 
     def test_two_media_regions(self, fix_pp):
         w = Window(-32, 8)
-        t = first_passage_kernel(fix_pp.left, Side.FROM_NEGATIVE,
-                                 Convention.TWO_MEDIA, 0, 4, w, exact=True)
-        bl, bh = t.data["band"]
+        t = first_passage_rows(fix_pp.left, Side.FROM_NEGATIVE,
+                               Convention.TWO_MEDIA, [0], 4, w, exact=True)
+        bl, bh = t.band
         assert (bl, bh) == (1, 2)
-        assert t.data["arrivals"][1][2 - bl] == F(1, 2)   # 0 -> +2 crosses
+        assert t.R[1, 0, 2 - bl] == F(1, 2)   # 0 -> +2 crosses
 
     def test_start_outside_region(self, fix_zz):
         with pytest.raises(ConventionMismatch):
-            first_passage_kernel(fix_zz.left, Side.FROM_NEGATIVE,
-                                 Convention.THREE_MEDIA, 0, 4, Window(-16, 8))
+            first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                               Convention.THREE_MEDIA, [0], 4, Window(-16, 8))
 
 
 def _side_rows(side, convention, count):
@@ -244,10 +243,11 @@ class TestFirstPassageRows:
         batch = first_passage_rows(law, side, convention, xs, horizon, w, exact=exact)
         for x in xs:
             i = batch.rows.index(x)
-            one = first_passage_kernel(law, side, convention, x, horizon, w, exact=exact)
-            for key, rec in (("arrivals", batch.R[:, i]), ("survival", batch.survival[i])):
-                assert np.array_equal(rec, one.data[key]), (x, key)
-            assert np.array_equal(batch.leak[i], one.leak)
+            one = first_passage_rows(law, side, convention, [x], horizon, w, exact=exact)
+            for key, rec, row in (("arrivals", batch.R[:, i], one.R[:, 0]),
+                                  ("survival", batch.survival[i], one.survival[0])):
+                assert np.array_equal(rec, row), (x, key)
+            assert np.array_equal(batch.leak[i], one.leak[0])
             if exact:
                 for n in range(horizon + 1):
                     assert batch.survival[i, n] + batch.R[: n + 1, i].sum() == 1
@@ -261,10 +261,10 @@ class TestFirstPassageRows:
                                    xs, 10, w, exact=True)
         for x in xs:
             i = batch.rows.index(x)
-            one = first_passage_kernel(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
-                                       x, 10, w, exact=True)
-            assert np.array_equal(batch.R[:, i], one.data["arrivals"])
-            assert np.array_equal(batch.survival[i], one.data["survival"])
+            one = first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
+                                     [x], 10, w, exact=True)
+            assert np.array_equal(batch.R[:, i], one.R[:, 0])
+            assert np.array_equal(batch.survival[i], one.survival[0])
             assert batch.survival[i, -x] == 0 and not batch.survival[i, -x:].any()
             assert batch.R[:, i].sum() == 1
 
@@ -288,7 +288,7 @@ class TestFirstPassageRows:
     def test_start_outside_window(self, fix_zz, side, x):
         law = fix_zz.left if side is Side.FROM_NEGATIVE else fix_zz.right
         with pytest.raises(ValidationError):
-            first_passage_kernel(law, side, Convention.THREE_MEDIA, x, 4, Window(-16, 16))
+            first_passage_rows(law, side, Convention.THREE_MEDIA, [x], 4, Window(-16, 16))
         with pytest.raises(ValidationError):
             first_passage_rows(law, side, Convention.THREE_MEDIA, [x // 4, x], 4,
                                Window(-16, 16))
@@ -384,9 +384,9 @@ class TestDriftTailBounds:
         moments = []
         xs = range(-1, -21, -1)
         for x in xs:
-            t = first_passage_kernel(fix_pn.left, Side.FROM_NEGATIVE,
-                                     Convention.THREE_MEDIA, x, 600, w)
-            surv = t.data["survival"].astype(float)
+            t = first_passage_rows(fix_pn.left, Side.FROM_NEGATIVE,
+                                   Convention.THREE_MEDIA, [x], 600, w)
+            surv = t.survival[0].astype(float)
             assert surv[-1] < 1e-12   # positive drift: crossing is fast
             f = -np.diff(surv)
             ns = np.arange(1, 601)
@@ -400,15 +400,15 @@ class TestDriftTailBounds:
         # bounded and does not grow across doubling n
         p, eps = 2.5, 0.25
         w = Window(-64, 2048 + 64)
-        t = first_passage_kernel(fix_zp.right, Side.FROM_POSITIVE,
-                                 Convention.THREE_MEDIA, 1, 2048, w)
-        bl, bh = t.data["band"]
+        t = first_passage_rows(fix_zp.right, Side.FROM_POSITIVE,
+                               Convention.THREE_MEDIA, [1], 2048, w)
+        bl, bh = t.band
         sups = []
         for n in (256, 512, 1024, 2048):
             vals = []
             for y in range(bl, bh + 1):
                 vals.append(n ** (p - 1 - eps) * (1 + abs(y) ** (1 + eps))
-                            * float(t.data["arrivals"][n][y - bl]))
+                            * float(t.R[n, 0, y - bl]))
             sups.append(max(vals))
         assert all(np.isfinite(sups))
         for a, b in zip(sups, sups[1:]):

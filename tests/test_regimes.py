@@ -76,6 +76,16 @@ class TestClassifyFixtures:
         with pytest.raises(ConventionMismatch):
             classify(m)
 
+    def test_atom_beyond_exp_overflow(self, fix_pp):
+        # an atom at 701: L'(t) at t = -1 would need e^{701}, so the argmin
+        # bracket starts inside |t v| <= 700
+        left = dist({-1: F(1, 3), 0: F(1, 3), 701: F(1, 3)})
+        m = validate_model(left, left, fix_pp.right, two_media=True)
+        p = classify(m)
+        assert (p.drift_case, p.subcase, p.exponent) == (DriftCase.PP, "C", 1.5)
+        assert p.details["lambda"] < 0 and p.details["rho"] < 1.0
+        assert predict(m)["subcase"] == "C"
+
 
 def _two_sided_law(atoms, weights):
     """A law on [-2, 2] with integer weights and at least the three ``atoms``."""

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import reference_step
 from oscillax import switching
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import (
@@ -217,8 +218,7 @@ class TestRenewalSequence:
         T = renewal_sequence(hist.R, hist.C)
         Tdp = switching_time_marginals(model, 0, 40, w)
         i0 = hist.rows.index(0)
-        err = max(np.max(np.abs(on_window(T[n, i0], w, hist.band) - Tdp[n]))
-                  for n in range(1, 41))
+        err = max(np.max(np.abs(T[n, i0] - Tdp[n])) for n in range(1, 41))
         assert err <= 1e-14
 
     @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP", "FIX-PN", "origin-0"])
@@ -247,6 +247,26 @@ def test_switching_time_marginals_match_reference_step(name, with_reference_step
     kernels = [d.dense_kernel() for d in (model.left, model.origin, model.right)]
     ref = with_reference_step(switching, kernels, switching_time_marginals, model, 1, 256, w)
     assert np.array_equal(switching_time_marginals(model, 1, 256, w), ref)
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES, "origin-0"])
+def test_switching_time_marginals_keep_every_crossing(name):
+    # the window-wide table T[n] = crossed row of step n, built with the
+    # reference step, holds every crossing on the arrival band: the band
+    # columns are the band-form T bit for bit, and nothing is lost off the band
+    model = {**RENEWAL_MODELS, **SUBCASE_FIXTURES}[name]()
+    w = Window(-40, 48)
+    state = np.zeros(w.width)
+    state[w.index(1)] = 1.0
+    full = np.zeros((257, w.width))
+    for n in range(1, 257):
+        state, _ = reference_step(state, model, w, crossed=full[n])
+    T = switching_time_marginals(model, 1, 256, w)
+    cols = band_cols(w, arrival_band(model))
+    assert T.shape == (257, cols.stop - cols.start)
+    assert np.array_equal(full[:, cols], T)
+    full[:, cols] = 0.0
+    assert not full.any()
 
 
 def direct_power_sum(C, prev):
@@ -278,9 +298,7 @@ class TestPowerSequences:
         total = sum(banded[ell][: N + 1] for ell in range(1, N + 1))
         for x in window_rows(w):
             Tdp = switching_time_marginals(model, x, N, w)
-            embedded = np.array([on_window(row, w, banded["band"])
-                                 for row in total[:, banded["rows"][x]]])
-            assert np.max(np.abs(embedded[1:] - Tdp[1:])) <= 1e-14, x
+            assert np.max(np.abs(total[1:, banded["rows"][x]] - Tdp[1:])) <= 1e-14, x
 
 
 class TestSpectra:
@@ -432,7 +450,6 @@ class TestTiltedKernels:
                     assert lhs == rhs, (x, n, y)
 
     def test_b2_damped_side_row_sums(self, fix_pp):
-        from oscillax.evolve import Side, first_passage_kernel
         from oscillax.model import Convention
         from oscillax.regimes import classify, select_tilt
 
@@ -444,15 +461,15 @@ class TestTiltedKernels:
         assert tk.damped_side == "left"
         agg = tk.Qn.sum(axis=0)
         # undamped (right) side: exact mass accounting against its own survival
-        fp = first_passage_kernel(tk.tilted_model.right, Side.FROM_POSITIVE,
-                                  Convention.TWO_MEDIA, 4, 64, w)
+        fp = first_passage_rows(tk.tilted_model.right, Side.FROM_POSITIVE,
+                                Convention.TWO_MEDIA, [4], 64, w)
         undamped = agg[w.index(4), :].sum()
-        assert undamped + fp.data["survival"][64] == pytest.approx(1.0, abs=1e-12)
+        assert undamped + fp.survival[0][64] == pytest.approx(1.0, abs=1e-12)
         # damped (left) side: strictly below the same accounting level
-        fp_l = first_passage_kernel(tk.tilted_model.left, Side.FROM_NEGATIVE,
-                                    Convention.TWO_MEDIA, -4, 64, w)
+        fp_l = first_passage_rows(tk.tilted_model.left, Side.FROM_NEGATIVE,
+                                  Convention.TWO_MEDIA, [-4], 64, w)
         damped = agg[w.index(-4), :].sum()
-        assert damped < (1.0 - float(fp_l.data["survival"][64])) - 0.05
+        assert damped < (1.0 - float(fp_l.survival[0][64])) - 0.05
 
     def test_crossing_case_no_damping(self, subcase_models):
         from oscillax.regimes import classify, select_tilt
@@ -549,13 +566,12 @@ class TestLimitOperator:
         # n^{3/2} Q_n(-1, 0) approaches E(-1, 0) (tested loosely here; the
         # acceptance suite pins the 5% version at n = 4096)
         w = Window(-512, 16)
-        from oscillax.evolve import Side, first_passage_kernel
         from oscillax.model import Convention
 
-        t = first_passage_kernel(fix_zz.left, Side.FROM_NEGATIVE,
-                                 Convention.THREE_MEDIA, -1, 1024, w)
-        bl, _ = t.data["band"]
-        val = 1024 ** 1.5 * t.data["arrivals"][1024][0 - bl]
+        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                               Convention.THREE_MEDIA, [-1], 1024, w)
+        bl, _ = t.band
+        val = 1024 ** 1.5 * t.R[1024, 0, 0 - bl]
         E = limit_operator_E(fix_zz, Window(-24, 24))
         target = E[Window(-24, 24).index(-1), 0 - arrival_band(fix_zz)[0]]
         assert val == pytest.approx(target, rel=0.1)
@@ -565,8 +581,9 @@ HUGE = 10 ** 6
 
 
 class TestSizeGuard:
-    # each call would allocate far over MAX_ARRAY_BYTES (T alone would be 238 GiB
-    # for switching_time_marginals); it must be refused before allocating anything
+    # each call would allocate far over MAX_ARRAY_BYTES (switching_time_marginals
+    # would run 10^6 steps over 32001 sites, refused as a 238 GiB table would
+    # be); it must be refused before allocating anything
     @pytest.mark.parametrize("call", [
         lambda m: switching_time_marginals(m, 0, HUGE, default_window(m, HUGE)),
         lambda m: build_Q(m, 1000 * HUGE, Window(-64, 64)),

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oscillax.errors import LeakDominated, SequenceTooNoisy
 from oscillax import verify
-from oscillax.evolve import Window, first_passage_kernel, first_passage_rows, marginal_sequence
+from oscillax.evolve import Window, first_passage_rows, marginal_sequence
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
-from oscillax.model import common_denominator, dist, geometric_tilt, validate_model
+from oscillax.model import arrival_band, common_denominator, dist, geometric_tilt, validate_model
 from oscillax.verify import (
     CHUNK,
     G,
@@ -22,7 +22,7 @@ from oscillax.verify import (
     identity_suite,
     simulate,
 )
-from oscillax.switching import renewal_sequence
+from oscillax.switching import build_Q, dominant_eigenpair, renewal_sequence, switching_kernel
 
 
 class TestFitter:
@@ -249,13 +249,12 @@ class TestIdentitySuiteSensitivity:
         delta = F(1, common_denominator(left_t) ** n0)
 
         def perturbed(law, *args, **kwargs):
-            t = first_passage_kernel(law, *args, **kwargs)
-            if law.fracs == left_t.fracs:
-                bl, _ = t.data["band"]
-                t.data["arrivals"][n0][y0 - bl] += delta
-            return t
+            fp = first_passage_rows(law, *args, **kwargs)
+            if law.fracs == left_t.fracs and fp.rows == [x0]:   # the tilted row of (ii)
+                fp.R[n0, 0, y0 - fp.band[0]] += delta
+            return fp
 
-        monkeypatch.setattr(verify, "first_passage_kernel", perturbed)
+        monkeypatch.setattr(verify, "first_passage_rows", perturbed)
         rep = identity_suite(fix_zz, horizon=12, tilt_ratio=ratio, pairs=[(0, 0)])
         assert not rep["tilting_exact_zero"]
         L = sum(p * ratio ** v for v, p in zip(fix_zz.left.values, fix_zz.left.fracs))
@@ -269,7 +268,7 @@ class TestIdentitySuiteSensitivity:
 
         def perturbed(*args, **kwargs):
             fp = first_passage_rows(*args, **kwargs)
-            if not kwargs.get("keep_states"):   # the batched record of the starts -z
+            if -z0 in fp.rows:   # the batched record of the starts -z
                 records.append(fp)
                 fp.R[n0, fp.rows.index(-z0), 0 - fp.band[0]] += delta
             return fp
@@ -296,6 +295,19 @@ class TestScalarChecks:
         rep = convergence_suite(fix_zp)
         assert rep["scalar_geometric_renewal_error"] < 1e-9
         assert rep["scalar_tail_convolution_error"] < 0.05
+
+    def test_plateau_reads_the_origin(self, fix_pz):
+        # sqrt(n) T_n(0, 0) bold_c / nu(0), with T_n(0, 0) from the renewal
+        # recursion in place of the full-walk DP the suite runs
+        w, N = Window(-64, 64), 128
+        rep = convergence_suite(fix_pz, horizon=N, window=w)
+        band = arrival_band(fix_pz)
+        hist = build_Q(fix_pz, N, w, rows=[*range(band[0], band[1] + 1), 0])
+        T = renewal_sequence(hist.R, hist.C)[:, hist.rows.index(0), 0 - band[0]]
+        nu0 = dominant_eigenpair(switching_kernel(fix_pz, w)).nu[w.index(0)]
+        assert [n for n, _ in rep["sqrt_n_Tn_plateau"]] == [64, 128]
+        for n, val in rep["sqrt_n_Tn_plateau"]:
+            assert val == pytest.approx(math.sqrt(n) * T[n] * rep["bold_c"] / nu0, rel=1e-12)
 
 
 class TestSurvivalLanding:
