@@ -5,8 +5,8 @@ Everything here evolves probability vectors indexed by an integer window
 is a rigorous bound on the truncation error of every reported probability.
 A rational mode backs the exact-identity tests: after n steps every mass is
 an integer over D**n (D = ``common_denominator`` of the laws), so the DP runs
-on Python-int numerators with the integer weights p * D, carries cumulative
-leak as leak_n = leak_{n-1} * D + lost_n, and returns Fractions.  A rescaled
+on Python-int numerators with the integer weights p * D, adds each step's
+lost mass over D**n into Fraction leak totals, and returns Fractions.  A rescaled
 mode keeps transient sequences representable far past the underflow point of
 raw doubles.
 """
@@ -22,10 +22,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConventionMismatch, ValidationError, WindowTooSmall
-from .model import Convention, LatticeDist, OscillatingModel, common_denominator, mirror_dist
+from .model import (Convention, LatticeDist, OscillatingModel, arrival_band, common_denominator,
+                    mirror_dist)
 
 DEFAULT_LEAK_BUDGET = 1e-10
 MAX_ARRAY_BYTES = 1 << 30   # largest single array any engine may allocate
+BLOCK = 8   # steps a float DP advances per sparse product
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def default_window(model: OscillatingModel, horizon: int) -> Window:
 def check_size(*shapes) -> None:
     """Refuse a call whose largest shape, at 8 bytes an entry, would exceed
     MAX_ARRAY_BYTES; callers check before they allocate anything.  A shape is
-    an array's, or a DP's steps x sites, which bounds its work the same way."""
+    an array's, a DP's steps x sites (its work), or its operator's entries."""
     largest = max(shapes, key=math.prod)
     if 8 * math.prod(largest) > MAX_ARRAY_BYTES:
         raise ValidationError(
@@ -92,34 +94,105 @@ def _zeros(shape, exact: bool):
 _fractions = np.frompyfunc(Fraction, 2, 1)
 
 
-def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scale: int = 1):
-    """The per-step constants of :func:`step`, one entry per non-empty medium.
+@dataclass(frozen=True)
+class WindowOperator:
+    """One step on a run of ``width`` sites, as sparse triplets of E = [A; F].
 
-    An entry (src, kern, dst, kept, crossings) convolves the medium's sites
-    ``src`` with its law's dense kernel ``kern`` (``exact`` and ``scale`` as in
-    ``LatticeDist.dense_kernel``): arr[kept] lands on ``dst``, the parts of arr
-    before and after ``kept`` leave the window below and above, and each
-    (dst, src) pair of ``crossings`` lands in another medium.
+    Column i is site i of the pre-step state.  Rows 0..width-1 are A, the
+    kernel kept on the sites; the readout rows F follow: ``below``, ``above``
+    (mass leaving the outer range), ``kept`` (mass kept on the sites), then
+    one row per site of ``band`` (mass landing there from another medium).
     """
-    lo, hi, end = window.lo, window.hi, model.convention.left_end
-    plan = []
-    # the media are [lo, end], [end + 1, 0] and [1, hi]; the origin medium is
-    # empty under the two-media convention
-    for a, b, law in ((lo, end, model.left), (end + 1, 0, model.origin), (1, hi, model.right)):
-        if a > b:
-            continue
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    width: int
+    band: tuple[int, int]
+    below = property(lambda self: self.width)
+    above = property(lambda self: self.width + 1)
+    kept = property(lambda self: self.width + 2)
+    band_rows = property(lambda self: range(self.width + 3, self.width + 3 + max(
+        0, self.band[1] - self.band[0] + 1)))
+
+
+def window_operator(media, sites, outer, band, exact: bool = False, scale: int = 1):
+    """The :class:`WindowOperator` of ``media`` on ``sites`` = (lo, hi): each
+    medium (a, b, law) steps the sites a..b (none if a > b) with ``law``
+    (``exact`` and ``scale`` as in ``LatticeDist.dense_kernel``); a landing
+    outside ``outer`` leaves it, and one on ``band`` outside its own medium is
+    read out there.  The window geometry of every DP lives here, and the size
+    guard of its k-step block: k * span + 1 entries at most in a row, but for
+    the k kept-mass rows, checked before anything is allocated."""
+    (c, d), (e, f), (g, h) = sites, outer, band
+    laws, K, k = [law for *_, law in media], d - c + 1, 1 if exact else BLOCK
+    span = max(law.max_support for law in laws) - min(law.min_support for law in laws)
+    check_size(((K + k * (max(h - g, -1) + 4)) * (k * span + 1) + k * K,))
+    parts = []   # (source, landing, probability, medium a, b) per jump
+    for a, b, law in media:
         k_lo, kern = law.dense_kernel(exact, scale)
-        base, n = a + k_lo, b - a + len(kern)   # arr covers base..base + n - 1
+        v = np.flatnonzero(kern != 0)
+        i = np.repeat(np.arange(a, b + 1), len(v))
+        parts.append((i, i + np.tile(v + k_lo, b - a + 1), np.tile(kern[v], b - a + 1),
+                      np.full(len(i), a), np.full(len(i), b)))
+    i, j, p, a, b = (np.concatenate(x) for x in zip(*parts))
+    on = (c <= j) & (j <= d)
+    hits = ((j - c, on), (K, j < e), (K + 1, j > f), (K + 2, on),
+            (K + 3 + j - g, (g <= j) & (j <= h) & ((j < a) | (j > b))))
+    return WindowOperator(np.concatenate([np.broadcast_to(r, j.shape)[m] for r, m in hits]),
+                          np.concatenate([i[m] - c for _, m in hits]),
+                          np.concatenate([p[m] for _, m in hits]), K, (g, h))
 
-        def landing(t_lo, t_hi):   # (dst, arr) slices of what lands in [t_lo, t_hi]
-            s = min(max(t_lo - base, 0), n)
-            e = max(min(t_hi - base + 1, n), s)
-            return slice(base - lo + s, base - lo + e), slice(s, e)
 
-        dst, kept = landing(lo, hi)
-        crossings = [landing(c, d) for c, d in ((lo, a - 1), (b + 1, hi)) if c <= d]
-        plan.append((slice(a - lo, b - lo + 1), kern, dst, kept, crossings))
-    return plan
+def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scale: int = 1):
+    """The :class:`WindowOperator` of the walk on the window: media [lo, end],
+    [end + 1, 0] (empty under two media) and [1, hi], mass leaving below lo or
+    above hi, and band rows on the arrival band, where every crossing lands."""
+    lo, hi, end = window.lo, window.hi, model.convention.left_end
+    bl, bh = arrival_band(model)
+    media = ((lo, end, model.left), (end + 1, 0, model.origin), (1, hi, model.right))
+    return window_operator(media, (lo, hi), (lo, hi), (max(bl, lo), min(bh, hi)), exact, scale)
+
+
+def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
+    """Run ``state`` (sites first) through ``horizon`` steps of ``op``.
+
+    A float state advances k steps (a power of two) per product with the CSR
+    block [A^k; F; F A; ...; F A^(k-1)], F the ``readouts`` rows of E, and the
+    last horizon % k steps one at a time; an object state takes one exact
+    step per ``np.add.at``.  Yields (steps, state, F) after each product: the
+    slice of steps it ran, the state after them, which the caller may rescale
+    in place, and F[j] the readouts of step steps.start + j, applied to the
+    state before that step.
+    """
+    K = op.width
+    if state.dtype == object:
+        keep = (op.rows < K) | np.isin(op.rows, readouts)
+        rows, cols, vals = op.rows[keep], op.cols[keep], op.vals[keep]
+        for n in range(1, horizon + 1):
+            out = np.zeros((op.band_rows.stop,) + state.shape[1:], dtype=object)
+            np.add.at(out, rows, vals.reshape((-1,) + (1,) * (state.ndim - 1)) * state[cols])
+            state = out[:K]
+            yield slice(n, n + 1), state, out[readouts][None]
+        return
+    import scipy.sparse as sp   # here, so that importing oscillax does not load it
+
+    E = sp.csr_array((op.vals, (op.rows.astype(np.int32), op.cols.astype(np.int32))),
+                     shape=(op.band_rows.stop, K))
+    A = power = E[:K]
+    parts = [E[readouts]]
+    for _ in range(k - 1):
+        parts.append(parts[-1] @ A)   # F A^j, a few rows each
+    for _ in range(k.bit_length() - 1):
+        power = power @ power   # A^k by squaring
+    blocks = {j: sp.vstack([power if j == k else A, *parts[:j]], format="csr") for j in {1, k}}
+    n = 0
+    while n < horizon:
+        j = k if horizon - n >= k else 1
+        out = blocks[j] @ state
+        n += j
+        state = out[:K]
+        yield slice(n - j + 1, n + 1), state, out[K:].reshape((j, len(readouts)) + state.shape[1:])
 
 
 def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None):
@@ -134,31 +207,19 @@ def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None
     """
     if plan is None:
         plan = walk_plan(model, window, state.dtype == object)
-    new = np.zeros(state.shape, dtype=state.dtype)
-    lk_lo = lk_hi = 0
-    for src, kern, dst, kept, crossings in plan:
-        arr = np.convolve(state[src], kern)
-        new[dst] += arr[kept]
-        # an empty sum still costs a numpy call
-        lk_lo += arr[:kept.start].sum() if kept.start else 0
-        lk_hi += arr[kept.stop:].sum() if kept.stop < len(arr) else 0
-        if crossed is not None:
-            for c_dst, c_src in crossings:
-                crossed[c_dst] += arr[c_src]
-    return new, (lk_lo, lk_hi)
+    _, new, F = next(_advance(plan, [plan.below, plan.above, *plan.band_rows], state, 1, 1))
+    if crossed is not None:
+        crossed[plan.band[0] - window.lo:plan.band[1] - window.lo + 1] += F[0, 2:]
+    return new, (F[0, 0], F[0, 1])
 
 
 def transition_matrix(model: OscillatingModel, window: Window) -> np.ndarray:
     """Dense one-step transition matrix of the walk restricted to the window."""
-    width = window.width
-    check_size((width, width))
-    P = np.zeros((width, width))
-    for x in range(window.lo, window.hi + 1):
-        law = model.law_at(x)
-        for v, p in zip(law.values, law.probs):
-            y = x + v
-            if window.lo <= y <= window.hi:
-                P[x - window.lo, y - window.lo] = p
+    check_size((window.width, window.width))
+    op = walk_plan(model, window)
+    a = op.rows < op.width   # the entries of A
+    P = np.zeros((window.width, window.width))
+    P[op.cols[a], op.rows[a]] = op.vals[a]
     return P
 
 
@@ -174,9 +235,10 @@ def marginal_sequence(
 ) -> KernelTable:
     """P_x[X_n = y] for n = 0..horizon with a certified leak bound.
 
-    ``rescaled`` renormalizes the state each step and accumulates the total
-    mass on a log scale, so geometrically small transient sequences stay
-    representable; log values are reported in data['log_values'].
+    ``rescaled`` renormalizes the state after each product of ``BLOCK``
+    steps and accumulates the total mass on a log scale, so geometrically
+    small transient sequences stay representable; log values are reported in
+    data['log_values'].
     """
     if exact and rescaled:
         raise ValidationError("rescaled mode is float-only")
@@ -186,62 +248,48 @@ def marginal_sequence(
     ix, iy = window.index(x), window.index(y)
     # exact: integer numerators over scale = D**n (see the module docstring)
     D = common_denominator(model.left, model.origin, model.right) if exact else 1
-    plan = walk_plan(model, window, exact, D)
+    op = walk_plan(model, window, exact, D)
     dtype = object if exact else float
     state = np.zeros(window.width, dtype=dtype)
     state[ix] = 1
     values = np.zeros(horizon + 1, dtype=dtype)
     values[0] = state[iy]
     log_values = np.full(horizon + 1, -np.inf)
-    if x == y:
-        log_values[0] = 0.0
-    leak, leak_lo, leak_hi = (np.zeros(horizon + 1, dtype=dtype) for _ in range(3))
+    log_values[0] = 0.0 if x == y else -np.inf
+    leak, sides = _zeros(horizon + 1, exact), _zeros((horizon + 1, 2), exact)
     log_scale = 0.0
-    scale = 1
-    for n in range(1, horizon + 1):
-        state, (lo_n, hi_n) = step(state, model, window, plan)
-        scale *= D
-        scale_leak = math.exp(log_scale) if rescaled else 1
-        leak_lo[n] = leak_lo[n - 1] * D + lo_n * scale_leak
-        leak_hi[n] = leak_hi[n - 1] * D + hi_n * scale_leak
-        leak[n] = leak_lo[n] + leak_hi[n]
+    for ns, state, F in _advance(op, [op.below, op.above, iy], state, horizon):
+        # leak totals in mass units: lost mass is over D**n exact, rescaled by log_scale
+        unit = math.exp(log_scale) if rescaled else Fraction(1, D ** ns.start) if exact else 1
+        run = sides[ns.start - 1:ns.stop]
+        run[1:] = F[:, :2] * unit
+        np.add.accumulate(run, axis=0, out=run)
+        leak[ns] = sides[ns, 0] + sides[ns, 1]
+        if rescaled:
+            with np.errstate(divide="ignore"):
+                log_values[ns] = np.log(F[:, 2]) + log_scale
+            values[ns] = np.where(log_values[ns] > -700, np.exp(log_values[ns]), 0.0)
+        else:
+            values[ns] = F[:, 2]
+        for m in range(ns.start, ns.stop) if leak_budget is not None else ():
+            if leak[m] > leak_budget:
+                raise WindowTooSmall(f"cumulative leak {float(leak[m]):.3e} exceeds budget "
+                                     f"{leak_budget:.3e} at n={m}")
         if rescaled:
             s = float(state.sum())
-            if s <= 0.0:
-                values[n:] = 0.0
+            if s <= 0.0:   # values past it stay 0
                 break
-            state = state / s
+            state /= s
             log_scale += math.log(s)
-            v = float(state[iy])
-            log_values[n] = math.log(v) + log_scale if v > 0 else -np.inf
-            values[n] = math.exp(log_values[n]) if log_values[n] > -700 else 0.0
-        else:
-            values[n] = state[iy]
-        if leak_budget is not None and leak[n] / scale > leak_budget:
-            raise WindowTooSmall(
-                f"cumulative leak {leak[n] / scale:.3e} exceeds budget {leak_budget:.3e} at n={n}"
-            )
     if exact:
-        scales = np.array([D ** n for n in range(horizon + 1)], dtype=object)
-        values, leak, leak_lo, leak_hi = (_fractions(a, scales)
-                                          for a in (values, leak, leak_lo, leak_hi))
-        state = _fractions(state, scale)
-    data = {
-        "values": values,
-        "final_state": state,
-        "leak_below": leak_lo,
-        "leak_above": leak_hi,
-    }
+        values = _fractions(values, np.array([D ** n for n in range(horizon + 1)], dtype=object))
+        state = _fractions(state, D ** horizon)
+    data = {"values": values, "final_state": state, "leak_below": sides[:, 0],
+            "leak_above": sides[:, 1]}
     if rescaled:
-        data["log_values"] = log_values
-        data["log_scale"] = log_scale
-    return KernelTable(
-        window=window,
-        horizon=horizon,
-        data=data,
-        leak=leak,
-        meta={"x": x, "y": y, "exact": exact, "rescaled": rescaled},
-    )
+        data.update(log_values=log_values, log_scale=log_scale)
+    return KernelTable(window=window, horizon=horizon, data=data, leak=leak,
+                       meta={"x": x, "y": y, "exact": exact, "rescaled": rescaled})
 
 
 class Side(Enum):
@@ -308,9 +356,8 @@ def first_passage_rows(
     The walk with law ``dist`` runs on the survival segment of ``side`` (see
     :func:`passage_regions`) and is killed on leaving it: mass that crosses
     into the arrival band is recorded as arrivals, mass that leaves the
-    window on the survival side is leak.  All rows share one (rows x segment)
-    state, and a step is one shifted axpy per atom of the law over the span
-    the rows can have reached so far.
+    window on the survival side is leak.  All rows share one (segment x rows)
+    state, run through the law's :func:`window_operator` on the segment.
 
     Returns the :class:`StepKernels` record of ``xs`` on the arrival band of
     ``side``; ``keep_states`` fills its ``states``.
@@ -331,57 +378,37 @@ def first_passage_rows(
     # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(dist) if exact else 1
     dtype = object if exact else float
-    k_lo, kern = dist.dense_kernel(exact, D)
-    jumps = [(k_lo + i, p) for i, p in enumerate(kern) if p != 0]
-    k_hi = k_lo + len(kern) - 1
-    # one buffer, indexed from buf_lo, holds every landing site of a step: the
-    # segment, the band next to it and the sites past the window's edge;
-    # segment ∪ band is one contiguous run, and a landing outside it has left
-    # the window
-    buf_lo = min(seg_lo + min(k_lo, 0), band_lo)
-    buf = np.zeros((rows, max(seg_hi + max(k_hi, 0), band_hi) - buf_lo + 1), dtype=dtype)
-    s, b = seg_lo - buf_lo, band_lo - buf_lo   # segment and band offsets in buf
-    kept_lo, kept_hi = min(seg_lo, band_lo) - buf_lo, max(seg_hi, band_hi) - buf_lo
-    state = np.zeros((rows, width), dtype=dtype)
+    # segment ∪ band is one contiguous run; a landing outside it has left the window
+    op = window_operator([(seg_lo, seg_hi, dist)], (seg_lo, seg_hi),
+                         (min(seg_lo, band_lo), max(seg_hi, band_hi)), (band_lo, band_hi), exact, D)
+    state = np.zeros((width, rows), dtype=dtype)
     for r, x in enumerate(xs):
-        state[r, x - seg_lo] = 1
+        state[x - seg_lo, r] = 1
     arrivals = np.zeros((horizon + 1, rows, band_w), dtype=dtype)
-    survival = np.zeros((rows, horizon + 1), dtype=dtype)
+    survival = np.zeros((rows, horizon + 1), dtype=dtype)   # the kept mass, until the end
     survival[:, 0] = 1
-    leak = np.zeros((rows, horizon + 1), dtype=dtype)
-    states = None
+    leak = _zeros((rows, horizon + 1), exact)
+    states = np.zeros((horizon + 1, rows, width), dtype=dtype) if keep_states else None
     if keep_states:
-        states = np.zeros((horizon + 1, rows, width), dtype=dtype)
-        states[0] = state
-    # [lo, hi] holds every segment index that can carry mass; it only ever
-    # grows, so zeroing its reach in buf clears everything left there before
-    # (an empty xs runs one step on zero rows and returns an empty record)
-    lo, hi = min(xs, default=seg_lo) - seg_lo, max(xs, default=seg_lo) - seg_lo
-    n = 0  # the last step run, which the exact conversion below needs
-    for n in range(1, horizon + 1):
-        buf[:, s + lo + min(k_lo, 0):s + hi + max(k_hi, 0) + 1] = 0
-        for v, p in jumps:
-            # the span [lo, hi] lands on [lo + v, hi + v]
-            buf[:, s + lo + v:s + hi + v + 1] += p * state[:, lo:hi + 1]
-        arrivals[n] = buf[:, b:b + band_w]
-        lost = buf[:, :kept_lo].sum(axis=1) + buf[:, kept_hi + 1:].sum(axis=1)
-        lo, hi = max(0, lo + min(k_lo, 0)), min(width - 1, hi + max(k_hi, 0))
-        state[:, lo:hi + 1] = buf[:, s + lo:s + hi + 1]
-        leak[:, n] = leak[:, n - 1] * D + lost
-        survival[:, n] = state.sum(axis=1) + leak[:, n]
+        states[0] = state.T
+    # (an empty xs runs one product on zero rows and returns an empty record)
+    readouts = [op.below, op.above, op.kept, *op.band_rows]
+    for ns, state, F in _advance(op, readouts, state, horizon, 1 if keep_states else BLOCK):
+        arrivals[ns] = F[:, 3:].transpose(0, 2, 1)
+        leak[:, ns] = ((F[:, 0] + F[:, 1]) * (Fraction(1, D ** ns.start) if exact else 1)).T
+        survival[:, ns] = F[:, 2].T
         if keep_states:
-            states[n] = state
-        if not np.any(state[:, lo:hi + 1]):
-            survival[:, n + 1:] = survival[:, n:n + 1]
-            leak[:, n + 1:] = leak[:, n:n + 1]
+            states[ns.start] = state.T
+        if not np.any(state):
             break
+    np.add.accumulate(leak, axis=1, out=leak)   # past a break nothing is kept, leak stays
     if exact:
-        # entries past a break stay over D**n, n the last step run
-        scales = np.array([D ** min(m, n) for m in range(horizon + 1)], dtype=object)
+        scales = np.array([D ** m for m in range(horizon + 1)], dtype=object)
         arrivals = _fractions(arrivals, scales[:, None, None])
-        survival, leak = _fractions(survival, scales), _fractions(leak, scales)
+        survival = _fractions(survival, scales)
         if keep_states:
             states = _fractions(states, scales[:, None, None])
+    survival[:, 1:] += leak[:, 1:]
     return StepKernels(xs, (band_lo, band_hi), arrivals, survival, leak, states)
 
 

@@ -258,6 +258,12 @@ def classify(model: OscillatingModel) -> RegimePrediction:
 
 @dataclass
 class TiltPlan:
+    """The change of measure :func:`select_tilt` picks.  ``rate`` is
+    max(L(t_left), L'(t_right)), the larger transform value at the plan's
+    tilts, and ``r`` the smaller over it.  That is ``classify``'s rate on
+    A1-B7 and (N,P), but not in case C, whose C1 plan tilts at the crossing
+    point: 0.958534 against 0.95 on the C witness."""
+
     t_left: float
     t_right: float
     single_t: Optional[float]

@@ -26,11 +26,11 @@ from .evolve import (
     Side,
     StepKernels,
     Window,
+    _advance,
     _zeros,
     check_size,
     first_passage_rows,
     passage_regions,
-    step,
     walk_plan,
 )
 from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
@@ -291,7 +291,7 @@ def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
 
     A step is a switching time exactly when the walk changes medium, so
     T_n(x, z) is the probability that the step into time n crosses media and
-    lands at z, which :func:`step` reads out into one window-wide row.  Every
+    lands at z, which the band rows of :func:`walk_plan` read out.  Every
     crossing lands on the arrival band, so the result is the (N+1, B) array
     T[n, j] = T_n(x, band[0] + j) of :func:`renewal_sequence`, with T[0] = 0.
     One full-walk DP serves every n; this is the long-horizon route the
@@ -300,16 +300,13 @@ def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
     window.check_margin(model)
     check_size((horizon + 1, window.width))
     band_lo, band_hi = arrival_band(model)
-    cols = slice(window.index(band_lo), window.index(band_hi) + 1)
-    plan = walk_plan(model, window)
+    window.index(band_lo), window.index(band_hi)   # the band lies in the window
+    op = walk_plan(model, window)
     state = np.zeros(window.width)
     state[window.index(x)] = 1.0
-    crossed = np.zeros(window.width)
     T = np.zeros((horizon + 1, band_hi - band_lo + 1))
-    for n in range(1, horizon + 1):
-        crossed.fill(0.0)
-        state, _ = step(state, model, window, plan, crossed=crossed)
-        T[n] = crossed[cols]
+    for ns, _, F in _advance(op, list(op.band_rows), state, horizon):
+        T[ns] = F
     return T
 
 

@@ -183,18 +183,18 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
     if abs(model.right.mean) > ZERO_DRIFT_TOL:
         lamp, _ = argmin_laplace(model.right)
         d_right = math.exp(-abs(lamp) * window.hi)
-    # log-space recursion: the discounted bound keeps decaying geometrically
-    # long after its linear representation would underflow
-    log_rate = math.log(rate) if rate > 0 else -math.inf
+    # summed in closed form, eff_n = sum_{k<=n} rate^(n-k) e^(new_k) with new_k
+    # the log of step k's discounted flux, and in log space, as the bound keeps
+    # decaying geometrically long after its linear representation would underflow
+    with np.errstate(divide="ignore"):
+        new = np.logaddexp(np.log(np.maximum(np.diff(lo_cum), 0)) + np.log(d_left),
+                           np.log(np.maximum(np.diff(hi_cum), 0)) + np.log(d_right))
     log_eff = np.full(len(lo_cum), -np.inf)
-    ld, rd = (math.log(d_left) if d_left > 0 else -math.inf,
-              math.log(d_right) if d_right > 0 else -math.inf)
-    for n in range(1, len(log_eff)):
-        flux_lo = lo_cum[n] - lo_cum[n - 1]
-        flux_hi = hi_cum[n] - hi_cum[n - 1]
-        new = np.logaddexp(math.log(flux_lo) + ld if flux_lo > 0 else -np.inf,
-                           math.log(flux_hi) + rd if flux_hi > 0 else -np.inf)
-        log_eff[n] = np.logaddexp(log_rate + log_eff[n - 1], new)
+    if rate > 0:
+        k_log_rate = np.arange(1, len(lo_cum)) * math.log(rate)
+        log_eff[1:] = np.logaddexp.accumulate(new - k_log_rate) + k_log_rate
+    else:
+        log_eff[1:] = new
     with np.errstate(over="ignore"):
         return np.where(log_eff > -700, np.exp(np.minimum(log_eff, 700)), 0.0)
 

@@ -5,12 +5,14 @@ it walks the full tree of length-n paths with exact rational probabilities
 and knows nothing about windows, convolutions, or kernels.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
+from oscillax.model import common_denominator
 
 
 def enumerate_marginal(model, x, n):
@@ -82,16 +84,48 @@ def reference_step(state, model, window, kernels=None, crossed=None):
     return new, (lk_lo, lk_hi)
 
 
-@pytest.fixture
-def with_reference_step(monkeypatch):
-    """with_reference_step(module, kernels, fn, *args, **kw): fn run with
-    ``module.step`` replaced by :func:`reference_step` on ``kernels``."""
-    def run(module, kernels, fn, *args, **kw):
-        with monkeypatch.context() as mp:
-            mp.setattr(module, "step", lambda state, model, window, plan=None, crossed=None:
-                       reference_step(state, model, window, kernels, crossed))
-            return fn(*args, **kw)
-    return run
+def reference_marginal_sequence(model, x, y, horizon, window, exact=False, rescaled=False):
+    """The full-walk DP as ``marginal_sequence`` ran it before the sparse window
+    operator, one :func:`reference_step` per step: in rescaled mode the state
+    is renormalised after every step, in exact mode it runs on integer
+    numerators over D**n.  Returns marginal_sequence's ``data`` (leak under
+    "leak") and T, the window-wide crossed row of every step."""
+    D = common_denominator(model.left, model.origin, model.right) if exact else 1
+    kernels = [d.dense_kernel(exact, D) for d in (model.left, model.origin, model.right)]
+    dtype = object if exact else float
+    state = np.zeros(window.width, dtype=dtype)
+    state[window.index(x)] = 1
+    iy = window.index(y)
+    values, leak_lo, leak_hi = (np.zeros(horizon + 1, dtype=dtype) for _ in range(3))
+    values[0] = state[iy]
+    log_values = np.full(horizon + 1, -np.inf)
+    log_values[0] = 0.0 if x == y else -np.inf
+    T = np.zeros((horizon + 1, window.width), dtype=dtype)
+    log_scale = 0.0
+    for n in range(1, horizon + 1):
+        state, (lo_n, hi_n) = reference_step(state, model, window, kernels, crossed=T[n])
+        scale_leak = math.exp(log_scale) if rescaled else 1
+        leak_lo[n] = leak_lo[n - 1] * D + lo_n * scale_leak
+        leak_hi[n] = leak_hi[n - 1] * D + hi_n * scale_leak
+        if rescaled:
+            s = float(state.sum())
+            state = state / s
+            log_scale += math.log(s)
+            v = float(state[iy])
+            log_values[n] = math.log(v) + log_scale if v > 0 else -np.inf
+            values[n] = math.exp(log_values[n]) if log_values[n] > -700 else 0.0
+        else:
+            values[n] = state[iy]
+    leak = leak_lo + leak_hi
+    if exact:   # Fractions, as lists
+        values, leak_lo, leak_hi, leak = ([Fraction(a, D ** n) for n, a in enumerate(arr)]
+                                          for arr in (values, leak_lo, leak_hi, leak))
+        state = [Fraction(a, D ** horizon) for a in state]
+    data = {"values": values, "final_state": state, "leak_below": leak_lo,
+            "leak_above": leak_hi, "leak": leak}
+    if rescaled:
+        data["log_values"], data["log_scale"] = log_values, log_scale
+    return data, T
 
 
 @pytest.fixture(scope="session")

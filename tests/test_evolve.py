@@ -6,8 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_first_passage, enumerate_marginal, reference_step
-from oscillax import evolve
+from conftest import (
+    enumerate_first_passage,
+    enumerate_marginal,
+    reference_marginal_sequence,
+    reference_step,
+)
 from oscillax.errors import ConventionMismatch, ValidationError, WindowTooSmall
 from oscillax.evolve import (
     Side,
@@ -23,7 +27,6 @@ from oscillax.evolve import (
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import (
     Convention,
-    common_denominator,
     dist,
     is_strongly_aperiodic,
     mirror_model,
@@ -435,43 +438,41 @@ def _exact_models(draw, two_media):
 ALL_FIXTURES = {**FIXTURES, **{f"FIX-PP-{k}": fn for k, fn in SUBCASE_FIXTURES.items()}}
 
 
-def _kernels(model, exact=False, scale=1):
-    return [d.dense_kernel(exact, scale) for d in (model.left, model.origin, model.right)]
-
-
 class TestStepPlan:
-    """The step plan against the step it replaced (``conftest.reference_step``):
-    the same convolutions, added at each site in the same left, origin, right
-    order, so float results are bitwise equal and exact ones equal."""
+    """The sparse window operator against the step it replaced
+    (``conftest.reference_step``), run by the reference DP loop of
+    ``conftest.reference_marginal_sequence``.  Exact results are equal; float
+    results differ in rounding only, as the 8-step blocks sum in another order:
+    at most 1e-13 relative on values and 1e-13 absolute on leak."""
 
     @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
     @pytest.mark.parametrize("rescaled", [False, True], ids=["float", "rescaled"])
-    def test_marginal_sequence_bitwise(self, name, rescaled, with_reference_step):
+    def test_marginal_sequence_bitwise(self, name, rescaled):
         # a narrow, lopsided window, so both sides leak
         model = ALL_FIXTURES[name]()
         args = (model, 1, -1, 512, Window(-96, 128))
-        kw = dict(leak_budget=None, rescaled=rescaled)
-        ref = with_reference_step(evolve, _kernels(model), marginal_sequence, *args, **kw)
-        new = marginal_sequence(*args, **kw)
-        assert np.array_equal(new.leak, ref.leak)
-        for key in ("values", "leak_below", "leak_above", "final_state"):
-            assert np.array_equal(new.data[key], ref.data[key]), key
+        ref, _ = reference_marginal_sequence(*args, rescaled=rescaled)
+        new = marginal_sequence(*args, leak_budget=None, rescaled=rescaled)
+        np.testing.assert_allclose(new.leak, ref["leak"], rtol=0, atol=1e-13)
+        for key in ("leak_below", "leak_above"):
+            np.testing.assert_allclose(new.data[key], ref[key], rtol=0, atol=1e-13, err_msg=key)
+        for key in ("values", "final_state"):
+            np.testing.assert_allclose(new.data[key], ref[key], rtol=1e-13, atol=0, err_msg=key)
         if rescaled:
-            assert np.array_equal(new.data["log_values"], ref.data["log_values"])
-            assert new.data["log_scale"] == ref.data["log_scale"]
+            np.testing.assert_allclose(new.data["log_values"], ref["log_values"], rtol=1e-13,
+                                       atol=0)
+            # log of the mass kept, about -leak: a leak-sized number, so absolute
+            assert new.data["log_scale"] == pytest.approx(ref["log_scale"], rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_exact_marginal_sequence(self, name, with_reference_step):
+    def test_exact_marginal_sequence(self, name):
         model = FIXTURES[name]()
-        D = common_denominator(model.left, model.origin, model.right)
         args = (model, 0, 2, 40, Window(-16, 16))
-        kw = dict(leak_budget=None, exact=True)
-        ref = with_reference_step(evolve, _kernels(model, True, D), marginal_sequence,
-                                  *args, **kw)
-        new = marginal_sequence(*args, **kw)
-        assert list(new.leak) == list(ref.leak)
+        ref, _ = reference_marginal_sequence(*args, exact=True)
+        new = marginal_sequence(*args, leak_budget=None, exact=True)
+        assert list(new.leak) == ref["leak"]
         for key in ("values", "leak_below", "leak_above", "final_state"):
-            assert list(new.data[key]) == list(ref.data[key]), key
+            assert list(new.data[key]) == ref[key], key
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_exact_crossings(self, name):
@@ -503,8 +504,13 @@ class TestStepPlan:
                 crossed, crossed_ref = np.zeros_like(state), np.zeros_like(state)
                 state, leaked = step(state, m, w, plan, crossed=crossed)
                 ref, leaked_ref = reference_step(ref, m, w, crossed=crossed_ref)
-                assert np.array_equal(state, ref) and np.array_equal(crossed, crossed_ref)
-                assert leaked == leaked_ref
+                if exact:
+                    assert np.array_equal(state, ref) and np.array_equal(crossed, crossed_ref)
+                    assert leaked == leaked_ref
+                else:   # the bounds of the class docstring
+                    np.testing.assert_allclose(state, ref, rtol=1e-13, atol=0)
+                    np.testing.assert_allclose(crossed, crossed_ref, rtol=1e-13, atol=0)
+                    np.testing.assert_allclose(leaked, leaked_ref, rtol=0, atol=1e-13)
 
 
 class TestMarginalProperties:

@@ -2,10 +2,14 @@
 
 A stdlib ``ast`` scan standing in for a linter's unused-import rule.  Names
 are matched per module, not per scope; ``__init__.py`` is skipped because
-its imports are the package's re-exports.
+its imports are the package's re-exports.  Also: importing the CLI does not
+load ``scipy.sparse``, which only the DPs use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import oscillax
@@ -38,3 +42,15 @@ def test_no_unused_imports():
     assert MODULES
     found = {p.name: unused_imports(p.read_text()) for p in MODULES}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the DPs import scipy.sparse when they build their operator, so the
+    # start-up of every command is not charged for it
+    src = str(Path(oscillax.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, oscillax.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oscillax.errors import ConventionMismatch, OscillaxError, TieUnresolvable, ValidationError
 from oscillax.evolve import Window, marginal_sequence
-from oscillax.fixtures import _pp
+from oscillax.fixtures import SUBCASE_FIXTURES, _pp
 from oscillax.model import (
     DriftCase,
     dist,
@@ -283,6 +283,28 @@ class TestSelectTilt:
 
         star = cross_point(m.left, m.right)
         assert star is not None and star[1] > p.rate + 1e-4
+
+
+    @pytest.mark.parametrize("name", [*SUBCASE_FIXTURES, "NP"])
+    def test_plan_rate_is_larger_transform(self, name, subcase_models):
+        # TiltPlan.rate is max(L(t_left), L'(t_right)); that is classify's rate
+        # on A1-B7 and (N,P), but not in case C, whose C1 plan tilts at the
+        # crossing point
+        if name == "NP":
+            left = dist({-2: F(1, 2), 0: F(1, 4), 1: F(1, 4)})   # TestNP's model
+            m = validate_model(left, left, dist({-2: F(1, 8), 0: F(1, 8), 1: F(3, 4)}),
+                               two_media=True)
+        else:
+            m = subcase_models[name]
+        p = classify(m)
+        plan = select_tilt(m, p)
+        assert plan.rate == max(laplace(m.left, plan.t_left), laplace(m.right, plan.t_right))
+        if name == "C":
+            assert plan.branch == "C1"
+            assert plan.rate == pytest.approx(0.958534, abs=1e-6)
+            assert p.rate == pytest.approx(0.95, abs=1e-6)
+        else:
+            assert plan.rate == pytest.approx(p.rate, rel=1e-9)
 
 
 class TestTies:

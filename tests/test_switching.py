@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import reference_step
-from oscillax import switching
+from conftest import reference_marginal_sequence, reference_step
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import (
     Side,
@@ -240,20 +239,23 @@ class TestRenewalSequence:
 
 
 @pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES, "origin-0"])
-def test_switching_time_marginals_match_reference_step(name, with_reference_step):
-    # the step plan against the step it replaced (conftest.reference_step)
+def test_switching_time_marginals_match_reference_step(name):
+    # the sparse window operator against the step it replaced, run by the
+    # reference DP loop (conftest.reference_marginal_sequence); the 8-step
+    # blocks sum in another order, so T agrees to 1e-13 relative
     model = {**RENEWAL_MODELS, **SUBCASE_FIXTURES}[name]()
     w = Window(-40, 48)
-    kernels = [d.dense_kernel() for d in (model.left, model.origin, model.right)]
-    ref = with_reference_step(switching, kernels, switching_time_marginals, model, 1, 256, w)
-    assert np.array_equal(switching_time_marginals(model, 1, 256, w), ref)
+    _, full = reference_marginal_sequence(model, 1, 1, 256, w)
+    np.testing.assert_allclose(switching_time_marginals(model, 1, 256, w),
+                               full[:, band_cols(w, arrival_band(model))], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES, "origin-0"])
 def test_switching_time_marginals_keep_every_crossing(name):
     # the window-wide table T[n] = crossed row of step n, built with the
     # reference step, holds every crossing on the arrival band: the band
-    # columns are the band-form T bit for bit, and nothing is lost off the band
+    # columns are the band-form T to 1e-13 relative, and nothing is lost off
+    # the band
     model = {**RENEWAL_MODELS, **SUBCASE_FIXTURES}[name]()
     w = Window(-40, 48)
     state = np.zeros(w.width)
@@ -264,7 +266,7 @@ def test_switching_time_marginals_keep_every_crossing(name):
     T = switching_time_marginals(model, 1, 256, w)
     cols = band_cols(w, arrival_band(model))
     assert T.shape == (257, cols.stop - cols.start)
-    assert np.array_equal(full[:, cols], T)
+    np.testing.assert_allclose(T, full[:, cols], rtol=1e-13, atol=0)
     full[:, cols] = 0.0
     assert not full.any()
 
@@ -592,8 +594,11 @@ class TestSizeGuard:
                                      list(range(-16000, 0)), 10, Window(-16000, 16000)),
         lambda m: marginal_sequence(m, 0, 0, 1000 * HUGE),
         lambda m: transition_matrix(m, Window(-16000, 16000)),
+        # ten steps, but the 8-step sparse operator of 6e6 sites holds 2.5e8 entries
+        lambda m: marginal_sequence(m, 0, 0, 10, Window(-3_000_000, 3_000_000)),
     ], ids=["switching_time_marginals", "build_Q", "banded_power_sequences",
-            "first_passage_rows", "marginal_sequence", "transition_matrix"])
+            "first_passage_rows", "marginal_sequence", "transition_matrix",
+            "marginal_sequence-operator"])
     def test_refused_before_allocating(self, fix_zz, call):
         tracemalloc.start()
         try:
