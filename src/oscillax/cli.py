@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .evolve import Window, default_window, marginal_sequence
-from .model import DriftCase, load_model, save_model
+from .model import load_model, save_model
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -97,12 +97,8 @@ def cmd_evolve(args) -> int:
             "--rational requires a model with exact (rational) probabilities")
     horizon = args.horizon
     window = _window(args, model, horizon)
-    rescaled = args.rescaled or model.drift_case in (DriftCase.PP, DriftCase.NP, DriftCase.NN)
-    if args.rational and rescaled:
-        raise ValidationError("--rational is incompatible with the rescaled log-scale DP")
     table = marginal_sequence(model, args.start, args.target, horizon, window,
-                              leak_budget=None, exact=args.rational,
-                              rescaled=rescaled)
+                              leak_budget=None, exact=args.rational)
     vals = table.data["values"]
     rows = [(n, float(vals[n]), float(table.leak[n])) for n in range(1, horizon + 1)]
     _write_csv(_outdir(args) / "evolve.csv", ["n", "value", "leak"], rows)
@@ -211,12 +207,9 @@ def cmd_verify(args) -> int:
             pred = classify(model)
             horizon = args.horizon
             window = _window(args, model, horizon)
-            rescaled = pred.rate < 1.0 - 1e-9
-            table = marginal_sequence(model, 0, 0, horizon, window,
-                                      leak_budget=None, rescaled=rescaled)
+            table = marginal_sequence(model, 0, 0, horizon, window, leak_budget=None)
             fit = fit_rate_exponent(
-                values=None if rescaled else table.data["values"],
-                log_values=table.data.get("log_values"),
+                table.data["log_values"],
                 leaks=effective_leak(table, model, rate=pred.rate),
                 fit_window=(max(64, horizon // 8), horizon),
             )
@@ -269,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact rational arithmetic (model probabilities must be rationals)")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="target", type=int, required=True)
-    p.add_argument("--rescaled", action="store_true",
-                   help="renormalized log-scale DP (auto for transient cases)")
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("kernel", help="switching kernels Q_n and renewal T_n to CSV")

@@ -6,9 +6,10 @@ is a rigorous bound on the truncation error of every reported probability.
 A rational mode backs the exact-identity tests: after n steps every mass is
 an integer over D**n (D = ``common_denominator`` of the laws), so the DP runs
 on Python-int numerators with the integer weights p * D, adds each step's
-lost mass over D**n into Fraction leak totals, and returns Fractions.  A rescaled
-mode keeps transient sequences representable far past the underflow point of
-raw doubles.
+lost mass over D**n into Fraction leak totals, and returns Fractions.  A float
+full-walk DP scales its state by powers of two, which changes no rounding, so
+transient sequences stay representable far past the underflow point of raw
+doubles.
 """
 
 from __future__ import annotations
@@ -231,17 +232,14 @@ def marginal_sequence(
     window: Optional[Window] = None,
     leak_budget: Optional[float] = DEFAULT_LEAK_BUDGET,
     exact: bool = False,
-    rescaled: bool = False,
 ) -> KernelTable:
     """P_x[X_n = y] for n = 0..horizon with a certified leak bound.
 
-    ``rescaled`` renormalizes the state after each product of ``BLOCK``
-    steps and accumulates the total mass on a log scale, so geometrically
-    small transient sequences stay representable; log values are reported in
-    data['log_values'].
+    A float run stores the mass times 2**-shift, scaling the state up by a
+    power of two (no rounding changes) after each ``BLOCK`` product that
+    leaves it less than 1/2; data['log_values'] = log F + shift * log 2 stays
+    finite far below the double range of data['values'].
     """
-    if exact and rescaled:
-        raise ValidationError("rescaled mode is float-only")
     window = window or default_window(model, horizon)
     window.check_margin(model)
     check_size((horizon + 1,), (window.width,))
@@ -254,42 +252,35 @@ def marginal_sequence(
     state[ix] = 1
     values = np.zeros(horizon + 1, dtype=dtype)
     values[0] = state[iy]
-    log_values = np.full(horizon + 1, -np.inf)
-    log_values[0] = 0.0 if x == y else -np.inf
     leak, sides = _zeros(horizon + 1, exact), _zeros((horizon + 1, 2), exact)
-    log_scale = 0.0
+    # float: the mass is the stored state times 2**shift, values[n] times 2**shifts[n]
+    shift, shifts = 0, np.zeros(horizon + 1, dtype=int)
     for ns, state, F in _advance(op, [op.below, op.above, iy], state, horizon):
-        # leak totals in mass units: lost mass is over D**n exact, rescaled by log_scale
-        unit = math.exp(log_scale) if rescaled else Fraction(1, D ** ns.start) if exact else 1
+        # leak totals in mass units: lost mass is over D**n exact, times 2**shift float
         run = sides[ns.start - 1:ns.stop]
-        run[1:] = F[:, :2] * unit
+        run[1:] = F[:, :2] * Fraction(1, D ** ns.start) if exact else np.ldexp(F[:, :2], shift)
         np.add.accumulate(run, axis=0, out=run)
         leak[ns] = sides[ns, 0] + sides[ns, 1]
-        if rescaled:
-            with np.errstate(divide="ignore"):
-                log_values[ns] = np.log(F[:, 2]) + log_scale
-            values[ns] = np.where(log_values[ns] > -700, np.exp(log_values[ns]), 0.0)
-        else:
-            values[ns] = F[:, 2]
+        values[ns], shifts[ns] = F[:, 2], shift
         for m in range(ns.start, ns.stop) if leak_budget is not None else ():
             if leak[m] > leak_budget:
                 raise WindowTooSmall(f"cumulative leak {float(leak[m]):.3e} exceeds budget "
                                      f"{leak_budget:.3e} at n={m}")
-        if rescaled:
-            s = float(state.sum())
-            if s <= 0.0:   # values past it stay 0
-                break
-            state /= s
-            log_scale += math.log(s)
+        # the mass is 1 - leak; once it may be below 1/2, scale the state up
+        # into [1/2, 1) if it is (an empty state has e = 0)
+        if not exact and leak[ns.stop - 1] > 0.25 and (e := math.frexp(state.sum())[1]) < 0:
+            np.ldexp(state, -e, out=state)
+            shift += e
     if exact:
         values = _fractions(values, np.array([D ** n for n in range(horizon + 1)], dtype=object))
-        state = _fractions(state, D ** horizon)
-    data = {"values": values, "final_state": state, "leak_below": sides[:, 0],
-            "leak_above": sides[:, 1]}
-    if rescaled:
-        data.update(log_values=log_values, log_scale=log_scale)
+        data = {"values": values, "final_state": _fractions(state, D ** horizon)}
+    else:
+        with np.errstate(divide="ignore"):
+            data = {"values": np.ldexp(values, shifts), "final_state": np.ldexp(state, shift),
+                    "log_values": np.log(values) + shifts * math.log(2)}
+    data.update(leak_below=sides[:, 0], leak_above=sides[:, 1])
     return KernelTable(window=window, horizon=horizon, data=data, leak=leak,
-                       meta={"x": x, "y": y, "exact": exact, "rescaled": rescaled})
+                       meta={"x": x, "y": y, "exact": exact})
 
 
 class Side(Enum):

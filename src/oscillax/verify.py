@@ -69,23 +69,19 @@ class AsymptoticFit:
 
 
 def fit_rate_exponent(
-    values: Optional[np.ndarray] = None,
+    log_values: np.ndarray,
     leaks: Optional[np.ndarray] = None,
     fit_window: Optional[tuple[int, int]] = None,
-    log_values: Optional[np.ndarray] = None,
 ) -> AsymptoticFit:
-    """Estimate (rho, beta, C) from a_n ~ C rho^n n^{-beta}.
+    """Estimate (rho, beta, C) from log a_n ~ log C + n log rho - beta log n.
 
-    Accepts the sequence either linearly or as log values (index = n).  Points
-    where the reported leak exceeds 1% of the value are discarded; at least 64
-    usable points are required inside the fit window.
+    ``log_values`` is indexed by n.  Points where the reported leak exceeds 1%
+    of the value are discarded; at least 64 usable points are required inside
+    the fit window.  The Aitken step on the ratio medians and the n-weighted
+    rectification magnify last-bit changes in ``log_values``: a rounding-only
+    change of at most 6e-16 relative moved FIX-PP-A1's C_hat by 1.3e-9, so
+    C_hat carries about 8 digits.
     """
-    if log_values is None:
-        if values is None:
-            raise ValidationError("need values or log_values")
-        values = np.asarray(values, dtype=float)
-        with np.errstate(divide="ignore"):
-            log_values = np.where(values > 0, np.log(np.maximum(values, 1e-320)), -np.inf)
     log_values = np.asarray(log_values, dtype=float)
     N = len(log_values) - 1
     n_lo, n_hi = fit_window or (max(1, N // 8), N)

@@ -124,7 +124,7 @@ def reference_marginal_sequence(model, x, y, horizon, window, exact=False, resca
     data = {"values": values, "final_state": state, "leak_below": leak_lo,
             "leak_above": leak_hi, "leak": leak}
     if rescaled:
-        data["log_values"], data["log_scale"] = log_values, log_scale
+        data["log_values"] = log_values
     return data, T
 
 

@@ -79,13 +79,11 @@ def test_criterion_02_pn_convergence(fix_pn):
            f"{elapsed:.1f}s (<30s)")
 
 
-def _fit_fixture(model, horizon, window, rescaled, rate_for_leak=1.0):
-    table = marginal_sequence(model, 0, 0, horizon, window,
-                              leak_budget=None, rescaled=rescaled)
+def _fit_fixture(model, horizon, window, rate_for_leak=1.0):
+    table = marginal_sequence(model, 0, 0, horizon, window, leak_budget=None)
     leaks = effective_leak(table, model, rate=rate_for_leak)
     return table, fit_rate_exponent(
-        values=None if rescaled else table.data["values"],
-        log_values=table.data.get("log_values"),
+        log_values=table.data["log_values"],
         leaks=leaks,
         fit_window=(512, horizon),
     )
@@ -93,7 +91,7 @@ def _fit_fixture(model, horizon, window, rescaled, rate_for_leak=1.0):
 
 def test_criterion_03_zz_local_limit(fix_zz):
     t0 = time.time()
-    table, fit = _fit_fixture(fix_zz, 4096, Window(-512, 512), rescaled=False)
+    table, fit = _fit_fixture(fix_zz, 4096, Window(-512, 512))
     c0_pred, _ = predicted_constant_Cy(fix_zz, 0, window=Window(-512, 512))
     plateau = math.sqrt(4096) * float(table.data["values"][4096])
     rel = abs(plateau - c0_pred) / c0_pred
@@ -108,7 +106,7 @@ def test_criterion_03_zz_local_limit(fix_zz):
 
 def test_criterion_04_pz_local_limit(fix_pz):
     t0 = time.time()
-    table, fit = _fit_fixture(fix_pz, 4096, Window(-512, 512), rescaled=False)
+    table, fit = _fit_fixture(fix_pz, 4096, Window(-512, 512))
     c0_pred, prof = predicted_constant_Cy(fix_pz, 0, window=Window(-512, 512))
     plateau = math.sqrt(4096) * float(table.data["values"][4096])
     rel = abs(plateau - c0_pred) / c0_pred
@@ -122,7 +120,7 @@ def test_criterion_04_pz_local_limit(fix_pz):
 
 def test_criterion_05_zp_transient(fix_zp):
     t0 = time.time()
-    table, fit = _fit_fixture(fix_zp, 4096, Window(-768, 768), rescaled=False)
+    table, fit = _fit_fixture(fix_zp, 4096, Window(-768, 768))
     elapsed = time.time() - t0
     ok = abs(fit.rho_hat - 1.0) <= 1e-3 and abs(fit.beta_hat - 1.5) <= 0.1
     report(5, ok,
@@ -133,8 +131,7 @@ def test_criterion_05_zp_transient(fix_zp):
 def test_criterion_06_pp_b2(fix_pp):
     t0 = time.time()
     pred = classify(fix_pp)
-    table, fit = _fit_fixture(fix_pp, 4096, Window(-256, 320), rescaled=True,
-                              rate_for_leak=pred.rate)
+    table, fit = _fit_fixture(fix_pp, 4096, Window(-256, 320), rate_for_leak=pred.rate)
     elapsed = time.time() - t0
     ok = (pred.subcase == "B2"
           and abs(fit.rho_hat - RHO_PRIME_PP) <= 1e-3
@@ -160,8 +157,7 @@ def test_criterion_07_subcase_coverage():
         m = witnesses[name]
         pred = classify(m)
         plan = select_tilt(m, pred)   # every subcase must also tilt cleanly
-        table, fit = _fit_fixture(m, 4096, Window(-224, 256), rescaled=True,
-                                  rate_for_leak=pred.rate)
+        table, fit = _fit_fixture(m, 4096, Window(-224, 256), rate_for_leak=pred.rate)
         exp_tol = 0.15
         ok = fit.matches(pred.rate, pred.exponent, 1e-3, exp_tol)
         all_ok &= ok

@@ -36,6 +36,20 @@ class TestCommands:
         final_leak = float(lines[-1].split(",")[2])
         assert final_leak <= 1e-10
 
+    def test_evolve_rational_transient(self, model_dir, tmp_path):
+        # the exact DP runs on transient models too; it agrees with the float run
+        runs = {}
+        for mode in ("rational", "float"):
+            out = tmp_path / mode
+            out.mkdir()
+            argv = ["evolve", str(model_dir / "FIX-PP.json"), "--from", "0", "--to", "0",
+                    "-n", "64", "-o", str(out)]
+            assert main(argv + (["--rational"] if mode == "rational" else [])) == 0
+            lines = (out / "evolve.csv").read_text().strip().splitlines()[1:]
+            runs[mode] = [float(line.split(",")[1]) for line in lines]
+        assert len(runs["rational"]) == 64
+        assert runs["rational"] == pytest.approx(runs["float"], rel=1e-12, abs=0)
+
     def test_verify_identities_exit_zero(self, model_dir, tmp_path):
         rc = main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "identities",
                    "-o", str(tmp_path)])
@@ -118,8 +132,9 @@ class TestCommands:
         ["simulate", "FIX-ZZ.json", "-W", "64"],
         ["fixtures", "-n", "5"],
         ["verify", "FIX-ZZ.json", "--rational"],
+        ["evolve", "FIX-ZZ.json", "--from", "0", "--to", "0", "--rescaled"],
     ], ids=["seed", "rational", "threads", "classify-window", "simulate-window",
-            "fixtures-horizon", "verify-rational"])
+            "fixtures-horizon", "verify-rational", "evolve-rescaled"])
     def test_flags_scoped_to_their_commands(self, model_dir, argv):
         if argv[1].endswith(".json"):
             argv = [argv[0], str(model_dir / argv[1]), *argv[2:]]

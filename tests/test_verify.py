@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillax.errors import LeakDominated, SequenceTooNoisy
+from oscillax.errors import LeakDominated, SequenceTooNoisy, ValidationError
 from oscillax import verify
 from oscillax.evolve import Window, first_passage_rows, marginal_sequence
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
@@ -60,14 +60,14 @@ class TestFitter:
 
     def test_leak_guard(self):
         ns = np.arange(1, 257, dtype=float)
-        vals = np.concatenate([[0.0], 1.0 / np.sqrt(ns)])
+        lv = np.concatenate([[-np.inf], -0.5 * np.log(ns)])
         leaks = np.full(257, 10.0)  # every point leak-dominated
         with pytest.raises(LeakDominated):
-            fit_rate_exponent(values=vals, leaks=leaks, fit_window=(64, 256))
+            fit_rate_exponent(log_values=lv, leaks=leaks, fit_window=(64, 256))
 
     def test_window_beyond_horizon(self):
-        with pytest.raises(Exception):
-            fit_rate_exponent(values=np.ones(100), fit_window=(10, 500))
+        with pytest.raises(ValidationError):
+            fit_rate_exponent(log_values=np.zeros(100), fit_window=(10, 500))
 
 
 class TestEffectiveLeak:
@@ -87,13 +87,13 @@ class TestEffectiveLeak:
     @pytest.mark.parametrize("name", ["FIX-PP", *(f"FIX-PP-{k}" for k in SUBCASE_FIXTURES)])
     def test_closed_form_matches_recursion(self, name):
         # the closed form against the per-step recursion it replaced, on the
-        # rescaled DP the asymptotics suite fits, to 1e-12 relative.  The
+        # DP the asymptotics suite fits, to 1e-12 relative.  The
         # recursion runs in 40-digit decimals: in doubles it drifts by up to
         # 2e-11 relative over 4096 steps, and the closed form by 2e-13
         model = {**FIXTURES, **{f"FIX-PP-{k}": f for k, f in SUBCASE_FIXTURES.items()}}[name]()
         rate = classify(model).rate
         w = Window(-48, 48)
-        t = marginal_sequence(model, 0, 0, 1024, w, leak_budget=None, rescaled=True)
+        t = marginal_sequence(model, 0, 0, 1024, w, leak_budget=None)
         d = [math.exp(-abs(argmin_laplace(law)[0]) * half) if abs(law.mean) > ZERO_DRIFT_TOL
              else 1.0 for law, half in ((model.left, -w.lo), (model.right, w.hi))]
         flux = np.diff(np.stack([t.data["leak_below"], t.data["leak_above"]]), axis=1)
