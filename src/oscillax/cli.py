@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from .errors import (
     SequenceTooNoisy,
     ValidationError,
 )
-from .evolve import Window, default_window, marginal_sequence
+from .evolve import Window, default_window, marginal_sequence, powers
 from .model import load_model, save_model
 
 EXIT_OK = 0
@@ -84,9 +86,8 @@ def _window(args, model, horizon) -> Window:
 def cmd_classify(args) -> int:
     from .regimes import predict
 
-    model = load_model(args.model)
-    report = predict(model)
-    _write_json(_outdir(args) / "classify.json", report)
+    model = load_model(args.model)   # before the output directory is made
+    _write_json(_outdir(args) / "classify.json", predict(model))
     return EXIT_OK
 
 
@@ -99,8 +100,10 @@ def cmd_evolve(args) -> int:
     window = _window(args, model, horizon)
     table = marginal_sequence(model, args.start, args.target, horizon, window,
                               leak_budget=None, exact=args.rational)
-    vals = table.data["values"]
-    rows = [(n, float(vals[n]), float(table.leak[n])) for n in range(1, horizon + 1)]
+    # exact numerators over D**n; int / int rounds correctly, as float(Fraction) does
+    vals, scale = table.data["values"], powers(table.meta["D"], horizon)
+    rows = [(n, float(vals[n] / scale[n]), float(table.leak[n] / scale[n]))
+            for n in range(1, horizon + 1)]
     _write_csv(_outdir(args) / "evolve.csv", ["n", "value", "leak"], rows)
     return EXIT_OK
 
@@ -142,6 +145,10 @@ def cmd_spectrum(args) -> int:
         weight = WeightSpec("polynomial", 0.5 if delta is None else delta)
     else:
         weight = exponential_weight(model, delta)
+    rate = max(weight.rate_neg, weight.rate_pos)
+    if not args.window and rate > 0:   # the default window, cut to where the weight is finite
+        half = min(window.hi, int(math.log(sys.float_info.max) / rate))
+        window = Window(-half, half)
     spectral = dominant_eigenpair(switching_kernel(model, window), weight)
     _write_json(_outdir(args) / "spectrum.json", spectral.report())
     return EXIT_OK
@@ -173,7 +180,7 @@ def cmd_fixtures(args) -> int:
 
 def cmd_verify(args) -> int:
     from .regimes import classify
-    from .verify import convergence_suite, fit_rate_exponent, identity_suite
+    from .verify import convergence_suite, effective_leak, fit_rate_exponent, identity_suite
 
     model = load_model(args.model)
     suites = ["identities", "convergence", "asymptotics"] if args.suite == "all" else [args.suite]
@@ -187,9 +194,6 @@ def cmd_verify(args) -> int:
             passed = (rep["trajectory_decomposition_residual"] <= tol
                       and rep["tilting_residual"] <= tol
                       and rep["duality_residual"] <= tol)
-            rep["passed"] = passed
-            report["identities"] = rep
-            ok &= passed
         elif suite == "convergence":
             rep = convergence_suite(model, horizon=args.horizon,
                                     window=_window(args, model, args.horizon))
@@ -198,39 +202,22 @@ def cmd_verify(args) -> int:
             if "sqrt_n_Tn_final" in rep:
                 passed &= 0.9 <= rep["sqrt_n_Tn_final"] <= 1.1
                 passed &= 0.9 <= rep["rn_tail_final"] <= 1.1
-            rep["passed"] = passed
-            report["convergence"] = rep
-            ok &= passed
         elif suite == "asymptotics":
-            from .verify import effective_leak
-
             pred = classify(model)
             horizon = args.horizon
             window = _window(args, model, horizon)
             table = marginal_sequence(model, 0, 0, horizon, window, leak_budget=None)
-            fit = fit_rate_exponent(
-                table.data["log_values"],
-                leaks=effective_leak(table, model, rate=pred.rate),
-                fit_window=(max(64, horizon // 8), horizon),
-            )
+            fit = fit_rate_exponent(table.data["log_values"],
+                                    leaks=effective_leak(table, model, rate=pred.rate),
+                                    fit_window=(max(64, horizon // 8), horizon))
             exp_tol = 0.15 if pred.exponent >= 1.0 else 0.05
             passed = fit.matches(pred.rate, pred.exponent, 1e-3, exp_tol)
-            report["asymptotics"] = {
-                "predicted": pred.report(),
-                "fit": {
-                    "rho_hat": fit.rho_hat,
-                    "beta_hat": fit.beta_hat,
-                    "C_hat": fit.C_hat,
-                    "residual_rms": fit.residual_rms,
-                    "plateau_series": fit.plateau_series,
-                    "fit_window": fit.fit_window,
-                    "usable_points": fit.usable_points,
-                },
-                "passed": passed,
-            }
-            ok &= passed
+            rep = {"predicted": pred.report(), "fit": asdict(fit)}
         else:
             raise ValidationError(f"unknown suite {suite!r}")
+        rep["passed"] = passed
+        report[suite] = rep
+        ok &= passed
     report["passed"] = ok
     _write_json(_outdir(args) / "verify.json", report)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -300,16 +287,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (NoConvergence, PlateauNotReached, SequenceTooNoisy, LeakDominated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except OscillaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (OscillaxError, OSError) as exc:   # ValidationError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -5,8 +5,10 @@ Everything here evolves probability vectors indexed by an integer window
 is a rigorous bound on the truncation error of every reported probability.
 A rational mode backs the exact-identity tests: after n steps every mass is
 an integer over D**n (D = ``common_denominator`` of the laws), so the DP runs
-on Python-int numerators with the integer weights p * D, adds each step's
-lost mass over D**n into Fraction leak totals, and returns Fractions.  A float
+on Python-int numerators with the integer weights p * D and returns them: an
+exact record's entry at step n means num / D**n, its D is in
+``KernelTable.meta["D"]`` or ``StepKernels.D`` (1 on a float record), and its
+leak totals stay integers as leak_n = leak_{n-1} * D + lost_n.  A float
 full-walk DP scales its state by powers of two, which changes no rounding, so
 transient sequences stay representable far past the underflow point of raw
 doubles.
@@ -65,14 +67,17 @@ def default_window(model: OscillatingModel, horizon: int) -> Window:
     return Window(-half, half)
 
 
-def check_size(*shapes) -> None:
-    """Refuse a call whose largest shape, at 8 bytes an entry, would exceed
-    MAX_ARRAY_BYTES; callers check before they allocate anything.  A shape is
-    an array's, a DP's steps x sites (its work), or its operator's entries."""
+def check_size(*shapes, D: int = 1, horizon: int = 0) -> None:
+    """Refuse a call whose largest shape would exceed MAX_ARRAY_BYTES; callers
+    check before they allocate anything.  A shape is an array's, a DP's
+    steps x sites (its work), or its operator's entries.  An entry takes 8
+    bytes, and an exact one over D**horizon also its numerator's
+    horizon * log2(D) bits."""
     largest = max(shapes, key=math.prod)
-    if 8 * math.prod(largest) > MAX_ARRAY_BYTES:
+    size = math.prod(largest) * (8 + math.ceil(horizon * math.log2(D) / 8))
+    if size > MAX_ARRAY_BYTES:
         raise ValidationError(
-            f"an array of shape {tuple(largest)} needs {8 * math.prod(largest) / 2**30:.3g} GiB, "
+            f"an array of shape {tuple(largest)} needs {size / 2**30:.3g} GiB, "
             f"over the {MAX_ARRAY_BYTES / 2**30:.3g} GiB limit: lower the horizon or the window")
 
 
@@ -88,11 +93,24 @@ class KernelTable:
 
 
 def _zeros(shape, exact: bool):
-    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
+    return np.zeros(shape, dtype=object if exact else float)
 
 
-# Fraction(numerator, denominator) elementwise, with broadcasting
-_fractions = np.frompyfunc(Fraction, 2, 1)
+def powers(base, horizon: int) -> np.ndarray:
+    """base**n for n = 0..horizon, one product at a time, as Python objects:
+    with an int base D the denominators of a record over D, or the factors
+    that move a record over D' to D' * D."""
+    return np.cumprod(np.array([1] + [base] * horizon, dtype=object))
+
+
+def _cumulate(lost: np.ndarray, D: int) -> np.ndarray:
+    """leak_n = leak_{n-1} * D + lost_n along axis 0 of ``lost``, in place
+    and returned: running totals of losses over D**n (D = 1 on a float run)."""
+    if D == 1:
+        return np.add.accumulate(lost, axis=0, out=lost)
+    for n in range(1, len(lost)):
+        lost[n] += lost[n - 1] * D
+    return lost
 
 
 @dataclass(frozen=True)
@@ -161,19 +179,26 @@ def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
     A float state advances k steps (a power of two) per product with the CSR
     block [A^k; F; F A; ...; F A^(k-1)], F the ``readouts`` rows of E, and the
     last horizon % k steps one at a time; an object state takes one exact
-    step per ``np.add.at``.  Yields (steps, state, F) after each product: the
-    slice of steps it ran, the state after them, which the caller may rescale
-    in place, and F[j] the readouts of step steps.start + j, applied to the
-    state before that step.
+    step per ``np.add.at`` on the column-sorted triplets of the columns it can
+    have reached, a span that grows by the extreme jumps.  Yields (steps,
+    state, F) after each product: the slice of steps it ran, the state after
+    them, which the caller may rescale in place, and F[j] the readouts of
+    step steps.start + j, applied to the state before that step.
     """
     K = op.width
     if state.dtype == object:
         keep = (op.rows < K) | np.isin(op.rows, readouts)
-        rows, cols, vals = op.rows[keep], op.cols[keep], op.vals[keep]
+        order = np.argsort(op.cols[keep], kind="stable")
+        rows, cols, vals = (a[keep][order] for a in (op.rows, op.cols, op.vals))
+        vals, jumps = vals.reshape((-1,) + (1,) * (state.ndim - 1)), (rows - cols)[rows < K]
+        reached = np.flatnonzero((state != 0).reshape(K, -1).any(axis=1))
+        lo, hi = reached.min(initial=K), reached.max(initial=-1)
         for n in range(1, horizon + 1):
+            s, e = np.searchsorted(cols, (lo, hi + 1))
             out = np.zeros((op.band_rows.stop,) + state.shape[1:], dtype=object)
-            np.add.at(out, rows, vals.reshape((-1,) + (1,) * (state.ndim - 1)) * state[cols])
+            np.add.at(out, rows[s:e], vals[s:e] * state[cols[s:e]])
             state = out[:K]
+            lo, hi = max(lo + jumps.min(initial=0), 0), min(hi + jumps.max(initial=0), K - 1)
             yield slice(n, n + 1), state, out[readouts][None]
         return
     import scipy.sparse as sp   # here, so that importing oscillax does not load it
@@ -238,33 +263,33 @@ def marginal_sequence(
     A float run stores the mass times 2**-shift, scaling the state up by a
     power of two (no rounding changes) after each ``BLOCK`` product that
     leaves it less than 1/2; data['log_values'] = log F + shift * log 2 stays
-    finite far below the double range of data['values'].
+    finite far below the double range of data['values'].  An exact run
+    returns integer numerators over D**n, D = meta['D'].
     """
     window = window or default_window(model, horizon)
     window.check_margin(model)
-    check_size((horizon + 1,), (window.width,))
-    ix, iy = window.index(x), window.index(y)
-    # exact: integer numerators over scale = D**n (see the module docstring)
+    # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(model.left, model.origin, model.right) if exact else 1
+    check_size((horizon + 1,), (window.width,), D=D, horizon=horizon)
+    ix, iy = window.index(x), window.index(y)
     op = walk_plan(model, window, exact, D)
-    dtype = object if exact else float
-    state = np.zeros(window.width, dtype=dtype)
+    state = _zeros(window.width, exact)
     state[ix] = 1
-    values = np.zeros(horizon + 1, dtype=dtype)
+    values = _zeros(horizon + 1, exact)
     values[0] = state[iy]
     leak, sides = _zeros(horizon + 1, exact), _zeros((horizon + 1, 2), exact)
     # float: the mass is the stored state times 2**shift, values[n] times 2**shifts[n]
     shift, shifts = 0, np.zeros(horizon + 1, dtype=int)
     for ns, state, F in _advance(op, [op.below, op.above, iy], state, horizon):
-        # leak totals in mass units: lost mass is over D**n exact, times 2**shift float
+        # leak totals: over D**n exact, in mass units (times 2**shift) float
         run = sides[ns.start - 1:ns.stop]
-        run[1:] = F[:, :2] * Fraction(1, D ** ns.start) if exact else np.ldexp(F[:, :2], shift)
-        np.add.accumulate(run, axis=0, out=run)
+        run[1:] = F[:, :2] if exact else np.ldexp(F[:, :2], shift)
+        _cumulate(run, D)
         leak[ns] = sides[ns, 0] + sides[ns, 1]
         values[ns], shifts[ns] = F[:, 2], shift
         for m in range(ns.start, ns.stop) if leak_budget is not None else ():
-            if leak[m] > leak_budget:
-                raise WindowTooSmall(f"cumulative leak {float(leak[m]):.3e} exceeds budget "
+            if (total := Fraction(leak[m], D ** m) if exact else leak[m]) > leak_budget:
+                raise WindowTooSmall(f"cumulative leak {float(total):.3e} exceeds budget "
                                      f"{leak_budget:.3e} at n={m}")
         # the mass is 1 - leak; once it may be below 1/2, scale the state up
         # into [1/2, 1) if it is (an empty state has e = 0)
@@ -272,15 +297,14 @@ def marginal_sequence(
             np.ldexp(state, -e, out=state)
             shift += e
     if exact:
-        values = _fractions(values, np.array([D ** n for n in range(horizon + 1)], dtype=object))
-        data = {"values": values, "final_state": _fractions(state, D ** horizon)}
+        data = {"values": values, "final_state": state}
     else:
         with np.errstate(divide="ignore"):
             data = {"values": np.ldexp(values, shifts), "final_state": np.ldexp(state, shift),
                     "log_values": np.log(values) + shifts * math.log(2)}
     data.update(leak_below=sides[:, 0], leak_above=sides[:, 1])
     return KernelTable(window=window, horizon=horizon, data=data, leak=leak,
-                       meta={"x": x, "y": y, "exact": exact})
+                       meta={"x": x, "y": y, "exact": exact, "D": D})
 
 
 class Side(Enum):
@@ -311,7 +335,8 @@ class StepKernels:
     history is one (N+1, rows, B) stack R[n, i, j] = Q_n(rows[i], band[0] + j).
     survival[i, n] is the mass of row i still inside its medium after n
     steps, window leak counted as surviving, so survival_n + sum_{k<=n} R_k
-    = 1 exactly in rational mode; leak[i, n] is the part that left the window.
+    = 1, exactly in rational mode, where every entry at step n is an integer
+    over D**n; leak[i, n] is the part that left the window.
     ``states``, when kept, is the (N+1, rows, segment width) history of the
     surviving mass over the survival segment of :func:`passage_regions`.
     """
@@ -322,6 +347,7 @@ class StepKernels:
     survival: np.ndarray    # (rows, N+1)
     leak: np.ndarray        # (rows, N+1)
     states: Optional[np.ndarray] = None   # (N+1, rows, segment width)
+    D: int = 1   # exact: entries at step n are integer numerators over D**n
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -365,42 +391,36 @@ def first_passage_rows(
             raise ValidationError(f"start {x} outside the window segment [{seg_lo}, {seg_hi}]")
     rows, width = len(xs), seg_hi - seg_lo + 1
     band_w = max(0, band_hi - band_lo + 1)
-    check_size((horizon + 1, rows, width if keep_states else band_w), (rows, width))
     # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(dist) if exact else 1
-    dtype = object if exact else float
+    check_size((horizon + 1, rows, width if keep_states else band_w), (rows, width),
+               D=D, horizon=horizon)
     # segment ∪ band is one contiguous run; a landing outside it has left the window
     op = window_operator([(seg_lo, seg_hi, dist)], (seg_lo, seg_hi),
                          (min(seg_lo, band_lo), max(seg_hi, band_hi)), (band_lo, band_hi), exact, D)
-    state = np.zeros((width, rows), dtype=dtype)
+    state = _zeros((width, rows), exact)
     for r, x in enumerate(xs):
         state[x - seg_lo, r] = 1
-    arrivals = np.zeros((horizon + 1, rows, band_w), dtype=dtype)
-    survival = np.zeros((rows, horizon + 1), dtype=dtype)   # the kept mass, until the end
+    arrivals = _zeros((horizon + 1, rows, band_w), exact)
+    survival = _zeros((rows, horizon + 1), exact)   # the kept mass, until the end
     survival[:, 0] = 1
     leak = _zeros((rows, horizon + 1), exact)
-    states = np.zeros((horizon + 1, rows, width), dtype=dtype) if keep_states else None
+    states = _zeros((horizon + 1, rows, width), exact) if keep_states else None
     if keep_states:
         states[0] = state.T
     # (an empty xs runs one product on zero rows and returns an empty record)
     readouts = [op.below, op.above, op.kept, *op.band_rows]
     for ns, state, F in _advance(op, readouts, state, horizon, 1 if keep_states else BLOCK):
         arrivals[ns] = F[:, 3:].transpose(0, 2, 1)
-        leak[:, ns] = ((F[:, 0] + F[:, 1]) * (Fraction(1, D ** ns.start) if exact else 1)).T
+        leak[:, ns] = (F[:, 0] + F[:, 1]).T
         survival[:, ns] = F[:, 2].T
         if keep_states:
             states[ns.start] = state.T
         if not np.any(state):
             break
-    np.add.accumulate(leak, axis=1, out=leak)   # past a break nothing is kept, leak stays
-    if exact:
-        scales = np.array([D ** m for m in range(horizon + 1)], dtype=object)
-        arrivals = _fractions(arrivals, scales[:, None, None])
-        survival = _fractions(survival, scales)
-        if keep_states:
-            states = _fractions(states, scales[:, None, None])
+    _cumulate(leak.T, D)   # past a break nothing is lost, and the totals carry on
     survival[:, 1:] += leak[:, 1:]
-    return StepKernels(xs, (band_lo, band_hi), arrivals, survival, leak, states)
+    return StepKernels(xs, (band_lo, band_hi), arrivals, survival, leak, states, D)
 
 
 def excursion_functions(
@@ -414,33 +434,32 @@ def excursion_functions(
 
     V_{0,y} is the indicator of {y}; for n >= 1, V_{n,y}(x) is the probability
     that the walk started at x stays strictly inside y's medium for n steps and
-    sits at y at time n (and 0 for x outside that medium).
+    sits at y at time n (and 0 for x outside that medium).  An exact table
+    holds integer numerators over D**n, D = meta['D'] of the law of y's medium.
     """
     window.check_margin(model)
-    check_size((horizon + 1, window.width))
-    V = _zeros((horizon + 1, window.width), exact)
-    one = Fraction(1) if exact else 1.0
-    V[0, window.index(y)] = one
-    if not model.two_media and y == 0:
-        p00 = model.origin.pmf_frac(0) if exact else model.origin.pmf(0)
-        acc = one
-        for n in range(1, horizon + 1):
-            acc = acc * p00
-            V[n, window.index(0)] = acc
-        return KernelTable(window, horizon, {"V": V}, _zeros(horizon + 1, exact),
-                           meta={"y": y, "exact": exact})
-    if y <= model.convention.left_end:
+    origin = not model.two_media and y == 0
+    if origin:
+        law = model.origin
+    elif y <= model.convention.left_end:
         law, side = model.left, Side.FROM_NEGATIVE
     elif y >= 1:
         law, side = model.right, Side.FROM_POSITIVE
     else:
         raise ValidationError("unreachable")
+    D = common_denominator(law) if exact else 1
+    check_size((horizon + 1, window.width), D=D, horizon=horizon)
+    V = _zeros((horizon + 1, window.width), exact)
+    V[0, window.index(y)] = 1
+    meta = {"y": y, "exact": exact, "D": D}
+    if origin:
+        V[:, window.index(0)] = powers(int(law.pmf_frac(0) * D) if exact else law.pmf(0), horizon)
+        return KernelTable(window, horizon, {"V": V}, _zeros(horizon + 1, exact), meta=meta)
     # V_{n,y}(x) is the mass at x of the reversed walk started at y and killed
     # on leaving the medium; mass it loses either way is reported as leak
     fp = first_passage_rows(mirror_dist(law), side, model.convention, [y], horizon,
                             window, exact, keep_states=True)
     (seg_lo, seg_hi), _ = passage_regions(side, model.convention, law, window)
     V[1:, window.index(seg_lo): window.index(seg_hi) + 1] = fp.states[1:, 0]
-    leak = fp.leak[0] + np.cumsum(fp.R[:, 0].sum(axis=1))
-    return KernelTable(window, horizon, {"V": V}, leak,
-                       meta={"y": y, "exact": exact})
+    arrived = _cumulate(fp.R[:, 0].sum(axis=1), D)
+    return KernelTable(window, horizon, {"V": V}, fp.leak[0] + arrived, meta=meta)

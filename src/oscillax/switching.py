@@ -15,7 +15,6 @@ keep only the arrival-band columns: Q(x, .) charges no other site.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .evolve import (
     check_size,
     first_passage_rows,
     passage_regions,
+    powers,
     walk_plan,
 )
 from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
@@ -41,6 +41,7 @@ from .model import (
     OscillatingModel,
     argmin_laplace,
     arrival_band,
+    common_denominator,
     essential_class,
     laplace,
     tilt,
@@ -205,13 +206,16 @@ def build_Q(
     :func:`first_passage_rows` DP and are written at that medium's band
     columns; the three-media origin row is the closed form
     Q_n(0, y) = mu0(0)^(n-1) mu0(y).  A row outside the window raises
-    ValidationError.
+    ValidationError.  An exact record holds integer numerators over D**n,
+    D the common denominator of the model's three laws.
     """
     window.check_margin(model)
     rows = list(dict.fromkeys(essential_class(model) if rows is None else rows))
     band = arrival_band(model)
     shape = (horizon + 1, len(rows), band[1] - band[0] + 1)
-    check_size(shape)
+    # exact: integer numerators over D**n, D of the whole model
+    D = common_denominator(model.left, model.origin, model.right) if exact else 1
+    check_size(shape, D=D, horizon=horizon)
     R = _zeros(shape, exact)
     survival, leak = (_zeros((len(rows), horizon + 1), exact) for _ in range(2))
     index = {x: i for i, x in enumerate(rows)}
@@ -219,18 +223,21 @@ def build_Q(
     for law, side, xs in ((model.left, Side.FROM_NEGATIVE, [x for x in rows if x <= end]),
                           (model.right, Side.FROM_POSITIVE, [x for x in rows if x >= 1])):
         fp = first_passage_rows(law, side, model.convention, xs, horizon, window, exact)
+        if exact:   # from the law's D**n to the model's
+            up = powers(D // fp.D, horizon)
+            fp.R, fp.survival, fp.leak = fp.R * up[:, None, None], fp.survival * up, fp.leak * up
         idx = [index[x] for x in xs]
         R[:, idx, fp.band[0] - band[0]: fp.band[1] - band[0] + 1] = fp.R
         survival[idx], leak[idx] = fp.survival, fp.leak
         del fp   # freed before the other medium's DP runs
     if not model.two_media and 0 in index:
-        i0, origin = index[0], model.origin
-        p0 = origin.pmf_frac(0) if exact else origin.pmf(0)
-        survival[i0] = np.cumprod([Fraction(1) if exact else 1.0] + [p0] * horizon)
-        for v, p in zip(origin.values, origin.fracs if exact else origin.probs):
+        # stay put with weight p0, then jump: weights p * D, integers in exact mode
+        i0, (k_lo, kern) = index[0], model.origin.dense_kernel(exact, D)
+        survival[i0] = powers(kern[-k_lo], horizon)
+        for v in model.origin.values:
             if v != 0:
-                R[1:, i0, int(v) - band[0]] = survival[i0, :-1] * p
-    return StepKernels(rows, band, R, survival, leak)
+                R[1:, i0, v - band[0]] = survival[i0, :-1] * kern[v - k_lo]
+    return StepKernels(rows, band, R, survival, leak, D=D)
 
 
 def renewal_sequence(R: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -239,8 +246,8 @@ def renewal_sequence(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     ``R`` is an (N+1, rows, B) stack of per-step band columns and ``C`` the
     (N+1, B, B) block of its band rows, as in :class:`StepKernels` (index 0
     of both is ignored).  The identity T_0 is not a band operator, so T[0]
-    is 0.  The recursion is homogeneous in D^n, so it runs unchanged on the
-    integer numerators D^n Q_n of an exact history.  Quadratic in the
+    is 0.  The recursion is homogeneous in D^n, so on the integer numerators
+    of an exact history it gives those of T_n over D^n.  Quadratic in the
     horizon; the long-horizon route is :func:`switching_time_marginals`.
     """
     T = np.zeros_like(R)

@@ -25,6 +25,7 @@ from .evolve import (
     first_passage_rows,
     marginal_sequence,
     passage_regions,
+    powers,
 )
 from .ladder import centered_tail_sums, direct_constant
 from .model import (
@@ -309,31 +310,29 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 def _survival_landing(dist: LatticeDist, threshold_hi: bool, n_max: int, z_range,
-                      exact: bool = True) -> dict:
-    """P[S_1..S_n strictly beyond the threshold, S_n = z] from S_0 = 0.
+                      exact: bool = True) -> np.ndarray:
+    """P[S_1..S_n strictly beyond the threshold, S_n = z] from S_0 = 0, as the
+    (n_max + 1, len(z_range)) table of n and z (row 0 is zero).
 
     threshold_hi=True keeps S_k >= 1 (kill on <= 0); False keeps S_k <= -1.
     The first step lands on an atom v beyond the threshold, so the table is
     sum_v mu(v) P_v[S_1..S_{n-1} beyond it, S_{n-1} = z], with every such v
-    run as one batch of first-passage rows.
+    run as one batch of first-passage rows.  An exact table holds integer
+    numerators over D**n, D = ``common_denominator(dist)``.
     """
     half = n_max * max(abs(dist.min_support), abs(dist.max_support)) + 2
     side = Side.FROM_POSITIVE if threshold_hi else Side.FROM_NEGATIVE
-    atoms = [(int(v), p) for v, p in zip(dist.values, dist.fracs if exact else dist.probs)
-             if (v >= 1 if threshold_hi else v <= -1)]
+    k_lo, kern = dist.dense_kernel(exact, common_denominator(dist) if exact else 1)
+    atoms = [(v, kern[v - k_lo]) for v in dist.values if (v >= 1 if threshold_hi else v <= -1)]
     window = Window(-half, half)
     fp = first_passage_rows(dist, side, Convention.THREE_MEDIA, [v for v, _ in atoms],
                             n_max - 1, window, exact, keep_states=True)
     (lo, hi), _ = passage_regions(side, Convention.THREE_MEDIA, dist, window)
-    zero = Fraction(0) if exact else 0.0
-    return {n: {z: sum((p * fp.states[n - 1, i, z - lo] for i, (_, p) in enumerate(atoms)), zero)
-                for z in z_range if lo <= z <= hi}
-            for n in range(1, n_max + 1)}
-
-
-# f.numerator * (s // f.denominator): the integer numerator of f over a multiple s
-# of its denominator, elementwise with broadcasting
-_numerators = np.frompyfunc(lambda f, s: f.numerator * (s // f.denominator), 2, 1)
+    cols = [j for j, z in enumerate(z_range) if lo <= z <= hi]
+    table = np.zeros((n_max + 1, len(z_range)), dtype=object if exact else float)
+    for i, (_, p) in enumerate(atoms):   # weights p * D: integers in exact mode
+        table[1:, cols] += p * fp.states[:, i, [z_range[j] - lo for j in cols]]
+    return table
 
 
 def identity_suite(model: OscillatingModel, horizon: int = 40,
@@ -343,98 +342,88 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
                    pairs: Optional[Sequence[tuple[int, int]]] = None) -> dict:
     """Exact structural identities: trajectory decomposition, tilting, duality.
 
-    In exact mode every residual must be identically zero; in float mode the
-    suite reports the max absolute residuals (<= 1e-12 at these sizes).
+    In exact mode every record holds integer numerators over D**n (D its
+    ``meta['D']`` or ``StepKernels.D``), a record over one law's D moves to
+    the model's D by the factor (D_model // D)**n, and each identity compares
+    numerators over one denominator: a residual is exactly zero iff they are
+    equal, and must be identically zero.  In float mode (D = 1) the suite
+    reports the max absolute residuals (<= 1e-12 at these sizes).
     """
     window = window or Window(-64, 64)
     exact = exact and model.exact
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
     report = {"exact": exact}
+
+    def record(name, diff, scale):
+        """max |diff| / scale, numerators diff over scale (broadcast); the float
+        division is formed only where diff is nonzero, so that an exact zero
+        never passes through a float"""
+        nonzero = diff != 0
+        resid = [abs(d) / s for d, s in zip(diff[nonzero],
+                                            np.broadcast_to(scale, diff.shape)[nonzero])]
+        report[f"{name}_residual"] = float(max(resid, default=0.0))
+        report[f"{name}_exact_zero"] = not resid
 
     # --- (i) trajectory decomposition ---------------------------------------
     # a_n(x, y) = V_n(x) + sum_{k=1}^n sum_z T_k(x, z) V_{n-k}(z), z over the
-    # arrival band.  In exact mode every term at time n is an integer over
-    # D**n (D the common denominator of the three laws): they run on those
-    # integers, which the renewal recursion keeps.
+    # arrival band; every term at time n is an integer over D**n, D the
+    # common denominator of the three laws, which the renewal recursion keeps.
     D = common_denominator(model.left, model.origin, model.right) if exact else 1
-    scales = np.array([D ** n for n in range(horizon + 1)], dtype=object)
-
-    def scaled(table):
-        """table[n] * D**n, as ints in exact mode (D**n is a common denominator)."""
-        return _numerators(table.T, scales).T if exact else table
-
     pairs = list(pairs or [(0, 0), (-1, 1), (2, -2)])
     band_lo, band_hi = arrival_band(model)
     band = list(range(band_lo, band_hi + 1))
     hist = build_Q(model, horizon, window, rows=band + [x for x, _ in pairs], exact=exact)
-    T = renewal_sequence(scaled(hist.R), scaled(hist.C))
-    max_resid = zero
+    T = renewal_sequence(hist.R, hist.C)
+    diffs = []
     for x, y in pairs:
         ex = excursion_functions(model, y, horizon, window, exact=exact)
         # V_n(z) for z in the band, then V_n(x) in the last column
-        V = scaled(ex.data["V"][:, [window.index(z) for z in band + [x]]])
+        V = ex.data["V"][:, [window.index(z) for z in band + [x]]]
+        if exact:
+            V = V * powers(D // ex.meta["D"], horizon)[:, None]
         Tx = T[:, hist.rows.index(x)]
         vals = marginal_sequence(model, x, y, horizon, window,
                                  leak_budget=None, exact=exact).data["values"]
-        for n in range(0, horizon + 1):
-            total = V[n, -1] + (Tx[1:n + 1] * V[:n][::-1, :-1]).sum()   # l = 0 term first
-            resid = abs((Fraction(total, D ** n) if exact else total) - vals[n])
-            if resid > max_resid:
-                max_resid = resid
-    report["trajectory_decomposition_residual"] = float(max_resid)
-    report["trajectory_decomposition_exact_zero"] = bool(max_resid == 0)
+        diffs.append([V[n, -1] + (Tx[1:n + 1] * V[:n][::-1, :-1]).sum() - vals[n]
+                      for n in range(horizon + 1)])   # l = 0 term first
+    record("trajectory_decomposition", np.array(diffs, dtype=vals.dtype), powers(D, horizon))
 
     # --- (ii) tilting identity ----------------------------------------------
-    # Q_n(x, y) = L(t)^n e^{t(x-y)} Q_n^t(x, y) with e^t = tilt_ratio
-    max_resid = zero
-    left_t = geometric_tilt(model.left, tilt_ratio)
-    if exact:
-        Lval = sum(p * tilt_ratio ** int(v) for v, p in zip(model.left.values, model.left.fracs))
-    else:
-        Lval = laplace(model.left, math.log(float(tilt_ratio)))
+    # Q_n(x, y) = L(t)^n e^{t(x-y)} Q_n^t(x, y) with e^t = tilt_ratio; in
+    # exact mode L(t) = Ln / Ld and e^{t(x-y)} = qn / qd, and each side is
+    # multiplied by the other's denominators (the tilted law has its own D)
     x0 = model.convention.left_end
     fp, fp_t = (first_passage_rows(law, Side.FROM_NEGATIVE, model.convention, [x0], 20,
-                                   window, exact=exact) for law in (model.left, left_t))
-    bl, bh = fp.band
-    ratio = Fraction(tilt_ratio) if exact else float(tilt_ratio)
-    Ln = one
-    for n in range(1, 21):
-        Ln = Ln * Lval
-        for y in range(bl, bh + 1):
-            lhs = fp.R[n, 0, y - bl]
-            rhs = Ln * ratio ** (x0 - y) * fp_t.R[n, 0, y - bl]
-            resid = abs(lhs - rhs)
-            if resid > max_resid:
-                max_resid = resid
-    report["tilting_residual"] = float(max_resid)
-    report["tilting_exact_zero"] = bool(max_resid == 0)
+                                   window, exact=exact)
+                for law in (model.left, geometric_tilt(model.left, tilt_ratio)))
+    ys = range(fp.band[0], fp.band[1] + 1)
+    if exact:
+        ratio = Fraction(tilt_ratio)
+        L = sum(p * ratio ** int(v) for v, p in zip(model.left.values, model.left.fracs))
+        (Ln, Ld), q = L.as_integer_ratio(), [(ratio ** (x0 - y)).as_integer_ratio() for y in ys]
+    else:   # the same products in floats, over denominators 1
+        ratio = float(tilt_ratio)
+        Ln, Ld, q = laplace(model.left, math.log(ratio)), 1, [(ratio ** (x0 - y), 1) for y in ys]
+    qn, qd = np.array(q, dtype=object).T
+    Ln, Ld, Dn, Dtn = (powers(b, 20)[1:, None] for b in (Ln, Ld, fp.D, fp_t.D))
+    lhs, rhs = fp.R[1:, 0] * (Ld * Dtn * qd), fp_t.R[1:, 0] * (Ln * Dn * qn)
+    record("tilting", lhs - rhs, Dn * Ld * Dtn * qd)
 
     # --- (iii) per-step duality ----------------------------------------------
     # P[tau_- > n, S_n = z] (stay >= 1) equals the probability that n is a
     # strict ascending ladder epoch with height z, i.e. the first crossing of
-    # level z lands exactly at z at time n.
+    # level z lands exactly at z at time n; both over the left law's D**n.
     n_max = min(horizon, 24)
     zs = range(1, 2 * model.left.max_support + 1)
-    lhs_tab = _survival_landing(model.left, True, n_max, zs, exact=exact)
+    lhs = _survival_landing(model.left, True, n_max, zs, exact=exact)
     # one DP over the starts -z; no mass leaves this window in n_max steps
     fp = first_passage_rows(model.left, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
                             [-z for z in zs], n_max,
                             Window(-n_max * model.max_jump - zs[-1] - 2, model.max_jump + 2),
                             exact=exact)
-    max_resid = zero
-    for i, z in enumerate(zs):
-        for n in range(1, n_max + 1):
-            rhs = fp.R[n, i, 0 - fp.band[0]]   # landing exactly on the level
-            resid = abs(lhs_tab[n].get(z, zero) - rhs)
-            if resid > max_resid:
-                max_resid = resid
-    report["duality_residual"] = float(max_resid)
-    report["duality_exact_zero"] = bool(max_resid == 0)
-    report["all_exact_zero"] = bool(
-        report["trajectory_decomposition_exact_zero"]
-        and report["tilting_exact_zero"] and report["duality_exact_zero"]
-    ) if exact else None
+    rhs = fp.R[:, :, 0 - fp.band[0]]   # landing exactly on the level
+    record("duality", (lhs - rhs)[1:], powers(fp.D, n_max)[1:, None])
+    report["all_exact_zero"] = all(report[f"{name}_exact_zero"] for name in (
+        "trajectory_decomposition", "tilting", "duality")) if exact else None
     return report
 
 

@@ -5,14 +5,42 @@ it walks the full tree of length-n paths with exact rational probabilities
 and knows nothing about windows, convolutions, or kernels.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oscillax.evolve import KernelTable, StepKernels
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import common_denominator
+
+_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
+def as_fractions(rec, D=None):
+    """An exact record's integer numerators as Fractions, num / D**n at step n.
+
+    A ``StepKernels`` or ``KernelTable`` comes back as a copy on Fractions
+    over its own D (a final state over D**horizon); an array, with D given,
+    is taken to have its steps on axis 0."""
+    def over(a, axis=0):
+        powers = np.array([D ** n for n in range(a.shape[axis])], dtype=object)
+        return _fraction(a, powers.reshape([-1 if i == axis else 1 for i in range(a.ndim)]))
+
+    if isinstance(rec, StepKernels):
+        D = rec.D
+        return dataclasses.replace(rec, R=over(rec.R), survival=over(rec.survival, 1),
+                                   leak=over(rec.leak, 1),
+                                   states=None if rec.states is None else over(rec.states))
+    if isinstance(rec, KernelTable):
+        D = rec.meta["D"]
+        data = {k: over(v) for k, v in rec.data.items()}
+        if "final_state" in data:
+            data["final_state"] = _fraction(rec.data["final_state"], D ** rec.horizon)
+        return dataclasses.replace(rec, data=data, leak=over(rec.leak))
+    return over(np.asarray(rec, dtype=object))
 
 
 def enumerate_marginal(model, x, n):

@@ -10,11 +10,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from oscillax.evolve import Side, Window, first_passage_rows, marginal_sequence, step, transition_matrix
 from oscillax.ladder import LadderVariant, fluctuation_constants, ladder_potentials
-from oscillax.model import Convention, DriftCase
+from oscillax.model import Convention
 from oscillax.regimes import classify, predicted_constant_Cy, select_tilt
 from oscillax.switching import (
     banded_power_sequences,

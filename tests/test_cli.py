@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from oscillax.cli import build_parser, main
+from conftest import reference_marginal_sequence
+from oscillax.cli import _fmt, build_parser, main
+from oscillax.evolve import Window
+from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
+from oscillax.model import load_model
+
+FIXTURE_FILES = [*FIXTURES, *(f"FIX-PP-{name}" for name in SUBCASE_FIXTURES)]
 
 FIX_DIR = None
 
@@ -49,6 +55,21 @@ class TestCommands:
             runs[mode] = [float(line.split(",")[1]) for line in lines]
         assert len(runs["rational"]) == 64
         assert runs["rational"] == pytest.approx(runs["float"], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP", "FIX-PP-B1"])
+    def test_evolve_rational_bytes_match_fractions(self, model_dir, tmp_path, name):
+        # the exact DP's numerators over D**n, divided as ints, print as the
+        # Fractions of the reference DP do; a narrow window makes leak nonzero,
+        # and B1's D = 500, unlike D = 4 and 8, makes that division round
+        path = model_dir / f"{name}.json"
+        assert main(["evolve", str(path), "--rational", "--from", "1", "--to", "-1",
+                     "-n", "64", "-W", "16", "-o", str(tmp_path)]) == 0
+        ref, _ = reference_marginal_sequence(load_model(path), 1, -1, 64, Window(-16, 16),
+                                             exact=True)
+        lines = (tmp_path / "evolve.csv").read_text().splitlines()[1:]
+        assert lines == [f"{n},{_fmt(float(ref['values'][n]))},{_fmt(float(ref['leak'][n]))}"
+                         for n in range(1, 65)]
+        assert float(ref["leak"][64]) > 0
 
     def test_verify_identities_exit_zero(self, model_dir, tmp_path):
         rc = main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "identities",
@@ -91,6 +112,18 @@ class TestCommands:
         assert main(["spectrum", str(model_dir / "FIX-PP.json"), "-W", "2048",
                      "-o", str(tmp_path)]) == 2
         assert time.perf_counter() - t0 < 5.0
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    def test_spectrum_defaults_exit_zero(self, model_dir, tmp_path, name):
+        # with no -W the default window is cut to where the weight is finite
+        assert main(["spectrum", str(model_dir / f"{name}.json"), "-o", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "spectrum.json").read_text())["residual"] <= 1e-8
+
+    def test_spectrum_explicit_window_overflow_exit_two(self, model_dir, tmp_path, capsys):
+        # an explicit -W is kept as given: FIX-PP-B1's weight overflows at 1024
+        assert main(["spectrum", str(model_dir / "FIX-PP-B1.json"), "-W", "1024",
+                     "-o", str(tmp_path)]) == 2
         assert "not finite" in capsys.readouterr().err
 
     def test_spectrum_delta_zero_is_used(self, model_dir, tmp_path, capsys):
@@ -157,15 +190,17 @@ class TestCommands:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", [
-        ["kernel", "-n", "1000000"],
-        ["verify", "--suite", "convergence", "-n", "1000000"],
-    ], ids=["kernel", "verify-convergence"])
-    def test_oversized_horizon_exit_two(self, model_dir, tmp_path, capsys, argv):
-        # the default window at this horizon is 32001 sites wide: the T_n DP
-        # would run 10^6 steps over it, refused as a 238 GiB table would be
+    @pytest.mark.parametrize("model,argv", [
+        ("FIX-ZZ", ["kernel", "-n", "1000000"]),
+        ("FIX-ZZ", ["verify", "--suite", "convergence", "-n", "1000000"]),
+        ("FIX-PP-B1", ["evolve", "--rational", "--from", "0", "--to", "0", "-n", "100000"]),
+    ], ids=["kernel", "verify-convergence", "evolve-rational"])
+    def test_oversized_horizon_exit_two(self, model_dir, tmp_path, capsys, model, argv):
+        # the default window at 10^6 steps is 32001 sites wide: the T_n DP
+        # would run 10^6 steps over it, refused as a 238 GiB table would be;
+        # the exact DP's numerators over 500**100000 take 112 kB an entry
         t0 = time.perf_counter()
-        assert main([argv[0], str(model_dir / "FIX-ZZ.json"), *argv[1:],
+        assert main([argv[0], str(model_dir / f"{model}.json"), *argv[1:],
                      "-o", str(tmp_path)]) == 2
         assert time.perf_counter() - t0 < 5.0
         assert "GiB" in capsys.readouterr().err

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    as_fractions,
     enumerate_first_passage,
     enumerate_marginal,
     reference_marginal_sequence,
@@ -48,7 +48,7 @@ class TestStep:
         # exhaustive enumeration of all length-2 paths
         oracle = enumerate_marginal(fix_zz, 0, 2)
         assert oracle[1] == F(1, 4)
-        t = marginal_sequence(fix_zz, 0, 1, 2, Window(-16, 16), exact=True)
+        t = as_fractions(marginal_sequence(fix_zz, 0, 1, 2, Window(-16, 16), exact=True))
         assert t.data["values"][2] == F(1, 4)
 
     def test_conservation_exact(self, fix_zz):
@@ -88,14 +88,14 @@ class TestMarginalSequence:
     def test_matches_enumeration(self, fix_zz):
         w = Window(-16, 16)
         for x, y in [(0, 0), (-1, 1), (2, -2)]:
-            t = marginal_sequence(fix_zz, x, y, 5, w, exact=True)
+            t = as_fractions(marginal_sequence(fix_zz, x, y, 5, w, exact=True))
             for n in range(6):
                 oracle = enumerate_marginal(fix_zz, x, n)
                 assert t.data["values"][n] == oracle.get(y, F(0)), (x, y, n)
 
     def test_two_media_matches_enumeration(self, fix_pp):
         w = Window(-16, 16)
-        t = marginal_sequence(fix_pp, 0, 1, 4, w, exact=True)
+        t = as_fractions(marginal_sequence(fix_pp, 0, 1, 4, w, exact=True))
         for n in range(5):
             oracle = enumerate_marginal(fix_pp, 0, n)
             assert t.data["values"][n] == oracle.get(1, F(0))
@@ -137,8 +137,11 @@ class TestMarginalSequence:
         assert np.all(np.diff(t.leak.astype(float)) >= 0)
 
     def test_exact_leak_stays_rational(self, fix_zz):
-        # the cumulative leak of the exact DP is a Fraction, so mass balances exactly
-        t = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), leak_budget=None, exact=True)
+        # the cumulative leak of the exact DP is rational (integer numerators
+        # over D**n), so mass balances exactly
+        raw = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), leak_budget=None, exact=True)
+        assert all(type(v) is int for v in raw.leak)
+        t = as_fractions(raw)
         for key in ("leak_below", "leak_above"):
             assert all(isinstance(v, F) for v in t.data[key])
         assert all(isinstance(v, F) for v in t.leak)
@@ -153,8 +156,8 @@ class TestMarginalSequence:
 class TestFirstPassage:
     def test_one_step_values(self, fix_zz):
         w = Window(-32, 8)
-        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                               Convention.THREE_MEDIA, [-1], 8, w, exact=True)
+        t = as_fractions(first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                                            Convention.THREE_MEDIA, [-1], 8, w, exact=True))
         bl, _ = t.band
         assert t.R[1, 0, 1 - bl] == F(1, 4)   # jump +2 lands at +1
         assert t.R[1, 0, 0 - bl] == F(0)      # mu(1) = 0
@@ -163,16 +166,16 @@ class TestFirstPassage:
     def test_two_step_path(self, fix_zz):
         # single path -1 -> -2 -> 0 with probability mu(-1) mu(2)
         w = Window(-32, 8)
-        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                               Convention.THREE_MEDIA, [-1], 8, w, exact=True)
+        t = as_fractions(first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                                            Convention.THREE_MEDIA, [-1], 8, w, exact=True))
         bl, _ = t.band
         assert t.R[2, 0, 0 - bl] == F(1, 2) * F(1, 4)
 
     def test_matches_enumeration(self, fix_zz):
         oracle, _ = enumerate_first_passage(fix_zz.left, -2, 6, absorb_ge=0)
         w = Window(-40, 8)
-        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                               Convention.THREE_MEDIA, [-2], 6, w, exact=True)
+        t = as_fractions(first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                                            Convention.THREE_MEDIA, [-2], 6, w, exact=True))
         bl, bh = t.band
         for n in range(1, 7):
             for y in range(bl, bh + 1):
@@ -180,15 +183,15 @@ class TestFirstPassage:
 
     def test_survival_identity_exact(self, fix_zz):
         w = Window(-64, 8)
-        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                               Convention.THREE_MEDIA, [-1], 64, w, exact=True)
+        t = as_fractions(first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
+                                            Convention.THREE_MEDIA, [-1], 64, w, exact=True))
         absorbed = sum(t.R[n, 0].sum() for n in range(65))
         assert absorbed + t.survival[0][64] == 1
 
     def test_two_media_regions(self, fix_pp):
         w = Window(-32, 8)
-        t = first_passage_rows(fix_pp.left, Side.FROM_NEGATIVE,
-                               Convention.TWO_MEDIA, [0], 4, w, exact=True)
+        t = as_fractions(first_passage_rows(fix_pp.left, Side.FROM_NEGATIVE,
+                                            Convention.TWO_MEDIA, [0], 4, w, exact=True))
         bl, bh = t.band
         assert (bl, bh) == (1, 2)
         assert t.R[1, 0, 2 - bl] == F(1, 2)   # 0 -> +2 crosses
@@ -224,7 +227,7 @@ class TestFirstPassageRows:
         law = _rational_law(weights)
         n_max, xs = 5, _side_rows(side, convention, 4)
         w = Window(-24, 24)   # wide enough that nothing leaks in n_max steps
-        hist = first_passage_rows(law, side, convention, xs, n_max, w, exact=True)
+        hist = as_fractions(first_passage_rows(law, side, convention, xs, n_max, w, exact=True))
         absorb = ({"absorb_ge": 0 if convention is Convention.THREE_MEDIA else 1}
                   if side is Side.FROM_NEGATIVE else {"absorb_le": 0})
         bl, bh = hist.band
@@ -253,20 +256,21 @@ class TestFirstPassageRows:
                 assert np.array_equal(rec, row), (x, key)
             assert np.array_equal(batch.leak[i], one.leak[0])
             if exact:
+                fb = as_fractions(batch)
                 for n in range(horizon + 1):
-                    assert batch.survival[i, n] + batch.R[: n + 1, i].sum() == 1
+                    assert fb.survival[i, n] + fb.R[: n + 1, i].sum() == 1
 
     def test_rows_die_at_different_times(self):
         # an upward-only law empties row x after at most |x| steps
         law = dist({1: F(1, 2), 2: F(1, 2)})
         xs = list(range(-6, 0))
         w = Window(-8, 8)
-        batch = first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
-                                   xs, 10, w, exact=True)
+        batch = as_fractions(first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
+                                                xs, 10, w, exact=True))
         for x in xs:
             i = batch.rows.index(x)
-            one = first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
-                                     [x], 10, w, exact=True)
+            one = as_fractions(first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
+                                                  [x], 10, w, exact=True))
             assert np.array_equal(batch.R[:, i], one.R[:, 0])
             assert np.array_equal(batch.survival[i], one.survival[0])
             assert batch.survival[i, -x] == 0 and not batch.survival[i, -x:].any()
@@ -277,7 +281,8 @@ class TestFirstPassageRows:
         for side, law, xs in ((Side.FROM_NEGATIVE, fix_zz.left, range(-8, 0)),
                               (Side.FROM_POSITIVE, fix_zz.right, range(1, 9))):
             fl = first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w)
-            ex = first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w, exact=True)
+            ex = as_fractions(first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w,
+                                                 exact=True))
             for x in xs:
                 i = fl.rows.index(x)
                 for a, b in ((fl.R[:, i], ex.R[:, i]),
@@ -314,7 +319,7 @@ class TestExcursions:
 
     def test_one_step_value(self, fix_zz):
         w = Window(-16, 16)
-        V = excursion_functions(fix_zz, -2, 3, w, exact=True).data["V"]
+        V = as_fractions(excursion_functions(fix_zz, -2, 3, w, exact=True)).data["V"]
         assert V[1][w.index(-1)] == F(1, 2)
 
     def test_origin_row_three_media(self):
@@ -323,7 +328,7 @@ class TestExcursions:
                            dist({-1: F(1, 4), 0: F(1, 2), 1: F(1, 4)}),
                            dist({-2: F(1, 4), 0: F(1, 4), 1: F(1, 2)}))
         w = Window(-8, 8)
-        V = excursion_functions(m, 0, 5, w, exact=True).data["V"]
+        V = as_fractions(excursion_functions(m, 0, 5, w, exact=True)).data["V"]
         for n in range(6):
             assert V[n][w.index(0)] == F(1, 2) ** n
             assert V[n].sum() == F(1, 2) ** n
@@ -331,7 +336,7 @@ class TestExcursions:
     def test_matches_survival_enumeration(self, fix_zz):
         # V_{n,y}(x) = P[stay <= -1 for n steps, land at y]
         w = Window(-24, 8)
-        V = excursion_functions(fix_zz, -3, 4, w, exact=True).data["V"]
+        V = as_fractions(excursion_functions(fix_zz, -3, 4, w, exact=True)).data["V"]
         for x in (-1, -2, -4):
             cur = {x: F(1)}
             for n in range(1, 5):
@@ -355,7 +360,7 @@ class TestExcursions:
         m = validate_model(left, dist({-1: F(1, 2), 1: F(1, 2)}), right,
                            two_media=two_media)
         w, horizon = Window(-7, 7), 5   # narrow, so the window cuts paths too
-        V = excursion_functions(m, y, horizon, w, exact=True).data["V"]
+        V = as_fractions(excursion_functions(m, y, horizon, w, exact=True)).data["V"]
         law = m.law_at(y)
         inside = (lambda p: w.lo <= p <= (0 if two_media else -1)) if y < 0 else \
             (lambda p: 1 <= p <= w.hi)
@@ -489,7 +494,7 @@ class TestStepPlan:
         model = FIXTURES[name]()
         args = (model, 0, 2, 40, Window(-16, 16))
         ref, _ = reference_marginal_sequence(*args, exact=True)
-        new = marginal_sequence(*args, leak_budget=None, exact=True)
+        new = as_fractions(marginal_sequence(*args, leak_budget=None, exact=True))
         assert list(new.leak) == ref["leak"]
         for key in ("values", "leak_below", "leak_above", "final_state"):
             assert list(new.data[key]) == ref[key], key
@@ -554,8 +559,8 @@ class TestMarginalProperties:
         horizon = 16
         small = marginal_sequence(m, x, y, horizon, Window(-6, 6), leak_budget=None)
         half = abs(x) + horizon * m.max_jump + 1   # no path of this length leaves it
-        wide = marginal_sequence(m, x, y, horizon, Window(-half, half), leak_budget=None,
-                                 exact=True)
+        wide = as_fractions(marginal_sequence(m, x, y, horizon, Window(-half, half),
+                                              leak_budget=None, exact=True))
         assert not any(wide.leak)
         err = np.abs(small.data["values"] - wide.data["values"].astype(float))
         assert np.all(err <= small.leak + 1e-12)

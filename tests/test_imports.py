@@ -1,9 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
-A stdlib ``ast`` scan standing in for a linter's unused-import rule.  Names
-are matched per module, not per scope; ``__init__.py`` is skipped because
-its imports are the package's re-exports.  Also: importing the CLI does not
-load ``scipy.sparse``, which only the DPs use.
+A stdlib ``ast`` scan standing in for a linter's unused-import rule, over
+the package and the test modules.  Names are matched per module, not per
+scope; ``__init__.py`` is skipped because its imports are the package's
+re-exports.  Also: importing the CLI does not load ``scipy.sparse``, which
+only the DPs use.
 """
 
 import ast
@@ -16,6 +17,7 @@ import oscillax
 
 MODULES = sorted(p for p in Path(oscillax.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,8 +41,9 @@ def test_scan_flags_an_unused_import():
 
 
 def test_no_unused_imports():
-    assert MODULES
-    found = {p.name: unused_imports(p.read_text()) for p in MODULES}
+    assert MODULES and TEST_MODULES
+    found = {str(p.relative_to(p.parent.parent)): unused_imports(p.read_text())
+             for p in MODULES + TEST_MODULES}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -156,19 +156,21 @@ class TestPerStepDuality:
     def test_survival_equals_ladder_epoch(self):
         # P[stay >= 1 through n, S_n = z] == P[first crossing of level z at n
         # lands exactly at z]; both sides by independent exact DPs
+        from conftest import as_fractions
         from oscillax.evolve import Side, Window, first_passage_rows
-        from oscillax.model import Convention
+        from oscillax.model import Convention, common_denominator
         from oscillax.verify import _survival_landing
 
         zs = range(1, 5)
-        lhs = _survival_landing(MU_A_DIST, True, 16, zs, exact=True)
-        for z in zs:
-            t = first_passage_rows(MU_A_DIST, Side.FROM_NEGATIVE,
-                                   Convention.THREE_MEDIA, [-z], 16,
-                                   Window(-64, 8), exact=True)
+        lhs = as_fractions(_survival_landing(MU_A_DIST, True, 16, zs, exact=True),
+                           common_denominator(MU_A_DIST))
+        for i, z in enumerate(zs):
+            t = as_fractions(first_passage_rows(MU_A_DIST, Side.FROM_NEGATIVE,
+                                                Convention.THREE_MEDIA, [-z], 16,
+                                                Window(-64, 8), exact=True))
             bl, _ = t.band
             for n in range(1, 17):
-                assert lhs[n].get(z, F(0)) == t.R[n, 0, 0 - bl], (z, n)
+                assert lhs[n, i] == t.R[n, 0, 0 - bl], (z, n)
 
 
 class TestFluctuationConstants:

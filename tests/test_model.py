@@ -21,7 +21,6 @@ from oscillax.model import (
     argmin_laplace,
     cross_point,
     dist,
-    dump_model,
     geometric_tilt,
     is_strongly_aperiodic,
     laplace,

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import reference_marginal_sequence, reference_step
+from conftest import as_fractions, reference_marginal_sequence, reference_step
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import (
     Side,
@@ -35,7 +35,6 @@ from oscillax.switching import (
     WeightSpec,
     banded_power_sequences,
     build_Q,
-    default_weight,
     dominant_eigenpair,
     doob_transform,
     limit_operator_E,
@@ -90,12 +89,14 @@ class TestBuildQ:
 
     def test_mass_accounting_exact(self, fix_zz):
         w = Window(-48, 48)
-        hist = build_Q(fix_zz, 50, w, rows=essential_class(fix_zz), exact=True)
+        hist = as_fractions(build_Q(fix_zz, 50, w, rows=essential_class(fix_zz), exact=True))
         for i, x in enumerate(hist.rows):
             assert hist.R[:, i].sum() + hist.survival[i, 50] == 1, x
 
     def test_exact_rows_have_fraction_leak(self, fix_zz):
-        hist = build_Q(fix_zz, 12, Window(-16, 16), rows=[-3, 0, 2], exact=True)
+        raw = build_Q(fix_zz, 12, Window(-16, 16), rows=[-3, 0, 2], exact=True)
+        assert all(type(v) is int for v in raw.leak.flat)   # numerators over D**n
+        hist = as_fractions(raw)
         for i, x in enumerate(hist.rows):
             assert all(type(v) is F for v in hist.leak[i]), x
 
@@ -122,7 +123,7 @@ class TestBuildQ:
         m = validate_model(dist({-1: F(1, 2), 0: F(1, 4), 2: F(1, 4)}),
                            dist({-1: F(1, 4), 0: F(1, 2), 1: F(1, 4)}),
                            dist({-2: F(1, 4), 0: F(1, 4), 1: F(1, 2)}))
-        hist = build_Q(m, 6, Window(-16, 16), rows=[0], exact=True)
+        hist = as_fractions(build_Q(m, 6, Window(-16, 16), rows=[0], exact=True))
         bl, _ = hist.band
         for n in range(1, 7):
             assert hist.R[n, 0, 1 - bl] == F(1, 2) ** (n - 1) * F(1, 4)
@@ -133,7 +134,7 @@ class TestBuildQ:
         # columns and exact zeros elsewhere, and conserves mass at every n
         model = RENEWAL_MODELS[name]()
         w, N = Window(-16, 16), 12
-        hist = build_Q(model, N, w, rows=range(-5, 6), exact=True)
+        hist = as_fractions(build_Q(model, N, w, rows=range(-5, 6), exact=True))
         bl = hist.band[0]
         conv = model.convention
         for i, x in enumerate(hist.rows):
@@ -146,7 +147,7 @@ class TestBuildQ:
             else:
                 law, side = ((model.left, Side.FROM_NEGATIVE) if x <= conv.left_end
                              else (model.right, Side.FROM_POSITIVE))
-                fp = first_passage_rows(law, side, conv, [x], N, w, exact=True)
+                fp = as_fractions(first_passage_rows(law, side, conv, [x], N, w, exact=True))
                 lo, hi = fp.band
                 expected[:, lo - bl: hi - bl + 1] = fp.R[:, 0]
             assert (hist.R[:, i] == expected).all(), x
@@ -188,7 +189,7 @@ class TestRenewalSequence:
         w = Window(-10, 10)
         N = 12
         D = common_denominator(fix_zz.left, fix_zz.origin, fix_zz.right)
-        hist = build_Q(fix_zz, N, w, rows=window_rows(w), exact=True)
+        hist = as_fractions(build_Q(fix_zz, N, w, rows=window_rows(w), exact=True))
         scaled = hist.R * np.array([D ** n for n in range(N + 1)], dtype=object)[:, None, None]
         assert all(z.denominator == 1 for z in scaled.flat)
         Z = np.vectorize(lambda z: z.numerator, otypes=[object])(scaled)
@@ -226,7 +227,7 @@ class TestRenewalSequence:
         # renewal sequence, entry for entry, on the same window
         model = RENEWAL_MODELS[name]()
         w, N = Window(-10, 10), 12
-        hist = build_Q(model, N, w, rows=window_rows(w), exact=True)
+        hist = as_fractions(build_Q(model, N, w, rows=window_rows(w), exact=True))
         T = renewal_sequence(hist.R, hist.C)
         plan = walk_plan(model, w, exact=True)
         for x in (-1, 0, 1):
@@ -436,8 +437,8 @@ class TestTiltedKernels:
         lt = geometric_tilt(fix_pp.left, ratio)
         rt = geometric_tilt(fix_pp.right, ratio)
         tilted = validate_model(lt, lt, rt, two_media=True)
-        hist = build_Q(fix_pp, 10, w, rows=[0, -2, 1], exact=True)
-        hist_t = build_Q(tilted, 10, w, rows=[0, -2, 1], exact=True)
+        hist = as_fractions(build_Q(fix_pp, 10, w, rows=[0, -2, 1], exact=True))
+        hist_t = as_fractions(build_Q(tilted, 10, w, rows=[0, -2, 1], exact=True))
         Lval = sum(p * ratio ** int(v) for v, p in zip(fix_pp.left.values, fix_pp.left.fracs))
         Lpval = sum(p * ratio ** int(v) for v, p in zip(fix_pp.right.values, fix_pp.right.fracs))
         bl, bh = hist.band

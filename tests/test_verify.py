@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_fractions
 from oscillax.errors import LeakDominated, SequenceTooNoisy, ValidationError
 from oscillax import verify
 from oscillax.evolve import Window, first_passage_rows, marginal_sequence
@@ -258,7 +259,10 @@ class TestIdentitySuiteFloat:
 
 
 class TestIdentitySuiteSensitivity:
-    """One unit at the engines' scale 1/D**n must show as that exact residual."""
+    """One unit at the engines' scale 1/D**n must show as that exact residual.
+
+    The records hold integer numerators over D**n, so the unit delta enters
+    them as delta * D**n = 1."""
 
     def test_decomposition_sees_one_unit(self, fix_zz, monkeypatch):
         n0 = 9
@@ -266,7 +270,7 @@ class TestIdentitySuiteSensitivity:
 
         def perturbed(*args, **kwargs):
             t = marginal_sequence(*args, **kwargs)
-            t.data["values"][n0] += delta
+            t.data["values"][n0] += int(delta * t.meta["D"] ** n0)
             return t
 
         monkeypatch.setattr(verify, "marginal_sequence", perturbed)
@@ -283,7 +287,7 @@ class TestIdentitySuiteSensitivity:
         def perturbed(law, *args, **kwargs):
             fp = first_passage_rows(law, *args, **kwargs)
             if law.fracs == left_t.fracs and fp.rows == [x0]:   # the tilted row of (ii)
-                fp.R[n0, 0, y0 - fp.band[0]] += delta
+                fp.R[n0, 0, y0 - fp.band[0]] += int(delta * fp.D ** n0)
             return fp
 
         monkeypatch.setattr(verify, "first_passage_rows", perturbed)
@@ -302,7 +306,7 @@ class TestIdentitySuiteSensitivity:
             fp = first_passage_rows(*args, **kwargs)
             if -z0 in fp.rows:   # the batched record of the starts -z
                 records.append(fp)
-                fp.R[n0, fp.rows.index(-z0), 0 - fp.band[0]] += delta
+                fp.R[n0, fp.rows.index(-z0), 0 - fp.band[0]] += int(delta * fp.D ** n0)
             return fp
 
         monkeypatch.setattr(verify, "first_passage_rows", perturbed)
@@ -311,6 +315,27 @@ class TestIdentitySuiteSensitivity:
         assert not rep["duality_exact_zero"]
         assert rep["duality_residual"] == float(delta)
         assert rep["trajectory_decomposition_exact_zero"] and rep["tilting_exact_zero"]
+
+
+class TestIdentitySuiteNumerators:
+    def test_exact_suite_builds_few_fractions(self, monkeypatch):
+        # every exact record is integer numerators over D**n, so the suite
+        # builds Fractions only for the laws and the tilt's constants: 130 on
+        # FIX-PP-B7, where turning each numerator into a Fraction and back
+        # took 14544
+        calls = []
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(cls)
+            return new(cls, *args, **kwargs)
+
+        model = SUBCASE_FIXTURES["B7"]()
+        monkeypatch.setattr(F, "__new__", staticmethod(counting))
+        rep = identity_suite(model)
+        monkeypatch.undo()
+        assert rep["all_exact_zero"]
+        assert len(calls) <= 2000
 
 
 class TestScalarChecks:
@@ -351,7 +376,8 @@ class TestSurvivalLanding:
         law = dist({v: F(w, tot) for v, w in weights.items()})
         n_max = 6
         zs = range(1, 7) if threshold_hi else range(-6, 0)
-        table = _survival_landing(law, threshold_hi, n_max, zs, exact=True)
+        table = as_fractions(_survival_landing(law, threshold_hi, n_max, zs, exact=True),
+                             common_denominator(law))
         beyond = (lambda p: p >= 1) if threshold_hi else (lambda p: p <= -1)
         cur = {0: F(1)}
         for n in range(1, n_max + 1):
@@ -361,4 +387,4 @@ class TestSurvivalLanding:
                     if beyond(pos + v):
                         new[pos + v] = new.get(pos + v, F(0)) + mass * p
             cur = new
-            assert all(table[n].get(z, F(0)) == cur.get(z, F(0)) for z in zs), n
+            assert all(table[n, i] == cur.get(z, F(0)) for i, z in enumerate(zs)), n
