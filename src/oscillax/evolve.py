@@ -3,6 +3,9 @@
 Everything here evolves probability vectors indexed by an integer window
 [lo, hi].  Mass that steps outside the window is accumulated as *leak*, which
 is a rigorous bound on the truncation error of every reported probability.
+A float DP also sets every state entry below the smallest normal double to 0
+after each block, so that no product reads a subnormal, and counts that mass
+as leak too.
 A rational mode backs the exact-identity tests: after n steps every mass is
 an integer over D**n (D = ``common_denominator`` of the laws), so the DP runs
 on Python-int numerators with the integer weights p * D and returns them: an
@@ -31,6 +34,7 @@ from .model import (Convention, LatticeDist, OscillatingModel, arrival_band, com
 DEFAULT_LEAK_BUDGET = 1e-10
 MAX_ARRAY_BYTES = 1 << 30   # largest single array any engine may allocate
 BLOCK = 8   # steps a float DP advances per sparse product
+TINY = np.finfo(float).tiny   # smallest normal double; the float DP holds nothing below it
 
 
 @dataclass(frozen=True)
@@ -181,9 +185,13 @@ def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
     last horizon % k steps one at a time; an object state takes one exact
     step per ``np.add.at`` on the column-sorted triplets of the columns it can
     have reached, a span that grows by the extreme jumps.  Yields (steps,
-    state, F) after each product: the slice of steps it ran, the state after
-    them, which the caller may rescale in place, and F[j] the readouts of
-    step steps.start + j, applied to the state before that step.
+    state, F, lost) after each product: the slice of steps it ran, the state
+    after them, which the caller may rescale in place, F[j] the readouts of
+    step steps.start + j, applied to the state before that step, and the mass
+    per state column flushed from a float state, or None if there was none:
+    every entry below the smallest normal double is set to 0 after the
+    product, as a multiply that reads a subnormal costs tens of normal ones.
+    The caller counts that mass as leak from step steps.stop on.
     """
     K = op.width
     if state.dtype == object:
@@ -199,7 +207,7 @@ def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
             np.add.at(out, rows[s:e], vals[s:e] * state[cols[s:e]])
             state = out[:K]
             lo, hi = max(lo + jumps.min(initial=0), 0), min(hi + jumps.max(initial=0), K - 1)
-            yield slice(n, n + 1), state, out[readouts][None]
+            yield slice(n, n + 1), state, out[readouts][None], None
         return
     import scipy.sparse as sp   # here, so that importing oscillax does not load it
 
@@ -217,8 +225,13 @@ def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
         j = k if horizon - n >= k else 1
         out = blocks[j] @ state
         n += j
-        state = out[:K]
-        yield slice(n - j + 1, n + 1), state, out[K:].reshape((j, len(readouts)) + state.shape[1:])
+        state, lost = out[:K], None
+        if state.min(initial=np.inf) < TINY:   # or a zero, which adds and keeps 0
+            small = state < TINY
+            lost = state.sum(axis=0, where=small)
+            state[small] = 0
+        yield (slice(n - j + 1, n + 1), state,
+               out[K:].reshape((j, len(readouts)) + state.shape[1:]), lost)
 
 
 def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None):
@@ -227,13 +240,16 @@ def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None
     ``plan`` is the :func:`walk_plan` of the model and window, built once by
     the caller; it defaults to the float laws, or the Fraction laws for an
     object-dtype state.  leaked is a pair (below_lo, above_hi); conservation
-    sum(new) + sum(leaked) == sum(state) holds exactly in rational mode.  If
-    ``crossed`` (a window-indexed array) is given, the mass that changes
-    medium on this step is added into it at its landing site.
+    sum(new) + sum(leaked) == sum(state) holds exactly in rational mode.  A
+    float step sets every new entry below the smallest normal double to 0 (see
+    :func:`_advance`), so in float mode it holds up to rounding and that
+    flushed mass, which ``leaked`` does not count.  If ``crossed`` (a
+    window-indexed array) is given, the mass that changes medium on this step
+    is added into it at its landing site.
     """
     if plan is None:
         plan = walk_plan(model, window, state.dtype == object)
-    _, new, F = next(_advance(plan, [plan.below, plan.above, *plan.band_rows], state, 1, 1))
+    _, new, F, _ = next(_advance(plan, [plan.below, plan.above, *plan.band_rows], state, 1, 1))
     if crossed is not None:
         crossed[plan.band[0] - window.lo:plan.band[1] - window.lo + 1] += F[0, 2:]
     return new, (F[0, 0], F[0, 1])
@@ -263,8 +279,11 @@ def marginal_sequence(
     A float run stores the mass times 2**-shift, scaling the state up by a
     power of two (no rounding changes) after each ``BLOCK`` product that
     leaves it less than 1/2; data['log_values'] = log F + shift * log 2 stays
-    finite far below the double range of data['values'].  An exact run
-    returns integer numerators over D**n, D = meta['D'].
+    finite far below the double range of data['values'].  The leak is the sum
+    of data['leak_below'], data['leak_above'] and data['leak_underflow'], the
+    mass the float state dropped below the smallest normal double (in mass
+    units, from the first step that no longer sees it; 0 on an exact run).
+    An exact run returns integer numerators over D**n, D = meta['D'].
     """
     window = window or default_window(model, horizon)
     window.check_margin(model)
@@ -277,16 +296,19 @@ def marginal_sequence(
     state[ix] = 1
     values = _zeros(horizon + 1, exact)
     values[0] = state[iy]
-    leak, sides = _zeros(horizon + 1, exact), _zeros((horizon + 1, 2), exact)
+    # leak totals by cause: below, above and underflow
+    leak, sides = _zeros(horizon + 1, exact), _zeros((horizon + 1, 3), exact)
     # float: the mass is the stored state times 2**shift, values[n] times 2**shifts[n]
-    shift, shifts = 0, np.zeros(horizon + 1, dtype=int)
-    for ns, state, F in _advance(op, [op.below, op.above, iy], state, horizon):
+    shift, shifts, flushed = 0, np.zeros(horizon + 1, dtype=int), 0
+    for ns, state, F, lost in _advance(op, [op.below, op.above, iy], state, horizon):
         # leak totals: over D**n exact, in mass units (times 2**shift) float
         run = sides[ns.start - 1:ns.stop]
-        run[1:] = F[:, :2] if exact else np.ldexp(F[:, :2], shift)
+        run[1:, :2] = F[:, :2] if exact else np.ldexp(F[:, :2], shift)
+        run[1, 2] = flushed   # the last product's, first unseen at this block's first step
         _cumulate(run, D)
-        leak[ns] = sides[ns, 0] + sides[ns, 1]
+        leak[ns] = sides[ns, 0] + sides[ns, 1] + sides[ns, 2]
         values[ns], shifts[ns] = F[:, 2], shift
+        flushed = 0 if lost is None else np.ldexp(lost, shift)
         for m in range(ns.start, ns.stop) if leak_budget is not None else ():
             if (total := Fraction(leak[m], D ** m) if exact else leak[m]) > leak_budget:
                 raise WindowTooSmall(f"cumulative leak {float(total):.3e} exceeds budget "
@@ -302,7 +324,7 @@ def marginal_sequence(
         with np.errstate(divide="ignore"):
             data = {"values": np.ldexp(values, shifts), "final_state": np.ldexp(state, shift),
                     "log_values": np.log(values) + shifts * math.log(2)}
-    data.update(leak_below=sides[:, 0], leak_above=sides[:, 1])
+    data.update(leak_below=sides[:, 0], leak_above=sides[:, 1], leak_underflow=sides[:, 2])
     return KernelTable(window=window, horizon=horizon, data=data, leak=leak,
                        meta={"x": x, "y": y, "exact": exact, "D": D})
 
@@ -336,7 +358,8 @@ class StepKernels:
     survival[i, n] is the mass of row i still inside its medium after n
     steps, window leak counted as surviving, so survival_n + sum_{k<=n} R_k
     = 1, exactly in rational mode, where every entry at step n is an integer
-    over D**n; leak[i, n] is the part that left the window.
+    over D**n; leak[i, n] is the part that left the window or, in a float
+    record, was flushed below the smallest normal double.
     ``states``, when kept, is the (N+1, rows, segment width) history of the
     surviving mass over the survival segment of :func:`passage_regions`.
     """
@@ -373,8 +396,10 @@ def first_passage_rows(
     The walk with law ``dist`` runs on the survival segment of ``side`` (see
     :func:`passage_regions`) and is killed on leaving it: mass that crosses
     into the arrival band is recorded as arrivals, mass that leaves the
-    window on the survival side is leak.  All rows share one (segment x rows)
-    state, run through the law's :func:`window_operator` on the segment.
+    window on the survival side is leak, and so is mass a float state drops
+    below the smallest normal double (see :func:`_advance`).  All rows share
+    one (segment x rows) state, run through the law's :func:`window_operator`
+    on the segment; the DP stops once that state holds no mass.
 
     Returns the :class:`StepKernels` record of ``xs`` on the arrival band of
     ``side``; ``keep_states`` fills its ``states``.
@@ -410,14 +435,19 @@ def first_passage_rows(
         states[0] = state.T
     # (an empty xs runs one product on zero rows and returns an empty record)
     readouts = [op.below, op.above, op.kept, *op.band_rows]
-    for ns, state, F in _advance(op, readouts, state, horizon, 1 if keep_states else BLOCK):
+    flushed = []   # (n, mass per row) flushed from the state, lost from step n on
+    for ns, state, F, lost in _advance(op, readouts, state, horizon, 1 if keep_states else BLOCK):
         arrivals[ns] = F[:, 3:].transpose(0, 2, 1)
         leak[:, ns] = (F[:, 0] + F[:, 1]).T
+        if lost is not None and ns.stop <= horizon:
+            flushed.append((ns.stop, lost))
         survival[:, ns] = F[:, 2].T
         if keep_states:
             states[ns.start] = state.T
         if not np.any(state):
             break
+    for n, lost in flushed:
+        leak[:, n] += lost
     _cumulate(leak.T, D)   # past a break nothing is lost, and the totals carry on
     survival[:, 1:] += leak[:, 1:]
     return StepKernels(xs, (band_lo, band_hi), arrivals, survival, leak, states, D)

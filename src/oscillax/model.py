@@ -65,11 +65,13 @@ class LatticeDist:
 
     ``fracs`` holds exact rational probabilities when the law was built from
     exact inputs; it backs the exact-arithmetic mode of the DP engines.
+    ``atoms`` is ``values`` as a float array, the one the Laplace transforms read.
     """
 
     values: tuple[int, ...]
     probs: np.ndarray
     fracs: Optional[tuple[Fraction, ...]] = None
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
     mean: float = field(init=False)
     variance: float = field(init=False)
     min_support: int = field(init=False)
@@ -89,6 +91,7 @@ class LatticeDist:
         m = float(probs @ vals)
         var = float(probs @ vals**2) - m * m
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "atoms", vals)
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "variance", max(var, 0.0))
         object.__setattr__(self, "min_support", int(self.values[0]))
@@ -187,20 +190,24 @@ def mirror_dist(d: LatticeDist) -> LatticeDist:
 # Laplace transform analysis
 # ---------------------------------------------------------------------------
 
+def _check_exponent(d: LatticeDist, t: float) -> None:
+    """Raise OverflowError when some |t v| exceeds EXP_OVERFLOW.  The largest
+    |fl(t v)| is fl(|t| max|v|), as rounding is monotone and |fl(t v)| =
+    fl(|t| |v|), so one product decides."""
+    if abs(t) * max(-d.min_support, d.max_support) > EXP_OVERFLOW:
+        raise OverflowError(f"|t*v| exceeds {EXP_OVERFLOW} for t={t}")
+
+
 def laplace(d: LatticeDist, t: float) -> float:
     """L(t) = sum_i p_i e^{t v_i}; exact finite sum, entire in t."""
-    vals = np.asarray(d.values, dtype=float)
-    if np.max(np.abs(t * vals)) > EXP_OVERFLOW:
-        raise OverflowError(f"|t*v| exceeds {EXP_OVERFLOW} for t={t}")
-    return float(d.probs @ np.exp(t * vals))
+    _check_exponent(d, t)
+    return float(d.probs @ np.exp(t * d.atoms))
 
 
 def laplace_deriv(d: LatticeDist, t: float) -> float:
     """dL/dt = sum_i p_i v_i e^{t v_i}."""
-    vals = np.asarray(d.values, dtype=float)
-    if np.max(np.abs(t * vals)) > EXP_OVERFLOW:
-        raise OverflowError(f"|t*v| exceeds {EXP_OVERFLOW} for t={t}")
-    return float(d.probs @ (vals * np.exp(t * vals)))
+    _check_exponent(d, t)
+    return float(d.probs @ (d.atoms * np.exp(t * d.atoms)))
 
 
 def _require_two_sided(d: LatticeDist):

@@ -312,7 +312,7 @@ def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
     state = np.zeros(window.width)
     state[window.index(x)] = 1.0
     T = np.zeros((horizon + 1, band_hi - band_lo + 1))
-    for ns, _, F in _advance(op, list(op.band_rows), state, horizon):
+    for ns, _, F, _ in _advance(op, list(op.band_rows), state, horizon):
         T[ns] = F
     return T
 

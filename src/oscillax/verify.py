@@ -164,14 +164,16 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
     therefore discounted by the re-entry factor of its side and then by the
     best possible in-window decay ``rate`` per remaining step:
 
-        eff_n = rate * eff_{n-1} + flux_n^below * d_left + flux_n^above * d_right.
+        eff_n = rate * eff_{n-1} + flux_n^below * d_left + flux_n^above * d_right
+                + flux_n^underflow.
 
     A centered side gets no discount (d = 1), so for recurrent models this
-    reduces to the raw bound.
+    reduces to the raw bound.  Mass the float DP flushed below the smallest
+    normal double never left the window, so it is not discounted either.
     """
     window = table.window
-    lo_cum = np.asarray(table.data["leak_below"], dtype=float)
-    hi_cum = np.asarray(table.data["leak_above"], dtype=float)
+    lo_cum, hi_cum, under_cum = (np.asarray(table.data[f"leak_{k}"], dtype=float)
+                                 for k in ("below", "above", "underflow"))
     # a drifted side's leak, escaped with its drift or against it, must fight that drift
     d_left = d_right = 1.0
     if abs(model.left.mean) > ZERO_DRIFT_TOL:
@@ -186,6 +188,7 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
     with np.errstate(divide="ignore"):
         new = np.logaddexp(np.log(np.maximum(np.diff(lo_cum), 0)) + np.log(d_left),
                            np.log(np.maximum(np.diff(hi_cum), 0)) + np.log(d_right))
+        new = np.logaddexp(new, np.log(np.maximum(np.diff(under_cum), 0)))
     log_eff = np.full(len(lo_cum), -np.inf)
     if rate > 0:
         k_log_rate = np.arange(1, len(lo_cum)) * math.log(rate)

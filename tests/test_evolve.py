@@ -13,7 +13,10 @@ from conftest import (
     reference_step,
 )
 from oscillax.errors import ConventionMismatch, ValidationError, WindowTooSmall
+from oscillax import evolve
 from oscillax.evolve import (
+    BLOCK,
+    TINY,
     Side,
     Window,
     _advance,
@@ -303,6 +306,87 @@ class TestFirstPassageRows:
                                Window(-16, 16))
 
 
+def _subnormals(a):
+    return np.count_nonzero((a > 0) & (a < TINY))
+
+
+class TestUnderflowFlush:
+    """A float DP sets every state entry below the smallest normal double to 0
+    after each block product and counts that mass as leak."""
+
+    def test_fix_pn_state_stays_normal(self, fix_pn):
+        # FIX-PN's profile decays exponentially away from the origin, so at
+        # n = 4096 the default window holds a band of sites below 2.2e-308;
+        # no window leak reaches a double there, so the leak is all underflow
+        horizon = 4096
+        window = default_window(fix_pn, horizon)
+        op, state = walk_plan(fix_pn, window), np.zeros(window.width)
+        state[window.index(0)] = 1
+        flushed = []
+        for _, state, _, lost in _advance(op, [op.below, op.above], state, horizon):
+            assert _subnormals(state) == 0
+            flushed.append(0.0 if lost is None else lost)
+        t = marginal_sequence(fix_pn, 0, 0, horizon, window, leak_budget=None)
+        d = t.data
+        assert _subnormals(d["final_state"]) == 0
+        assert np.array_equal(t.leak, d["leak_below"] + d["leak_above"] + d["leak_underflow"])
+        assert not d["leak_below"].any() and not d["leak_above"].any()
+        # a block's flush counts from the next block's first step on, and the
+        # last block's from no step of the horizon
+        assert d["leak_underflow"][-1] == pytest.approx(sum(flushed[:-1]), rel=1e-12)
+        assert d["leak_underflow"][-1] > 0 and np.all(np.diff(d["leak_underflow"]) >= 0)
+        assert np.all((np.flatnonzero(np.diff(d["leak_underflow"])) + 1) % BLOCK == 1)
+
+    def test_exact_run_has_no_underflow(self, fix_zz):
+        t = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), leak_budget=None, exact=True)
+        assert not t.data["leak_underflow"].any()
+        assert list(t.leak) == list(t.data["leak_below"] + t.data["leak_above"])
+
+    def test_first_passage_flush_is_leak(self, monkeypatch):
+        # a law drifting hard into the boundary: the surviving mass falls
+        # about 0.3 a step, none of it reaches the window's far end, so every
+        # leak is flushed mass, and the DP stops once all of it is flushed
+        law = dist({-3: F(9, 10), 1: F(1, 10)})
+        products = []
+
+        def counted(*args):
+            for out in _advance(*args):
+                products.append(out[0])
+                yield out
+
+        monkeypatch.setattr(evolve, "_advance", counted)
+        fp = first_passage_rows(law, Side.FROM_POSITIVE, Convention.THREE_MEDIA, [1, 5], 800,
+                                Window(-8, 400), keep_states=True)
+        assert _subnormals(fp.states) == 0
+        empty = int(np.flatnonzero(~fp.states.any(axis=(1, 2)))[0])
+        assert len(products) == empty < 800
+        assert np.all(fp.leak[:, -1] > 0)
+        # survival_{n-1} - survival_n = R_n, at the scale of the surviving mass
+        gap = -np.diff(fp.survival, axis=1) - fp.R[1:].sum(axis=2).T
+        assert np.all(np.abs(gap) <= 1e-12 * fp.survival[:, :-1] + 1e-318)
+        np.testing.assert_allclose(fp.survival + np.cumsum(fp.R.sum(axis=2).T, axis=1), 1,
+                                   rtol=0, atol=1e-12)
+
+    def test_float_within_leak_of_exact(self):
+        # jumps of +-3 keep the walk on 3Z but for the atoms of 2**-530 at +4
+        # and -2, each a class up mod 3: the sites two classes up hold about
+        # 2**-1060, below the smallest normal, from the second step on (an
+        # atom of 2**-600 would put them below the subnormals, at 0)
+        eps = F(1, 2**530)
+        left = dist({-3: F(1, 2), 3: F(1, 2) - eps, 4: eps})
+        right = dist({-3: F(1, 2) - eps, -2: eps, 3: F(1, 2)})
+        m = validate_model(left, dist({-3: F(1, 2), 3: F(1, 2)}), right)
+        horizon = 16
+        for y in (0, 1):
+            small = marginal_sequence(m, 0, y, horizon, Window(-12, 12), leak_budget=None)
+            wide = as_fractions(marginal_sequence(m, 0, y, horizon, Window(-65, 65),
+                                                  leak_budget=None, exact=True))
+            assert small.data["leak_underflow"][-1] > 0
+            assert _subnormals(small.data["final_state"]) == 0
+            err = np.abs(small.data["values"] - wide.data["values"].astype(float))
+            assert np.all(err <= small.leak + 1e-12)
+
+
 class TestExcursions:
     def test_v0_indicator(self, fix_zz):
         w = Window(-16, 16)
@@ -481,7 +565,7 @@ class TestStepPlan:
         state = np.zeros(w.width)
         state[w.index(1)] = 1
         values = np.zeros(horizon + 1)
-        for ns, state, F in _advance(op, [op.below, op.above, iy], state, horizon):
+        for ns, state, F, _ in _advance(op, [op.below, op.above, iy], state, horizon):
             values[ns] = F[:, 2]
         new = marginal_sequence(model, 1, -1, horizon, w, leak_budget=None)
         assert np.array_equal(new.data["values"], values)

@@ -17,6 +17,7 @@ from oscillax.errors import (
 )
 from oscillax.fixtures import MU_A, MU_A_MIRROR, MU_B, MU_BP, UNIF_PM1
 from oscillax.model import (
+    EXP_OVERFLOW,
     DriftCase,
     argmin_laplace,
     cross_point,
@@ -117,6 +118,34 @@ class TestLaplace:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             laplace(dist(MU_A), 500.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-400, 400), min_size=1, max_size=8, unique=True), st.data())
+    def test_matches_per_call_formula(self, values, data):
+        # the formulas that rebuilt the float atoms and tested every |t v| on
+        # each call: the same values (==) and OverflowError at the same t,
+        # also at the last representable t on either side of the guard
+        def reference(d, t, deriv):
+            vals = np.asarray(d.values, dtype=float)
+            if np.max(np.abs(t * vals)) > EXP_OVERFLOW:
+                raise OverflowError
+            return float(d.probs @ (vals * np.exp(t * vals) if deriv else np.exp(t * vals)))
+
+        weights = data.draw(st.lists(st.integers(1, 1000), min_size=len(values),
+                                     max_size=len(values)))
+        d = dist({v: F(w, sum(weights)) for v, w in zip(values, weights)})
+        edge = EXP_OVERFLOW / max(max(values), -min(values), 1)
+        near = [s * e for s in (1, -1) for e in (np.nextafter(edge, 0), edge,
+                                                 np.nextafter(edge, np.inf))]
+        t = data.draw(st.one_of(st.floats(-2 * edge, 2 * edge), st.sampled_from(near)))
+        for fn, deriv in ((laplace, False), (laplace_deriv, True)):
+            try:
+                expected = reference(d, t, deriv)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    fn(d, t)
+            else:
+                assert fn(d, t) == expected
 
     def test_argmin_centered(self):
         lam, rho = argmin_laplace(dist(MU_A))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import as_fractions
 from oscillax.errors import LeakDominated, SequenceTooNoisy, ValidationError
 from oscillax import verify
-from oscillax.evolve import Window, first_passage_rows, marginal_sequence
+from oscillax.evolve import KernelTable, Window, first_passage_rows, marginal_sequence
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import (
     ZERO_DRIFT_TOL,
@@ -84,6 +84,21 @@ class TestEffectiveLeak:
         raw = t.leak.astype(float)
         assert raw[-1] > 0.3          # the drifting bulk left the window
         assert eff[-1] < 1e-20        # but it cannot plausibly come back
+
+    def test_underflow_is_not_discounted(self, fix_pp):
+        # mass the float DP flushed below the smallest normal double never
+        # left the window: it enters at full size, where the same flux through
+        # FIX-PP's drifted lower side is discounted
+        rate, under = 0.9, np.cumsum(np.r_[0.0, np.full(64, 1e-300)])
+        zero = np.zeros_like(under)
+        t = KernelTable(Window(-48, 48), 64, {"leak_below": zero, "leak_above": zero,
+                                              "leak_underflow": under}, under)
+        ref = [0.0]
+        for flux in np.diff(under):
+            ref.append(rate * ref[-1] + flux)
+        np.testing.assert_allclose(effective_leak(t, fix_pp, rate=rate), ref, rtol=1e-12, atol=0)
+        t.data.update(leak_below=under, leak_underflow=zero)
+        assert np.all(effective_leak(t, fix_pp, rate=rate)[1:] < ref[1:])
 
     @pytest.mark.parametrize("name", ["FIX-PP", *(f"FIX-PP-{k}" for k in SUBCASE_FIXTURES)])
     def test_closed_form_matches_recursion(self, name):
