@@ -121,22 +121,31 @@ def _cumulate(lost: np.ndarray, D: int) -> np.ndarray:
 class WindowOperator:
     """One step on a run of ``width`` sites, as sparse triplets of E = [A; F].
 
-    Column i is site i of the pre-step state.  Rows 0..width-1 are A, the
-    kernel kept on the sites; the readout rows F follow: ``below``, ``above``
-    (mass leaving the outer range), ``kept`` (mass kept on the sites), then
-    one row per site of ``band`` (mass landing there from another medium).
+    Column i is site ``sites[0] + i`` of the pre-step state.  Rows
+    0..width-1 are A, the kernel kept on the sites; the readout rows F
+    follow: ``below``, ``above`` (mass leaving the outer range), ``kept``
+    (mass kept on the sites), then one row per site of ``band`` (mass landing
+    there from another medium).
     """
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    width: int
+    sites: tuple[int, int]
     band: tuple[int, int]
+    width = property(lambda self: self.sites[1] - self.sites[0] + 1)
     below = property(lambda self: self.width)
     above = property(lambda self: self.width + 1)
     kept = property(lambda self: self.width + 2)
     band_rows = property(lambda self: range(self.width + 3, self.width + 3 + max(
         0, self.band[1] - self.band[0] + 1)))
+
+    def dense(self, rows: range) -> np.ndarray:
+        """The ``rows`` of a float E as a dense (len(rows), width) array."""
+        m = (rows.start <= self.rows) & (self.rows < rows.stop)
+        out = np.zeros((len(rows), self.width))
+        np.add.at(out, (self.rows[m] - rows.start, self.cols[m]), self.vals[m])
+        return out
 
 
 def window_operator(media, sites, outer, band, exact: bool = False, scale: int = 1):
@@ -164,17 +173,18 @@ def window_operator(media, sites, outer, band, exact: bool = False, scale: int =
             (K + 3 + j - g, (g <= j) & (j <= h) & ((j < a) | (j > b))))
     return WindowOperator(np.concatenate([np.broadcast_to(r, j.shape)[m] for r, m in hits]),
                           np.concatenate([i[m] - c for _, m in hits]),
-                          np.concatenate([p[m] for _, m in hits]), K, (g, h))
+                          np.concatenate([p[m] for _, m in hits]), (c, d), (g, h))
 
 
 def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scale: int = 1):
-    """The :class:`WindowOperator` of the walk on the window: media [lo, end],
-    [end + 1, 0] (empty under two media) and [1, hi], mass leaving below lo or
-    above hi, and band rows on the arrival band, where every crossing lands."""
-    lo, hi, end = window.lo, window.hi, model.convention.left_end
+    """The :class:`WindowOperator` of the walk on the window: each medium of
+    :func:`media` on its segment, mass leaving below lo or above hi, and band
+    rows on the arrival band, where every crossing lands."""
+    lo, hi = window.lo, window.hi
     bl, bh = arrival_band(model)
-    media = ((lo, end, model.left), (end + 1, 0, model.origin), (1, hi, model.right))
-    return window_operator(media, (lo, hi), (lo, hi), (max(bl, lo), min(bh, hi)), exact, scale)
+    steps = [(*passage_regions(side, model.convention, law, window)[0], law)
+             for law, side in media(model)]
+    return window_operator(steps, (lo, hi), (lo, hi), (max(bl, lo), min(bh, hi)), exact, scale)
 
 
 def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
@@ -258,11 +268,7 @@ def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None
 def transition_matrix(model: OscillatingModel, window: Window) -> np.ndarray:
     """Dense one-step transition matrix of the walk restricted to the window."""
     check_size((window.width, window.width))
-    op = walk_plan(model, window)
-    a = op.rows < op.width   # the entries of A
-    P = np.zeros((window.width, window.width))
-    P[op.cols[a], op.rows[a]] = op.vals[a]
-    return P
+    return walk_plan(model, window).dense(range(window.width)).T
 
 
 def marginal_sequence(
@@ -283,6 +289,8 @@ def marginal_sequence(
     of data['leak_below'], data['leak_above'] and data['leak_underflow'], the
     mass the float state dropped below the smallest normal double (in mass
     units, from the first step that no longer sees it; 0 on an exact run).
+    So the last block's flush is in no leak entry, and a float run's
+    sum(data['final_state']) + leak[N] falls short of 1 by that mass.
     An exact run returns integer numerators over D**n, D = meta['D'].
     """
     window = window or default_window(model, horizon)
@@ -330,8 +338,25 @@ def marginal_sequence(
 
 
 class Side(Enum):
+    """A medium of the walk: the left one (up to ``Convention.left_end``), the
+    origin (a medium of its own under three media only) and the right one."""
+
     FROM_NEGATIVE = "from_negative"
+    ORIGIN = "origin"
     FROM_POSITIVE = "from_positive"
+
+
+def side_of(convention: Convention, x: int) -> Side:
+    """The medium of site ``x``."""
+    if x <= convention.left_end:
+        return Side.FROM_NEGATIVE
+    return Side.ORIGIN if x <= 0 else Side.FROM_POSITIVE
+
+
+def media(model: OscillatingModel) -> list[tuple[LatticeDist, Side]]:
+    """(law, side) of each medium of the model, left to right."""
+    sides = [(model.left, Side.FROM_NEGATIVE), (model.right, Side.FROM_POSITIVE)]
+    return sides if model.two_media else [sides[0], (model.origin, Side.ORIGIN), sides[1]]
 
 
 def passage_regions(side: Side, convention: Convention, dist: LatticeDist, window: Window):
@@ -339,14 +364,30 @@ def passage_regions(side: Side, convention: Convention, dist: LatticeDist, windo
 
     FROM_NEGATIVE under the three-media convention kills the walk on reaching
     >= 0; under the two-media convention on reaching >= 1.  FROM_POSITIVE
-    kills on reaching <= 0 under both conventions.  The segment is the part
-    of the window the walk survives on; the band is where its first passage
-    can land.
+    kills on reaching <= 0 under both conventions, and ORIGIN, a medium under
+    three media only, on leaving 0.  The segment is the part of the window
+    the walk survives on; the band is where its first passage can land.
     """
     if side is Side.FROM_NEGATIVE:
         end = convention.left_end
         return (window.lo, end), (end + 1, end + dist.max_support)
-    return (1, window.hi), (1 + dist.min_support, 0)
+    if side is Side.FROM_POSITIVE:
+        return (1, window.hi), (1 + dist.min_support, 0)
+    if convention is Convention.TWO_MEDIA:
+        raise ConventionMismatch("the origin is a medium of its own under three media only")
+    return (0, 0), (dist.min_support, dist.max_support)
+
+
+def passage_operator(dist: LatticeDist, side: Side, convention: Convention, window: Window,
+                     exact: bool = False, scale: int = 1) -> WindowOperator:
+    """The :class:`WindowOperator` of ``dist`` killed on leaving the survival
+    segment of :func:`passage_regions`, read out on its arrival band; its
+    ``sites`` are the segment.  Segment and band form one contiguous run, so
+    a landing outside it has left the window."""
+    (seg_lo, seg_hi), (band_lo, band_hi) = passage_regions(side, convention, dist, window)
+    return window_operator([(seg_lo, seg_hi, dist)], (seg_lo, seg_hi),
+                           (min(seg_lo, band_lo), max(seg_hi, band_hi)), (band_lo, band_hi),
+                           exact, scale)
 
 
 @dataclass
@@ -360,8 +401,9 @@ class StepKernels:
     = 1, exactly in rational mode, where every entry at step n is an integer
     over D**n; leak[i, n] is the part that left the window or, in a float
     record, was flushed below the smallest normal double.
-    ``states``, when kept, is the (N+1, rows, segment width) history of the
-    surviving mass over the survival segment of :func:`passage_regions`.
+    ``states``, when kept, is the (N+1, rows, window width) history of the
+    surviving mass, window-indexed and zero off the survival segment of
+    :func:`passage_regions`.
     """
 
     rows: list[int]
@@ -369,7 +411,7 @@ class StepKernels:
     R: np.ndarray           # (N+1, rows, B)
     survival: np.ndarray    # (rows, N+1)
     leak: np.ndarray        # (rows, N+1)
-    states: Optional[np.ndarray] = None   # (N+1, rows, segment width)
+    states: Optional[np.ndarray] = None   # (N+1, rows, window width)
     D: int = 1   # exact: entries at step n are integer numerators over D**n
 
     def __len__(self) -> int:
@@ -406,23 +448,18 @@ def first_passage_rows(
     """
     xs = list(xs)
     (seg_lo, seg_hi), (band_lo, band_hi) = passage_regions(side, convention, dist, window)
-    negative = side is Side.FROM_NEGATIVE
-    bound = seg_hi if negative else seg_lo
     for x in xs:
-        if (x > bound) if negative else (x < bound):
-            raise ConventionMismatch(
-                f"start {x} not in survival region ({'<=' if negative else '>='} {bound})")
+        if side_of(convention, x) is not side:
+            raise ConventionMismatch(f"start {x} not in the {side.value} medium")
         if not seg_lo <= x <= seg_hi:
             raise ValidationError(f"start {x} outside the window segment [{seg_lo}, {seg_hi}]")
     rows, width = len(xs), seg_hi - seg_lo + 1
     band_w = max(0, band_hi - band_lo + 1)
     # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(dist) if exact else 1
-    check_size((horizon + 1, rows, width if keep_states else band_w), (rows, width),
+    check_size((horizon + 1, rows, window.width if keep_states else band_w), (rows, width),
                D=D, horizon=horizon)
-    # segment ∪ band is one contiguous run; a landing outside it has left the window
-    op = window_operator([(seg_lo, seg_hi, dist)], (seg_lo, seg_hi),
-                         (min(seg_lo, band_lo), max(seg_hi, band_hi)), (band_lo, band_hi), exact, D)
+    op = passage_operator(dist, side, convention, window, exact, D)
     state = _zeros((width, rows), exact)
     for r, x in enumerate(xs):
         state[x - seg_lo, r] = 1
@@ -430,9 +467,10 @@ def first_passage_rows(
     survival = _zeros((rows, horizon + 1), exact)   # the kept mass, until the end
     survival[:, 0] = 1
     leak = _zeros((rows, horizon + 1), exact)
-    states = _zeros((horizon + 1, rows, width), exact) if keep_states else None
+    states = _zeros((horizon + 1, rows, window.width), exact) if keep_states else None
+    seg = slice(seg_lo - window.lo, seg_hi - window.lo + 1)
     if keep_states:
-        states[0] = state.T
+        states[0, :, seg] = state.T
     # (an empty xs runs one product on zero rows and returns an empty record)
     readouts = [op.below, op.above, op.kept, *op.band_rows]
     flushed = []   # (n, mass per row) flushed from the state, lost from step n on
@@ -443,14 +481,14 @@ def first_passage_rows(
             flushed.append((ns.stop, lost))
         survival[:, ns] = F[:, 2].T
         if keep_states:
-            states[ns.start] = state.T
+            states[ns.start, :, seg] = state.T
         if not np.any(state):
             break
     for n, lost in flushed:
         leak[:, n] += lost
     _cumulate(leak.T, D)   # past a break nothing is lost, and the totals carry on
     survival[:, 1:] += leak[:, 1:]
-    return StepKernels(xs, (band_lo, band_hi), arrivals, survival, leak, states, D)
+    return StepKernels(xs, op.band, arrivals, survival, leak, states, D)
 
 
 def excursion_functions(
@@ -468,28 +506,12 @@ def excursion_functions(
     holds integer numerators over D**n, D = meta['D'] of the law of y's medium.
     """
     window.check_margin(model)
-    origin = not model.two_media and y == 0
-    if origin:
-        law = model.origin
-    elif y <= model.convention.left_end:
-        law, side = model.left, Side.FROM_NEGATIVE
-    elif y >= 1:
-        law, side = model.right, Side.FROM_POSITIVE
-    else:
-        raise ValidationError("unreachable")
-    D = common_denominator(law) if exact else 1
-    check_size((horizon + 1, window.width), D=D, horizon=horizon)
-    V = _zeros((horizon + 1, window.width), exact)
-    V[0, window.index(y)] = 1
-    meta = {"y": y, "exact": exact, "D": D}
-    if origin:
-        V[:, window.index(0)] = powers(int(law.pmf_frac(0) * D) if exact else law.pmf(0), horizon)
-        return KernelTable(window, horizon, {"V": V}, _zeros(horizon + 1, exact), meta=meta)
+    side = side_of(model.convention, y)
+    law = next(law for law, s in media(model) if s is side)
     # V_{n,y}(x) is the mass at x of the reversed walk started at y and killed
     # on leaving the medium; mass it loses either way is reported as leak
     fp = first_passage_rows(mirror_dist(law), side, model.convention, [y], horizon,
                             window, exact, keep_states=True)
-    (seg_lo, seg_hi), _ = passage_regions(side, model.convention, law, window)
-    V[1:, window.index(seg_lo): window.index(seg_hi) + 1] = fp.states[1:, 0]
-    arrived = _cumulate(fp.R[:, 0].sum(axis=1), D)
-    return KernelTable(window, horizon, {"V": V}, fp.leak[0] + arrived, meta=meta)
+    arrived = _cumulate(fp.R[:, 0].sum(axis=1), fp.D)
+    return KernelTable(window, horizon, {"V": fp.states[:, 0]}, fp.leak[0] + arrived,
+                       meta={"y": y, "exact": exact, "D": fp.D})

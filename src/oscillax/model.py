@@ -217,6 +217,22 @@ def _require_two_sided(d: LatticeDist):
         )
 
 
+def _bisect(f, a: float, b: float) -> float:
+    """A sign change of f on [a, b], f(a) and f(b) of opposite signs (or one
+    of them 0): bisect, keeping the left end's sign, until the bracket is
+    below 1e-16 relative."""
+    fa = f(a)
+    for _ in range(MAX_BISECT_ITER):
+        mid = 0.5 * (a + b)
+        if fa * (fm := f(mid)) <= 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        if b - a < 1e-16 * max(1.0, abs(a)):
+            break
+    return 0.5 * (a + b)
+
+
 def argmin_laplace(d: LatticeDist) -> tuple[float, float]:
     """Locate (lambda, rho) with rho = min L = L(lambda).
 
@@ -231,15 +247,7 @@ def argmin_laplace(d: LatticeDist) -> tuple[float, float]:
         a *= 2.0
     while laplace_deriv(d, b) < 0:
         b *= 2.0
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (a + b)
-        if laplace_deriv(d, mid) < 0:
-            a = mid
-        else:
-            b = mid
-        if b - a < 1e-16 * max(1.0, abs(a)):
-            break
-    lam = 0.5 * (a + b)
+    lam = _bisect(lambda t: laplace_deriv(d, t), a, b)
     if abs(d.mean) <= ZERO_DRIFT_TOL:
         lam = 0.0  # centered laws have their minimum exactly at the origin
     return lam, laplace(d, lam)
@@ -289,18 +297,9 @@ def cross_point(left: LatticeDist, right: LatticeDist) -> Optional[tuple[float, 
     def g(t):
         return laplace(left, t) - laplace(right, t)
 
-    ga, gb = g(a), g(b)
-    if ga * gb > 0:
+    if g(a) * g(b) > 0:
         return None
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (a + b)
-        if ga * g(mid) <= 0:
-            b = mid
-        else:
-            a, ga = mid, g(mid)
-        if b - a < 1e-16 * max(1.0, abs(a)):
-            break
-    lam_star = 0.5 * (a + b)
+    lam_star = _bisect(g, a, b)
     return lam_star, laplace(left, lam_star)
 
 

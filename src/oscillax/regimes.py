@@ -24,7 +24,7 @@ from .errors import (
     TieUnresolvable,
     ValidationError,
 )
-from .evolve import Side, Window, passage_regions
+from .evolve import Window, media, passage_regions
 from .ladder import LadderVariant, centered_tail_sums, killed_green
 from .model import (
     DriftCase,
@@ -341,12 +341,10 @@ def invariant_profile(
     vals = np.zeros(window.width)
     # occupation h(y) = sum_x nu(x) G(x, y) of each medium's killed walk solves
     # (I - A^T) h = nu, and I - A^T is the killed matrix of the mirrored law
-    for law, side in ((model.left, Side.FROM_NEGATIVE), (model.right, Side.FROM_POSITIVE)):
+    for law, side in media(model):
         (lo, hi), _ = passage_regions(side, model.convention, law, window)
         seg = slice(window.index(lo), window.index(hi) + 1)
         vals[seg] = killed_green(mirror_dist(law), lo, hi, nu[seg])
-    if not model.two_media:
-        vals[window.index(0)] = nu[window.index(0)] / (1.0 - model.origin.pmf(0))
 
     def plateau(side):
         probe_hi = (abs(window.lo) if side < 0 else window.hi) // 4
@@ -373,7 +371,6 @@ def invariant_profile(
 def predicted_constant_Cy(
     model: OscillatingModel,
     y: int,
-    spectral=None,
     window: Optional[Window] = None,
 ) -> tuple[float, InvariantProfile]:
     """The constant C_y in P_x[X_n = y] ~ C_y / sqrt(n) for (Z,Z) and (P,Z).
@@ -385,8 +382,7 @@ def predicted_constant_Cy(
     if case not in (DriftCase.ZZ, DriftCase.PZ):
         raise ValidationError(f"C_y formula applies to (Z,Z)/(P,Z), not {case.value}")
     window = window or Window(-256, 256)
-    if spectral is None:
-        spectral = dominant_eigenpair(switching_kernel(model, window))
+    spectral = dominant_eigenpair(switching_kernel(model, window))
     prof = invariant_profile(model, spectral.nu, window)
     # a drifted side has tail level 0, which drops its term in the (P,Z) case
     denom = SQRT_PI_OVER_2 * (model.left.sigma * prof.lam_minus_inf

@@ -22,22 +22,21 @@ import scipy.fft
 
 from .errors import ConventionMismatch, NoConvergence, ValidationError
 from .evolve import (
-    Side,
     StepKernels,
     Window,
     _advance,
     _zeros,
     check_size,
     first_passage_rows,
-    passage_regions,
+    media,
+    passage_operator,
     powers,
+    side_of,
     walk_plan,
 )
 from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
 from .model import (
     ZERO_DRIFT_TOL,
-    Convention,
-    LatticeDist,
     OscillatingModel,
     argmin_laplace,
     arrival_band,
@@ -108,30 +107,6 @@ def default_weight(model: OscillatingModel, delta: Optional[float] = None) -> We
 # Aggregate kernel by resolvent solves
 # ---------------------------------------------------------------------------
 
-def passage_resolvent(
-    dist: LatticeDist,
-    side: Side,
-    convention: Convention,
-    window: Window,
-) -> tuple[tuple[int, int], tuple[int, int], np.ndarray]:
-    """G(x, y) = sum_{n>=1} Q_n(x, y) for every start x in the medium.
-
-    Solves (I - A) G = B by :func:`killed_green`, where A is the walk
-    restricted to the surviving segment and B the one-step arrival matrix;
-    exact in n, window-truncated (and Richardson-refined) in space.  Returns
-    ((seg_lo, seg_hi), (band_lo, band_hi), G).
-    """
-    (seg_lo, seg_hi), (band_lo, band_hi) = passage_regions(side, convention, dist, window)
-    xs = np.arange(seg_lo, seg_hi + 1)
-    B = np.zeros((xs.size, band_hi - band_lo + 1))
-    for v, p in zip(dist.values, dist.probs):
-        # direct arrivals x -> x + v into the band
-        dest = xs + int(v)
-        inside = (dest >= band_lo) & (dest <= band_hi)
-        B[inside, dest[inside] - band_lo] += p
-    return (seg_lo, seg_hi), (band_lo, band_hi), killed_green(dist, seg_lo, seg_hi, B)
-
-
 @dataclass
 class SwitchingKernel:
     """Aggregate switching kernel on a window, kept in factored form Q = R S_B.
@@ -167,24 +142,22 @@ class SwitchingKernel:
 def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel:
     """Assemble the band columns R of the aggregate kernel Q(x, y), every x.
 
-    Each medium's rows come from one :func:`passage_resolvent` solve, whose
-    O(1/window) spatial-truncation error is Richardson-extrapolated and
-    whose tiny negative artifacts are clipped.  The three-media origin row
-    is the closed form mu0(y) / (1 - mu0(0)).  Memory is O(width * B); no
-    width x width array is formed.
+    Each medium of :func:`media` gives its rows G(x, y) = sum_{n>=1} Q_n(x, y)
+    by one :func:`killed_green` solve of (I - A) G = B, where A is its
+    :func:`passage_operator`'s kernel on the survival segment and B the
+    one-step arrivals of its band rows: exact in n, window-truncated in space,
+    with that O(1/window) error Richardson-extrapolated and tiny negative
+    artifacts clipped.  Memory is O(width * B); no width x width array is
+    formed.
     """
     window.check_margin(model)
     band_lo, band_hi = arrival_band(model)
     R = np.zeros((window.width, band_hi - band_lo + 1))
-    for dist, side in ((model.left, Side.FROM_NEGATIVE), (model.right, Side.FROM_POSITIVE)):
-        (sl, sh), (bl, bh), G = passage_resolvent(dist, side, model.convention, window)
+    for law, side in media(model):
+        op = passage_operator(law, side, model.convention, window)
+        (sl, sh), (bl, bh) = op.sites, op.band
+        G = killed_green(law, sl, sh, op.dense(op.band_rows).T)
         R[window.index(sl): window.index(sh) + 1, bl - band_lo: bh - band_lo + 1] = G
-    if not model.two_media:
-        p0 = model.origin.pmf(0)
-        i0 = window.index(0)
-        for v, p in zip(model.origin.values, model.origin.probs):
-            if v != 0:
-                R[i0, int(v) - band_lo] = float(p) / (1.0 - p0)
     defect = 1.0 - R.sum(axis=1)
     return SwitchingKernel(window, R, (band_lo, band_hi), defect, model)
 
@@ -202,12 +175,11 @@ def build_Q(
 ) -> StepKernels:
     """Per-step switching kernels Q_n(x, .) for ``rows`` (default: the essential class).
 
-    Rows keep the requested order.  Each medium's rows come from one batched
-    :func:`first_passage_rows` DP and are written at that medium's band
-    columns; the three-media origin row is the closed form
-    Q_n(0, y) = mu0(0)^(n-1) mu0(y).  A row outside the window raises
-    ValidationError.  An exact record holds integer numerators over D**n,
-    D the common denominator of the model's three laws.
+    Rows keep the requested order.  Each medium of :func:`media` gives its
+    rows by one batched :func:`first_passage_rows` DP, written at that
+    medium's band columns.  A row outside the window raises ValidationError.
+    An exact record holds integer numerators over D**n, D the common
+    denominator of the model's three laws.
     """
     window.check_margin(model)
     rows = list(dict.fromkeys(essential_class(model) if rows is None else rows))
@@ -218,25 +190,16 @@ def build_Q(
     check_size(shape, D=D, horizon=horizon)
     R = _zeros(shape, exact)
     survival, leak = (_zeros((len(rows), horizon + 1), exact) for _ in range(2))
-    index = {x: i for i, x in enumerate(rows)}
-    end = model.convention.left_end
-    for law, side, xs in ((model.left, Side.FROM_NEGATIVE, [x for x in rows if x <= end]),
-                          (model.right, Side.FROM_POSITIVE, [x for x in rows if x >= 1])):
-        fp = first_passage_rows(law, side, model.convention, xs, horizon, window, exact)
+    for law, side in media(model):
+        idx = [i for i, x in enumerate(rows) if side_of(model.convention, x) is side]
+        fp = first_passage_rows(law, side, model.convention, [rows[i] for i in idx], horizon,
+                                window, exact)
         if exact:   # from the law's D**n to the model's
             up = powers(D // fp.D, horizon)
             fp.R, fp.survival, fp.leak = fp.R * up[:, None, None], fp.survival * up, fp.leak * up
-        idx = [index[x] for x in xs]
         R[:, idx, fp.band[0] - band[0]: fp.band[1] - band[0] + 1] = fp.R
         survival[idx], leak[idx] = fp.survival, fp.leak
-        del fp   # freed before the other medium's DP runs
-    if not model.two_media and 0 in index:
-        # stay put with weight p0, then jump: weights p * D, integers in exact mode
-        i0, (k_lo, kern) = index[0], model.origin.dense_kernel(exact, D)
-        survival[i0] = powers(kern[-k_lo], horizon)
-        for v in model.origin.values:
-            if v != 0:
-                R[1:, i0, v - band[0]] = survival[i0, :-1] * kern[v - k_lo]
+        del fp   # freed before the next medium's DP runs
     return StepKernels(rows, band, R, survival, leak, D=D)
 
 

@@ -24,7 +24,6 @@ from .evolve import (
     excursion_functions,
     first_passage_rows,
     marginal_sequence,
-    passage_regions,
     powers,
 )
 from .ladder import centered_tail_sums, direct_constant
@@ -330,11 +329,10 @@ def _survival_landing(dist: LatticeDist, threshold_hi: bool, n_max: int, z_range
     window = Window(-half, half)
     fp = first_passage_rows(dist, side, Convention.THREE_MEDIA, [v for v, _ in atoms],
                             n_max - 1, window, exact, keep_states=True)
-    (lo, hi), _ = passage_regions(side, Convention.THREE_MEDIA, dist, window)
-    cols = [j for j, z in enumerate(z_range) if lo <= z <= hi]
+    cols = [j for j, z in enumerate(z_range) if window.lo <= z <= window.hi]
     table = np.zeros((n_max + 1, len(z_range)), dtype=object if exact else float)
     for i, (_, p) in enumerate(atoms):   # weights p * D: integers in exact mode
-        table[1:, cols] += p * fp.states[:, i, [z_range[j] - lo for j in cols]]
+        table[1:, cols] += p * fp.states[:, i, [z_range[j] - window.lo for j in cols]]
     return table
 
 

@@ -24,6 +24,9 @@ from oscillax.evolve import (
     excursion_functions,
     first_passage_rows,
     marginal_sequence,
+    media,
+    passage_regions,
+    side_of,
     step,
     transition_matrix,
     walk_plan,
@@ -206,10 +209,14 @@ class TestFirstPassage:
 
 
 def _side_rows(side, convention, count):
-    """The ``count`` start rows nearest the boundary of a side's segment."""
+    """The ``count`` start rows nearest the boundary of a side's segment (the
+    origin's one site), or None for the origin under two media, which is no
+    medium there."""
     if side is Side.FROM_POSITIVE:
         return list(range(1, count + 1))
-    top = -1 if convention is Convention.THREE_MEDIA else 0
+    if side is Side.ORIGIN:
+        return [0] if convention is Convention.THREE_MEDIA else None
+    top = convention.left_end
     return list(range(top - count + 1, top + 1))
 
 
@@ -230,9 +237,14 @@ class TestFirstPassageRows:
         law = _rational_law(weights)
         n_max, xs = 5, _side_rows(side, convention, 4)
         w = Window(-24, 24)   # wide enough that nothing leaks in n_max steps
+        if xs is None:
+            with pytest.raises(ConventionMismatch):
+                first_passage_rows(law, side, convention, [0], n_max, w, exact=True)
+            return
         hist = as_fractions(first_passage_rows(law, side, convention, xs, n_max, w, exact=True))
-        absorb = ({"absorb_ge": 0 if convention is Convention.THREE_MEDIA else 1}
-                  if side is Side.FROM_NEGATIVE else {"absorb_le": 0})
+        absorb = {Side.FROM_NEGATIVE: {"absorb_ge": convention.left_end + 1},
+                  Side.ORIGIN: {"absorb_ge": 1, "absorb_le": -1},
+                  Side.FROM_POSITIVE: {"absorb_le": 0}}[side]
         bl, bh = hist.band
         for x in xs:
             i = hist.rows.index(x)
@@ -250,6 +262,10 @@ class TestFirstPassageRows:
         law = _rational_law(weights)
         w, horizon = Window(-5, 5), 12   # narrow: rows leak and die at different times
         xs = _side_rows(side, convention, 5)
+        if xs is None:
+            with pytest.raises(ConventionMismatch):
+                first_passage_rows(law, side, convention, [0], horizon, w, exact=exact)
+            return
         batch = first_passage_rows(law, side, convention, xs, horizon, w, exact=exact)
         for x in xs:
             i = batch.rows.index(x)
@@ -407,15 +423,18 @@ class TestExcursions:
         assert V[1][w.index(-1)] == F(1, 2)
 
     def test_origin_row_three_media(self):
-        # origin law with an atom at 0 so the geometric factor is visible
+        # origin law with an atom at 0 so the geometric factor is visible: the
+        # closed form mu0(0)^n, and the mass that left 0 is leak, as for any y
         m = validate_model(dist({-1: F(1, 2), 0: F(1, 4), 2: F(1, 4)}),
                            dist({-1: F(1, 4), 0: F(1, 2), 1: F(1, 4)}),
                            dist({-2: F(1, 4), 0: F(1, 4), 1: F(1, 2)}))
         w = Window(-8, 8)
-        V = as_fractions(excursion_functions(m, 0, 5, w, exact=True)).data["V"]
+        t = as_fractions(excursion_functions(m, 0, 5, w, exact=True))
+        V = t.data["V"]
         for n in range(6):
             assert V[n][w.index(0)] == F(1, 2) ** n
             assert V[n].sum() == F(1, 2) ** n
+            assert t.leak[n] == 1 - F(1, 2) ** n
 
     def test_matches_survival_enumeration(self, fix_zz):
         # V_{n,y}(x) = P[stay <= -1 for n steps, land at y]
@@ -458,6 +477,23 @@ class TestExcursions:
                             new[pos + v] = new.get(pos + v, F(0)) + mass * p
                 cur = new
                 assert V[n][w.index(x)] == cur.get(y, F(0)), (x, n)
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_media_tile_the_window(name):
+    # on both conventions the media's segments, left to right, tile the
+    # window, and side_of and law_at agree with them on every site
+    model = FIXTURES[name]()
+    w = Window(-9, 7)
+    sites = []
+    for law, side in media(model):
+        (lo, hi), _ = passage_regions(side, model.convention, law, w)
+        sites += range(lo, hi + 1)
+        for x in range(lo, hi + 1):
+            assert side_of(model.convention, x) is side
+            assert model.law_at(x) is law
+    assert sites == list(range(w.lo, w.hi + 1))
+    assert len(media(model)) == (2 if model.two_media else 3)
 
 
 class TestTransitionMatrix:

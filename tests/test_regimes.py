@@ -13,6 +13,7 @@ from oscillax.model import (
     DriftCase,
     dist,
     laplace,
+    mirror_dist,
     mirror_model,
     validate_model,
 )
@@ -171,6 +172,30 @@ class TestMirrorSymmetry:
             c0, m_c0 = rep["constants"].get("C_0"), m_rep["constants"].get("C_0")
             if c0 is not None and m_c0 is not None:
                 assert m_c0 == pytest.approx(c0, rel=1e-9, abs=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_two_sided_laws, _two_sided_laws)
+    def test_select_tilt_random_np_models(self, a, b):
+        # a two-media (N,P) model mirrors to an (N,P) model whose tilts are
+        # the model's negated and swapped, at the same rate and ratio; each
+        # medium takes the drawn law or its mirror, whichever drifts its way
+        left = a if a.mean < 0 else mirror_dist(a)
+        right = b if b.mean > 0 else mirror_dist(b)
+        try:
+            m = validate_model(left, left, right, two_media=True)
+        except ValidationError:
+            assume(False)
+        assume(m.drift_case is DriftCase.NP)
+        plan, m_plan = select_tilt(m), select_tilt(mirror_model(m))
+        assert abs(m_plan.t_left + plan.t_right) <= 1e-12
+        assert abs(m_plan.t_right + plan.t_left) <= 1e-12
+        assert abs(m_plan.rate - plan.rate) <= 1e-12
+        assert abs(m_plan.r - plan.r) <= 1e-12
+
+    def test_select_tilt_mirrored_pp_raises(self, fix_pp):
+        # the mirror of a (P,P) model is (N,N), which select_tilt does not cover
+        with pytest.raises(ConventionMismatch):
+            select_tilt(mirror_model(fix_pp))
 
     def test_invariant_profile_mirrors(self, fix_zz, fix_pz):
         # the mirrored model's nu is nu reversed; its lambda_X is lambda_X

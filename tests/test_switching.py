@@ -30,6 +30,7 @@ from oscillax.model import (
     mirror_model,
     validate_model,
 )
+from oscillax.regimes import invariant_profile
 from oscillax.switching import (
     SwitchingKernel,
     WeightSpec,
@@ -609,3 +610,26 @@ class TestSizeGuard:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+class TestOriginMedium:
+    # the three-media origin is a medium like the other two, whose killed walk
+    # stays put with probability mu0(0); on origin-0 (mu0(0) = 1/2) the origin
+    # rows are checked against their closed forms (excursion_functions' in
+    # TestExcursions::test_origin_row_three_media)
+    W = Window(-64, 64)
+
+    def test_switching_kernel_row(self):
+        m = origin_zero_model()
+        sk = switching_kernel(m, self.W)
+        p0 = m.origin.pmf(0)
+        row = sk.R[self.W.index(0)]
+        for j, y in enumerate(range(sk.band[0], sk.band[1] + 1)):
+            assert row[j] == (0.0 if y == 0 else m.origin.pmf(y) / (1.0 - p0))
+
+    def test_invariant_profile_at_origin(self):
+        m = origin_zero_model()
+        nu = dominant_eigenpair(switching_kernel(m, self.W)).nu
+        vals = invariant_profile(m, nu, self.W).values
+        i0 = self.W.index(0)
+        assert vals[i0] == nu[i0] / (1.0 - m.origin.pmf(0))
