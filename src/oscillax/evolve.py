@@ -33,6 +33,7 @@ from .model import (Convention, LatticeDist, OscillatingModel, arrival_band, com
 
 DEFAULT_LEAK_BUDGET = 1e-10
 MAX_ARRAY_BYTES = 1 << 30   # largest single array any engine may allocate
+MAX_WORK = 1 << 33   # most steps x sites x 64-bit words one marginal_sequence may run
 BLOCK = 8   # steps a float DP advances per sparse product
 TINY = np.finfo(float).tiny   # smallest normal double; the float DP holds nothing below it
 
@@ -289,8 +290,20 @@ def marginal_sequence(
     of data['leak_below'], data['leak_above'] and data['leak_underflow'], the
     mass the float state dropped below the smallest normal double (in mass
     units, from the first step that no longer sees it; 0 on an exact run).
-    So the last block's flush is in no leak entry, and a float run's
-    sum(data['final_state']) + leak[N] falls short of 1 by that mass.
+    Two underflow terms are in no leak entry, and meta states each (both 0
+    on an exact run):
+    - meta['final_flush'], the last block's flush, which no step of the
+      horizon sees: sum(data['final_state']) + leak[N] + final_flush = 1;
+    - meta['unflushed_bound'], a bound on the product terms below 2**-1075
+      that round to 0 inside a CSR product, before any flush sees them: each
+      loses at most 2**-1075, and a j-step product holds at most
+      width * (j * (span + 3) + 1) of them (j * span + 1 a column of A**j,
+      span the extreme jumps' distance, and j rows of 3 readouts).
+    A run of more than ``MAX_WORK`` steps x sites x words is refused up
+    front (a word is 64 numerator bits, horizon * log2(D) / 64 of them an
+    exact entry, 1 a float one): 2**33, which the default 4096 exact steps
+    of every shipped model fit under, and about 1.5 minutes of exact or 20 s
+    of float DP on a 2-core Xeon VM.
     An exact run returns integer numerators over D**n, D = meta['D'].
     """
     window = window or default_window(model, horizon)
@@ -298,6 +311,12 @@ def marginal_sequence(
     # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(model.left, model.origin, model.right) if exact else 1
     check_size((horizon + 1,), (window.width,), D=D, horizon=horizon)
+    words = max(1, math.ceil(horizon * math.log2(D) / 64))
+    if horizon * window.width * words > MAX_WORK:
+        raise ValidationError(
+            f"{horizon} steps over {window.width} sites at {words} words an entry are "
+            f"{horizon * window.width * words:.3g} word-steps, over the {MAX_WORK:.3g} "
+            f"limit: lower the horizon or the window")
     ix, iy = window.index(x), window.index(y)
     op = walk_plan(model, window, exact, D)
     state = _zeros(window.width, exact)
@@ -333,8 +352,15 @@ def marginal_sequence(
             data = {"values": np.ldexp(values, shifts), "final_state": np.ldexp(state, shift),
                     "log_values": np.log(values) + shifts * math.log(2)}
     data.update(leak_below=sides[:, 0], leak_above=sides[:, 1], leak_underflow=sides[:, 2])
-    return KernelTable(window=window, horizon=horizon, data=data, leak=leak,
-                       meta={"x": x, "y": y, "exact": exact, "D": D})
+    meta = {"x": x, "y": y, "exact": exact, "D": D, "final_flush": 0, "unflushed_bound": 0}
+    if not exact:
+        laws = [law for law, _ in media(model)]
+        span = max(law.max_support for law in laws) - min(law.min_support for law in laws)
+        terms = window.width * ((span + 3) * horizon + horizon // BLOCK + horizon % BLOCK)
+        # rounded up: (terms + 1) // 2 smallest subnormals
+        meta.update(final_flush=float(flushed),
+                    unflushed_bound=math.ldexp((terms + 1) // 2, -1074))
+    return KernelTable(window=window, horizon=horizon, data=data, leak=leak, meta=meta)
 
 
 class Side(Enum):

@@ -47,6 +47,8 @@ from .model import (
     validate_model,
 )
 
+_ROW_BLOCK = 8   # output rows banded_power_sequences transforms at a time
+
 
 # ---------------------------------------------------------------------------
 # Weighted norms
@@ -229,10 +231,20 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     C its band-restricted square; FFT over the time axis makes each power
     O(N * W * B^2) once R and C are transformed.  The transform of
     C^{(ell-1)} is cut back to n <= N after each product, so every product is
-    of two sequences on 0..N and 2N + 1 points hold it without wrap-around,
-    for every ell.  Returns {ell: (N+1, W, B) array} plus band info under key
-    'band' and {x: row index} under 'rows'.  ``rows`` restricts the R stack
-    (the output rows); the band rows themselves are always computed.
+    of two sequences on 0..N and M >= 2N + 1 points hold it without
+    wrap-around, for every ell.  Returns {ell: (N+1, W, B) array} plus band
+    info under key 'band' and {x: row index} under 'rows'.  ``rows``
+    restricts the R stack (the output rows); the band rows themselves are
+    always computed.
+
+    The C powers are transformed first; then R is transformed a block of
+    ``_ROW_BLOCK`` rows at a time, time last so that every FFT runs along
+    contiguous memory, mixed with each power by B^2 multiply-adds and
+    transformed back into its rows of the preallocated outputs.  So the peak
+    is the outputs plus one block, and the FFTs run single-threaded (threads
+    cost more than they save on a block).  The size guard still checks an
+    (M, rows, B) array: none is built, but as M > N + 1 it bounds every
+    output.
     """
     band_lo, band_hi = arrival_band(model)
     band = range(band_lo, band_hi + 1)
@@ -240,18 +252,34 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     M = scipy.fft.next_fast_len(2 * horizon + 1, real=True)
     check_size((M, len(rows), len(band)))
     hist = build_Q(model, horizon, window, rows=rows)
-    Rhat = scipy.fft.rfft(hist.R, n=M, axis=0, workers=-1)
-    Chat = scipy.fft.rfft(hist.C, n=M, axis=0, workers=-1)
+    R, C = hist.R, hist.C
     out = {"band": hist.band, "rows": {x: i for i, x in enumerate(hist.rows)}}
+    del hist   # its survival and leak arrays go before the outputs are allocated
     if 1 in ells:
-        out[1] = hist.R
-    cpow = None   # transform of C^{(ell-1)}, cut to n <= N
+        out[1] = R
+    Chat = scipy.fft.rfft(C, n=M, axis=0)
+    cpow, cpows = None, {}   # transforms of C^{(ell-1)}, cut to n <= N, as (B, B, M/2+1)
     for ell in range(2, max(ells) + 1):
         cpow = Chat if cpow is None else scipy.fft.rfft(
             scipy.fft.irfft(cpow @ Chat, n=M, axis=0)[: horizon + 1], n=M, axis=0)
         if ell in ells:
-            # copy, so the result does not pin the twice longer transform buffer
-            out[ell] = scipy.fft.irfft(Rhat @ cpow, n=M, axis=0, workers=-1)[: horizon + 1].copy()
+            cpows[ell] = cpow.transpose(1, 2, 0).copy()
+            out[ell] = np.empty_like(R)
+    if not cpows:
+        return out
+    padded = np.zeros((_ROW_BLOCK, len(band), M))   # a block of R, time last
+    for r in range(0, len(rows), _ROW_BLOCK):
+        block = slice(r, r + _ROW_BLOCK)
+        Rb = padded[: len(rows) - r]
+        Rb[..., : horizon + 1] = R[:, block].transpose(1, 2, 0)
+        Rhat = scipy.fft.rfft(Rb)
+        mixed, term = np.empty_like(Rhat), np.empty_like(Rhat[:, 0])
+        for ell, cp in cpows.items():
+            for j in range(len(band)):
+                np.multiply(Rhat[:, 0], cp[0, j], out=mixed[:, j])
+                for i in range(1, len(band)):
+                    mixed[:, j] += np.multiply(Rhat[:, i], cp[i, j], out=term)
+            out[ell][:, block] = scipy.fft.irfft(mixed, n=M)[..., : horizon + 1].transpose(2, 0, 1)
     return out
 
 

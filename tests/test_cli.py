@@ -206,6 +206,21 @@ class TestCommands:
         assert "GiB" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("model,argv", [
+        ("FIX-PP-B1", ["evolve", "--rational", "--from", "0", "--to", "0", "-n", "30000"]),
+        ("FIX-ZZ", ["evolve", "--from", "0", "--to", "0", "-n", "1000000"]),
+    ], ids=["evolve-rational", "evolve-float"])
+    def test_overlong_dp_exit_two(self, model_dir, tmp_path, capsys, model, argv):
+        # both fit the memory guard but would run for hours: 30000 exact steps
+        # over 5569 sites at 4203 words an entry, and 10^6 float steps over
+        # the 32001 sites of the default window
+        t0 = time.perf_counter()
+        assert main([argv[0], str(model_dir / f"{model}.json"), *argv[1:],
+                     "-o", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "word-steps" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_verify_convergence_horizon_below_plateau_exit_two(self, model_dir, tmp_path,
                                                                 capsys):
         assert main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "convergence",

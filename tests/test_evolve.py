@@ -353,9 +353,27 @@ class TestUnderflowFlush:
         assert d["leak_underflow"][-1] > 0 and np.all(np.diff(d["leak_underflow"]) >= 0)
         assert np.all((np.flatnonzero(np.diff(d["leak_underflow"])) + 1) % BLOCK == 1)
 
+    def test_fix_pn_final_flush_in_meta(self, fix_pn):
+        # the last block's flush, which no leak entry holds, is meta's
+        # final_flush; with it the final state and the leak hold all the mass
+        horizon = 4096
+        window = default_window(fix_pn, horizon)
+        op, state = walk_plan(fix_pn, window), np.zeros(window.width)
+        state[window.index(0)] = 1
+        *_, (_, _, _, last) = _advance(op, [op.below, op.above], state, horizon)
+        t = marginal_sequence(fix_pn, 0, 0, horizon, window, leak_budget=None)
+        assert last is not None and t.meta["final_flush"] == last > 0
+        total = t.data["final_state"].sum() + t.leak[-1] + t.meta["final_flush"]
+        assert total == pytest.approx(1.0, abs=1e-14)
+        # 512 products of 8 steps: at most width * (8 * (span + 3) + 1) terms
+        # each, every one losing at most 2**-1075 (span 4, jumps -2..2)
+        terms = window.width * 512 * (8 * (4 + 3) + 1)
+        assert t.meta["unflushed_bound"] == terms * 2.0**-1074 / 2
+
     def test_exact_run_has_no_underflow(self, fix_zz):
         t = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), leak_budget=None, exact=True)
         assert not t.data["leak_underflow"].any()
+        assert t.meta["final_flush"] == 0 and t.meta["unflushed_bound"] == 0
         assert list(t.leak) == list(t.data["leak_below"] + t.data["leak_above"])
 
     def test_first_passage_flush_is_leak(self, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from conftest import as_fractions, reference_marginal_sequence, reference_step
 from oscillax.errors import ConventionMismatch, ValidationError
@@ -32,6 +33,7 @@ from oscillax.model import (
 )
 from oscillax.regimes import invariant_profile
 from oscillax.switching import (
+    _ROW_BLOCK,
     SwitchingKernel,
     WeightSpec,
     banded_power_sequences,
@@ -303,6 +305,71 @@ class TestPowerSequences:
         for x in window_rows(w):
             Tdp = switching_time_marginals(model, x, N, w)
             assert np.max(np.abs(total[1:, banded["rows"][x]] - Tdp[1:])) <= 1e-14, x
+
+
+def full_array_powers(model, horizon, window, ells, rows=None):
+    """Q^(l) by one time-axis FFT of the whole (N+1, rows, B) stack: the
+    full-size transforms that banded_power_sequences streams over row blocks."""
+    band_lo, band_hi = arrival_band(model)
+    band = range(band_lo, band_hi + 1)
+    rows = window_rows(window) if rows is None else sorted(set(rows) | set(band))
+    M = scipy.fft.next_fast_len(2 * horizon + 1, real=True)
+    hist = build_Q(model, horizon, window, rows=rows)
+    Rhat = scipy.fft.rfft(hist.R, n=M, axis=0)
+    Chat = scipy.fft.rfft(hist.C, n=M, axis=0)
+    out, cpow = {1: hist.R}, None
+    for ell in range(2, max(ells) + 1):
+        cpow = Chat if cpow is None else scipy.fft.rfft(
+            scipy.fft.irfft(cpow @ Chat, n=M, axis=0)[: horizon + 1], n=M, axis=0)
+        out[ell] = scipy.fft.irfft(Rhat @ cpow, n=M, axis=0)[: horizon + 1]
+    return {ell: out[ell] for ell in ells}
+
+
+class TestBlockedPowers:
+    """banded_power_sequences transforms R a block of rows at a time; the
+    result equals the full-array transform up to rounding."""
+
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP"])
+    @pytest.mark.parametrize("rows,ells", [
+        (None, [1, 2, 3]),      # 21 rows: the last block is partial
+        ([-7, 3, 5], [2, 3]),   # a subset, with the band rows added
+        (None, [2, 5]),
+    ], ids=["partial-block", "rows-subset", "ells-2-5"])
+    def test_matches_full_array(self, name, rows, ells):
+        model, w, N = FIXTURES[name](), Window(-10, 10), 200
+        got = banded_power_sequences(model, N, w, ells=ells, rows=rows)
+        ref = full_array_powers(model, N, w, ells, rows)
+        if rows is None:
+            assert len(got["rows"]) % _ROW_BLOCK != 0
+        assert sorted(k for k in got if isinstance(k, int)) == sorted(ells)
+        for ell in ells:
+            assert got[ell].shape == ref[ell].shape and got[ell].dtype == ref[ell].dtype
+            scale = np.max(np.abs(ref[ell]))
+            assert scale > 0
+            assert np.max(np.abs(got[ell] - ref[ell])) <= 1e-14 * scale, ell
+
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP"])
+    def test_first_power_is_the_history(self, name):
+        model, w = FIXTURES[name](), Window(-10, 10)
+        got = banded_power_sequences(model, 64, w, ells=[1])
+        assert [k for k in got if isinstance(k, int)] == [1]
+        assert np.array_equal(got[1], build_Q(model, 64, w, rows=window_rows(w)).R)
+
+    def test_peak_memory_within_outputs(self, fix_zz):
+        # the renewal workload's call: five (4097, 129, 3) outputs; the peak
+        # is theirs plus one row block, where three full-size transforms
+        # took it to 2.2x
+        args = (fix_zz, 4096, Window(-64, 64))
+        banded_power_sequences(*args, ells=[1, 2, 3, 4, 5])   # warm-up
+        tracemalloc.start()
+        try:
+            out = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(out[ell].nbytes for ell in range(1, 6))
+        assert outputs == 5 * 4097 * 129 * 3 * 8
+        assert peak <= 1.25 * outputs
 
 
 class TestSpectra:
