@@ -9,12 +9,12 @@ carries only the paths of written files, errors go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,6 @@ EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _outdir(args) -> Path:
     out = args.out or os.environ.get("OSCILLAX_OUT") or "."
     p = Path(out)
@@ -49,24 +43,49 @@ def _outdir(args) -> Path:
     return p
 
 
-def _write_json(path: Path, payload) -> None:
-    def default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(f"not serializable: {type(o)}")
+def _json_default(o):
+    if isinstance(o, (np.floating, np.integer)):
+        return o.item()
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"not serializable: {type(o)}")
 
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True, default=default) + "\n")
+
+def _encode(o, pad: str = "") -> str:
+    """``json.dumps(o, indent=1, sort_keys=True, default=_json_default)`` at
+    the nesting depth ``len(pad)``.  A flat list of finite floats is joined
+    from their ``repr``, which is json's float format, in one pass: json
+    formats an indented list one item at a time in Python, since its C
+    encoder does not indent."""
+    inner = pad + " "
+    sep = ",\n" + inner
+    if type(o) is list and o and set(map(type, o)) == {float} and all(map(math.isfinite, o)):
+        return f"[\n{inner}{sep.join(map(repr, o))}\n{pad}]"
+    if type(o) is dict and o and all(type(k) is str for k in o):
+        items = (f"{json.dumps(k)}: {_encode(o[k], inner)}" for k in sorted(o))
+    elif isinstance(o, (list, tuple)) and any(isinstance(v, (list, tuple, dict)) for v in o):
+        items = (_encode(v, inner) for v in o)
+    else:   # scalars, empty containers, other flat lists, dicts with non-str keys;
+        # json escapes newlines in strings, so each one it writes starts an indent
+        text = json.dumps(o, indent=1, sort_keys=True, default=_json_default)
+        return text.replace("\n", "\n" + pad)
+    brackets = "{}" if isinstance(o, dict) else "[]"
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(_encode(payload) + "\n")
     print(path)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+def _write_csv(path: Path, header, columns) -> None:
+    """One header line, then one line per row of the equal-length 1-D
+    ``columns``: a float column as %.17g, any other with str; the bytes
+    csv.writer's default dialect writes for these fields."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\r\n"
+    cells = tuple(chain.from_iterable(zip(*(col.tolist() for col in columns))))
+    path.write_text(",".join(header) + "\r\n" + (line * len(columns[0])) % cells, newline="")
     print(path)
 
 
@@ -100,11 +119,12 @@ def cmd_evolve(args) -> int:
     window = _window(args, model, horizon)
     table = marginal_sequence(model, args.start, args.target, horizon, window,
                               leak_budget=None, exact=args.rational)
-    # exact numerators over D**n; int / int rounds correctly, as float(Fraction) does
-    vals, scale = table.data["values"], powers(table.meta["D"], horizon)
-    rows = [(n, float(vals[n] / scale[n]), float(table.leak[n] / scale[n]))
-            for n in range(1, horizon + 1)]
-    _write_csv(_outdir(args) / "evolve.csv", ["n", "value", "leak"], rows)
+    values, leak = table.data["values"][1:], table.leak[1:]
+    if args.rational:   # numerators over D**n; int / int rounds correctly, as float(Fraction) does
+        scale = powers(table.meta["D"], horizon)[1:]
+        values, leak = (values / scale).astype(float), (leak / scale).astype(float)
+    _write_csv(_outdir(args) / "evolve.csv", ["n", "value", "leak"],
+               [np.arange(1, horizon + 1), values, leak])
     return EXIT_OK
 
 
@@ -120,10 +140,11 @@ def cmd_kernel(args) -> int:
     T = [switching_time_marginals(model, x, horizon, window) for x in essential_class(model)]
     hist = build_Q(model, horizon, window)
     band_lo, band_hi = hist.band
-    out = [(n, x, y, float(hist.R[n, i, j]), float(T[i][n, j]))
-           for n in range(1, horizon + 1) for i, x in enumerate(hist.rows)
-           for j, y in enumerate(range(band_lo, band_hi + 1))]
-    _write_csv(_outdir(args) / "kernel.csv", ["n", "x", "y", "Qn", "Tn"], out)
+    n, x, y = np.meshgrid(np.arange(1, horizon + 1), hist.rows, np.arange(band_lo, band_hi + 1),
+                          indexing="ij")
+    _write_csv(_outdir(args) / "kernel.csv", ["n", "x", "y", "Qn", "Tn"],
+               [n.ravel(), x.ravel(), y.ravel(), hist.R[1:].ravel(),
+                np.stack(T, axis=1)[1:].ravel()])
     return EXIT_OK
 
 

@@ -33,7 +33,7 @@ from .model import (Convention, LatticeDist, OscillatingModel, arrival_band, com
 
 DEFAULT_LEAK_BUDGET = 1e-10
 MAX_ARRAY_BYTES = 1 << 30   # largest single array any engine may allocate
-MAX_WORK = 1 << 33   # most steps x sites x 64-bit words one marginal_sequence may run
+MAX_WORK = 1 << 33   # most steps x sites x 64-bit words one DP may run
 BLOCK = 8   # steps a float DP advances per sparse product
 TINY = np.finfo(float).tiny   # smallest normal double; the float DP holds nothing below it
 
@@ -84,6 +84,18 @@ def check_size(*shapes, D: int = 1, horizon: int = 0) -> None:
         raise ValidationError(
             f"an array of shape {tuple(largest)} needs {size / 2**30:.3g} GiB, "
             f"over the {MAX_ARRAY_BYTES / 2**30:.3g} GiB limit: lower the horizon or the window")
+
+
+def check_work(horizon: int, sites: int, D: int = 1) -> None:
+    """Refuse a DP of more than ``MAX_WORK`` steps x sites x words, called
+    after :func:`check_size`: a word is 64 numerator bits, horizon * log2(D)
+    / 64 of them an exact entry over D**horizon, 1 a float one."""
+    words = max(1, math.ceil(horizon * math.log2(D) / 64))
+    if horizon * sites * words > MAX_WORK:
+        raise ValidationError(
+            f"{horizon} steps over {sites} sites at {words} words an entry are "
+            f"{horizon * sites * words:.3g} word-steps, over the {MAX_WORK:.3g} "
+            f"limit: lower the horizon or the window")
 
 
 @dataclass
@@ -311,12 +323,7 @@ def marginal_sequence(
     # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(model.left, model.origin, model.right) if exact else 1
     check_size((horizon + 1,), (window.width,), D=D, horizon=horizon)
-    words = max(1, math.ceil(horizon * math.log2(D) / 64))
-    if horizon * window.width * words > MAX_WORK:
-        raise ValidationError(
-            f"{horizon} steps over {window.width} sites at {words} words an entry are "
-            f"{horizon * window.width * words:.3g} word-steps, over the {MAX_WORK:.3g} "
-            f"limit: lower the horizon or the window")
+    check_work(horizon, window.width, D)
     ix, iy = window.index(x), window.index(y)
     op = walk_plan(model, window, exact, D)
     state = _zeros(window.width, exact)
@@ -467,7 +474,9 @@ def first_passage_rows(
     window on the survival side is leak, and so is mass a float state drops
     below the smallest normal double (see :func:`_advance`).  All rows share
     one (segment x rows) state, run through the law's :func:`window_operator`
-    on the segment; the DP stops once that state holds no mass.
+    on the segment; the DP stops once that state holds no mass.  A DP of more
+    than ``MAX_WORK`` steps x rows x segment sites x words is refused up
+    front (see :func:`check_work`).
 
     Returns the :class:`StepKernels` record of ``xs`` on the arrival band of
     ``side``; ``keep_states`` fills its ``states``.
@@ -485,6 +494,7 @@ def first_passage_rows(
     D = common_denominator(dist) if exact else 1
     check_size((horizon + 1, rows, window.width if keep_states else band_w), (rows, width),
                D=D, horizon=horizon)
+    check_work(horizon, rows * width, D)
     op = passage_operator(dist, side, convention, window, exact, D)
     state = _zeros((width, rows), exact)
     for r, x in enumerate(xs):

@@ -139,9 +139,9 @@ class _Comparator:
         if s := _float_cmp(lam, lamp):
             return s
         self._exact_ready()
-        import sympy
-
-        return _exact_sign(sympy.log(self._u_star("L")) - sympy.log(self._u_star("R")))
+        # lambda = log u_L and log is increasing, so u_L - u_R has the sign of
+        # lambda - lambda' and, unlike a difference of logs, is algebraic
+        return _exact_sign(self._u_star("L") - self._u_star("R"))
 
     def _pair(self, which_dist: str, which_u: str):
         """Exact transform value of one law at either law's argmin."""

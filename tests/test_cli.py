@@ -1,15 +1,21 @@
 import argparse
+import csv
+import io
 import json
+import math
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_marginal_sequence
-from oscillax.cli import _fmt, build_parser, main
+from oscillax.cli import _write_csv, _write_json, build_parser, main
 from oscillax.evolve import Window
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import load_model
@@ -67,7 +73,7 @@ class TestCommands:
         ref, _ = reference_marginal_sequence(load_model(path), 1, -1, 64, Window(-16, 16),
                                              exact=True)
         lines = (tmp_path / "evolve.csv").read_text().splitlines()[1:]
-        assert lines == [f"{n},{_fmt(float(ref['values'][n]))},{_fmt(float(ref['leak'][n]))}"
+        assert lines == [f"{n},{float(ref['values'][n]):.17g},{float(ref['leak'][n]):.17g}"
                          for n in range(1, 65)]
         assert float(ref["leak"][64]) > 0
 
@@ -321,6 +327,93 @@ class TestCommands:
         monkeypatch.setenv("OSCILLAX_OUT", str(tmp_path / "envout"))
         assert main(["classify", str(model_dir / "FIX-ZZ.json")]) == 0
         assert (tmp_path / "envout" / "classify.json").exists()
+
+
+def reference_default(o):
+    if isinstance(o, (np.floating, np.integer)):
+        return o.item()
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"not serializable: {type(o)}")
+
+
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | st.text(max_size=4)
+LEAVES = (SCALARS | FLOATS.map(np.float64) | INTS.map(np.int64)
+          | st.lists(FLOATS, max_size=6) | st.lists(INTS, max_size=6)
+          | st.lists(st.booleans(), max_size=6) | st.lists(SCALARS, max_size=6)
+          | st.lists(FLOATS.map(np.float64), max_size=6)
+          | st.lists(st.lists(FLOATS, max_size=4), max_size=3)
+          | st.lists(FLOATS, max_size=6).map(np.array)
+          | st.lists(INTS, max_size=6).map(lambda v: np.array(v, dtype=np.int64))
+          | st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=3).map(np.array))
+PAYLOADS = st.recursive(LEAVES, lambda kids: (st.lists(kids, max_size=4)
+                                              | st.tuples(kids, kids)
+                                              | st.dictionaries(st.text(max_size=4), kids,
+                                                                max_size=4)
+                                              | st.dictionaries(INTS, kids, max_size=3)),
+                        max_leaves=12)
+
+
+@st.composite
+def csv_columns(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from([int, float]), min_size=1, max_size=5))
+    return [np.array(draw(st.lists(INTS if kind is int else FLOATS, min_size=rows,
+                                   max_size=rows)), dtype=np.int64 if kind is int else float)
+            for kind in kinds]
+
+
+class TestWriters:
+    """The writers' bytes against json.dumps and csv.writer, the formats they
+    stand in for."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=PAYLOADS)
+    def test_json_matches_json_dumps(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        _write_json(path, payload)
+        expected = json.dumps(payload, indent=1, sort_keys=True, default=reference_default)
+        assert path.read_text() == expected + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(columns=csv_columns())
+    def test_csv_matches_csv_writer(self, tmp_path_factory, columns):
+        path = tmp_path_factory.getbasetemp() / "writer.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        _write_csv(path, header, columns)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for row in zip(*(col.tolist() for col in columns)):
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    def test_fixture_outputs_keep_the_byte_contract(self, model_dir, tmp_path, name):
+        # indented JSON with sorted keys from every JSON-writing command but
+        # simulate, whose report is one compact line; CSV with CRLF line ends,
+        # decimal ints and %.17g floats
+        model = str(model_dir / f"{name}.json")
+        for argv in (["classify"], ["spectrum", "-W", "64"], ["verify", "-n", "256"],
+                     ["simulate", "-n", "8", "--paths", "200"],
+                     ["evolve", "-n", "64", "--from", "0", "--to", "0"], ["kernel", "-n", "16"]):
+            assert main([argv[0], model, *argv[1:], "-o", str(tmp_path)]) in (0, 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "classify.json", "evolve.csv", "kernel.csv", "simulate.json", "spectrum.json",
+            "verify.json"]
+        for path in tmp_path.glob("*.json"):
+            text = path.read_text()
+            indent = None if path.name == "simulate.json" else 1
+            assert text == json.dumps(json.loads(text), indent=indent, sort_keys=True) + "\n"
+        for path in tmp_path.glob("*.csv"):
+            lines = path.read_bytes().decode().split("\r\n")
+            assert lines.pop() == "" and "\n" not in "".join(lines)
+            header = lines[0].split(",")
+            for line in lines[1:]:
+                for column, s in zip(header, line.split(","), strict=True):
+                    assert s == (str(int(s)) if column in ("n", "x", "y") else f"{float(s):.17g}")
 
 
 def test_readme_flag_table_matches_parser():

@@ -344,6 +344,15 @@ class TestTies:
         # same-argmin different-minimum pair: resolved exactly to A2
         assert classify(subcase_models["A2"]).subcase == "A2"
 
+    @pytest.mark.parametrize("eps, subcase", [(F(1, 10**13), "C"), (F(-1, 10**13), "B2")])
+    def test_near_a1_lambda_tie_resolved(self, eps, subcase):
+        # 1e-13 moved between the end atoms of A1's left law puts lambda and
+        # lambda' inside the float tie tolerance but apart: the exact
+        # comparison of the argmins decides which side lambda is on
+        left = {-1: F(1, 4) + eps, 0: F(1, 4), 2: F(1, 2) - eps}
+        report = predict(_pp(left, {-1: F(1, 4), 0: F(1, 4), 2: F(1, 2)}))
+        assert report["subcase"] == subcase
+
 
 class TestConstants:
     def test_classical_walk_constant(self):

@@ -678,6 +678,16 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert peak < 2e6
 
+    def test_first_passage_work_refused_before_dp(self, fix_zz, monkeypatch):
+        # every array fits, but 10^6 steps of row -1 over its 16000-site
+        # segment are 1.6e10 cell-steps: refused before the DP takes a step
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr("oscillax.evolve._advance", no_dp)
+        with pytest.raises(ValidationError, match="word-steps"):
+            build_Q(fix_zz, HUGE, Window(-16000, 16000), rows=[-1])
+
 
 class TestOriginMedium:
     # the three-media origin is a medium like the other two, whose killed walk
