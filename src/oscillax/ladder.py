@@ -24,8 +24,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.linalg import solve_banded
-from scipy.special import zeta
 
 from .errors import NotCentered, ValidationError
 from .model import (
@@ -38,6 +36,7 @@ from .model import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+ZETA_3_2 = 2.612375348685488   # zeta(3/2), float(scipy.special.zeta(1.5)) bit for bit
 SOLVE_WINDOW = 40000   # sites of the killed-walk Green solve in direct_constant
 # for a law on a sublattice dZ, d > 1, 1 - phi has double roots on the unit
 # circle, which root finding splits by about sqrt(machine eps)
@@ -67,6 +66,8 @@ def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray) -> np.nda
     halved: X = 2 X - X_half on the sites both share removes the O(1/size)
     truncation bias, and the result is clipped at 0.
     """
+    from scipy.linalg import solve_banded   # here, so that importing oscillax does not load it
+
     maxj = max(abs(dist.min_support), abs(dist.max_support))
 
     def solve(a, b):
@@ -120,6 +121,8 @@ class LadderPotentials:
     def U(self, variant: LadderVariant, length: int) -> np.ndarray:
         """u_d = sum_h P[|H| = h] u_{d-h} + [d = 0], the renewal mass at distance
         d = 0..length-1: one lower-triangular banded Toeplitz solve."""
+        from scipy.linalg import solve_banded   # here, so that importing oscillax does not load it
+
         law = self.heights[variant]
         band = max(abs(h) for h in law)
         # I - T in solve_banded layout, ab[i - j, j] = M[i, j]: diagonal 1 - P[H = 0]
@@ -301,7 +304,7 @@ def fluctuation_constants(
     partial = float(np.sum(t_n / ns))
     top = ns >= spitzer_horizon // 2
     a_est = float(np.mean(t_n[top] * np.sqrt(ns[top])))
-    tail = a_est * float(zeta(1.5) - np.sum(ns ** -1.5))
+    tail = a_est * float(ZETA_3_2 - np.sum(ns ** -1.5))
     c_spitzer = 0.5 / math.sqrt(math.pi) * math.exp(partial + tail)
     return FluctuationConstants(
         c_direct=c_direct,

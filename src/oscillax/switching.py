@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConventionMismatch, NoConvergence, ValidationError
 from .evolve import (
@@ -246,6 +245,8 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     (M, rows, B) array: none is built, but as M > N + 1 it bounds every
     output.
     """
+    import scipy.fft   # here, so that importing oscillax does not load it
+
     band_lo, band_hi = arrival_band(model)
     band = range(band_lo, band_hi + 1)
     rows = range(window.lo, window.hi + 1) if rows is None else sorted(set(rows) | set(band))

@@ -21,6 +21,7 @@ from .errors import LeakDominated, SequenceTooNoisy, ValidationError
 from .evolve import (
     Side,
     Window,
+    check_work,
     excursion_functions,
     first_passage_rows,
     marginal_sequence,
@@ -270,12 +271,18 @@ def simulate(
     Marginals are recorded at the dyadic times plus n_steps; switching
     statistics track the first medium change and the total number of changes.
     Identical (seed, n_paths, n_steps) give byte-identical results.
+
+    A run of more than ``MAX_WORK`` path-steps is refused up front.  Each step
+    is one vectorised draw over a chunk of paths, so a run of few paths and
+    many steps is bounded by the per-step overhead (about 20 us a step) rather
+    than by that limit.
     """
     if abs(x) + n_steps * model.max_jump > np.iinfo(np.int64).max:
         raise ValidationError(
             f"positions from {x} over {n_steps} steps can overflow 64-bit integers")
     if not 0 <= seed < 2 ** 128:
         raise ValidationError(f"seed {seed} is not in [0, 2**128), the Philox key range")
+    check_work(n_steps, n_paths)
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
                      if 2 ** k <= n_steps} | {n_steps})
     draw = _inverse_cdf((model.left, model.origin, model.right))

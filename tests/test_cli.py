@@ -215,11 +215,12 @@ class TestCommands:
     @pytest.mark.parametrize("model,argv", [
         ("FIX-PP-B1", ["evolve", "--rational", "--from", "0", "--to", "0", "-n", "30000"]),
         ("FIX-ZZ", ["evolve", "--from", "0", "--to", "0", "-n", "1000000"]),
-    ], ids=["evolve-rational", "evolve-float"])
+        ("FIX-ZZ", ["simulate", "-n", "1000000", "--paths", "100000"]),
+    ], ids=["evolve-rational", "evolve-float", "simulate"])
     def test_overlong_dp_exit_two(self, model_dir, tmp_path, capsys, model, argv):
-        # both fit the memory guard but would run for hours: 30000 exact steps
-        # over 5569 sites at 4203 words an entry, and 10^6 float steps over
-        # the 32001 sites of the default window
+        # all fit the memory guard but would run for hours: 30000 exact steps
+        # over 5569 sites at 4203 words an entry, 10^6 float steps over the
+        # 32001 sites of the default window, and 10^6 steps of 10^5 paths
         t0 = time.perf_counter()
         assert main([argv[0], str(model_dir / f"{model}.json"), *argv[1:],
                      "-o", str(tmp_path)]) == 2

@@ -3,8 +3,8 @@
 A stdlib ``ast`` scan standing in for a linter's unused-import rule, over
 the package and the test modules.  Names are matched per module, not per
 scope; ``__init__.py`` is skipped because its imports are the package's
-re-exports.  Also: importing the CLI does not load ``scipy.sparse``, which
-only the DPs use.
+re-exports.  Also: importing the CLI loads no scipy and no sympy, each engine
+importing what it calls on first use, and each command loads only what it runs.
 """
 
 import ast
@@ -47,13 +47,38 @@ def test_no_unused_imports():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # the DPs import scipy.sparse when they build their operator, so the
-    # start-up of every command is not charged for it
+HEAVY = ("scipy.linalg", "scipy.fft", "scipy.special", "sympy")
+
+
+def loaded(code: str) -> list[str]:
+    """The scipy and sympy modules a fresh interpreter holds after ``code``."""
     src = str(Path(oscillax.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, oscillax.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    code += "; print(sorted(m for m in sys.modules if m.startswith(('scipy', 'sympy'))))"
+    out = subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
+                         capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse (the DPs), scipy.linalg (the ladder solves), scipy.fft
+    # (the renewal powers) and sympy (ties) are imported where they are
+    # called, so the start-up of every command is charged for none of them
+    assert loaded("import oscillax.cli") == []
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    def run(*argv):
+        return loaded(f"from oscillax.cli import main; "
+                      f"assert main({[*argv, '-o', str(tmp_path / argv[0])]!r}) == 0")
+
+    # fixtures first: it writes the models the other commands read
+    assert not any(m.startswith(HEAVY) for m in run("fixtures"))
+    for argv in (["simulate", str(tmp_path / "fixtures" / "FIX-ZZ.json"), "-n", "8",
+                  "--paths", "100"],
+                 ["classify", str(tmp_path / "fixtures" / "FIX-PP-B2.json")]):
+        assert not any(m.startswith(HEAVY) for m in run(*argv)), argv[0]
+    mods = run("evolve", str(tmp_path / "fixtures" / "FIX-ZZ.json"), "--from", "0", "--to", "0",
+               "-n", "64")
+    assert "scipy.sparse" in mods
+    assert not any(m.startswith(HEAVY) for m in mods)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillax.errors import NotCentered, ValidationError
-from oscillax.fixtures import MU_A, fix_zz
+from oscillax.fixtures import MU_A, fix_pz, fix_zz
 from oscillax.ladder import (
+    ZETA_3_2,
     LadderVariant,
     fluctuation_constants,
     killed_green,
@@ -188,6 +189,21 @@ class TestFluctuationConstants:
         f1 = fluctuation_constants(d1, spitzer_horizon=2048)
         f2 = fluctuation_constants(d2, spitzer_horizon=2048)
         assert f1.as_tuple() == f2.as_tuple()
+
+    def test_zeta_constant_is_scipys(self):
+        from scipy.special import zeta
+
+        assert ZETA_3_2 == float(zeta(1.5))
+
+    @pytest.mark.parametrize("model,side,tail,c", [
+        (fix_zz, "left", 0.004798199207373576, 0.48860244353679677),
+        (fix_zz, "right", 0.0023990544928686, 0.32573497398539053),
+        (fix_pz, "right", 0.0023990544928686, 0.32573497398539053),
+    ], ids=["FIX-ZZ-left", "FIX-ZZ-right", "FIX-PZ-right"])
+    def test_spitzer_route_is_pinned(self, model, side, tail, c):
+        # the values of the scipy zeta(1.5) tail, to the last bit
+        fc = fluctuation_constants(getattr(model(), side))
+        assert (fc.spitzer_tail, fc.c_spitzer) == (tail, c)
 
 
 def _duality_tables(law, size=40000):
