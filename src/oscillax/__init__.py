@@ -66,6 +66,7 @@ from .switching import (
 from .verify import (
     AsymptoticFit,
     SimResult,
+    asymptotics_suite,
     convergence_suite,
     fit_rate_exponent,
     identity_suite,

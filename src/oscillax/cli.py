@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -149,23 +148,11 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .switching import (
-        WeightSpec,
-        default_weight,
-        dominant_eigenpair,
-        exponential_weight,
-        switching_kernel,
-    )
+    from .switching import default_weight, dominant_eigenpair, switching_kernel
 
     model = load_model(args.model)
     window = _window(args, model, args.horizon)
-    delta = args.delta
-    if args.weight == "auto":
-        weight = default_weight(model, delta)
-    elif args.weight == "polynomial":
-        weight = WeightSpec("polynomial", 0.5 if delta is None else delta)
-    else:
-        weight = exponential_weight(model, delta)
+    weight = default_weight(model, args.delta, args.weight)
     rate = max(weight.rate_neg, weight.rate_pos)
     if not args.window and rate > 0:   # the default window, cut to where the weight is finite
         half = min(window.hi, int(math.log(sys.float_info.max) / rate))
@@ -200,48 +187,17 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .regimes import classify
-    from .verify import convergence_suite, effective_leak, fit_rate_exponent, identity_suite
+    from .verify import asymptotics_suite, convergence_suite, identity_suite
 
     model = load_model(args.model)
-    suites = ["identities", "convergence", "asymptotics"] if args.suite == "all" else [args.suite]
-    report = {}
-    ok = True
-    for suite in suites:
-        if suite == "identities":
-            exact = model.exact and not args.float_mode
-            rep = identity_suite(model, exact=exact)
-            tol = 0.0 if exact else 1e-12
-            passed = (rep["trajectory_decomposition_residual"] <= tol
-                      and rep["tilting_residual"] <= tol
-                      and rep["duality_residual"] <= tol)
-        elif suite == "convergence":
-            rep = convergence_suite(model, horizon=args.horizon,
-                                    window=_window(args, model, args.horizon))
-            passed = (rep["scalar_geometric_renewal_error"] < 1e-9
-                      and rep["scalar_tail_convolution_error"] < 0.1)
-            if "sqrt_n_Tn_final" in rep:
-                passed &= 0.9 <= rep["sqrt_n_Tn_final"] <= 1.1
-                passed &= 0.9 <= rep["rn_tail_final"] <= 1.1
-        elif suite == "asymptotics":
-            pred = classify(model)
-            horizon = args.horizon
-            window = _window(args, model, horizon)
-            table = marginal_sequence(model, 0, 0, horizon, window, leak_budget=None)
-            fit = fit_rate_exponent(table.data["log_values"],
-                                    leaks=effective_leak(table, model, rate=pred.rate),
-                                    fit_window=(max(64, horizon // 8), horizon))
-            exp_tol = 0.15 if pred.exponent >= 1.0 else 0.05
-            passed = fit.matches(pred.rate, pred.exponent, 1e-3, exp_tol)
-            rep = {"predicted": pred.report(), "fit": asdict(fit)}
-        else:
-            raise ValidationError(f"unknown suite {suite!r}")
-        rep["passed"] = passed
-        report[suite] = rep
-        ok &= passed
-    report["passed"] = ok
+    window = _window(args, model, args.horizon)
+    run = {"identities": lambda: identity_suite(model, exact=not args.float_mode),
+           "convergence": lambda: convergence_suite(model, args.horizon, window),
+           "asymptotics": lambda: asymptotics_suite(model, args.horizon, window)}
+    report = {suite: run[suite]() for suite in (run if args.suite == "all" else [args.suite])}
+    report["passed"] = all(rep["passed"] for rep in report.values())
     _write_json(_outdir(args) / "verify.json", report)
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

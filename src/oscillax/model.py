@@ -31,7 +31,6 @@ from .errors import (
 
 PROB_SUM_TOL = 1e-14
 ZERO_DRIFT_TOL = 1e-12
-BISECT_TOL = 1e-12
 TIE_TOL = 1e-10
 MAX_BISECT_ITER = 200
 EXP_OVERFLOW = 700.0

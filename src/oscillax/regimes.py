@@ -262,7 +262,10 @@ class TiltPlan:
     max(L(t_left), L'(t_right)), the larger transform value at the plan's
     tilts, and ``r`` the smaller over it.  That is ``classify``'s rate on
     A1-B7 and (N,P), but not in case C, whose C1 plan tilts at the crossing
-    point: 0.958534 against 0.95 on the C witness."""
+    point: 0.958534 against 0.95 on the C witness.  ``damped_side`` is the
+    side whose transform value is the smaller, the one that carries the
+    factor r^n in :func:`switching.tilted_kernels`; None when the two agree
+    within 1e-12 relative (crossing and tangency branches)."""
 
     t_left: float
     t_right: float
@@ -272,6 +275,12 @@ class TiltPlan:
     tilted_model: OscillatingModel
     rate: float
     r: float
+    damped_side: Optional[str]   # 'left' | 'right' | None
+
+    @property
+    def t_ref(self) -> float:
+        """The tilt of the undamped side (t_left when neither is damped)."""
+        return self.t_right if self.damped_side == "left" else self.t_left
 
 
 def select_tilt(model: OscillatingModel, prediction: Optional[RegimePrediction] = None) -> TiltPlan:
@@ -303,10 +312,12 @@ def select_tilt(model: OscillatingModel, prediction: Optional[RegimePrediction] 
     tr = tilt(model.right, t_right)
     tilted = validate_model(tl, tl, tr, two_media=True)
     La, Lb = laplace(model.left, t_left), laplace(model.right, t_right)
+    rate = max(La, Lb)
+    damped = None if abs(La - Lb) <= 1e-12 * rate else ("right" if La > Lb else "left")
     return TiltPlan(
         t_left=t_left, t_right=t_right, single_t=single, branch=branch,
         base_case=tilted.drift_case, tilted_model=tilted,
-        rate=max(La, Lb), r=min(La, Lb) / max(La, Lb),
+        rate=rate, r=min(La, Lb) / rate, damped_side=damped,
     )
 
 

@@ -15,11 +15,11 @@ keep only the arrival-band columns: Q(x, .) charges no other site.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConventionMismatch, NoConvergence, ValidationError
+from .errors import NoConvergence, ValidationError
 from .evolve import (
     StepKernels,
     Window,
@@ -41,10 +41,10 @@ from .model import (
     arrival_band,
     common_denominator,
     essential_class,
-    laplace,
-    tilt,
-    validate_model,
 )
+
+if TYPE_CHECKING:   # regimes imports this module
+    from .regimes import TiltPlan
 
 _ROW_BLOCK = 8   # output rows banded_power_sequences transforms at a time
 
@@ -89,19 +89,23 @@ class WeightSpec:
         return psi
 
 
-def exponential_weight(model: OscillatingModel, delta: Optional[float] = None) -> WeightSpec:
-    """psi(x) = exp((|lambda'| + delta)|x|) for x <= 0, exp((|lambda| + delta) x) else."""
+def default_weight(model: OscillatingModel, delta: Optional[float] = None,
+                   kind: str = "auto") -> WeightSpec:
+    """The weight of ``kind``: polynomial psi(x) = 1 + |x|^(1+delta), delta
+    0.5 by default, or exponential psi(x) = exp((|lambda'| + delta)|x|) for
+    x <= 0 and exp((|lambda| + delta) x) else, delta 0.1 by default.
+    ``auto`` is exponential for (N,P)/(P,P)/(N,N) and polynomial otherwise."""
+    if kind == "auto":
+        kind = ("exponential" if model.drift_case.value in ("(N,P)", "(P,P)", "(N,N)")
+                else "polynomial")
+    if kind == "polynomial":
+        return WeightSpec("polynomial", 0.5 if delta is None else delta)
+    if kind != "exponential":
+        raise ValidationError(f"unknown weight kind {kind!r}")
     d = 0.1 if delta is None else delta
     lam, _ = argmin_laplace(model.left)
     lamp, _ = argmin_laplace(model.right)
     return WeightSpec("exponential", d, rate_neg=abs(lamp) + d, rate_pos=abs(lam) + d)
-
-
-def default_weight(model: OscillatingModel, delta: Optional[float] = None) -> WeightSpec:
-    """Polynomial weight for recurrent-type regimes, exponential for (N,P)/(P,P)/(N,N)."""
-    if model.drift_case.value in ("(N,P)", "(P,P)", "(N,N)"):
-        return exponential_weight(model, delta)
-    return WeightSpec("polynomial", 0.5 if delta is None else delta)
 
 
 # ---------------------------------------------------------------------------
@@ -401,64 +405,36 @@ def doob_transform(R: np.ndarray, H: np.ndarray, band_rows: slice,
 @dataclass
 class TiltedKernels:
     """Per-step kernels of the per-side tilted walk with the geometric factor
-    split off: Q_n(x,y) = R^n e^{t_ref (x-y)} Qtilde_n(x,y), on the arrival band."""
+    split off: Q_n(x,y) = R^n e^{t_ref (x-y)} Qtilde_n(x,y), on the arrival
+    band, R = ``plan.rate`` and t_ref = ``plan.t_ref``."""
 
     Qn: np.ndarray           # (N+1, W, B): Qn[n, i, j] = Qtilde_n(window.lo + i, band[0] + j)
     band: tuple[int, int]
     window: Window
-    rate: float              # R = max of the two transform values
-    r: float                 # min/max ratio, 1.0 when the transforms agree
-    t_left: float
-    t_right: float
-    t_ref: float             # reference tilt (the side whose transform equals R)
-    damped_side: Optional[str]   # 'left' | 'right' | None
-    tilted_model: OscillatingModel
+    plan: TiltPlan
 
 
-def tilted_kernels(
-    model: OscillatingModel,
-    t_left: float,
-    t_right: float,
-    horizon: int,
-    window: Window,
-) -> TiltedKernels:
-    """Build the damped tilted kernel stack for a two-media model.
+def tilted_kernels(plan: TiltPlan, horizon: int, window: Window) -> TiltedKernels:
+    """Build the damped tilted kernel stack of a :func:`regimes.select_tilt` plan.
 
-    Each side is tilted by its own parameter; the side with the smaller
-    transform value picks up the geometric factor r^n and the cross factor
-    e^{(t_other - t_ref)(x-y)} so that the original kernels factor exactly as
-    R^n e^{t_ref(x-y)} Qtilde_n.  With t_left = t_right this reduces to the
-    single-tilt construction.
+    Each side is tilted by its own parameter; the plan's damped side picks
+    up the geometric factor r^n and the cross factor e^{(t_side - t_ref)(x-y)}
+    so that the original kernels factor exactly as R^n e^{t_ref(x-y)}
+    Qtilde_n.  With t_left = t_right this reduces to the single-tilt
+    construction.
     """
-    if not model.two_media:
-        raise ConventionMismatch("tilted kernels are defined for two-media models")
-    La = laplace(model.left, t_left)
-    Lb = laplace(model.right, t_right)
-    R = max(La, Lb)
-    if abs(La - Lb) <= 1e-12 * R:
-        # balanced transforms (crossing or tangency branch): no damping at all
-        r, t_ref, damped = 1.0, t_left, None
-    elif La > Lb:
-        r, t_ref, damped = Lb / La, t_left, "right"
-    else:
-        r, t_ref, damped = La / Lb, t_right, "left"
-    left_t = tilt(model.left, t_left)
-    right_t = tilt(model.right, t_right)
-    tilted_model = validate_model(left_t, left_t, right_t, two_media=True)
-    hist = build_Q(tilted_model, horizon, window, rows=range(window.lo, window.hi + 1))
+    hist = build_Q(plan.tilted_model, horizon, window, rows=range(window.lo, window.hi + 1))
     xs = window.positions()
     left = xs <= 0
     ys = np.arange(hist.band[0], hist.band[1] + 1)
-    dt = np.where(left, t_left, t_right) - t_ref
+    dt = np.where(left, plan.t_left, plan.t_right) - plan.t_ref
     # (1, W, B): e^{(t_side - t_ref)(x - y)}, times r^n on the rows of the damped side
     factor = np.exp(dt[:, None] * (xs[:, None] - ys))[None]
-    if damped:
-        rn = r ** np.arange(horizon + 1, dtype=float)
-        factor = factor * np.where(left if damped == "left" else ~left, rn[:, None], 1.0)[..., None]
-    return TiltedKernels(
-        Qn=hist.R * factor, band=hist.band, window=window, rate=R, r=r, t_left=t_left,
-        t_right=t_right, t_ref=t_ref, damped_side=damped, tilted_model=tilted_model,
-    )
+    if plan.damped_side:
+        rn = plan.r ** np.arange(horizon + 1, dtype=float)
+        damped = left if plan.damped_side == "left" else ~left
+        factor = factor * np.where(damped, rn[:, None], 1.0)[..., None]
+    return TiltedKernels(Qn=hist.R * factor, band=hist.band, window=window, plan=plan)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Monte Carlo, asymptotic fitting, and the exact-identity/convergence suites.
+"""Monte Carlo, asymptotic fitting, and the identity/convergence/asymptotics suites.
 
 The fitting conventions: the geometric rate comes from ratio medians over
 dyadic blocks refined by Aitken extrapolation (the ratio of consecutive terms
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import LeakDominated, SequenceTooNoisy, ValidationError
 from .evolve import (
+    MAX_WORK,
     Side,
     Window,
-    check_work,
     excursion_functions,
     first_passage_rows,
     marginal_sequence,
@@ -40,6 +40,7 @@ from .model import (
     geometric_tilt,
     laplace,
 )
+from .regimes import classify
 from .switching import (
     build_Q,
     dominant_eigenpair,
@@ -205,6 +206,7 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
 
 CHUNK = 1 << 15   # paths per Philox stream; fixes which stream each path draws
 G = 1 << 12       # inverse-CDF buckets per medium; u * G is exact for a double u
+STEP_PATHS = 1 << 10   # fewest path-steps a step counts as in the work guard
 
 @dataclass
 class SimResult:
@@ -273,16 +275,22 @@ def simulate(
     Identical (seed, n_paths, n_steps) give byte-identical results.
 
     A run of more than ``MAX_WORK`` path-steps is refused up front.  Each step
-    is one vectorised draw over a chunk of paths, so a run of few paths and
-    many steps is bounded by the per-step overhead (about 20 us a step) rather
-    than by that limit.
+    is one vectorised draw over a chunk of paths, whose fixed overhead (19-25
+    us at 100 paths or fewer) costs about as much as ``STEP_PATHS`` path-steps
+    (24-32 ns each at 10^4 paths and more; FIX-ZZ on a 2-core Xeon VM), so a
+    step counts as at least that many: at most 2^23 steps of few paths, about
+    3 minutes, pass.
     """
     if abs(x) + n_steps * model.max_jump > np.iinfo(np.int64).max:
         raise ValidationError(
             f"positions from {x} over {n_steps} steps can overflow 64-bit integers")
     if not 0 <= seed < 2 ** 128:
         raise ValidationError(f"seed {seed} is not in [0, 2**128), the Philox key range")
-    check_work(n_steps, n_paths)
+    work = n_steps * max(n_paths, STEP_PATHS)
+    if work > MAX_WORK:
+        raise ValidationError(
+            f"{n_steps} steps of {n_paths} paths count as {work:.3g} path-steps (a step "
+            f"at least {STEP_PATHS}), over the {MAX_WORK:.3g} limit: lower -n or --paths")
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
                      if 2 ** k <= n_steps} | {n_steps})
     draw = _inverse_cdf((model.left, model.origin, model.right))
@@ -343,6 +351,9 @@ def _survival_landing(dist: LatticeDist, threshold_hi: bool, n_max: int, z_range
     return table
 
 
+FLOAT_IDENTITY_TOL = 1e-12   # largest float-mode identity residual that passes
+
+
 def identity_suite(model: OscillatingModel, horizon: int = 40,
                    window: Optional[Window] = None,
                    tilt_ratio: Fraction = Fraction(1, 2),
@@ -355,7 +366,8 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     the model's D by the factor (D_model // D)**n, and each identity compares
     numerators over one denominator: a residual is exactly zero iff they are
     equal, and must be identically zero.  In float mode (D = 1) the suite
-    reports the max absolute residuals (<= 1e-12 at these sizes).
+    reports the max absolute residuals.  ``passed``: every residual is 0 in
+    exact mode, at most ``FLOAT_IDENTITY_TOL`` in float mode.
     """
     window = window or Window(-64, 64)
     exact = exact and model.exact
@@ -430,8 +442,11 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
                             exact=exact)
     rhs = fp.R[:, :, 0 - fp.band[0]]   # landing exactly on the level
     record("duality", (lhs - rhs)[1:], powers(fp.D, n_max)[1:, None])
-    report["all_exact_zero"] = all(report[f"{name}_exact_zero"] for name in (
-        "trajectory_decomposition", "tilting", "duality")) if exact else None
+    names = ("trajectory_decomposition", "tilting", "duality")
+    report["all_exact_zero"] = (all(report[f"{name}_exact_zero"] for name in names)
+                                if exact else None)
+    tol = 0.0 if exact else FLOAT_IDENTITY_TOL
+    report["passed"] = all(report[f"{name}_residual"] <= tol for name in names)
     return report
 
 
@@ -439,13 +454,24 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
 # Convergence checks
 # ---------------------------------------------------------------------------
 
+def _with_convergence_verdict(report: dict) -> dict:
+    """``report`` with ``passed``: both scalar checks hold and, where the
+    plateaus were run, both final plateau values lie within 10% of 1."""
+    report["passed"] = (report["scalar_geometric_renewal_error"] < 1e-9
+                        and report["scalar_tail_convolution_error"] < 0.1
+                        and all(0.9 <= report.get(key, 1.0) <= 1.1
+                                for key in ("sqrt_n_Tn_final", "rn_tail_final")))
+    return report
+
+
 def convergence_suite(model: OscillatingModel, horizon: int = 4096,
                       window: Optional[Window] = None) -> dict:
     """Operator-renewal convergence diagnostics for a recurrent-switch model.
 
     Checks the sqrt(n)-rescaled switching-time marginals against the predicted
     plateau level and the renewal-tail sum against its ladder-constant limit;
-    includes two synthetic scalar sanity checks of the machinery itself.
+    includes two synthetic scalar sanity checks of the machinery itself.  The
+    report's ``passed`` is the suite's verdict.
     """
     report = {}
     window = window or Window(-512, 512)
@@ -473,7 +499,7 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
 
     case = model.drift_case
     if case not in (DriftCase.ZZ, DriftCase.PZ, DriftCase.PN):
-        return report
+        return _with_convergence_verdict(report)
     if case in (DriftCase.ZZ, DriftCase.PZ) and horizon < 64:
         raise ValidationError(f"horizon {horizon} is below 64, the first plateau point")
 
@@ -513,4 +539,28 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
             n *= 2
         report["rn_tail_plateau"] = tail_series
         report["rn_tail_final"] = tail_series[-1][1]
-    return report
+    return _with_convergence_verdict(report)
+
+
+# ---------------------------------------------------------------------------
+# Asymptotics check
+# ---------------------------------------------------------------------------
+
+def asymptotics_suite(model: OscillatingModel, horizon: int = 4096,
+                      window: Optional[Window] = None) -> dict:
+    """The DP's P_0[X_n = 0] against :func:`regimes.classify`'s prediction.
+
+    Fits rate and exponent over n in [max(64, N/8), N], discarding points the
+    :func:`effective_leak` at the predicted rate could dominate.  ``passed``:
+    the fitted rate is within 1e-3 of the predicted one and the exponent
+    within 0.15 (predicted exponent >= 1) or 0.05 (below 1).  ``window``
+    defaults to :func:`evolve.default_window`.
+    """
+    pred = classify(model)
+    table = marginal_sequence(model, 0, 0, horizon, window, leak_budget=None)
+    fit = fit_rate_exponent(table.data["log_values"],
+                            leaks=effective_leak(table, model, rate=pred.rate),
+                            fit_window=(max(64, horizon // 8), horizon))
+    exp_tol = 0.15 if pred.exponent >= 1.0 else 0.05
+    return {"predicted": pred.report(), "fit": asdict(fit),
+            "passed": fit.matches(pred.rate, pred.exponent, 1e-3, exp_tol)}

@@ -94,6 +94,25 @@ class TestCommands:
         # every n in the window: a_n > 0 and the leak is far below 1% of it
         assert fit["usable_points"] == 512 - 64 + 1
 
+    @pytest.mark.parametrize("suite", ["identities", "convergence", "asymptotics"])
+    def test_verify_writes_the_suite_verdict(self, model_dir, tmp_path, suite):
+        # the CLI adds no rule of its own: verify.json is the library report
+        # and its verdict, byte for byte through the same writer
+        from oscillax.evolve import default_window
+        from oscillax.verify import asymptotics_suite, convergence_suite, identity_suite
+
+        model = load_model(model_dir / "FIX-ZZ.json")
+        rep = {"identities": lambda: identity_suite(model),
+               "convergence": lambda: convergence_suite(model, 512, default_window(model, 512)),
+               "asymptotics": lambda: asymptotics_suite(model, 512, default_window(model, 512)),
+               }[suite]()
+        rc = main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", suite, "-n", "512",
+                   "-o", str(tmp_path / "cli")])
+        assert rc == (0 if rep["passed"] else 1)
+        _write_json(tmp_path / "expected.json", {suite: rep, "passed": rep["passed"]})
+        assert ((tmp_path / "cli" / "verify.json").read_bytes()
+                == (tmp_path / "expected.json").read_bytes())
+
     def test_invalid_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"left": [[1, "1/2"], [2, "1/2"]],
@@ -215,17 +234,31 @@ class TestCommands:
     @pytest.mark.parametrize("model,argv", [
         ("FIX-PP-B1", ["evolve", "--rational", "--from", "0", "--to", "0", "-n", "30000"]),
         ("FIX-ZZ", ["evolve", "--from", "0", "--to", "0", "-n", "1000000"]),
-        ("FIX-ZZ", ["simulate", "-n", "1000000", "--paths", "100000"]),
-    ], ids=["evolve-rational", "evolve-float", "simulate"])
+    ], ids=["evolve-rational", "evolve-float"])
     def test_overlong_dp_exit_two(self, model_dir, tmp_path, capsys, model, argv):
-        # all fit the memory guard but would run for hours: 30000 exact steps
-        # over 5569 sites at 4203 words an entry, 10^6 float steps over the
-        # 32001 sites of the default window, and 10^6 steps of 10^5 paths
+        # both fit the memory guard but would run for hours: 30000 exact steps
+        # over 5569 sites at 4203 words an entry, and 10^6 float steps over
+        # the 32001 sites of the default window
         t0 = time.perf_counter()
         assert main([argv[0], str(model_dir / f"{model}.json"), *argv[1:],
                      "-o", str(tmp_path)]) == 2
         assert time.perf_counter() - t0 < 5.0
         assert "word-steps" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["-n", "1000000", "--paths", "100000"],
+        ["-n", "100000000", "--paths", "10"],
+    ], ids=["many-paths", "few-paths"])
+    def test_overlong_simulate_exit_two(self, model_dir, tmp_path, capsys, argv):
+        # 10^11 path-steps, and 10^8 steps of 10 paths, which each cost the
+        # per-step overhead of 1024 paths: both would run for about 40 minutes
+        t0 = time.perf_counter()
+        assert main(["simulate", str(model_dir / "FIX-ZZ.json"), *argv,
+                     "-o", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert "path-steps" in err and "-n" in err and "--paths" in err
         assert not any(tmp_path.iterdir())
 
     def test_verify_convergence_horizon_below_plateau_exit_two(self, model_dir, tmp_path,

@@ -38,6 +38,7 @@ from oscillax.switching import (
     WeightSpec,
     banded_power_sequences,
     build_Q,
+    default_weight,
     dominant_eigenpair,
     doob_transform,
     limit_operator_E,
@@ -406,6 +407,19 @@ class TestSpectra:
         with pytest.raises(ValidationError):
             WeightSpec("polynomial", -1.0).values(Window(-8, 8))
 
+    def test_default_weight_kinds(self, fix_zz, fix_pp):
+        # auto follows the drift case; an explicit kind holds on any model
+        from oscillax.model import argmin_laplace
+
+        assert default_weight(fix_zz) == WeightSpec("polynomial", 0.5)
+        assert default_weight(fix_pp, 0.3, "polynomial") == WeightSpec("polynomial", 0.3)
+        lam, lamp = argmin_laplace(fix_pp.left)[0], argmin_laplace(fix_pp.right)[0]
+        assert default_weight(fix_pp) == WeightSpec(
+            "exponential", 0.1, rate_neg=abs(lamp) + 0.1, rate_pos=abs(lam) + 0.1)
+        assert default_weight(fix_zz, 0.2, "exponential").kind == "exponential"
+        with pytest.raises(ValidationError):
+            default_weight(fix_zz, kind="gaussian")
+
 
 SPECTRAL_MODELS = [*sorted(FIXTURES), "period-2"]
 
@@ -494,8 +508,45 @@ class TestDoob:
 
 class TestTiltedKernels:
     def test_requires_two_media(self, fix_zz):
+        # the plan is refused, so no tilted stack of a non-(N,P)/(P,P) model exists
+        from oscillax.regimes import select_tilt
+
         with pytest.raises(ConventionMismatch):
-            tilted_kernels(fix_zz, -0.1, -0.1, 8, Window(-16, 16))
+            select_tilt(fix_zz)
+
+    @pytest.mark.parametrize("name", ["FIX-PP", *SUBCASE_FIXTURES])
+    def test_plan_damped_side(self, fix_pp, subcase_models, name):
+        # the damped side is the one with the smaller transform value, unless
+        # the two agree to 1e-12 relative; t_ref is the other side's tilt
+        from oscillax.model import laplace
+        from oscillax.regimes import select_tilt
+
+        m = fix_pp if name == "FIX-PP" else subcase_models[name]
+        plan = select_tilt(m)
+        expected = {"FIX-PP": "left", "A2": "left", "B2": "left", "B5": "right"}
+        assert plan.damped_side == expected.get(name)
+        La, Lb = laplace(m.left, plan.t_left), laplace(m.right, plan.t_right)
+        if abs(La - Lb) <= 1e-12 * plan.rate:
+            assert plan.damped_side is None
+            assert plan.t_ref == plan.t_left
+        elif La < Lb:
+            assert (plan.damped_side, plan.t_ref) == ("left", plan.t_right)
+        else:
+            assert (plan.damped_side, plan.t_ref) == ("right", plan.t_left)
+
+    @pytest.mark.parametrize("name, total", [
+        ("FIX-PP", 10.679128629227664),
+        ("B5", 11.421085401684888),
+        ("A1", 12.989502175456076),
+        ("C", 3.6341858179144984),
+    ])
+    def test_stack_sum_pinned(self, fix_pp, subcase_models, name, total):
+        # left-damped, right-damped, tangency and crossing plans
+        from oscillax.regimes import select_tilt
+
+        plan = select_tilt(fix_pp if name == "FIX-PP" else subcase_models[name])
+        tk = tilted_kernels(plan, 64, Window(-16, 16))
+        assert float(tk.Qn.sum()) == pytest.approx(total, rel=1e-14)
 
     def test_change_of_measure_identity_exact(self, fix_pp):
         # Q_n(x,y) = L(t)^n e^{t(x-y)} Q_n^t(x,y) with e^t = 1/2, checked
@@ -526,18 +577,18 @@ class TestTiltedKernels:
 
         plan = select_tilt(fix_pp, classify(fix_pp))
         w = Window(-24, 24)
-        tk = tilted_kernels(fix_pp, plan.t_left, plan.t_right, 64, w)
+        tk = tilted_kernels(plan, 64, w)
         # B2: r = L(lambda')/rho' in closed form
-        assert tk.r == pytest.approx(0.8509373209614202 / 0.905031433644464, abs=1e-12)
-        assert tk.damped_side == "left"
+        assert tk.plan.r == pytest.approx(0.8509373209614202 / 0.905031433644464, abs=1e-12)
+        assert tk.plan.damped_side == "left"
         agg = tk.Qn.sum(axis=0)
         # undamped (right) side: exact mass accounting against its own survival
-        fp = first_passage_rows(tk.tilted_model.right, Side.FROM_POSITIVE,
+        fp = first_passage_rows(tk.plan.tilted_model.right, Side.FROM_POSITIVE,
                                 Convention.TWO_MEDIA, [4], 64, w)
         undamped = agg[w.index(4), :].sum()
         assert undamped + fp.survival[0][64] == pytest.approx(1.0, abs=1e-12)
         # damped (left) side: strictly below the same accounting level
-        fp_l = first_passage_rows(tk.tilted_model.left, Side.FROM_NEGATIVE,
+        fp_l = first_passage_rows(tk.plan.tilted_model.left, Side.FROM_NEGATIVE,
                                   Convention.TWO_MEDIA, [-4], 64, w)
         damped = agg[w.index(-4), :].sum()
         assert damped < (1.0 - float(fp_l.survival[0][64])) - 0.05
@@ -547,9 +598,9 @@ class TestTiltedKernels:
 
         m = subcase_models["B3"]
         plan = select_tilt(m, classify(m))
-        tk = tilted_kernels(m, plan.t_left, plan.t_right, 16, Window(-16, 16))
-        assert tk.r == pytest.approx(1.0, abs=1e-12)
-        assert tk.damped_side is None
+        tk = tilted_kernels(plan, 16, Window(-16, 16))
+        assert tk.plan.r == pytest.approx(1.0, abs=1e-12)
+        assert tk.plan.damped_side is None
 
     def test_no_dense_stack(self, fix_pp):
         # the dense (N+1, W, W) stack alone would be 2.2 GB here
@@ -559,7 +610,7 @@ class TestTiltedKernels:
         w = Window(-1024, 1024)
         tracemalloc.start()
         try:
-            tk = tilted_kernels(fix_pp, plan.t_left, plan.t_right, 64, w)
+            tk = tilted_kernels(plan, 64, w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

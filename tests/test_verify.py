@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from conftest import as_fractions
 from oscillax.errors import LeakDominated, SequenceTooNoisy, ValidationError
 from oscillax import verify
-from oscillax.evolve import KernelTable, Window, first_passage_rows, marginal_sequence
+from oscillax.evolve import (
+    KernelTable,
+    Window,
+    default_window,
+    first_passage_rows,
+    marginal_sequence,
+)
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import (
     ZERO_DRIFT_TOL,
@@ -27,6 +33,7 @@ from oscillax.verify import (
     G,
     SimResult,
     _survival_landing,
+    asymptotics_suite,
     convergence_suite,
     effective_leak,
     fit_rate_exponent,
@@ -271,6 +278,20 @@ class TestIdentitySuiteFloat:
     def test_two_media_exact(self, fix_pp):
         rep = identity_suite(fix_pp, horizon=20, pairs=[(0, 0), (-1, 1)])
         assert rep["all_exact_zero"]
+        assert rep["passed"] is True
+
+    @pytest.mark.parametrize("delta, passed", [(0.0, True), (5e-13, True), (2e-12, False)])
+    def test_float_verdict_follows_bound(self, fix_zz, monkeypatch, delta, passed):
+        # a float-mode residual passes up to 1e-12, the float rounding it allows
+        def perturbed(*args, **kwargs):
+            t = marginal_sequence(*args, **kwargs)
+            t.data["values"][9] += delta
+            return t
+
+        monkeypatch.setattr(verify, "marginal_sequence", perturbed)
+        rep = identity_suite(fix_zz, horizon=12, pairs=[(0, 0)], exact=False)
+        assert rep["trajectory_decomposition_residual"] == pytest.approx(delta, abs=1e-15)
+        assert rep["passed"] is passed
 
 
 class TestIdentitySuiteSensitivity:
@@ -367,6 +388,7 @@ class TestScalarChecks:
         rep = convergence_suite(fix_zp)
         assert rep["scalar_geometric_renewal_error"] < 1e-9
         assert rep["scalar_tail_convolution_error"] < 0.05
+        assert rep["passed"] is True   # (Z,P) runs only the scalar checks
 
     def test_plateau_reads_the_origin(self, fix_pz):
         # sqrt(n) T_n(0, 0) bold_c / nu(0), with T_n(0, 0) from the renewal
@@ -380,6 +402,15 @@ class TestScalarChecks:
         assert [n for n, _ in rep["sqrt_n_Tn_plateau"]] == [64, 128]
         for n, val in rep["sqrt_n_Tn_plateau"]:
             assert val == pytest.approx(math.sqrt(n) * T[n] * rep["bold_c"] / nu0, rel=1e-12)
+
+
+class TestAsymptoticsSuite:
+    def test_b2_matches_prediction(self, subcase_models):
+        m = subcase_models["B2"]
+        rep = asymptotics_suite(m, 4096, default_window(m, 4096))
+        assert rep["predicted"]["subcase"] == "B2"
+        assert rep["fit"]["fit_window"] == (512, 4096)
+        assert rep["passed"] is True
 
 
 class TestSurvivalLanding:
