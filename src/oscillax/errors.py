@@ -67,7 +67,3 @@ class TieUnresolvable(OscillaxError):
     """A float comparison landed inside the tie tolerance and no exact
     (rational) probabilities are available to resolve it."""
 
-
-class CrossingMissing(OscillaxError):
-    """Internal inconsistency: a crossing-based subcase was selected but the
-    transforms do not cross."""

@@ -152,7 +152,7 @@ def search_subcase_fixtures() -> dict:
                 continue
             try:
                 m = _pp(la, ra)
-                pred = classify(m)   # exact confirmation (ties go to sympy)
+                pred = classify(m)   # exact confirmation of near-ties
             except OscillaxError:
                 continue
             found.setdefault(pred.subcase, [(m, pred)])

@@ -5,8 +5,9 @@ P_x[X_n = y] ~ C * rate^n / n^exponent, choosing among the nine drift cases
 and, for the two-media transient cases, the A/B/C transform-geometry subcases.
 Equality branches (same argmin, same minimum, tangency of one transform at the
 other's argmin) are measure-zero and are only ever entered through exact
-rational/algebraic comparison; float ties without exact inputs raise
-TieUnresolvable.
+comparison: a float difference within TIE_TOL is settled by ``_Comparator``
+through :mod:`.algebraic` (integer polynomials and ``fractions.Fraction``);
+float ties without exact inputs raise TieUnresolvable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import (
     ConventionMismatch,
-    CrossingMissing,
     PlateauNotReached,
     TieUnresolvable,
     ValidationError,
@@ -61,6 +61,8 @@ class RegimePrediction:
     rate_kind: str = "one"                 # one|rho|rho_prime|rho_star|max_rho
     mirrored: bool = False
     details: dict = field(default_factory=dict)
+    # the exact comparisons classify made, for select_tilt to go on with
+    comparator: Optional[_Comparator] = field(default=None, repr=False, compare=False)
 
     def report(self) -> dict:
         return {
@@ -81,82 +83,55 @@ class RegimePrediction:
 # Exact comparison of transform-derived algebraic numbers
 # ---------------------------------------------------------------------------
 
-def _sympy_argmin_u(d: LatticeDist):
-    """The unique positive root u* = exp(argmin) of u d/du [sum p_i u^{v_i}]."""
-    import sympy
-
-    u = sympy.Symbol("u", positive=True)
-    poly = sum(sympy.Rational(p) * v * u ** (int(v) - d.min_support)
-               for v, p in zip(d.values, d.fracs) if v != 0)
-    poly = sympy.Poly(sympy.together(poly), u)
-    roots = [r for r in poly.real_roots() if r.is_positive]
-    if len(roots) != 1:
-        raise TieUnresolvable(f"expected one positive critical point, got {roots}")
-    return roots[0]
-
-
-def _exact_sign(expr) -> int:
-    """Sign of an exact algebraic expression: 0 when it is identically zero."""
-    import sympy
-
-    simplified = sympy.nsimplify(expr, rational=False)
-    try:
-        mp = sympy.minimal_polynomial(simplified, sympy.Symbol("x"))
-        if mp == sympy.Symbol("x"):
-            return 0
-    except (sympy.SympifyError, NotImplementedError):
-        pass
-    val = expr.evalf(60)
-    if abs(val) < sympy.Float(10) ** -50:
-        return 0
-    return 1 if val > 0 else -1
-
-
 def _float_cmp(a: float, b: float, *_) -> int:
     """Three-way float comparison that calls a difference within TIE_TOL a tie (0)."""
     return 0 if abs(a - b) <= TIE_TOL else (-1 if a < b else 1)
 
 
 class _Comparator:
-    """Compares lambda/rho-type quantities, escalating ties to exact arithmetic."""
+    """Compares lambda/rho-type quantities of the laws "L" and "R" in float,
+    and exactly (:mod:`.algebraic`) when the float difference is within
+    TIE_TOL.  Each law's argmin root is isolated once, on the first exact
+    comparison that needs it."""
 
-    def __init__(self, left: LatticeDist, right: LatticeDist):
-        self.left, self.right = left, right
-        self._u = {}
+    def __init__(self, left: LatticeDist, right: LatticeDist, lam: float, lamp: float):
+        self.laws, self.lams = {"L": left, "R": right}, {"L": lam, "R": lamp}
+        self.roots = {}
+        self.same_argmin = False   # u_L == u_R, once exact_lambda has shown it
 
-    def _exact_ready(self):
-        if not (self.left.exact and self.right.exact):
+    def _root(self, which: str):
+        if not (self.laws["L"].exact and self.laws["R"].exact):
             raise TieUnresolvable(
                 "comparison inside tie tolerance but probabilities are not exact rationals"
             )
+        from .algebraic import ArgminRoot
 
-    def _u_star(self, which: str):
-        if which not in self._u:
-            self._u[which] = _sympy_argmin_u(self.left if which == "L" else self.right)
-        return self._u[which]
+        which = "L" if self.same_argmin else which
+        if which not in self.roots:
+            self.roots[which] = ArgminRoot(self.laws[which], self.lams[which])
+        return self.roots[which]
 
     def cmp_lambda(self, lam: float, lamp: float) -> int:
-        if s := _float_cmp(lam, lamp):
-            return s
-        self._exact_ready()
-        # lambda = log u_L and log is increasing, so u_L - u_R has the sign of
-        # lambda - lambda' and, unlike a difference of logs, is algebraic
-        return _exact_sign(self._u_star("L") - self._u_star("R"))
+        return _float_cmp(lam, lamp) or self.exact_lambda()
 
-    def _pair(self, which_dist: str, which_u: str):
-        """Exact transform value of one law at either law's argmin."""
-        import sympy
+    def exact_lambda(self) -> int:
+        """Sign of lambda - lambda', that is of u_L - u_R."""
+        from .algebraic import compare_roots
 
-        d = self.left if which_dist == "L" else self.right
-        u = self._u_star(which_u)
-        return sum(sympy.Rational(p) * u ** int(v) for v, p in zip(d.values, d.fracs))
+        s = compare_roots(self._root("L"), self._root("R"))
+        self.same_argmin = s == 0
+        return s
 
     def cmp_values(self, a: float, b: float, da: str, ua: str, db: str, ub: str) -> int:
         """Compare transform values, e.g. rho = L at u_L vs rho' = L' at u_R."""
-        if s := _float_cmp(a, b):
-            return s
-        self._exact_ready()
-        return _exact_sign(self._pair(da, ua) - self._pair(db, ub))
+        return _float_cmp(a, b) or self.exact_values(da, ua, db, ub)
+
+    def exact_values(self, da: str, ua: str, db: str, ub: str) -> int:
+        """Sign of phi_da(u_ua) - phi_db(u_ub)."""
+        from .algebraic import compare_values, transform
+
+        return compare_values(self._root(ua), transform(self.laws[da]),
+                              self._root(ub), transform(self.laws[db]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +176,14 @@ def _crossing_branch(model: OscillatingModel, details: dict, cmpx: _Comparator) 
     if _BRANCHES[k][0] == "rho_star":
         star = cross_point(model.left, model.right)
         if star is None:
-            raise CrossingMissing(f"branch {k} selected but the transforms do not cross")
+            # the exact signs put a crossing where the float transforms show
+            # none: it lies within float resolution of the argmin where the
+            # two are closer, and rho_star is that side's minimum
+            lam, lamp = details["lambda"], details["lambda_prime"]
+            at_lamp = (abs(laplace(model.left, lamp) - details["rho_prime"])
+                       <= abs(laplace(model.right, lam) - details["rho"]))
+            star = (lamp, details["rho_prime"]) if at_lamp else (lam, details["rho"])
+            details["crossing_below_resolution"] = 1.0
         details["rho_star"], details["lambda_star"] = star[1], star[0]
     return k
 
@@ -232,8 +214,8 @@ def classify(model: OscillatingModel) -> RegimePrediction:
     lam, rho = argmin_laplace(model.left)
     lamp, rhop = argmin_laplace(model.right)
     details = {"lambda": lam, "lambda_prime": lamp, "rho": rho, "rho_prime": rhop}
-    cmpx = _Comparator(model.left, model.right)
-    pred = RegimePrediction(case, 0.0, 0.0, "unknown", details=details)
+    cmpx = _Comparator(model.left, model.right, lam, lamp)
+    pred = RegimePrediction(case, 0.0, 0.0, "unknown", details=details, comparator=cmpx)
 
     s_lam = cmpx.cmp_lambda(lam, lamp)
     if s_lam == 0 and cmpx.cmp_values(rho, rhop, "L", "L", "R", "R") == 0:
@@ -304,8 +286,8 @@ def select_tilt(model: OscillatingModel, prediction: Optional[RegimePrediction] 
             branch, key = sub, "lambda"
         else:
             # case B carries its branch in the subcase; case C refines into C1..C7
-            k = (_crossing_branch(model, details, _Comparator(model.left, model.right))
-                 if sub == "C" else int(sub[1]))
+            cmpx = prediction.comparator or _Comparator(model.left, model.right, lam, lamp)
+            k = _crossing_branch(model, details, cmpx) if sub == "C" else int(sub[1])
             branch, key = f"{sub[0]}{k}", _BRANCHES[k][2]
         t_left = t_right = single = details[key]
     tl = tilt(model.left, t_left)

@@ -101,6 +101,9 @@ def fit_rate_exponent(
     ns = ns[usable]
     if len(ns) < 64:
         raise LeakDominated(f"only {len(ns)} usable points in [{n_lo}, {n_hi}]")
+    if ns[-1] < n_hi // 2:
+        raise LeakDominated(f"no usable point in [{n_hi // 2}, {n_hi}], the top half of "
+                            f"the fit window [{n_lo}, {n_hi}] that C_hat is read from")
 
     # rho: dyadic-block ratio medians + Aitken
     ratios_n = ns[:-1][np.diff(ns) == 1]

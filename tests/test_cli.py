@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,19 @@ class TestCommands:
         assert main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "convergence",
                      "-n", "32", "-o", str(tmp_path)]) == 2
         assert "first plateau point" in capsys.readouterr().err
+
+    def test_verify_asymptotics_empty_plateau_half_exit_three(self, model_dir, tmp_path,
+                                                              capsys):
+        # at -n 600 -W 24 every usable point of FIX-PP-C lies below n = 300:
+        # one error line, and no numpy warning from a mean over nothing
+        capsys.readouterr()   # drop what the model_dir fixture printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(model_dir / "FIX-PP-C.json"), "--suite", "asymptotics",
+                         "-n", "600", "-W", "24", "-o", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "[300, 600]" in err[0]
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--from", "100000000000000000000"],

@@ -3,8 +3,9 @@
 A stdlib ``ast`` scan standing in for a linter's unused-import rule, over
 the package and the test modules.  Names are matched per module, not per
 scope; ``__init__.py`` is skipped because its imports are the package's
-re-exports.  Also: importing the CLI loads no scipy and no sympy, each engine
-importing what it calls on first use, and each command loads only what it runs.
+re-exports.  Also: importing the CLI loads no scipy, each engine importing
+what it calls on first use, and each command loads only what it runs; no
+command loads sympy or mpmath, ties included.
 """
 
 import ast
@@ -47,23 +48,23 @@ def test_no_unused_imports():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-HEAVY = ("scipy.linalg", "scipy.fft", "scipy.special", "sympy")
+HEAVY = ("scipy.linalg", "scipy.fft", "scipy.special", "sympy", "mpmath")
 
 
 def loaded(code: str) -> list[str]:
-    """The scipy and sympy modules a fresh interpreter holds after ``code``."""
+    """The scipy, sympy and mpmath modules a fresh interpreter holds after ``code``."""
     src = str(Path(oscillax.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code += "; print(sorted(m for m in sys.modules if m.startswith(('scipy', 'sympy'))))"
+    code += "; print(sorted(m for m in sys.modules if m.startswith(('scipy', 'sympy', 'mpmath'))))"
     out = subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
                          capture_output=True, text=True, check=True)
     return ast.literal_eval(out.stdout.splitlines()[-1])
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse (the DPs), scipy.linalg (the ladder solves), scipy.fft
-    # (the renewal powers) and sympy (ties) are imported where they are
-    # called, so the start-up of every command is charged for none of them
+    # scipy.sparse (the DPs), scipy.linalg (the ladder solves) and scipy.fft
+    # (the renewal powers) are imported where they are called, so the
+    # start-up of every command is charged for none of them
     assert loaded("import oscillax.cli") == []
 
 
@@ -76,8 +77,13 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert not any(m.startswith(HEAVY) for m in run("fixtures"))
     for argv in (["simulate", str(tmp_path / "fixtures" / "FIX-ZZ.json"), "-n", "8",
                   "--paths", "100"],
-                 ["classify", str(tmp_path / "fixtures" / "FIX-PP-B2.json")]):
-        assert not any(m.startswith(HEAVY) for m in run(*argv)), argv[0]
+                 ["classify", str(tmp_path / "fixtures" / "FIX-PP-B2.json")],
+                 # ties: rho == rho' is decided exactly, without sympy
+                 ["classify", str(tmp_path / "fixtures" / "FIX-PP-B1.json")],
+                 # lambda == lambda' and rho == rho', then the DP fit against them
+                 ["verify", str(tmp_path / "fixtures" / "FIX-PP-A1.json"),
+                  "--suite", "asymptotics"]):
+        assert not any(m.startswith(HEAVY) for m in run(*argv)), argv[:2]
     mods = run("evolve", str(tmp_path / "fixtures" / "FIX-ZZ.json"), "--from", "0", "--to", "0",
                "-n", "64")
     assert "scipy.sparse" in mods

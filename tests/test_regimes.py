@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -6,18 +7,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oscillax import algebraic
+from oscillax.cli import main
 from oscillax.errors import ConventionMismatch, OscillaxError, TieUnresolvable, ValidationError
 from oscillax.evolve import Window, marginal_sequence
-from oscillax.fixtures import SUBCASE_FIXTURES, _pp
+from oscillax.fixtures import SUBCASE_FIXTURES, _pp, subcase_witnesses
 from oscillax.model import (
+    TIE_TOL,
     DriftCase,
+    argmin_laplace,
     dist,
     laplace,
+    load_model,
     mirror_dist,
     mirror_model,
+    save_model,
     validate_model,
 )
 from oscillax.regimes import (
+    _Comparator,
     classify,
     invariant_profile,
     predict,
@@ -352,6 +360,138 @@ class TestTies:
         left = {-1: F(1, 4) + eps, 0: F(1, 4), 2: F(1, 2) - eps}
         report = predict(_pp(left, {-1: F(1, 4), 0: F(1, 4), 2: F(1, 2)}))
         assert report["subcase"] == subcase
+
+
+# The tie decisions predict makes on each FIX-PP model, as (comparison, sign):
+# "lambda" is lambda vs lambda', "LLRR" rho = L(lambda) vs rho' = L'(lambda'),
+# "LRRR" L(lambda') vs rho' and "RLLL" L'(lambda) vs rho.  Every one is an
+# equality, as the earlier sympy-based resolution also found.
+PINNED_TIES = {
+    "FIX-PP": [], "FIX-PP-A1": [("lambda", 0), ("LLRR", 0)], "FIX-PP-A2": [("lambda", 0)],
+    "FIX-PP-B1": [("LLRR", 0)], "FIX-PP-B2": [], "FIX-PP-B3": [("LRRR", 0)],
+    "FIX-PP-B4": [], "FIX-PP-B5": [], "FIX-PP-B6": [("RLLL", 0)], "FIX-PP-B7": [],
+    "FIX-PP-C": [("LLRR", 0)],
+}
+
+
+def _grid_law(support, weights):
+    return dist({v: F(w, sum(weights)) for v, w in zip(support, weights)})
+
+
+# the supports of the subcase grid search, with random integer masses
+_grid_laws = st.builds(_grid_law, st.sampled_from([(-1, 0, 2), (-2, 0, 1)]),
+                       st.lists(st.integers(1, 60), min_size=3, max_size=3))
+
+
+def _moved(law, eps, to, frm):
+    """``law``'s exact masses with ``eps`` moved from atom ``frm`` to atom ``to``."""
+    atoms = dict(zip(law.values, law.fracs))
+    atoms[to] += eps
+    atoms[frm] -= eps
+    return atoms
+
+
+class TestExactComparator:
+    @pytest.mark.parametrize("source", ["fixture files", "witnesses"])
+    def test_tie_decisions_pinned(self, source, tmp_path, monkeypatch):
+        # 7 ties on the 11 FIX-PP files and 7 on the 10 witnesses
+        if source == "witnesses":
+            models = {f"FIX-PP-{k}": m for k, m in subcase_witnesses().items()}
+        else:
+            assert main(["fixtures", "-o", str(tmp_path)]) == 0
+            models = {p.stem: load_model(p) for p in tmp_path.glob("FIX-PP*.json")}
+        exact_lambda, exact_values = _Comparator.exact_lambda, _Comparator.exact_values
+        decisions = []
+
+        def logged(label, sign):
+            decisions.append((label, sign))
+            return sign
+
+        monkeypatch.setattr(_Comparator, "exact_lambda",
+                            lambda self: logged("lambda", exact_lambda(self)))
+        monkeypatch.setattr(_Comparator, "exact_values",
+                            lambda self, *w: logged("".join(w), exact_values(self, *w)))
+        found = {}
+        for name, m in models.items():
+            decisions.clear()
+            predict(m)
+            found[name] = list(decisions)
+        assert found == {k: v for k, v in PINNED_TIES.items() if k in models}
+        assert sum(map(len, found.values())) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_laws, _grid_laws)
+    def test_exact_agrees_with_float_outside_tie_tol(self, left, right):
+        # each exact comparison, run whatever the float difference, never
+        # contradicts a float decision that is outside TIE_TOL
+        lam, rho = argmin_laplace(left)
+        lamp, rhop = argmin_laplace(right)
+        cmpx = _Comparator(left, right, lam, lamp)
+        for diff, exact in [
+            (lam - lamp, cmpx.exact_lambda),
+            (rho - rhop, lambda: cmpx.exact_values("L", "L", "R", "R")),
+            (laplace(left, lamp) - rhop, lambda: cmpx.exact_values("L", "R", "R", "R")),
+            (laplace(right, lam) - rho, lambda: cmpx.exact_values("R", "L", "L", "L")),
+        ]:
+            if abs(diff) > TIE_TOL:
+                assert exact() == (1 if diff > 0 else -1), diff
+
+    @pytest.mark.parametrize("right", [
+        {-2: F(1, 4), 0: F(1, 4), 4: F(1, 2)},    # L(u^2): u_R = u_L^(1/2)
+        {-2: F(1, 2), 0: F(1, 4), 1: F(1, 4)},    # L(1/u): u_R = 1/u_L
+    ])
+    def test_equal_minima_at_irrational_argmins(self, right):
+        # u_L = 4^(-1/3) and u_R are irrational and apart, rho == rho': the
+        # value polynomials (resultants) decide the tie
+        left = dist({-1: F(1, 4), 0: F(1, 4), 2: F(1, 2)})
+        right = dist(right)
+        cmpx = _Comparator(left, right, argmin_laplace(left)[0], argmin_laplace(right)[0])
+        assert cmpx.exact_lambda() == -1
+        assert cmpx.exact_values("L", "L", "R", "R") == 0
+        assert cmpx.exact_values("R", "L", "L", "L") == 1
+
+    @pytest.mark.parametrize("lo, hi, count", [
+        (0, 4, 3), (1, 1, 1), (1, 2, 2), (F(3, 2), F(5, 2), 1), (F(5, 2), 3, 1), (4, 5, 0)])
+    def test_sturm_count_on_closed_intervals(self, lo, hi, count):
+        # (u - 1)(u - 2)(u - 3): roots at either end of [lo, hi] count
+        seq = algebraic._sturm([-6, 11, -6, 1])
+        assert algebraic._roots_in(seq, F(lo), F(hi)) == count
+
+    def test_near_b3_crossing_below_float_resolution(self, tmp_path):
+        # 1e-40 moved from atom 2 to atom -1 of B3's left law leaves the float
+        # model unchanged, but L(lambda') - rho' = +1.75e-40 exactly: branch
+        # B4, whose crossing is below float resolution and is reported at lambda'
+        b3 = SUBCASE_FIXTURES["B3"]()
+        m = _pp(_moved(b3.left, F(1, 10**40), -1, 2), dict(zip(b3.right.values, b3.right.fracs)))
+        p = classify(m)
+        assert (p.subcase, p.exponent, p.rate_kind) == ("B4", 0.0, "rho_star")
+        assert p.details["crossing_below_resolution"] == 1.0
+        assert p.details["lambda_star"] == p.details["lambda_prime"]
+        assert p.rate == p.details["rho_prime"]
+        plan = select_tilt(m, p)
+        assert (plan.branch, plan.single_t) == ("B4", p.details["lambda_prime"])
+        save_model(m, tmp_path / "near-B3.json")
+        assert main(["classify", str(tmp_path / "near-B3.json"), "-o", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "classify.json").read_text())
+        assert (rep["subcase"], rep["tilt_branch"], rep["exponent"]) == ("B4", "B4", 0.0)
+
+    @pytest.mark.parametrize("eps", [0, F(1, 10**13)])
+    def test_predict_isolates_each_root_once(self, eps, monkeypatch):
+        # FIX-PP-C: select_tilt's C1 plan decides rho == rho'.  Near-A1 at
+        # +1e-13: classify decides lambda > lambda' and select_tilt then
+        # rho vs rho' on the same roots
+        m = (SUBCASE_FIXTURES["C"]() if not eps else
+             _pp(_moved(SUBCASE_FIXTURES["A1"]().left, eps, -1, 2),
+                 {-1: F(1, 4), 0: F(1, 4), 2: F(1, 2)}))
+        init, isolated = algebraic.ArgminRoot.__init__, []
+
+        def counted(self, d, lam):
+            isolated.append(d.fracs)
+            init(self, d, lam)
+
+        monkeypatch.setattr(algebraic.ArgminRoot, "__init__", counted)
+        assert predict(m)["subcase"] == "C"
+        assert sorted(isolated) == sorted([m.left.fracs, m.right.fracs])
 
 
 class TestConstants:

@@ -73,6 +73,15 @@ class TestFitter:
         with pytest.raises(LeakDominated):
             fit_rate_exponent(log_values=lv, leaks=leaks, fit_window=(64, 256))
 
+    def test_empty_plateau_half(self):
+        # 96 usable points, all below n_hi / 2: C_hat's plateau half is empty
+        ns = np.arange(1, 257, dtype=float)
+        lv = np.concatenate([[-np.inf], -0.5 * np.log(ns)])
+        leaks = np.zeros(257)
+        leaks[128:] = 10.0
+        with pytest.raises(LeakDominated, match=r"\[128, 256\]"):
+            fit_rate_exponent(log_values=lv, leaks=leaks, fit_window=(32, 256))
+
     def test_window_beyond_horizon(self):
         with pytest.raises(ValidationError):
             fit_rate_exponent(log_values=np.zeros(100), fit_window=(10, 500))
