@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -99,6 +100,21 @@ class LatticeDist:
     @property
     def sigma(self) -> float:
         return math.sqrt(self.variance)
+
+    @cached_property
+    def argmin(self) -> tuple[float, float]:
+        """(lambda, rho) of :func:`argmin_laplace`, solved on first access."""
+        _require_two_sided(self)
+        if abs(self.mean) <= ZERO_DRIFT_TOL:
+            return 0.0, laplace(self, 0.0)  # centered: the minimum is at the origin
+        b = min(1.0, EXP_OVERFLOW / max(-self.min_support, self.max_support))
+        a = -b
+        while laplace_deriv(self, a) > 0:
+            a *= 2.0
+        while laplace_deriv(self, b) < 0:
+            b *= 2.0
+        lam = _bisect(lambda t: laplace_deriv(self, t), a, b)
+        return lam, laplace(self, lam)
 
     @property
     def exact(self) -> bool:
@@ -218,12 +234,24 @@ def _require_two_sided(d: LatticeDist):
 
 def _bisect(f, a: float, b: float) -> float:
     """A sign change of f on [a, b], f(a) and f(b) of opposite signs (or one
-    of them 0): bisect, keeping the left end's sign, until the bracket is
-    below 1e-16 relative."""
+    of them 0): bisect, keeping the left end's sign.
+
+    Signs are compared, not multiplied, so two tiny values of one sign cannot
+    underflow to a product of 0; a NaN f(mid) moves the left end, as a NaN
+    product would.  The loop stops when the bracket is below 1e-16 relative
+    to max(1, |a|), or when the midpoint equals a or b: no double then lies
+    strictly inside, and further halving would only freeze the bracket or
+    collapse it onto the midpoint, which is returned either way.  The first
+    test ends small roots, the second every root with |root| >= 0.5, whose
+    neighbouring doubles are more than 1e-16 apart.
+    """
     fa = f(a)
     for _ in range(MAX_BISECT_ITER):
         mid = 0.5 * (a + b)
-        if fa * (fm := f(mid)) <= 0:
+        if mid == a or mid == b:
+            break
+        fm = f(mid)
+        if fa <= 0 <= fm or fm <= 0 <= fa:
             b = mid
         else:
             a, fa = mid, fm
@@ -237,19 +265,11 @@ def argmin_laplace(d: LatticeDist) -> tuple[float, float]:
 
     Bisection on dL/dt over a bracketing interval grown geometrically from
     [-t0, t0], t0 = min(1, EXP_OVERFLOW / max|v|) so that L' is finite there;
-    two-sided support guarantees an interior minimum.
+    two-sided support guarantees an interior minimum.  A centered law skips
+    the search: its minimum is L(0) at lambda = 0.  Each law object is solved
+    once, on first use, and keeps the result as ``d.argmin``.
     """
-    _require_two_sided(d)
-    b = min(1.0, EXP_OVERFLOW / max(-d.min_support, d.max_support))
-    a = -b
-    while laplace_deriv(d, a) > 0:
-        a *= 2.0
-    while laplace_deriv(d, b) < 0:
-        b *= 2.0
-    lam = _bisect(lambda t: laplace_deriv(d, t), a, b)
-    if abs(d.mean) <= ZERO_DRIFT_TOL:
-        lam = 0.0  # centered laws have their minimum exactly at the origin
-    return lam, laplace(d, lam)
+    return d.argmin
 
 
 def tilt(d: LatticeDist, t: float) -> LatticeDist:

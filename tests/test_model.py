@@ -6,19 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscillax import model as model_mod
 from oscillax.errors import (
     DegenerateInterval,
     IdenticalTransforms,
     NotAperiodic,
     O3Violated,
     O4Violated,
+    OscillaxError,
     SupportOneSided,
     ValidationError,
 )
-from oscillax.fixtures import MU_A, MU_A_MIRROR, MU_B, MU_BP, UNIF_PM1
+from oscillax.fixtures import (
+    FIXTURES,
+    MU_A,
+    MU_A_MIRROR,
+    MU_B,
+    MU_BP,
+    SUBCASE_FIXTURES,
+    UNIF_PM1,
+)
 from oscillax.model import (
     EXP_OVERFLOW,
+    MAX_BISECT_ITER,
+    TIE_TOL,
+    ZERO_DRIFT_TOL,
     DriftCase,
+    _bisect,
     argmin_laplace,
     cross_point,
     dist,
@@ -32,6 +46,8 @@ from oscillax.model import (
     tilt,
     validate_model,
 )
+from oscillax.regimes import classify
+from oscillax.verify import asymptotics_suite
 
 MU_B_DIST = dist(MU_B)
 MU_BP_DIST = dist(MU_BP)
@@ -238,6 +254,165 @@ class TestCrossPoint:
         _, rho = argmin_laplace(left)
         _, rhop = argmin_laplace(right)
         assert rho_star > max(rho, rhop)
+
+
+def _bisect_reference(f, a, b):
+    """The bisection loop before the float-resolution stop and the sign test."""
+    fa = f(a)
+    for _ in range(MAX_BISECT_ITER):
+        mid = 0.5 * (a + b)
+        if fa * (fm := f(mid)) <= 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        if b - a < 1e-16 * max(1.0, abs(a)):
+            break
+    return 0.5 * (a + b)
+
+
+def _argmin_reference(d):
+    b = min(1.0, EXP_OVERFLOW / max(-d.min_support, d.max_support))
+    a = -b
+    while laplace_deriv(d, a) > 0:
+        a *= 2.0
+    while laplace_deriv(d, b) < 0:
+        b *= 2.0
+    lam = _bisect_reference(lambda t: laplace_deriv(d, t), a, b)
+    if abs(d.mean) <= ZERO_DRIFT_TOL:
+        lam = 0.0
+    return lam, laplace(d, lam)
+
+
+def _cross_reference(left, right, lam, lamp):
+    a, b = min(lam, lamp), max(lam, lamp)
+    grid = np.linspace(a - 1.0, b + 1.0, 17)
+    if all(abs(laplace(left, t) - laplace(right, t)) < 1e-13 for t in grid):
+        raise IdenticalTransforms("the two Laplace transforms coincide")
+    if b - a <= TIE_TOL:
+        raise DegenerateInterval(f"argmins coincide: {lam} vs {lamp}")
+
+    def g(t):
+        return laplace(left, t) - laplace(right, t)
+
+    if g(a) * g(b) > 0:
+        return None
+    lam_star = _bisect_reference(g, a, b)
+    return lam_star, laplace(left, lam_star)
+
+
+def _grid_atoms(q, support):
+    """Every law with all three atoms of ``support`` charged, masses in 1/q."""
+    return [dict(zip(support, (F(i, q), F(j, q), F(q - i - j, q))))
+            for i in range(1, q) for j in range(1, q - i)]
+
+
+def _fixture_atoms():
+    out = []
+    for fn in (*FIXTURES.values(), *SUBCASE_FIXTURES.values()):
+        m = fn()
+        out += [m.left.as_pairs(), m.origin.as_pairs(), m.right.as_pairs()]
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OscillaxError as exc:
+        return type(exc)
+
+
+class TestBisection:
+    """The float-resolution stop returns the double the 200-step loop did."""
+
+    def test_tiny_values_do_not_underflow(self):
+        # 1e-200 * 1e-200 is 0.0: a product test moved b onto a when both
+        # values were positive and lost the root
+        assert _bisect(lambda t: 1e-200 * (t - 0.75), 0.0, 1.0) == 0.75
+
+    def test_zero_and_nan_as_before(self):
+        for f in (lambda t: t - 0.5, lambda t: 0.0,
+                  lambda t: math.nan if t > 0.3 else -1.0):
+            assert _bisect(f, 0.0, 1.0) == _bisect_reference(f, 0.0, 1.0)
+
+    def test_argmin_unchanged(self, monkeypatch):
+        evals = []
+
+        def counted(f, a, b):
+            n = [0]
+
+            def g(t):
+                n[0] += 1
+                return f(t)
+
+            out = _bisect(g, a, b)
+            evals.append(n[0])
+            return out
+
+        monkeypatch.setattr(model_mod, "_bisect", counted)
+        laws = _fixture_atoms()
+        for q in (12, 17, 30):
+            laws += _grid_atoms(q, (-1, 0, 2)) + _grid_atoms(q, (-2, 0, 1))
+        assert len(laws) == 1207
+        for atoms in laws:
+            assert argmin_laplace(dist(atoms)) == _argmin_reference(dist(atoms)), atoms
+        assert evals and max(evals) <= 64
+
+    def test_cross_point_unchanged(self):
+        # each law object is solved once and reused across its pairs
+        ref = {}
+
+        def law(atoms):
+            d = dist(atoms)
+            ref[id(d)] = _argmin_reference(dist(atoms))[0]
+            return d
+
+        pairs = []
+        for name in ("B1", "B4", "B7"):
+            m = SUBCASE_FIXTURES[name]()
+            pairs.append((law(m.left.as_pairs()), law(m.right.as_pairs())))
+        lefts = [law(a) for a in _grid_atoms(12, (-1, 0, 2)) if dist(a).mean > 0]
+        rights = [law(a) for a in _grid_atoms(12, (-2, 0, 1)) if dist(a).mean > 0]
+        pairs += [(ld, rd) for ld in lefts for rd in rights + lefts]
+        crossings = 0
+        for ld, rd in pairs:
+            new = _outcome(cross_point, ld, rd)
+            assert new == _outcome(_cross_reference, ld, rd, ref[id(ld)], ref[id(rd)]), \
+                (ld.as_pairs(), rd.as_pairs())
+            crossings += isinstance(new, tuple)
+        assert crossings == 3 + 31
+
+
+class TestOneSolvePerLaw:
+    @staticmethod
+    def _count_deriv_calls(monkeypatch):
+        calls = {}
+        real = laplace_deriv
+
+        def counted(d, t):
+            calls[id(d)] = calls.get(id(d), 0) + 1
+            return real(d, t)
+
+        monkeypatch.setattr(model_mod, "laplace_deriv", counted)
+        return calls
+
+    def test_classify_and_asymptotics_solve_each_law_once(self, monkeypatch):
+        m = load_model(model_mod.dump_model(SUBCASE_FIXTURES["B1"]()))
+        calls = self._count_deriv_calls(monkeypatch)
+        fresh = [dist(law.as_pairs()) for law in (m.left, m.right)]
+        for d in fresh:
+            argmin_laplace(d)
+        one_solve = [calls[id(d)] for d in fresh]
+        classify(m)
+        asymptotics_suite(m, 512)
+        assert [calls.get(id(law), 0) for law in (m.left, m.right)] == one_solve
+        assert min(one_solve) > 0
+
+    def test_centered_law_skips_bisection(self, monkeypatch):
+        m = FIXTURES["FIX-ZZ"]()
+        calls = self._count_deriv_calls(monkeypatch)
+        for law in (m.left, m.origin, m.right):
+            assert argmin_laplace(law) == (0.0, 1.0)
+        assert calls == {}
 
 
 class TestModelFiles:
