@@ -3,7 +3,6 @@
 from .errors import OscillaxError, ValidationError
 from .evolve import (
     KernelTable,
-    Side,
     StepKernels,
     Window,
     default_window,
@@ -21,9 +20,9 @@ from .ladder import (
     wiener_hopf_heights,
 )
 from .model import (
-    Convention,
     DriftCase,
     LatticeDist,
+    Medium,
     OscillatingModel,
     argmin_laplace,
     cross_point,

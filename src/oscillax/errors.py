@@ -40,7 +40,9 @@ class IdenticalTransforms(OscillaxError):
 
 
 class ConventionMismatch(OscillaxError):
-    pass
+    """The model's media do not fit the analysis asked for: ``classify`` on
+    a three-media (P,P) or (N,P) model, a drift case ``select_tilt`` does
+    not cover, or a start outside its medium in ``first_passage_rows``."""
 
 
 class WindowTooSmall(OscillaxError):

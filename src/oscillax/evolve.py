@@ -20,16 +20,14 @@ doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConventionMismatch, ValidationError, WindowTooSmall
-from .model import (Convention, LatticeDist, OscillatingModel, arrival_band, common_denominator,
-                    mirror_dist)
+from .model import Medium, OscillatingModel, arrival_band, common_denominator, mirror_dist
 
 DEFAULT_LEAK_BUDGET = 1e-10
 MAX_ARRAY_BYTES = 1 << 30   # largest single array any engine may allocate
@@ -191,12 +189,11 @@ def window_operator(media, sites, outer, band, exact: bool = False, scale: int =
 
 def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scale: int = 1):
     """The :class:`WindowOperator` of the walk on the window: each medium of
-    :func:`media` on its segment, mass leaving below lo or above hi, and band
+    the model on its segment, mass leaving below lo or above hi, and band
     rows on the arrival band, where every crossing lands."""
     lo, hi = window.lo, window.hi
     bl, bh = arrival_band(model)
-    steps = [(*passage_regions(side, model.convention, law, window)[0], law)
-             for law, side in media(model)]
+    steps = [(*m.segment(window), m.law) for m in model.media]
     return window_operator(steps, (lo, hi), (lo, hi), (max(bl, lo), min(bh, hi)), exact, scale)
 
 
@@ -321,7 +318,7 @@ def marginal_sequence(
     window = window or default_window(model, horizon)
     window.check_margin(model)
     # exact: integer numerators over D**n (see the module docstring)
-    D = common_denominator(model.left, model.origin, model.right) if exact else 1
+    D = common_denominator(*model.laws) if exact else 1
     check_size((horizon + 1,), (window.width,), D=D, horizon=horizon)
     check_work(horizon, window.width, D)
     ix, iy = window.index(x), window.index(y)
@@ -361,8 +358,8 @@ def marginal_sequence(
     data.update(leak_below=sides[:, 0], leak_above=sides[:, 1], leak_underflow=sides[:, 2])
     meta = {"x": x, "y": y, "exact": exact, "D": D, "final_flush": 0, "unflushed_bound": 0}
     if not exact:
-        laws = [law for law, _ in media(model)]
-        span = max(law.max_support for law in laws) - min(law.min_support for law in laws)
+        span = (max(law.max_support for law in model.laws)
+                - min(law.min_support for law in model.laws))
         terms = window.width * ((span + 3) * horizon + horizon // BLOCK + horizon % BLOCK)
         # rounded up: (terms + 1) // 2 smallest subnormals
         meta.update(final_flush=float(flushed),
@@ -370,55 +367,14 @@ def marginal_sequence(
     return KernelTable(window=window, horizon=horizon, data=data, leak=leak, meta=meta)
 
 
-class Side(Enum):
-    """A medium of the walk: the left one (up to ``Convention.left_end``), the
-    origin (a medium of its own under three media only) and the right one."""
-
-    FROM_NEGATIVE = "from_negative"
-    ORIGIN = "origin"
-    FROM_POSITIVE = "from_positive"
-
-
-def side_of(convention: Convention, x: int) -> Side:
-    """The medium of site ``x``."""
-    if x <= convention.left_end:
-        return Side.FROM_NEGATIVE
-    return Side.ORIGIN if x <= 0 else Side.FROM_POSITIVE
-
-
-def media(model: OscillatingModel) -> list[tuple[LatticeDist, Side]]:
-    """(law, side) of each medium of the model, left to right."""
-    sides = [(model.left, Side.FROM_NEGATIVE), (model.right, Side.FROM_POSITIVE)]
-    return sides if model.two_media else [sides[0], (model.origin, Side.ORIGIN), sides[1]]
-
-
-def passage_regions(side: Side, convention: Convention, dist: LatticeDist, window: Window):
-    """((seg_lo, seg_hi), (band_lo, band_hi)): survival segment and arrival band.
-
-    FROM_NEGATIVE under the three-media convention kills the walk on reaching
-    >= 0; under the two-media convention on reaching >= 1.  FROM_POSITIVE
-    kills on reaching <= 0 under both conventions, and ORIGIN, a medium under
-    three media only, on leaving 0.  The segment is the part of the window
-    the walk survives on; the band is where its first passage can land.
-    """
-    if side is Side.FROM_NEGATIVE:
-        end = convention.left_end
-        return (window.lo, end), (end + 1, end + dist.max_support)
-    if side is Side.FROM_POSITIVE:
-        return (1, window.hi), (1 + dist.min_support, 0)
-    if convention is Convention.TWO_MEDIA:
-        raise ConventionMismatch("the origin is a medium of its own under three media only")
-    return (0, 0), (dist.min_support, dist.max_support)
-
-
-def passage_operator(dist: LatticeDist, side: Side, convention: Convention, window: Window,
-                     exact: bool = False, scale: int = 1) -> WindowOperator:
-    """The :class:`WindowOperator` of ``dist`` killed on leaving the survival
-    segment of :func:`passage_regions`, read out on its arrival band; its
-    ``sites`` are the segment.  Segment and band form one contiguous run, so
-    a landing outside it has left the window."""
-    (seg_lo, seg_hi), (band_lo, band_hi) = passage_regions(side, convention, dist, window)
-    return window_operator([(seg_lo, seg_hi, dist)], (seg_lo, seg_hi),
+def passage_operator(medium: Medium, window: Window, exact: bool = False,
+                     scale: int = 1) -> WindowOperator:
+    """The :class:`WindowOperator` of the medium's law killed on leaving the
+    medium, read out on its arrival band; its ``sites`` are the medium's
+    segment of the window.  Segment and band form one contiguous run, so a
+    landing outside it has left the window."""
+    (seg_lo, seg_hi), (band_lo, band_hi) = medium.segment(window), medium.band
+    return window_operator([(seg_lo, seg_hi, medium.law)], (seg_lo, seg_hi),
                            (min(seg_lo, band_lo), max(seg_hi, band_hi)), (band_lo, band_hi),
                            exact, scale)
 
@@ -435,8 +391,7 @@ class StepKernels:
     over D**n; leak[i, n] is the part that left the window or, in a float
     record, was flushed below the smallest normal double.
     ``states``, when kept, is the (N+1, rows, window width) history of the
-    surviving mass, window-indexed and zero off the survival segment of
-    :func:`passage_regions`.
+    surviving mass, window-indexed and zero off the medium's segment.
     """
 
     rows: list[int]
@@ -457,9 +412,7 @@ class StepKernels:
 
 
 def first_passage_rows(
-    dist: LatticeDist,
-    side: Side,
-    convention: Convention,
+    medium: Medium,
     xs: Sequence[int],
     horizon: int,
     window: Window,
@@ -468,34 +421,34 @@ def first_passage_rows(
 ) -> StepKernels:
     """First-passage kernels Q_n(x, .) for every start x in ``xs``, in one DP.
 
-    The walk with law ``dist`` runs on the survival segment of ``side`` (see
-    :func:`passage_regions`) and is killed on leaving it: mass that crosses
-    into the arrival band is recorded as arrivals, mass that leaves the
-    window on the survival side is leak, and so is mass a float state drops
-    below the smallest normal double (see :func:`_advance`).  All rows share
-    one (segment x rows) state, run through the law's :func:`window_operator`
-    on the segment; the DP stops once that state holds no mass.  A DP of more
-    than ``MAX_WORK`` steps x rows x segment sites x words is refused up
-    front (see :func:`check_work`).
+    The walk with the medium's law runs on the medium's segment of the
+    window and is killed on leaving the medium: mass that crosses into its
+    arrival band is recorded as arrivals, mass that leaves the window is
+    leak, and so is mass a float state drops below the smallest normal
+    double (see :func:`_advance`).  All rows share one (segment x rows)
+    state, run through the medium's :func:`passage_operator`; the DP stops
+    once that state holds no mass.  A DP of more than ``MAX_WORK`` steps x
+    rows x segment sites x words is refused up front (see
+    :func:`check_work`).
 
-    Returns the :class:`StepKernels` record of ``xs`` on the arrival band of
-    ``side``; ``keep_states`` fills its ``states``.
+    Returns the :class:`StepKernels` record of ``xs`` on the medium's arrival
+    band; ``keep_states`` fills its ``states``.
     """
     xs = list(xs)
-    (seg_lo, seg_hi), (band_lo, band_hi) = passage_regions(side, convention, dist, window)
+    (seg_lo, seg_hi), (band_lo, band_hi) = medium.segment(window), medium.band
     for x in xs:
-        if side_of(convention, x) is not side:
-            raise ConventionMismatch(f"start {x} not in the {side.value} medium")
+        if x not in medium:
+            raise ConventionMismatch(f"start {x} not in the medium of {medium}")
         if not seg_lo <= x <= seg_hi:
             raise ValidationError(f"start {x} outside the window segment [{seg_lo}, {seg_hi}]")
     rows, width = len(xs), seg_hi - seg_lo + 1
     band_w = max(0, band_hi - band_lo + 1)
     # exact: integer numerators over D**n (see the module docstring)
-    D = common_denominator(dist) if exact else 1
+    D = common_denominator(medium.law) if exact else 1
     check_size((horizon + 1, rows, window.width if keep_states else band_w), (rows, width),
                D=D, horizon=horizon)
     check_work(horizon, rows * width, D)
-    op = passage_operator(dist, side, convention, window, exact, D)
+    op = passage_operator(medium, window, exact, D)
     state = _zeros((width, rows), exact)
     for r, x in enumerate(xs):
         state[x - seg_lo, r] = 1
@@ -542,11 +495,10 @@ def excursion_functions(
     holds integer numerators over D**n, D = meta['D'] of the law of y's medium.
     """
     window.check_margin(model)
-    side = side_of(model.convention, y)
-    law = next(law for law, s in media(model) if s is side)
+    medium = model.media[model.medium_index(y)]
     # V_{n,y}(x) is the mass at x of the reversed walk started at y and killed
     # on leaving the medium; mass it loses either way is reported as leak
-    fp = first_passage_rows(mirror_dist(law), side, model.convention, [y], horizon,
+    fp = first_passage_rows(replace(medium, law=mirror_dist(medium.law)), [y], horizon,
                             window, exact, keep_states=True)
     arrived = _cumulate(fp.R[:, 0].sum(axis=1), fp.D)
     return KernelTable(window, horizon, {"V": fp.states[:, 0]}, fp.leak[0] + arrived,

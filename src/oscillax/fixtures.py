@@ -127,8 +127,7 @@ def search_subcase_fixtures() -> dict:
 
     def profile(atoms):
         d = dist(atoms)
-        lam, rho = argmin_laplace(d)
-        return atoms, d, lam, rho
+        return d, *argmin_laplace(d)
 
     P_left = [profile(a) for a in lefts]
     P_right = [profile(a) for a in rights]
@@ -144,14 +143,15 @@ def search_subcase_fixtures() -> dict:
         return "B%d" % _branch(ld, rd, details, _float_cmp)
 
     reachable = set(SUBCASE_FIXTURES) - {"B1", "B3"}
-    for la, ld, lam, rho in P_left:
-        for ra, rd, lamp, rhop in P_right:
+    for ld, lam, rho in P_left:
+        for rd, lamp, rhop in P_right:
             if ld.max_support * rd.min_support > -2:
                 continue
             if screen(ld, lam, rho, rd, lamp, rhop) in found:
                 continue
             try:
-                m = _pp(la, ra)
+                # the screened laws, whose argmins are solved already
+                m = validate_model(ld, ld, rd, two_media=True)
                 pred = classify(m)   # exact confirmation of near-ties
             except OscillaxError:
                 continue

@@ -160,11 +160,13 @@ def centered_sides(model: OscillatingModel) -> list:
     The right medium's left form is ``mirror_dist`` of its law, whose strict
     ascending and weak descending tables are the right law's strict descending
     and weak ascending ones.  Site x lies at distance theta - s x >= 1 from
-    the interface: s = +1 on the left, -1 on the right; theta = 1 on the left
-    of a two-media model, 0 otherwise.  A drifted medium is left out.
+    the interface: s = +1 on the left, -1 on the right; theta = hi + 1 on the
+    left and 1 - lo on the right, hi and lo the inner ends of the outer
+    media.  A drifted medium is left out.
     """
-    sides = (("left", model.left, 1, model.convention.left_end + 1),
-             ("right", mirror_dist(model.right), -1, 0))
+    first, last = model.media[0], model.media[-1]
+    sides = (("left", first.law, 1, first.hi + 1),
+             ("right", mirror_dist(last.law), -1, 1 - last.lo))
     return [(name, law, ladder_potentials(law), s, theta)
             for name, law, s, theta in sides if abs(law.mean) <= ZERO_DRIFT_TOL]
 

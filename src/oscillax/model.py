@@ -1,8 +1,9 @@
 """Lattice jump distributions, model validation, and Laplace-transform analysis.
 
-A model is a triple of finitely supported integer jump laws (left, origin,
-right) driving a walk whose increment law depends on the sign of the current
-position.  All quantities that feed the asymptotic classification -- argmin of
+A model splits Z into media, left to right, each with its own finitely
+supported integer jump law: Kemperman's walk has one law on Z-, one at 0 and
+one on Z+ (three media), or puts the origin in the left medium (two media).
+All quantities that feed the asymptotic classification -- argmin of
 the Laplace transform, its minimum value, the crossing point of two transforms,
 exponential tilting -- live here.
 """
@@ -35,16 +36,6 @@ ZERO_DRIFT_TOL = 1e-12
 TIE_TOL = 1e-10
 MAX_BISECT_ITER = 200
 EXP_OVERFLOW = 700.0
-
-
-class Convention(Enum):
-    THREE_MEDIA = "three_media"
-    TWO_MEDIA = "two_media"
-
-    @property
-    def left_end(self) -> int:
-        """Last site of the left medium: 0 under two media, -1 under three."""
-        return 0 if self is Convention.TWO_MEDIA else -1
 
 
 class DriftCase(Enum):
@@ -345,37 +336,79 @@ def _drift_letter(mean: float) -> str:
 
 
 @dataclass(frozen=True)
-class OscillatingModel:
-    """Validated jump-law triple plus the derived classification inputs."""
+class Medium:
+    """The sites lo..hi (None: unbounded on that side) on which the walk
+    jumps by ``law``."""
 
-    left: LatticeDist
-    origin: LatticeDist
-    right: LatticeDist
-    convention: Convention
-    D: int
-    Dprime: int
-    drift_case: DriftCase
+    law: LatticeDist
+    lo: Optional[int]
+    hi: Optional[int]
+
+    def __contains__(self, x: int) -> bool:
+        return (self.lo is None or self.lo <= x) and (self.hi is None or x <= self.hi)
+
+    def __str__(self) -> str:
+        if self.lo is None or self.hi is None:
+            return f"sites <= {self.hi}" if self.lo is None else f"sites >= {self.lo}"
+        return f"sites {self.lo}..{self.hi}"
+
+    def segment(self, window) -> tuple[int, int]:
+        """The medium's sites in ``window``: where its killed walk survives."""
+        return (window.lo if self.lo is None else self.lo,
+                window.hi if self.hi is None else self.hi)
+
+    @property
+    def band(self) -> tuple[int, int]:
+        """Where a first passage out of the medium can land: from lo + the
+        least atom (hi + 1 when unbounded below) to hi + the largest atom
+        (lo - 1 when unbounded above)."""
+        return (self.hi + 1 if self.lo is None else self.lo + self.law.min_support,
+                self.lo - 1 if self.hi is None else self.hi + self.law.max_support)
+
+
+@dataclass(frozen=True)
+class OscillatingModel:
+    """Validated media, left to right, plus the derived classification inputs.
+
+    ``media`` is the one statement of how Z splits: the first medium is
+    unbounded below, the last unbounded above, and each ends where the next
+    begins.  ``left`` and ``right`` are the laws of the outer media and
+    ``origin`` the law used at 0.
+    """
+
+    media: tuple[Medium, ...]
+
+    left = property(lambda self: self.media[0].law)
+    right = property(lambda self: self.media[-1].law)
+    origin = property(lambda self: self.law_at(0))
+    laws = property(lambda self: [m.law for m in self.media])
+    two_media = property(lambda self: len(self.media) == 2)
+    D = property(lambda self: self.left.max_support)
+    Dprime = property(lambda self: self.right.min_support)
+
+    @cached_property
+    def drift_case(self) -> DriftCase:
+        return DriftCase(f"({_drift_letter(self.left.mean)},{_drift_letter(self.right.mean)})")
 
     @property
     def exact(self) -> bool:
-        return self.left.exact and self.origin.exact and self.right.exact
-
-    @property
-    def two_media(self) -> bool:
-        return self.convention is Convention.TWO_MEDIA
+        return all(law.exact for law in self.laws)
 
     @property
     def max_jump(self) -> int:
-        dists = (self.left, self.origin, self.right)
-        return max(max(abs(d.min_support), abs(d.max_support)) for d in dists)
+        return max(max(abs(d.min_support), abs(d.max_support)) for d in self.laws)
+
+    def medium_index(self, x):
+        """Index in ``media`` of the medium of site ``x``, elementwise for an
+        integer array: the number of inner medium ends below it."""
+        idx = np.greater(x, self.media[0].hi).astype(np.intp)
+        for m in self.media[1:-1]:
+            idx += np.greater(x, m.hi)
+        return idx
 
     def law_at(self, x: int) -> LatticeDist:
         """Jump law used from position x."""
-        if x <= self.convention.left_end:
-            return self.left
-        if x <= 0:
-            return self.origin
-        return self.right
+        return self.media[self.medium_index(x)].law
 
 
 def validate_model(
@@ -387,57 +420,65 @@ def validate_model(
 ) -> OscillatingModel:
     """Check the structural hypotheses and assemble a model.
 
-    Raises NotAperiodic / SupportOneSided / O3Violated / O4Violated.  The
-    two-media convention forces origin := left (the origin then belongs to the
-    left medium).  ``_allow_o3_violation`` exists only for closed-form test
+    Raises NotAperiodic / SupportOneSided / O3Violated / O4Violated.  Two
+    media put the origin in the left medium, so ``origin`` is then ignored
+    (origin := left).  ``_allow_o3_violation`` exists only for closed-form test
     oracles and is rejected by the CLI.
     """
     if two_media:
-        origin = left
+        media = (Medium(left, None, 0), Medium(right, 1, None))
+    else:
+        media = (Medium(left, None, -1), Medium(origin, 0, 0), Medium(right, 1, None))
+    return validate_media(media, _allow_o3_violation)
+
+
+def validate_media(media, _allow_o3_violation: bool = False) -> OscillatingModel:
+    """:func:`validate_model` on a model given by its media, left to right."""
+    model = OscillatingModel(tuple(media))
+    if model.media[0].lo is not None or model.media[-1].hi is not None or any(
+            a.hi is None or a.hi + 1 != b.lo for a, b in zip(model.media, model.media[1:])):
+        raise ValidationError("the media must tile the integers, left to right")
+    left, origin, right = model.left, model.origin, model.right
     _require_two_sided(left)
     _require_two_sided(right)
     if not is_strongly_aperiodic(left):
         raise NotAperiodic("left law is not strongly aperiodic")
     if not is_strongly_aperiodic(right):
         raise NotAperiodic("right law is not strongly aperiodic")
-    d = left.max_support
-    dprime = right.min_support
-    if d < 1:
+    if model.D < 1:
         raise SupportOneSided("left law has no atom on the positive half-line")
-    if dprime > -1:
+    if model.Dprime > -1:
         raise SupportOneSided("right law has no atom on the negative half-line")
-    if d * dprime > -2 and not _allow_o3_violation:
-        raise O3Violated(d, dprime)
+    if model.D * model.Dprime > -2 and not _allow_o3_violation:
+        raise O3Violated(model.D, model.Dprime)
     if not (origin.min_support < 0 < origin.max_support):
         raise O4Violated("origin law must charge both strict half-lines")
-    case = DriftCase(f"({_drift_letter(left.mean)},{_drift_letter(right.mean)})")
-    return OscillatingModel(
-        left=left,
-        origin=origin,
-        right=right,
-        convention=Convention.TWO_MEDIA if two_media else Convention.THREE_MEDIA,
-        D=d,
-        Dprime=dprime,
-        drift_case=case,
-    )
+    return model
 
 
 def mirror_model(model: OscillatingModel) -> OscillatingModel:
-    """Reflect through the origin: negate all atoms and swap the two media."""
-    return validate_model(
-        mirror_dist(model.right),
-        mirror_dist(model.origin),
-        mirror_dist(model.left),
-        two_media=model.two_media,
-    )
+    """Reflect through the origin: each medium's law is mirrored onto the
+    reflected sites, so P_x[X_n = y] of the model is P_-x[X_n = -y] of its
+    mirror.  A two-media model's mirror has its origin in the right medium."""
+    def neg(end):
+        return None if end is None else -end
+
+    return validate_media([Medium(mirror_dist(m.law), neg(m.hi), neg(m.lo))
+                           for m in reversed(model.media)])
 
 
 def essential_class(model: OscillatingModel) -> list[int]:
-    """Arrival sites of the switching subprocess: its unique essential class."""
-    if model.two_media:
-        return list(range(model.Dprime + 1, model.D + 1))
-    sites = set(range(model.Dprime + 1, model.D))
-    sites.update(model.origin.values)
+    """Arrival sites of the switching subprocess: its unique essential class.
+
+    An unbounded medium lands on every site of its band; a bounded one only
+    where one of its atoms takes it out of the medium."""
+    sites = set()
+    for m in model.media:
+        if m.lo is None or m.hi is None:
+            sites.update(range(m.band[0], m.band[1] + 1))
+        else:
+            sites.update(x + v for x in range(m.lo, m.hi + 1) for v in m.law.values
+                         if not m.lo <= x + v <= m.hi)
     return sorted(sites)
 
 
@@ -489,6 +530,11 @@ def load_model(source) -> OscillatingModel:
 
 
 def dump_model(model: OscillatingModel) -> dict:
+    """The model file's payload.  The file states three media or two with
+    the origin in the left medium; a model with its origin in the right
+    medium (a two-media model's mirror) raises ValidationError."""
+    if model.medium_index(0) == len(model.media) - 1:
+        raise ValidationError("a model with its origin in the right medium has no model file")
     payload = {
         "left": _pairs_to_json(model.left),
         "origin": _pairs_to_json(model.origin),

@@ -24,11 +24,12 @@ from .errors import (
     TieUnresolvable,
     ValidationError,
 )
-from .evolve import Window, media, passage_regions
+from .evolve import Window
 from .ladder import LadderVariant, centered_tail_sums, killed_green
 from .model import (
     DriftCase,
     LatticeDist,
+    Medium,
     OscillatingModel,
     TIE_TOL,
     argmin_laplace,
@@ -37,7 +38,7 @@ from .model import (
     mirror_dist,
     mirror_model,
     tilt,
-    validate_model,
+    validate_media,
 )
 from .switching import dominant_eigenpair, switching_kernel
 
@@ -209,7 +210,7 @@ def classify(model: OscillatingModel) -> RegimePrediction:
     # transient (N,P) / (P,P): the transform geometry decides
     if not model.two_media:
         raise ConventionMismatch(
-            f"case {case.value} analysis requires the two-media convention"
+            f"case {case.value} analysis requires a two-media model"
         )
     lam, rho = argmin_laplace(model.left)
     lamp, rhop = argmin_laplace(model.right)
@@ -290,9 +291,10 @@ def select_tilt(model: OscillatingModel, prediction: Optional[RegimePrediction] 
             k = _crossing_branch(model, details, cmpx) if sub == "C" else int(sub[1])
             branch, key = f"{sub[0]}{k}", _BRANCHES[k][2]
         t_left = t_right = single = details[key]
-    tl = tilt(model.left, t_left)
-    tr = tilt(model.right, t_right)
-    tilted = validate_model(tl, tl, tr, two_media=True)
+    # the right medium is tilted by t_right, every other by t_left
+    tilts = [t_left] * (len(model.media) - 1) + [t_right]
+    tilted = validate_media([Medium(tilt(m.law, t), m.lo, m.hi)
+                             for m, t in zip(model.media, tilts)])
     La, Lb = laplace(model.left, t_left), laplace(model.right, t_right)
     rate = max(La, Lb)
     damped = None if abs(La - Lb) <= 1e-12 * rate else ("right" if La > Lb else "left")
@@ -334,10 +336,10 @@ def invariant_profile(
     vals = np.zeros(window.width)
     # occupation h(y) = sum_x nu(x) G(x, y) of each medium's killed walk solves
     # (I - A^T) h = nu, and I - A^T is the killed matrix of the mirrored law
-    for law, side in media(model):
-        (lo, hi), _ = passage_regions(side, model.convention, law, window)
+    for m in model.media:
+        lo, hi = m.segment(window)
         seg = slice(window.index(lo), window.index(hi) + 1)
-        vals[seg] = killed_green(mirror_dist(law), lo, hi, nu[seg])
+        vals[seg] = killed_green(mirror_dist(m.law), lo, hi, nu[seg])
 
     def plateau(side):
         probe_hi = (abs(window.lo) if side < 0 else window.hi) // 4

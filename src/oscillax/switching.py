@@ -27,10 +27,8 @@ from .evolve import (
     _zeros,
     check_size,
     first_passage_rows,
-    media,
     passage_operator,
     powers,
-    side_of,
     walk_plan,
 )
 from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
@@ -147,7 +145,7 @@ class SwitchingKernel:
 def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel:
     """Assemble the band columns R of the aggregate kernel Q(x, y), every x.
 
-    Each medium of :func:`media` gives its rows G(x, y) = sum_{n>=1} Q_n(x, y)
+    Each medium of the model gives its rows G(x, y) = sum_{n>=1} Q_n(x, y)
     by one :func:`killed_green` solve of (I - A) G = B, where A is its
     :func:`passage_operator`'s kernel on the survival segment and B the
     one-step arrivals of its band rows: exact in n, window-truncated in space,
@@ -158,10 +156,10 @@ def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel
     window.check_margin(model)
     band_lo, band_hi = arrival_band(model)
     R = np.zeros((window.width, band_hi - band_lo + 1))
-    for law, side in media(model):
-        op = passage_operator(law, side, model.convention, window)
+    for m in model.media:
+        op = passage_operator(m, window)
         (sl, sh), (bl, bh) = op.sites, op.band
-        G = killed_green(law, sl, sh, op.dense(op.band_rows).T)
+        G = killed_green(m.law, sl, sh, op.dense(op.band_rows).T)
         R[window.index(sl): window.index(sh) + 1, bl - band_lo: bh - band_lo + 1] = G
     defect = 1.0 - R.sum(axis=1)
     return SwitchingKernel(window, R, (band_lo, band_hi), defect, model)
@@ -180,25 +178,25 @@ def build_Q(
 ) -> StepKernels:
     """Per-step switching kernels Q_n(x, .) for ``rows`` (default: the essential class).
 
-    Rows keep the requested order.  Each medium of :func:`media` gives its
+    Rows keep the requested order.  Each medium of the model gives its
     rows by one batched :func:`first_passage_rows` DP, written at that
     medium's band columns.  A row outside the window raises ValidationError.
     An exact record holds integer numerators over D**n, D the common
-    denominator of the model's three laws.
+    denominator of the model's laws.
     """
     window.check_margin(model)
     rows = list(dict.fromkeys(essential_class(model) if rows is None else rows))
     band = arrival_band(model)
     shape = (horizon + 1, len(rows), band[1] - band[0] + 1)
     # exact: integer numerators over D**n, D of the whole model
-    D = common_denominator(model.left, model.origin, model.right) if exact else 1
+    D = common_denominator(*model.laws) if exact else 1
     check_size(shape, D=D, horizon=horizon)
     R = _zeros(shape, exact)
     survival, leak = (_zeros((len(rows), horizon + 1), exact) for _ in range(2))
-    for law, side in media(model):
-        idx = [i for i, x in enumerate(rows) if side_of(model.convention, x) is side]
-        fp = first_passage_rows(law, side, model.convention, [rows[i] for i in idx], horizon,
-                                window, exact)
+    where = model.medium_index(np.array(rows, dtype=int))
+    for k, m in enumerate(model.media):
+        idx = np.flatnonzero(where == k)
+        fp = first_passage_rows(m, [rows[i] for i in idx], horizon, window, exact)
         if exact:   # from the law's D**n to the model's
             up = powers(D // fp.D, horizon)
             fp.R, fp.survival, fp.leak = fp.R * up[:, None, None], fp.survival * up, fp.leak * up
@@ -425,7 +423,7 @@ def tilted_kernels(plan: TiltPlan, horizon: int, window: Window) -> TiltedKernel
     """
     hist = build_Q(plan.tilted_model, horizon, window, rows=range(window.lo, window.hi + 1))
     xs = window.positions()
-    left = xs <= 0
+    left = plan.tilted_model.medium_index(xs) == 0
     ys = np.arange(hist.band[0], hist.band[1] + 1)
     dt = np.where(left, plan.t_left, plan.t_right) - plan.t_ref
     # (1, W, B): e^{(t_side - t_ref)(x - y)}, times r^n on the rows of the damped side

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import LeakDominated, SequenceTooNoisy, ValidationError
 from .evolve import (
     MAX_WORK,
-    Side,
     Window,
     excursion_functions,
     first_passage_rows,
@@ -30,9 +29,9 @@ from .evolve import (
 from .ladder import centered_tail_sums, direct_constant
 from .model import (
     ZERO_DRIFT_TOL,
-    Convention,
     DriftCase,
     LatticeDist,
+    Medium,
     OscillatingModel,
     argmin_laplace,
     arrival_band,
@@ -296,19 +295,18 @@ def simulate(
             f"at least {STEP_PATHS}), over the {MAX_WORK:.3g} limit: lower -n or --paths")
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
                      if 2 ** k <= n_steps} | {n_steps})
-    draw = _inverse_cdf((model.left, model.origin, model.right))
-    left_end = model.convention.left_end
+    draw = _inverse_cdf(model.laws)
     counts, c1_hist, switch_hist = {n: {} for n in record}, {}, {}
     for ci in range((n_paths + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n_paths - ci * CHUNK)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(ci))
         pos = np.full(m, x, dtype=np.int64)
-        cls = np.add(pos > left_end, pos > 0, dtype=np.intp)   # 0 left, 1 origin, 2 right
+        cls = model.medium_index(pos)   # the index of each path's medium
         first_switch = np.zeros(m, dtype=np.int64)  # 0 = not yet
         n_switch = np.zeros(m, dtype=np.int64)
         for n in range(1, n_steps + 1):
             pos = pos + draw(cls, rng.random(m))
-            new_cls = np.add(pos > left_end, pos > 0, dtype=np.intp)
+            new_cls = model.medium_index(pos)
             changed = new_cls != cls
             n_switch += changed
             first_switch[changed & (first_switch == 0)] = n
@@ -341,12 +339,12 @@ def _survival_landing(dist: LatticeDist, threshold_hi: bool, n_max: int, z_range
     numerators over D**n, D = ``common_denominator(dist)``.
     """
     half = n_max * max(abs(dist.min_support), abs(dist.max_support)) + 2
-    side = Side.FROM_POSITIVE if threshold_hi else Side.FROM_NEGATIVE
+    medium = Medium(dist, 1, None) if threshold_hi else Medium(dist, None, -1)
     k_lo, kern = dist.dense_kernel(exact, common_denominator(dist) if exact else 1)
-    atoms = [(v, kern[v - k_lo]) for v in dist.values if (v >= 1 if threshold_hi else v <= -1)]
+    atoms = [(v, kern[v - k_lo]) for v in dist.values if v in medium]
     window = Window(-half, half)
-    fp = first_passage_rows(dist, side, Convention.THREE_MEDIA, [v for v, _ in atoms],
-                            n_max - 1, window, exact, keep_states=True)
+    fp = first_passage_rows(medium, [v for v, _ in atoms], n_max - 1, window, exact,
+                            keep_states=True)
     cols = [j for j, z in enumerate(z_range) if window.lo <= z <= window.hi]
     table = np.zeros((n_max + 1, len(z_range)), dtype=object if exact else float)
     for i, (_, p) in enumerate(atoms):   # weights p * D: integers in exact mode
@@ -390,7 +388,7 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     # a_n(x, y) = V_n(x) + sum_{k=1}^n sum_z T_k(x, z) V_{n-k}(z), z over the
     # arrival band; every term at time n is an integer over D**n, D the
     # common denominator of the three laws, which the renewal recursion keeps.
-    D = common_denominator(model.left, model.origin, model.right) if exact else 1
+    D = common_denominator(*model.laws) if exact else 1
     pairs = list(pairs or [(0, 0), (-1, 1), (2, -2)])
     band_lo, band_hi = arrival_band(model)
     band = list(range(band_lo, band_hi + 1))
@@ -414,10 +412,10 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     # Q_n(x, y) = L(t)^n e^{t(x-y)} Q_n^t(x, y) with e^t = tilt_ratio; in
     # exact mode L(t) = Ln / Ld and e^{t(x-y)} = qn / qd, and each side is
     # multiplied by the other's denominators (the tilted law has its own D)
-    x0 = model.convention.left_end
-    fp, fp_t = (first_passage_rows(law, Side.FROM_NEGATIVE, model.convention, [x0], 20,
-                                   window, exact=exact)
-                for law in (model.left, geometric_tilt(model.left, tilt_ratio)))
+    left = model.media[0]
+    x0 = left.hi
+    fp, fp_t = (first_passage_rows(replace(left, law=law), [x0], 20, window, exact=exact)
+                for law in (left.law, geometric_tilt(left.law, tilt_ratio)))
     ys = range(fp.band[0], fp.band[1] + 1)
     if exact:
         ratio = Fraction(tilt_ratio)
@@ -439,8 +437,7 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     zs = range(1, 2 * model.left.max_support + 1)
     lhs = _survival_landing(model.left, True, n_max, zs, exact=exact)
     # one DP over the starts -z; no mass leaves this window in n_max steps
-    fp = first_passage_rows(model.left, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
-                            [-z for z in zs], n_max,
+    fp = first_passage_rows(Medium(model.left, None, -1), [-z for z in zs], n_max,
                             Window(-n_max * model.max_jump - zs[-1] - 2, model.max_jump + 2),
                             exact=exact)
     rhs = fp.R[:, :, 0 - fp.band[0]]   # landing exactly on the level

@@ -88,16 +88,15 @@ def _reference_scatter(target, window, arr, base, lo, hi):
 def reference_step(state, model, window, kernels=None, crossed=None):
     """The full-walk step as it was before the step plan: the bounds of every
     slice are worked out again on each step, and an empty medium is skipped.
-    ``kernels`` holds the (offset, dense weights) of the left, origin and
-    right laws."""
+    ``kernels`` holds the (offset, dense weights) of each medium's law."""
     if kernels is None:
         exact = state.dtype == object
-        kernels = [d.dense_kernel(exact) for d in (model.left, model.origin, model.right)]
+        kernels = [d.dense_kernel(exact) for d in model.laws]
     lo, hi = window.lo, window.hi
-    end = model.convention.left_end
+    ends = [lo - 1] + [m.hi for m in model.media[:-1]] + [hi]
     new = np.zeros(state.shape, dtype=state.dtype)
     lk_lo = lk_hi = 0
-    for a, b, (k_lo, kern) in zip((lo, end + 1, 1), (end, 0, hi), kernels):
+    for a, b, (k_lo, kern) in zip([e + 1 for e in ends[:-1]], ends[1:], kernels):
         part = state[a - lo: b - lo + 1]
         if part.any():
             arr, base = np.convolve(part, kern), a + k_lo
@@ -118,8 +117,8 @@ def reference_marginal_sequence(model, x, y, horizon, window, exact=False, resca
     is renormalised after every step, in exact mode it runs on integer
     numerators over D**n.  Returns marginal_sequence's ``data`` (leak under
     "leak") and T, the window-wide crossed row of every step."""
-    D = common_denominator(model.left, model.origin, model.right) if exact else 1
-    kernels = [d.dense_kernel(exact, D) for d in (model.left, model.origin, model.right)]
+    D = common_denominator(*model.laws) if exact else 1
+    kernels = [d.dense_kernel(exact, D) for d in model.laws]
     dtype = object if exact else float
     state = np.zeros(window.width, dtype=dtype)
     state[window.index(x)] = 1

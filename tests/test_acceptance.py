@@ -11,9 +11,8 @@ import time
 
 import numpy as np
 
-from oscillax.evolve import Side, Window, first_passage_rows, marginal_sequence, step, transition_matrix
+from oscillax.evolve import Window, first_passage_rows, marginal_sequence, step, transition_matrix
 from oscillax.ladder import LadderVariant, fluctuation_constants, ladder_potentials
-from oscillax.model import Convention
 from oscillax.regimes import classify, predicted_constant_Cy, select_tilt
 from oscillax.switching import (
     banded_power_sequences,
@@ -188,8 +187,7 @@ def test_criterion_09_epoch_asymptotics(fix_zz):
     n = 1 << 12
     oks, vals = [], []
     for x in (-1, -3):
-        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                               Convention.THREE_MEDIA, [x], n, Window(-1400, 8))
+        t = first_passage_rows(fix_zz.media[0], [x], n, Window(-1400, 8))
         f_n = float(t.R[n, 0].sum())
         val = n ** 1.5 * f_n / pot.V(LadderVariant.STRICT_ASC, abs(x))
         rel = abs(val - fc.c_direct) / fc.c_direct

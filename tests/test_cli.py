@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -22,6 +23,9 @@ from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import load_model
 
 FIXTURE_FILES = [*FIXTURES, *(f"FIX-PP-{name}" for name in SUBCASE_FIXTURES)]
+# sha256 of every file test_fixture_outputs_keep_the_byte_contract writes, per
+# fixture file; a deliberate change of an output rewrites this table
+OUTPUT_DIGESTS = json.loads((Path(__file__).parent / "fixture_output_digests.json").read_text())
 
 FIX_DIR = None
 
@@ -442,7 +446,7 @@ class TestWriters:
     def test_fixture_outputs_keep_the_byte_contract(self, model_dir, tmp_path, name):
         # indented JSON with sorted keys from every JSON-writing command but
         # simulate, whose report is one compact line; CSV with CRLF line ends,
-        # decimal ints and %.17g floats
+        # decimal ints and %.17g floats; and every file's bytes as pinned
         model = str(model_dir / f"{name}.json")
         for argv in (["classify"], ["spectrum", "-W", "64"], ["verify", "-n", "256"],
                      ["simulate", "-n", "8", "--paths", "200"],
@@ -451,6 +455,8 @@ class TestWriters:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "classify.json", "evolve.csv", "kernel.csv", "simulate.json", "spectrum.json",
             "verify.json"]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == OUTPUT_DIGESTS[name]
         for path in tmp_path.glob("*.json"):
             text = path.read_text()
             indent = None if path.name == "simulate.json" else 1

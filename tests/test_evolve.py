@@ -17,25 +17,23 @@ from oscillax import evolve
 from oscillax.evolve import (
     BLOCK,
     TINY,
-    Side,
     Window,
     _advance,
     default_window,
     excursion_functions,
     first_passage_rows,
     marginal_sequence,
-    media,
-    passage_regions,
-    side_of,
     step,
     transition_matrix,
     walk_plan,
 )
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import (
-    Convention,
+    Medium,
     dist,
+    dump_model,
     is_strongly_aperiodic,
+    load_model,
     mirror_model,
     validate_model,
 )
@@ -162,8 +160,7 @@ class TestMarginalSequence:
 class TestFirstPassage:
     def test_one_step_values(self, fix_zz):
         w = Window(-32, 8)
-        t = as_fractions(first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                                            Convention.THREE_MEDIA, [-1], 8, w, exact=True))
+        t = as_fractions(first_passage_rows(Medium(fix_zz.left, None, -1), [-1], 8, w, exact=True))
         bl, _ = t.band
         assert t.R[1, 0, 1 - bl] == F(1, 4)   # jump +2 lands at +1
         assert t.R[1, 0, 0 - bl] == F(0)      # mu(1) = 0
@@ -172,16 +169,14 @@ class TestFirstPassage:
     def test_two_step_path(self, fix_zz):
         # single path -1 -> -2 -> 0 with probability mu(-1) mu(2)
         w = Window(-32, 8)
-        t = as_fractions(first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                                            Convention.THREE_MEDIA, [-1], 8, w, exact=True))
+        t = as_fractions(first_passage_rows(Medium(fix_zz.left, None, -1), [-1], 8, w, exact=True))
         bl, _ = t.band
         assert t.R[2, 0, 0 - bl] == F(1, 2) * F(1, 4)
 
     def test_matches_enumeration(self, fix_zz):
         oracle, _ = enumerate_first_passage(fix_zz.left, -2, 6, absorb_ge=0)
         w = Window(-40, 8)
-        t = as_fractions(first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                                            Convention.THREE_MEDIA, [-2], 6, w, exact=True))
+        t = as_fractions(first_passage_rows(Medium(fix_zz.left, None, -1), [-2], 6, w, exact=True))
         bl, bh = t.band
         for n in range(1, 7):
             for y in range(bl, bh + 1):
@@ -189,40 +184,35 @@ class TestFirstPassage:
 
     def test_survival_identity_exact(self, fix_zz):
         w = Window(-64, 8)
-        t = as_fractions(first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                                            Convention.THREE_MEDIA, [-1], 64, w, exact=True))
+        t = as_fractions(first_passage_rows(Medium(fix_zz.left, None, -1), [-1], 64, w, exact=True))
         absorbed = sum(t.R[n, 0].sum() for n in range(65))
         assert absorbed + t.survival[0][64] == 1
 
     def test_two_media_regions(self, fix_pp):
         w = Window(-32, 8)
-        t = as_fractions(first_passage_rows(fix_pp.left, Side.FROM_NEGATIVE,
-                                            Convention.TWO_MEDIA, [0], 4, w, exact=True))
+        t = as_fractions(first_passage_rows(fix_pp.media[0], [0], 4, w, exact=True))
         bl, bh = t.band
         assert (bl, bh) == (1, 2)
         assert t.R[1, 0, 2 - bl] == F(1, 2)   # 0 -> +2 crosses
 
     def test_start_outside_region(self, fix_zz):
         with pytest.raises(ConventionMismatch):
-            first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                               Convention.THREE_MEDIA, [0], 4, Window(-16, 8))
+            first_passage_rows(fix_zz.media[0], [0], 4, Window(-16, 8))
 
 
-def _side_rows(side, convention, count):
-    """The ``count`` start rows nearest the boundary of a side's segment (the
-    origin's one site), or None for the origin under two media, which is no
-    medium there."""
-    if side is Side.FROM_POSITIVE:
-        return list(range(1, count + 1))
-    if side is Side.ORIGIN:
-        return [0] if convention is Convention.THREE_MEDIA else None
-    top = convention.left_end
-    return list(range(top - count + 1, top + 1))
+def _medium_rows(lo, hi, count):
+    """The ``count`` start rows of the medium lo..hi nearest its inner end
+    (the origin's one site for 0..0)."""
+    if lo is None:
+        return list(range(hi - count + 1, hi + 1))
+    return list(range(lo, lo + count)) if hi is None else [lo]
 
 
 _laws = st.dictionaries(st.integers(-3, 3), st.integers(1, 5), min_size=1, max_size=4)
-_sides = st.sampled_from(list(Side))
-_conventions = st.sampled_from(list(Convention))
+# the five medium shapes: the left one under three media and under two, the
+# three-media origin, the right one, and the right one of a two-media model's
+# mirror, which holds the origin
+_shapes = st.sampled_from([(None, -1), (None, 0), (0, 0), (1, None), (0, None)])
 
 
 def _rational_law(weights):
@@ -232,19 +222,15 @@ def _rational_law(weights):
 
 class TestFirstPassageRows:
     @settings(max_examples=40, deadline=None)
-    @given(_laws, _sides, _conventions)
-    def test_batch_matches_enumeration(self, weights, side, convention):
-        law = _rational_law(weights)
-        n_max, xs = 5, _side_rows(side, convention, 4)
+    @given(_laws, _shapes)
+    def test_batch_matches_enumeration(self, weights, shape):
+        medium = Medium(_rational_law(weights), *shape)
+        law, (lo, hi) = medium.law, shape
+        n_max, xs = 5, _medium_rows(lo, hi, 4)
         w = Window(-24, 24)   # wide enough that nothing leaks in n_max steps
-        if xs is None:
-            with pytest.raises(ConventionMismatch):
-                first_passage_rows(law, side, convention, [0], n_max, w, exact=True)
-            return
-        hist = as_fractions(first_passage_rows(law, side, convention, xs, n_max, w, exact=True))
-        absorb = {Side.FROM_NEGATIVE: {"absorb_ge": convention.left_end + 1},
-                  Side.ORIGIN: {"absorb_ge": 1, "absorb_le": -1},
-                  Side.FROM_POSITIVE: {"absorb_le": 0}}[side]
+        hist = as_fractions(first_passage_rows(medium, xs, n_max, w, exact=True))
+        absorb = {"absorb_ge": None if hi is None else hi + 1,
+                  "absorb_le": None if lo is None else lo - 1}
         bl, bh = hist.band
         for x in xs:
             i = hist.rows.index(x)
@@ -257,19 +243,15 @@ class TestFirstPassageRows:
             assert hist.survival[i, n_max] == sum(alive.values(), F(0))
 
     @settings(max_examples=40, deadline=None)
-    @given(_laws, _sides, _conventions, st.booleans())
-    def test_batch_equals_single_rows(self, weights, side, convention, exact):
-        law = _rational_law(weights)
+    @given(_laws, _shapes, st.booleans())
+    def test_batch_equals_single_rows(self, weights, shape, exact):
+        medium = Medium(_rational_law(weights), *shape)
         w, horizon = Window(-5, 5), 12   # narrow: rows leak and die at different times
-        xs = _side_rows(side, convention, 5)
-        if xs is None:
-            with pytest.raises(ConventionMismatch):
-                first_passage_rows(law, side, convention, [0], horizon, w, exact=exact)
-            return
-        batch = first_passage_rows(law, side, convention, xs, horizon, w, exact=exact)
+        xs = _medium_rows(*shape, 5)
+        batch = first_passage_rows(medium, xs, horizon, w, exact=exact)
         for x in xs:
             i = batch.rows.index(x)
-            one = first_passage_rows(law, side, convention, [x], horizon, w, exact=exact)
+            one = first_passage_rows(medium, [x], horizon, w, exact=exact)
             for key, rec, row in (("arrivals", batch.R[:, i], one.R[:, 0]),
                                   ("survival", batch.survival[i], one.survival[0])):
                 assert np.array_equal(rec, row), (x, key)
@@ -284,12 +266,11 @@ class TestFirstPassageRows:
         law = dist({1: F(1, 2), 2: F(1, 2)})
         xs = list(range(-6, 0))
         w = Window(-8, 8)
-        batch = as_fractions(first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
-                                                xs, 10, w, exact=True))
+        medium = Medium(law, None, -1)
+        batch = as_fractions(first_passage_rows(medium, xs, 10, w, exact=True))
         for x in xs:
             i = batch.rows.index(x)
-            one = as_fractions(first_passage_rows(law, Side.FROM_NEGATIVE, Convention.THREE_MEDIA,
-                                                  [x], 10, w, exact=True))
+            one = as_fractions(first_passage_rows(medium, [x], 10, w, exact=True))
             assert np.array_equal(batch.R[:, i], one.R[:, 0])
             assert np.array_equal(batch.survival[i], one.survival[0])
             assert batch.survival[i, -x] == 0 and not batch.survival[i, -x:].any()
@@ -297,11 +278,9 @@ class TestFirstPassageRows:
 
     def test_float_matches_exact(self, fix_zz):
         w = Window(-16, 16)   # small enough that the far rows leak
-        for side, law, xs in ((Side.FROM_NEGATIVE, fix_zz.left, range(-8, 0)),
-                              (Side.FROM_POSITIVE, fix_zz.right, range(1, 9))):
-            fl = first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w)
-            ex = as_fractions(first_passage_rows(law, side, Convention.THREE_MEDIA, xs, 64, w,
-                                                 exact=True))
+        for medium, xs in ((fix_zz.media[0], range(-8, 0)), (fix_zz.media[-1], range(1, 9))):
+            fl = first_passage_rows(medium, xs, 64, w)
+            ex = as_fractions(first_passage_rows(medium, xs, 64, w, exact=True))
             for x in xs:
                 i = fl.rows.index(x)
                 for a, b in ((fl.R[:, i], ex.R[:, i]),
@@ -312,14 +291,13 @@ class TestFirstPassageRows:
                 assert np.all(np.diff(fl.leak[i]) >= 0)
             assert max(float(fl.leak[i, -1]) for i in range(len(fl))) > 0
 
-    @pytest.mark.parametrize("side,x", [(Side.FROM_NEGATIVE, -20), (Side.FROM_POSITIVE, 20)])
+    @pytest.mark.parametrize("side,x", [("left", -20), ("right", 20)])
     def test_start_outside_window(self, fix_zz, side, x):
-        law = fix_zz.left if side is Side.FROM_NEGATIVE else fix_zz.right
+        medium = fix_zz.media[0 if side == "left" else -1]
         with pytest.raises(ValidationError):
-            first_passage_rows(law, side, Convention.THREE_MEDIA, [x], 4, Window(-16, 16))
+            first_passage_rows(medium, [x], 4, Window(-16, 16))
         with pytest.raises(ValidationError):
-            first_passage_rows(law, side, Convention.THREE_MEDIA, [x // 4, x], 4,
-                               Window(-16, 16))
+            first_passage_rows(medium, [x // 4, x], 4, Window(-16, 16))
 
 
 def _subnormals(a):
@@ -389,8 +367,8 @@ class TestUnderflowFlush:
                 yield out
 
         monkeypatch.setattr(evolve, "_advance", counted)
-        fp = first_passage_rows(law, Side.FROM_POSITIVE, Convention.THREE_MEDIA, [1, 5], 800,
-                                Window(-8, 400), keep_states=True)
+        fp = first_passage_rows(Medium(law, 1, None), [1, 5], 800, Window(-8, 400),
+                                keep_states=True)
         assert _subnormals(fp.states) == 0
         empty = int(np.flatnonzero(~fp.states.any(axis=(1, 2)))[0])
         assert len(products) == empty < 800
@@ -499,19 +477,21 @@ class TestExcursions:
 
 @pytest.mark.parametrize("name", list(FIXTURES))
 def test_media_tile_the_window(name):
-    # on both conventions the media's segments, left to right, tile the
-    # window, and side_of and law_at agree with them on every site
-    model = FIXTURES[name]()
-    w = Window(-9, 7)
-    sites = []
-    for law, side in media(model):
-        (lo, hi), _ = passage_regions(side, model.convention, law, w)
-        sites += range(lo, hi + 1)
-        for x in range(lo, hi + 1):
-            assert side_of(model.convention, x) is side
-            assert model.law_at(x) is law
-    assert sites == list(range(w.lo, w.hi + 1))
-    assert len(media(model)) == (2 if model.two_media else 3)
+    # on a model and on its mirror the media's segments, left to right, tile
+    # the window, and medium_index and law_at agree with them on every site
+    for model in (FIXTURES[name](), mirror_model(FIXTURES[name]())):
+        w = Window(-9, 7)
+        sites = []
+        for k, m in enumerate(model.media):
+            lo, hi = m.segment(w)
+            sites += range(lo, hi + 1)
+            for x in range(lo, hi + 1):
+                assert x in m and model.medium_index(x) == k
+                assert model.law_at(x) is m.law
+        assert sites == list(range(w.lo, w.hi + 1))
+        assert np.array_equal(model.medium_index(w.positions()),
+                              [model.medium_index(x) for x in range(w.lo, w.hi + 1)])
+        assert len(model.media) == (2 if model.two_media else 3)
 
 
 class TestTransitionMatrix:
@@ -531,8 +511,7 @@ class TestDriftTailBounds:
         moments = []
         xs = range(-1, -21, -1)
         for x in xs:
-            t = first_passage_rows(fix_pn.left, Side.FROM_NEGATIVE,
-                                   Convention.THREE_MEDIA, [x], 600, w)
+            t = first_passage_rows(fix_pn.media[0], [x], 600, w)
             surv = t.survival[0].astype(float)
             assert surv[-1] < 1e-12   # positive drift: crossing is fast
             f = -np.diff(surv)
@@ -547,8 +526,7 @@ class TestDriftTailBounds:
         # bounded and does not grow across doubling n
         p, eps = 2.5, 0.25
         w = Window(-64, 2048 + 64)
-        t = first_passage_rows(fix_zp.right, Side.FROM_POSITIVE,
-                               Convention.THREE_MEDIA, [1], 2048, w)
+        t = first_passage_rows(fix_zp.media[-1], [1], 2048, w)
         bl, bh = t.band
         sups = []
         for n in (256, 512, 1024, 2048):
@@ -678,11 +656,11 @@ class TestStepPlan:
 
 class TestMarginalProperties:
     @settings(max_examples=30, deadline=None)
-    @given(_exact_models(False), st.integers(-4, 4), st.integers(-4, 4))
+    @given(st.booleans().flatmap(_exact_models), st.integers(-4, 4), st.integers(-4, 4))
     def test_mirror_invariance_three_media(self, m, x, y):
         # P_x[X_n = y](m) = P_{-x}[X_n = -y](mirror m) on a symmetric window,
-        # with the leak sides swapped; two media are excluded because there
-        # the origin changes medium under the mirror
+        # with the leak sides swapped, on three media and on two, whose
+        # mirror has its origin in the right medium
         w, horizon = Window(-9, 9), 14   # narrow, so both sides leak
         t = marginal_sequence(m, x, y, horizon, w, leak_budget=None, exact=True)
         tm = marginal_sequence(mirror_model(m), -x, -y, horizon, w, leak_budget=None, exact=True)
@@ -690,6 +668,22 @@ class TestMarginalProperties:
         assert list(t.data["leak_below"]) == list(tm.data["leak_above"])
         assert list(t.data["leak_above"]) == list(tm.data["leak_below"])
         assert list(t.data["final_state"]) == list(tm.data["final_state"][::-1])
+
+    @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+    def test_mirror_is_exact_on_fixture_files(self, name):
+        # the same reflection on every shipped model file, two-media ones
+        # included: P_x[X_n = y] = P'_{-x}[X_n = -y] for n <= 12 on a symmetric
+        # window, numerators and denominators, with the leak sides swapped
+        m = load_model(dump_model(ALL_FIXTURES[name]()))
+        mm, w = mirror_model(m), Window(-10, 10)
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                t = marginal_sequence(m, x, y, 12, w, leak_budget=None, exact=True)
+                tm = marginal_sequence(mm, -x, -y, 12, w, leak_budget=None, exact=True)
+                assert t.meta["D"] == tm.meta["D"]
+                assert list(t.data["values"]) == list(tm.data["values"]), (x, y)
+                assert list(t.data["leak_below"]) == list(tm.data["leak_above"]), (x, y)
+                assert list(t.data["leak_above"]) == list(tm.data["leak_below"]), (x, y)
 
     @settings(max_examples=30, deadline=None)
     @given(st.booleans().flatmap(_exact_models), st.integers(-4, 4), st.integers(-4, 4))

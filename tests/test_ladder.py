@@ -158,16 +158,15 @@ class TestPerStepDuality:
         # P[stay >= 1 through n, S_n = z] == P[first crossing of level z at n
         # lands exactly at z]; both sides by independent exact DPs
         from conftest import as_fractions
-        from oscillax.evolve import Side, Window, first_passage_rows
-        from oscillax.model import Convention, common_denominator
+        from oscillax.evolve import Window, first_passage_rows
+        from oscillax.model import Medium, common_denominator
         from oscillax.verify import _survival_landing
 
         zs = range(1, 5)
         lhs = as_fractions(_survival_landing(MU_A_DIST, True, 16, zs, exact=True),
                            common_denominator(MU_A_DIST))
         for i, z in enumerate(zs):
-            t = as_fractions(first_passage_rows(MU_A_DIST, Side.FROM_NEGATIVE,
-                                                Convention.THREE_MEDIA, [-z], 16,
+            t = as_fractions(first_passage_rows(Medium(MU_A_DIST, None, -1), [-z], 16,
                                                 Window(-64, 8), exact=True))
             bl, _ = t.band
             for n in range(1, 17):

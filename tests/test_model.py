@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -115,6 +116,18 @@ class TestValidation:
     def test_two_media_forces_origin(self):
         m = validate_model(dist(MU_B), dist(UNIF_PM1), dist(MU_BP), two_media=True)
         assert m.origin.as_pairs() == m.left.as_pairs()
+
+    @pytest.mark.parametrize("ends", [
+        [(None, -1), (1, None)],          # a gap at 0
+        [(None, 0), (0, None)],           # 0 in two media
+        [(-5, 0), (1, None)],             # bounded below
+        [(None, 0), (1, 7)],              # bounded above
+    ])
+    def test_media_must_tile_the_integers(self, ends):
+        left, right = dist(MU_A), dist(MU_A_MIRROR)
+        with pytest.raises(ValidationError, match="tile"):
+            model_mod.validate_media([model_mod.Medium(law, lo, hi)
+                                      for law, (lo, hi) in zip((left, right), ends)])
 
     def test_aperiodicity_predicate(self):
         assert is_strongly_aperiodic(dist(MU_A))
@@ -407,6 +420,31 @@ class TestOneSolvePerLaw:
         assert [calls.get(id(law), 0) for law in (m.left, m.right)] == one_solve
         assert min(one_solve) > 0
 
+    def test_fixture_search_solves_each_screened_law_once(self, monkeypatch):
+        # each confirmed grid hit is built from the screened law objects, so
+        # the 89 screened laws cost one solve each; rebuilding a hit from its
+        # atoms gives the same model file and report
+        from oscillax.fixtures import search_subcase_fixtures
+
+        solved = []
+        real = model_mod.LatticeDist.argmin.func
+
+        def counted(d):
+            solved.append(id(d))
+            return real(d)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(model_mod.LatticeDist, "argmin")
+        monkeypatch.setattr(model_mod.LatticeDist, "argmin", prop)
+        found = search_subcase_fixtures()
+        assert len(solved) == len(set(solved)) == 89
+        monkeypatch.undo()
+        for m, pred in (hit for hits in found.values() for hit in hits):
+            rebuilt = validate_model(dist(m.left.as_pairs()), dist(m.left.as_pairs()),
+                                     dist(m.right.as_pairs()), two_media=True)
+            assert model_mod.dump_model(rebuilt) == model_mod.dump_model(m)
+            assert classify(rebuilt).report() == pred.report()
+
     def test_centered_law_skips_bisection(self, monkeypatch):
         m = FIXTURES["FIX-ZZ"]()
         calls = self._count_deriv_calls(monkeypatch)
@@ -449,7 +487,20 @@ class TestModelFiles:
                         "right": [[-2, "1/4"], [0, "1/4"], [1, "1/2"]],
                         "two_media": "false"})
 
-    def test_mirror_model_involution(self, fix_pz):
-        m = mirror_model(mirror_model(fix_pz))
-        assert m.left.as_pairs() == fix_pz.left.as_pairs()
-        assert m.right.as_pairs() == fix_pz.right.as_pairs()
+    def test_mirror_model_involution(self, fix_pz, fix_pp):
+        for model in (fix_pz, fix_pp):
+            m = mirror_model(mirror_model(model))
+            for a, b in zip(m.media, model.media, strict=True):
+                assert (a.law.as_pairs(), a.lo, a.hi) == (b.law.as_pairs(), b.lo, b.hi)
+
+    def test_mirror_of_two_media_has_no_file(self, fix_pp, fix_pz):
+        # the file states three media, or two with the origin in the left
+        # medium; a two-media mirror holds the origin in its right medium
+        mm = mirror_model(fix_pp)
+        assert [(m.lo, m.hi) for m in mm.media] == [(None, -1), (0, None)]
+        assert mm.origin is mm.right
+        with pytest.raises(ValidationError, match="origin in the right medium"):
+            model_mod.dump_model(mm)
+        three = load_model(model_mod.dump_model(mirror_model(fix_pz)))
+        assert [(m.lo, m.hi) for m in three.media] == [(None, -1), (0, 0), (1, None)]
+        assert three.origin.as_pairs() == mirror_dist(fix_pz.origin).as_pairs()

@@ -450,6 +450,28 @@ class TestExactComparator:
         assert cmpx.exact_values("L", "L", "R", "R") == 0
         assert cmpx.exact_values("R", "L", "L", "L") == 1
 
+    def test_overlapping_boxes_of_unequal_values(self):
+        # u_L = (sqrt 5 - 1)/2 and u_R = (sqrt 17 - 1)/8 are irrational, and
+        # both argmin polynomials have the root -1, where both transforms are
+        # -1/2: the value polynomials share the factor c + 1/2.  Brackets
+        # wide enough that the first boxes isolating phi_L(u_L) = 0.886 and
+        # phi_R(u_R) = 0.602 overlap hold no common root there, so the boxes
+        # are refined until they part
+        left = dist({-1: F(1, 4), 0: F(1, 8), 1: F(1, 2), 2: F(1, 8)})
+        right = dist({-1: F(1, 8), 1: F(5, 8), 2: F(1, 4)})
+        f, g = algebraic.transform(left), algebraic.transform(right)
+        x = algebraic.ArgminRoot(left, argmin_laplace(left)[0])
+        y = algebraic.ArgminRoot(right, argmin_laplace(right)[0])
+        x.lo, x.hi, y.lo, y.hi = F(1, 2), F(1), F(3, 10), F(9, 10)
+        rf, rg = algebraic._value_poly(x.P, f), algebraic._value_poly(y.P, g)
+        common = algebraic._gcd(rf, rg)
+        assert len(common) == 2 and common[0] / common[1] == F(1, 2)
+        (a, b), (c, d) = (algebraic._isolate(x, f, algebraic._sturm(rf)),
+                          algebraic._isolate(y, g, algebraic._sturm(rg)))
+        assert c < a < d < b   # the first isolating boxes overlap
+        x.lo, x.hi, y.lo, y.hi = F(1, 2), F(1), F(3, 10), F(9, 10)
+        assert algebraic.compare_values(x, f, y, g) == 1
+
     @pytest.mark.parametrize("lo, hi, count", [
         (0, 4, 3), (1, 1, 1), (1, 2, 2), (F(3, 2), F(5, 2), 1), (F(5, 2), 3, 1), (4, 5, 0)])
     def test_sturm_count_on_closed_intervals(self, lo, hi, count):

@@ -8,7 +8,6 @@ import scipy.fft
 from conftest import as_fractions, reference_marginal_sequence, reference_step
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import (
-    Side,
     Window,
     default_window,
     first_passage_rows,
@@ -20,8 +19,7 @@ from oscillax.evolve import (
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.ladder import wiener_hopf_heights
 from oscillax.model import (
-    Convention,
-    DriftCase,
+    Medium,
     OscillatingModel,
     arrival_band,
     common_denominator,
@@ -70,8 +68,7 @@ def dense_q(sk, cols=None):
 def period_two_model():
     """+-1 with probability 1/2 in every medium: Q has eigenvalues rho and -rho."""
     pm1 = dist({-1: F(1, 2), 1: F(1, 2)})
-    return OscillatingModel(pm1, pm1, pm1, Convention.THREE_MEDIA, D=1, Dprime=-1,
-                            drift_case=DriftCase.ZZ)
+    return OscillatingModel((Medium(pm1, None, -1), Medium(pm1, 0, 0), Medium(pm1, 1, None)))
 
 
 def window_rows(w):
@@ -140,18 +137,16 @@ class TestBuildQ:
         w, N = Window(-16, 16), 12
         hist = as_fractions(build_Q(model, N, w, rows=range(-5, 6), exact=True))
         bl = hist.band[0]
-        conv = model.convention
         for i, x in enumerate(hist.rows):
             expected = np.full(hist.R[:, i].shape, F(0), dtype=object)
-            if conv.left_end < x <= 0:   # the three-media origin: stay put, then jump
+            medium = model.media[model.medium_index(x)]
+            if medium.lo == medium.hi == 0:   # the three-media origin: stay put, then jump
                 p0 = model.origin.pmf_frac(0)
                 for v, p in zip(model.origin.values, model.origin.fracs):
                     if v != 0:
                         expected[1:, v - bl] = [p0 ** (n - 1) * p for n in range(1, N + 1)]
             else:
-                law, side = ((model.left, Side.FROM_NEGATIVE) if x <= conv.left_end
-                             else (model.right, Side.FROM_POSITIVE))
-                fp = as_fractions(first_passage_rows(law, side, conv, [x], N, w, exact=True))
+                fp = as_fractions(first_passage_rows(medium, [x], N, w, exact=True))
                 lo, hi = fp.band
                 expected[:, lo - bl: hi - bl + 1] = fp.R[:, 0]
             assert (hist.R[:, i] == expected).all(), x
@@ -506,6 +501,24 @@ class TestDoob:
         assert defects[2] < defects[1] < defects[0]
 
 
+class TestMirror:
+    # mirroring is x -> -x on every model, so each kernel flips on both axes
+    @pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES])
+    def test_build_q_flips_exactly(self, name):
+        m = {**FIXTURES, **SUBCASE_FIXTURES}[name]()
+        w = Window(-10, 10)
+        hist = build_Q(m, 12, w, rows=window_rows(w), exact=True)
+        mhist = build_Q(mirror_model(m), 12, w, rows=window_rows(w), exact=True)
+        assert mhist.band == (-hist.band[1], -hist.band[0]) and mhist.D == hist.D
+        assert np.array_equal(mhist.R, hist.R[:, ::-1, ::-1])
+
+    def test_switching_kernel_flips(self, fix_pp):
+        w = Window(-64, 64)
+        R = switching_kernel(fix_pp, w).R
+        mR = switching_kernel(mirror_model(fix_pp), w).R
+        np.testing.assert_allclose(mR, R[::-1, ::-1], rtol=1e-12, atol=0)
+
+
 class TestTiltedKernels:
     def test_requires_two_media(self, fix_zz):
         # the plan is refused, so no tilted stack of a non-(N,P)/(P,P) model exists
@@ -572,7 +585,6 @@ class TestTiltedKernels:
                     assert lhs == rhs, (x, n, y)
 
     def test_b2_damped_side_row_sums(self, fix_pp):
-        from oscillax.model import Convention
         from oscillax.regimes import classify, select_tilt
 
         plan = select_tilt(fix_pp, classify(fix_pp))
@@ -583,13 +595,11 @@ class TestTiltedKernels:
         assert tk.plan.damped_side == "left"
         agg = tk.Qn.sum(axis=0)
         # undamped (right) side: exact mass accounting against its own survival
-        fp = first_passage_rows(tk.plan.tilted_model.right, Side.FROM_POSITIVE,
-                                Convention.TWO_MEDIA, [4], 64, w)
+        fp = first_passage_rows(tk.plan.tilted_model.media[-1], [4], 64, w)
         undamped = agg[w.index(4), :].sum()
         assert undamped + fp.survival[0][64] == pytest.approx(1.0, abs=1e-12)
         # damped (left) side: strictly below the same accounting level
-        fp_l = first_passage_rows(tk.plan.tilted_model.left, Side.FROM_NEGATIVE,
-                                  Convention.TWO_MEDIA, [-4], 64, w)
+        fp_l = first_passage_rows(tk.plan.tilted_model.media[0], [-4], 64, w)
         damped = agg[w.index(-4), :].sum()
         assert damped < (1.0 - float(fp_l.survival[0][64])) - 0.05
 
@@ -688,10 +698,7 @@ class TestLimitOperator:
         # n^{3/2} Q_n(-1, 0) approaches E(-1, 0) (tested loosely here; the
         # acceptance suite pins the 5% version at n = 4096)
         w = Window(-512, 16)
-        from oscillax.model import Convention
-
-        t = first_passage_rows(fix_zz.left, Side.FROM_NEGATIVE,
-                               Convention.THREE_MEDIA, [-1], 1024, w)
+        t = first_passage_rows(fix_zz.media[0], [-1], 1024, w)
         bl, _ = t.band
         val = 1024 ** 1.5 * t.R[1024, 0, 0 - bl]
         E = limit_operator_E(fix_zz, Window(-24, 24))
@@ -710,8 +717,8 @@ class TestSizeGuard:
         lambda m: switching_time_marginals(m, 0, HUGE, default_window(m, HUGE)),
         lambda m: build_Q(m, 1000 * HUGE, Window(-64, 64)),
         lambda m: banded_power_sequences(m, HUGE, Window(-64, 64), ells=[1]),
-        lambda m: first_passage_rows(m.left, Side.FROM_NEGATIVE, m.convention,
-                                     list(range(-16000, 0)), 10, Window(-16000, 16000)),
+        lambda m: first_passage_rows(m.media[0], list(range(-16000, 0)), 10,
+                                     Window(-16000, 16000)),
         lambda m: marginal_sequence(m, 0, 0, 1000 * HUGE),
         lambda m: transition_matrix(m, Window(-16000, 16000)),
         # ten steps, but the 8-step sparse operator of 6e6 sites holds 2.5e8 entries

@@ -143,7 +143,7 @@ def reference_simulate(model, x, n_steps, n_paths, seed):
     """The sampler before the bucketed lookup: a medium mask per step and a
     searchsorted per medium."""
     def class_of(positions):
-        return np.where(positions <= model.convention.left_end, 0,
+        return np.where(positions <= model.media[0].hi, 0,
                         np.where(positions <= 0, 1, 2))
 
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
@@ -329,9 +329,9 @@ class TestIdentitySuiteSensitivity:
         left_t = geometric_tilt(fix_zz.left, ratio)
         delta = F(1, common_denominator(left_t) ** n0)
 
-        def perturbed(law, *args, **kwargs):
-            fp = first_passage_rows(law, *args, **kwargs)
-            if law.fracs == left_t.fracs and fp.rows == [x0]:   # the tilted row of (ii)
+        def perturbed(medium, *args, **kwargs):
+            fp = first_passage_rows(medium, *args, **kwargs)
+            if medium.law.fracs == left_t.fracs and fp.rows == [x0]:   # the tilted row of (ii)
                 fp.R[n0, 0, y0 - fp.band[0]] += int(delta * fp.D ** n0)
             return fp
 
