@@ -9,6 +9,7 @@ carries only the paths of written files, errors go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -200,6 +201,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 
 
+@functools.cache   # built once per process; each parse_args starts from the defaults
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="oscillax",
                                  description="oscillating random walk laboratory")

@@ -3,9 +3,11 @@
 Everything here evolves probability vectors indexed by an integer window
 [lo, hi].  Mass that steps outside the window is accumulated as *leak*, which
 is a rigorous bound on the truncation error of every reported probability.
-A float DP also sets every state entry below the smallest normal double to 0
-after each block, so that no product reads a subnormal, and counts that mass
-as leak too.
+A float DP advances ``BLOCK`` steps a block, by one batched matmul of a dense
+band of the block's kernel power over the sites that hold mass (numpy only).
+It also sets every state entry below the smallest normal double to 0 after
+each block, so that no product reads a subnormal, and counts that mass as
+leak too.
 A rational mode backs the exact-identity tests: after n steps every mass is
 an integer over D**n (D = ``common_denominator`` of the laws), so the DP runs
 on Python-int numerators with the integer weights p * D and returns them: an
@@ -25,6 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConventionMismatch, ValidationError, WindowTooSmall
 from .model import Medium, OscillatingModel, arrival_band, common_denominator, mirror_dist
@@ -32,7 +35,7 @@ from .model import Medium, OscillatingModel, arrival_band, common_denominator, m
 DEFAULT_LEAK_BUDGET = 1e-10
 MAX_ARRAY_BYTES = 1 << 30   # largest single array any engine may allocate
 MAX_WORK = 1 << 33   # most steps x sites x 64-bit words one DP may run
-BLOCK = 8   # steps a float DP advances per sparse product
+BLOCK = 16   # steps a float DP advances per band product
 TINY = np.finfo(float).tiny   # smallest normal double; the float DP holds nothing below it
 
 
@@ -165,12 +168,16 @@ def window_operator(media, sites, outer, band, exact: bool = False, scale: int =
     (``exact`` and ``scale`` as in ``LatticeDist.dense_kernel``); a landing
     outside ``outer`` leaves it, and one on ``band`` outside its own medium is
     read out there.  The window geometry of every DP lives here, and the size
-    guard of its k-step block: k * span + 1 entries at most in a row, but for
-    the k kept-mass rows, checked before anything is allocated."""
+    guard of the arrays a float :func:`_advance` builds for it, checked
+    before anything is allocated: per site the bands of A and A^T, of the
+    squarings up to A^k (k * span + 1 entries, span with the diagonal) with
+    their padded copies and expanded bands, and a one-column state buffer; and
+    per readout row k rows of a run, k * span + 1 entries wide but K for the
+    kept-mass row."""
     (c, d), (e, f), (g, h) = sites, outer, band
     laws, K, k = [law for *_, law in media], d - c + 1, 1 if exact else BLOCK
-    span = max(law.max_support for law in laws) - min(law.min_support for law in laws)
-    check_size(((K + k * (max(h - g, -1) + 4)) * (k * span + 1) + k * K,))
+    span = max(0, *(law.max_support for law in laws)) - min(0, *(law.min_support for law in laws))
+    check_size((((5 * k + 2) * span + 16) * K + k * (K + (max(h - g, -1) + 4) * (k * span + 1)),))
     parts = []   # (source, landing, probability, medium a, b) per jump
     for a, b, law in media:
         k_lo, kern = law.dense_kernel(exact, scale)
@@ -197,21 +204,60 @@ def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scal
     return window_operator(steps, (lo, hi), (lo, hi), (max(bl, lo), min(bh, hi)), exact, scale)
 
 
+def _band(op: WindowOperator, transpose: bool = False):
+    """(band, lo): the kernel A of ``op`` (or A^T) as a dense band holding
+    the diagonal, band[i, d] = A[i, i + lo + d], zero off the sites."""
+    a = op.rows < op.width
+    rows, cols = (op.cols[a], op.rows[a]) if transpose else (op.rows[a], op.cols[a])
+    lo = min((cols - rows).min(initial=0), 0)
+    band = np.zeros((op.width, max((cols - rows).max(initial=0), 0) - lo + 1))
+    band[rows, cols - rows - lo] = op.vals[a]
+    return band, lo
+
+
+def _powers(band, lo, j: int):
+    """(index, bands): row i of the band of A^(2^p), p = 0..log2(j), is
+    bands[p][index[i]].  Row i of A^j reads the rows of A within (j - 1) *
+    span of i, so each run of equal rows keeps its first and last (j - 1) *
+    span + 1 and ``index`` sends the rest to the last of the first.  Row i
+    of P @ P is band[i] times the (b, 2b - 1) view of P's band stored with b
+    zeros after each row, which reads rows i + lo, .. each one place on."""
+    K, b = band.shape
+    new = np.concatenate(([True], np.any(band[1:] != band[:-1], axis=1)))
+    at = np.arange(K)
+    first = np.maximum.accumulate(np.where(new, at, 0))
+    last = np.minimum.accumulate(np.where(np.append(new[1:], True), at, K)[::-1])[::-1]
+    keep = np.minimum(at - first, last - at) <= (j - 1) * (b - 1)
+    bands = [band[keep]]
+    for p in range(j.bit_length() - 1):
+        K, b = bands[-1].shape
+        padded = np.zeros((K + b, 2 * b))
+        padded[-lo << p:K - (lo << p), :b] = bands[-1]
+        rows = as_strided(padded, (K, b, 2 * b - 1), (16 * b, 16 * b - 8, 8), writeable=False)
+        bands.append(np.matmul(bands[-1][:, None], rows)[:, 0])
+    return np.cumsum(keep) - 1, bands
+
+
 def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
     """Run ``state`` (sites first) through ``horizon`` steps of ``op``.
 
-    A float state advances k steps (a power of two) per product with the CSR
-    block [A^k; F; F A; ...; F A^(k-1)], F the ``readouts`` rows of E, and the
-    last horizon % k steps one at a time; an object state takes one exact
-    step per ``np.add.at`` on the column-sorted triplets of the columns it can
-    have reached, a span that grows by the extreme jumps.  Yields (steps,
-    state, F, lost) after each product: the slice of steps it ran, the state
-    after them, which the caller may rescale in place, F[j] the readouts of
-    step steps.start + j, applied to the state before that step, and the mass
-    per state column flushed from a float state, or None if there was none:
-    every entry below the smallest normal double is set to 0 after the
-    product, as a multiply that reads a subnormal costs tens of normal ones.
-    The caller counts that mass as leak from step steps.stop on.
+    A float state advances in blocks of k steps (a power of two), then of
+    the binary digits of horizon % k.  A j-step block is one batched matmul
+    of the dense band of A^j (:func:`_powers`) against windows of the
+    zero-padded state, over the sites mass can reach from those that hold
+    it, and per readout row one product of the state with its rows of F A^t
+    (t < j, F the ``readouts`` rows of E), a dense run over the columns it
+    reaches.  Each state column runs through the same dot products whatever
+    the others.  An object state takes one exact step per ``np.add.at`` on
+    the column-sorted triplets of the columns it can have reached, a span
+    that grows by the extreme jumps.  Yields (steps, state, F, lost) after
+    each block: the slice of steps it ran, the state after them, which the
+    caller may rescale in place, F[j] the readouts of step steps.start + j,
+    applied to the state before that step, and the mass per state column
+    flushed from a float state, or None if there was none: every entry below
+    the smallest normal double is set to 0 after the block, as a multiply
+    that reads a subnormal costs tens of normal ones.  The caller counts
+    that mass as leak from step steps.stop on.
     """
     K = op.width
     if state.dtype == object:
@@ -229,29 +275,53 @@ def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
             lo, hi = max(lo + jumps.min(initial=0), 0), min(hi + jumps.max(initial=0), K - 1)
             yield slice(n, n + 1), state, out[readouts][None], None
         return
-    import scipy.sparse as sp   # here, so that importing oscillax does not load it
-
-    E = sp.csr_array((op.vals, (op.rows.astype(np.int32), op.cols.astype(np.int32))),
-                     shape=(op.band_rows.stop, K))
-    A = power = E[:K]
-    parts = [E[readouts]]
-    for _ in range(k - 1):
-        parts.append(parts[-1] @ A)   # F A^j, a few rows each
-    for _ in range(k.bit_length() - 1):
-        power = power @ power   # A^k by squaring
-    blocks = {j: sp.vstack([power if j == k else A, *parts[:j]], format="csr") for j in {1, k}}
-    n = 0
+    shape, (A, lo), (AT, lo_t) = state.shape, _band(op), _band(op, transpose=True)
+    span, top = A.shape[1] - 1, min(k, 1 << max(horizon, 1).bit_length() - 1)
+    buf = np.zeros((state.size // K, K + k * span))   # per column: k * -lo zeros, K sites
+    cur = buf[:, -k * lo:K - k * lo]
+    cur[:] = state.reshape(K, -1).T
+    held = np.flatnonzero(cur.any(axis=0))
+    r0, r1 = (held[0], held[-1] + 1) if held.size else (0, 0)
+    index, powers = _powers(A, lo, top)
+    runs = []   # (first column, end, (F A^t)^T on the columns first..end - 1, t < top)
+    for r in readouts:
+        m = op.rows == r
+        a, b = (op.cols[m].min(), op.cols[m].max()) if m.any() else (0, 0)
+        c0, c1 = max(a + (top - 1) * lo, 0), min(b + (top - 1) * (lo + span) + 1, K)
+        G, g = np.zeros((top, c1 - c0)), np.zeros(c1 - c0 + span)
+        np.add.at(G[0], op.cols[m] - c0, op.vals[m])   # a column may repeat
+        windows, AT_run = sliding_window_view(g, span + 1)[:, None], AT[c0:c1, :, None]
+        for t in range(1, top):   # F A^t = F A^(t-1) A, a band product with A^T
+            g[-lo_t:len(g) - span - lo_t] = G[t - 1]
+            np.matmul(windows, AT_run, out=G[t, :, None, None])
+        runs.append((c0, c1, G.T))
+    blocks, n = {}, 0
     while n < horizon:
-        j = k if horizon - n >= k else 1
-        out = blocks[j] @ state
+        j = min(k, 1 << (horizon - n).bit_length() - 1)
+        if j not in blocks:   # the band of A^j and the windows each of its rows reads
+            windows = sliding_window_view(buf[:, (j - k) * lo:(j - k) * lo + K + j * span],
+                                          j * span + 1, axis=1)
+            band = A if j == 1 else powers[j.bit_length() - 1][index]
+            blocks[j] = band[:, :, None], windows[:, :, None]
+        band, windows = blocks[j]
+        F = np.empty((len(readouts), len(buf), 1, j))
+        for q, (c0, c1, GT) in enumerate(runs):
+            np.matmul(cur[:, None, c0:c1], GT[:, :j], out=F[q])
+        r0, r1 = max(r0 - j * (lo + span), 0), min(r1 - j * lo, K)   # the rest stay 0
+        out = np.zeros(cur.shape)
+        np.matmul(windows[:, r0:r1], band[r0:r1], out=out[:, r0:r1, None, None])
         n += j
-        state, lost = out[:K], None
-        if state.min(initial=np.inf) < TINY:   # or a zero, which adds and keeps 0
-            small = state < TINY
-            lost = state.sum(axis=0, where=small)
-            state[small] = 0
-        yield (slice(n - j + 1, n + 1), state,
-               out[K:].reshape((j, len(readouts)) + state.shape[1:]), lost)
+        lost, live = None, out[:, r0:r1]
+        if live.min(initial=np.inf) < TINY:   # or a zero, which adds and keeps 0
+            small = live < TINY
+            lost = live.sum(axis=1, where=small).reshape(shape[1:])[()]
+            live[small] = 0
+            held = np.flatnonzero(~small.all(axis=0))
+        yield (slice(n - j + 1, n + 1), out.T.reshape(shape),
+               F.transpose(3, 0, 1, 2).reshape((j, len(readouts)) + shape[1:]), lost)
+        cur[:, r0:r1] = live
+        if lost is not None:   # the next block starts from the sites that hold mass
+            r0, r1 = (r0 + held[0], r0 + held[-1] + 1) if held.size else (0, 0)
 
 
 def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None):
@@ -290,10 +360,12 @@ def marginal_sequence(
     leak_budget: Optional[float] = DEFAULT_LEAK_BUDGET,
     exact: bool = False,
 ) -> KernelTable:
-    """P_x[X_n = y] for n = 0..horizon with a certified leak bound.
+    """P_x[X_n = y] for n = 0..horizon with a certified leak bound; a leak
+    over ``leak_budget`` (None: no limit) at any step raises WindowTooSmall
+    once the DP has run.
 
     A float run stores the mass times 2**-shift, scaling the state up by a
-    power of two (no rounding changes) after each ``BLOCK`` product that
+    power of two (no rounding changes) after each block of steps that
     leaves it less than 1/2; data['log_values'] = log F + shift * log 2 stays
     finite far below the double range of data['values'].  The leak is the sum
     of data['leak_below'], data['leak_above'] and data['leak_underflow'], the
@@ -304,10 +376,11 @@ def marginal_sequence(
     - meta['final_flush'], the last block's flush, which no step of the
       horizon sees: sum(data['final_state']) + leak[N] + final_flush = 1;
     - meta['unflushed_bound'], a bound on the product terms below 2**-1075
-      that round to 0 inside a CSR product, before any flush sees them: each
-      loses at most 2**-1075, and a j-step product holds at most
-      width * (j * (span + 3) + 1) of them (j * span + 1 a column of A**j,
-      span the extreme jumps' distance, and j rows of 3 readouts).
+      that round to 0 inside a block's products, before any flush sees them:
+      each loses at most 2**-1075, and a j-step block holds at most
+      width * (j * (span + 3) + 1) of them (a row of the band of A**j has
+      j * span + 1 nonzero entries, span the extreme jumps' distance, and
+      each of the 3 readout runs, j rows, at most width).
     A run of more than ``MAX_WORK`` steps x sites x words is refused up
     front (a word is 64 numerator bits, horizon * log2(D) / 64 of them an
     exact entry, 1 a float one): 2**33, which the default 4096 exact steps
@@ -327,28 +400,31 @@ def marginal_sequence(
     state[ix] = 1
     values = _zeros(horizon + 1, exact)
     values[0] = state[iy]
-    # leak totals by cause: below, above and underflow
-    leak, sides = _zeros(horizon + 1, exact), _zeros((horizon + 1, 3), exact)
+    # leak by cause, below, above and underflow: per step while the DP runs (a
+    # float run's below and above times 2**-shifts[n], its flushed mass in
+    # mass units at the first step that no longer sees it), then totals
+    sides = _zeros((horizon + 1, 3), exact)
     # float: the mass is the stored state times 2**shift, values[n] times 2**shifts[n]
     shift, shifts, flushed = 0, np.zeros(horizon + 1, dtype=int), 0
     for ns, state, F, lost in _advance(op, [op.below, op.above, iy], state, horizon):
-        # leak totals: over D**n exact, in mass units (times 2**shift) float
-        run = sides[ns.start - 1:ns.stop]
-        run[1:, :2] = F[:, :2] if exact else np.ldexp(F[:, :2], shift)
-        run[1, 2] = flushed   # the last product's, first unseen at this block's first step
-        _cumulate(run, D)
-        leak[ns] = sides[ns, 0] + sides[ns, 1] + sides[ns, 2]
-        values[ns], shifts[ns] = F[:, 2], shift
+        sides[ns, :2], values[ns], shifts[ns] = F[:, :2], F[:, 2], shift
         flushed = 0 if lost is None else np.ldexp(lost, shift)
-        for m in range(ns.start, ns.stop) if leak_budget is not None else ():
+        if ns.stop <= horizon:
+            sides[ns.stop, 2] = flushed
+        # a state below 1/2 is scaled up into [1/2, 1) (an empty state has e = 0)
+        if not exact and (e := math.frexp(state.sum())[1]) < 0:
+            np.ldexp(state, -e, out=state)
+            shift += e
+    if not exact:
+        sides[:, :2] = np.ldexp(sides[:, :2], shifts[:, None])
+    # leak totals: over D**n exact, in mass units float
+    _cumulate(sides, D)
+    leak = sides[:, 0] + sides[:, 1] + sides[:, 2]
+    if leak_budget is not None:
+        for m in range(horizon + 1) if exact else np.flatnonzero(leak > leak_budget)[:1]:
             if (total := Fraction(leak[m], D ** m) if exact else leak[m]) > leak_budget:
                 raise WindowTooSmall(f"cumulative leak {float(total):.3e} exceeds budget "
                                      f"{leak_budget:.3e} at n={m}")
-        # the mass is 1 - leak; once it may be below 1/2, scale the state up
-        # into [1/2, 1) if it is (an empty state has e = 0)
-        if not exact and leak[ns.stop - 1] > 0.25 and (e := math.frexp(state.sum())[1]) < 0:
-            np.ldexp(state, -e, out=state)
-            shift += e
     if exact:
         data = {"values": values, "final_state": state}
     else:
@@ -360,7 +436,8 @@ def marginal_sequence(
     if not exact:
         span = (max(law.max_support for law in model.laws)
                 - min(law.min_support for law in model.laws))
-        terms = window.width * ((span + 3) * horizon + horizon // BLOCK + horizon % BLOCK)
+        blocks = horizon // BLOCK + bin(horizon % BLOCK).count("1")   # see _advance
+        terms = window.width * ((span + 3) * horizon + blocks)
         # rounded up: (terms + 1) // 2 smallest subnormals
         meta.update(final_flush=float(flushed),
                     unflushed_bound=math.ldexp((terms + 1) // 2, -1074))

@@ -20,7 +20,7 @@ from conftest import reference_marginal_sequence
 from oscillax.cli import _write_csv, _write_json, build_parser, main
 from oscillax.evolve import Window
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
-from oscillax.model import load_model
+from oscillax.model import dist, load_model, save_model, validate_model
 
 FIXTURE_FILES = [*FIXTURES, *(f"FIX-PP-{name}" for name in SUBCASE_FIXTURES)]
 # sha256 of every file test_fixture_outputs_keep_the_byte_contract writes, per
@@ -468,6 +468,32 @@ class TestWriters:
             for line in lines[1:]:
                 for column, s in zip(header, line.split(","), strict=True):
                     assert s == (str(int(s)) if column in ("n", "x", "y") else f"{float(s):.17g}")
+
+
+def test_main_runs_share_the_parser_not_its_state(model_dir, tmp_path):
+    # the parser is built once per process; every run still starts from its
+    # subcommand's own defaults
+    zz, pp = str(model_dir / "FIX-ZZ.json"), str(model_dir / "FIX-PP.json")
+    floats = tmp_path / "float.json"   # float laws: refused under --rational
+    save_model(validate_model(dist({-1: 0.3, 0: 0.35, 2: 0.35}), dist({-1: 0.5, 1: 0.5}),
+                              dist({-2: 0.123, -1: 0.2, 0: 0.377, 1: 0.295, 2: 0.005})), floats)
+
+    def run(*argv):
+        out = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+        assert main([*argv, "-o", str(out)]) == 0, argv
+        return out
+
+    assert build_parser() is build_parser()
+    run("simulate", zz, "--paths", "100")
+    kernel = (run("kernel", zz) / "kernel.csv").read_text().splitlines()
+    assert int(kernel[-1].split(",")[0]) == 256   # not simulate's 50
+    simulated = json.loads((run("simulate", zz, "--paths", "100") / "simulate.json").read_text())
+    assert simulated["n_steps"] == 50
+    run("evolve", zz, "--from", "0", "--to", "0", "-n", "8", "--rational")
+    run("evolve", str(floats), "--from", "0", "--to", "0", "-n", "8")
+    for flags, kind in ((["--weight", "polynomial"], "polynomial"), ([], "exponential")):
+        out = run("spectrum", pp, "-W", "64", *flags)
+        assert json.loads((out / "spectrum.json").read_text())["weight"]["kind"] == kind
 
 
 def test_readme_flag_table_matches_parser():

@@ -343,9 +343,10 @@ class TestUnderflowFlush:
         assert last is not None and t.meta["final_flush"] == last > 0
         total = t.data["final_state"].sum() + t.leak[-1] + t.meta["final_flush"]
         assert total == pytest.approx(1.0, abs=1e-14)
-        # 512 products of 8 steps: at most width * (8 * (span + 3) + 1) terms
-        # each, every one losing at most 2**-1075 (span 4, jumps -2..2)
-        terms = window.width * 512 * (8 * (4 + 3) + 1)
+        # 4096 / BLOCK products of BLOCK steps: at most width * (BLOCK *
+        # (span + 3) + 1) terms each, every one losing at most 2**-1075 (span
+        # 4, jumps -2..2)
+        terms = window.width * (horizon // BLOCK) * (BLOCK * (4 + 3) + 1)
         assert t.meta["unflushed_bound"] == terms * 2.0**-1074 / 2
 
     def test_exact_run_has_no_underflow(self, fix_zz):
@@ -388,10 +389,11 @@ class TestUnderflowFlush:
         left = dist({-3: F(1, 2), 3: F(1, 2) - eps, 4: eps})
         right = dist({-3: F(1, 2) - eps, -2: eps, 3: F(1, 2)})
         m = validate_model(left, dist({-3: F(1, 2), 3: F(1, 2)}), right)
-        horizon = 16
+        # two blocks: the first one's flush is leak from the second one on
+        horizon, half = 2 * BLOCK, 8 * BLOCK + 1   # no path of the horizon leaves the wide one
         for y in (0, 1):
             small = marginal_sequence(m, 0, y, horizon, Window(-12, 12), leak_budget=None)
-            wide = as_fractions(marginal_sequence(m, 0, y, horizon, Window(-65, 65),
+            wide = as_fractions(marginal_sequence(m, 0, y, horizon, Window(-half, half),
                                                   leak_budget=None, exact=True))
             assert small.data["leak_underflow"][-1] > 0
             assert _subnormals(small.data["final_state"]) == 0
@@ -561,11 +563,12 @@ ALL_FIXTURES = {**FIXTURES, **{f"FIX-PP-{k}": fn for k, fn in SUBCASE_FIXTURES.i
 
 
 class TestStepPlan:
-    """The sparse window operator against the step it replaced
+    """The window operator against the step it replaced
     (``conftest.reference_step``), run by the reference DP loop of
     ``conftest.reference_marginal_sequence``.  Exact results are equal; float
-    results differ in rounding only, as the 8-step blocks sum in another order:
-    at most 1e-13 relative on values and 1e-13 absolute on leak."""
+    results differ in rounding only, as the BLOCK-step band products sum in
+    another order: at most 1e-13 relative on values and 1e-13 absolute on
+    leak."""
 
     @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
     @pytest.mark.parametrize("rescaled", [False, True], ids=["float", "rescaled"])
@@ -696,3 +699,103 @@ class TestMarginalProperties:
         assert not any(wide.leak)
         err = np.abs(small.data["values"] - wide.data["values"].astype(float))
         assert np.all(err <= small.leak + 1e-12)
+
+
+def _csr_block(op, readouts, j):
+    """[A^j; F; F A; ..; F A^(j-1)] of ``op`` by scipy.sparse: the float DP's
+    block before the band engine, the reference here."""
+    import scipy.sparse as sp
+
+    E = sp.csr_array((op.vals, (op.rows, op.cols)), shape=(op.band_rows.stop, op.width))
+    power, parts = E[:op.width], [E[readouts]]
+    for _ in range(j - 1):
+        parts.append(parts[-1] @ E[:op.width])
+    for _ in range(j.bit_length() - 1):
+        power = power @ power
+    return sp.vstack([power, *parts], format="csr")
+
+
+def _float(model):
+    return validate_model(*(dist({v: float(p) for v, p in zip(law.values, law.probs)})
+                            for law in (model.left, model.origin, model.right)),
+                          two_media=model.two_media)
+
+
+class TestBandEngine:
+    """The float blocks of ``_advance`` (dense bands, numpy only) against the
+    scipy.sparse blocks they replaced, on the same operator triplets.  Each
+    entry is a sum of positive terms, up to j * span + 1 of them, over a
+    power squared up in another order: 1.7e-15 relative at most over 675
+    checked cases, bounded here by RTOL."""
+
+    RTOL = 4e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans().flatmap(_exact_models), st.integers(8, 40), st.integers(8, 40),
+           st.integers(0, 2), st.sampled_from([1, BLOCK]), st.integers(0, 2**32 - 1))
+    def test_block_matches_csr(self, m, lo, hi, walk, j, seed):
+        # walk 0: the full walk, one column; else the killed walk of a medium,
+        # 1 or 5 columns; readouts: every F row and two rows of A
+        rng, w = np.random.default_rng(seed), Window(-lo, hi)
+        if walk:
+            medium = m.media[0 if walk == 1 else -1]
+            op = evolve.passage_operator(medium, w)
+            state = rng.random((op.width, 5 if walk == 2 else 1))
+        else:
+            op, state = walk_plan(_float(m), w), rng.random(w.width)
+        readouts = [op.below, op.above, op.kept, *op.band_rows, 0, op.width - 1]
+        (ns, new, F_band, lost), = _advance(op, readouts, state, j, j)
+        ref = _csr_block(op, readouts, j) @ state.reshape(op.width, -1)
+        assert ns == slice(1, j + 1) and lost is None
+        np.testing.assert_allclose(new.reshape(op.width, -1), ref[:op.width], rtol=self.RTOL)
+        np.testing.assert_allclose(F_band.reshape(-1, ref.shape[1]), ref[op.width:],
+                                   rtol=self.RTOL)
+
+    @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+    def test_default_window_block_matches_csr(self, name):
+        # long runs of equal rows, which the squarings cut short
+        model = ALL_FIXTURES[name]()
+        w = default_window(model, 4096)
+        op, state = walk_plan(model, w), np.random.default_rng(1).random(w.width)
+        readouts = [op.below, op.above, w.index(0)]
+        (_, new, F_band, _), = _advance(op, readouts, state, BLOCK)
+        ref = _csr_block(op, readouts, BLOCK) @ state
+        np.testing.assert_allclose(new, ref[:w.width], rtol=self.RTOL)
+        np.testing.assert_allclose(F_band.ravel(), ref[w.width:], rtol=self.RTOL)
+
+    @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+    def test_rows_without_mass_change_no_bit(self, name):
+        # column 0 starts at one site, so its blocks skip the sites it cannot
+        # reach; beside a column that fills the window it runs over them all
+        model, w = ALL_FIXTURES[name](), Window(-200, 150)
+        op, iy = walk_plan(model, w), w.index(3)
+        alone = np.zeros((w.width, 1))
+        alone[w.index(0)] = 1
+        both = np.hstack([alone, np.full((w.width, 1), 1 / w.width)])
+        horizon = 12 * BLOCK + 7
+        for a, b in zip(_advance(op, [op.below, op.above, iy], alone, horizon),
+                        _advance(op, [op.below, op.above, iy], both, horizon)):
+            assert a[0] == b[0]
+            assert np.array_equal(a[1][:, 0], b[1][:, 0])
+            assert np.array_equal(a[2][..., 0], b[2][..., 0])
+
+    def test_flushed_mass_is_lost(self):
+        # the model of test_float_within_leak_of_exact: sites two classes up
+        # mod 3 hold about 2**-1060, which each block flushes and reports
+        eps = F(1, 2**530)
+        left = dist({-3: F(1, 2), 3: F(1, 2) - eps, 4: eps})
+        right = dist({-3: F(1, 2) - eps, -2: eps, 3: F(1, 2)})
+        m = _float(validate_model(left, dist({-3: F(1, 2), 3: F(1, 2)}), right))
+        w = Window(-40, 40)
+        op, state = walk_plan(m, w), np.zeros(w.width)
+        state[w.index(0)] = 1
+        flushed = 0
+        for ns, new, _, lost in _advance(op, [op.below], state.copy(), 5 * BLOCK):
+            ref = _csr_block(op, [op.below], ns.stop - ns.start)[:w.width] @ state
+            small = ref < TINY
+            assert _subnormals(new) == 0 and not new[small].any()
+            np.testing.assert_allclose(new[~small], ref[~small], rtol=1e-13, atol=0)
+            assert lost == pytest.approx(ref[small].sum(), rel=1e-6, abs=0)
+            flushed += lost
+            state = new.copy()
+        assert flushed > 0

@@ -62,9 +62,9 @@ def loaded(code: str) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse (the DPs), scipy.linalg (the ladder solves) and scipy.fft
-    # (the renewal powers) are imported where they are called, so the
-    # start-up of every command is charged for none of them
+    # scipy.linalg (the ladder solves) and scipy.fft (the renewal powers) are
+    # imported where they are called, so the start-up of every command is
+    # charged for neither; the DPs use no scipy
     assert loaded("import oscillax.cli") == []
 
 
@@ -84,7 +84,18 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
                  ["verify", str(tmp_path / "fixtures" / "FIX-PP-A1.json"),
                   "--suite", "asymptotics"]):
         assert not any(m.startswith(HEAVY) for m in run(*argv)), argv[:2]
-    mods = run("evolve", str(tmp_path / "fixtures" / "FIX-ZZ.json"), "--from", "0", "--to", "0",
-               "-n", "64")
-    assert "scipy.sparse" in mods
-    assert not any(m.startswith(HEAVY) for m in mods)
+    # the DPs run on numpy alone: evolve, kernel and the asymptotics fit load
+    # no scipy at all
+    for argv in (["evolve", str(tmp_path / "fixtures" / "FIX-ZZ.json"), "--from", "0",
+                  "--to", "0", "-n", "64"],
+                 ["kernel", str(tmp_path / "fixtures" / "FIX-ZZ.json"), "-n", "16"],
+                 ["verify", str(tmp_path / "fixtures" / "FIX-PP-B3.json"),
+                  "--suite", "asymptotics"]):
+        assert run(*argv) == [], argv[:2]
+
+
+def test_first_passage_dp_loads_no_scipy():
+    # a float first-passage DP of eight start rows at once
+    assert loaded("from oscillax.fixtures import fix_zz; "
+                  "from oscillax.evolve import Window, first_passage_rows; "
+                  "first_passage_rows(fix_zz().media[0], range(-8, 0), 64, Window(-16, 16))") == []

@@ -240,9 +240,9 @@ class TestRenewalSequence:
 
 @pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES, "origin-0"])
 def test_switching_time_marginals_match_reference_step(name):
-    # the sparse window operator against the step it replaced, run by the
-    # reference DP loop (conftest.reference_marginal_sequence); the 8-step
-    # blocks sum in another order, so T agrees to 1e-13 relative
+    # the window operator against the step it replaced, run by the reference
+    # DP loop (conftest.reference_marginal_sequence); the BLOCK-step band
+    # products sum in another order, so T agrees to 1e-13 relative
     model = {**RENEWAL_MODELS, **SUBCASE_FIXTURES}[name]()
     w = Window(-40, 48)
     _, full = reference_marginal_sequence(model, 1, 1, 256, w)
@@ -721,7 +721,7 @@ class TestSizeGuard:
                                      Window(-16000, 16000)),
         lambda m: marginal_sequence(m, 0, 0, 1000 * HUGE),
         lambda m: transition_matrix(m, Window(-16000, 16000)),
-        # ten steps, but the 8-step sparse operator of 6e6 sites holds 2.5e8 entries
+        # ten steps, but the bands of A^16 and its squarings on 6e6 sites hold 2e9 entries
         lambda m: marginal_sequence(m, 0, 0, 10, Window(-3_000_000, 3_000_000)),
     ], ids=["switching_time_marginals", "build_Q", "banded_power_sequences",
             "first_passage_rows", "marginal_sequence", "transition_matrix",

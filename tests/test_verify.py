@@ -25,6 +25,7 @@ from oscillax.model import (
     common_denominator,
     dist,
     geometric_tilt,
+    mirror_model,
     validate_model,
 )
 from oscillax.regimes import classify
@@ -140,16 +141,18 @@ class TestEffectiveLeak:
         np.testing.assert_allclose(effective_leak(t, model, rate=rate), ref, rtol=1e-12, atol=0)
 
 def reference_simulate(model, x, n_steps, n_paths, seed):
-    """The sampler before the bucketed lookup: a medium mask per step and a
-    searchsorted per medium."""
+    """The sampler before the bucketed lookup: a mask and a searchsorted per
+    medium of ``model.media`` and step."""
     def class_of(positions):
-        return np.where(positions <= model.media[0].hi, 0,
-                        np.where(positions <= 0, 1, 2))
+        cls = np.full(positions.shape, -1)
+        for idx, m in enumerate(model.media):
+            cls[(m.lo is None or positions >= m.lo) & (m.hi is None or positions <= m.hi)] = idx
+        return cls
 
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
                      if 2 ** k <= n_steps} | {n_steps})
-    laws = {idx: (np.asarray(d.values), np.cumsum(d.probs))
-            for idx, d in enumerate((model.left, model.origin, model.right))}
+    laws = {idx: (np.asarray(m.law.values), np.cumsum(m.law.probs))
+            for idx, m in enumerate(model.media)}
     counts, c1_hist, switch_hist = {n: {} for n in record}, {}, {}
     for ci in range((n_paths + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n_paths - ci * CHUNK)
@@ -161,7 +164,7 @@ def reference_simulate(model, x, n_steps, n_paths, seed):
         for n in range(1, n_steps + 1):
             u = rng.random(m)
             inc = np.zeros(m, dtype=np.int64)
-            for idx in (0, 1, 2):
+            for idx in laws:
                 mask = cls == idx
                 if mask.any():
                     vals, cum = laws[idx]
@@ -194,7 +197,9 @@ def float_law_model():
 
 
 SAMPLER_MODELS = {"FIX-ZZ": FIXTURES["FIX-ZZ"], "FIX-PN": FIXTURES["FIX-PN"],
-                  "FIX-PP-B1": SUBCASE_FIXTURES["B1"], "float": float_law_model}
+                  "FIX-PP-B1": SUBCASE_FIXTURES["B1"], "float": float_law_model,
+                  # media (-inf, -1) and (0, inf): the origin is in the right one
+                  "mirror-FIX-PP-B1": lambda: mirror_model(SUBCASE_FIXTURES["B1"]())}
 
 
 class TestSamplerStream:
