@@ -32,11 +32,16 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import ConventionMismatch, ValidationError, WindowTooSmall
 from .model import Medium, OscillatingModel, arrival_band, common_denominator, mirror_dist
 
-DEFAULT_LEAK_BUDGET = 1e-10
 MAX_ARRAY_BYTES = 1 << 30   # largest single array any engine may allocate
 MAX_WORK = 1 << 33   # most steps x sites x 64-bit words one DP may run
 BLOCK = 16   # steps a float DP advances per band product
 TINY = np.finfo(float).tiny   # smallest normal double; the float DP holds nothing below it
+
+
+def block_steps(horizon: int, k: int = BLOCK) -> int:
+    """Steps in the longest block of a float DP that runs ``horizon`` steps
+    k at a time (k a power of two): min(k, 2**floor(log2 horizon))."""
+    return min(k, 1 << max(horizon, 1).bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -162,20 +167,22 @@ class WindowOperator:
         return out
 
 
-def window_operator(media, sites, outer, band, exact: bool = False, scale: int = 1):
+def window_operator(media, sites, outer, band, exact: bool = False, scale: int = 1,
+                    steps: int = BLOCK):
     """The :class:`WindowOperator` of ``media`` on ``sites`` = (lo, hi): each
     medium (a, b, law) steps the sites a..b (none if a > b) with ``law``
     (``exact`` and ``scale`` as in ``LatticeDist.dense_kernel``); a landing
     outside ``outer`` leaves it, and one on ``band`` outside its own medium is
     read out there.  The window geometry of every DP lives here, and the size
-    guard of the arrays a float :func:`_advance` builds for it, checked
-    before anything is allocated: per site the bands of A and A^T, of the
-    squarings up to A^k (k * span + 1 entries, span with the diagonal) with
-    their padded copies and expanded bands, and a one-column state buffer; and
-    per readout row k rows of a run, k * span + 1 entries wide but K for the
+    guard of the arrays a float :func:`_advance` whose longest block is k =
+    ``steps`` steps (see :func:`block_steps`) builds for it, checked before
+    anything is allocated: per site the bands of A and A^T, of the squarings
+    up to A^k (k * span + 1 entries, span with the diagonal) with their
+    padded copies and expanded bands, and a one-column state buffer; and per
+    readout row k rows of a run, k * span + 1 entries wide but K for the
     kept-mass row."""
     (c, d), (e, f), (g, h) = sites, outer, band
-    laws, K, k = [law for *_, law in media], d - c + 1, 1 if exact else BLOCK
+    laws, K, k = [law for *_, law in media], d - c + 1, 1 if exact else steps
     span = max(0, *(law.max_support for law in laws)) - min(0, *(law.min_support for law in laws))
     check_size((((5 * k + 2) * span + 16) * K + k * (K + (max(h - g, -1) + 4) * (k * span + 1)),))
     parts = []   # (source, landing, probability, medium a, b) per jump
@@ -194,14 +201,16 @@ def window_operator(media, sites, outer, band, exact: bool = False, scale: int =
                           np.concatenate([p[m] for _, m in hits]), (c, d), (g, h))
 
 
-def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scale: int = 1):
+def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scale: int = 1,
+              steps: int = BLOCK):
     """The :class:`WindowOperator` of the walk on the window: each medium of
     the model on its segment, mass leaving below lo or above hi, and band
-    rows on the arrival band, where every crossing lands."""
+    rows on the arrival band, where every crossing lands (``steps`` as in
+    :func:`window_operator`)."""
     lo, hi = window.lo, window.hi
     bl, bh = arrival_band(model)
-    steps = [(*m.segment(window), m.law) for m in model.media]
-    return window_operator(steps, (lo, hi), (lo, hi), (max(bl, lo), min(bh, hi)), exact, scale)
+    return window_operator([(*m.segment(window), m.law) for m in model.media], (lo, hi),
+                           (lo, hi), (max(bl, lo), min(bh, hi)), exact, scale, steps)
 
 
 def _band(op: WindowOperator, transpose: bool = False):
@@ -250,18 +259,20 @@ def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
     reaches.  Each state column runs through the same dot products whatever
     the others.  An object state takes one exact step per ``np.add.at`` on
     the column-sorted triplets of the columns it can have reached, a span
-    that grows by the extreme jumps.  Yields (steps, state, F, lost) after
-    each block: the slice of steps it ran, the state after them, which the
-    caller may rescale in place, F[j] the readouts of step steps.start + j,
-    applied to the state before that step, and the mass per state column
-    flushed from a float state, or None if there was none: every entry below
-    the smallest normal double is set to 0 after the block, as a multiply
-    that reads a subnormal costs tens of normal ones.  The caller counts
-    that mass as leak from step steps.stop on.
+    that grows by the extreme jumps; its ``kept`` readout is the column sum
+    of the new state, so each product on the sites is formed once.  Yields
+    (steps, state, F, lost) after each block: the slice of steps it ran, the
+    state after them, which the caller may rescale in place, F[j] the
+    readouts of step steps.start + j, applied to the state before that step,
+    and the mass per state column flushed from a float state, or None if
+    there was none: every entry below the smallest normal double is set to 0
+    after the block, as a multiply that reads a subnormal costs tens of
+    normal ones.  The caller counts that mass as leak from step steps.stop on.
     """
     K = op.width
     if state.dtype == object:
-        keep = (op.rows < K) | np.isin(op.rows, readouts)
+        kept = op.kept in readouts   # read as a column sum, not from the triplets
+        keep = (op.rows < K) | np.isin(op.rows, readouts) & (op.rows != op.kept)
         order = np.argsort(op.cols[keep], kind="stable")
         rows, cols, vals = (a[keep][order] for a in (op.rows, op.cols, op.vals))
         vals, jumps = vals.reshape((-1,) + (1,) * (state.ndim - 1)), (rows - cols)[rows < K]
@@ -273,10 +284,12 @@ def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
             np.add.at(out, rows[s:e], vals[s:e] * state[cols[s:e]])
             state = out[:K]
             lo, hi = max(lo + jumps.min(initial=0), 0), min(hi + jumps.max(initial=0), K - 1)
+            if kept:
+                out[op.kept] = state[lo:hi + 1].sum(axis=0)
             yield slice(n, n + 1), state, out[readouts][None], None
         return
     shape, (A, lo), (AT, lo_t) = state.shape, _band(op), _band(op, transpose=True)
-    span, top = A.shape[1] - 1, min(k, 1 << max(horizon, 1).bit_length() - 1)
+    span, top = A.shape[1] - 1, block_steps(horizon, k)
     buf = np.zeros((state.size // K, K + k * span))   # per column: k * -lo zeros, K sites
     cur = buf[:, -k * lo:K - k * lo]
     cur[:] = state.reshape(K, -1).T
@@ -338,7 +351,7 @@ def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None
     is added into it at its landing site.
     """
     if plan is None:
-        plan = walk_plan(model, window, state.dtype == object)
+        plan = walk_plan(model, window, state.dtype == object, steps=1)
     _, new, F, _ = next(_advance(plan, [plan.below, plan.above, *plan.band_rows], state, 1, 1))
     if crossed is not None:
         crossed[plan.band[0] - window.lo:plan.band[1] - window.lo + 1] += F[0, 2:]
@@ -357,7 +370,7 @@ def marginal_sequence(
     y: int,
     horizon: int,
     window: Optional[Window] = None,
-    leak_budget: Optional[float] = DEFAULT_LEAK_BUDGET,
+    leak_budget: Optional[float] = None,
     exact: bool = False,
 ) -> KernelTable:
     """P_x[X_n = y] for n = 0..horizon with a certified leak bound; a leak
@@ -395,7 +408,7 @@ def marginal_sequence(
     check_size((horizon + 1,), (window.width,), D=D, horizon=horizon)
     check_work(horizon, window.width, D)
     ix, iy = window.index(x), window.index(y)
-    op = walk_plan(model, window, exact, D)
+    op = walk_plan(model, window, exact, D, block_steps(horizon))
     state = _zeros(window.width, exact)
     state[ix] = 1
     values = _zeros(horizon + 1, exact)
@@ -445,15 +458,16 @@ def marginal_sequence(
 
 
 def passage_operator(medium: Medium, window: Window, exact: bool = False,
-                     scale: int = 1) -> WindowOperator:
+                     scale: int = 1, steps: int = BLOCK) -> WindowOperator:
     """The :class:`WindowOperator` of the medium's law killed on leaving the
     medium, read out on its arrival band; its ``sites`` are the medium's
     segment of the window.  Segment and band form one contiguous run, so a
-    landing outside it has left the window."""
+    landing outside it has left the window (``steps`` as in
+    :func:`window_operator`)."""
     (seg_lo, seg_hi), (band_lo, band_hi) = medium.segment(window), medium.band
     return window_operator([(seg_lo, seg_hi, medium.law)], (seg_lo, seg_hi),
                            (min(seg_lo, band_lo), max(seg_hi, band_hi)), (band_lo, band_hi),
-                           exact, scale)
+                           exact, scale, steps)
 
 
 @dataclass
@@ -525,7 +539,8 @@ def first_passage_rows(
     check_size((horizon + 1, rows, window.width if keep_states else band_w), (rows, width),
                D=D, horizon=horizon)
     check_work(horizon, rows * width, D)
-    op = passage_operator(medium, window, exact, D)
+    k = 1 if keep_states else BLOCK
+    op = passage_operator(medium, window, exact, D, block_steps(horizon, k))
     state = _zeros((width, rows), exact)
     for r, x in enumerate(xs):
         state[x - seg_lo, r] = 1
@@ -540,7 +555,7 @@ def first_passage_rows(
     # (an empty xs runs one product on zero rows and returns an empty record)
     readouts = [op.below, op.above, op.kept, *op.band_rows]
     flushed = []   # (n, mass per row) flushed from the state, lost from step n on
-    for ns, state, F, lost in _advance(op, readouts, state, horizon, 1 if keep_states else BLOCK):
+    for ns, state, F, lost in _advance(op, readouts, state, horizon, k):
         arrivals[ns] = F[:, 3:].transpose(0, 2, 1)
         leak[:, ns] = (F[:, 0] + F[:, 1]).T
         if lost is not None and ns.stop <= horizon:

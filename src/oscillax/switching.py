@@ -25,6 +25,7 @@ from .evolve import (
     Window,
     _advance,
     _zeros,
+    block_steps,
     check_size,
     first_passage_rows,
     passage_operator,
@@ -302,7 +303,7 @@ def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
     check_size((horizon + 1, window.width))
     band_lo, band_hi = arrival_band(model)
     window.index(band_lo), window.index(band_hi)   # the band lies in the window
-    op = walk_plan(model, window)
+    op = walk_plan(model, window, steps=block_steps(horizon))
     state = np.zeros(window.width)
     state[window.index(x)] = 1.0
     T = np.zeros((horizon + 1, band_hi - band_lo + 1))

@@ -207,7 +207,7 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 CHUNK = 1 << 15   # paths per Philox stream; fixes which stream each path draws
-G = 1 << 12       # inverse-CDF buckets per medium; u * G is exact for a double u
+G = 1 << 12       # inverse-CDF buckets per medium; a raw word's top 12 bits pick one
 STEP_PATHS = 1 << 10   # fewest path-steps a step counts as in the work guard
 
 @dataclass
@@ -236,31 +236,28 @@ class SimResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def _inverse_cdf(dists):
-    """draw(cls, u): the jumps values[searchsorted(cumsum(probs), u, "right")],
-    clipped, of dists[cls].  Over the bucket [g/G, (g+1)/G) of law c that is
-    jump[c * G + g], unless a threshold lies inside the bucket: only those
-    draws run searchsorted."""
+def _inverse_cdf(dists, dtype):
+    """(table, resolve) for the draws values[searchsorted(cumsum(probs), u,
+    "right")], clipped, of each law c of ``dists``.  table[c * G + g], of
+    ``dtype``, is the jump of every u in the bucket [g/G, (g+1)/G) of law c,
+    or iinfo(dtype).min (no jump) when a threshold lies inside the bucket;
+    resolve(rows, u) runs searchsorted on the u whose rows c * G are given."""
     laws = [(np.asarray(d.values), np.cumsum(d.probs)) for d in dists]
     edges = np.arange(G + 1) / G
-    jump, ambiguous = [], []
+    table = []
     for vals, cum in laws:
         k = np.searchsorted(cum, edges[:-1], side="right")
-        jump.append(vals[k.clip(0, len(vals) - 1)])
-        ambiguous.append(np.searchsorted(cum, edges[1:]) > k)
-    jump, ambiguous = np.concatenate(jump), np.concatenate(ambiguous)
+        table.append(np.where(np.searchsorted(cum, edges[1:]) > k, np.iinfo(dtype).min,
+                              vals[k.clip(0, len(vals) - 1)]))
 
-    def draw(cls, u):
-        bucket = cls * G + (u * G).astype(np.intp)
-        inc = jump[bucket]
-        fix = np.flatnonzero(ambiguous[bucket])
+    def resolve(rows, u):
+        inc = np.empty(len(u), dtype)
         for c, (vals, cum) in enumerate(laws):
-            sel = fix[cls[fix] == c]
-            if len(sel):
-                inc[sel] = vals[np.searchsorted(cum, u[sel], side="right").clip(0, len(vals) - 1)]
+            sel = rows == c * G
+            inc[sel] = vals[np.searchsorted(cum, u[sel], side="right").clip(0, len(vals) - 1)]
         return inc
 
-    return draw
+    return np.concatenate(table).astype(dtype), resolve
 
 
 def simulate(
@@ -276,14 +273,23 @@ def simulate(
     statistics track the first medium change and the total number of changes.
     Identical (seed, n_paths, n_steps) give byte-identical results.
 
+    A step draws one raw 64-bit word w per path, the word from which
+    ``Generator.random`` forms u = (w >> 11) 2^-53, so its bucket floor(u G)
+    is w >> 52 and one lookup in the (medium, bucket) table of
+    :func:`_inverse_cdf` gives the jump; u is formed only for the draws in a
+    bucket that holds a threshold.  The sample stream is that of
+    ``Generator.random`` and a plain inverse CDF.  Positions are 32-bit when
+    no path can leave (-2^31, 2^31).
+
     A run of more than ``MAX_WORK`` path-steps is refused up front.  Each step
-    is one vectorised draw over a chunk of paths, whose fixed overhead (19-25
+    is one vectorised draw over a chunk of paths, whose fixed overhead (7-10
     us at 100 paths or fewer) costs about as much as ``STEP_PATHS`` path-steps
-    (24-32 ns each at 10^4 paths and more; FIX-ZZ on a 2-core Xeon VM), so a
+    (5-6 ns each at 10^4 paths and more; FIX-ZZ on a 2-core Xeon VM), so a
     step counts as at least that many: at most 2^23 steps of few paths, about
-    3 minutes, pass.
+    1.5 minutes, pass.
     """
-    if abs(x) + n_steps * model.max_jump > np.iinfo(np.int64).max:
+    reach = abs(x) + n_steps * model.max_jump   # no position gets further from 0
+    if reach > np.iinfo(np.int64).max:
         raise ValidationError(
             f"positions from {x} over {n_steps} steps can overflow 64-bit integers")
     if not 0 <= seed < 2 ** 128:
@@ -295,25 +301,50 @@ def simulate(
             f"at least {STEP_PATHS}), over the {MAX_WORK:.3g} limit: lower -n or --paths")
     record = sorted({2 ** k for k in range(0, int(math.log2(max(n_steps, 1))) + 1)
                      if 2 ** k <= n_steps} | {n_steps})
-    draw = _inverse_cdf(model.laws)
+    dtype = np.int32 if reach < 2 ** 31 else np.int64
+    table, resolve = _inverse_cdf(model.laws, dtype)
+    split = np.iinfo(dtype).min   # the code of a bucket that holds a threshold
+    resolves = np.any(table == split)
+    ends = [m.hi for m in model.media[:-1]]   # a site above k of them is in medium k
     counts, c1_hist, switch_hist = {n: {} for n in record}, {}, {}
     for ci in range((n_paths + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n_paths - ci * CHUNK)
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(ci))
-        pos = np.full(m, x, dtype=np.int64)
-        cls = model.medium_index(pos)   # the index of each path's medium
-        first_switch = np.zeros(m, dtype=np.int64)  # 0 = not yet
-        n_switch = np.zeros(m, dtype=np.int64)
+        bits = np.random.Philox(key=seed).jumped(ci)
+        pos = np.full(m, x, dtype=dtype)
+        idx, row, inc = np.empty(m, np.intp), np.empty(m, np.intp), np.empty(m, dtype)
+        cls, new_cls = np.empty(m, np.int8), np.empty(m, np.int8)   # medium indices
+        above, changed = np.empty(m, bool), np.empty(m, bool)
+        unswitched = np.ones(m, bool)
+        n_switch, before = np.zeros(m, np.int32), np.zeros(m, np.int32)
+
+        def medium(out):
+            """``out`` := the medium index of each path, and ``row`` its table row"""
+            np.greater(pos, ends[0], out=out.view(bool))
+            for end in ends[1:]:
+                np.add(out, np.greater(pos, end, out=above), out=out)
+            np.copyto(row, out)
+            np.multiply(row, G, out=row)
+
+        medium(cls)
         for n in range(1, n_steps + 1):
-            pos = pos + draw(cls, rng.random(m))
-            new_cls = model.medium_index(pos)
-            changed = new_cls != cls
+            words = bits.random_raw(m)
+            np.right_shift(words, 64 - 12, out=idx.view(np.uint64))   # floor(u G)
+            idx += row
+            np.take(table, idx, out=inc, mode="clip")
+            if resolves:
+                fix = np.flatnonzero(inc == split)
+                inc[fix] = resolve(row[fix], (words[fix] >> 11) * 2.0 ** -53)
+            pos += inc
+            medium(new_cls)
+            np.not_equal(new_cls, cls, out=changed)
             n_switch += changed
-            first_switch[changed & (first_switch == 0)] = n
-            cls = new_cls
+            np.greater(unswitched, changed, out=unswitched)   # and not changed
+            before += unswitched
+            cls, new_cls = new_cls, cls
             if n in counts:
                 for yy, hh in zip(*np.unique(pos, return_counts=True)):
                     counts[n][int(yy)] = counts[n].get(int(yy), 0) + int(hh)
+        first_switch = np.where(unswitched, 0, before + 1)   # 0 = never
         for t, c in zip(*np.unique(first_switch, return_counts=True)):
             key = None if t == 0 else int(t)
             c1_hist[key] = c1_hist.get(key, 0) + int(c)

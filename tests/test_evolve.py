@@ -108,6 +108,23 @@ class TestMarginalSequence:
         with pytest.raises(WindowTooSmall):
             marginal_sequence(fix_zz, 0, 0, 200, Window(-12, 12), leak_budget=1e-10)
 
+    @pytest.mark.parametrize("name", sorted(FIXTURES) + [f"FIX-PP-{k}" for k in SUBCASE_FIXTURES])
+    def test_defaults_run_every_fixture(self, name):
+        # no leak budget by default: the default window's leak is reported, not refused
+        model = FIXTURES[name]() if name in FIXTURES else SUBCASE_FIXTURES[name[7:]]()
+        t = marginal_sequence(model, 0, 0, 4096)
+        assert len(t.data["values"]) == 4097 and np.all(np.diff(t.leak) >= 0)
+
+    def test_size_guard_follows_the_longest_block(self, fix_zz, monkeypatch):
+        # on 129 sites the bands a 1-step float DP builds take about 47 KB and
+        # those of A^8 or A^16 and their squarings 211 KB and 421 KB
+        monkeypatch.setattr(evolve, "MAX_ARRAY_BYTES", 100_000)
+        w = Window(-64, 64)
+        assert len(marginal_sequence(fix_zz, 0, 0, 1, w).data["values"]) == 2
+        for horizon in (8, 16):
+            with pytest.raises(ValidationError, match="GiB"):
+                marginal_sequence(fix_zz, 0, 0, horizon, w)
+
     def test_window_doubling_within_leak(self, fix_zz):
         small = marginal_sequence(fix_zz, 0, 0, 256, Window(-40, 40), leak_budget=None)
         big = marginal_sequence(fix_zz, 0, 0, 256, Window(-80, 80), leak_budget=None)

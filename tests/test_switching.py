@@ -721,7 +721,7 @@ class TestSizeGuard:
                                      Window(-16000, 16000)),
         lambda m: marginal_sequence(m, 0, 0, 1000 * HUGE),
         lambda m: transition_matrix(m, Window(-16000, 16000)),
-        # ten steps, but the bands of A^16 and its squarings on 6e6 sites hold 2e9 entries
+        # ten steps, but the bands of A^8 and its squarings on 6e6 sites hold 1.2e9 entries
         lambda m: marginal_sequence(m, 0, 0, 10, Window(-3_000_000, 3_000_000)),
     ], ids=["switching_time_marginals", "build_Q", "banded_power_sequences",
             "first_passage_rows", "marginal_sequence", "transition_matrix",

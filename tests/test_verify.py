@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -222,16 +223,47 @@ class TestSamplerStream:
     def test_lookup_at_edges_and_thresholds(self, name):
         model = SAMPLER_MODELS[name]()
         dists = (model.left, model.origin, model.right)
-        draw = verify._inverse_cdf(dists)
         lower = np.arange(G) / G
-        for c, d in enumerate(dists):
-            cum = np.cumsum(d.probs)
-            u = np.concatenate([lower, np.nextafter(lower + 1 / G, 0), cum, np.nextafter(cum, 0),
-                                np.nextafter(cum, 2)])
-            u = u[u < 1]
-            vals = np.asarray(d.values)
-            expected = vals[np.searchsorted(cum, u, side="right").clip(0, len(vals) - 1)]
-            assert np.array_equal(draw(np.full(len(u), c), u), expected)
+        for dtype in (np.int32, np.int64):
+            table, resolve = verify._inverse_cdf(dists, dtype)
+            for c, d in enumerate(dists):
+                cum = np.cumsum(d.probs)
+                u = np.concatenate([lower, np.nextafter(lower + 1 / G, 0), cum,
+                                    np.nextafter(cum, 0), np.nextafter(cum, 2)])
+                u = u[u < 1]
+                vals = np.asarray(d.values)
+                expected = vals[np.searchsorted(cum, u, side="right").clip(0, len(vals) - 1)]
+                inc = table[c * G + (u * G).astype(np.intp)]
+                fix = inc == np.iinfo(dtype).min   # a threshold inside the bucket
+                inc[fix] = resolve(np.full(np.count_nonzero(fix), c * G), u[fix])
+                assert np.array_equal(inc, expected)
+
+    def test_raw_words_give_the_uniform_stream(self):
+        # u = (w >> 11) 2^-53 is Generator.random's draw from the raw word w, and
+        # w >> 52 its bucket floor(u G)
+        u = np.random.Generator(np.random.Philox(key=9).jumped(3)).random(2 * CHUNK)
+        w = np.random.Philox(key=9).jumped(3).random_raw(2 * CHUNK)
+        assert np.array_equal((w >> 11) * 2.0 ** -53, u)
+        assert np.array_equal(w >> 52, (u * G).astype(np.uint64))
+
+    @pytest.mark.parametrize("x", [2 ** 31 - 5, -2 ** 31 + 5])
+    def test_start_near_the_int32_range(self, fix_zz, x):
+        # positions that may leave (-2^31, 2^31) are 64-bit
+        args = (fix_zz, x, 50, 2_000, 4)
+        r = simulate(*args)
+        assert r == reference_simulate(*args)
+        assert max(abs(y) for y in r.counts[50]) >= 2 ** 31
+
+    def test_peak_memory_is_one_chunk(self, fix_zz):
+        simulate(fix_zz, 0, 50, 1_000, seed=1)
+        tracemalloc.start()
+        try:
+            simulate(fix_zz, 0, 50, 100_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a chunk's buffers take about 2 MB; 50 x 100_000 words drawn ahead, 40 MB
+        assert peak < 4 * 2 ** 20
 
 
 class TestSimulate:
