@@ -190,11 +190,15 @@ def cmd_fixtures(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import asymptotics_suite, convergence_suite, identity_suite
 
-    model = load_model(args.model)
-    window = _window(args, model, args.horizon)
+    unread = {"identities": ["horizon", "window"], "convergence": ["float_mode"],
+              "asymptotics": ["float_mode"]}.get(args.suite, [])
+    if given := [f"--{name.replace('_', '-')}" for name in unread if getattr(args, name)]:
+        raise ValidationError(f"--suite {args.suite} does not read {', '.join(given)}")
+    model, horizon = load_model(args.model), args.horizon or 4096
+    window = _window(args, model, horizon)
     run = {"identities": lambda: identity_suite(model, exact=not args.float_mode),
-           "convergence": lambda: convergence_suite(model, args.horizon, window),
-           "asymptotics": lambda: asymptotics_suite(model, args.horizon, window)}
+           "convergence": lambda: convergence_suite(model, horizon, window),
+           "asymptotics": lambda: asymptotics_suite(model, horizon, window)}
     report = {suite: run[suite]() for suite in (run if args.suite == "all" else [args.suite])}
     report["passed"] = all(rep["passed"] for rep in report.values())
     _write_json(_outdir(args) / "verify.json", report)
@@ -247,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--float-mode", action="store_true",
                    help="force float arithmetic in the identity suite")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, horizon=None)   # 4096 where a suite reads it
 
     p = sub.add_parser("simulate", help="Monte Carlo sampling of the walk")
     common(p, window=False)

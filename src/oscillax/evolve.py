@@ -3,14 +3,15 @@
 Everything here evolves probability vectors indexed by an integer window
 [lo, hi].  Mass that steps outside the window is accumulated as *leak*, which
 is a rigorous bound on the truncation error of every reported probability.
-A float DP advances ``BLOCK`` steps a block, by one batched matmul of a dense
-band of the block's kernel power over the sites that hold mass (numpy only).
-It also sets every state entry below the smallest normal double to 0 after
-each block, so that no product reads a subnormal, and counts that mass as
-leak too.
-A rational mode backs the exact-identity tests: after n steps every mass is
-an integer over D**n (D = ``common_denominator`` of the laws), so the DP runs
-on Python-int numerators with the integer weights p * D and returns them: an
+Every DP runs one engine, :func:`_advance`: a block of steps is one batched
+matmul of a dense band of the block's kernel power over the sites that hold
+mass (numpy only).  A float DP advances up to ``BLOCK`` steps a block, and
+sets every state entry below the smallest normal double to 0 after each
+block, so that no product reads a subnormal, and counts that mass as leak
+too.  A rational mode backs the exact-identity tests: after n steps every
+mass is an integer over D**n (D = ``common_denominator`` of the laws), so
+the DP runs on Python-int numerators (object arrays) with the integer
+weights p * D, one step a block and with no flush, and returns them: an
 exact record's entry at step n means num / D**n, its D is in
 ``KernelTable.meta["D"]`` or ``StepKernels.D`` (1 on a float record), and its
 leak totals stay integers as leak_n = leak_{n-1} * D + lost_n.  A float
@@ -144,7 +145,8 @@ class WindowOperator:
     0..width-1 are A, the kernel kept on the sites; the readout rows F
     follow: ``below``, ``above`` (mass leaving the outer range), ``kept``
     (mass kept on the sites), then one row per site of ``band`` (mass landing
-    there from another medium).
+    there from another medium).  ``steps`` is the longest block
+    :func:`_advance` takes with it.
     """
 
     rows: np.ndarray
@@ -152,6 +154,7 @@ class WindowOperator:
     vals: np.ndarray
     sites: tuple[int, int]
     band: tuple[int, int]
+    steps: int
     width = property(lambda self: self.sites[1] - self.sites[0] + 1)
     below = property(lambda self: self.width)
     above = property(lambda self: self.width + 1)
@@ -173,14 +176,14 @@ def window_operator(media, sites, outer, band, exact: bool = False, scale: int =
     medium (a, b, law) steps the sites a..b (none if a > b) with ``law``
     (``exact`` and ``scale`` as in ``LatticeDist.dense_kernel``); a landing
     outside ``outer`` leaves it, and one on ``band`` outside its own medium is
-    read out there.  The window geometry of every DP lives here, and the size
-    guard of the arrays a float :func:`_advance` whose longest block is k =
-    ``steps`` steps (see :func:`block_steps`) builds for it, checked before
-    anything is allocated: per site the bands of A and A^T, of the squarings
-    up to A^k (k * span + 1 entries, span with the diagonal) with their
-    padded copies and expanded bands, and a one-column state buffer; and per
-    readout row k rows of a run, k * span + 1 entries wide but K for the
-    kept-mass row."""
+    read out there.  The window geometry of every DP lives here, and so do
+    its longest block, k = ``steps`` steps (see :func:`block_steps`), 1 if
+    ``exact``, and the size guard of the arrays :func:`_advance` builds with
+    those blocks, checked before anything is allocated: per site the bands
+    of A and A^T, of the squarings up to A^k (k * span + 1 entries, span
+    with the diagonal) with their padded copies and expanded bands, and a
+    one-column state buffer; and per readout row k rows of a run, k * span
+    + 1 entries wide but K for the kept-mass row."""
     (c, d), (e, f), (g, h) = sites, outer, band
     laws, K, k = [law for *_, law in media], d - c + 1, 1 if exact else steps
     span = max(0, *(law.max_support for law in laws)) - min(0, *(law.min_support for law in laws))
@@ -198,7 +201,7 @@ def window_operator(media, sites, outer, band, exact: bool = False, scale: int =
             (K + 3 + j - g, (g <= j) & (j <= h) & ((j < a) | (j > b))))
     return WindowOperator(np.concatenate([np.broadcast_to(r, j.shape)[m] for r, m in hits]),
                           np.concatenate([i[m] - c for _, m in hits]),
-                          np.concatenate([p[m] for _, m in hits]), (c, d), (g, h))
+                          np.concatenate([p[m] for _, m in hits]), (c, d), (g, h), k)
 
 
 def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scale: int = 1,
@@ -213,13 +216,13 @@ def walk_plan(model: OscillatingModel, window: Window, exact: bool = False, scal
                            (lo, hi), (max(bl, lo), min(bh, hi)), exact, scale, steps)
 
 
-def _band(op: WindowOperator, transpose: bool = False):
-    """(band, lo): the kernel A of ``op`` (or A^T) as a dense band holding
-    the diagonal, band[i, d] = A[i, i + lo + d], zero off the sites."""
+def _band(op: WindowOperator, dtype, transpose: bool = False):
+    """(band, lo): the kernel A of ``op`` (or A^T) as a dense ``dtype`` band
+    holding the diagonal, band[i, d] = A[i, i + lo + d], zero off the sites."""
     a = op.rows < op.width
     rows, cols = (op.cols[a], op.rows[a]) if transpose else (op.rows[a], op.cols[a])
     lo = min((cols - rows).min(initial=0), 0)
-    band = np.zeros((op.width, max((cols - rows).max(initial=0), 0) - lo + 1))
+    band = np.zeros((op.width, max((cols - rows).max(initial=0), 0) - lo + 1), dtype)
     band[rows, cols - rows - lo] = op.vals[a]
     return band, lo
 
@@ -240,71 +243,55 @@ def _powers(band, lo, j: int):
     bands = [band[keep]]
     for p in range(j.bit_length() - 1):
         K, b = bands[-1].shape
-        padded = np.zeros((K + b, 2 * b))
+        padded = np.zeros((K + b, 2 * b), band.dtype)
         padded[-lo << p:K - (lo << p), :b] = bands[-1]
         rows = as_strided(padded, (K, b, 2 * b - 1), (16 * b, 16 * b - 8, 8), writeable=False)
         bands.append(np.matmul(bands[-1][:, None], rows)[:, 0])
     return np.cumsum(keep) - 1, bands
 
 
-def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
+def _advance(op: WindowOperator, readouts, state, horizon: int):
     """Run ``state`` (sites first) through ``horizon`` steps of ``op``.
 
-    A float state advances in blocks of k steps (a power of two), then of
-    the binary digits of horizon % k.  A j-step block is one batched matmul
-    of the dense band of A^j (:func:`_powers`) against windows of the
-    zero-padded state, over the sites mass can reach from those that hold
-    it, and per readout row one product of the state with its rows of F A^t
-    (t < j, F the ``readouts`` rows of E), a dense run over the columns it
-    reaches.  Each state column runs through the same dot products whatever
-    the others.  An object state takes one exact step per ``np.add.at`` on
-    the column-sorted triplets of the columns it can have reached, a span
-    that grows by the extreme jumps; its ``kept`` readout is the column sum
-    of the new state, so each product on the sites is formed once.  Yields
-    (steps, state, F, lost) after each block: the slice of steps it ran, the
-    state after them, which the caller may rescale in place, F[j] the
-    readouts of step steps.start + j, applied to the state before that step,
-    and the mass per state column flushed from a float state, or None if
-    there was none: every entry below the smallest normal double is set to 0
+    The state advances in blocks of k = :func:`block_steps` (horizon,
+    ``op.steps``) steps, then of the binary digits of horizon % k; an exact
+    operator has ``steps`` 1.  A j-step block is one batched matmul of the
+    dense band of A^j (:func:`_powers`) against windows of the zero-padded
+    state, over the sites mass can reach from those that hold it, and per
+    readout row one product of the state with its rows of F A^t (t < j, F
+    the ``readouts`` rows of E), a dense run over the columns it reaches.
+    Every array is in the state's dtype, so an object state of integers
+    gets exact sums, and each state column runs through the same dot
+    products whatever the others.  Yields (steps, state, F, lost) after each
+    block: the slice of steps it ran, the state after them, which the caller
+    may rescale in place, F[j] the readouts of step steps.start + j, applied
+    to the state before that step, and the mass per state column flushed
+    from a float state, or None if there was none (always on an object
+    state): every float entry below the smallest normal double is set to 0
     after the block, as a multiply that reads a subnormal costs tens of
     normal ones.  The caller counts that mass as leak from step steps.stop on.
     """
-    K = op.width
-    if state.dtype == object:
-        kept = op.kept in readouts   # read as a column sum, not from the triplets
-        keep = (op.rows < K) | np.isin(op.rows, readouts) & (op.rows != op.kept)
-        order = np.argsort(op.cols[keep], kind="stable")
-        rows, cols, vals = (a[keep][order] for a in (op.rows, op.cols, op.vals))
-        vals, jumps = vals.reshape((-1,) + (1,) * (state.ndim - 1)), (rows - cols)[rows < K]
-        reached = np.flatnonzero((state != 0).reshape(K, -1).any(axis=1))
-        lo, hi = reached.min(initial=K), reached.max(initial=-1)
-        for n in range(1, horizon + 1):
-            s, e = np.searchsorted(cols, (lo, hi + 1))
-            out = np.zeros((op.band_rows.stop,) + state.shape[1:], dtype=object)
-            np.add.at(out, rows[s:e], vals[s:e] * state[cols[s:e]])
-            state = out[:K]
-            lo, hi = max(lo + jumps.min(initial=0), 0), min(hi + jumps.max(initial=0), K - 1)
-            if kept:
-                out[op.kept] = state[lo:hi + 1].sum(axis=0)
-            yield slice(n, n + 1), state, out[readouts][None], None
-        return
-    shape, (A, lo), (AT, lo_t) = state.shape, _band(op), _band(op, transpose=True)
-    span, top = A.shape[1] - 1, block_steps(horizon, k)
-    buf = np.zeros((state.size // K, K + k * span))   # per column: k * -lo zeros, K sites
+    K, dtype, shape = op.width, state.dtype, state.shape
+    (A, lo), k = _band(op, dtype), block_steps(horizon, op.steps)
+    span = A.shape[1] - 1
+    buf = np.zeros((state.size // K, K + k * span), dtype)   # per column: k * -lo zeros, K sites
     cur = buf[:, -k * lo:K - k * lo]
     cur[:] = state.reshape(K, -1).T
     held = np.flatnonzero(cur.any(axis=0))
     r0, r1 = (held[0], held[-1] + 1) if held.size else (0, 0)
-    index, powers = _powers(A, lo, top)
-    runs = []   # (first column, end, (F A^t)^T on the columns first..end - 1, t < top)
+    if k > 1:   # a one-step block reads none of these
+        (index, powers), (AT, lo_t) = _powers(A, lo, k), _band(op, dtype, transpose=True)
+    runs = []   # (first column, end, (F A^t)^T on the columns first..end - 1, t < k)
     for r in readouts:
         m = op.rows == r
         a, b = (op.cols[m].min(), op.cols[m].max()) if m.any() else (0, 0)
-        c0, c1 = max(a + (top - 1) * lo, 0), min(b + (top - 1) * (lo + span) + 1, K)
-        G, g = np.zeros((top, c1 - c0)), np.zeros(c1 - c0 + span)
+        c0, c1 = max(a + (k - 1) * lo, 0), min(b + (k - 1) * (lo + span) + 1, K)
+        G = np.zeros((k, c1 - c0), dtype)
         np.add.at(G[0], op.cols[m] - c0, op.vals[m])   # a column may repeat
-        windows, AT_run = sliding_window_view(g, span + 1)[:, None], AT[c0:c1, :, None]
-        for t in range(1, top):   # F A^t = F A^(t-1) A, a band product with A^T
+        if k > 1:
+            g = np.zeros(c1 - c0 + span, dtype)
+            windows, AT_run = sliding_window_view(g, span + 1)[:, None], AT[c0:c1, :, None]
+        for t in range(1, k):   # F A^t = F A^(t-1) A, a band product with A^T
             g[-lo_t:len(g) - span - lo_t] = G[t - 1]
             np.matmul(windows, AT_run, out=G[t, :, None, None])
         runs.append((c0, c1, G.T))
@@ -317,15 +304,16 @@ def _advance(op: WindowOperator, readouts, state, horizon: int, k: int = BLOCK):
             band = A if j == 1 else powers[j.bit_length() - 1][index]
             blocks[j] = band[:, :, None], windows[:, :, None]
         band, windows = blocks[j]
-        F = np.empty((len(readouts), len(buf), 1, j))
+        F = np.empty((len(readouts), len(buf), 1, j), dtype)
         for q, (c0, c1, GT) in enumerate(runs):
             np.matmul(cur[:, None, c0:c1], GT[:, :j], out=F[q])
         r0, r1 = max(r0 - j * (lo + span), 0), min(r1 - j * lo, K)   # the rest stay 0
-        out = np.zeros(cur.shape)
+        out = np.zeros(cur.shape, dtype)
         np.matmul(windows[:, r0:r1], band[r0:r1], out=out[:, r0:r1, None, None])
         n += j
         lost, live = None, out[:, r0:r1]
-        if live.min(initial=np.inf) < TINY:   # or a zero, which adds and keeps 0
+        # an object state is never flushed; a float zero below TINY adds and keeps 0
+        if dtype != object and live.min(initial=np.inf) < TINY:
             small = live < TINY
             lost = live.sum(axis=1, where=small).reshape(shape[1:])[()]
             live[small] = 0
@@ -352,7 +340,7 @@ def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None
     """
     if plan is None:
         plan = walk_plan(model, window, state.dtype == object, steps=1)
-    _, new, F, _ = next(_advance(plan, [plan.below, plan.above, *plan.band_rows], state, 1, 1))
+    _, new, F, _ = next(_advance(plan, [plan.below, plan.above, *plan.band_rows], state, 1))
     if crossed is not None:
         crossed[plan.band[0] - window.lo:plan.band[1] - window.lo + 1] += F[0, 2:]
     return new, (F[0, 0], F[0, 1])
@@ -361,7 +349,7 @@ def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None
 def transition_matrix(model: OscillatingModel, window: Window) -> np.ndarray:
     """Dense one-step transition matrix of the walk restricted to the window."""
     check_size((window.width, window.width))
-    return walk_plan(model, window).dense(range(window.width)).T
+    return walk_plan(model, window, steps=1).dense(range(window.width)).T
 
 
 def marginal_sequence(
@@ -449,7 +437,7 @@ def marginal_sequence(
     if not exact:
         span = (max(law.max_support for law in model.laws)
                 - min(law.min_support for law in model.laws))
-        blocks = horizon // BLOCK + bin(horizon % BLOCK).count("1")   # see _advance
+        blocks = horizon // op.steps + bin(horizon % op.steps).count("1")   # see _advance
         terms = window.width * ((span + 3) * horizon + blocks)
         # rounded up: (terms + 1) // 2 smallest subnormals
         meta.update(final_flush=float(flushed),
@@ -539,8 +527,7 @@ def first_passage_rows(
     check_size((horizon + 1, rows, window.width if keep_states else band_w), (rows, width),
                D=D, horizon=horizon)
     check_work(horizon, rows * width, D)
-    k = 1 if keep_states else BLOCK
-    op = passage_operator(medium, window, exact, D, block_steps(horizon, k))
+    op = passage_operator(medium, window, exact, D, 1 if keep_states else block_steps(horizon))
     state = _zeros((width, rows), exact)
     for r, x in enumerate(xs):
         state[x - seg_lo, r] = 1
@@ -555,7 +542,7 @@ def first_passage_rows(
     # (an empty xs runs one product on zero rows and returns an empty record)
     readouts = [op.below, op.above, op.kept, *op.band_rows]
     flushed = []   # (n, mass per row) flushed from the state, lost from step n on
-    for ns, state, F, lost in _advance(op, readouts, state, horizon, k):
+    for ns, state, F, lost in _advance(op, readouts, state, horizon):
         arrivals[ns] = F[:, 3:].transpose(0, 2, 1)
         leak[:, ns] = (F[:, 0] + F[:, 1]).T
         if lost is not None and ns.stop <= horizon:

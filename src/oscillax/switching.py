@@ -158,7 +158,7 @@ def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel
     band_lo, band_hi = arrival_band(model)
     R = np.zeros((window.width, band_hi - band_lo + 1))
     for m in model.media:
-        op = passage_operator(m, window)
+        op = passage_operator(m, window, steps=1)
         (sl, sh), (bl, bh) = op.sites, op.band
         G = killed_green(m.law, sl, sh, op.dense(op.band_rows).T)
         R[window.index(sl): window.index(sh) + 1, bl - band_lo: bh - band_lo + 1] = G

@@ -111,7 +111,8 @@ class TestCommands:
                "convergence": lambda: convergence_suite(model, 512, default_window(model, 512)),
                "asymptotics": lambda: asymptotics_suite(model, 512, default_window(model, 512)),
                }[suite]()
-        rc = main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", suite, "-n", "512",
+        horizon = [] if suite == "identities" else ["-n", "512"]   # identities reads none
+        rc = main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", suite, *horizon,
                    "-o", str(tmp_path / "cli")])
         assert rc == (0 if rep["passed"] else 1)
         _write_json(tmp_path / "expected.json", {suite: rep, "passed": rep["passed"]})
@@ -300,8 +301,13 @@ class TestCommands:
         ["classify", "a-directory"],
         ["classify", "FIX-ZZ.json", "-o", "a-file"],
         ["classify", "zero-denominator.json"],
+        # flags the chosen suite does not read
+        ["verify", "FIX-ZZ.json", "--suite", "identities", "-n", "100000000"],
+        ["verify", "FIX-ZZ.json", "--suite", "identities", "-W", "3"],
+        ["verify", "FIX-ZZ.json", "--suite", "asymptotics", "--float-mode"],
     ], ids=["seed-negative", "seed-past-philox-key", "model-is-directory",
-            "out-is-file", "zero-denominator"])
+            "out-is-file", "zero-denominator", "identities-horizon", "identities-window",
+            "asymptotics-float-mode"])
     def test_bad_input_exit_two(self, model_dir, tmp_path, capsys, argv):
         # invalid input exits 2 with one error line, never a traceback with
         # exit 1, the code of a verification failure

@@ -30,6 +30,7 @@ from oscillax.evolve import (
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import (
     Medium,
+    common_denominator,
     dist,
     dump_model,
     is_strongly_aperiodic,
@@ -739,11 +740,12 @@ def _float(model):
 
 
 class TestBandEngine:
-    """The float blocks of ``_advance`` (dense bands, numpy only) against the
-    scipy.sparse blocks they replaced, on the same operator triplets.  Each
-    entry is a sum of positive terms, up to j * span + 1 of them, over a
-    power squared up in another order: 1.7e-15 relative at most over 675
-    checked cases, bounded here by RTOL."""
+    """The blocks of ``_advance`` (dense bands, numpy only).  A float block
+    against the scipy.sparse block it replaced, on the same operator
+    triplets: each entry is a sum of positive terms, up to j * span + 1 of
+    them, over a power squared up in another order, 1.7e-15 relative at most
+    over 675 checked cases, bounded here by RTOL.  An exact step, on integer
+    numerators, equal to the dense object product of the same triplets."""
 
     RTOL = 4e-15
 
@@ -761,12 +763,55 @@ class TestBandEngine:
         else:
             op, state = walk_plan(_float(m), w), rng.random(w.width)
         readouts = [op.below, op.above, op.kept, *op.band_rows, 0, op.width - 1]
-        (ns, new, F_band, lost), = _advance(op, readouts, state, j, j)
+        (ns, new, F_band, lost), = _advance(op, readouts, state, j)
         ref = _csr_block(op, readouts, j) @ state.reshape(op.width, -1)
         assert ns == slice(1, j + 1) and lost is None
         np.testing.assert_allclose(new.reshape(op.width, -1), ref[:op.width], rtol=self.RTOL)
         np.testing.assert_allclose(F_band.reshape(-1, ref.shape[1]), ref[op.width:],
                                    rtol=self.RTOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans().flatmap(_exact_models), st.integers(8, 40), st.integers(8, 40),
+           st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_exact_step_matches_dense(self, m, lo, hi, walk, seed):
+        # as test_block_matches_csr, on integer states past the int64 range
+        # with some empty sites, against E @ state on object arrays
+        rng, w, D = np.random.default_rng(seed), Window(-lo, hi), common_denominator(*m.laws)
+        if walk:
+            op = evolve.passage_operator(m.media[0 if walk == 1 else -1], w, True, D)
+        else:
+            op = walk_plan(m, w, True, D)
+        shape = (op.width, 5) if walk == 2 else (op.width, 1) if walk else (op.width,)
+        state = rng.integers(0, 2**40, shape).astype(object) << 40
+        state[rng.random(shape) < 0.3] = 0
+        readouts = [op.below, op.above, op.kept, *op.band_rows, 0, op.width - 1]
+        (ns, new, F_band, lost), = _advance(op, readouts, state, 1)
+        E = np.zeros((op.band_rows.stop, op.width), dtype=object)
+        np.add.at(E, (op.rows, op.cols), op.vals)
+        ref = E @ state
+        assert ns == slice(1, 2) and lost is None and new.dtype == F_band.dtype == object
+        assert np.array_equal(new, ref[:op.width])
+        assert np.array_equal(F_band[0], ref[readouts])
+
+    def test_exact_zero_state(self, fix_zz):
+        w, D = Window(-20, 20), common_denominator(*fix_zz.laws)
+        for op in (walk_plan(fix_zz, w, True, D),
+                   evolve.passage_operator(fix_zz.media[0], w, True, D)):
+            readouts = [op.below, op.above, op.kept, *op.band_rows]
+            state = np.zeros((op.width, 3), dtype=object)
+            out = list(_advance(op, readouts, state, 5))
+            assert [ns for ns, *_ in out] == [slice(n, n + 1) for n in range(1, 6)]
+            for _, new, F_band, lost in out:
+                assert lost is None and new.shape == state.shape
+                assert F_band.shape == (1, len(readouts), 3)
+                assert not new.any() and not F_band.any()
+
+    @pytest.mark.parametrize("steps", [1, 2, BLOCK, 64])
+    def test_exact_operator_takes_one_step_blocks(self, fix_zz, steps):
+        w, D = Window(-20, 20), common_denominator(*fix_zz.laws)
+        assert walk_plan(fix_zz, w, True, D, steps).steps == 1
+        assert evolve.passage_operator(fix_zz.media[0], w, True, D, steps).steps == 1
+        assert walk_plan(fix_zz, w, steps=steps).steps == steps
 
     @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
     def test_default_window_block_matches_csr(self, name):

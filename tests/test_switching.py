@@ -6,6 +6,7 @@ import pytest
 import scipy.fft
 
 from conftest import as_fractions, reference_marginal_sequence, reference_step
+from oscillax import evolve
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import (
     Window,
@@ -745,6 +746,18 @@ class TestSizeGuard:
         monkeypatch.setattr("oscillax.evolve._advance", no_dp)
         with pytest.raises(ValidationError, match="word-steps"):
             build_Q(fix_zz, HUGE, Window(-16000, 16000), rows=[-1])
+
+
+    def test_operators_never_advanced_are_sized_by_one_step(self, fix_zz, monkeypatch):
+        # on 101 sites the bands a 1-step DP builds fit in 100 kB and those of
+        # a 16-step one do not; switching_kernel and transition_matrix never
+        # advance their operators, so only the 16-step DP is refused
+        monkeypatch.setattr(evolve, "MAX_ARRAY_BYTES", 100_000)
+        w = Window(-50, 50)
+        assert switching_kernel(fix_zz, w).R.shape == (w.width, 3)
+        assert transition_matrix(fix_zz, w).shape == (w.width, w.width)
+        with pytest.raises(ValidationError, match="GiB"):
+            marginal_sequence(fix_zz, 0, 0, 16, w)
 
 
 class TestOriginMedium:
