@@ -221,7 +221,7 @@ def _band(op: WindowOperator, dtype, transpose: bool = False):
     holding the diagonal, band[i, d] = A[i, i + lo + d], zero off the sites."""
     a = op.rows < op.width
     rows, cols = (op.cols[a], op.rows[a]) if transpose else (op.rows[a], op.cols[a])
-    lo = min((cols - rows).min(initial=0), 0)
+    lo = int(min((cols - rows).min(initial=0), 0))
     band = np.zeros((op.width, max((cols - rows).max(initial=0), 0) - lo + 1), dtype)
     band[rows, cols - rows - lo] = op.vals[a]
     return band, lo
@@ -248,6 +248,13 @@ def _powers(band, lo, j: int):
         rows = as_strided(padded, (K, b, 2 * b - 1), (16 * b, 16 * b - 8, 8), writeable=False)
         bands.append(np.matmul(bands[-1][:, None], rows)[:, 0])
     return np.cumsum(keep) - 1, bands
+
+
+def _held(empty) -> tuple[int, int]:
+    """(first, last + 1) of the False entries of the 1-D bool ``empty`` as
+    Python ints, (0, 0) if there is none."""
+    first = int(empty.argmin())
+    return (0, 0) if empty[first] else (first, len(empty) - int(empty[::-1].argmin()))
 
 
 def _advance(op: WindowOperator, readouts, state, horizon: int):
@@ -277,8 +284,7 @@ def _advance(op: WindowOperator, readouts, state, horizon: int):
     buf = np.zeros((state.size // K, K + k * span), dtype)   # per column: k * -lo zeros, K sites
     cur = buf[:, -k * lo:K - k * lo]
     cur[:] = state.reshape(K, -1).T
-    held = np.flatnonzero(cur.any(axis=0))
-    r0, r1 = (held[0], held[-1] + 1) if held.size else (0, 0)
+    r0, r1 = _held(~cur.any(axis=0))
     if k > 1:   # a one-step block reads none of these
         (index, powers), (AT, lo_t) = _powers(A, lo, k), _band(op, dtype, transpose=True)
     runs = []   # (first column, end, (F A^t)^T on the columns first..end - 1, t < k)
@@ -311,18 +317,19 @@ def _advance(op: WindowOperator, readouts, state, horizon: int):
         out = np.zeros(cur.shape, dtype)
         np.matmul(windows[:, r0:r1], band[r0:r1], out=out[:, r0:r1, None, None])
         n += j
-        lost, live = None, out[:, r0:r1]
+        lost, sites = None, slice(r0, r1)
+        live = out[:, sites]
         # an object state is never flushed; a float zero below TINY adds and keeps 0
         if dtype != object and live.min(initial=np.inf) < TINY:
             small = live < TINY
             lost = live.sum(axis=1, where=small).reshape(shape[1:])[()]
-            live[small] = 0
-            held = np.flatnonzero(~small.all(axis=0))
+            np.copyto(live, 0.0, where=small)
+            # the next block starts from the sites that hold mass
+            h0, h1 = _held(small[0] if len(small) == 1 else small.all(axis=0))
+            r0, r1 = (r0 + h0, r0 + h1) if h1 else (0, 0)
         yield (slice(n - j + 1, n + 1), out.T.reshape(shape),
                F.transpose(3, 0, 1, 2).reshape((j, len(readouts)) + shape[1:]), lost)
-        cur[:, r0:r1] = live
-        if lost is not None:   # the next block starts from the sites that hold mass
-            r0, r1 = (r0 + held[0], r0 + held[-1] + 1) if held.size else (0, 0)
+        cur[:, sites] = live
 
 
 def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None):
@@ -354,8 +361,8 @@ def transition_matrix(model: OscillatingModel, window: Window) -> np.ndarray:
 
 def marginal_sequence(
     model: OscillatingModel,
-    x: int,
-    y: int,
+    x,
+    y,
     horizon: int,
     window: Optional[Window] = None,
     leak_budget: Optional[float] = None,
@@ -364,6 +371,13 @@ def marginal_sequence(
     """P_x[X_n = y] for n = 0..horizon with a certified leak bound; a leak
     over ``leak_budget`` (None: no limit) at any step raises WindowTooSmall
     once the DP has run.
+
+    ``x`` and ``y`` are a start and a target, or equal-length sequences of
+    them: the pairs then run as the columns of one DP state, each read out
+    at its own target and scaled by its own power of two, and each array
+    below, meta['x'], meta['y'] and meta['final_flush'] gain a last axis
+    over the pairs.  A column runs through the same products as it does
+    alone (see :func:`_advance`), so its entries equal its scalar call's.
 
     A float run stores the mass times 2**-shift, scaling the state up by a
     power of two (no rounding changes) after each block of steps that
@@ -384,46 +398,55 @@ def marginal_sequence(
       each of the 3 readout runs, j rows, at most width).
     A run of more than ``MAX_WORK`` steps x sites x words is refused up
     front (a word is 64 numerator bits, horizon * log2(D) / 64 of them an
-    exact entry, 1 a float one): 2**33, which the default 4096 exact steps
-    of every shipped model fit under, and about 1.5 minutes of exact or 20 s
-    of float DP on a 2-core Xeon VM.
+    exact entry, 1 a float one; sites count once per pair): 2**33, which the
+    default 4096 exact steps of every shipped model fit under, and about 1.5
+    minutes of exact or 20 s of float DP on a 2-core Xeon VM.
     An exact run returns integer numerators over D**n, D = meta['D'].
     """
+    scalar = np.ndim(x) == 0
+    xs, ys = ([x], [y]) if scalar else (list(x), list(y))
+    if not 0 < len(xs) == len(ys):
+        raise ValidationError(f"{len(xs)} starts against {len(ys)} targets")
     window = window or default_window(model, horizon)
     window.check_margin(model)
     # exact: integer numerators over D**n (see the module docstring)
     D = common_denominator(*model.laws) if exact else 1
-    check_size((horizon + 1,), (window.width,), D=D, horizon=horizon)
-    check_work(horizon, window.width, D)
-    ix, iy = window.index(x), window.index(y)
+    P = len(xs)
+    check_size((horizon + 1, P), (window.width, P), D=D, horizon=horizon)
+    check_work(horizon, window.width * P, D)
+    ix, iy = [window.index(v) for v in xs], [window.index(v) for v in ys]
     op = walk_plan(model, window, exact, D, block_steps(horizon))
-    state = _zeros(window.width, exact)
-    state[ix] = 1
-    values = _zeros(horizon + 1, exact)
-    values[0] = state[iy]
+    state = _zeros((window.width, P), exact)
+    state[ix, range(P)] = 1
+    values = _zeros((horizon + 1, P), exact)
+    values[0] = state[iy, range(P)]
     # leak by cause, below, above and underflow: per step while the DP runs (a
     # float run's below and above times 2**-shifts[n], its flushed mass in
     # mass units at the first step that no longer sees it), then totals
-    sides = _zeros((horizon + 1, 3), exact)
+    sides = _zeros((horizon + 1, 3, P), exact)
     # float: the mass is the stored state times 2**shift, values[n] times 2**shifts[n]
-    shift, shifts, flushed = 0, np.zeros(horizon + 1, dtype=int), 0
-    for ns, state, F, lost in _advance(op, [op.below, op.above, iy], state, horizon):
-        sides[ns, :2], values[ns], shifts[ns] = F[:, :2], F[:, 2], shift
+    shift, shifts, flushed = np.zeros(P, dtype=int), np.zeros((horizon + 1, P), dtype=int), 0
+    # readout rows: below, above, then each pair's target, which its column reads
+    for ns, state, F, lost in _advance(op, [op.below, op.above, *iy], state, horizon):
+        sides[ns, :2], shifts[ns] = F[:, :2], shift
+        values[ns] = F[:, 2:].diagonal(axis1=1, axis2=2)
         flushed = 0 if lost is None else np.ldexp(lost, shift)
         if ns.stop <= horizon:
             sides[ns.stop, 2] = flushed
-        # a state below 1/2 is scaled up into [1/2, 1) (an empty state has e = 0)
-        if not exact and (e := math.frexp(state.sum())[1]) < 0:
-            np.ldexp(state, -e, out=state)
-            shift += e
+        # a float column below 1/2 is scaled up into [1/2, 1) (an empty one has e = 0)
+        for c in range(P) if not exact else ():
+            if (e := math.frexp((column := state[:, c]).sum())[1]) < 0:
+                np.ldexp(column, -e, out=column)
+                shift[c] += e
     if not exact:
         sides[:, :2] = np.ldexp(sides[:, :2], shifts[:, None])
     # leak totals: over D**n exact, in mass units float
     _cumulate(sides, D)
     leak = sides[:, 0] + sides[:, 1] + sides[:, 2]
     if leak_budget is not None:
-        for m in range(horizon + 1) if exact else np.flatnonzero(leak > leak_budget)[:1]:
-            if (total := Fraction(leak[m], D ** m) if exact else leak[m]) > leak_budget:
+        worst = leak.max(axis=1)   # each pair's leak at step n is over the same D**n
+        for m in range(horizon + 1) if exact else np.flatnonzero(worst > leak_budget)[:1]:
+            if (total := Fraction(worst[m], D ** m) if exact else worst[m]) > leak_budget:
                 raise WindowTooSmall(f"cumulative leak {float(total):.3e} exceeds budget "
                                      f"{leak_budget:.3e} at n={m}")
     if exact:
@@ -433,15 +456,19 @@ def marginal_sequence(
             data = {"values": np.ldexp(values, shifts), "final_state": np.ldexp(state, shift),
                     "log_values": np.log(values) + shifts * math.log(2)}
     data.update(leak_below=sides[:, 0], leak_above=sides[:, 1], leak_underflow=sides[:, 2])
-    meta = {"x": x, "y": y, "exact": exact, "D": D, "final_flush": 0, "unflushed_bound": 0}
+    meta = {"x": xs, "y": ys, "exact": exact, "D": D, "final_flush": [0] * P,
+            "unflushed_bound": 0}
     if not exact:
         span = (max(law.max_support for law in model.laws)
                 - min(law.min_support for law in model.laws))
         blocks = horizon // op.steps + bin(horizon % op.steps).count("1")   # see _advance
         terms = window.width * ((span + 3) * horizon + blocks)
         # rounded up: (terms + 1) // 2 smallest subnormals
-        meta.update(final_flush=float(flushed),
+        meta.update(final_flush=(np.zeros(P) + flushed).tolist(),
                     unflushed_bound=math.ldexp((terms + 1) // 2, -1074))
+    if scalar:   # today's record of one pair: no pair axis
+        data, leak = {k: v[..., 0] for k, v in data.items()}, leak[:, 0]
+        meta.update({k: meta[k][0] for k in ("x", "y", "final_flush")})
     return KernelTable(window=window, horizon=horizon, data=data, leak=leak, meta=meta)
 
 
@@ -550,7 +577,8 @@ def first_passage_rows(
         survival[:, ns] = F[:, 2].T
         if keep_states:
             states[ns.start, :, seg] = state.T
-        if not np.any(state):
+        # an exact state holds nothing when it keeps no mass (an exact block is one step)
+        if not (any(F[-1, 2]) if exact else np.any(state)):
             break
     for n, lost in flushed:
         leak[:, n] += lost
@@ -561,7 +589,7 @@ def first_passage_rows(
 
 def excursion_functions(
     model: OscillatingModel,
-    y: int,
+    y,
     horizon: int,
     window: Window,
     exact: bool = False,
@@ -572,13 +600,22 @@ def excursion_functions(
     that the walk started at x stays strictly inside y's medium for n steps and
     sits at y at time n (and 0 for x outside that medium).  An exact table
     holds integer numerators over D**n, D = meta['D'] of the law of y's medium.
+    ``y`` may be a sequence of targets in one medium: they run as the rows of
+    one reversed DP, and data['V'] is (N+1, targets, window width) and the
+    leak (N+1, targets), each row equal to its target's scalar call.
     """
     window.check_margin(model)
-    medium = model.media[model.medium_index(y)]
+    scalar = np.ndim(y) == 0
+    ys = [y] if scalar else list(y)
+    if not ys:
+        raise ValidationError("no target")
+    medium = model.media[model.medium_index(ys[0])]
     # V_{n,y}(x) is the mass at x of the reversed walk started at y and killed
     # on leaving the medium; mass it loses either way is reported as leak
-    fp = first_passage_rows(replace(medium, law=mirror_dist(medium.law)), [y], horizon,
+    fp = first_passage_rows(replace(medium, law=mirror_dist(medium.law)), ys, horizon,
                             window, exact, keep_states=True)
-    arrived = _cumulate(fp.R[:, 0].sum(axis=1), fp.D)
-    return KernelTable(window, horizon, {"V": fp.states[:, 0]}, fp.leak[0] + arrived,
-                       meta={"y": y, "exact": exact, "D": fp.D})
+    arrived = _cumulate(fp.R.sum(axis=2), fp.D)
+    V, leak = fp.states, fp.leak.T + arrived
+    if scalar:
+        V, leak = V[:, 0], leak[:, 0]
+    return KernelTable(window, horizon, {"V": V}, leak, meta={"y": y, "exact": exact, "D": fp.D})

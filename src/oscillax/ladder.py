@@ -55,16 +55,20 @@ class LadderVariant(Enum):
 # Killed-walk Green functions (duality route)
 # ---------------------------------------------------------------------------
 
-def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray) -> np.ndarray:
+def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray,
+                 cuts: tuple[bool, bool]) -> np.ndarray:
     """X = (I - A)^{-1} rhs for the walk with law ``dist`` killed on leaving [lo, hi].
 
     A[x, x + v] = mu(v) for x and x + v in the segment, so X(x) sums rhs over
     the visits of the killed walk started at x; the transpose I - A^T is the
     killed matrix of ``mirror_dist(dist)`` on the same segment.  ``rhs`` is a
-    vector or a block of columns indexed by lo..hi.  One banded solve, plus
-    a second on the segment with its far end (the one away from the origin)
-    halved: X = 2 X - X_half on the sites both share removes the O(1/size)
-    truncation bias, and the result is clipped at 0.
+    vector or a block of columns indexed by lo..hi.  ``cuts`` says whether
+    the low and the high end are window cuts of an unbounded medium rather
+    than ends of the medium; a cut end lies away from the origin (lo <= 0,
+    hi >= 0).  One banded solve, exact on a segment with no cut, and else a
+    second on the segment with each cut end halved: X = 2 X - X_half on the
+    sites both share removes the O(1/size) truncation bias of the cuts.
+    The result is clipped at 0.
     """
     from scipy.linalg import solve_banded   # here, so that importing oscillax does not load it
 
@@ -82,25 +86,26 @@ def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray) -> np.nda
         return solve_banded((maxj, maxj), ab, rhs[a - lo: b - lo + 1])
 
     X = solve(lo, hi)
-    a, b = (lo // 2, hi) if hi <= 0 else (lo, hi // 2)
-    if a <= b:
+    a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
+    if any(cuts) and a <= b:
         X[a - lo: b - lo + 1] = 2.0 * X[a - lo: b - lo + 1] - solve(a, b)
     return np.clip(X, 0.0, None)
 
 
-def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int) -> np.ndarray:
+def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int,
+                     cuts: tuple[bool, bool]) -> np.ndarray:
     """g[z] = sum_{n>=0} P[S_1..S_n all in [keep_lo, keep_hi], S_n = z], S_0 = start.
 
     Row ``start`` of the killed Green function, i.e. the :func:`killed_green`
-    solve of the mirrored law against the first-step vector; the n = 0 term
-    is added when the start lies inside.
+    solve of the mirrored law against the first-step vector (``cuts`` as
+    there); the n = 0 term is added when the start lies inside.
     """
     rhs = np.zeros(keep_hi - keep_lo + 1)
     for v, p in zip(dist.values, dist.probs):
         z = start + int(v)
         if keep_lo <= z <= keep_hi:
             rhs[z - keep_lo] += float(p)
-    g = killed_green(mirror_dist(dist), keep_lo, keep_hi, rhs)
+    g = killed_green(mirror_dist(dist), keep_lo, keep_hi, rhs, cuts)
     if keep_lo <= start <= keep_hi:
         g[start - keep_lo] += 1.0
     return g
@@ -264,7 +269,7 @@ class FluctuationConstants:
 def direct_constant(dist: LatticeDist) -> float:
     """(1/(sigma sqrt(2 pi))) sum_{w>=1} V_-(w) mu[w, inf), V_- by duality: the
     weak descending U at {-w} is the time at -w before the first strict ascent."""
-    v_weak_desc = np.cumsum(killed_green_row(dist, -SOLVE_WINDOW, 0, 0)[::-1])
+    v_weak_desc = np.cumsum(killed_green_row(dist, -SOLVE_WINDOW, 0, 0, (True, False))[::-1])
     return float(sum(
         v_weak_desc[w - 1] * dist.tail_ge(w)
         for w in range(1, dist.max_support + 1)

@@ -339,7 +339,8 @@ def invariant_profile(
     for m in model.media:
         lo, hi = m.segment(window)
         seg = slice(window.index(lo), window.index(hi) + 1)
-        vals[seg] = killed_green(mirror_dist(m.law), lo, hi, nu[seg])
+        cuts = (m.lo is None, m.hi is None)   # an unbounded side ends at the window
+        vals[seg] = killed_green(mirror_dist(m.law), lo, hi, nu[seg], cuts)
 
     def plateau(side):
         probe_hi = (abs(window.lo) if side < 0 else window.hi) // 4

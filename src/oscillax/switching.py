@@ -149,10 +149,10 @@ def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel
     Each medium of the model gives its rows G(x, y) = sum_{n>=1} Q_n(x, y)
     by one :func:`killed_green` solve of (I - A) G = B, where A is its
     :func:`passage_operator`'s kernel on the survival segment and B the
-    one-step arrivals of its band rows: exact in n, window-truncated in space,
-    with that O(1/window) error Richardson-extrapolated and tiny negative
-    artifacts clipped.  Memory is O(width * B); no width x width array is
-    formed.
+    one-step arrivals of its band rows: exact in n, window-truncated in space
+    on an unbounded medium, with that O(1/window) error
+    Richardson-extrapolated, and tiny negative artifacts clipped.  Memory is
+    O(width * B); no width x width array is formed.
     """
     window.check_margin(model)
     band_lo, band_hi = arrival_band(model)
@@ -160,7 +160,8 @@ def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel
     for m in model.media:
         op = passage_operator(m, window, steps=1)
         (sl, sh), (bl, bh) = op.sites, op.band
-        G = killed_green(m.law, sl, sh, op.dense(op.band_rows).T)
+        cuts = (m.lo is None, m.hi is None)   # an unbounded side ends at the window
+        G = killed_green(m.law, sl, sh, op.dense(op.band_rows).T, cuts)
         R[window.index(sl): window.index(sh) + 1, bl - band_lo: bh - band_lo + 1] = G
     defect = 1.0 - R.sum(axis=1)
     return SwitchingKernel(window, R, (band_lo, band_hi), defect, model)

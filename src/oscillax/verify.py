@@ -53,6 +53,7 @@ from .switching import (
 # ---------------------------------------------------------------------------
 
 NOISE_TOL = 0.1   # largest residual rms of the log-linear fit
+MIN_FIT_POINTS = 64   # fewest usable points a fit reads
 
 @dataclass
 class AsymptoticFit:
@@ -77,11 +78,11 @@ def fit_rate_exponent(
     """Estimate (rho, beta, C) from log a_n ~ log C + n log rho - beta log n.
 
     ``log_values`` is indexed by n.  Points where the reported leak exceeds 1%
-    of the value are discarded; at least 64 usable points are required inside
-    the fit window.  The Aitken step on the ratio medians and the n-weighted
-    rectification magnify last-bit changes in ``log_values``: a rounding-only
-    change of at most 6e-16 relative moved FIX-PP-A1's C_hat by 1.3e-9, so
-    C_hat carries about 8 digits.
+    of the value are discarded; at least ``MIN_FIT_POINTS`` usable points are
+    required inside the fit window.  The Aitken step on the ratio medians and
+    the n-weighted rectification magnify last-bit changes in ``log_values``: a
+    rounding-only change of at most 6e-16 relative moved FIX-PP-A1's C_hat by
+    1.3e-9, so C_hat carries about 8 digits.
     """
     log_values = np.asarray(log_values, dtype=float)
     N = len(log_values) - 1
@@ -98,7 +99,7 @@ def fit_rate_exponent(
                                  -np.inf)
         usable &= log_leaks <= math.log(0.01) + log_values[ns]
     ns = ns[usable]
-    if len(ns) < 64:
+    if len(ns) < MIN_FIT_POINTS:
         raise LeakDominated(f"only {len(ns)} usable points in [{n_lo}, {n_hi}]")
     if ns[-1] < n_hi // 2:
         raise LeakDominated(f"no usable point in [{n_hi // 2}, {n_hi}], the top half of "
@@ -400,6 +401,13 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     equal, and must be identically zero.  In float mode (D = 1) the suite
     reports the max absolute residuals.  ``passed``: every residual is 0 in
     exact mode, at most ``FLOAT_IDENTITY_TOL`` in float mode.
+
+    The decomposition runs one DP per role: every pair's a_n in one
+    :func:`marginal_sequence`, the V of every target of a medium in one
+    :func:`excursion_functions`, one :func:`build_Q` DP per medium, and the
+    renewal recursion on the pair rows alone (a row of T_n reads only its
+    own row of R and the band block C): with tilting and duality, 9 DPs on a
+    two-media model.
     """
     window = window or Window(-64, 64)
     exact = exact and model.exact
@@ -421,21 +429,24 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
     # common denominator of the three laws, which the renewal recursion keeps.
     D = common_denominator(*model.laws) if exact else 1
     pairs = list(pairs or [(0, 0), (-1, 1), (2, -2)])
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     band_lo, band_hi = arrival_band(model)
     band = list(range(band_lo, band_hi + 1))
-    hist = build_Q(model, horizon, window, rows=band + [x for x, _ in pairs], exact=exact)
-    T = renewal_sequence(hist.R, hist.C)
+    hist = build_Q(model, horizon, window, rows=band + xs, exact=exact)
+    T = renewal_sequence(hist.R[:, [hist.rows.index(x) for x in xs]], hist.C)
+    V = {}   # y -> (V_n on the window over D**n of y's medium, factor to the model's D**n)
+    for k in dict.fromkeys(model.medium_index(np.array(ys))):
+        targets = list(dict.fromkeys(y for y in ys if model.medium_index(y) == k))
+        ex = excursion_functions(model, targets, horizon, window, exact=exact)
+        up = powers(D // ex.meta["D"], horizon)[:, None] if exact else 1
+        V.update((y, (ex.data["V"][:, i], up)) for i, y in enumerate(targets))
+    vals = marginal_sequence(model, xs, ys, horizon, window,
+                             leak_budget=None, exact=exact).data["values"]
     diffs = []
-    for x, y in pairs:
-        ex = excursion_functions(model, y, horizon, window, exact=exact)
+    for i, (x, y) in enumerate(pairs):
         # V_n(z) for z in the band, then V_n(x) in the last column
-        V = ex.data["V"][:, [window.index(z) for z in band + [x]]]
-        if exact:
-            V = V * powers(D // ex.meta["D"], horizon)[:, None]
-        Tx = T[:, hist.rows.index(x)]
-        vals = marginal_sequence(model, x, y, horizon, window,
-                                 leak_budget=None, exact=exact).data["values"]
-        diffs.append([V[n, -1] + (Tx[1:n + 1] * V[:n][::-1, :-1]).sum() - vals[n]
+        Vy = V[y][0][:, [window.index(z) for z in band + [x]]] * V[y][1]
+        diffs.append([Vy[n, -1] + (T[1:n + 1, i] * Vy[:n][::-1, :-1]).sum() - vals[n, i]
                       for n in range(horizon + 1)])   # l = 0 term first
     record("trajectory_decomposition", np.array(diffs, dtype=vals.dtype), powers(D, horizon))
 
@@ -538,8 +549,15 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     nu = spectral.nu
     # renewal-tail level: pi * (tail sum limit) is the plateau normalizer,
     # summed over the centered sides in left form
-    parts = {side: 2 * direct_constant(law) * nu_v
-             for side, law, _, nu_v in centered_tail_sums(model, nu, window)}
+    # one killed-walk solve per distinct law (FIX-ZZ's mirrored right law is
+    # its left law), keyed on values and probabilities: a LatticeDist holds
+    # an ndarray and does not compare with ==
+    constants, parts = {}, {}
+    for side, law, _, nu_v in centered_tail_sums(model, nu, window):
+        key = (law.values, law.probs.tobytes())
+        if key not in constants:
+            constants[key] = direct_constant(law)
+        parts[side] = 2 * constants[key] * nu_v
     tail_level = sum(parts.values())
     report["renewal_tail_parts"] = parts
 
@@ -585,13 +603,20 @@ def asymptotics_suite(model: OscillatingModel, horizon: int = 4096,
     :func:`effective_leak` at the predicted rate could dominate.  ``passed``:
     the fitted rate is within 1e-3 of the predicted one and the exponent
     within 0.15 (predicted exponent >= 1) or 0.05 (below 1).  ``window``
-    defaults to :func:`evolve.default_window`.
+    defaults to :func:`evolve.default_window`.  A horizon below 127, whose
+    fit window holds fewer than ``MIN_FIT_POINTS`` steps, is refused before
+    the DP runs.
     """
+    fit_window = (max(64, horizon // 8), horizon)
+    if (points := horizon - fit_window[0] + 1) < MIN_FIT_POINTS:
+        raise ValidationError(f"horizon {horizon} leaves {max(points, 0)} steps in the fit "
+                              f"window [{fit_window[0]}, {horizon}], below the "
+                              f"{MIN_FIT_POINTS} a fit needs: use -n 127 or more")
     pred = classify(model)
     table = marginal_sequence(model, 0, 0, horizon, window, leak_budget=None)
     fit = fit_rate_exponent(table.data["log_values"],
                             leaks=effective_leak(table, model, rate=pred.rate),
-                            fit_window=(max(64, horizon // 8), horizon))
+                            fit_window=fit_window)
     exp_tol = 0.15 if pred.exponent >= 1.0 else 0.05
     return {"predicted": pred.report(), "fit": asdict(fit),
             "passed": fit.matches(pred.rate, pred.exponent, 1e-3, exp_tol)}

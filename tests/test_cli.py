@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_marginal_sequence
+from oscillax import verify
 from oscillax.cli import _write_csv, _write_json, build_parser, main
 from oscillax.evolve import Window
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
@@ -26,6 +27,10 @@ FIXTURE_FILES = [*FIXTURES, *(f"FIX-PP-{name}" for name in SUBCASE_FIXTURES)]
 # sha256 of every file test_fixture_outputs_keep_the_byte_contract writes, per
 # fixture file; a deliberate change of an output rewrites this table
 OUTPUT_DIGESTS = json.loads((Path(__file__).parent / "fixture_output_digests.json").read_text())
+# sha256 of verify.json from ``verify --suite identities --float-mode``: float
+# residuals, which move with any change to the rounding of the DPs behind them
+IDENTITY_FLOAT_DIGESTS = json.loads(
+    (Path(__file__).parent / "identity_float_digests.json").read_text())
 
 FIX_DIR = None
 
@@ -273,6 +278,22 @@ class TestCommands:
                      "-n", "32", "-o", str(tmp_path)]) == 2
         assert "first plateau point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["10", "100", "126"])
+    def test_verify_asymptotics_horizon_below_fit_window_exit_two(self, model_dir, tmp_path,
+                                                                   capsys, monkeypatch, horizon):
+        # the fit needs 64 steps in [max(64, N/8), N]: N < 127 is refused
+        # before the DP runs, with one error line and no report
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(verify, "marginal_sequence", no_dp)
+        capsys.readouterr()   # drop what the model_dir fixture printed
+        assert main(["verify", str(model_dir / "FIX-PP.json"), "--suite", "asymptotics",
+                     "-n", horizon, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "fit window" in err[0]
+        assert not any(tmp_path.iterdir())
+
     def test_verify_asymptotics_empty_plateau_half_exit_three(self, model_dir, tmp_path,
                                                               capsys):
         # at -n 600 -W 24 every usable point of FIX-PP-C lies below n = 300:
@@ -474,6 +495,14 @@ class TestWriters:
             for line in lines[1:]:
                 for column, s in zip(header, line.split(","), strict=True):
                     assert s == (str(int(s)) if column in ("n", "x", "y") else f"{float(s):.17g}")
+
+
+@pytest.mark.parametrize("name", FIXTURE_FILES)
+def test_float_identity_report_is_pinned(model_dir, tmp_path, name):
+    assert main(["verify", str(model_dir / f"{name}.json"), "--suite", "identities",
+                 "--float-mode", "-o", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
+    assert digest == IDENTITY_FLOAT_DIGESTS[name]
 
 
 def test_main_runs_share_the_parser_not_its_state(model_dir, tmp_path):

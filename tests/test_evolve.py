@@ -861,3 +861,71 @@ class TestBandEngine:
             flushed += lost
             state = new.copy()
         assert flushed > 0
+
+
+def _same(a, b, exact):
+    """Exact numerators equal, or float arrays equal bit for bit (NaN = NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.tolist() == b.tolist() if exact else np.array_equal(a, b, equal_nan=True)
+
+
+class TestBatchedDPs:
+    """Several pairs in one full-walk DP, or several targets in one reversed
+    DP: each state column runs through the products it runs alone, so every
+    entry of its record equals the single run's, exact numerators under ==
+    and float bits under np.array_equal."""
+
+    @staticmethod
+    def check_pairs(m, pairs, horizon, window, exact):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        t = marginal_sequence(m, xs, ys, horizon, window, exact=exact)
+        assert t.meta["x"] == xs and t.meta["y"] == ys
+        for c, (x, y) in enumerate(pairs):
+            s = marginal_sequence(m, x, y, horizon, window, exact=exact)
+            assert s.data.keys() == t.data.keys()
+            for key, v in s.data.items():
+                assert _same(t.data[key][..., c], v, exact), (key, x, y)
+            assert _same(t.leak[:, c], s.leak, exact)
+            assert t.meta["final_flush"][c] == s.meta["final_flush"]
+        return t
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.booleans().flatmap(_exact_models), st.booleans(),
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1,
+                    max_size=4))
+    def test_pairs_match_single_runs(self, m, exact, pairs):
+        # a narrow window, so both sides leak and a float state is rescaled
+        self.check_pairs(m, pairs, 40, Window(-8, 10), exact)
+
+    @pytest.mark.parametrize("name", ["FIX-PP", "FIX-PP-B4"])
+    def test_rescaled_and_flushed_float_pairs(self, name):
+        # 4096 float steps on the default window: the mass leaves the window,
+        # so every column is scaled up, and the states flush below TINY
+        t = self.check_pairs(ALL_FIXTURES[name](), [(0, 0), (3, -2), (-5, 4)], 4096, None, False)
+        assert np.all(t.data["leak_underflow"][-1] > 0)
+        assert np.all(t.data["leak_below"][-1] + t.data["leak_above"][-1] > 0.5)
+
+    def test_pairs_need_equal_lengths(self, fix_zz):
+        for xs, ys in (([0, 1], [0]), ([], [])):
+            with pytest.raises(ValidationError):
+                marginal_sequence(fix_zz, xs, ys, 4, Window(-16, 16))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.booleans().flatmap(_exact_models), st.booleans(), st.integers(0, 2),
+           st.lists(st.integers(-7, 7), min_size=1, max_size=4, unique=True))
+    def test_targets_match_single_runs(self, m, exact, k, sites):
+        # the targets of one medium as the rows of one reversed DP
+        medium = m.media[min(k, len(m.media) - 1)]
+        ys = [y for y in sites if y in medium]
+        assume(ys)
+        w = Window(-9, 9)
+        t = excursion_functions(m, ys, 30 if exact else 300, w, exact=exact)
+        for c, y in enumerate(ys):
+            s = excursion_functions(m, y, t.horizon, w, exact=exact)
+            assert _same(t.data["V"][:, c], s.data["V"], exact), y
+            assert _same(t.leak[:, c], s.leak, exact), y
+            assert t.meta["D"] == s.meta["D"]
+
+    def test_targets_share_a_medium(self, fix_zz):
+        with pytest.raises(ConventionMismatch):
+            excursion_functions(fix_zz, [-2, 2], 4, Window(-16, 16))

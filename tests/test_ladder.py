@@ -215,8 +215,8 @@ def _duality_tables(law, size=40000):
     from the other variant's table by the over-the-extremum identity
     P[H*+ = h] = sum_w U_-({-w}) mu(h + w),  P[H- = h] = sum_w U*+({w}) mu(h - w).
     """
-    u_wd = killed_green_row(law, -size, 0, 0)[::-1]
-    u_sa = np.append(1.0, killed_green_row(law, 1, size, 0))
+    u_wd = killed_green_row(law, -size, 0, 0, (True, False))[::-1]
+    u_sa = np.append(1.0, killed_green_row(law, 1, size, 0, (False, True)))
     pmf = {int(v): float(p) for v, p in zip(law.values, law.probs)}
     ws = range(max(abs(law.min_support), law.max_support) + 1)
     asc = {h: sum(u_wd[w] * pmf.get(h + w, 0.0) for w in ws)
@@ -314,7 +314,7 @@ class TestWeakVsStrictInLocalAsymptotics:
 class TestGreenRow:
     def test_counts_visits(self):
         # toy walk killed at >= 1: expected visits to 0 before first ascent = 2
-        g = killed_green_row(TOY, -4000, 0, 0)
+        g = killed_green_row(TOY, -4000, 0, 0, (True, False))
         assert g[-1] == pytest.approx(2.0, rel=1e-3)
 
 
@@ -328,11 +328,12 @@ def _dense_killed(law, lo, hi):
     return np.eye(size) - A
 
 
-def _dense_richardson(matrix, lo, hi, rhs):
-    """2 X - X_half on the far-end-halved segment, clipped, from dense solves."""
+def _dense_richardson(matrix, lo, hi, rhs, cuts):
+    """2 X - X_half on the segment with its cut ends halved, clipped, from
+    dense solves; one solve when no end is cut."""
     X = np.linalg.solve(matrix(lo, hi), rhs)
-    a, b = (lo // 2, hi) if hi <= 0 else (lo, hi // 2)
-    if a <= b:
+    a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
+    if any(cuts) and a <= b:
         shared = slice(a - lo, b - lo + 1)
         X[shared] = 2.0 * X[shared] - np.linalg.solve(matrix(a, b), rhs[shared])
     return np.clip(X, 0.0, None)
@@ -347,22 +348,35 @@ _segments = st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 24)).map(
 
 class TestKilledGreen:
     @settings(max_examples=60, deadline=None)
-    @given(_moving_laws, _segments, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-    def test_matches_dense_richardson(self, weights, segment, cols, seed):
+    @given(_moving_laws, _segments, st.tuples(st.booleans(), st.booleans()),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_richardson(self, weights, segment, cuts, cols, seed):
         tot = sum(weights.values())
         law = dist({v: F(w, tot) for v, w in weights.items()})
         lo, hi = segment
+        cuts = (cuts[0] and lo <= 0, cuts[1] and hi >= 0)   # a window cut is away from 0
         rhs = np.random.default_rng(seed).random((hi - lo + 1, cols))
-        X = killed_green(law, lo, hi, rhs)
-        ref = _dense_richardson(lambda a, b: _dense_killed(law, a, b), lo, hi, rhs)
+        X = killed_green(law, lo, hi, rhs, cuts)
+        ref = _dense_richardson(lambda a, b: _dense_killed(law, a, b), lo, hi, rhs, cuts)
         assert np.allclose(X, ref, rtol=1e-10, atol=1e-12)
         # the mirrored law's killed matrix is the transpose on the same segment
-        Xt = killed_green(mirror_dist(law), lo, hi, rhs[:, 0])
-        ref_t = _dense_richardson(lambda a, b: _dense_killed(law, a, b).T, lo, hi, rhs[:, 0])
+        Xt = killed_green(mirror_dist(law), lo, hi, rhs[:, 0], cuts)
+        ref_t = _dense_richardson(lambda a, b: _dense_killed(law, a, b).T, lo, hi, rhs[:, 0],
+                                  cuts)
         assert np.allclose(Xt, ref_t, rtol=1e-10, atol=1e-12)
 
     def test_single_site_segments(self):
-        # [1, 1] has no far-end-halved segment; [-1, -1] halves to itself
+        # [1, 1] has no segment with its high end halved; [-1, -1] halves to
+        # itself; a bounded site is solved once
         law = dist({-1: F(1, 4), 0: F(1, 4), 1: F(1, 2)})
-        for lo, hi in ((1, 1), (-1, -1)):
-            assert killed_green(law, lo, hi, np.ones(1))[0] == pytest.approx(4.0 / 3.0)
+        for lo, hi, cuts in ((1, 1, (False, True)), (-1, -1, (True, False)),
+                             (0, 0, (False, False))):
+            assert killed_green(law, lo, hi, np.ones(1), cuts)[0] == pytest.approx(4.0 / 3.0)
+
+    def test_bounded_segment_is_one_exact_solve(self):
+        # a medium's own ends are not truncation: no Richardson step mixes in
+        # a shorter segment's solve
+        law = dist({-1: F(1, 3), 0: F(1, 3), 1: F(1, 3)})
+        rhs = np.eye(3)
+        X = killed_green(law, -1, 1, rhs, (False, False))
+        assert np.allclose(X, np.linalg.inv(_dense_killed(law, -1, 1)), rtol=1e-13, atol=0)

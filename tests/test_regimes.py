@@ -11,10 +11,11 @@ from oscillax import algebraic
 from oscillax.cli import main
 from oscillax.errors import ConventionMismatch, OscillaxError, TieUnresolvable, ValidationError
 from oscillax.evolve import Window, marginal_sequence
-from oscillax.fixtures import SUBCASE_FIXTURES, _pp, subcase_witnesses
+from oscillax.fixtures import MU_A, MU_A_MIRROR, SUBCASE_FIXTURES, _pp, subcase_witnesses
 from oscillax.model import (
     TIE_TOL,
     DriftCase,
+    Medium,
     argmin_laplace,
     dist,
     laplace,
@@ -22,6 +23,7 @@ from oscillax.model import (
     mirror_dist,
     mirror_model,
     save_model,
+    validate_media,
     validate_model,
 )
 from oscillax.regimes import (
@@ -558,6 +560,23 @@ class TestConstants:
         cy, _ = predicted_constant_Cy(m, 0)
         assert cy == pytest.approx(C0, rel=0.01)
         assert plateau == pytest.approx(cy, rel=0.01)
+
+    @pytest.mark.parametrize("core", [{-1: F(1, 3), 0: F(1, 3), 1: F(1, 3)},
+                                      {-1: F(1, 2), 1: F(1, 2)}, MU_A],
+                             ids=["uniform", "plus-minus-one", "MU_A"])
+    def test_wide_core_constant_matches_dp(self, core):
+        # a core on [-1, 1] between MU_A and its mirror: its ends are the
+        # medium's, not window cuts, so its killed-walk solves are exact.
+        # P_0[X_n = 0] sqrt(n) = C_0 + O(1/n): the Richardson value of the DP
+        # at n = 2048 and 4096 within 1e-3 relative (a Richardson step on the
+        # core put C_0 24-33% high)
+        m = validate_media((Medium(dist(MU_A), None, -2), Medium(dist(core), -1, 1),
+                            Medium(dist(MU_A_MIRROR), 2, None)))
+        window = Window(-1024, 1024)
+        v = marginal_sequence(m, 0, 0, 4096, window).data["values"]
+        dp = 2 * math.sqrt(4096) * v[4096] - math.sqrt(2048) * v[2048]
+        c0, _ = predicted_constant_Cy(m, 0, window)
+        assert c0 == pytest.approx(dp, rel=1e-3)
 
     def test_wrong_case_rejected(self, fix_zp):
         with pytest.raises(ValidationError):

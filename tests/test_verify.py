@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import as_fractions
 from oscillax.errors import LeakDominated, SequenceTooNoisy, ValidationError
-from oscillax import verify
+from oscillax import evolve, verify
 from oscillax.evolve import (
     KernelTable,
     Window,
@@ -399,6 +399,24 @@ class TestIdentitySuiteSensitivity:
         assert rep["trajectory_decomposition_exact_zero"] and rep["tilting_exact_zero"]
 
 
+class TestIdentitySuiteDPs:
+    def test_one_dp_per_medium_and_role(self, monkeypatch):
+        # on a two-media model: build_Q one DP per medium, every pair's a_n
+        # one, V one per medium holding a target (0 and -2 left, 1 right),
+        # tilting two and duality two; 12 with one walk and one V per pair
+        started = []
+
+        def counting(*args, **kwargs):
+            started.append(args[0])
+            return advance(*args, **kwargs)
+
+        advance = evolve._advance
+        monkeypatch.setattr(evolve, "_advance", counting)
+        rep = identity_suite(SUBCASE_FIXTURES["B4"]())
+        assert rep["all_exact_zero"]
+        assert len(started) == 9
+
+
 class TestIdentitySuiteNumerators:
     def test_exact_suite_builds_few_fractions(self, monkeypatch):
         # every exact record is integer numerators over D**n, so the suite
@@ -448,6 +466,19 @@ class TestScalarChecks:
         assert [n for n, _ in rep["sqrt_n_Tn_plateau"]] == [64, 128]
         for n, val in rep["sqrt_n_Tn_plateau"]:
             assert val == pytest.approx(math.sqrt(n) * T[n] * rep["bold_c"] / nu0, rel=1e-12)
+
+    def test_one_direct_constant_per_law(self, fix_zz, monkeypatch):
+        # FIX-ZZ's right law mirrored is its left law: one killed-walk solve
+        laws = []
+
+        def counting(law):
+            laws.append(law)
+            return direct_constant(law)
+
+        direct_constant = verify.direct_constant
+        monkeypatch.setattr(verify, "direct_constant", counting)
+        rep = convergence_suite(fix_zz, horizon=64, window=Window(-64, 64))
+        assert len(laws) == 1 and set(rep["renewal_tail_parts"]) == {"left", "right"}
 
 
 class TestAsymptoticsSuite:
