@@ -54,13 +54,11 @@ from .switching import (
     build_Q,
     default_weight,
     dominant_eigenpair,
-    doob_transform,
     limit_operator_E,
     limit_operator_E_ell,
     renewal_sequence,
     switching_kernel,
     switching_time_marginals,
-    tilted_kernels,
 )
 from .verify import (
     AsymptoticFit,

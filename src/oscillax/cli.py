@@ -117,8 +117,7 @@ def cmd_evolve(args) -> int:
             "--rational requires a model with exact (rational) probabilities")
     horizon = args.horizon
     window = _window(args, model, horizon)
-    table = marginal_sequence(model, args.start, args.target, horizon, window,
-                              leak_budget=None, exact=args.rational)
+    table = marginal_sequence(model, args.start, args.target, horizon, window, exact=args.rational)
     values, leak = table.data["values"][1:], table.leak[1:]
     if args.rational:   # numerators over D**n; int / int rounds correctly, as float(Fraction) does
         scale = powers(table.meta["D"], horizon)[1:]
@@ -188,13 +187,16 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import asymptotics_suite, convergence_suite, identity_suite
+    from .verify import (asymptotics_fit_window, asymptotics_suite, convergence_suite,
+                         identity_suite)
 
     unread = {"identities": ["horizon", "window"], "convergence": ["float_mode"],
               "asymptotics": ["float_mode"]}.get(args.suite, [])
     if given := [f"--{name.replace('_', '-')}" for name in unread if getattr(args, name)]:
         raise ValidationError(f"--suite {args.suite} does not read {', '.join(given)}")
     model, horizon = load_model(args.model), args.horizon or 4096
+    if args.suite in ("asymptotics", "all"):   # refuse a short fit before any suite runs
+        asymptotics_fit_window(horizon)
     window = _window(args, model, horizon)
     run = {"identities": lambda: identity_suite(model, exact=not args.float_mode),
            "convergence": lambda: convergence_suite(model, horizon, window),

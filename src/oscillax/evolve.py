@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -365,12 +364,9 @@ def marginal_sequence(
     y,
     horizon: int,
     window: Optional[Window] = None,
-    leak_budget: Optional[float] = None,
     exact: bool = False,
 ) -> KernelTable:
-    """P_x[X_n = y] for n = 0..horizon with a certified leak bound; a leak
-    over ``leak_budget`` (None: no limit) at any step raises WindowTooSmall
-    once the DP has run.
+    """P_x[X_n = y] for n = 0..horizon with a certified leak bound.
 
     ``x`` and ``y`` are a start and a target, or equal-length sequences of
     them: the pairs then run as the columns of one DP state, each read out
@@ -443,12 +439,6 @@ def marginal_sequence(
     # leak totals: over D**n exact, in mass units float
     _cumulate(sides, D)
     leak = sides[:, 0] + sides[:, 1] + sides[:, 2]
-    if leak_budget is not None:
-        worst = leak.max(axis=1)   # each pair's leak at step n is over the same D**n
-        for m in range(horizon + 1) if exact else np.flatnonzero(worst > leak_budget)[:1]:
-            if (total := Fraction(worst[m], D ** m) if exact else worst[m]) > leak_budget:
-                raise WindowTooSmall(f"cumulative leak {float(total):.3e} exceeds budget "
-                                     f"{leak_budget:.3e} at n={m}")
     if exact:
         data = {"values": values, "final_state": state}
     else:

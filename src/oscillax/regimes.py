@@ -246,9 +246,11 @@ class TiltPlan:
     tilts, and ``r`` the smaller over it.  That is ``classify``'s rate on
     A1-B7 and (N,P), but not in case C, whose C1 plan tilts at the crossing
     point: 0.958534 against 0.95 on the C witness.  ``damped_side`` is the
-    side whose transform value is the smaller, the one that carries the
-    factor r^n in :func:`switching.tilted_kernels`; None when the two agree
-    within 1e-12 relative (crossing and tangency branches)."""
+    side whose transform value is the smaller; None when the two agree
+    within 1e-12 relative (crossing and tangency branches).  With each side
+    tilted by its own parameter, Q_n(x, y) = rate^n e^{t_ref (x - y)} Qtilde_n(x, y),
+    Qtilde_n being ``tilted_model``'s Q_n times e^{(t_side - t_ref)(x - y)}
+    (t_side the tilt of x's side) and times r^n on the damped side's rows."""
 
     t_left: float
     t_right: float
@@ -386,7 +388,7 @@ def predicted_constant_Cy(
     return float(prof.values[window.index(y)] / denom), prof
 
 
-def predict(model: OscillatingModel, window: Optional[Window] = None) -> dict:
+def predict(model: OscillatingModel) -> dict:
     """Full regime report: classification, tilt plan, and constants."""
     pred = classify(model)
     report = pred.report()
@@ -398,7 +400,7 @@ def predict(model: OscillatingModel, window: Optional[Window] = None) -> dict:
         report["tilt_r"] = plan.r
     constants = {"kind": report["constant_kind"]}
     if pred.drift_case in (DriftCase.ZZ, DriftCase.PZ):
-        c0, prof = predicted_constant_Cy(model, 0, window=window)
+        c0, prof = predicted_constant_Cy(model, 0)
         constants["C_0"] = c0
         constants["lambda_X_minus_inf"] = prof.lam_minus_inf
         constants["lambda_X_plus_inf"] = prof.lam_plus_inf

@@ -3,8 +3,8 @@
 The embedded chain observed at medium-change times has kernel
 Q(x,y) = P_x[first switch lands at y].  Its per-step decomposition {Q_n},
 the renewal-operator sequence T_n, the dominant eigenpair on a weighted sup
-norm, Doob transforms and exponentially tilted variants are all built here on
-a finite window.
+norm and the limit operator E of n^{3/2} Q_n are all built here on a finite
+window.
 
 Aggregate kernels are obtained from banded resolvent solves (exact within the
 window, no time truncation); per-step histories come from the DP in
@@ -15,7 +15,7 @@ keep only the arrival-band columns: Q(x, .) charges no other site.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,9 +41,6 @@ from .model import (
     common_denominator,
     essential_class,
 )
-
-if TYPE_CHECKING:   # regimes imports this module
-    from .regimes import TiltPlan
 
 _ROW_BLOCK = 8   # output rows banded_power_sequences transforms at a time
 
@@ -383,58 +380,6 @@ def dominant_eigenpair(kernel: SwitchingKernel,
         markovian=kernel.markovian,
         weight=weight,
     )
-
-
-def doob_transform(R: np.ndarray, H: np.ndarray, band_rows: slice,
-                   rho_psi: float) -> np.ndarray:
-    """Conjugate band columns by a positive eigenfunction: (1/rho) H(x)^-1 Q(x, y) H(y).
-
-    ``R`` holds the band columns of one kernel (W, B) or of a per-step stack
-    (N+1, W, B), rows over the window; ``band_rows`` are the window indices
-    of the band sites (:attr:`SwitchingKernel.band_rows`).  The n-summed
-    transform of the aggregate kernel is markovian when (rho_psi, H) is the
-    dominant eigenpair.
-    """
-    return R * (H[band_rows][None, :] / H[:, None] / rho_psi)
-
-
-# ---------------------------------------------------------------------------
-# Tilted kernels (two-media transient machinery)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TiltedKernels:
-    """Per-step kernels of the per-side tilted walk with the geometric factor
-    split off: Q_n(x,y) = R^n e^{t_ref (x-y)} Qtilde_n(x,y), on the arrival
-    band, R = ``plan.rate`` and t_ref = ``plan.t_ref``."""
-
-    Qn: np.ndarray           # (N+1, W, B): Qn[n, i, j] = Qtilde_n(window.lo + i, band[0] + j)
-    band: tuple[int, int]
-    window: Window
-    plan: TiltPlan
-
-
-def tilted_kernels(plan: TiltPlan, horizon: int, window: Window) -> TiltedKernels:
-    """Build the damped tilted kernel stack of a :func:`regimes.select_tilt` plan.
-
-    Each side is tilted by its own parameter; the plan's damped side picks
-    up the geometric factor r^n and the cross factor e^{(t_side - t_ref)(x-y)}
-    so that the original kernels factor exactly as R^n e^{t_ref(x-y)}
-    Qtilde_n.  With t_left = t_right this reduces to the single-tilt
-    construction.
-    """
-    hist = build_Q(plan.tilted_model, horizon, window, rows=range(window.lo, window.hi + 1))
-    xs = window.positions()
-    left = plan.tilted_model.medium_index(xs) == 0
-    ys = np.arange(hist.band[0], hist.band[1] + 1)
-    dt = np.where(left, plan.t_left, plan.t_right) - plan.t_ref
-    # (1, W, B): e^{(t_side - t_ref)(x - y)}, times r^n on the rows of the damped side
-    factor = np.exp(dt[:, None] * (xs[:, None] - ys))[None]
-    if plan.damped_side:
-        rn = plan.r ** np.arange(horizon + 1, dtype=float)
-        damped = left if plan.damped_side == "left" else ~left
-        factor = factor * np.where(damped, rn[:, None], 1.0)[..., None]
-    return TiltedKernels(Qn=hist.R * factor, band=hist.band, window=window, plan=plan)
 
 
 # ---------------------------------------------------------------------------

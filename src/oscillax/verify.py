@@ -440,8 +440,7 @@ def identity_suite(model: OscillatingModel, horizon: int = 40,
         ex = excursion_functions(model, targets, horizon, window, exact=exact)
         up = powers(D // ex.meta["D"], horizon)[:, None] if exact else 1
         V.update((y, (ex.data["V"][:, i], up)) for i, y in enumerate(targets))
-    vals = marginal_sequence(model, xs, ys, horizon, window,
-                             leak_budget=None, exact=exact).data["values"]
+    vals = marginal_sequence(model, xs, ys, horizon, window, exact=exact).data["values"]
     diffs = []
     for i, (x, y) in enumerate(pairs):
         # V_n(z) for z in the band, then V_n(x) in the last column
@@ -595,25 +594,32 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
 # Asymptotics check
 # ---------------------------------------------------------------------------
 
-def asymptotics_suite(model: OscillatingModel, horizon: int = 4096,
-                      window: Optional[Window] = None) -> dict:
-    """The DP's P_0[X_n = 0] against :func:`regimes.classify`'s prediction.
-
-    Fits rate and exponent over n in [max(64, N/8), N], discarding points the
-    :func:`effective_leak` at the predicted rate could dominate.  ``passed``:
-    the fitted rate is within 1e-3 of the predicted one and the exponent
-    within 0.15 (predicted exponent >= 1) or 0.05 (below 1).  ``window``
-    defaults to :func:`evolve.default_window`.  A horizon below 127, whose
-    fit window holds fewer than ``MIN_FIT_POINTS`` steps, is refused before
-    the DP runs.
-    """
+def asymptotics_fit_window(horizon: int) -> tuple[int, int]:
+    """The fit window [max(64, N/8), N] of :func:`asymptotics_suite`.  A
+    horizon below 127, whose window holds fewer than ``MIN_FIT_POINTS``
+    steps, is refused."""
     fit_window = (max(64, horizon // 8), horizon)
     if (points := horizon - fit_window[0] + 1) < MIN_FIT_POINTS:
         raise ValidationError(f"horizon {horizon} leaves {max(points, 0)} steps in the fit "
                               f"window [{fit_window[0]}, {horizon}], below the "
                               f"{MIN_FIT_POINTS} a fit needs: use -n 127 or more")
+    return fit_window
+
+
+def asymptotics_suite(model: OscillatingModel, horizon: int = 4096,
+                      window: Optional[Window] = None) -> dict:
+    """The DP's P_0[X_n = 0] against :func:`regimes.classify`'s prediction.
+
+    Fits rate and exponent over :func:`asymptotics_fit_window`, which
+    refuses a short horizon before the DP runs, discarding points the
+    :func:`effective_leak` at the predicted rate could dominate.  ``passed``:
+    the fitted rate is within 1e-3 of the predicted one and the exponent
+    within 0.15 (predicted exponent >= 1) or 0.05 (below 1).  ``window``
+    defaults to :func:`evolve.default_window`.
+    """
+    fit_window = asymptotics_fit_window(horizon)
     pred = classify(model)
-    table = marginal_sequence(model, 0, 0, horizon, window, leak_budget=None)
+    table = marginal_sequence(model, 0, 0, horizon, window)
     fit = fit_rate_exponent(table.data["log_values"],
                             leaks=effective_leak(table, model, rate=pred.rate),
                             fit_window=fit_window)

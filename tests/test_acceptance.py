@@ -78,7 +78,7 @@ def test_criterion_02_pn_convergence(fix_pn):
 
 
 def _fit_fixture(model, horizon, window, rate_for_leak=1.0):
-    table = marginal_sequence(model, 0, 0, horizon, window, leak_budget=None)
+    table = marginal_sequence(model, 0, 0, horizon, window)
     leaks = effective_leak(table, model, rate=rate_for_leak)
     return table, fit_rate_exponent(
         log_values=table.data["log_values"],

@@ -294,6 +294,37 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("error: ") and "fit window" in err[0]
         assert not any(tmp_path.iterdir())
 
+    def test_verify_all_refuses_a_short_fit_before_any_suite(self, model_dir, tmp_path,
+                                                             capsys, monkeypatch):
+        # --suite all checks the asymptotics horizon before the identity and
+        # convergence suites spend their time
+        def not_run(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "identity_suite", not_run)
+        monkeypatch.setattr(verify, "convergence_suite", not_run)
+        capsys.readouterr()   # drop what the model_dir fixture printed
+        assert main(["verify", str(model_dir / "FIX-ZZ.json"), "--suite", "all",
+                     "-n", "100", "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "fit window" in err[0]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--from", "0", "--to", "0"],
+        ["kernel"],
+        ["spectrum"],
+        ["verify"],
+    ], ids=["evolve", "kernel", "spectrum", "verify"])
+    def test_window_below_three_max_jumps_exit_two(self, model_dir, tmp_path, capsys, argv):
+        # -W 1 is 3 sites, below 3 x FIX-ZZ's max jump 2
+        capsys.readouterr()   # drop what the model_dir fixture printed
+        assert main([argv[0], str(model_dir / "FIX-ZZ.json"), *argv[1:], "-W", "1",
+                     "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: window width 3 below 3x max jump 2"]
+        assert not any(tmp_path.iterdir())
+
     def test_verify_asymptotics_empty_plateau_half_exit_three(self, model_dir, tmp_path,
                                                               capsys):
         # at -n 600 -W 24 every usable point of FIX-PP-C lies below n = 300:

@@ -12,7 +12,7 @@ from conftest import (
     reference_marginal_sequence,
     reference_step,
 )
-from oscillax.errors import ConventionMismatch, ValidationError, WindowTooSmall
+from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax import evolve
 from oscillax.evolve import (
     BLOCK,
@@ -105,13 +105,9 @@ class TestMarginalSequence:
             oracle = enumerate_marginal(fix_pp, 0, n)
             assert t.data["values"][n] == oracle.get(1, F(0))
 
-    def test_window_too_small(self, fix_zz):
-        with pytest.raises(WindowTooSmall):
-            marginal_sequence(fix_zz, 0, 0, 200, Window(-12, 12), leak_budget=1e-10)
-
     @pytest.mark.parametrize("name", sorted(FIXTURES) + [f"FIX-PP-{k}" for k in SUBCASE_FIXTURES])
     def test_defaults_run_every_fixture(self, name):
-        # no leak budget by default: the default window's leak is reported, not refused
+        # the default window's leak is reported, not refused
         model = FIXTURES[name]() if name in FIXTURES else SUBCASE_FIXTURES[name[7:]]()
         t = marginal_sequence(model, 0, 0, 4096)
         assert len(t.data["values"]) == 4097 and np.all(np.diff(t.leak) >= 0)
@@ -127,15 +123,15 @@ class TestMarginalSequence:
                 marginal_sequence(fix_zz, 0, 0, horizon, w)
 
     def test_window_doubling_within_leak(self, fix_zz):
-        small = marginal_sequence(fix_zz, 0, 0, 256, Window(-40, 40), leak_budget=None)
-        big = marginal_sequence(fix_zz, 0, 0, 256, Window(-80, 80), leak_budget=None)
+        small = marginal_sequence(fix_zz, 0, 0, 256, Window(-40, 40))
+        big = marginal_sequence(fix_zz, 0, 0, 256, Window(-80, 80))
         gap = np.max(np.abs(small.data["values"] - big.data["values"]))
         assert gap <= float(small.leak[-1]) + 1e-15
 
     def test_rescaled_matches_plain(self, fix_pp):
         w = Window(-32, 48)
-        plain = marginal_sequence(fix_pp, 0, 0, 60, w, leak_budget=None)
-        resc = marginal_sequence(fix_pp, 0, 0, 60, w, leak_budget=None)
+        plain = marginal_sequence(fix_pp, 0, 0, 60, w)
+        resc = marginal_sequence(fix_pp, 0, 0, 60, w)
         sel = plain.data["values"] > 0
         assert np.allclose(np.log(plain.data["values"][sel]),
                            resc.data["log_values"][sel], atol=1e-9)
@@ -147,21 +143,20 @@ class TestMarginalSequence:
         from oscillax.fixtures import SUBCASE_FIXTURES
 
         model = SUBCASE_FIXTURES["B3"]()
-        wide, narrow = (marginal_sequence(model, 0, 0, 4096, w,
-                                          leak_budget=None).data["log_values"][512:]
+        wide, narrow = (marginal_sequence(model, 0, 0, 4096, w).data["log_values"][512:]
                         for w in (default_window(model, 4096), Window(-224, 256)))
         assert default_window(model, 4096) == Window(-1024, 1024)
         assert np.all(np.isfinite(wide))
         assert np.max(np.abs(wide - narrow) / np.abs(narrow)) <= 1e-9
 
     def test_leak_monotone(self, fix_zz):
-        t = marginal_sequence(fix_zz, 0, 0, 128, Window(-24, 24), leak_budget=None)
+        t = marginal_sequence(fix_zz, 0, 0, 128, Window(-24, 24))
         assert np.all(np.diff(t.leak.astype(float)) >= 0)
 
     def test_exact_leak_stays_rational(self, fix_zz):
         # the cumulative leak of the exact DP is rational (integer numerators
         # over D**n), so mass balances exactly
-        raw = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), leak_budget=None, exact=True)
+        raw = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), exact=True)
         assert all(type(v) is int for v in raw.leak)
         t = as_fractions(raw)
         for key in ("leak_below", "leak_above"):
@@ -338,7 +333,7 @@ class TestUnderflowFlush:
         for _, state, _, lost in _advance(op, [op.below, op.above], state, horizon):
             assert _subnormals(state) == 0
             flushed.append(0.0 if lost is None else lost)
-        t = marginal_sequence(fix_pn, 0, 0, horizon, window, leak_budget=None)
+        t = marginal_sequence(fix_pn, 0, 0, horizon, window)
         d = t.data
         assert _subnormals(d["final_state"]) == 0
         assert np.array_equal(t.leak, d["leak_below"] + d["leak_above"] + d["leak_underflow"])
@@ -357,7 +352,7 @@ class TestUnderflowFlush:
         op, state = walk_plan(fix_pn, window), np.zeros(window.width)
         state[window.index(0)] = 1
         *_, (_, _, _, last) = _advance(op, [op.below, op.above], state, horizon)
-        t = marginal_sequence(fix_pn, 0, 0, horizon, window, leak_budget=None)
+        t = marginal_sequence(fix_pn, 0, 0, horizon, window)
         assert last is not None and t.meta["final_flush"] == last > 0
         total = t.data["final_state"].sum() + t.leak[-1] + t.meta["final_flush"]
         assert total == pytest.approx(1.0, abs=1e-14)
@@ -368,7 +363,7 @@ class TestUnderflowFlush:
         assert t.meta["unflushed_bound"] == terms * 2.0**-1074 / 2
 
     def test_exact_run_has_no_underflow(self, fix_zz):
-        t = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), leak_budget=None, exact=True)
+        t = marginal_sequence(fix_zz, 0, 0, 30, Window(-6, 6), exact=True)
         assert not t.data["leak_underflow"].any()
         assert t.meta["final_flush"] == 0 and t.meta["unflushed_bound"] == 0
         assert list(t.leak) == list(t.data["leak_below"] + t.data["leak_above"])
@@ -410,9 +405,9 @@ class TestUnderflowFlush:
         # two blocks: the first one's flush is leak from the second one on
         horizon, half = 2 * BLOCK, 8 * BLOCK + 1   # no path of the horizon leaves the wide one
         for y in (0, 1):
-            small = marginal_sequence(m, 0, y, horizon, Window(-12, 12), leak_budget=None)
+            small = marginal_sequence(m, 0, y, horizon, Window(-12, 12))
             wide = as_fractions(marginal_sequence(m, 0, y, horizon, Window(-half, half),
-                                                  leak_budget=None, exact=True))
+                                                  exact=True))
             assert small.data["leak_underflow"][-1] > 0
             assert _subnormals(small.data["final_state"]) == 0
             err = np.abs(small.data["values"] - wide.data["values"].astype(float))
@@ -596,7 +591,7 @@ class TestStepPlan:
         model = ALL_FIXTURES[name]()
         args = (model, 1, -1, 512, Window(-96, 128))
         ref, _ = reference_marginal_sequence(*args, rescaled=rescaled)
-        new = marginal_sequence(*args, leak_budget=None)
+        new = marginal_sequence(*args)
         if rescaled:
             np.testing.assert_allclose(new.data["log_values"], ref["log_values"], rtol=1e-13,
                                        atol=0)
@@ -620,7 +615,7 @@ class TestStepPlan:
         values = np.zeros(horizon + 1)
         for ns, state, F, _ in _advance(op, [op.below, op.above, iy], state, horizon):
             values[ns] = F[:, 2]
-        new = marginal_sequence(model, 1, -1, horizon, w, leak_budget=None)
+        new = marginal_sequence(model, 1, -1, horizon, w)
         assert np.array_equal(new.data["values"], values)
         assert np.array_equal(new.data["final_state"], state)
         if name not in ("FIX-ZZ", "FIX-PZ", "FIX-PN", "FIX-PP-C"):   # C drifts 0.14 a step
@@ -631,7 +626,7 @@ class TestStepPlan:
         model = FIXTURES[name]()
         args = (model, 0, 2, 40, Window(-16, 16))
         ref, _ = reference_marginal_sequence(*args, exact=True)
-        new = as_fractions(marginal_sequence(*args, leak_budget=None, exact=True))
+        new = as_fractions(marginal_sequence(*args, exact=True))
         assert list(new.leak) == ref["leak"]
         for key in ("values", "leak_below", "leak_above", "final_state"):
             assert list(new.data[key]) == ref[key], key
@@ -683,8 +678,8 @@ class TestMarginalProperties:
         # with the leak sides swapped, on three media and on two, whose
         # mirror has its origin in the right medium
         w, horizon = Window(-9, 9), 14   # narrow, so both sides leak
-        t = marginal_sequence(m, x, y, horizon, w, leak_budget=None, exact=True)
-        tm = marginal_sequence(mirror_model(m), -x, -y, horizon, w, leak_budget=None, exact=True)
+        t = marginal_sequence(m, x, y, horizon, w, exact=True)
+        tm = marginal_sequence(mirror_model(m), -x, -y, horizon, w, exact=True)
         assert list(t.data["values"]) == list(tm.data["values"])
         assert list(t.data["leak_below"]) == list(tm.data["leak_above"])
         assert list(t.data["leak_above"]) == list(tm.data["leak_below"])
@@ -699,8 +694,8 @@ class TestMarginalProperties:
         mm, w = mirror_model(m), Window(-10, 10)
         for x in range(-3, 4):
             for y in range(-3, 4):
-                t = marginal_sequence(m, x, y, 12, w, leak_budget=None, exact=True)
-                tm = marginal_sequence(mm, -x, -y, 12, w, leak_budget=None, exact=True)
+                t = marginal_sequence(m, x, y, 12, w, exact=True)
+                tm = marginal_sequence(mm, -x, -y, 12, w, exact=True)
                 assert t.meta["D"] == tm.meta["D"]
                 assert list(t.data["values"]) == list(tm.data["values"]), (x, y)
                 assert list(t.data["leak_below"]) == list(tm.data["leak_above"]), (x, y)
@@ -710,10 +705,9 @@ class TestMarginalProperties:
     @given(st.booleans().flatmap(_exact_models), st.integers(-4, 4), st.integers(-4, 4))
     def test_float_within_leak_of_exact(self, m, x, y):
         horizon = 16
-        small = marginal_sequence(m, x, y, horizon, Window(-6, 6), leak_budget=None)
+        small = marginal_sequence(m, x, y, horizon, Window(-6, 6))
         half = abs(x) + horizon * m.max_jump + 1   # no path of this length leaves it
-        wide = as_fractions(marginal_sequence(m, x, y, horizon, Window(-half, half),
-                                              leak_budget=None, exact=True))
+        wide = as_fractions(marginal_sequence(m, x, y, horizon, Window(-half, half), exact=True))
         assert not any(wide.leak)
         err = np.abs(small.data["values"] - wide.data["values"].astype(float))
         assert np.all(err <= small.leak + 1e-12)

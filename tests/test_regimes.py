@@ -265,6 +265,10 @@ class TestSelectTilt:
             # own rate reproduces the predicted rate
             residual_rate = classify(plan.tilted_model).rate
             assert plan.rate * residual_rate == pytest.approx(p.rate, abs=1e-9), name
+        # B2: r = L(lambda')/rho' in closed form, on the damped left side
+        plan = select_tilt(subcase_models["B2"])
+        assert plan.r == pytest.approx(0.8509373209614202 / 0.905031433644464, abs=1e-12)
+        assert plan.damped_side == "left"
 
     @pytest.mark.parametrize("branch, left, right, base", [
         ("C2", {-1: F(1, 6), 0: F(1, 12), 2: F(3, 4)},
@@ -552,7 +556,7 @@ class TestConstants:
         v1 = pot.V(LadderVariant.STRICT_ASC, 1)
         c_t = c * 0.5 * v1 + c * 0.5 * v1
         C0 = 1.0 / (2.0 * math.pi * c_t)
-        t = marginal_sequence(m, 0, 0, 4096, Window(-512, 512), leak_budget=None)
+        t = marginal_sequence(m, 0, 0, 4096, Window(-512, 512))
         plateau = math.sqrt(4096) * t.data["values"][4096]
         assert plateau == pytest.approx(C0, rel=0.02)
         wrong = 2.0 * c_t

@@ -39,13 +39,11 @@ from oscillax.switching import (
     build_Q,
     default_weight,
     dominant_eigenpair,
-    doob_transform,
     limit_operator_E,
     limit_operator_E_ell,
     renewal_sequence,
     switching_kernel,
     switching_time_marginals,
-    tilted_kernels,
 )
 
 
@@ -463,45 +461,6 @@ class TestDominantEigenpair:
         assert peak < 20e6
 
 
-class TestDoob:
-    def test_identity_transform(self, fix_zz):
-        sk = switching_kernel(fix_zz, Window(-24, 24))
-        out = doob_transform(sk.R, np.ones(sk.window.width), sk.band_rows, 1.0)
-        assert np.array_equal(out, sk.R)
-
-    def test_power_structure(self, fix_zp):
-        # (HQ)^(l) equals the conjugation of Q^(l) by (rho, H), l = 2, 3
-        sk = switching_kernel(fix_zp, Window(-32, 32))
-        sd = dominant_eigenpair(sk)
-        Q = dense_q(sk)
-        HQ = dense_q(sk, doob_transform(sk.R, sd.H, sk.band_rows, sd.rho_psi))
-        for ell in (2, 3):
-            lhs = np.linalg.matrix_power(HQ, ell)
-            rhs = np.linalg.matrix_power(Q, ell) * (
-                sd.H[None, :] / sd.H[:, None]) / sd.rho_psi ** ell
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-    def test_markovization(self, fix_zp):
-        # row sums of the transformed aggregate approach 1 (up to truncation)
-        sk = switching_kernel(fix_zp, Window(-64, 64))
-        sd = dominant_eigenpair(sk)
-        rows = doob_transform(sk.R, sd.H, sk.band_rows, sd.rho_psi).sum(axis=1)
-        mid = slice(sk.window.index(-8), sk.window.index(8) + 1)
-        assert np.max(np.abs(rows[mid] - 1.0)) <= 5e-3
-
-    def test_horizon_doubling_shrinks_defect(self, fix_zp):
-        # sum_{n<=N} HQ_n row sums approach 1 as the horizon doubles
-        w = Window(-96, 96)
-        sk = switching_kernel(fix_zp, w)
-        sd = dominant_eigenpair(sk)
-        defects = []
-        for N in (64, 128, 256):
-            hist = build_Q(fix_zp, N, w, rows=window_rows(w))
-            sums = doob_transform(hist.R[1:], sd.H, sk.band_rows, sd.rho_psi).sum(axis=(0, 2))
-            defects.append(max(abs(1.0 - sums[w.index(x)]) for x in (-1, 0, 1)))
-        assert defects[2] < defects[1] < defects[0]
-
-
 class TestMirror:
     # mirroring is x -> -x on every model, so each kernel flips on both axes
     @pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES])
@@ -522,7 +481,7 @@ class TestMirror:
 
 class TestTiltedKernels:
     def test_requires_two_media(self, fix_zz):
-        # the plan is refused, so no tilted stack of a non-(N,P)/(P,P) model exists
+        # a non-(N,P)/(P,P) model has no tilt plan
         from oscillax.regimes import select_tilt
 
         with pytest.raises(ConventionMismatch):
@@ -548,20 +507,6 @@ class TestTiltedKernels:
         else:
             assert (plan.damped_side, plan.t_ref) == ("right", plan.t_left)
 
-    @pytest.mark.parametrize("name, total", [
-        ("FIX-PP", 10.679128629227664),
-        ("B5", 11.421085401684888),
-        ("A1", 12.989502175456076),
-        ("C", 3.6341858179144984),
-    ])
-    def test_stack_sum_pinned(self, fix_pp, subcase_models, name, total):
-        # left-damped, right-damped, tangency and crossing plans
-        from oscillax.regimes import select_tilt
-
-        plan = select_tilt(fix_pp if name == "FIX-PP" else subcase_models[name])
-        tk = tilted_kernels(plan, 64, Window(-16, 16))
-        assert float(tk.Qn.sum()) == pytest.approx(total, rel=1e-14)
-
     def test_change_of_measure_identity_exact(self, fix_pp):
         # Q_n(x,y) = L(t)^n e^{t(x-y)} Q_n^t(x,y) with e^t = 1/2, checked
         # exactly through the rational geometric tilt
@@ -585,48 +530,13 @@ class TestTiltedKernels:
                     rhs = acc * ratio ** (x - y) * hist_t.R[n, i, y - bl]
                     assert lhs == rhs, (x, n, y)
 
-    def test_b2_damped_side_row_sums(self, fix_pp):
-        from oscillax.regimes import classify, select_tilt
-
-        plan = select_tilt(fix_pp, classify(fix_pp))
-        w = Window(-24, 24)
-        tk = tilted_kernels(plan, 64, w)
-        # B2: r = L(lambda')/rho' in closed form
-        assert tk.plan.r == pytest.approx(0.8509373209614202 / 0.905031433644464, abs=1e-12)
-        assert tk.plan.damped_side == "left"
-        agg = tk.Qn.sum(axis=0)
-        # undamped (right) side: exact mass accounting against its own survival
-        fp = first_passage_rows(tk.plan.tilted_model.media[-1], [4], 64, w)
-        undamped = agg[w.index(4), :].sum()
-        assert undamped + fp.survival[0][64] == pytest.approx(1.0, abs=1e-12)
-        # damped (left) side: strictly below the same accounting level
-        fp_l = first_passage_rows(tk.plan.tilted_model.media[0], [-4], 64, w)
-        damped = agg[w.index(-4), :].sum()
-        assert damped < (1.0 - float(fp_l.survival[0][64])) - 0.05
-
     def test_crossing_case_no_damping(self, subcase_models):
         from oscillax.regimes import classify, select_tilt
 
         m = subcase_models["B3"]
         plan = select_tilt(m, classify(m))
-        tk = tilted_kernels(plan, 16, Window(-16, 16))
-        assert tk.plan.r == pytest.approx(1.0, abs=1e-12)
-        assert tk.plan.damped_side is None
-
-    def test_no_dense_stack(self, fix_pp):
-        # the dense (N+1, W, W) stack alone would be 2.2 GB here
-        from oscillax.regimes import classify, select_tilt
-
-        plan = select_tilt(fix_pp, classify(fix_pp))
-        w = Window(-1024, 1024)
-        tracemalloc.start()
-        try:
-            tk = tilted_kernels(plan, 64, w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert tk.Qn.shape == (65, w.width, tk.band[1] - tk.band[0] + 1)
-        assert peak < 50e6
+        assert plan.r == pytest.approx(1.0, abs=1e-12)
+        assert plan.damped_side is None
 
     def test_build_Q_peak_memory(self, fix_zz):
         # the result stack, its survival and leak, and one medium's DP record

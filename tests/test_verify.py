@@ -91,13 +91,13 @@ class TestFitter:
 
 class TestEffectiveLeak:
     def test_recurrent_keeps_raw_bound(self, fix_zz):
-        t = marginal_sequence(fix_zz, 0, 0, 128, Window(-32, 32), leak_budget=None)
+        t = marginal_sequence(fix_zz, 0, 0, 128, Window(-32, 32))
         eff = effective_leak(t, fix_zz)
         raw = t.leak.astype(float)
         assert np.allclose(eff, raw, atol=1e-15)
 
     def test_transient_discounts_drift_side(self, fix_zp):
-        t = marginal_sequence(fix_zp, 0, 0, 512, Window(-256, 256), leak_budget=None)
+        t = marginal_sequence(fix_zp, 0, 0, 512, Window(-256, 256))
         eff = effective_leak(t, fix_zp)
         raw = t.leak.astype(float)
         assert raw[-1] > 0.3          # the drifting bulk left the window
@@ -127,7 +127,7 @@ class TestEffectiveLeak:
         model = {**FIXTURES, **{f"FIX-PP-{k}": f for k, f in SUBCASE_FIXTURES.items()}}[name]()
         rate = classify(model).rate
         w = Window(-48, 48)
-        t = marginal_sequence(model, 0, 0, 1024, w, leak_budget=None)
+        t = marginal_sequence(model, 0, 0, 1024, w)
         d = [math.exp(-abs(argmin_laplace(law)[0]) * half) if abs(law.mean) > ZERO_DRIFT_TOL
              else 1.0 for law, half in ((model.left, -w.lo), (model.right, w.hi))]
         flux = np.diff(np.stack([t.data["leak_below"], t.data["leak_above"]]), axis=1)
