@@ -134,16 +134,14 @@ def cmd_kernel(args) -> int:
     model = load_model(args.model)
     horizon = args.horizon
     window = _window(args, model, horizon)
-    # T_n(x, y) over the band, one full-walk DP per row x; run before build_Q
-    # so that an oversized horizon is refused before any DP starts
-    T = [switching_time_marginals(model, x, horizon, window) for x in essential_class(model)]
+    # T_n(x, y) for every row x in one full-walk DP, before build_Q: an oversized horizon runs no DP
+    T = switching_time_marginals(model, essential_class(model), horizon, window)
     hist = build_Q(model, horizon, window)
     band_lo, band_hi = hist.band
     n, x, y = np.meshgrid(np.arange(1, horizon + 1), hist.rows, np.arange(band_lo, band_hi + 1),
                           indexing="ij")
     _write_csv(_outdir(args) / "kernel.csv", ["n", "x", "y", "Qn", "Tn"],
-               [n.ravel(), x.ravel(), y.ravel(), hist.R[1:].ravel(),
-                np.stack(T, axis=1)[1:].ravel()])
+               [n.ravel(), x.ravel(), y.ravel(), hist.R[1:].ravel(), T[1:].ravel()])
     return EXIT_OK
 
 
@@ -151,11 +149,16 @@ def cmd_spectrum(args) -> int:
     from .switching import default_weight, dominant_eigenpair, switching_kernel
 
     model = load_model(args.model)
-    window = _window(args, model, args.horizon)
     weight = default_weight(model, args.delta, args.weight)
+    if not math.isfinite(weight.delta) or weight.kind == "polynomial" and weight.delta <= 0:
+        raise ValidationError(f"--delta {weight.delta!r} must be finite, and > 0 for the "
+                              "polynomial weight 1 + |x|^(1+delta) to dominate 1 + |x|")
+    window = _window(args, model, 4096)
     rate = max(weight.rate_neg, weight.rate_pos)
     if not args.window and rate > 0:   # the default window, cut to where the weight is finite
         half = min(window.hi, int(math.log(sys.float_info.max) / rate))
+        if half < 1:
+            raise ValidationError(f"{weight!r} overflows at |x| = 1: no window is finite")
         window = Window(-half, half)
     spectral = dominant_eigenpair(switching_kernel(model, window), weight)
     _write_json(_outdir(args) / "spectrum.json", spectral.report())
@@ -167,9 +170,7 @@ def cmd_simulate(args) -> int:
 
     model = load_model(args.model)
     res = simulate(model, args.start, args.horizon, args.paths, args.seed)
-    path = _outdir(args) / "simulate.json"
-    path.write_text(res.to_json() + "\n")
-    print(path)
+    _write_json(_outdir(args) / "simulate.json", res.report())
     return EXIT_OK
 
 
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kernel, horizon=256)
 
     p = sub.add_parser("spectrum", help="dominant eigenpair of the switching kernel")
-    common(p)
+    common(p, horizon=False)
     p.add_argument("--weight", choices=["auto", "polynomial", "exponential"],
                    default="auto")
     p.add_argument("--delta", type=float, default=None)

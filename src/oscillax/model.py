@@ -508,7 +508,7 @@ def _pairs_to_json(d: LatticeDist):
 
 
 def load_model(source) -> OscillatingModel:
-    """Load a model from a JSON file path, JSON string, or dict."""
+    """Load a model from a JSON file path, JSON string, or dict; unknown keys are refused."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text() if Path(str(source)).exists() else str(source)
         try:
@@ -520,6 +520,8 @@ def load_model(source) -> OscillatingModel:
     try:
         left = _pairs_from_json(payload["left"])
         right = _pairs_from_json(payload["right"])
+        if unknown := sorted(set(payload) - {"left", "origin", "right", "two_media"}):
+            raise ValidationError(f"unknown key {', '.join(map(repr, unknown))} in the model file")
         two_media = payload.get("two_media", False)
         if type(two_media) is not bool:   # bool("false") is True
             raise ValidationError(f"two_media must be true or false, not {two_media!r}")

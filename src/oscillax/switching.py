@@ -27,6 +27,7 @@ from .evolve import (
     _zeros,
     block_steps,
     check_size,
+    check_work,
     first_passage_rows,
     passage_operator,
     powers,
@@ -285,28 +286,32 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     return out
 
 
-def switching_time_marginals(model: OscillatingModel, x: int, horizon: int,
+def switching_time_marginals(model: OscillatingModel, xs: Sequence[int], horizon: int,
                              window: Window) -> np.ndarray:
-    """Band columns of T_n(x, .) for n = 0..horizon by direct DP on the full walk.
+    """Band columns of T_n(x, .), n = 0..horizon, x in ``xs``, by DP on the full walk.
 
     A step is a switching time exactly when the walk changes medium, so
     T_n(x, z) is the probability that the step into time n crosses media and
     lands at z, which the band rows of :func:`walk_plan` read out.  Every
-    crossing lands on the arrival band, so the result is the (N+1, B) array
-    T[n, j] = T_n(x, band[0] + j) of :func:`renewal_sequence`, with T[0] = 0.
-    One full-walk DP serves every n; this is the long-horizon route the
-    renewal recursion is checked against.
+    crossing lands on the arrival band, so the result is the (N+1, rows, B)
+    stack T[n, i, j] = T_n(xs[i], band[0] + j) of :func:`renewal_sequence`,
+    with T[0] = 0.  Each start is a column of one DP state, run through the
+    same products as alone (see :func:`_advance`) and counted by the work
+    guard; this is the long-horizon route the renewal recursion is checked
+    against.
     """
     window.check_margin(model)
-    check_size((horizon + 1, window.width))
     band_lo, band_hi = arrival_band(model)
+    rows = np.size(xs)   # counted before xs is read, so that the guards come first
+    check_size((horizon + 1, window.width), (horizon + 1, rows, band_hi - band_lo + 1))
+    check_work(horizon, window.width * rows)
     window.index(band_lo), window.index(band_hi)   # the band lies in the window
     op = walk_plan(model, window, steps=block_steps(horizon))
-    state = np.zeros(window.width)
-    state[window.index(x)] = 1.0
-    T = np.zeros((horizon + 1, band_hi - band_lo + 1))
+    state = np.zeros((window.width, rows))
+    state[[window.index(x) for x in xs], range(rows)] = 1.0
+    T = np.zeros((horizon + 1, rows, band_hi - band_lo + 1))
     for ns, _, F, _ in _advance(op, list(op.band_rows), state, horizon):
-        T[ns] = F
+        T[ns] = F.transpose(0, 2, 1)
     return T
 
 

@@ -9,7 +9,6 @@ the constant from the plateau of the rectified sequence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -223,18 +222,11 @@ class SimResult:
     def marginal(self, n: int) -> dict:
         return {y: h / self.paths for y, h in self.counts[n].items()}
 
-    def to_json(self) -> str:
+    def report(self) -> dict:
+        """The ``simulate.json`` payload: the fields, every key a string ("None": no switch)."""
         def enc(d):
-            return {str(k): v for k, v in sorted(d.items(), key=lambda kv: (kv[0] is None, kv[0]))}
-        payload = {
-            "paths": self.paths,
-            "seed": self.seed,
-            "n_steps": self.n_steps,
-            "counts": {str(n): enc(c) for n, c in sorted(self.counts.items())},
-            "c1_histogram": enc(self.c1_histogram),
-            "switch_counts": enc(self.switch_counts),
-        }
-        return json.dumps(payload, sort_keys=True)
+            return {str(k): enc(v) if isinstance(v, dict) else v for k, v in d.items()}
+        return enc(asdict(self))
 
 
 def _inverse_cdf(dists, dtype):
@@ -563,7 +555,7 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     if case in (DriftCase.ZZ, DriftCase.PZ):
         bold_c = math.pi * tail_level
         report["bold_c"] = bold_c
-        T = switching_time_marginals(model, 0, horizon, window)
+        T = switching_time_marginals(model, [0], horizon, window)[:, 0]
         j0 = 0 - arrival_band(model)[0]   # the band column of the origin
         series = []
         n = 64

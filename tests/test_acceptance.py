@@ -272,7 +272,7 @@ def test_criterion_12_mc_dp_cross_validation(fix_zz):
     n_paths, n_steps, seed = 100_000, 50, 20240817
     r1 = simulate(fix_zz, 0, n_steps, n_paths, seed=seed)
     r2 = simulate(fix_zz, 0, n_steps, n_paths, seed=seed)
-    reproducible = r1.to_json() == r2.to_json()
+    reproducible = r1.report() == r2.report()
     w = Window(-128, 128)
     state = np.zeros(w.width)
     state[w.index(0)] = 1.0

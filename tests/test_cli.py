@@ -168,6 +168,29 @@ class TestCommands:
                      "--weight", "polynomial", "--delta", "0", "-o", str(tmp_path)]) == 2
         assert "dominate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,argv,named", [
+        ("FIX-ZZ", ["--delta", "-5"], "--delta"),
+        ("FIX-ZZ", ["--delta", "-1.5"], "--delta"),
+        ("FIX-ZZ", ["--delta", "nan"], "--delta"),
+        ("FIX-PP", ["--weight", "polynomial", "--delta", "inf"], "--delta"),
+        ("FIX-PP", ["--weight", "exponential", "--delta", "1e308"], "exponential"),
+    ], ids=["negative", "below-minus-one", "nan", "inf", "exponential-overflow"])
+    def test_spectrum_meaningless_delta_exit_two(self, model_dir, tmp_path, capsys, model,
+                                                 argv, named):
+        # refused up front with one error line: no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", str(model_dir / f"{model}.json"), *argv,
+                         "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not any(tmp_path.iterdir())
+
+    def test_spectrum_exponential_delta_zero_exit_zero(self, model_dir, tmp_path):
+        # FIX-PP's exponential rates stay positive at delta 0
+        assert main(["spectrum", str(model_dir / "FIX-PP.json"), "--weight", "exponential",
+                     "--delta", "0", "-o", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("kind", ["exponential", "polynomial"])
     def test_spectrum_reports_requested_weight(self, model_dir, tmp_path, kind):
         # FIX-ZZ is recurrent, so "auto" would pick the polynomial weight
@@ -202,8 +225,9 @@ class TestCommands:
         ["fixtures", "-n", "5"],
         ["verify", "FIX-ZZ.json", "--rational"],
         ["evolve", "FIX-ZZ.json", "--from", "0", "--to", "0", "--rescaled"],
+        ["spectrum", "FIX-ZZ.json", "-n", "64"],
     ], ids=["seed", "rational", "threads", "classify-window", "simulate-window",
-            "fixtures-horizon", "verify-rational", "evolve-rescaled"])
+            "fixtures-horizon", "verify-rational", "evolve-rescaled", "spectrum-horizon"])
     def test_flags_scoped_to_their_commands(self, model_dir, argv):
         if argv[1].endswith(".json"):
             argv = [argv[0], str(model_dir / argv[1]), *argv[2:]]
@@ -381,11 +405,13 @@ class TestCommands:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("payload", [
-        {"left": [[-1, "1/2"], [0, "1/4"], [2.7, "1/4"]]},
-        {"two_media": "false"},
-    ], ids=["non-integer-atom", "string-two-media"])
-    def test_misread_model_file_exit_two(self, tmp_path, payload):
+    @pytest.mark.parametrize("payload,named", [
+        ({"left": [[-1, "1/2"], [0, "1/4"], [2.7, "1/4"]]}, "2.7"),
+        ({"two_media": "false"}, "two_media"),
+        # a misspelt two_media would otherwise load as a three-media walk
+        ({"twomedia": True}, "'twomedia'"),
+    ], ids=["non-integer-atom", "string-two-media", "unknown-key"])
+    def test_misread_model_file_exit_two(self, tmp_path, capsys, payload, named):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"left": [[-1, "1/2"], [0, "1/4"], [2, "1/4"]],
                                    "origin": [[-1, "1/2"], [1, "1/2"]],
@@ -393,6 +419,8 @@ class TestCommands:
                                    **payload}))
         out = tmp_path / "out"
         assert main(["classify", str(bad), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_simulate_reproducible_bytes(self, model_dir, tmp_path):
@@ -432,6 +460,21 @@ class TestCommands:
         for n, x, y in table:
             if x == -1:
                 assert table[n, -1, y][1] == table[n, 1, -y][1], (n, y)
+
+    def test_kernel_runs_one_switching_time_dp(self, model_dir, tmp_path, monkeypatch):
+        # every row of the essential class is a column of one full-walk DP
+        from oscillax import switching
+        calls = []
+
+        def counted(model, xs, horizon, window):
+            calls.append(list(xs))
+            return run(model, xs, horizon, window)
+
+        run = switching.switching_time_marginals
+        monkeypatch.setattr(switching, "switching_time_marginals", counted)
+        assert main(["kernel", str(model_dir / "FIX-PP.json"), "-n", "16",
+                     "-o", str(tmp_path)]) == 0
+        assert len(calls) == 1 and len(calls[0]) > 1
 
     def test_env_out_fallback(self, model_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("OSCILLAX_OUT", str(tmp_path / "envout"))
@@ -502,9 +545,9 @@ class TestWriters:
 
     @pytest.mark.parametrize("name", FIXTURE_FILES)
     def test_fixture_outputs_keep_the_byte_contract(self, model_dir, tmp_path, name):
-        # indented JSON with sorted keys from every JSON-writing command but
-        # simulate, whose report is one compact line; CSV with CRLF line ends,
-        # decimal ints and %.17g floats; and every file's bytes as pinned
+        # indented JSON with sorted keys from every JSON-writing command; CSV
+        # with CRLF line ends, decimal ints and %.17g floats; and every file's
+        # bytes as pinned
         model = str(model_dir / f"{name}.json")
         for argv in (["classify"], ["spectrum", "-W", "64"], ["verify", "-n", "256"],
                      ["simulate", "-n", "8", "--paths", "200"],
@@ -517,8 +560,7 @@ class TestWriters:
                 for p in tmp_path.iterdir()} == OUTPUT_DIGESTS[name]
         for path in tmp_path.glob("*.json"):
             text = path.read_text()
-            indent = None if path.name == "simulate.json" else 1
-            assert text == json.dumps(json.loads(text), indent=indent, sort_keys=True) + "\n"
+            assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
         for path in tmp_path.glob("*.csv"):
             lines = path.read_bytes().decode().split("\r\n")
             assert lines.pop() == "" and "\n" not in "".join(lines)

@@ -214,7 +214,7 @@ class TestRenewalSequence:
         w = Window(-12, 12)
         hist = build_Q(model, 40, w, rows=window_rows(w))
         T = renewal_sequence(hist.R, hist.C)
-        Tdp = switching_time_marginals(model, 0, 40, w)
+        Tdp = switching_time_marginals(model, [0], 40, w)[:, 0]
         i0 = hist.rows.index(0)
         err = max(np.max(np.abs(T[n, i0] - Tdp[n])) for n in range(1, 41))
         assert err <= 1e-14
@@ -245,7 +245,7 @@ def test_switching_time_marginals_match_reference_step(name):
     model = {**RENEWAL_MODELS, **SUBCASE_FIXTURES}[name]()
     w = Window(-40, 48)
     _, full = reference_marginal_sequence(model, 1, 1, 256, w)
-    np.testing.assert_allclose(switching_time_marginals(model, 1, 256, w),
+    np.testing.assert_allclose(switching_time_marginals(model, [1], 256, w)[:, 0],
                                full[:, band_cols(w, arrival_band(model))], rtol=1e-13, atol=0)
 
 
@@ -262,12 +262,26 @@ def test_switching_time_marginals_keep_every_crossing(name):
     full = np.zeros((257, w.width))
     for n in range(1, 257):
         state, _ = reference_step(state, model, w, crossed=full[n])
-    T = switching_time_marginals(model, 1, 256, w)
+    T = switching_time_marginals(model, [1], 256, w)[:, 0]
     cols = band_cols(w, arrival_band(model))
     assert T.shape == (257, cols.stop - cols.start)
     np.testing.assert_allclose(T, full[:, cols], rtol=1e-13, atol=0)
     full[:, cols] = 0.0
     assert not full.any()
+
+
+@pytest.mark.parametrize("horizon", [64, 1000])
+@pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES, "origin-0"])
+def test_switching_time_marginals_batch_equals_each_row(name, horizon):
+    # every start row is a column of one DP state, run through the same
+    # products as alone: each column is its one-row call's, bit for bit
+    model = {**RENEWAL_MODELS, **SUBCASE_FIXTURES}[name]()
+    w = default_window(model, horizon)
+    xs = [*essential_class(model), -7, 5]
+    T = switching_time_marginals(model, xs, horizon, w)
+    assert T.shape[:2] == (horizon + 1, len(xs))
+    for i, x in enumerate(xs):
+        assert np.array_equal(T[:, i], switching_time_marginals(model, [x], horizon, w)[:, 0]), x
 
 
 def direct_power_sum(C, prev):
@@ -297,9 +311,9 @@ class TestPowerSequences:
         model, w, N = FIXTURES[name](), Window(-8, 8), 32
         banded = banded_power_sequences(model, N, w, ells=range(1, N + 1))
         total = sum(banded[ell][: N + 1] for ell in range(1, N + 1))
-        for x in window_rows(w):
-            Tdp = switching_time_marginals(model, x, N, w)
-            assert np.max(np.abs(total[1:, banded["rows"][x]] - Tdp[1:])) <= 1e-14, x
+        Tdp = switching_time_marginals(model, window_rows(w), N, w)
+        for i, x in enumerate(window_rows(w)):
+            assert np.max(np.abs(total[1:, banded["rows"][x]] - Tdp[1:, i])) <= 1e-14, x
 
 
 def full_array_powers(model, horizon, window, ells, rows=None):
@@ -646,6 +660,16 @@ class TestSizeGuard:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_switching_time_work_counts_every_row(self, fix_zz, monkeypatch):
+        # one row's 10^5 steps over 1025 sites fit, but 129 rows are 1.3e10
+        # cell-steps: refused before the DP takes a step
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr("oscillax.switching._advance", no_dp)
+        with pytest.raises(ValidationError, match="word-steps"):
+            switching_time_marginals(fix_zz, range(-64, 65), 100_000, Window(-512, 512))
 
     def test_first_passage_work_refused_before_dp(self, fix_zz, monkeypatch):
         # every array fits, but 10^6 steps of row -1 over its 16000-site

@@ -270,9 +270,9 @@ class TestSimulate:
     def test_reproducible(self, fix_zz):
         a = simulate(fix_zz, 0, 30, 20_000, seed=7)
         b = simulate(fix_zz, 0, 30, 20_000, seed=7)
-        assert a.to_json() == b.to_json()
+        assert a.report() == b.report()
         c = simulate(fix_zz, 0, 30, 20_000, seed=8)
-        assert a.to_json() != c.to_json()
+        assert a.report() != c.report()
 
     def test_counts_partition_paths(self, fix_zz):
         r = simulate(fix_zz, 0, 40, 10_000, seed=3)
