@@ -150,9 +150,7 @@ def cmd_spectrum(args) -> int:
 
     model = load_model(args.model)
     weight = default_weight(model, args.delta, args.weight)
-    if not math.isfinite(weight.delta) or weight.kind == "polynomial" and weight.delta <= 0:
-        raise ValidationError(f"--delta {weight.delta!r} must be finite, and > 0 for the "
-                              "polynomial weight 1 + |x|^(1+delta) to dominate 1 + |x|")
+    weight.check_delta("--delta")
     window = _window(args, model, 4096)
     rate = max(weight.rate_neg, weight.rate_pos)
     if not args.window and rate > 0:   # the default window, cut to where the weight is finite

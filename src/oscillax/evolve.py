@@ -265,10 +265,10 @@ def _advance(op: WindowOperator, readouts, state, horizon: int):
     dense band of A^j (:func:`_powers`) against windows of the zero-padded
     state, over the sites mass can reach from those that hold it, and per
     readout row one product of the state with its rows of F A^t (t < j, F
-    the ``readouts`` rows of E), a dense run over the columns it reaches.
-    Every array is in the state's dtype, so an object state of integers
-    gets exact sums, and each state column runs through the same dot
-    products whatever the others.  Yields (steps, state, F, lost) after each
+    the ``readouts`` rows of E), a dense run over the columns it reaches (a
+    row with no entries reads 0 with no product).  Every array is in the
+    state's dtype, so an object state of integers gets exact sums, and each
+    state column runs through the same dot products whatever the others.  Yields (steps, state, F, lost) after each
     block: the slice of steps it ran, the state after them, which the caller
     may rescale in place, F[j] the readouts of step steps.start + j, applied
     to the state before that step, and the mass per state column flushed
@@ -289,7 +289,10 @@ def _advance(op: WindowOperator, readouts, state, horizon: int):
     runs = []   # (first column, end, (F A^t)^T on the columns first..end - 1, t < k)
     for r in readouts:
         m = op.rows == r
-        a, b = (op.cols[m].min(), op.cols[m].max()) if m.any() else (0, 0)
+        if not m.any():   # a row no jump reaches reads 0 at every step
+            runs.append(None)
+            continue
+        a, b = op.cols[m].min(), op.cols[m].max()
         c0, c1 = max(a + (k - 1) * lo, 0), min(b + (k - 1) * (lo + span) + 1, K)
         G = np.zeros((k, c1 - c0), dtype)
         np.add.at(G[0], op.cols[m] - c0, op.vals[m])   # a column may repeat
@@ -309,9 +312,11 @@ def _advance(op: WindowOperator, readouts, state, horizon: int):
             band = A if j == 1 else powers[j.bit_length() - 1][index]
             blocks[j] = band[:, :, None], windows[:, :, None]
         band, windows = blocks[j]
-        F = np.empty((len(readouts), len(buf), 1, j), dtype)
-        for q, (c0, c1, GT) in enumerate(runs):
-            np.matmul(cur[:, None, c0:c1], GT[:, :j], out=F[q])
+        F = np.zeros((len(readouts), len(buf), 1, j), dtype)
+        for q, run in enumerate(runs):
+            if run:
+                c0, c1, GT = run
+                np.matmul(cur[:, None, c0:c1], GT[:, :j], out=F[q])
         r0, r1 = max(r0 - j * (lo + span), 0), min(r1 - j * lo, K)   # the rest stay 0
         out = np.zeros(cur.shape, dtype)
         np.matmul(windows[:, r0:r1], band[r0:r1], out=out[:, r0:r1, None, None])

@@ -2,14 +2,17 @@
 
 Two independent computational routes are provided and cross-checked in tests:
 
-* the Wiener-Hopf factorization of 1 - phi(u) into ascending and descending
-  ladder factors, read off from the roots of a polynomial of degree a + b for
-  a law on [-a, b]: exact up to root-finding error.  Its height laws feed the
-  renewal functions of :func:`ladder_potentials`, hence E(x, y), the tail
-  sums nu(V), the ladder means and the ladder-mean fluctuation constant;
-* killed-walk Green functions obtained from banded linear solves, which give
-  the renewal point masses U({z}) via time-reversal duality, with error
-  O(1/window): one such row feeds the direct fluctuation constant only.
+* the characteristic roots of u^a (1 - phi(u)) for a law on [-a, b]
+  (:func:`small_roots`): the Wiener-Hopf factorization of 1 - phi(u) into
+  ascending and descending ladder factors, exact up to root-finding error,
+  whose height laws feed the renewal functions of :func:`ladder_potentials`,
+  hence E(x, y), the tail sums nu(V), the ladder means and the ladder-mean
+  fluctuation constant; and :func:`killed_green`, the killed walk's Green
+  function on a segment, whose homogeneous runs are combinations of the
+  powers of the same roots;
+* killed-walk Green rows from a banded LU solve, which give the renewal
+  point masses U({z}) via time-reversal duality, with error O(1/window):
+  one such row feeds the direct fluctuation constant only.
 
 The three fluctuation-constant formulas (defining sum, harmonic/occupation
 series, ladder-mean) deliberately use disjoint machinery so their agreement
@@ -21,11 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import NotCentered, ValidationError
+from .evolve import check_size
 from .model import (
     ZERO_DRIFT_TOL,
     LatticeDist,
@@ -38,9 +43,9 @@ from .model import (
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 ZETA_3_2 = 2.612375348685488   # zeta(3/2), float(scipy.special.zeta(1.5)) bit for bit
 SOLVE_WINDOW = 40000   # sites of the killed-walk Green solve in direct_constant
-# for a law on a sublattice dZ, d > 1, 1 - phi has double roots on the unit
-# circle, which root finding splits by about sqrt(machine eps)
-UNIT_CIRCLE_TOL = 1e-6
+# root finding splits a repeated root by about sqrt(machine eps); roots this
+# close (relative) are taken as one repeated root
+REPEATED_ROOT_TOL = 1e-6
 
 
 class LadderVariant(Enum):
@@ -52,8 +57,188 @@ class LadderVariant(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Killed-walk Green functions (duality route)
+# Characteristic roots
 # ---------------------------------------------------------------------------
+
+class CharacteristicRoots(NamedTuple):
+    """The a + b roots of p(u) = u^a (1 - phi(u)) of a law on [-a, b], a, b >= 0.
+
+    ``poly`` holds p's ascending coefficients, which are also the stencil of
+    the killed walk: (I - A) X(s) = sum_j poly[j] X(s - a + j) off the ends.
+    The roots on the unit circle are the ``period``-th roots of unity, period
+    the gcd of the support, each of multiplicity ``order``: 2 for a centered
+    law, 1 for a drifted one.  They are divided out exactly, which leaves
+    ``reduced``, the ascending coefficients of p(u) / (u^period - 1)^order as
+    a polynomial in w = u^period; ``others`` holds every period-th root of
+    each root of ``reduced`` (none is 0).  ``repeated`` lists all a + b roots
+    as (root, multiplicity) pairs, the unit roots first, roots of ``others``
+    within REPEATED_ROOT_TOL of each other merged at their mean.  The small
+    roots are those in the closed unit disc.
+    """
+
+    poly: np.ndarray
+    period: int
+    order: int
+    reduced: np.ndarray
+    others: np.ndarray
+    repeated: tuple
+    real: bool   # no root is complex
+
+
+def small_roots(dist: LatticeDist) -> CharacteristicRoots:
+    """The :class:`CharacteristicRoots` of ``dist``, computed once per law
+    (the last 64 laws are kept; their arrays are read-only)."""
+    return _roots(dist.values, dist.probs.tobytes(), abs(dist.mean) <= ZERO_DRIFT_TOL)
+
+
+@lru_cache(maxsize=64)
+def _roots(values: tuple, probs: bytes, centered: bool) -> CharacteristicRoots:
+    from numpy.polynomial import polynomial as P   # here, not at import: it takes 1.5 ms
+
+    a, b = max(-values[0], 0), max(values[-1], 0)
+    poly = np.zeros(a + b + 1)
+    poly[np.add(values, a)] = -np.frombuffer(probs)
+    poly[a] += 1.0
+    period, order = math.gcd(*values), 2 if centered else 1
+    if not period:
+        raise ValidationError("a law that never moves has no killed Green function")
+    reduced = poly[::period]
+    for _ in range(order):   # synthetic division by w - 1: p(1) = 0 leaves no remainder
+        reduced = np.cumsum(reduced)[:-1]
+    others = P.polyroots(reduced)
+    units = np.exp(2j * np.pi * np.arange(period) / period) if period > 2 else [1.0, -1.0][:period]
+    if period > 1:
+        others = (others.astype(complex) ** (1.0 / period) * np.array(units)[:, None]).ravel()
+    real = period <= 2 and not np.any(np.imag(others))
+    if real:
+        others = np.real(others)
+    groups = []   # [sum of the roots, multiplicity]
+    for r in others:
+        near = [g for g in groups if abs(r - g[0] / g[1]) <= REPEATED_ROOT_TOL * max(1.0, abs(r))]
+        if near:
+            near[0][0] += r
+            near[0][1] += 1
+        else:
+            groups.append([r, 1])
+    repeated = tuple((complex(u), order) for u in units) + tuple(
+        (complex(s / m), m) for s, m in groups)
+    for array in (poly, reduced, others):
+        array.flags.writeable = False
+    return CharacteristicRoots(poly, period, order, reduced, others, repeated, real)
+
+
+def _basis(roots: CharacteristicRoots, L: int) -> np.ndarray:
+    """(L + 1, a + b): a basis of the solutions of X(s) = sum_v mu(v) X(s + v)
+    on a run of L + 1 sites t = 0..L, each at most 1 in modulus there.
+
+    A root r of multiplicity m gives r^t (t/L)^k, k < m, if |r| <= 1, and
+    r^-(L - t) ((L - t)/L)^k outside the unit disc.  A simple real root
+    e^lam near 1 other than 1 itself (|lam| L <= 1, a drifted law's partner
+    of the unit root) gives expm1(lam t) / expm1(lam L), which stays apart
+    from the constant as lam -> 0.
+    """
+    t, p = np.arange(L + 1), roots.period
+    cols = []
+    for j, (r, m) in enumerate(roots.repeated):
+        lam = math.log(r.real) if r.imag == 0 and r.real > 0 else math.inf
+        inside = abs(r) <= 1.0
+        e = t if inside else L - t   # r^t, or r^-(L - t) outside the unit disc
+        if j < p:   # the unit root e^(2 pi i j / p), its phase reduced mod 2 pi exactly
+            base = 1.0 - 2.0 * (j * t % 2) if p <= 2 else np.exp(2j * np.pi / p * (j * t % p))
+        elif m == 1 and abs(lam) * L <= 1.0:
+            cols.append(np.expm1(lam * t) / math.expm1(lam * L))
+            continue
+        elif r.imag:
+            base = np.exp((np.log(r) if inside else -np.log(r)) * e)
+        else:   # |r|^e, negated at odd e when r < 0
+            base = np.exp((1.0 if inside else -1.0) * math.log(abs(r.real)) * e)
+            if r.real < 0:
+                base[(1 if inside else L + 1) % 2:: 2] *= -1.0
+        cols += [base, base * (e / L)][:m] if m <= 2 else [base * (e / L) ** i for i in range(m)]
+    return np.stack(cols, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Killed-walk Green functions
+# ---------------------------------------------------------------------------
+
+def _refined(solve, lo: int, hi: int, cuts: tuple[bool, bool]) -> np.ndarray:
+    """``solve(a, b)``, a killed-walk solve on [a, b], on [lo, hi], with each
+    cut end refined and the result clipped at 0: a second solve on the
+    segment with each cut end halved, and X = 2 X - X_half on the sites both
+    share, removes the O(1/size) truncation bias of the cuts."""
+    X = solve(lo, hi)
+    a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
+    if any(cuts) and a <= b:
+        X[a - lo: b - lo + 1] = 2.0 * X[a - lo: b - lo + 1] - solve(a, b)
+    return np.clip(X, 0.0, None)
+
+
+def _roots_solve(dist: LatticeDist, rhs: np.ndarray) -> np.ndarray:
+    """(I - A)^{-1} rhs for ``dist`` killed on leaving a segment of len(rhs) sites.
+
+    Off rhs's support X solves X(s) = sum_v mu(v) X(s + v), so on a run of
+    such rows, with the a sites before it and the b after, X is a
+    combination of :func:`_basis`.  The rows within max(a, b) of the
+    support are kept as unknowns (blocks, merged across gaps of at most
+    a + b rows), each run between them gets a + b root coefficients, and
+    one dense system states the recurrence on the block rows and, on each
+    side of a run, that its combination is 0 off the segment and X on a
+    block.  When the blocks cover the segment it is the plain dense solve
+    of (I - A) X = rhs.
+    """
+    n = len(rhs)
+    cols = rhs.reshape(n, -1)
+    a, b = max(-dist.min_support, 0), max(dist.max_support, 0)
+    k, reach = a + b, max(a, b)
+    blocks = []   # [first, last] row of each block
+    for h in np.flatnonzero(cols.any(axis=1)).tolist():
+        if blocks and h - reach <= blocks[-1][1] + k + 1:
+            blocks[-1][1] = min(h + reach, n - 1)
+        else:
+            blocks.append([max(h - reach, 0), min(h + reach, n - 1)])
+    if not blocks:
+        return np.zeros(rhs.shape)
+    ends = [-1] + [x for block in blocks for x in block] + [n]
+    runs = [(p + 1, q - 1) for p, q in zip(ends[::2], ends[1::2]) if p + 1 <= q - 1]
+    sizes = [q - p + 1 for p, q in blocks]
+    if sum(sizes) + k * len(runs) >= n:   # the blocks cover the segment
+        check_size((n, n))
+        blocks, runs, sizes = [[0, n - 1]], [], [n]
+    roots = small_roots(dist)
+    first = np.cumsum([0] + sizes + [k] * len(runs))   # the first unknown of each piece
+    x = [slice(first[j], first[j + 1]) for j in range(len(blocks))]
+    c = [slice(f, f + k) for f in first[len(blocks):-1]]
+    D = [_basis(roots, q - p + k) for p, q in runs]   # on each run with its sides
+    M = np.zeros((first[-1],) * 2, float if roots.real or not runs else complex)
+    B = np.zeros((first[-1], cols.shape[1]), M.dtype)
+    after = {q: r for r, (p, q) in enumerate(runs)}   # the run that ends at a site
+    before = {p: r for r, (p, q) in enumerate(runs)}   # the run that starts at a site
+    for (p, q), xj in zip(blocks, x):
+        i = np.arange(q - p + 1)[:, None]
+        T = np.zeros((len(i), len(i) + k))   # the block rows of I - A, on a sites before to b after
+        T[i, i + np.arange(k + 1)] = roots.poly
+        M[xj, xj] = T[:, a: a + len(i)]
+        B[xj] = cols[p: q + 1]
+        if p - 1 in after:   # the a sites before the block: the run's combination
+            r = after[p - 1]
+            M[xj, c[r]] = T[:, :a] @ D[r][len(D[r]) - k: len(D[r]) - b]
+            np.fill_diagonal(M[c[r].start + a: c[r].stop, xj], -1.0)
+        if q + 1 in before:   # the b sites after it
+            r = before[q + 1]
+            M[xj, c[r]] = T[:, len(i) + a:] @ D[r][a: k]
+            np.fill_diagonal(M[c[r].start: c[r].start + a, xj.stop - a: xj.stop], -1.0)
+    for cr, Dr in zip(c, D):   # each side of a run: its combination there is 0 or X
+        M[cr.start: cr.start + a, cr] = Dr[:a]
+        M[cr.start + a: cr.stop, cr] = Dr[len(Dr) - b:]
+    sol = np.linalg.solve(M, B)
+    X = np.empty(cols.shape)
+    for (p, q), xj in zip(blocks, x):
+        X[p: q + 1] = sol[xj].real
+    for (p, q), cr, Dr in zip(runs, c, D):
+        X[p: q + 1] = (Dr[a: len(Dr) - b] @ sol[cr]).real
+    return X.reshape(rhs.shape)
+
 
 def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray,
                  cuts: tuple[bool, bool]) -> np.ndarray:
@@ -65,47 +250,45 @@ def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray,
     vector or a block of columns indexed by lo..hi.  ``cuts`` says whether
     the low and the high end are window cuts of an unbounded medium rather
     than ends of the medium; a cut end lies away from the origin (lo <= 0,
-    hi >= 0).  One banded solve, exact on a segment with no cut, and else a
-    second on the segment with each cut end halved: X = 2 X - X_half on the
-    sites both share removes the O(1/size) truncation bias of the cuts.
-    The result is clipped at 0.
+    hi >= 0).  One solve by characteristic roots (:func:`_roots_solve`),
+    exact on a segment with no cut, and else a second on the segment with
+    each cut end halved (:func:`_refined`).  The result is clipped at 0.
     """
-    from scipy.linalg import solve_banded   # here, so that importing oscillax does not load it
-
-    maxj = max(abs(dist.min_support), abs(dist.max_support))
-
-    def solve(a, b):
-        size = b - a + 1
-        # (I - A) in solve_banded layout: ab[maxj + i - j, j] = M[i, j]
-        ab = np.zeros((2 * maxj + 1, size))
-        ab[maxj] = 1.0
-        for v, p in zip(dist.values, dist.probs):
-            v = int(v)
-            if abs(v) < size:
-                ab[maxj - v, max(v, 0): size + min(v, 0)] -= p
-        return solve_banded((maxj, maxj), ab, rhs[a - lo: b - lo + 1])
-
-    X = solve(lo, hi)
-    a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
-    if any(cuts) and a <= b:
-        X[a - lo: b - lo + 1] = 2.0 * X[a - lo: b - lo + 1] - solve(a, b)
-    return np.clip(X, 0.0, None)
+    return _refined(lambda a, b: _roots_solve(dist, rhs[a - lo: b - lo + 1]), lo, hi, cuts)
 
 
 def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int,
                      cuts: tuple[bool, bool]) -> np.ndarray:
     """g[z] = sum_{n>=0} P[S_1..S_n all in [keep_lo, keep_hi], S_n = z], S_0 = start.
 
-    Row ``start`` of the killed Green function, i.e. the :func:`killed_green`
-    solve of the mirrored law against the first-step vector (``cuts`` as
-    there); the n = 0 term is added when the start lies inside.
+    Row ``start`` of the killed Green function: the solve of the mirrored
+    law's killed matrix against the first-step vector, by banded LU
+    (``scipy.linalg.solve_banded``), a route disjoint from
+    :func:`killed_green`'s roots, refined at the ``cuts`` as there; the n = 0
+    term is added when the start lies inside.
     """
+    from scipy.linalg import solve_banded   # here, so that importing oscillax does not load it
+
     rhs = np.zeros(keep_hi - keep_lo + 1)
     for v, p in zip(dist.values, dist.probs):
         z = start + int(v)
         if keep_lo <= z <= keep_hi:
             rhs[z - keep_lo] += float(p)
-    g = killed_green(mirror_dist(dist), keep_lo, keep_hi, rhs, cuts)
+    law = mirror_dist(dist)
+    maxj = max(abs(law.min_support), abs(law.max_support))
+
+    def solve(a, b):
+        size = b - a + 1
+        # (I - A) in solve_banded layout: ab[maxj + i - j, j] = M[i, j]
+        ab = np.zeros((2 * maxj + 1, size))
+        ab[maxj] = 1.0
+        for v, p in zip(law.values, law.probs):
+            v = int(v)
+            if abs(v) < size:
+                ab[maxj - v, max(v, 0): size + min(v, 0)] -= p
+        return solve_banded((maxj, maxj), ab, rhs[a - keep_lo: b - keep_lo + 1])
+
+    g = _refined(solve, keep_lo, keep_hi, cuts)
     if keep_lo <= start <= keep_hi:
         g[start - keep_lo] += 1.0
     return g
@@ -125,17 +308,15 @@ class LadderPotentials:
 
     def U(self, variant: LadderVariant, length: int) -> np.ndarray:
         """u_d = sum_h P[|H| = h] u_{d-h} + [d = 0], the renewal mass at distance
-        d = 0..length-1: one lower-triangular banded Toeplitz solve."""
-        from scipy.linalg import solve_banded   # here, so that importing oscillax does not load it
-
+        d = 0..length-1, by forward recursion: (1 - P[H = 0]) u_d is [d = 0]
+        plus the sum over the nonzero heights."""
         law = self.heights[variant]
-        band = max(abs(h) for h in law)
-        # I - T in solve_banded layout, ab[i - j, j] = M[i, j]: diagonal 1 - P[H = 0]
-        ab = np.zeros((band + 1, length))
-        ab[0] = 1.0
-        for h, p in law.items():
-            ab[abs(h), : length - abs(h)] -= p
-        return solve_banded((band, 0), ab, np.eye(1, length)[0])
+        stay = 1.0 - law.get(0, 0.0)
+        steps = [(abs(h), p) for h, p in law.items() if h]
+        u = [1.0 / stay] if length else []
+        for d in range(1, length):
+            u.append(sum(p * u[d - h] for h, p in steps if h <= d) / stay)
+        return np.array(u)
 
     def V(self, variant: LadderVariant, x):
         """Renewal function: ascending U[0,x), descending U(]-x,0]); V(x)=0 for x<=0.
@@ -199,27 +380,26 @@ def wiener_hopf_heights(dist: LatticeDist) -> tuple[dict, dict]:
     """Strict ascending and weak descending ladder height laws of a centered law.
 
     For a law on [-a, b], p(u) = u^a (1 - phi(u)) has degree a + b and a
-    double root at u = 1, divided out exactly.  The b - 1 remaining roots r_j
+    double root at u = 1, which :func:`small_roots` divides out exactly; a
+    law on dZ, d > 1, has more roots on the unit circle and is refused.  The
+    b - 1 remaining roots r_j
     with |r_j| > 1 give 1 - E[u^H+] = (1 - u) prod_j (1 - u / r_j); dividing
     p by that factor leaves u^a (1 - E[u^H-]).  Returns ({h: P[H+ = h]},
     {h: P[H- = h]}) over h = 1..b and h = -a..0.
     """
+    from numpy.polynomial import polynomial as P   # as in small_roots
+
     if abs(dist.mean) > ZERO_DRIFT_TOL:
         raise NotCentered(f"mean {dist.mean!r} is not 0")
     _require_two_sided(dist)
     a = -dist.min_support
-    _, coef = dist.dense_kernel()
-    coef = -coef
-    coef[a] += 1.0
-    # synthetic division by (u - 1)^2: p(1) = p'(1) = 0 leave no remainder
-    reduced = np.cumsum(np.cumsum(coef)[:-1])[:-1]
-    roots = P.polyroots(reduced)
-    if np.any(np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOL):
+    char = small_roots(dist)
+    if char.period > 1:
         raise ValidationError("1 - phi has a root on the unit circle: support in dZ, d > 1")
-    outer = P.polyfromroots(roots[np.abs(roots) > 1.0])
+    outer = P.polyfromroots(char.others[np.abs(char.others) > 1.0])
     outer = (outer / outer[0]).real
     asc = P.polymul([1.0, -1.0], outer)
-    desc = P.polymul([1.0, -1.0], P.polydiv(reduced, outer)[0])
+    desc = P.polymul([1.0, -1.0], P.polydiv(char.reduced, outer)[0])
     strict_asc = {h: float(-asc[h]) for h in range(1, len(asc))}
     weak_desc = {h: float(-desc[h + a]) for h in range(-a, 0)}
     weak_desc[0] = float(1.0 - desc[a])

@@ -467,6 +467,19 @@ def mirror_model(model: OscillatingModel) -> OscillatingModel:
                            for m in reversed(model.media)])
 
 
+def is_own_mirror(model: OscillatingModel) -> bool:
+    """Whether ``model`` is its :func:`mirror_model`: each medium is the
+    reflection of its counterpart from the other end, sites and atoms, with
+    equal probabilities."""
+    def neg(end):
+        return None if end is None else -end
+
+    return all((m.lo, m.hi) == (neg(r.hi), neg(r.lo))
+               and m.law.values == tuple(-v for v in reversed(r.law.values))
+               and np.array_equal(m.law.probs, r.law.probs[::-1])
+               for m, r in zip(model.media, reversed(model.media)))
+
+
 def essential_class(model: OscillatingModel) -> list[int]:
     """Arrival sites of the switching subprocess: its unique essential class.
 

@@ -6,14 +6,16 @@ the renewal-operator sequence T_n, the dominant eigenpair on a weighted sup
 norm and the limit operator E of n^{3/2} Q_n are all built here on a finite
 window.
 
-Aggregate kernels are obtained from banded resolvent solves (exact within the
-window, no time truncation); per-step histories come from the DP in
-:mod:`oscillax.evolve` and carry explicit survival/leak accounting.  Both
-keep only the arrival-band columns: Q(x, .) charges no other site.
+Aggregate kernels are obtained from killed-walk Green solves by
+characteristic roots (exact within the window, no time truncation); per-step
+histories come from the DP in :mod:`oscillax.evolve` and carry explicit
+survival/leak accounting.  Both keep only the arrival-band columns: Q(x, .)
+charges no other site.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -41,6 +43,7 @@ from .model import (
     arrival_band,
     common_denominator,
     essential_class,
+    is_own_mirror,
 )
 
 _ROW_BLOCK = 8   # output rows banded_power_sequences transforms at a time
@@ -63,7 +66,16 @@ class WeightSpec:
     rate_neg: float = 0.0
     rate_pos: float = 0.0
 
+    def check_delta(self, name: str = "delta") -> None:
+        """Refuse a non-finite delta, and a polynomial one <= 0, in one
+        ValidationError naming ``name``; an exponential delta <= 0 is kept,
+        its rates being checked with the weight's values."""
+        if not math.isfinite(self.delta) or self.kind == "polynomial" and self.delta <= 0:
+            raise ValidationError(f"{name} {self.delta!r} must be finite, and > 0 for the "
+                                  "polynomial weight 1 + |x|^(1+delta) to dominate 1 + |x|")
+
     def values(self, window: Window) -> np.ndarray:
+        self.check_delta()
         xs = window.positions().astype(float)
         if self.kind == "polynomial":
             psi = 1.0 + np.abs(xs) ** (1.0 + self.delta)
@@ -222,6 +234,19 @@ def renewal_sequence(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return T
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n >= 1, a fast real FFT length: the
+    value of ``scipy.fft.next_fast_len(n, real=True)``."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:   # the least power of 2 times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window,
                            ells: Sequence[int],
                            rows: Optional[Sequence[int]] = None) -> dict:
@@ -242,17 +267,15 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     ``_ROW_BLOCK`` rows at a time, time last so that every FFT runs along
     contiguous memory, mixed with each power by B^2 multiply-adds and
     transformed back into its rows of the preallocated outputs.  So the peak
-    is the outputs plus one block, and the FFTs run single-threaded (threads
-    cost more than they save on a block).  The size guard still checks an
+    is the outputs plus one block.  The transforms are ``numpy.fft``'s, at a
+    5-smooth length (:func:`_fast_len`).  The size guard still checks an
     (M, rows, B) array: none is built, but as M > N + 1 it bounds every
     output.
     """
-    import scipy.fft   # here, so that importing oscillax does not load it
-
     band_lo, band_hi = arrival_band(model)
     band = range(band_lo, band_hi + 1)
     rows = range(window.lo, window.hi + 1) if rows is None else sorted(set(rows) | set(band))
-    M = scipy.fft.next_fast_len(2 * horizon + 1, real=True)
+    M = _fast_len(2 * horizon + 1)
     check_size((M, len(rows), len(band)))
     hist = build_Q(model, horizon, window, rows=rows)
     R, C = hist.R, hist.C
@@ -260,11 +283,11 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     del hist   # its survival and leak arrays go before the outputs are allocated
     if 1 in ells:
         out[1] = R
-    Chat = scipy.fft.rfft(C, n=M, axis=0)
+    Chat = np.fft.rfft(C, n=M, axis=0)
     cpow, cpows = None, {}   # transforms of C^{(ell-1)}, cut to n <= N, as (B, B, M/2+1)
     for ell in range(2, max(ells) + 1):
-        cpow = Chat if cpow is None else scipy.fft.rfft(
-            scipy.fft.irfft(cpow @ Chat, n=M, axis=0)[: horizon + 1], n=M, axis=0)
+        cpow = Chat if cpow is None else np.fft.rfft(
+            np.fft.irfft(cpow @ Chat, n=M, axis=0)[: horizon + 1], n=M, axis=0)
         if ell in ells:
             cpows[ell] = cpow.transpose(1, 2, 0).copy()
             out[ell] = np.empty_like(R)
@@ -275,14 +298,14 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
         block = slice(r, r + _ROW_BLOCK)
         Rb = padded[: len(rows) - r]
         Rb[..., : horizon + 1] = R[:, block].transpose(1, 2, 0)
-        Rhat = scipy.fft.rfft(Rb)
+        Rhat = np.fft.rfft(Rb)
         mixed, term = np.empty_like(Rhat), np.empty_like(Rhat[:, 0])
         for ell, cp in cpows.items():
             for j in range(len(band)):
                 np.multiply(Rhat[:, 0], cp[0, j], out=mixed[:, j])
                 for i in range(1, len(band)):
                     mixed[:, j] += np.multiply(Rhat[:, i], cp[i, j], out=term)
-            out[ell][:, block] = scipy.fft.irfft(mixed, n=M)[..., : horizon + 1].transpose(2, 0, 1)
+            out[ell][:, block] = np.fft.irfft(mixed, n=M)[..., : horizon + 1].transpose(2, 0, 1)
     return out
 
 
@@ -350,7 +373,8 @@ def dominant_eigenpair(kernel: SwitchingKernel,
     root, also for periodic kernels whose spectrum holds -rho.  The right
     eigenfunction is lifted off the band as H = R h_B / rho and normalized so
     sup H/psi = 1 in the weight ``psi`` (default :func:`default_weight`); the
-    left eigenvector nu is C's, zero off B and summing to 1.  ``residual`` is
+    left eigenvector nu is C's, zero off B and summing to 1, and on a model
+    that is its own mirror nu(-x) == nu(x) exactly.  ``residual`` is
     max_x |(Q H)(x) - rho H(x)| / psi(x).  Raises NoConvergence when rho <= 0
     or H is not positive; H(x) = 0 only where the row Q(x, .) is zero, as on
     far rows of a drifted medium whose return probability underflows.
@@ -372,6 +396,8 @@ def dominant_eigenpair(kernel: SwitchingKernel,
         raise NoConvergence(f"eigenfunction for rho = {rho:.17g} is not positive")
     lvals, lvecs = np.linalg.eig(C.T)
     nu_band = lvecs[:, int(np.argmin(np.abs(lvals - rho)))].real
+    if is_own_mirror(kernel.model):   # then the band is symmetric, and so is nu, bit for bit
+        nu_band = nu_band + nu_band[::-1]
     nu = np.zeros(window.width)
     nu[band] = nu_band / nu_band.sum()
     residual = float(np.max(np.abs(R @ H[band] - rho * H) / psi))

@@ -787,6 +787,23 @@ class TestBandEngine:
         assert np.array_equal(new, ref[:op.width])
         assert np.array_equal(F_band[0], ref[readouts])
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_empty_readout_row_reads_zero(self, fix_zz, exact):
+        # the left medium's jumps cannot pass its band, so its ``above`` row
+        # has no entries: it reads 0, and the other rows read as without it
+        w, D = Window(-40, 20), common_denominator(*fix_zz.laws) if exact else 1
+        op = evolve.passage_operator(fix_zz.media[0], w, exact, D)
+        assert not np.any(op.rows == op.above)
+        state = np.zeros((op.width, 2), dtype=object if exact else float)
+        state[[op.width - 1, op.width - 3], [0, 1]] = 1
+        full = [op.below, op.above, op.kept, *op.band_rows]
+        rest = [op.below, op.kept, *op.band_rows]
+        for (ns, new, F, _), (ms, new2, F2, _) in zip(_advance(op, full, state.copy(), 40),
+                                                       _advance(op, rest, state.copy(), 40)):
+            assert ns == ms and np.array_equal(new, new2)
+            assert np.array_equal(F[:, [0, *range(2, len(full))]], F2)
+            assert all(type(f) is (int if exact else np.float64) and f == 0 for f in F[:, 1].flat)
+
     def test_exact_zero_state(self, fix_zz):
         w, D = Window(-20, 20), common_denominator(*fix_zz.laws)
         for op in (walk_plan(fix_zz, w, True, D),

@@ -5,7 +5,8 @@ the package and the test modules.  Names are matched per module, not per
 scope; ``__init__.py`` is skipped because its imports are the package's
 re-exports.  Also: importing the CLI loads no scipy, each engine importing
 what it calls on first use, and each command loads only what it runs; no
-command loads sympy or mpmath, ties included.
+command loads sympy or mpmath, ties included; spectrum, classify and the
+banded powers load no scipy at all, and only killed_green_row imports it.
 """
 
 import ast
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import oscillax
+from oscillax.cli import main
 
 MODULES = sorted(p for p in Path(oscillax.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -101,9 +103,9 @@ def loaded(code: str) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.linalg (the ladder solves) and scipy.fft (the renewal powers) are
-    # imported where they are called, so the start-up of every command is
-    # charged for neither; the DPs use no scipy
+    # scipy.linalg (criterion 8's banded LU) is imported where it is called,
+    # so the start-up of every command is not charged for it; the DPs, the
+    # Green solves and the renewal transforms use no scipy
     assert loaded("import oscillax.cli") == []
 
 
@@ -131,6 +133,68 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
                  ["verify", str(tmp_path / "fixtures" / "FIX-PP-B3.json"),
                   "--suite", "asymptotics"]):
         assert run(*argv) == [], argv[:2]
+
+
+def test_spectrum_and_classify_load_no_scipy(tmp_path):
+    # the killed-walk Green solves run by characteristic roots and the
+    # renewal transforms by numpy.fft, so neither command, nor the banded
+    # powers, loads any scipy module
+    argv = [["fixtures", "-o", str(tmp_path)]]
+    argv += [["spectrum", str(tmp_path / f"{name}.json"), "-o", str(tmp_path / name)]
+             for name in ("FIX-ZZ", "FIX-PN", "FIX-ZP", "FIX-PP")]
+    argv += [["classify", str(tmp_path / f"{name}.json"), "-o", str(tmp_path / name)]
+             for name in ("FIX-ZZ", "FIX-PZ")]
+    assert loaded("import contextlib, io; from oscillax.cli import main; "
+                  "from oscillax.evolve import Window; from oscillax.fixtures import fix_zz; "
+                  "from oscillax.switching import banded_power_sequences; "
+                  "out = contextlib.redirect_stdout(io.StringIO()); out.__enter__(); "
+                  f"assert all(main(a) == 0 for a in {argv!r}); "
+                  "banded_power_sequences(fix_zz(), 64, Window(-16, 16), ells=[1, 2, 3]); "
+                  "out.__exit__(None, None, None)") == []
+
+
+def test_convergence_suite_loads_scipy_linalg(tmp_path):
+    # criterion 8's direct route keeps its banded LU (killed_green_row), so
+    # that its three fluctuation constants come from disjoint machinery; the
+    # convergence suite's tail constant reads it
+    assert main(["fixtures", "-o", str(tmp_path)]) == 0
+    mods = loaded(f"from oscillax.cli import main; assert main(['verify', "
+                  f"{str(tmp_path / 'FIX-ZZ.json')!r}, '--suite', 'convergence', '-n', '64', "
+                  f"'-o', {str(tmp_path / 'out')!r}]) == 0")
+    assert "scipy.linalg" in mods and not any(m.startswith(("scipy.fft", "sympy")) for m in mods)
+
+
+def scipy_importers(source: str) -> set[str]:
+    """The functions of a module that import from scipy ("<module>" for the
+    module body), by an ast scan."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Import):
+                found.update(scope for alias in child.names if alias.name.split(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom):
+                found.update([scope] if (child.module or "").split(".")[0] == "scipy" else [])
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_scipy_importers():
+    assert scipy_importers("import scipy\ndef f():\n    from scipy.linalg import solve\n"
+                           "def g():\n    import os, scipy.fft\ndef h():\n    import numpy\n"
+                           ) == {"<module>", "f", "g"}
+
+
+def test_only_killed_green_row_imports_scipy():
+    # the one scipy import left in the package: criterion 8's banded LU
+    found = {(p.name, name) for p in MODULES + [Path(oscillax.__file__)]
+             for name in scipy_importers(p.read_text())}
+    assert found == {("ladder.py", "killed_green_row")}
 
 
 def test_first_passage_dp_loads_no_scipy():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillax.errors import NotCentered, ValidationError
-from oscillax.fixtures import MU_A, fix_pz, fix_zz
+from oscillax.evolve import Window, passage_operator
+from oscillax.fixtures import FIXTURES, MU_A, SUBCASE_FIXTURES, fix_pz, fix_zz
 from oscillax.ladder import (
     ZETA_3_2,
     LadderVariant,
@@ -15,9 +16,11 @@ from oscillax.ladder import (
     killed_green,
     killed_green_row,
     ladder_potentials,
+    small_roots,
     wiener_hopf_heights,
 )
-from oscillax.model import dist, mirror_dist
+from oscillax.model import arrival_band, dist, mirror_dist, validate_model
+from oscillax.switching import dominant_eigenpair, switching_kernel
 
 TOY = dist({-1: F(1, 2), 1: F(1, 2)})       # nearest-neighbor walk
 MU_A_DIST = dist(MU_A)
@@ -380,3 +383,182 @@ class TestKilledGreen:
         rhs = np.eye(3)
         X = killed_green(law, -1, 1, rhs, (False, False))
         assert np.allclose(X, np.linalg.inv(_dense_killed(law, -1, 1)), rtol=1e-13, atol=0)
+
+
+def _two_prod(a, b):
+    """(p, e) with a * b = p + e exactly: Dekker's product of split halves."""
+    def split(x):
+        c = 134217729.0 * x   # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    (ah, al), (bh, bl), p = split(a), split(b), a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _residual(law, X, rhs):
+    """rhs - (I - A) X for the law's exact probabilities, as if in twice the
+    working precision: a probability p is p_hi + p_lo, p_hi = float(p),
+    p_hi X is split exactly, and the terms are summed with their rounding
+    errors carried (Ogita, Rump and Oishi's Sum2)."""
+    n, terms = len(X), [rhs, -X]
+    for v, p in zip(law.values, law.fracs or law.probs):
+        p_hi = float(p)
+        moved = np.zeros_like(X)   # X(s + v), 0 off the segment
+        moved[max(0, -v): min(n, n - v)] = X[max(0, v): min(n, n + v)]
+        terms += [*_two_prod(np.full_like(X, p_hi), moved), float(F(p) - F(p_hi)) * moved]
+    total, carried = terms[0], 0.0
+    for t in terms[1:]:
+        s = total + t
+        z = s - total
+        carried = carried + ((total - (s - z)) + (t - z))
+        total = s
+    return total + carried
+
+
+def _banded_lu_green(law, lo, hi, rhs, cuts, corrections=0):
+    """killed_green by scipy's banded LU solve of I - A, the route the roots
+    solve replaced (and killed_green_row's), refined and clipped the same way;
+    each of ``corrections`` adds the LU solve of the residual of the exact
+    law, which takes the LU's own error, and that of the float law not
+    summing to exactly 1, to rounding."""
+    from scipy.linalg import solve_banded
+
+    maxj = max(abs(law.min_support), abs(law.max_support))
+
+    def solve(a, b):
+        size = b - a + 1
+        ab = np.zeros((2 * maxj + 1, size))   # ab[maxj + i - j, j] = (I - A)[i, j]
+        ab[maxj] = 1.0
+        for v, p in zip(law.values, law.probs):
+            if abs(v) < size:
+                ab[maxj - v, max(v, 0): size + min(v, 0)] -= p
+        part = rhs[a - lo: b - lo + 1]
+        X = solve_banded((maxj, maxj), ab, part)
+        for _ in range(corrections):
+            X = X + solve_banded((maxj, maxj), ab, _residual(law, X, part))
+        return X
+
+    X = solve(lo, hi)
+    a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
+    if any(cuts) and a <= b:
+        X[a - lo: b - lo + 1] = 2.0 * X[a - lo: b - lo + 1] - solve(a, b)
+    return np.clip(X, 0.0, None)
+
+
+def _assert_close(X, ref, rtol):
+    """Column by column, max |X - ref| <= rtol max |ref|."""
+    X, ref = X.reshape(len(X), -1), ref.reshape(len(ref), -1)
+    err, scale = np.max(np.abs(X - ref), axis=0), np.max(np.abs(ref), axis=0)
+    assert np.all(err <= rtol * scale), (err / scale).max()
+
+
+FIXTURE_MODELS = {**FIXTURES, **{f"FIX-PP-{k}": f for k, f in SUBCASE_FIXTURES.items()}}
+_EPS = F(1, 10**9)
+SPECIAL_LAWS = {
+    # mean 1e-9: drifted, so u = 1 is a simple root, and its partner is 1 + 2e-9
+    "mean-1e-9": dist({-1: F(1, 2) - _EPS / 2, 1: F(1, 2) + _EPS / 2}),
+    # on 2Z: the unit roots +1 and -1, each double
+    "on-2Z": dist({-2: F(1, 4), 0: F(1, 2), 2: F(1, 4)}),
+    # on 3Z: complex unit roots
+    "on-3Z": dist({-3: F(1, 4), 0: F(1, 2), 3: F(1, 4)}),
+    # a complex pair off the unit circle
+    "complex-pair": dist({-1: F(1, 10), 3: F(9, 10)}),
+    # one-sided: no root coefficient for the missing side
+    "up-only": dist({0: F(1, 4), 1: F(1, 4), 2: F(1, 2)}),
+    "down-only": dist({-2: F(1, 3), -1: F(2, 3)}),
+}
+# p(u) = -(1/24) (u - 1)^2 (u + 4)^2: a double root off the unit circle
+DOUBLE_ROOT = dist({-1: F(2, 3), 1: F(1, 24), 2: F(1, 4), 3: F(1, 24)})
+
+
+def _placed(n, where):
+    """A two-column rhs on n sites held at rows ``where``: 'low', 'high',
+    'middle' or 'both' (a row near each end: two blocks)."""
+    rows = {"low": [0, 2], "high": [n - 1, n - 3], "middle": [n // 2, n // 2 + 5],
+            "both": [3, n - 4]}[where]
+    rhs = np.zeros((n, 2))
+    rhs[rows[0], 0] = 1.0
+    rhs[rows, 1] = 0.5
+    return rhs
+
+
+class TestRootsSolve:
+    """killed_green by characteristic roots against scipy's banded LU solve,
+    which it replaced; both are refined at the cuts and clipped alike."""
+
+    @pytest.mark.parametrize("half", [64, 512, 4096])
+    @pytest.mark.parametrize("name", list(FIXTURE_MODELS))
+    def test_matches_banded_lu_on_every_medium(self, name, half):
+        # the package's two calls: switching_kernel's (the law against the
+        # arrivals of its band rows) and invariant_profile's (the mirrored law
+        # against a measure on the model's arrival band); the 10 subcase
+        # witnesses are the FIX-PP-* models
+        model, w = FIXTURE_MODELS[name](), Window(-half, half)
+        band = arrival_band(model)
+        for m in model.media:
+            op = passage_operator(m, w, steps=1)
+            lo, hi = op.sites
+            cuts = (m.lo is None, m.hi is None)
+            ys = [y for y in range(band[0], band[1] + 1) if lo <= y <= hi]
+            unit = np.zeros((hi - lo + 1, len(ys)))
+            unit[[y - lo for y in ys], range(len(ys))] = 1.0
+            for law, rhs in ((m.law, op.dense(op.band_rows).T), (mirror_dist(m.law), unit)):
+                _assert_close(killed_green(law, lo, hi, rhs, cuts),
+                              _banded_lu_green(law, lo, hi, rhs, cuts), 1e-11)
+
+    @pytest.mark.parametrize("where", ["low", "high", "middle", "both"])
+    @pytest.mark.parametrize("name", [*SPECIAL_LAWS, "double-root"])
+    def test_special_laws_on_4096_sites(self, name, where):
+        # against the corrected LU: the plain one is off by 1.2e-10 on the
+        # nearest-neighbour mean-1e-9 law, whose float probabilities miss
+        # summing to 1 by about 1e-16, and by 3e-11 on the double root
+        law = SPECIAL_LAWS.get(name, DOUBLE_ROOT)
+        for lo, hi, cuts in ((-4095, 0, (True, False)), (1, 4096, (False, True)),
+                             (-2048, 2047, (True, True)), (-2048, 2047, (False, False))):
+            rhs = _placed(hi - lo + 1, where)
+            for each in (law, mirror_dist(law)):
+                _assert_close(killed_green(each, lo, hi, rhs, cuts),
+                              _banded_lu_green(each, lo, hi, rhs, cuts, corrections=2), 1e-11)
+
+    def test_arrival_band_deeper_than_the_mirrored_law_jumps(self):
+        # the right law jumps 4 into the left medium, whose mirrored law moves
+        # at most 2: nu charges a site 3 deep, off the rows next to the end
+        model = validate_model(MU_A_DIST, dist({-1: F(1, 2), 1: F(1, 2)}),
+                               dist({-4: F(1, 6), 0: F(1, 6), 1: F(2, 3)}))
+        w = Window(-512, 512)
+        nu = dominant_eigenpair(switching_kernel(model, w)).nu
+        assert nu[w.index(-3)] > 0.0 and max(-MU_A_DIST.min_support, MU_A_DIST.max_support) < 3
+        for m in model.media:
+            lo, hi = m.segment(w)
+            rhs, cuts = nu[w.index(lo): w.index(hi) + 1], (m.lo is None, m.hi is None)
+            law = mirror_dist(m.law)
+            _assert_close(killed_green(law, lo, hi, rhs, cuts),
+                          _banded_lu_green(law, lo, hi, rhs, cuts), 1e-11)
+
+    def test_a_law_that_never_moves_is_refused(self):
+        # I - A is 0 on every segment: one ValidationError, for a bounded
+        # core and a cut medium alike
+        for lo, hi, cuts in ((-1, 1, (False, False)), (-4095, 0, (True, False))):
+            with pytest.raises(ValidationError, match="never moves"):
+                killed_green(dist({0: 1}), lo, hi, np.ones(hi - lo + 1), cuts)
+
+    def test_small_roots(self):
+        # p(u) = u^a (1 - phi(u)) and its first m - 1 derivatives vanish at a
+        # root of multiplicity m, and the multiplicities add up to a + b
+        from numpy.polynomial import polynomial as P
+
+        cases = [(MU_A_DIST, 1, 2), (SPECIAL_LAWS["on-2Z"], 2, 2), (SPECIAL_LAWS["up-only"], 1, 1),
+                 (SPECIAL_LAWS["mean-1e-9"], 1, 1), (DOUBLE_ROOT, 1, 2),
+                 (dist({-3: F(1, 2), 3: F(1, 2)}), 3, 2)]
+        for law, period, order in cases:
+            roots = small_roots(law)
+            assert (roots.period, roots.order) == (period, order)
+            assert sum(m for _, m in roots.repeated) == len(roots.poly) - 1
+            for r, m in roots.repeated:
+                for d in range(m):
+                    assert abs(P.polyval(r, P.polyder(roots.poly, d))) <= 1e-9, (law, r, d)
+        assert small_roots(SPECIAL_LAWS["on-2Z"]).repeated == ((1.0, 2), (-1.0, 2))
+        (r, m), = small_roots(DOUBLE_ROOT).repeated[1:]
+        assert m == 2 and r == pytest.approx(-4.0, rel=1e-12)
+        assert small_roots(MU_A_DIST) is small_roots(dist(MU_A))   # one computation per law

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,6 +29,7 @@ from oscillax.model import (
     dist,
     essential_class,
     geometric_tilt,
+    is_own_mirror,
     mirror_model,
     validate_model,
 )
@@ -35,6 +38,7 @@ from oscillax.switching import (
     _ROW_BLOCK,
     SwitchingKernel,
     WeightSpec,
+    _fast_len,
     banded_power_sequences,
     build_Q,
     default_weight,
@@ -364,6 +368,19 @@ class TestBlockedPowers:
         assert [k for k in got if isinstance(k, int)] == [1]
         assert np.array_equal(got[1], build_Q(model, 64, w, rows=window_rows(w)).R)
 
+    def test_fast_len_is_scipys(self):
+        lengths = [*range(1, 5000), 8193, 2**20 + 1, 3**13 + 1, 10**7 + 3]
+        assert [_fast_len(n) for n in lengths] == [
+            scipy.fft.next_fast_len(n, real=True) for n in lengths]
+
+    def test_numpy_fft_is_scipy_fft_bit_for_bit(self, fix_zz, monkeypatch):
+        # the renewal workload's call, then again with scipy.fft's transforms
+        args = (fix_zz, 4096, Window(-64, 64))
+        got = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5])
+        monkeypatch.setattr(np, "fft", scipy.fft)
+        ref = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5])
+        assert all(np.array_equal(got[ell], ref[ell]) for ell in range(1, 6))
+
     def test_peak_memory_within_outputs(self, fix_zz):
         # the renewal workload's call: five (4097, 129, 3) outputs; the peak
         # is theirs plus one row block, where three full-size transforms
@@ -414,6 +431,27 @@ class TestSpectra:
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
             WeightSpec("polynomial", -1.0).values(Window(-8, 8))
+
+    @pytest.mark.parametrize("kind,delta", [
+        ("polynomial", -5.0), ("polynomial", -1.0), ("polynomial", 0.0),
+        ("polynomial", float("nan")), ("polynomial", float("inf")),
+        ("exponential", float("nan")), ("exponential", float("inf")),
+    ])
+    def test_meaningless_delta_refused_up_front(self, kind, delta):
+        # one ValidationError naming delta, before any power: no numpy warning
+        # and no "overflows on window"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^delta ") as err:
+                WeightSpec(kind, delta, 1.0, 1.0).values(Window(-4, 4))
+        assert "overflows" not in str(err.value)
+
+    def test_exponential_delta_below_zero_runs(self):
+        # the rates stay positive, so the weight is kept
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = WeightSpec("exponential", -0.05, 0.5, 0.5).values(Window(-4, 4))
+        assert psi[0] == psi[-1] == pytest.approx(math.exp(2.0), rel=1e-15)
 
     def test_default_weight_kinds(self, fix_zz, fix_pp):
         # auto follows the drift case; an explicit kind holds on any model
@@ -485,6 +523,22 @@ class TestMirror:
         mhist = build_Q(mirror_model(m), 12, w, rows=window_rows(w), exact=True)
         assert mhist.band == (-hist.band[1], -hist.band[0]) and mhist.D == hist.D
         assert np.array_equal(mhist.R, hist.R[:, ::-1, ::-1])
+
+    @pytest.mark.parametrize("name", [*FIXTURES, *SUBCASE_FIXTURES])
+    def test_own_mirror(self, name):
+        # FIX-ZZ and FIX-PN reflect onto themselves; a model is its own
+        # mirror exactly when its mirror is
+        m = {**FIXTURES, **SUBCASE_FIXTURES}[name]()
+        assert is_own_mirror(m) == is_own_mirror(mirror_model(m)) == (name in ("FIX-ZZ", "FIX-PN"))
+
+    @pytest.mark.parametrize("half", [64, 1024])
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PN"])
+    def test_own_mirror_nu_is_exact(self, name, half):
+        # nu(-x) == nu(x) bit for bit (np.linalg.eig alone gives
+        # nu(-1) = 0.33333361480376866 and nu(1) = 0.3333336148037686 on
+        # FIX-ZZ at half-width 1024)
+        nu = dominant_eigenpair(switching_kernel(FIXTURES[name](), Window(-half, half))).nu
+        assert np.array_equal(nu, nu[::-1]) and nu.any()
 
     def test_switching_kernel_flips(self, fix_pp):
         w = Window(-64, 64)

@@ -467,6 +467,13 @@ class TestScalarChecks:
         for n, val in rep["sqrt_n_Tn_plateau"]:
             assert val == pytest.approx(math.sqrt(n) * T[n] * rep["bold_c"] / nu0, rel=1e-12)
 
+    def test_mirror_tail_parts_are_equal(self, fix_zz):
+        # FIX-ZZ is its own mirror, so nu(-x) == nu(x) and the two sides' tail
+        # parts agree to the bit (they differed in the last bit with the
+        # default window when nu did)
+        parts = convergence_suite(fix_zz, horizon=64)["renewal_tail_parts"]
+        assert parts["left"] == parts["right"]
+
     def test_one_direct_constant_per_law(self, fix_zz, monkeypatch):
         # FIX-ZZ's right law mirrored is its left law: one killed-walk solve
         laws = []
