@@ -10,9 +10,10 @@ Two independent computational routes are provided and cross-checked in tests:
   fluctuation constant; and :func:`killed_green`, the killed walk's Green
   function on a segment, whose homogeneous runs are combinations of the
   powers of the same roots;
-* killed-walk Green rows from a banded LU solve, which give the renewal
-  point masses U({z}) via time-reversal duality, with error O(1/window):
-  one such row feeds the direct fluctuation constant only.
+* killed-walk Green rows by block cyclic reduction of the banded I - A
+  (:func:`killed_green_row`), which give the renewal point masses U({z})
+  via time-reversal duality, with error O(1/window): one such row feeds the
+  direct fluctuation constant only.
 
 The three fluctuation-constant formulas (defining sum, harmonic/occupation
 series, ladder-mean) deliberately use disjoint machinery so their agreement
@@ -166,7 +167,13 @@ def _refined(solve, lo: int, hi: int, cuts: tuple[bool, bool]) -> np.ndarray:
     """``solve(a, b)``, a killed-walk solve on [a, b], on [lo, hi], with each
     cut end refined and the result clipped at 0: a second solve on the
     segment with each cut end halved, and X = 2 X - X_half on the sites both
-    share, removes the O(1/size) truncation bias of the cuts."""
+    share, removes the O(1/size) truncation bias of the cuts.  A cut end must
+    lie away from the origin (lo <= 0, hi >= 0), else its halved segment is
+    not inside [lo, hi]; such a call is refused."""
+    if cuts[0] and lo > 0:
+        raise ValidationError(f"the low end {lo} is a window cut, so it must be <= 0")
+    if cuts[1] and hi < 0:
+        raise ValidationError(f"the high end {hi} is a window cut, so it must be >= 0")
     X = solve(lo, hi)
     a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
     if any(cuts) and a <= b:
@@ -249,12 +256,94 @@ def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray,
     killed matrix of ``mirror_dist(dist)`` on the same segment.  ``rhs`` is a
     vector or a block of columns indexed by lo..hi.  ``cuts`` says whether
     the low and the high end are window cuts of an unbounded medium rather
-    than ends of the medium; a cut end lies away from the origin (lo <= 0,
-    hi >= 0).  One solve by characteristic roots (:func:`_roots_solve`),
-    exact on a segment with no cut, and else a second on the segment with
-    each cut end halved (:func:`_refined`).  The result is clipped at 0.
+    than ends of the medium; a cut end must lie away from the origin (lo <=
+    0, hi >= 0), else ValidationError.  One solve by characteristic roots
+    (:func:`_roots_solve`), exact on a segment with no cut, and else a second
+    on the segment with each cut end halved (:func:`_refined`).  The result
+    is clipped at 0.
     """
     return _refined(lambda a, b: _roots_solve(dist, rhs[a - lo: b - lo + 1]), lo, hi, cuts)
+
+
+def _block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X[:, :, k] @ Y[:, :, k] for every k, of (p, p, m) and (p, c, m) stacks."""
+    return np.einsum("ijk,jlk->ilk", X, Y)
+
+
+def _gauss_jordan(W: np.ndarray) -> np.ndarray:
+    """D^{-1} R for each k of the (p, p + c, m) stack W = [D | R], in place,
+    by Gauss-Jordan elimination without pivoting: D is an M-matrix block,
+    whose pivots are all positive; one that is not means D is singular."""
+    p = len(W)
+    for j in range(p):
+        pivot = W[j, j]
+        if not pivot.min() > 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        W[j, j + 1:] /= pivot
+        for rows in (slice(0, j), slice(j + 1, p)):   # every row but j
+            W[rows, j + 1:] -= W[rows, j, None] * W[j, j + 1:]
+    return W[:, p:]
+
+
+def _cyclic_solve(law: LatticeDist, rhs: np.ndarray) -> np.ndarray:
+    """(I - A)^{-1} rhs for ``law`` killed on leaving a segment of len(rhs)
+    sites, by block cyclic reduction.
+
+    Cut into p x p blocks, p the law's largest jump (at least 1), the banded
+    Toeplitz I - A is block tridiagonal: block row k is D_k x_k + L_k x_{k-1}
+    + U_k x_{k+1} = b_k, held as T[:, :, k] = [D | L | U | b] in a (p, 3p +
+    1, m) stack whose even block rows come first and odd ones after, so that
+    each half is contiguous (L of the first block row and U of the last are
+    never read); the sites past the segment's end are padded with identity
+    rows, so that their unknowns are 0.  Each level solves the odd rows for
+    their unknowns, Z = D^{-1} [L | U | b] = [F | G | y], and eliminates them
+    from the even rows, which leaves a block tridiagonal system of half the
+    size; back-substitution runs the levels in reverse.  I - A is a
+    nonsingular M-matrix (A >= 0 and the walk always leaves the segment), and
+    so is every block and Schur complement of it (Heller, SIAM J. Numer.
+    Anal. 13, 1976), so no pivoting is needed; a law that never moves makes
+    I - A singular and raises LinAlgError.
+    """
+    n, p = len(rhs), max(-law.min_support, law.max_support, 1)
+    m = -(-n // p)
+    me = m - m // 2
+    d, l, u, y = slice(0, p), slice(p, 2 * p), slice(2 * p, 3 * p), 3 * p   # T's column groups
+    S = np.zeros((p, 3 * p + 1))   # a block row of I - A: L, D and U side by side
+    r = np.arange(p)
+    S[r, p + r] = 1.0
+    for v, q in zip(law.values, law.probs):
+        S[r, p + r + v] -= q
+    T = np.empty((p, 3 * p + 1, m))
+    T[...] = S[:, np.r_[p: 2 * p, :p, 2 * p: 3 * p + 1], None]
+    if pad := m * p - n:   # the last block's rows p - pad.. lie past the end: x = 0 there
+        last = (m - 1) // 2 + (m - 1) % 2 * me   # where the last block row is held
+        T[p - pad:, :, last] = 0.0
+        T[p - pad:, p - pad: p, last] = np.eye(pad)
+    b = np.concatenate([rhs, np.zeros(pad)]).reshape(m, p).T
+    T[:, y, :me], T[:, y, me:] = b[:, ::2], b[:, 1::2]
+    levels = []
+    while (m := T.shape[2]) > 1:
+        mo, me = m // 2, m - m // 2
+        E, Z = T[..., :me], _gauss_jordan(T[..., me:])   # the even rows; the odd ones solved
+        left = _block_products(E[:, l, 1:], Z[..., :me - 1])   # [L F | L G | L y]
+        right = _block_products(E[:, u, :mo], Z)               # [U F | U G | U y]
+        E[:, d, 1:] -= left[:, p: 2 * p]
+        E[:, d, :mo] -= right[:, :p]
+        E[:, l, 1:] = -left[:, :p]
+        E[:, u, :mo] = -right[:, p: 2 * p]
+        E[:, y, 1:] -= left[:, 2 * p]
+        E[:, y, :mo] -= right[:, 2 * p]
+        levels.append(Z)
+        T = np.concatenate([E[..., ::2], E[..., 1::2]], axis=2)
+    x = _gauss_jordan(T[:, np.r_[d, y]])   # (p, 1, 1)
+    for Z in reversed(levels):   # the odd rows: x = y - F x_left - G x_right
+        mo, me = Z.shape[2], x.shape[2]
+        odd = Z[:, 2 * p:] - _block_products(Z[:, :p], x[..., :mo])
+        odd[..., :me - 1] -= _block_products(Z[:, p: 2 * p, :me - 1], x[..., 1:])
+        full = np.empty((p, 1, me + mo))
+        full[..., ::2], full[..., 1::2] = x, odd
+        x = full
+    return x[:, 0].T.ravel()[:n]
 
 
 def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int,
@@ -262,33 +351,19 @@ def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int,
     """g[z] = sum_{n>=0} P[S_1..S_n all in [keep_lo, keep_hi], S_n = z], S_0 = start.
 
     Row ``start`` of the killed Green function: the solve of the mirrored
-    law's killed matrix against the first-step vector, by banded LU
-    (``scipy.linalg.solve_banded``), a route disjoint from
+    law's killed matrix against the first-step vector, by block cyclic
+    reduction (:func:`_cyclic_solve`), a route disjoint from
     :func:`killed_green`'s roots, refined at the ``cuts`` as there; the n = 0
     term is added when the start lies inside.
     """
-    from scipy.linalg import solve_banded   # here, so that importing oscillax does not load it
-
     rhs = np.zeros(keep_hi - keep_lo + 1)
     for v, p in zip(dist.values, dist.probs):
         z = start + int(v)
         if keep_lo <= z <= keep_hi:
             rhs[z - keep_lo] += float(p)
     law = mirror_dist(dist)
-    maxj = max(abs(law.min_support), abs(law.max_support))
-
-    def solve(a, b):
-        size = b - a + 1
-        # (I - A) in solve_banded layout: ab[maxj + i - j, j] = M[i, j]
-        ab = np.zeros((2 * maxj + 1, size))
-        ab[maxj] = 1.0
-        for v, p in zip(law.values, law.probs):
-            v = int(v)
-            if abs(v) < size:
-                ab[maxj - v, max(v, 0): size + min(v, 0)] -= p
-        return solve_banded((maxj, maxj), ab, rhs[a - keep_lo: b - keep_lo + 1])
-
-    g = _refined(solve, keep_lo, keep_hi, cuts)
+    g = _refined(lambda a, b: _cyclic_solve(law, rhs[a - keep_lo: b - keep_lo + 1]),
+                 keep_lo, keep_hi, cuts)
     if keep_lo <= start <= keep_hi:
         g[start - keep_lo] += 1.0
     return g

@@ -5,8 +5,8 @@ the package and the test modules.  Names are matched per module, not per
 scope; ``__init__.py`` is skipped because its imports are the package's
 re-exports.  Also: importing the CLI loads no scipy, each engine importing
 what it calls on first use, and each command loads only what it runs; no
-command loads sympy or mpmath, ties included; spectrum, classify and the
-banded powers load no scipy at all, and only killed_green_row imports it.
+command loads sympy or mpmath, ties included; no module of the package
+imports scipy, so no command, suite or engine loads it.
 """
 
 import ast
@@ -103,9 +103,7 @@ def loaded(code: str) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.linalg (criterion 8's banded LU) is imported where it is called,
-    # so the start-up of every command is not charged for it; the DPs, the
-    # Green solves and the renewal transforms use no scipy
+    # the DPs, the Green solves and the renewal transforms use no scipy
     assert loaded("import oscillax.cli") == []
 
 
@@ -153,15 +151,18 @@ def test_spectrum_and_classify_load_no_scipy(tmp_path):
                   "out.__exit__(None, None, None)") == []
 
 
-def test_convergence_suite_loads_scipy_linalg(tmp_path):
-    # criterion 8's direct route keeps its banded LU (killed_green_row), so
-    # that its three fluctuation constants come from disjoint machinery; the
-    # convergence suite's tail constant reads it
+def test_criterion_8_and_every_suite_load_no_scipy(tmp_path):
+    # criterion 8's direct route solves by block cyclic reduction in numpy:
+    # the convergence suite's tail constant and fluctuation_constants, each
+    # in a fresh interpreter, load no scipy module
     assert main(["fixtures", "-o", str(tmp_path)]) == 0
-    mods = loaded(f"from oscillax.cli import main; assert main(['verify', "
-                  f"{str(tmp_path / 'FIX-ZZ.json')!r}, '--suite', 'convergence', '-n', '64', "
-                  f"'-o', {str(tmp_path / 'out')!r}]) == 0")
-    assert "scipy.linalg" in mods and not any(m.startswith(("scipy.fft", "sympy")) for m in mods)
+    for name in ("FIX-ZZ", "FIX-PZ"):
+        assert loaded(f"from oscillax.cli import main; assert main(['verify', "
+                      f"{str(tmp_path / f'{name}.json')!r}, '--suite', 'all', '-n', '1024', "
+                      f"'-o', {str(tmp_path / name)!r}]) == 0") == [], name
+    assert loaded("from oscillax.fixtures import MU_A; from oscillax.model import dist; "
+                  "from oscillax.ladder import fluctuation_constants; "
+                  "fluctuation_constants(dist(MU_A))") == []
 
 
 def scipy_importers(source: str) -> set[str]:
@@ -190,11 +191,12 @@ def test_scan_finds_scipy_importers():
                            ) == {"<module>", "f", "g"}
 
 
-def test_only_killed_green_row_imports_scipy():
-    # the one scipy import left in the package: criterion 8's banded LU
+def test_no_module_imports_scipy():
+    # numpy is the one runtime dependency: no module body or function of the
+    # package imports scipy
     found = {(p.name, name) for p in MODULES + [Path(oscillax.__file__)]
              for name in scipy_importers(p.read_text())}
-    assert found == {("ladder.py", "killed_green_row")}
+    assert found == set()
 
 
 def test_first_passage_dp_loads_no_scipy():

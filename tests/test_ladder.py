@@ -1,17 +1,20 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscillax import ladder
 from oscillax.errors import NotCentered, ValidationError
 from oscillax.evolve import Window, passage_operator
 from oscillax.fixtures import FIXTURES, MU_A, SUBCASE_FIXTURES, fix_pz, fix_zz
 from oscillax.ladder import (
     ZETA_3_2,
     LadderVariant,
+    direct_constant,
     fluctuation_constants,
     killed_green,
     killed_green_row,
@@ -19,7 +22,7 @@ from oscillax.ladder import (
     small_roots,
     wiener_hopf_heights,
 )
-from oscillax.model import arrival_band, dist, mirror_dist, validate_model
+from oscillax.model import ZERO_DRIFT_TOL, arrival_band, dist, mirror_dist, validate_model
 from oscillax.switching import dominant_eigenpair, switching_kernel
 
 TOY = dist({-1: F(1, 2), 1: F(1, 2)})       # nearest-neighbor walk
@@ -383,6 +386,91 @@ class TestKilledGreen:
         rhs = np.eye(3)
         X = killed_green(law, -1, 1, rhs, (False, False))
         assert np.allclose(X, np.linalg.inv(_dense_killed(law, -1, 1)), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("lo,hi,cuts,end", [(1, 6, (True, False), "low end 1"),
+                                                (3, 8, (True, False), "low end 3"),
+                                                (-6, -1, (False, True), "high end -1")])
+    def test_cut_end_on_the_wrong_side_of_0_is_refused(self, lo, hi, cuts, end):
+        # a cut end's halved segment must lie inside [lo, hi]: on (1, 6) the
+        # low end halves to 0, and the refined value at 6 was twice the exact
+        # one; both solves share the refinement, and both refuse such a call
+        law = dist({-1: F(1, 4), 0: F(1, 4), 1: F(1, 2)})
+        rhs = np.zeros(hi - lo + 1)
+        rhs[0] = 1.0
+        with pytest.raises(ValidationError, match=end):
+            killed_green(law, lo, hi, rhs, cuts)
+        with pytest.raises(ValidationError, match=end):
+            killed_green_row(law, lo, hi, lo, cuts)
+
+
+# p = the law's largest jump, the block size of the cyclic reduction
+_wide_laws = st.dictionaries(st.integers(-8, 8), st.integers(1, 5), min_size=1,
+                             max_size=5).filter(lambda w: any(v != 0 for v in w))
+
+
+class TestCyclicReduction:
+    """killed_green_row's block cyclic reduction against numpy's dense solve
+    of I - A, and direct_constant against the banded LU it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_wide_laws, st.integers(1, 80), st.integers(0, 2 ** 32 - 1))
+    @example({-8: 1, 8: 1}, 5, 0)             # a segment shorter than p
+    @example({-3: 1, 0: 1, 2: 1}, 79, 1)      # 79 sites, p = 3: a padded last block
+    @example({-1: 1, 0: 3, 1: 1}, 40, 2)      # mu(0) > 0
+    @example({-2: 1, 0: 2, 2: 1}, 33, 3)      # on 2Z
+    @example({-3: 1, 3: 1}, 80, 4)            # on 3Z
+    @example({1: 1, 2: 1}, 50, 5)             # one-sided
+    @example({-5: 2, -1: 1, 0: 1}, 64, 6)     # one-sided, downward
+    def test_matches_dense_solve(self, weights, size, seed):
+        tot = sum(weights.values())
+        law = dist({v: F(w, tot) for v, w in weights.items()})
+        rhs = np.random.default_rng(seed).random(size)
+        M = _dense_killed(law, 0, size - 1)
+        _assert_close(ladder._cyclic_solve(law, rhs), np.linalg.solve(M, rhs), 1e-12)
+        # a whole Green row, from each start within a jump of the segment:
+        # row start of (I - A)^{-1}, or the first-step average of its rows
+        inverse, lo = np.linalg.inv(M), -size // 2
+        for start in (lo - 1, lo, lo + size // 2, lo + size - 1, lo + size):
+            ref = np.zeros(size)
+            for v, p in zip(law.values, law.probs):
+                if 0 <= start + v - lo < size:
+                    ref += p * inverse[start + v - lo]
+            if 0 <= start - lo < size:
+                ref[start - lo] += 1.0
+            g = killed_green_row(law, lo, lo + size - 1, start, (False, False))
+            assert np.allclose(g, ref, rtol=1e-12, atol=1e-12 * np.max(inverse)), start
+
+    @pytest.mark.parametrize("lo,hi,cuts", [(0, 0, (False, False)), (-6, 0, (True, False)),
+                                            (1, 4096, (False, True)),
+                                            (-2048, 2047, (True, True))])
+    def test_a_law_that_never_moves_raises(self, lo, hi, cuts):
+        # mu(0) = 1 makes I - A singular: LinAlgError, as the banded LU
+        # raised, before any pivot is divided by (warnings are errors here)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                killed_green_row(dist({0: 1}), lo, hi, 0, cuts)
+
+    # direct_constant by the banded LU solve (scipy.linalg.solve_banded)
+    # that the cyclic reduction replaced, at SOLVE_WINDOW sites, on every
+    # centered law of the 15 fixture files and their mirrors
+    LU_DIRECT_CONSTANTS = {
+        ((-1, "1/2"), (1, "1/2")): 0.3989422794042207,
+        ((-1, "1/2"), (0, "1/4"), (2, "1/4")): 0.4886025100031321,   # MU_A
+        ((-2, "1/4"), (0, "1/4"), (1, "1/2")): 0.3257350069853848,   # its mirror
+    }
+
+    def test_direct_constant_matches_the_banded_lu(self):
+        laws = {}
+        for make in FIXTURE_MODELS.values():
+            for m in make().media:
+                for law in (m.law, mirror_dist(m.law)):
+                    if abs(law.mean) <= ZERO_DRIFT_TOL:
+                        laws[tuple((v, str(p)) for v, p in zip(law.values, law.fracs))] = law
+        assert laws.keys() == self.LU_DIRECT_CONSTANTS.keys()
+        for key, law in laws.items():
+            assert direct_constant(law) == pytest.approx(self.LU_DIRECT_CONSTANTS[key],
+                                                         rel=1e-11, abs=0), key
 
 
 def _two_prod(a, b):
