@@ -101,18 +101,17 @@ GRID_DENOMINATOR = 12   # common denominator of the searched atom masses
 def search_subcase_fixtures() -> dict:
     """Grid-search three-atom two-media families for (P,P) subcase witnesses.
 
-    Scans rational mass grids on supports {-1,0,2} and {-2,0,1} (either side),
-    screening each admissible pair with cheap float transform geometry and
-    confirming hits -- including near-tie candidates -- through the exact
-    classifier.  Returns {subcase: [(model, prediction)]}, one hit a subcase.
+    Scans rational mass grids on supports {-1,0,2} and {-2,0,1} (either side)
+    and classifies each admissible pair exactly, until every reachable
+    subcase has a hit.  Returns {subcase: [(model, prediction)]}, the first
+    hit of each subcase.
 
     A denominator-12 grid reaches every subcase except B1 and B3, whose
     defining equalities couple the two laws; those come only from the
     parametric constructions behind SUBCASE_FIXTURES.
     """
     from .errors import OscillaxError
-    from .model import argmin_laplace, dist
-    from .regimes import _branch, _float_cmp, classify
+    from .regimes import classify
 
     q = GRID_DENOMINATOR
     lefts, rights = [], []
@@ -120,39 +119,20 @@ def search_subcase_fixtures() -> dict:
         for j in range(1, q - i):
             k = q - i - j   # >= 1
             if -i + 2 * k > 0:
-                lefts.append({-1: F(i, q), 0: F(j, q), 2: F(k, q)})
+                lefts.append(dist({-1: F(i, q), 0: F(j, q), 2: F(k, q)}))
             if -2 * i + k > 0:
-                rights.append({-2: F(i, q), 0: F(j, q), 1: F(k, q)})
+                rights.append(dist({-2: F(i, q), 0: F(j, q), 1: F(k, q)}))
     rights = rights + lefts  # same-support right laws have mean > 0 already
-
-    def profile(atoms):
-        d = dist(atoms)
-        return d, *argmin_laplace(d)
-
-    P_left = [profile(a) for a in lefts]
-    P_right = [profile(a) for a in rights]
     found: dict[str, list] = {}
-
-    def screen(ld, lam, rho, rd, lamp, rhop):
-        # float-only: near-ties are settled by the exact classifier on a hit
-        if _float_cmp(lam, lamp) == 0:
-            return "A1" if _float_cmp(rho, rhop) == 0 else "A2"
-        if lam > lamp:
-            return "C"
-        details = {"lambda": lam, "lambda_prime": lamp, "rho": rho, "rho_prime": rhop}
-        return "B%d" % _branch(ld, rd, details, _float_cmp)
-
     reachable = set(SUBCASE_FIXTURES) - {"B1", "B3"}
-    for ld, lam, rho in P_left:
-        for rd, lamp, rhop in P_right:
+    for ld in lefts:
+        for rd in rights:
             if ld.max_support * rd.min_support > -2:
                 continue
-            if screen(ld, lam, rho, rd, lamp, rhop) in found:
-                continue
             try:
-                # the screened laws, whose argmins are solved already
+                # the grid's law objects, whose argmins are solved once each
                 m = validate_model(ld, ld, rd, two_media=True)
-                pred = classify(m)   # exact confirmation of near-ties
+                pred = classify(m)
             except OscillaxError:
                 continue
             found.setdefault(pred.subcase, [(m, pred)])

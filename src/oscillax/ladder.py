@@ -31,10 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotCentered, ValidationError
-from .evolve import check_size
+from .evolve import Window, check_size
 from .model import (
-    ZERO_DRIFT_TOL,
     LatticeDist,
+    Medium,
     OscillatingModel,
     _require_two_sided,
     is_strongly_aperiodic,
@@ -89,7 +89,7 @@ class CharacteristicRoots(NamedTuple):
 def small_roots(dist: LatticeDist) -> CharacteristicRoots:
     """The :class:`CharacteristicRoots` of ``dist``, computed once per law
     (the last 64 laws are kept; their arrays are read-only)."""
-    return _roots(dist.values, dist.probs.tobytes(), abs(dist.mean) <= ZERO_DRIFT_TOL)
+    return _roots(dist.values, dist.probs.tobytes(), dist.centered)
 
 
 @lru_cache(maxsize=64)
@@ -163,21 +163,20 @@ def _basis(roots: CharacteristicRoots, L: int) -> np.ndarray:
 # Killed-walk Green functions
 # ---------------------------------------------------------------------------
 
-def _refined(solve, lo: int, hi: int, cuts: tuple[bool, bool]) -> np.ndarray:
-    """``solve(a, b)``, a killed-walk solve on [a, b], on [lo, hi], with each
-    cut end refined and the result clipped at 0: a second solve on the
-    segment with each cut end halved, and X = 2 X - X_half on the sites both
-    share, removes the O(1/size) truncation bias of the cuts.  A cut end must
-    lie away from the origin (lo <= 0, hi >= 0), else its halved segment is
-    not inside [lo, hi]; such a call is refused."""
-    if cuts[0] and lo > 0:
-        raise ValidationError(f"the low end {lo} is a window cut, so it must be <= 0")
-    if cuts[1] and hi < 0:
-        raise ValidationError(f"the high end {hi} is a window cut, so it must be >= 0")
-    X = solve(lo, hi)
-    a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
-    if any(cuts) and a <= b:
-        X[a - lo: b - lo + 1] = 2.0 * X[a - lo: b - lo + 1] - solve(a, b)
+def _refined(solve, law: LatticeDist, medium: Medium, window: Window,
+             rhs: np.ndarray) -> np.ndarray:
+    """``solve(law, rhs)``, a killed-walk solve on len(rhs) sites, on the
+    medium's segment of ``window``, with each cut end refined and the result
+    clipped at 0.  A cut end is a segment end that is the window's edge, not
+    the medium's own end: a second solve on the segment with each cut end
+    halved, and X = 2 X - X_half on the sites both share, removes the
+    O(1/size) truncation bias of the cuts.  A window straddles 0, so a
+    halved cut end stays inside."""
+    lo, hi = medium.segment(window)
+    X = solve(law, rhs)
+    a, b = lo // 2 if medium.lo is None else lo, hi // 2 if medium.hi is None else hi
+    if (medium.lo is None or medium.hi is None) and a <= b:
+        X[a - lo: b - lo + 1] = 2.0 * X[a - lo: b - lo + 1] - solve(law, rhs[a - lo: b - lo + 1])
     return np.clip(X, 0.0, None)
 
 
@@ -247,22 +246,19 @@ def _roots_solve(dist: LatticeDist, rhs: np.ndarray) -> np.ndarray:
     return X.reshape(rhs.shape)
 
 
-def killed_green(dist: LatticeDist, lo: int, hi: int, rhs: np.ndarray,
-                 cuts: tuple[bool, bool]) -> np.ndarray:
-    """X = (I - A)^{-1} rhs for the walk with law ``dist`` killed on leaving [lo, hi].
+def killed_green(medium: Medium, window: Window, rhs: np.ndarray) -> np.ndarray:
+    """X = (I - A)^{-1} rhs for the walk with the medium's law killed on
+    leaving its segment of ``window``.
 
     A[x, x + v] = mu(v) for x and x + v in the segment, so X(x) sums rhs over
     the visits of the killed walk started at x; the transpose I - A^T is the
-    killed matrix of ``mirror_dist(dist)`` on the same segment.  ``rhs`` is a
-    vector or a block of columns indexed by lo..hi.  ``cuts`` says whether
-    the low and the high end are window cuts of an unbounded medium rather
-    than ends of the medium; a cut end must lie away from the origin (lo <=
-    0, hi >= 0), else ValidationError.  One solve by characteristic roots
-    (:func:`_roots_solve`), exact on a segment with no cut, and else a second
-    on the segment with each cut end halved (:func:`_refined`).  The result
-    is clipped at 0.
+    killed matrix of ``mirror_dist(medium.law)`` on the same segment.
+    ``rhs`` is a vector or a block of columns indexed by the segment's sites.
+    One solve by characteristic roots (:func:`_roots_solve`), exact on a
+    bounded medium, and else a second on the segment with each cut end
+    halved (:func:`_refined`).  The result is clipped at 0.
     """
-    return _refined(lambda a, b: _roots_solve(dist, rhs[a - lo: b - lo + 1]), lo, hi, cuts)
+    return _refined(_roots_solve, medium.law, medium, window, rhs)
 
 
 def _block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -346,26 +342,23 @@ def _cyclic_solve(law: LatticeDist, rhs: np.ndarray) -> np.ndarray:
     return x[:, 0].T.ravel()[:n]
 
 
-def killed_green_row(dist: LatticeDist, keep_lo: int, keep_hi: int, start: int,
-                     cuts: tuple[bool, bool]) -> np.ndarray:
-    """g[z] = sum_{n>=0} P[S_1..S_n all in [keep_lo, keep_hi], S_n = z], S_0 = start.
+def killed_green_row(medium: Medium, window: Window, start: int) -> np.ndarray:
+    """g[z] = sum_{n>=0} P[S_1..S_n all in the segment, S_n = z], S_0 = start.
 
-    Row ``start`` of the killed Green function: the solve of the mirrored
-    law's killed matrix against the first-step vector, by block cyclic
-    reduction (:func:`_cyclic_solve`), a route disjoint from
-    :func:`killed_green`'s roots, refined at the ``cuts`` as there; the n = 0
-    term is added when the start lies inside.
+    Row ``start`` of the killed Green function on the medium's segment of
+    ``window``: the solve of the mirrored law's killed matrix against the
+    first-step vector, by block cyclic reduction (:func:`_cyclic_solve`), a
+    route disjoint from :func:`killed_green`'s roots, refined at the cut ends
+    as there; the n = 0 term is added when the start lies inside.
     """
-    rhs = np.zeros(keep_hi - keep_lo + 1)
-    for v, p in zip(dist.values, dist.probs):
-        z = start + int(v)
-        if keep_lo <= z <= keep_hi:
-            rhs[z - keep_lo] += float(p)
-    law = mirror_dist(dist)
-    g = _refined(lambda a, b: _cyclic_solve(law, rhs[a - keep_lo: b - keep_lo + 1]),
-                 keep_lo, keep_hi, cuts)
-    if keep_lo <= start <= keep_hi:
-        g[start - keep_lo] += 1.0
+    lo, hi = medium.segment(window)
+    rhs = np.zeros(hi - lo + 1)
+    for v, p in zip(medium.law.values, medium.law.probs):
+        if lo <= start + v <= hi:
+            rhs[start + v - lo] += float(p)
+    g = _refined(_cyclic_solve, mirror_dist(medium.law), medium, window, rhs)
+    if lo <= start <= hi:
+        g[start - lo] += 1.0
     return g
 
 
@@ -429,7 +422,7 @@ def centered_sides(model: OscillatingModel) -> list:
     sides = (("left", first.law, 1, first.hi + 1),
              ("right", mirror_dist(last.law), -1, 1 - last.lo))
     return [(name, law, ladder_potentials(law), s, theta)
-            for name, law, s, theta in sides if abs(law.mean) <= ZERO_DRIFT_TOL]
+            for name, law, s, theta in sides if law.centered]
 
 
 def centered_tail_sums(model: OscillatingModel, nu: np.ndarray, window) -> list:
@@ -464,7 +457,7 @@ def wiener_hopf_heights(dist: LatticeDist) -> tuple[dict, dict]:
     """
     from numpy.polynomial import polynomial as P   # as in small_roots
 
-    if abs(dist.mean) > ZERO_DRIFT_TOL:
+    if not dist.centered:
         raise NotCentered(f"mean {dist.mean!r} is not 0")
     _require_two_sided(dist)
     a = -dist.min_support
@@ -524,7 +517,8 @@ class FluctuationConstants:
 def direct_constant(dist: LatticeDist) -> float:
     """(1/(sigma sqrt(2 pi))) sum_{w>=1} V_-(w) mu[w, inf), V_- by duality: the
     weak descending U at {-w} is the time at -w before the first strict ascent."""
-    v_weak_desc = np.cumsum(killed_green_row(dist, -SOLVE_WINDOW, 0, 0, (True, False))[::-1])
+    below = killed_green_row(Medium(dist, None, 0), Window(-SOLVE_WINDOW, 1), 0)
+    v_weak_desc = np.cumsum(below[::-1])
     return float(sum(
         v_weak_desc[w - 1] * dist.tail_ge(w)
         for w in range(1, dist.max_support + 1)
@@ -550,7 +544,7 @@ def fluctuation_constants(
     parity averaging there.  A law on a sublattice dZ, d > 1, has roots of
     1 - phi on the unit circle and the ladder route raises ValidationError.
     """
-    if abs(dist.mean) > ZERO_DRIFT_TOL:
+    if not dist.centered:
         raise NotCentered(f"mean {dist.mean!r} is not 0")
     if require_aperiodic and not is_strongly_aperiodic(dist):
         raise ValidationError("law must be strongly aperiodic")

@@ -92,11 +92,16 @@ class LatticeDist:
     def sigma(self) -> float:
         return math.sqrt(self.variance)
 
+    @property
+    def centered(self) -> bool:
+        """Whether the law has no drift: |mean| within ZERO_DRIFT_TOL."""
+        return abs(self.mean) <= ZERO_DRIFT_TOL
+
     @cached_property
     def argmin(self) -> tuple[float, float]:
         """(lambda, rho) of :func:`argmin_laplace`, solved on first access."""
         _require_two_sided(self)
-        if abs(self.mean) <= ZERO_DRIFT_TOL:
+        if self.centered:
             return 0.0, laplace(self, 0.0)  # centered: the minimum is at the origin
         b = min(1.0, EXP_OVERFLOW / max(-self.min_support, self.max_support))
         a = -b
@@ -327,12 +332,8 @@ def is_strongly_aperiodic(d: LatticeDist) -> bool:
     return g == 1
 
 
-def _drift_letter(mean: float) -> str:
-    if mean > ZERO_DRIFT_TOL:
-        return "P"
-    if mean < -ZERO_DRIFT_TOL:
-        return "N"
-    return "Z"
+def _drift_letter(d: LatticeDist) -> str:
+    return "Z" if d.centered else "P" if d.mean > 0 else "N"
 
 
 @dataclass(frozen=True)
@@ -388,7 +389,7 @@ class OscillatingModel:
 
     @cached_property
     def drift_case(self) -> DriftCase:
-        return DriftCase(f"({_drift_letter(self.left.mean)},{_drift_letter(self.right.mean)})")
+        return DriftCase(f"({_drift_letter(self.left)},{_drift_letter(self.right)})")
 
     @property
     def exact(self) -> bool:

@@ -13,7 +13,7 @@ float ties without exact inputs raise TieUnresolvable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -84,7 +84,7 @@ class RegimePrediction:
 # Exact comparison of transform-derived algebraic numbers
 # ---------------------------------------------------------------------------
 
-def _float_cmp(a: float, b: float, *_) -> int:
+def _float_cmp(a: float, b: float) -> int:
     """Three-way float comparison that calls a difference within TIE_TOL a tie (0)."""
     return 0 if abs(a - b) <= TIE_TOL else (-1 if a < b else 1)
 
@@ -152,28 +152,24 @@ _BRANCHES = {
 }
 
 
-def _branch(left: LatticeDist, right: LatticeDist, details: dict, cmp) -> int:
-    """Branch k = 1..7 of ``_BRANCHES`` for argmins lambda != lambda'.
+def _crossing_branch(model: OscillatingModel, details: dict, cmpx: _Comparator) -> int:
+    """Branch k = 1..7 of ``_BRANCHES`` for argmins lambda != lambda', ties
+    settled exactly by ``cmpx``.
 
     ``details`` holds lambda, lambda_prime, rho and rho_prime and receives the
-    transform value the second comparison reads.  ``cmp(a, b, da, ua, db, ub)``
-    is a three-way comparison of transform values with the signature of
-    :meth:`_Comparator.cmp_values`; the fixture screen passes ``_float_cmp``.
+    transform value the second comparison reads; a crossing branch also gets
+    its crossing point.
     """
     rho, rhop = details["rho"], details["rho_prime"]
-    s_rho = cmp(rho, rhop, "L", "L", "R", "R")
+    s_rho = cmpx.cmp_values(rho, rhop, "L", "L", "R", "R")
     if s_rho == 0:
-        return 1
-    if s_rho < 0:  # compare L(lambda') with rho'
-        val = details["L_at_lambda_prime"] = laplace(left, details["lambda_prime"])
-        return 3 + cmp(val, rhop, "L", "R", "R", "R")
-    val = details["Lprime_at_lambda"] = laplace(right, details["lambda"])
-    return 6 + cmp(val, rho, "R", "L", "L", "L")
-
-
-def _crossing_branch(model: OscillatingModel, details: dict, cmpx: _Comparator) -> int:
-    """``_branch`` with exact ties; a crossing branch also gets its crossing point."""
-    k = _branch(model.left, model.right, details, cmpx.cmp_values)
+        k = 1
+    elif s_rho < 0:  # compare L(lambda') with rho'
+        val = details["L_at_lambda_prime"] = laplace(model.left, details["lambda_prime"])
+        k = 3 + cmpx.cmp_values(val, rhop, "L", "R", "R", "R")
+    else:
+        val = details["Lprime_at_lambda"] = laplace(model.right, details["lambda"])
+        k = 6 + cmpx.cmp_values(val, rho, "R", "L", "L", "L")
     if _BRANCHES[k][0] == "rho_star":
         star = cross_point(model.left, model.right)
         if star is None:
@@ -341,8 +337,7 @@ def invariant_profile(
     for m in model.media:
         lo, hi = m.segment(window)
         seg = slice(window.index(lo), window.index(hi) + 1)
-        cuts = (m.lo is None, m.hi is None)   # an unbounded side ends at the window
-        vals[seg] = killed_green(mirror_dist(m.law), lo, hi, nu[seg], cuts)
+        vals[seg] = killed_green(replace(m, law=mirror_dist(m.law)), window, nu[seg])
 
     def plateau(side):
         probe_hi = (abs(window.lo) if side < 0 else window.hi) // 4
@@ -371,15 +366,23 @@ def predicted_constant_Cy(
     y: int,
     window: Optional[Window] = None,
 ) -> tuple[float, InvariantProfile]:
-    """The constant C_y in P_x[X_n = y] ~ C_y / sqrt(n) for (Z,Z) and (P,Z).
+    """The constant C_y in P_x[X_n = y] ~ C_y / sqrt(n) for (Z,Z), (P,Z) and (Z,N).
 
     C_y = lambda_X(y) / (sqrt(pi/2) (sigma lam_X(-inf) + sigma' lam_X(+inf))),
-    with the drifted-side term dropped in the (P,Z) case.
+    with the drifted-side term dropped in the (P,Z) case.  (Z,N) is read off
+    its exact (P,Z) mirror at -y, with the profile reversed.  The default
+    window is +-max(256, 128 max jump), wide enough for lambda_X to reach its
+    plateau on a law with long jumps.
     """
     case = model.drift_case
-    if case not in (DriftCase.ZZ, DriftCase.PZ):
-        raise ValidationError(f"C_y formula applies to (Z,Z)/(P,Z), not {case.value}")
-    window = window or Window(-256, 256)
+    if case not in (DriftCase.ZZ, DriftCase.PZ, DriftCase.ZN):
+        raise ValidationError(f"C_y formula applies to (Z,Z)/(P,Z)/(Z,N), not {case.value}")
+    half = max(256, 128 * model.max_jump)
+    window = window or Window(-half, half)
+    if case is DriftCase.ZN:
+        c, prof = predicted_constant_Cy(mirror_model(model), -y, Window(-window.hi, -window.lo))
+        return c, InvariantProfile(window, prof.values[::-1], prof.lam_plus_inf,
+                                   prof.lam_minus_inf, prof.plateau_plus, prof.plateau_minus)
     spectral = dominant_eigenpair(switching_kernel(model, window))
     prof = invariant_profile(model, spectral.nu, window)
     # a drifted side has tail level 0, which drops its term in the (P,Z) case
@@ -399,7 +402,7 @@ def predict(model: OscillatingModel) -> dict:
         report["base_case_after_tilt"] = plan.base_case.value
         report["tilt_r"] = plan.r
     constants = {"kind": report["constant_kind"]}
-    if pred.drift_case in (DriftCase.ZZ, DriftCase.PZ):
+    if pred.drift_case in (DriftCase.ZZ, DriftCase.PZ, DriftCase.ZN):
         c0, prof = predicted_constant_Cy(model, 0)
         constants["C_0"] = c0
         constants["lambda_X_minus_inf"] = prof.lam_minus_inf

@@ -37,7 +37,7 @@ from .evolve import (
 )
 from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
 from .model import (
-    ZERO_DRIFT_TOL,
+    DriftCase,
     OscillatingModel,
     argmin_laplace,
     arrival_band,
@@ -149,8 +149,8 @@ class SwitchingKernel:
 
     @property
     def markovian(self) -> bool:
-        return (self.model.left.mean >= -ZERO_DRIFT_TOL
-                and self.model.right.mean <= ZERO_DRIFT_TOL)
+        # no outer medium drifts away from the interface
+        return self.model.drift_case in (DriftCase.PN, DriftCase.PZ, DriftCase.ZZ, DriftCase.ZN)
 
 
 def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel:
@@ -170,8 +170,7 @@ def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel
     for m in model.media:
         op = passage_operator(m, window, steps=1)
         (sl, sh), (bl, bh) = op.sites, op.band
-        cuts = (m.lo is None, m.hi is None)   # an unbounded side ends at the window
-        G = killed_green(m.law, sl, sh, op.dense(op.band_rows).T, cuts)
+        G = killed_green(m, window, op.dense(op.band_rows).T)
         R[window.index(sl): window.index(sh) + 1, bl - band_lo: bh - band_lo + 1] = G
     defect = 1.0 - R.sum(axis=1)
     return SwitchingKernel(window, R, (band_lo, band_hi), defect, model)

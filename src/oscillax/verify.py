@@ -27,7 +27,6 @@ from .evolve import (
 )
 from .ladder import centered_tail_sums, direct_constant
 from .model import (
-    ZERO_DRIFT_TOL,
     DriftCase,
     LatticeDist,
     Medium,
@@ -179,10 +178,10 @@ def effective_leak(table, model: OscillatingModel, rate: float = 1.0) -> np.ndar
                                  for k in ("below", "above", "underflow"))
     # a drifted side's leak, escaped with its drift or against it, must fight that drift
     d_left = d_right = 1.0
-    if abs(model.left.mean) > ZERO_DRIFT_TOL:
+    if not model.left.centered:
         lam, _ = argmin_laplace(model.left)
         d_left = math.exp(-abs(lam) * abs(window.lo))
-    if abs(model.right.mean) > ZERO_DRIFT_TOL:
+    if not model.right.centered:
         lamp, _ = argmin_laplace(model.right)
         d_right = math.exp(-abs(lamp) * window.hi)
     # summed in closed form, eff_n = sum_{k<=n} rate^(n-k) e^(new_k) with new_k

@@ -6,7 +6,9 @@ scope; ``__init__.py`` is skipped because its imports are the package's
 re-exports.  Also: importing the CLI loads no scipy, each engine importing
 what it calls on first use, and each command loads only what it runs; no
 command loads sympy or mpmath, ties included; no module of the package
-imports scipy, so no command, suite or engine loads it.
+imports scipy, so no command, suite or engine loads it.  And one home per
+decision: only ``model.py`` names the drift tolerance, and the private names
+one package module imports from another are pinned.
 """
 
 import ast
@@ -87,6 +89,53 @@ def test_every_public_def_has_a_caller():
     uncalled = uncalled_defs([p.read_text() for p in MODULES])
     assert uncalled - UNCALLED_ALLOWED == set(), "delete these or give them a caller"
     assert UNCALLED_ALLOWED - uncalled == set(), "these have a caller now: unlist them"
+
+
+def named(source: str) -> set[str]:
+    """The identifiers a module's code names: variables, attributes and
+    imported names (not its docstrings or comments)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def test_only_model_names_the_drift_tolerance():
+    # whether a law drifts is decided once, by LatticeDist.centered and the
+    # model's drift case
+    assert named("from .model import ZERO_DRIFT_TOL as T\nx = model.ZERO_DRIFT_TOL\n") >= {
+        "T", "ZERO_DRIFT_TOL"}
+    found = {p.name for p in MODULES + [Path(oscillax.__file__)]
+             if "ZERO_DRIFT_TOL" in named(p.read_text())}
+    assert found == {"model.py"}
+
+
+def private_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) of each private name imported from a package module."""
+    return {(node.module.split(".")[-1], alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and (node.level or node.module.startswith("oscillax"))
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_scan_finds_private_imports():
+    assert private_imports("from .model import _a, b\nfrom oscillax.evolve import _c\n"
+                           "from os import _exit\nfrom . import _d\n") == {
+        ("model", "_a"), ("evolve", "_c")}
+
+
+def test_private_imports_are_pinned():
+    # a module-private decision has one home: the only private names one
+    # package module takes from another are the DP core switching runs and
+    # the two-sided support check
+    found = {(p.stem, *pair) for p in MODULES for pair in private_imports(p.read_text())}
+    assert found == {("switching", "evolve", "_advance"), ("switching", "evolve", "_zeros"),
+                     ("ladder", "model", "_require_two_sided")}
 
 
 HEAVY = ("scipy.linalg", "scipy.fft", "scipy.special", "sympy", "mpmath")

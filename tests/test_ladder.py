@@ -22,7 +22,7 @@ from oscillax.ladder import (
     small_roots,
     wiener_hopf_heights,
 )
-from oscillax.model import ZERO_DRIFT_TOL, arrival_band, dist, mirror_dist, validate_model
+from oscillax.model import Medium, arrival_band, dist, mirror_dist, validate_model
 from oscillax.switching import dominant_eigenpair, switching_kernel
 
 TOY = dist({-1: F(1, 2), 1: F(1, 2)})       # nearest-neighbor walk
@@ -221,8 +221,8 @@ def _duality_tables(law, size=40000):
     from the other variant's table by the over-the-extremum identity
     P[H*+ = h] = sum_w U_-({-w}) mu(h + w),  P[H- = h] = sum_w U*+({w}) mu(h - w).
     """
-    u_wd = killed_green_row(law, -size, 0, 0, (True, False))[::-1]
-    u_sa = np.append(1.0, killed_green_row(law, 1, size, 0, (False, True)))
+    u_wd = killed_green_row(Medium(law, None, 0), Window(-size, 1), 0)[::-1]
+    u_sa = np.append(1.0, killed_green_row(Medium(law, 1, None), Window(-1, size), 0))
     pmf = {int(v): float(p) for v, p in zip(law.values, law.probs)}
     ws = range(max(abs(law.min_support), law.max_support) + 1)
     asc = {h: sum(u_wd[w] * pmf.get(h + w, 0.0) for w in ws)
@@ -320,7 +320,7 @@ class TestWeakVsStrictInLocalAsymptotics:
 class TestGreenRow:
     def test_counts_visits(self):
         # toy walk killed at >= 1: expected visits to 0 before first ascent = 2
-        g = killed_green_row(TOY, -4000, 0, 0, (True, False))
+        g = killed_green_row(Medium(TOY, None, 0), Window(-4000, 1), 0)
         assert g[-1] == pytest.approx(2.0, rel=1e-3)
 
 
@@ -334,9 +334,10 @@ def _dense_killed(law, lo, hi):
     return np.eye(size) - A
 
 
-def _dense_richardson(matrix, lo, hi, rhs, cuts):
-    """2 X - X_half on the segment with its cut ends halved, clipped, from
-    dense solves; one solve when no end is cut."""
+def _dense_richardson(matrix, medium, window, rhs):
+    """2 X - X_half on the medium's segment with its cut ends halved,
+    clipped, from dense solves; one solve on a bounded medium."""
+    (lo, hi), cuts = medium.segment(window), (medium.lo is None, medium.hi is None)
     X = np.linalg.solve(matrix(lo, hi), rhs)
     a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
     if any(cuts) and a <= b:
@@ -348,59 +349,56 @@ def _dense_richardson(matrix, lo, hi, rhs, cuts):
 # a walk that moves: at least one nonzero atom, so every segment kills it
 _moving_laws = st.dictionaries(st.integers(-3, 3), st.integers(1, 5), min_size=1,
                                max_size=4).filter(lambda w: any(v != 0 for v in w))
-_segments = st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 24)).map(
-    lambda t: (t[0] - t[1] + 1, t[0]) if t[0] <= 0 else (t[0], t[0] + t[1] - 1))
+
+
+@st.composite
+def _media_in_windows(draw):
+    """(low end, high end, window): a medium's ends, each None (unbounded,
+    cut at the window's edge) or a site of the window, on at most 49 sites."""
+    window = Window(-draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    lo = draw(st.one_of(st.none(), st.integers(window.lo, window.hi)))
+    hi = draw(st.one_of(st.none(), st.integers(window.lo if lo is None else lo, window.hi)))
+    return lo, hi, window
+
+
+# a bounded medium reads no window
+ANY_WINDOW = Window(-1, 1)
 
 
 class TestKilledGreen:
     @settings(max_examples=60, deadline=None)
-    @given(_moving_laws, _segments, st.tuples(st.booleans(), st.booleans()),
-           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-    def test_matches_dense_richardson(self, weights, segment, cuts, cols, seed):
+    @given(_moving_laws, _media_in_windows(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_richardson(self, weights, ends, cols, seed):
         tot = sum(weights.values())
         law = dist({v: F(w, tot) for v, w in weights.items()})
-        lo, hi = segment
-        cuts = (cuts[0] and lo <= 0, cuts[1] and hi >= 0)   # a window cut is away from 0
+        *ends, window = ends
+        medium = Medium(law, *ends)
+        lo, hi = medium.segment(window)
         rhs = np.random.default_rng(seed).random((hi - lo + 1, cols))
-        X = killed_green(law, lo, hi, rhs, cuts)
-        ref = _dense_richardson(lambda a, b: _dense_killed(law, a, b), lo, hi, rhs, cuts)
+        X = killed_green(medium, window, rhs)
+        ref = _dense_richardson(lambda a, b: _dense_killed(law, a, b), medium, window, rhs)
         assert np.allclose(X, ref, rtol=1e-10, atol=1e-12)
         # the mirrored law's killed matrix is the transpose on the same segment
-        Xt = killed_green(mirror_dist(law), lo, hi, rhs[:, 0], cuts)
-        ref_t = _dense_richardson(lambda a, b: _dense_killed(law, a, b).T, lo, hi, rhs[:, 0],
-                                  cuts)
+        Xt = killed_green(Medium(mirror_dist(law), *ends), window, rhs[:, 0])
+        ref_t = _dense_richardson(lambda a, b: _dense_killed(law, a, b).T, medium, window,
+                                  rhs[:, 0])
         assert np.allclose(Xt, ref_t, rtol=1e-10, atol=1e-12)
 
     def test_single_site_segments(self):
         # [1, 1] has no segment with its high end halved; [-1, -1] halves to
         # itself; a bounded site is solved once
         law = dist({-1: F(1, 4), 0: F(1, 4), 1: F(1, 2)})
-        for lo, hi, cuts in ((1, 1, (False, True)), (-1, -1, (True, False)),
-                             (0, 0, (False, False))):
-            assert killed_green(law, lo, hi, np.ones(1), cuts)[0] == pytest.approx(4.0 / 3.0)
+        for lo, hi in ((1, None), (None, -1), (0, 0)):
+            X = killed_green(Medium(law, lo, hi), Window(-1, 1), np.ones(1))
+            assert X[0] == pytest.approx(4.0 / 3.0)
 
     def test_bounded_segment_is_one_exact_solve(self):
         # a medium's own ends are not truncation: no Richardson step mixes in
         # a shorter segment's solve
         law = dist({-1: F(1, 3), 0: F(1, 3), 1: F(1, 3)})
         rhs = np.eye(3)
-        X = killed_green(law, -1, 1, rhs, (False, False))
+        X = killed_green(Medium(law, -1, 1), Window(-8, 8), rhs)
         assert np.allclose(X, np.linalg.inv(_dense_killed(law, -1, 1)), rtol=1e-13, atol=0)
-
-    @pytest.mark.parametrize("lo,hi,cuts,end", [(1, 6, (True, False), "low end 1"),
-                                                (3, 8, (True, False), "low end 3"),
-                                                (-6, -1, (False, True), "high end -1")])
-    def test_cut_end_on_the_wrong_side_of_0_is_refused(self, lo, hi, cuts, end):
-        # a cut end's halved segment must lie inside [lo, hi]: on (1, 6) the
-        # low end halves to 0, and the refined value at 6 was twice the exact
-        # one; both solves share the refinement, and both refuse such a call
-        law = dist({-1: F(1, 4), 0: F(1, 4), 1: F(1, 2)})
-        rhs = np.zeros(hi - lo + 1)
-        rhs[0] = 1.0
-        with pytest.raises(ValidationError, match=end):
-            killed_green(law, lo, hi, rhs, cuts)
-        with pytest.raises(ValidationError, match=end):
-            killed_green_row(law, lo, hi, lo, cuts)
 
 
 # p = the law's largest jump, the block size of the cyclic reduction
@@ -437,7 +435,7 @@ class TestCyclicReduction:
                     ref += p * inverse[start + v - lo]
             if 0 <= start - lo < size:
                 ref[start - lo] += 1.0
-            g = killed_green_row(law, lo, lo + size - 1, start, (False, False))
+            g = killed_green_row(Medium(law, lo, lo + size - 1), ANY_WINDOW, start)
             assert np.allclose(g, ref, rtol=1e-12, atol=1e-12 * np.max(inverse)), start
 
     @pytest.mark.parametrize("lo,hi,cuts", [(0, 0, (False, False)), (-6, 0, (True, False)),
@@ -445,11 +443,13 @@ class TestCyclicReduction:
                                             (-2048, 2047, (True, True))])
     def test_a_law_that_never_moves_raises(self, lo, hi, cuts):
         # mu(0) = 1 makes I - A singular: LinAlgError, as the banded LU
-        # raised, before any pivot is divided by (warnings are errors here)
+        # raised, before any pivot is divided by (warnings are errors here);
+        # on [lo, hi], each cut end unbounded and cut at the window's edge
+        medium = Medium(dist({0: 1}), None if cuts[0] else lo, None if cuts[1] else hi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
-                killed_green_row(dist({0: 1}), lo, hi, 0, cuts)
+                killed_green_row(medium, Window(min(lo, -1), max(hi, 1)), 0)
 
     # direct_constant by the banded LU solve (scipy.linalg.solve_banded)
     # that the cyclic reduction replaced, at SOLVE_WINDOW sites, on every
@@ -465,7 +465,7 @@ class TestCyclicReduction:
         for make in FIXTURE_MODELS.values():
             for m in make().media:
                 for law in (m.law, mirror_dist(m.law)):
-                    if abs(law.mean) <= ZERO_DRIFT_TOL:
+                    if law.centered:
                         laws[tuple((v, str(p)) for v, p in zip(law.values, law.fracs))] = law
         assert laws.keys() == self.LU_DIRECT_CONSTANTS.keys()
         for key, law in laws.items():
@@ -504,7 +504,7 @@ def _residual(law, X, rhs):
     return total + carried
 
 
-def _banded_lu_green(law, lo, hi, rhs, cuts, corrections=0):
+def _banded_lu_green(medium, window, rhs, corrections=0):
     """killed_green by scipy's banded LU solve of I - A, the route the roots
     solve replaced (and killed_green_row's), refined and clipped the same way;
     each of ``corrections`` adds the LU solve of the residual of the exact
@@ -512,6 +512,8 @@ def _banded_lu_green(law, lo, hi, rhs, cuts, corrections=0):
     summing to exactly 1, to rounding."""
     from scipy.linalg import solve_banded
 
+    law, (lo, hi) = medium.law, medium.segment(window)
+    cuts = (medium.lo is None, medium.hi is None)
     maxj = max(abs(law.min_support), abs(law.max_support))
 
     def solve(a, b):
@@ -587,13 +589,13 @@ class TestRootsSolve:
         for m in model.media:
             op = passage_operator(m, w, steps=1)
             lo, hi = op.sites
-            cuts = (m.lo is None, m.hi is None)
             ys = [y for y in range(band[0], band[1] + 1) if lo <= y <= hi]
             unit = np.zeros((hi - lo + 1, len(ys)))
             unit[[y - lo for y in ys], range(len(ys))] = 1.0
-            for law, rhs in ((m.law, op.dense(op.band_rows).T), (mirror_dist(m.law), unit)):
-                _assert_close(killed_green(law, lo, hi, rhs, cuts),
-                              _banded_lu_green(law, lo, hi, rhs, cuts), 1e-11)
+            for medium, rhs in ((m, op.dense(op.band_rows).T),
+                                (Medium(mirror_dist(m.law), m.lo, m.hi), unit)):
+                _assert_close(killed_green(medium, w, rhs), _banded_lu_green(medium, w, rhs),
+                              1e-11)
 
     @pytest.mark.parametrize("where", ["low", "high", "middle", "both"])
     @pytest.mark.parametrize("name", [*SPECIAL_LAWS, "double-root"])
@@ -602,12 +604,13 @@ class TestRootsSolve:
         # nearest-neighbour mean-1e-9 law, whose float probabilities miss
         # summing to 1 by about 1e-16, and by 3e-11 on the double root
         law = SPECIAL_LAWS.get(name, DOUBLE_ROOT)
-        for lo, hi, cuts in ((-4095, 0, (True, False)), (1, 4096, (False, True)),
-                             (-2048, 2047, (True, True)), (-2048, 2047, (False, False))):
-            rhs = _placed(hi - lo + 1, where)
-            for each in (law, mirror_dist(law)):
-                _assert_close(killed_green(each, lo, hi, rhs, cuts),
-                              _banded_lu_green(each, lo, hi, rhs, cuts, corrections=2), 1e-11)
+        for lo, hi, w in ((None, 0, Window(-4095, 1)), (1, None, Window(-1, 4096)),
+                          (None, None, Window(-2048, 2047)), (-2048, 2047, ANY_WINDOW)):
+            for medium in (Medium(law, lo, hi), Medium(mirror_dist(law), lo, hi)):
+                a, b = medium.segment(w)
+                rhs = _placed(b - a + 1, where)
+                _assert_close(killed_green(medium, w, rhs),
+                              _banded_lu_green(medium, w, rhs, corrections=2), 1e-11)
 
     def test_arrival_band_deeper_than_the_mirrored_law_jumps(self):
         # the right law jumps 4 into the left medium, whose mirrored law moves
@@ -619,17 +622,17 @@ class TestRootsSolve:
         assert nu[w.index(-3)] > 0.0 and max(-MU_A_DIST.min_support, MU_A_DIST.max_support) < 3
         for m in model.media:
             lo, hi = m.segment(w)
-            rhs, cuts = nu[w.index(lo): w.index(hi) + 1], (m.lo is None, m.hi is None)
-            law = mirror_dist(m.law)
-            _assert_close(killed_green(law, lo, hi, rhs, cuts),
-                          _banded_lu_green(law, lo, hi, rhs, cuts), 1e-11)
+            rhs, medium = nu[w.index(lo): w.index(hi) + 1], Medium(mirror_dist(m.law), m.lo, m.hi)
+            _assert_close(killed_green(medium, w, rhs), _banded_lu_green(medium, w, rhs), 1e-11)
 
     def test_a_law_that_never_moves_is_refused(self):
         # I - A is 0 on every segment: one ValidationError, for a bounded
         # core and a cut medium alike
-        for lo, hi, cuts in ((-1, 1, (False, False)), (-4095, 0, (True, False))):
+        for lo, hi, w in ((-1, 1, ANY_WINDOW), (None, 0, Window(-4095, 1))):
+            medium = Medium(dist({0: 1}), lo, hi)
+            a, b = medium.segment(w)
             with pytest.raises(ValidationError, match="never moves"):
-                killed_green(dist({0: 1}), lo, hi, np.ones(hi - lo + 1), cuts)
+                killed_green(medium, w, np.ones(b - a + 1))
 
     def test_small_roots(self):
         # p(u) = u^a (1 - phi(u)) and its first m - 1 derivatives vanish at a

@@ -421,9 +421,10 @@ class TestOneSolvePerLaw:
         assert min(one_solve) > 0
 
     def test_fixture_search_solves_each_screened_law_once(self, monkeypatch):
-        # each confirmed grid hit is built from the screened law objects, so
-        # the 89 screened laws cost one solve each; rebuilding a hit from its
-        # atoms gives the same model file and report
+        # every admissible grid pair is classified, built from the grid's
+        # law objects: 37 left laws and 15 more right ones (the right list
+        # reuses the left objects), so the 52 laws cost one solve each;
+        # rebuilding a hit from its atoms gives the same model file and report
         from oscillax.fixtures import search_subcase_fixtures
 
         solved = []
@@ -437,7 +438,7 @@ class TestOneSolvePerLaw:
         prop.__set_name__(model_mod.LatticeDist, "argmin")
         monkeypatch.setattr(model_mod.LatticeDist, "argmin", prop)
         found = search_subcase_fixtures()
-        assert len(solved) == len(set(solved)) == 89
+        assert len(solved) == len(set(solved)) == 52
         monkeypatch.undo()
         for m, pred in (hit for hits in found.values() for hit in hits):
             rebuilt = validate_model(dist(m.left.as_pairs()), dist(m.left.as_pairs()),

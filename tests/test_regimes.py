@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oscillax import algebraic
 from oscillax.cli import main
 from oscillax.errors import ConventionMismatch, OscillaxError, TieUnresolvable, ValidationError
-from oscillax.evolve import Window, marginal_sequence
+from oscillax.evolve import Window, default_window, marginal_sequence
 from oscillax.fixtures import MU_A, MU_A_MIRROR, SUBCASE_FIXTURES, _pp, subcase_witnesses
 from oscillax.model import (
     TIE_TOL,
@@ -81,6 +81,31 @@ class TestClassifyFixtures:
                 # crossing value dominates both minima strictly
                 assert p.rate > max(p.details["rho"], p.details["rho_prime"]), name
                 assert p.rate < 1.0
+
+    # the first grid hit of each subcase the search reaches: its left and
+    # right atoms, masses in twelfths
+    GRID_WITNESSES = {
+        "A1": ({-1: 1, 0: 1, 2: 10}, {-1: 1, 0: 1, 2: 10}),
+        "A2": ({-1: 1, 0: 7, 2: 4}, {-1: 2, 0: 2, 2: 8}),
+        "B2": ({-1: 1, 0: 1, 2: 10}, {-2: 1, 0: 1, 1: 10}),
+        "B4": ({-1: 1, 0: 7, 2: 4}, {-1: 3, 0: 3, 2: 6}),
+        "B5": ({-1: 1, 0: 4, 2: 7}, {-1: 2, 0: 1, 2: 9}),
+        "B6": ({-1: 1, 0: 7, 2: 4}, {-2: 1, 0: 1, 1: 10}),
+        "B7": ({-1: 1, 0: 8, 2: 3}, {-1: 3, 0: 4, 2: 5}),
+        "C": ({-1: 1, 0: 2, 2: 9}, {-1: 1, 0: 1, 2: 10}),
+    }
+
+    def test_grid_search_witnesses(self):
+        from oscillax.fixtures import search_subcase_fixtures
+
+        def twelfths(law):
+            return {v: p * 12 for v, p in law.as_pairs()}
+
+        found = search_subcase_fixtures()
+        assert {name: (twelfths(m.left), twelfths(m.right))
+                for name, [(m, _)] in found.items()} == self.GRID_WITNESSES
+        for name, [(m, pred)] in found.items():
+            assert m.two_media and pred.subcase == name == classify(m).subcase
 
     def test_pp_requires_two_media(self, fix_pn):
         m = validate_model(fix_pn.left, fix_pn.origin, fix_pn.left)  # (P,P) three-media
@@ -160,7 +185,8 @@ class TestMirrorSymmetry:
     def test_random_models_predict(self, laws):
         # predict on three-media laws on [-2, 2]: a model and its mirror raise
         # the same error or agree on rate and exponent, and on C_0 where both
-        # report it; centered laws are mixed in so that (Z,Z) models occur
+        # report it, (Z,Z) and (P,Z)/(Z,N) pairs; centered laws are mixed in
+        # so that these occur
         try:
             m = validate_model(*laws)
         except ValidationError:
@@ -581,6 +607,47 @@ class TestConstants:
         dp = 2 * math.sqrt(4096) * v[4096] - math.sqrt(2048) * v[2048]
         c0, _ = predicted_constant_Cy(m, 0, window)
         assert c0 == pytest.approx(dp, rel=1e-3)
+
+    def test_zn_constant_is_its_mirrors(self, fix_pz):
+        # (Z,N) is answered by its exact (P,Z) mirror: C_y at -y, the profile
+        # reversed and the tail levels swapped, in predict and the library
+        zn = mirror_model(fix_pz)
+        assert zn.drift_case is DriftCase.ZN
+        rep, m_rep = predict(fix_pz), predict(zn)
+        assert m_rep["constant_kind"] == rep["constant_kind"] == "local_constant"
+        c0, m_c0 = rep["constants"]["C_0"], m_rep["constants"]["C_0"]
+        assert m_c0 == pytest.approx(c0, rel=1e-12, abs=0)
+        assert m_rep["constants"]["lambda_X_minus_inf"] == rep["constants"]["lambda_X_plus_inf"]
+        assert m_rep["constants"]["lambda_X_plus_inf"] == rep["constants"]["lambda_X_minus_inf"]
+        # on a lopsided window the mirror reads the reflected one
+        cy, prof = predicted_constant_Cy(fix_pz, 3, Window(-256, 300))
+        m_cy, m_prof = predicted_constant_Cy(zn, -3, Window(-300, 256))
+        assert m_cy == pytest.approx(cy, rel=1e-12, abs=0)
+        assert m_prof.window == Window(-300, 256)
+        assert np.array_equal(m_prof.values, prof.values[::-1])
+        assert m_prof.lam_minus_inf == prof.lam_plus_inf
+        assert m_prof.lam_plus_inf == prof.lam_minus_inf
+        assert (m_prof.plateau_minus, m_prof.plateau_plus) == (prof.plateau_plus,
+                                                               prof.plateau_minus)
+
+    def test_wide_jump_model_constant(self, tmp_path):
+        # a centered model with jumps up to 8: at a fixed window of +-256 the
+        # boundary layer of lambda_X still reached the probe band and
+        # classify exited 3; the default window grows with the largest jump.
+        # C_0 against the DP's Richardson value 2 sqrt(N) a_N - sqrt(N/2) a_{N/2}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "left": [[-8, "904/3147"], [-3, "226/1049"], [0, "7/3147"], [5, "574/3147"],
+                     [6, "246/1049"], [8, "82/1049"]],
+            "origin": [[-1, "1/2"], [1, "1/2"]],
+            "right": [[-8, "16/55"], [-6, "8/55"], [-1, "8/55"], [8, "23/55"]]}))
+        assert main(["classify", str(path), "-o", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "classify.json").read_text())
+        assert report["case"] == "(Z,Z)"
+        m, n = load_model(path), 4096
+        v = marginal_sequence(m, 0, 0, n, default_window(m, n)).data["values"]
+        dp = 2 * math.sqrt(n) * v[n] - math.sqrt(n // 2) * v[n // 2]
+        assert report["constants"]["C_0"] == pytest.approx(dp, rel=1e-3, abs=0)
 
     def test_wrong_case_rejected(self, fix_zp):
         with pytest.raises(ValidationError):
