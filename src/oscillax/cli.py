@@ -105,8 +105,8 @@ def _window(args, model, horizon) -> Window:
 def cmd_classify(args) -> int:
     from .regimes import predict
 
-    model = load_model(args.model)   # before the output directory is made
-    _write_json(_outdir(args) / "classify.json", predict(model))
+    report = predict(load_model(args.model))   # before the output directory is made
+    _write_json(_outdir(args) / "classify.json", report)
     return EXIT_OK
 
 

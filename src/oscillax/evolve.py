@@ -163,6 +163,7 @@ class WindowOperator:
 
     def dense(self, rows: range) -> np.ndarray:
         """The ``rows`` of a float E as a dense (len(rows), width) array."""
+        check_size((len(rows), self.width))
         m = (rows.start <= self.rows) & (self.rows < rows.stop)
         out = np.zeros((len(rows), self.width))
         np.add.at(out, (self.rows[m] - rows.start, self.cols[m]), self.vals[m])

@@ -261,85 +261,144 @@ def killed_green(medium: Medium, window: Window, rhs: np.ndarray) -> np.ndarray:
     return _refined(_roots_solve, medium.law, medium, window, rhs)
 
 
-def _block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X[:, :, k] @ Y[:, :, k] for every k, of (p, p, m) and (p, c, m) stacks."""
-    return np.einsum("ijk,jlk->ilk", X, Y)
+def _block_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y for a p x p block X and p rows Y, each entry summed over j in
+    order, so that a block row goes through the same arithmetic whichever
+    rows it is taken with."""
+    out = X[:, 0, None] * Y[0]
+    for j in range(1, len(X)):
+        out += X[:, j, None] * Y[j]
+    return out
 
 
 def _gauss_jordan(W: np.ndarray) -> np.ndarray:
-    """D^{-1} R for each k of the (p, p + c, m) stack W = [D | R], in place,
-    by Gauss-Jordan elimination without pivoting: D is an M-matrix block,
-    whose pivots are all positive; one that is not means D is singular."""
+    """[D | R] -> [M | D^{-1} R] in place, by Gauss-Jordan elimination
+    without pivoting: D is an M-matrix block, whose pivots are all positive;
+    one that is not means D is singular.  Column j of M holds step j's pivot
+    and multipliers, which :func:`_sweep` replays on a right-hand side."""
     p = len(W)
     for j in range(p):
         pivot = W[j, j]
-        if not pivot.min() > 0.0:
+        if not pivot > 0.0:
             raise np.linalg.LinAlgError("singular matrix")
         W[j, j + 1:] /= pivot
         for rows in (slice(0, j), slice(j + 1, p)):   # every row but j
             W[rows, j + 1:] -= W[rows, j, None] * W[j, j + 1:]
-    return W[:, p:]
+    return W
+
+
+def _sweep(W: np.ndarray, Y: np.ndarray) -> None:
+    """Y -> D^{-1} Y in place, for columns Y of p rows and W a table that
+    :func:`_gauss_jordan` eliminated: its steps, replayed on Y."""
+    p = len(Y)
+    for j in range(p):
+        Y[j] /= W[j, j]
+        for rows in (slice(0, j), slice(j + 1, p)):
+            Y[rows] -= W[rows, j, None] * Y[j]
+
+
+def _kind(runs: list, row: int) -> int:
+    """The kind of block row ``row``, given the (start, stop, kind) runs of rows."""
+    return next(k for a, b, k in runs if a <= row < b)
 
 
 def _cyclic_solve(law: LatticeDist, rhs: np.ndarray) -> np.ndarray:
     """(I - A)^{-1} rhs for ``law`` killed on leaving a segment of len(rhs)
-    sites, by block cyclic reduction.
+    sites, by block cyclic reduction on the distinct blocks.
 
     Cut into p x p blocks, p the law's largest jump (at least 1), the banded
     Toeplitz I - A is block tridiagonal: block row k is D_k x_k + L_k x_{k-1}
-    + U_k x_{k+1} = b_k, held as T[:, :, k] = [D | L | U | b] in a (p, 3p +
-    1, m) stack whose even block rows come first and odd ones after, so that
-    each half is contiguous (L of the first block row and U of the last are
-    never read); the sites past the segment's end are padded with identity
-    rows, so that their unknowns are 0.  Each level solves the odd rows for
-    their unknowns, Z = D^{-1} [L | U | b] = [F | G | y], and eliminates them
-    from the even rows, which leaves a block tridiagonal system of half the
-    size; back-substitution runs the levels in reverse.  I - A is a
-    nonsingular M-matrix (A >= 0 and the walk always leaves the segment), and
-    so is every block and Schur complement of it (Heller, SIAM J. Numer.
-    Anal. 13, 1976), so no pivoting is needed; a law that never moves makes
-    I - A singular and raises LinAlgError.
+    + U_k x_{k+1} = b_k, and the sites past the segment's end are padded
+    with identity rows, so that their unknowns are 0.  Each level solves the
+    odd block rows for their unknowns, x_k = y_k - F_k x_{k-1} - G_k x_{k+1}
+    with [F | G | y] = D^{-1} [L | U | b], and eliminates them from the even
+    rows, which leaves a block tridiagonal system of half the size;
+    back-substitution runs the levels in reverse.
+
+    The blocks [D | L | U] of a level take at most three values, its kinds:
+    the interior rows share one, and the first and the last row (at first,
+    the padded last block) have their own.  A level holds one p x 3p table
+    per kind and the runs of block rows of one kind; an even row's next
+    kind is set by the kinds of its left, own and right rows.  So
+    Gauss-Jordan and the Schur-complement products run once per kind,
+    O(p^3 log m) work for m = ceil(n / p) blocks, and only the right-hand
+    sides, with the odd rows' y kept for back-substitution, go row by row, a
+    run at a time: O(p^2 n) work and O(p n + p^2 log m) memory.  I - A is a
+    nonsingular M-matrix (A >= 0 and the walk always leaves the segment),
+    and so is every block and Schur complement of it (Heller, SIAM J.
+    Numer. Anal. 13, 1976), so no pivoting is needed; a law that never moves
+    makes I - A singular and raises LinAlgError.
     """
     n, p = len(rhs), max(-law.min_support, law.max_support, 1)
     m = -(-n // p)
-    me = m - m // 2
-    d, l, u, y = slice(0, p), slice(p, 2 * p), slice(2 * p, 3 * p), 3 * p   # T's column groups
-    S = np.zeros((p, 3 * p + 1))   # a block row of I - A: L, D and U side by side
+    check_size((3 * (m.bit_length() + 1), p, 3 * p))   # the tables: 3 kinds a level at most
+    d, l, u = slice(0, p), slice(p, 2 * p), slice(2 * p, 3 * p)   # a table's column groups
+    S = np.zeros((p, 3 * p))   # a block row of I - A: L, D and U side by side
     r = np.arange(p)
     S[r, p + r] = 1.0
     for v, q in zip(law.values, law.probs):
         S[r, p + r + v] -= q
-    T = np.empty((p, 3 * p + 1, m))
-    T[...] = S[:, np.r_[p: 2 * p, :p, 2 * p: 3 * p + 1], None]
+    tables = [S[:, np.r_[p: 2 * p, :p, u]]]   # [D | L | U] of each kind
+    runs = [(0, m, 0)]   # (start, stop, kind) of each run of block rows of one kind
     if pad := m * p - n:   # the last block's rows p - pad.. lie past the end: x = 0 there
-        last = (m - 1) // 2 + (m - 1) % 2 * me   # where the last block row is held
-        T[p - pad:, :, last] = 0.0
-        T[p - pad:, p - pad: p, last] = np.eye(pad)
-    b = np.concatenate([rhs, np.zeros(pad)]).reshape(m, p).T
-    T[:, y, :me], T[:, y, me:] = b[:, ::2], b[:, 1::2]
-    levels = []
-    while (m := T.shape[2]) > 1:
-        mo, me = m // 2, m - m // 2
-        E, Z = T[..., :me], _gauss_jordan(T[..., me:])   # the even rows; the odd ones solved
-        left = _block_products(E[:, l, 1:], Z[..., :me - 1])   # [L F | L G | L y]
-        right = _block_products(E[:, u, :mo], Z)               # [U F | U G | U y]
-        E[:, d, 1:] -= left[:, p: 2 * p]
-        E[:, d, :mo] -= right[:, :p]
-        E[:, l, 1:] = -left[:, :p]
-        E[:, u, :mo] = -right[:, p: 2 * p]
-        E[:, y, 1:] -= left[:, 2 * p]
-        E[:, y, :mo] -= right[:, 2 * p]
-        levels.append(Z)
-        T = np.concatenate([E[..., ::2], E[..., 1::2]], axis=2)
-    x = _gauss_jordan(T[:, np.r_[d, y]])   # (p, 1, 1)
-    for Z in reversed(levels):   # the odd rows: x = y - F x_left - G x_right
-        mo, me = Z.shape[2], x.shape[2]
-        odd = Z[:, 2 * p:] - _block_products(Z[:, :p], x[..., :mo])
-        odd[..., :me - 1] -= _block_products(Z[:, p: 2 * p, :me - 1], x[..., 1:])
-        full = np.empty((p, 1, me + mo))
-        full[..., ::2], full[..., 1::2] = x, odd
-        x = full
-    return x[:, 0].T.ravel()[:n]
+        tables.append(tables[0].copy())
+        tables[1][p - pad:] = 0.0
+        tables[1][p - pad:, p - pad: p] = np.eye(pad)
+        runs = [(0, m - 1, 0), (m - 1, m, 1)]
+    y = np.concatenate([rhs, np.zeros(pad)]).reshape(m, p).T   # column k: block row k's b
+    levels = []   # per level: the odd rows' y, their runs of kinds, [F | G] of each kind
+    while m > 1:
+        me = m - m // 2
+        odd, even = y[:, 1::2].copy(), y[:, ::2].copy()
+        odd_runs = [(a // 2, b // 2, k) for a, b, k in runs if a // 2 < b // 2]
+        solved = {k: _gauss_jordan(tables[k].copy()) for *_, k in odd_runs}
+        for a, b, k in odd_runs:
+            _sweep(solved[k], odd[:, a: b])
+        # even row i's (left, own, right) kinds, None for no such row, change
+        # only where row 2i - 1, 2i or 2i + 1 enters a run, or 2i + 1 = m
+        cuts = sorted({m // 2, *(a // 2 + e for a, *_ in runs for e in (0, 1))} - {me})
+        even_runs = []
+        for a, b in zip(cuts, [*cuts[1:], me]):
+            kinds = (_kind(runs, 2 * a - 1) if a else None, _kind(runs, 2 * a),
+                     _kind(runs, 2 * a + 1) if 2 * a + 1 < m else None)
+            if even_runs and even_runs[-1][2] == kinds:
+                a = even_runs.pop()[0]
+            even_runs.append((a, b, kinds))
+        new_tables = {}
+        for a, b, kinds in even_runs:
+            lk, sk, rk = kinds
+            T = tables[sk]
+            if lk is not None:   # x_{k-1} = y - F x_{k-2} - G x_k, put into L x_{k-1}
+                even[:, a: b] -= _block_product(T[:, l], odd[:, a - 1: b - 1])
+            if rk is not None:   # and x_{k+1} into U x_{k+1}
+                even[:, a: b] -= _block_product(T[:, u], odd[:, a: b])
+            if kinds not in new_tables:
+                new = new_tables[kinds] = T.copy()
+                if lk is not None:
+                    FG = _block_product(T[:, l], solved[lk][:, p:])
+                    new[:, d] -= FG[:, p:]
+                    new[:, l] = -FG[:, :p]
+                if rk is not None:
+                    FG = _block_product(T[:, u], solved[rk][:, p:])
+                    new[:, d] -= FG[:, :p]
+                    new[:, u] = -FG[:, p:]
+        levels.append((odd, odd_runs, {k: W[:, p:] for k, W in solved.items()}))
+        ids = {kinds: i for i, kinds in enumerate(new_tables)}
+        tables, runs = list(new_tables.values()), [(a, b, ids[kinds]) for a, b, kinds in even_runs]
+        y, m = even, me
+    _sweep(_gauss_jordan(tables[_kind(runs, 0)].copy()), y)   # the one block row left
+    x = y
+    while levels:   # the odd rows: x = y - F x_left - G x_right
+        odd, odd_runs, solved = levels.pop()
+        me = x.shape[1]
+        for a, b, k in odd_runs:
+            odd[:, a: b] -= _block_product(solved[k][:, :p], x[:, a: b])
+            if a < (c := min(b, me - 1)):
+                odd[:, a: c] -= _block_product(solved[k][:, p:], x[:, a + 1: c + 1])
+        full = np.empty((me + odd.shape[1], p))
+        full[::2], full[1::2] = x.T, odd.T
+        x = full.T
+    return x.T.ravel()[:n]
 
 
 def killed_green_row(medium: Medium, window: Window, start: int) -> np.ndarray:

@@ -166,6 +166,7 @@ def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel
     """
     window.check_margin(model)
     band_lo, band_hi = arrival_band(model)
+    check_size((window.width, band_hi - band_lo + 1))
     R = np.zeros((window.width, band_hi - band_lo + 1))
     for m in model.media:
         op = passage_operator(m, window, steps=1)

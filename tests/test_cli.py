@@ -266,6 +266,27 @@ class TestCommands:
         assert "GiB" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["classify"],
+        ["spectrum"],
+        ["verify", "--suite", "convergence", "-n", "64", "-W", "60001"],
+    ], ids=["classify", "spectrum", "verify-convergence"])
+    def test_wide_arrival_band_exit_two(self, tmp_path, capsys, argv):
+        # jumps of 20000 make the arrival band 39999 sites wide: the switching
+        # kernel's band columns on the default windows (5120001 and 20480001
+        # sites) or on W = 60001 need 35.8 GiB and more, refused before
+        # anything is allocated
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "left": [[-1, "20000/40002"], [0, "20001/40002"], [20000, "1/40002"]],
+            "origin": [[-1, "1/2"], [1, "1/2"]],
+            "right": [[-20000, "1/40002"], [0, "20001/40002"], [1, "20000/40002"]]}))
+        out = tmp_path / "out"
+        assert main([argv[0], str(path), *argv[1:], "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "GiB" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("model,argv", [
         ("FIX-PP-B1", ["evolve", "--rational", "--from", "0", "--to", "0", "-n", "30000"]),
         ("FIX-ZZ", ["evolve", "--from", "0", "--to", "0", "-n", "1000000"]),

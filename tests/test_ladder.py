@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -27,6 +28,10 @@ from oscillax.switching import dominant_eigenpair, switching_kernel
 
 TOY = dist({-1: F(1, 2), 1: F(1, 2)})       # nearest-neighbor walk
 MU_A_DIST = dist(MU_A)
+# the two centered laws of a model with jumps up to 8
+WIDE_LEFT = {-8: F(904, 3147), -3: F(226, 1049), 0: F(7, 3147), 5: F(574, 3147),
+             6: F(246, 1049), 8: F(82, 1049)}
+WIDE_RIGHT = {-8: F(16, 55), -6: F(8, 55), -1: F(8, 55), 8: F(23, 55)}
 
 
 class TestToyLadders:
@@ -419,6 +424,11 @@ class TestCyclicReduction:
     @example({-3: 1, 3: 1}, 80, 4)            # on 3Z
     @example({1: 1, 2: 1}, 50, 5)             # one-sided
     @example({-5: 2, -1: 1, 0: 1}, 64, 6)     # one-sided, downward
+    # p = 5: 256 blocks, even at every level, and 257, odd at every level but
+    # the last two; p = 8: 188 blocks over 8 levels, the last padded by 5 rows
+    @example({-5: 1, -2: 1, 4: 2}, 1280, 7)
+    @example({-5: 1, -2: 1, 4: 2}, 1285, 8)
+    @example({-8: 3, 1: 8, 7: 1}, 1499, 9)
     def test_matches_dense_solve(self, weights, size, seed):
         tot = sum(weights.values())
         law = dist({v: F(w, tot) for v, w in weights.items()})
@@ -450,6 +460,28 @@ class TestCyclicReduction:
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 killed_green_row(medium, Window(min(lo, -1), max(hi, 1)), 0)
+
+    def test_solve_memory_is_linear_in_the_sites(self):
+        # p = 8 on 40001 sites: the right-hand sides and the kept y, O(p n),
+        # and one table per kind of block, not a (p, 3p + 1, m) stack of
+        # every block row (19.6 MB)
+        law, rhs = dist(WIDE_RIGHT), np.random.default_rng(0).random(40001)
+        tracemalloc.start()
+        try:
+            ladder._cyclic_solve(law, rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_direct_constant_matches_the_banded_lu_at_wide_jumps(self, monkeypatch):
+        # the wide-jump model's two laws, p = 8, at SOLVE_WINDOW sites
+        laws = [dist(WIDE_LEFT), dist(WIDE_RIGHT)]
+        cyclic = [direct_constant(law) for law in laws]
+        monkeypatch.setattr(ladder, "_cyclic_solve",
+                            lambda law, rhs: _banded_lu_solve(law, rhs, corrections=1))
+        for law, c in zip(laws, cyclic):
+            assert c == pytest.approx(direct_constant(law), rel=1e-11, abs=0)
 
     # direct_constant by the banded LU solve (scipy.linalg.solve_banded)
     # that the cyclic reduction replaced, at SOLVE_WINDOW sites, on every
@@ -504,35 +536,35 @@ def _residual(law, X, rhs):
     return total + carried
 
 
-def _banded_lu_green(medium, window, rhs, corrections=0):
-    """killed_green by scipy's banded LU solve of I - A, the route the roots
-    solve replaced (and killed_green_row's), refined and clipped the same way;
-    each of ``corrections`` adds the LU solve of the residual of the exact
-    law, which takes the LU's own error, and that of the float law not
-    summing to exactly 1, to rounding."""
+def _banded_lu_solve(law, rhs, corrections=0):
+    """(I - A)^{-1} rhs for ``law`` killed on leaving a segment of len(rhs)
+    sites, by scipy's banded LU solve, the route the roots solve and the
+    cyclic reduction replaced; each of ``corrections`` adds the LU solve of
+    the residual of the exact law, which takes the LU's own error, and that
+    of the float law not summing to exactly 1, to rounding."""
     from scipy.linalg import solve_banded
 
+    size, maxj = len(rhs), max(abs(law.min_support), abs(law.max_support))
+    ab = np.zeros((2 * maxj + 1, size))   # ab[maxj + i - j, j] = (I - A)[i, j]
+    ab[maxj] = 1.0
+    for v, p in zip(law.values, law.probs):
+        if abs(v) < size:
+            ab[maxj - v, max(v, 0): size + min(v, 0)] -= p
+    X = solve_banded((maxj, maxj), ab, rhs)
+    for _ in range(corrections):
+        X = X + solve_banded((maxj, maxj), ab, _residual(law, X, rhs))
+    return X
+
+
+def _banded_lu_green(medium, window, rhs, corrections=0):
+    """killed_green by :func:`_banded_lu_solve`, refined and clipped the same way."""
     law, (lo, hi) = medium.law, medium.segment(window)
     cuts = (medium.lo is None, medium.hi is None)
-    maxj = max(abs(law.min_support), abs(law.max_support))
-
-    def solve(a, b):
-        size = b - a + 1
-        ab = np.zeros((2 * maxj + 1, size))   # ab[maxj + i - j, j] = (I - A)[i, j]
-        ab[maxj] = 1.0
-        for v, p in zip(law.values, law.probs):
-            if abs(v) < size:
-                ab[maxj - v, max(v, 0): size + min(v, 0)] -= p
-        part = rhs[a - lo: b - lo + 1]
-        X = solve_banded((maxj, maxj), ab, part)
-        for _ in range(corrections):
-            X = X + solve_banded((maxj, maxj), ab, _residual(law, X, part))
-        return X
-
-    X = solve(lo, hi)
+    X = _banded_lu_solve(law, rhs, corrections)
     a, b = lo // 2 if cuts[0] else lo, hi // 2 if cuts[1] else hi
     if any(cuts) and a <= b:
-        X[a - lo: b - lo + 1] = 2.0 * X[a - lo: b - lo + 1] - solve(a, b)
+        X[a - lo: b - lo + 1] = (2.0 * X[a - lo: b - lo + 1]
+                                 - _banded_lu_solve(law, rhs[a - lo: b - lo + 1], corrections))
     return np.clip(X, 0.0, None)
 
 

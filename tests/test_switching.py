@@ -8,7 +8,7 @@ import pytest
 import scipy.fft
 
 from conftest import as_fractions, reference_marginal_sequence, reference_step
-from oscillax import evolve
+from oscillax import evolve, ladder
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import (
     Window,
@@ -686,6 +686,8 @@ class TestLimitOperator:
 
 
 HUGE = 10 ** 6
+# a centered law with a jump of 20000: its killed-walk blocks are 20000 x 20000
+WIDE_LAW = dist({-1: F(20000, 40002), 0: F(20001, 40002), 20000: F(1, 40002)})
 
 
 class TestSizeGuard:
@@ -702,9 +704,13 @@ class TestSizeGuard:
         lambda m: transition_matrix(m, Window(-16000, 16000)),
         # ten steps, but the bands of A^8 and its squarings on 6e6 sites hold 1.2e9 entries
         lambda m: marginal_sequence(m, 0, 0, 10, Window(-3_000_000, 3_000_000)),
+        # band columns R on 2e8 + 1 sites: 4.47 GiB
+        lambda m: switching_kernel(m, Window(-100 * HUGE, 100 * HUGE)),
+        # direct_constant's solve on 40001 sites: p = 20000, 8.94 GiB a table
+        lambda m: ladder._cyclic_solve(WIDE_LAW, np.zeros(40001)),
     ], ids=["switching_time_marginals", "build_Q", "banded_power_sequences",
             "first_passage_rows", "marginal_sequence", "transition_matrix",
-            "marginal_sequence-operator"])
+            "marginal_sequence-operator", "switching_kernel", "cyclic_solve"])
     def test_refused_before_allocating(self, fix_zz, call):
         tracemalloc.start()
         try:
