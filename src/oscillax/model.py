@@ -497,9 +497,14 @@ def essential_class(model: OscillatingModel) -> list[int]:
 
 
 def arrival_band(model: OscillatingModel) -> tuple[int, int]:
-    """[min, max] of the essential class: the columns the switching kernel can hit."""
-    sites = essential_class(model)
-    return sites[0], sites[-1]
+    """[min, max] of the essential class: the columns the switching kernel can hit.
+
+    Read from the media's bands, without listing the sites: an unbounded
+    medium's band is in the class, and starts (or ends) at the first (or
+    last) site of the bounded core; a bounded medium's band ends are
+    landings out of it, or sites of the core."""
+    bands = [m.band for m in model.media]
+    return min(lo for lo, _ in bands), max(hi for _, hi in bands)
 
 
 # ---------------------------------------------------------------------------

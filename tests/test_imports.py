@@ -131,11 +131,11 @@ def test_scan_finds_private_imports():
 
 def test_private_imports_are_pinned():
     # a module-private decision has one home: the only private names one
-    # package module takes from another are the DP core switching runs and
-    # the two-sided support check
+    # package module takes from another are the DP core switching runs, the
+    # kernel band its power recurrence reads, and the two-sided support check
     found = {(p.stem, *pair) for p in MODULES for pair in private_imports(p.read_text())}
-    assert found == {("switching", "evolve", "_advance"), ("switching", "evolve", "_zeros"),
-                     ("ladder", "model", "_require_two_sided")}
+    assert found == {("switching", "evolve", "_advance"), ("switching", "evolve", "_band"),
+                     ("switching", "evolve", "_zeros"), ("ladder", "model", "_require_two_sided")}
 
 
 HEAVY = ("scipy.linalg", "scipy.fft", "scipy.special", "sympy", "mpmath")
@@ -185,7 +185,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 def test_spectrum_and_classify_load_no_scipy(tmp_path):
     # the killed-walk Green solves run by characteristic roots and the
     # renewal transforms by numpy.fft, so neither command, nor the banded
-    # powers, loads any scipy module
+    # powers of a full window (the recurrence) or of a row subset (the
+    # transforms), loads any scipy module
     argv = [["fixtures", "-o", str(tmp_path)]]
     argv += [["spectrum", str(tmp_path / f"{name}.json"), "-o", str(tmp_path / name)]
              for name in ("FIX-ZZ", "FIX-PN", "FIX-ZP", "FIX-PP")]
@@ -197,6 +198,8 @@ def test_spectrum_and_classify_load_no_scipy(tmp_path):
                   "out = contextlib.redirect_stdout(io.StringIO()); out.__enter__(); "
                   f"assert all(main(a) == 0 for a in {argv!r}); "
                   "banded_power_sequences(fix_zz(), 64, Window(-16, 16), ells=[1, 2, 3]); "
+                  "banded_power_sequences(fix_zz(), 64, Window(-16, 16), ells=[1, 2, 3], "
+                  "rows=[-7, 5]); "
                   "out.__exit__(None, None, None)") == []
 
 

@@ -1,10 +1,11 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oscillax import model as model_mod
@@ -33,10 +34,13 @@ from oscillax.model import (
     TIE_TOL,
     ZERO_DRIFT_TOL,
     DriftCase,
+    Medium,
     _bisect,
     argmin_laplace,
+    arrival_band,
     cross_point,
     dist,
+    essential_class,
     geometric_tilt,
     is_strongly_aperiodic,
     laplace,
@@ -45,6 +49,7 @@ from oscillax.model import (
     mirror_dist,
     mirror_model,
     tilt,
+    validate_media,
     validate_model,
 )
 from oscillax.regimes import classify
@@ -505,3 +510,61 @@ class TestModelFiles:
         three = load_model(model_mod.dump_model(mirror_model(fix_pz)))
         assert [(m.lo, m.hi) for m in three.media] == [(None, -1), (0, 0), (1, None)]
         assert three.origin.as_pairs() == mirror_dist(fix_pz.origin).as_pairs()
+
+
+def _law(draw, support, extra):
+    """A law on ``support`` plus any of ``extra``, with integer weights."""
+    values = sorted(set(support) | set(draw(st.lists(st.sampled_from(extra), max_size=4))))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+    return dist({v: F(w, sum(weights)) for v, w in zip(values, weights)})
+
+
+@st.composite
+def _bounded_core_models(draw):
+    """Outer laws on {-1, 0, 2} and {-2, 0, 1} with more atoms up to 5 away,
+    around 1 to 3 bounded media of 1 to 4 sites each, with laws on any atoms
+    in [-5, 5]: one-sided, staying put or jumping past their neighbours."""
+    near = list(range(-5, 6))
+    left, right = _law(draw, [-1, 0, 2], near), _law(draw, [-2, 0, 1], near)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    lo = -draw(st.integers(0, sum(sizes) - 1))   # the core holds the origin
+    media = [Medium(left, None, lo - 1)]
+    for size in sizes:
+        media.append(Medium(_law(draw, [draw(st.sampled_from(near))], near), lo, lo + size - 1))
+        lo += size
+    media.append(Medium(right, lo, None))
+    try:
+        return validate_media(media)
+    except OscillaxError:   # an origin law that misses a half-line
+        assume(False)
+
+
+class TestArrivalBand:
+    """arrival_band reads the ends of the essential class from the media's
+    bands, without listing its sites."""
+
+    @pytest.mark.parametrize("name", sorted({**FIXTURES, **SUBCASE_FIXTURES}))
+    def test_fixtures(self, name):
+        model = {**FIXTURES, **SUBCASE_FIXTURES}[name]()
+        sites = essential_class(model)
+        assert arrival_band(model) == (sites[0], sites[-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bounded_core_models())
+    def test_random_bounded_core_models(self, model):
+        sites = essential_class(model)
+        assert arrival_band(model) == (sites[0], sites[-1])
+
+    def test_wide_law_lists_no_site(self):
+        # a jump of 20000 makes a 39999-site band: 3.8 MB traced when its
+        # sites were listed
+        law = dist({-1: F(20000, 40002), 0: F(20001, 40002), 20000: F(1, 40002)})
+        model = validate_model(law, dist({-1: F(1, 2), 1: F(1, 2)}), mirror_dist(law))
+        tracemalloc.start()
+        try:
+            band = arrival_band(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert band == (-19999, 19999)
+        assert peak < 1e6

@@ -322,7 +322,8 @@ class TestPowerSequences:
 
 def full_array_powers(model, horizon, window, ells, rows=None):
     """Q^(l) by one time-axis FFT of the whole (N+1, rows, B) stack: the
-    full-size transforms that banded_power_sequences streams over row blocks."""
+    full-size transforms that banded_power_sequences streams over row blocks
+    for a row subset, and the reference of its recurrence on a full window."""
     band_lo, band_hi = arrival_band(model)
     band = range(band_lo, band_hi + 1)
     rows = window_rows(window) if rows is None else sorted(set(rows) | set(band))
@@ -339,20 +340,22 @@ def full_array_powers(model, horizon, window, ells, rows=None):
 
 
 class TestBlockedPowers:
-    """banded_power_sequences transforms R a block of rows at a time; the
-    result equals the full-array transform up to rounding."""
+    """banded_power_sequences gives the powers of a full window by the
+    first-step recurrence and those of a row subset by transforming R a block
+    of rows at a time; both equal the full-array transform up to rounding."""
 
-    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP"])
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PN", "FIX-PP", "FIX-ZP"])
     @pytest.mark.parametrize("rows,ells", [
-        (None, [1, 2, 3]),      # 21 rows: the last block is partial
-        ([-7, 3, 5], [2, 3]),   # a subset, with the band rows added
-        (None, [2, 5]),
-    ], ids=["partial-block", "rows-subset", "ells-2-5"])
+        (None, [1, 2, 3]),                # every window site: the recurrence
+        ([-7, 3, 5], [2, 3]),             # a subset, with the band rows added
+        (list(range(-10, 10)), [1, 2, 3]),   # 20 rows: two blocks and a partial one
+        (None, [2, 5]),                   # layers 3 and 4 run, not returned
+    ], ids=["full-window", "rows-subset", "partial-block", "ells-2-5"])
     def test_matches_full_array(self, name, rows, ells):
         model, w, N = FIXTURES[name](), Window(-10, 10), 200
         got = banded_power_sequences(model, N, w, ells=ells, rows=rows)
         ref = full_array_powers(model, N, w, ells, rows)
-        if rows is None:
+        if rows is not None and len(rows) > _ROW_BLOCK:
             assert len(got["rows"]) % _ROW_BLOCK != 0
         assert sorted(k for k in got if isinstance(k, int)) == sorted(ells)
         for ell in ells:
@@ -360,6 +363,53 @@ class TestBlockedPowers:
             scale = np.max(np.abs(ref[ell]))
             assert scale > 0
             assert np.max(np.abs(got[ell] - ref[ell])) <= 1e-14 * scale, ell
+
+    def test_long_horizon_matches_full_array(self, fix_pp):
+        # the renewal workload's window and powers at N = 4096, on FIX-PP
+        w, N, ells = Window(-64, 64), 4096, [1, 2, 3, 4, 5]
+        got = banded_power_sequences(fix_pp, N, w, ells=ells)
+        ref = full_array_powers(fix_pp, N, w, ells)
+        for ell in ells:
+            scale = np.max(np.abs(ref[ell]))
+            assert scale > 0
+            assert np.max(np.abs(got[ell] - ref[ell])) <= 1e-14 * scale, ell
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_short_horizons(self, fix_zz, N):
+        # no power of order ell >= 2 is reached before step ell: exact zeros,
+        # and the reference within 1e-14 of the history's scale
+        w, ells = Window(-10, 10), [1, 2, 3]
+        got = banded_power_sequences(fix_zz, N, w, ells=ells)
+        ref = full_array_powers(fix_zz, N, w, ells)
+        scale = np.max(np.abs(ref[1]))
+        for ell in ells:
+            assert got[ell].shape == (N + 1, w.width, 3)
+            assert not np.any(got[ell][:ell]), ell
+            assert np.max(np.abs(got[ell] - ref[ell])) <= 1e-14 * scale, ell
+
+    @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PN", "FIX-PP", "FIX-ZP"])
+    def test_full_window_powers_are_nonnegative(self, name):
+        # the recurrence sums nonnegative terms only, where the transforms
+        # leave entries down to about -3e-19 at this size; and Q^(ell)_n is
+        # 0 for n < ell, exactly
+        got = banded_power_sequences(FIXTURES[name](), 4096, Window(-64, 64),
+                                     ells=[1, 2, 3, 4, 5])
+        for ell in range(1, 6):
+            assert np.all(got[ell] >= 0.0), ell
+            assert not np.any(got[ell][:ell]), ell
+
+    @pytest.mark.parametrize("ells,bad", [
+        ([], "empty"), ([0], r"\[0\]"), ([-1, 2], r"\[-1\]"), ([2.5], r"\[2\.5\]"),
+        ([1, True], r"\[True\]"),
+    ], ids=["empty", "zero", "negative", "fraction", "bool"])
+    def test_bad_ells_are_refused(self, fix_zz, monkeypatch, ells, bad):
+        # one ValidationError naming the bad entries, before any DP runs
+        def no_dp(*args, **kwargs):
+            raise AssertionError("build_Q ran")
+
+        monkeypatch.setattr("oscillax.switching.build_Q", no_dp)
+        with pytest.raises(ValidationError, match=bad):
+            banded_power_sequences(fix_zz, 16, Window(-8, 8), ells=ells)
 
     @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP"])
     def test_first_power_is_the_history(self, name):
@@ -374,27 +424,30 @@ class TestBlockedPowers:
             scipy.fft.next_fast_len(n, real=True) for n in lengths]
 
     def test_numpy_fft_is_scipy_fft_bit_for_bit(self, fix_zz, monkeypatch):
-        # the renewal workload's call, then again with scipy.fft's transforms
+        # the renewal workload's size on all window rows but one, which the
+        # transforms serve, then again with scipy.fft's transforms
         args = (fix_zz, 4096, Window(-64, 64))
-        got = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5])
+        got = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5], rows=range(-64, 64))
         monkeypatch.setattr(np, "fft", scipy.fft)
-        ref = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5])
+        ref = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5], rows=range(-64, 64))
         assert all(np.array_equal(got[ell], ref[ell]) for ell in range(1, 6))
 
-    def test_peak_memory_within_outputs(self, fix_zz):
-        # the renewal workload's call: five (4097, 129, 3) outputs; the peak
-        # is theirs plus one row block, where three full-size transforms
-        # took it to 2.2x
+    @pytest.mark.parametrize("rows", [None, range(-64, 64)], ids=["recurrence", "transforms"])
+    def test_peak_memory_within_outputs(self, fix_zz, rows):
+        # the renewal workload's call, and its transforms on all rows but
+        # one: five (4097, rows, 3) outputs; the peak is theirs plus the
+        # recurrence's state or one row block, where three full-size
+        # transforms took it to 2.2x
         args = (fix_zz, 4096, Window(-64, 64))
-        banded_power_sequences(*args, ells=[1, 2, 3, 4, 5])   # warm-up
+        banded_power_sequences(*args, ells=[1, 2, 3, 4, 5], rows=rows)   # warm-up
         tracemalloc.start()
         try:
-            out = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5])
+            out = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5], rows=rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         outputs = sum(out[ell].nbytes for ell in range(1, 6))
-        assert outputs == 5 * 4097 * 129 * 3 * 8
+        assert outputs == 5 * 4097 * (129 if rows is None else 128) * 3 * 8
         assert peak <= 1.25 * outputs
 
 
@@ -708,9 +761,14 @@ class TestSizeGuard:
         lambda m: switching_kernel(m, Window(-100 * HUGE, 100 * HUGE)),
         # direct_constant's solve on 40001 sites: p = 20000, 8.94 GiB a table
         lambda m: ladder._cyclic_solve(WIDE_LAW, np.zeros(40001)),
+        # the power recurrence's state of 10^9 - 1 layers: 5.77e3 GiB
+        lambda m: banded_power_sequences(m, 64, Window(-64, 64), ells=[10 ** 9]),
+        # polyroots' companion matrix of a law on [-1, 20000]: 2.98 GiB
+        lambda m: ladder.small_roots(WIDE_LAW),
     ], ids=["switching_time_marginals", "build_Q", "banded_power_sequences",
             "first_passage_rows", "marginal_sequence", "transition_matrix",
-            "marginal_sequence-operator", "switching_kernel", "cyclic_solve"])
+            "marginal_sequence-operator", "switching_kernel", "cyclic_solve",
+            "banded_power_sequences-ells", "small_roots"])
     def test_refused_before_allocating(self, fix_zz, call):
         tracemalloc.start()
         try:
@@ -741,6 +799,19 @@ class TestSizeGuard:
         with pytest.raises(ValidationError, match="word-steps"):
             build_Q(fix_zz, HUGE, Window(-16000, 16000), rows=[-1])
 
+
+    @pytest.mark.parametrize("rows,ells", [(None, [10 ** 4]), ([-1], [10 ** 9])],
+                             ids=["recurrence", "transforms"])
+    def test_power_work_refused_before_dp(self, fix_zz, monkeypatch, rows, ells):
+        # every array fits, but 4096 steps of 9999 layers over 129 sites and
+        # 3 band columns are 1.6e10 cell-steps, and 10^9 - 1 powers of C's
+        # 9 sequences of 8640 points 7.8e13: refused before build_Q runs
+        def no_dp(*args, **kwargs):
+            raise AssertionError("build_Q ran")
+
+        monkeypatch.setattr("oscillax.switching.build_Q", no_dp)
+        with pytest.raises(ValidationError, match="word-steps"):
+            banded_power_sequences(fix_zz, 4096, Window(-64, 64), ells=ells, rows=rows)
 
     def test_operators_never_advanced_are_sized_by_one_step(self, fix_zz, monkeypatch):
         # on 101 sites the bands a 1-step DP builds fit in 100 kB and those of
