@@ -9,8 +9,6 @@ from .evolve import (
     excursion_functions,
     first_passage_rows,
     marginal_sequence,
-    step,
-    transition_matrix,
 )
 from .ladder import (
     FluctuationConstants,

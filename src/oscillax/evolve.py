@@ -78,18 +78,20 @@ def default_window(model: OscillatingModel, horizon: int) -> Window:
     return Window(-half, half)
 
 
-def check_size(*shapes, D: int = 1, horizon: int = 0) -> None:
+def check_size(*shapes, D: int = 1, horizon: int = 0,
+               lower: str = "the horizon or the window") -> None:
     """Refuse a call whose largest shape would exceed MAX_ARRAY_BYTES; callers
     check before they allocate anything.  A shape is an array's, a DP's
     steps x sites (its work), or its operator's entries.  An entry takes 8
     bytes, and an exact one over D**horizon also its numerator's
-    horizon * log2(D) bits."""
+    horizon * log2(D) bits.  The refusal advises to lower ``lower``, the
+    inputs that size these shapes."""
     largest = max(shapes, key=math.prod)
     size = math.prod(largest) * (8 + math.ceil(horizon * math.log2(D) / 8))
     if size > MAX_ARRAY_BYTES:
         raise ValidationError(
             f"an array of shape {tuple(largest)} needs {size / 2**30:.3g} GiB, "
-            f"over the {MAX_ARRAY_BYTES / 2**30:.3g} GiB limit: lower the horizon or the window")
+            f"over the {MAX_ARRAY_BYTES / 2**30:.3g} GiB limit: lower {lower}")
 
 
 def check_work(horizon: int, sites: int, D: int = 1) -> None:
@@ -335,33 +337,6 @@ def _advance(op: WindowOperator, readouts, state, horizon: int):
         yield (slice(n - j + 1, n + 1), out.T.reshape(shape),
                F.transpose(3, 0, 1, 2).reshape((j, len(readouts)) + shape[1:]), lost)
         cur[:, sites] = live
-
-
-def step(state, model: OscillatingModel, window: Window, plan=None, crossed=None):
-    """One step of the oscillating walk; returns (new_state, leaked).
-
-    ``plan`` is the :func:`walk_plan` of the model and window, built once by
-    the caller; it defaults to the float laws, or the Fraction laws for an
-    object-dtype state.  leaked is a pair (below_lo, above_hi); conservation
-    sum(new) + sum(leaked) == sum(state) holds exactly in rational mode.  A
-    float step sets every new entry below the smallest normal double to 0 (see
-    :func:`_advance`), so in float mode it holds up to rounding and that
-    flushed mass, which ``leaked`` does not count.  If ``crossed`` (a
-    window-indexed array) is given, the mass that changes medium on this step
-    is added into it at its landing site.
-    """
-    if plan is None:
-        plan = walk_plan(model, window, state.dtype == object, steps=1)
-    _, new, F, _ = next(_advance(plan, [plan.below, plan.above, *plan.band_rows], state, 1))
-    if crossed is not None:
-        crossed[plan.band[0] - window.lo:plan.band[1] - window.lo + 1] += F[0, 2:]
-    return new, (F[0, 0], F[0, 1])
-
-
-def transition_matrix(model: OscillatingModel, window: Window) -> np.ndarray:
-    """Dense one-step transition matrix of the walk restricted to the window."""
-    check_size((window.width, window.width))
-    return walk_plan(model, window, steps=1).dense(range(window.width)).T
 
 
 def marginal_sequence(

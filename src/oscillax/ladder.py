@@ -106,7 +106,8 @@ def _roots(values: tuple, probs: bytes, centered: bool) -> CharacteristicRoots:
     reduced = poly[::period]
     for _ in range(order):   # synthetic division by w - 1: p(1) = 0 leaves no remainder
         reduced = np.cumsum(reduced)[:-1]
-    check_size((len(reduced) - 1,) * 2)   # polyroots' companion matrix
+    # polyroots' companion matrix: as wide as the law's jumps, whatever the horizon
+    check_size((len(reduced) - 1,) * 2, lower="the law's jump span")
     others = P.polyroots(reduced)
     units = np.exp(2j * np.pi * np.arange(period) / period) if period > 2 else [1.0, -1.0][:period]
     if period > 1:

@@ -48,9 +48,6 @@ from .model import (
     is_own_mirror,
 )
 
-_ROW_BLOCK = 8   # output rows banded_power_sequences transforms at a time
-
-
 # ---------------------------------------------------------------------------
 # Weighted norms
 # ---------------------------------------------------------------------------
@@ -236,19 +233,6 @@ def renewal_sequence(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return T
 
 
-def _fast_len(n: int) -> int:
-    """The least 5-smooth integer >= n >= 1, a fast real FFT length: the
-    value of ``scipy.fft.next_fast_len(n, real=True)``."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:   # the least power of 2 times p35 that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window,
                            ells: Sequence[int],
                            rows: Optional[Sequence[int]] = None) -> dict:
@@ -257,30 +241,14 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     Q_n has nonzero columns only on the arrival band B, so each power is
     returned as an (N+1, rows, B) array, under its ell, plus band info under
     key 'band' and {x: row index} under 'rows'.  ``rows`` (default: every
-    window site) are the output rows, with the band rows always added;
-    ``out[1]`` is :func:`build_Q`'s R of those rows.  ``ells`` must be
-    integers >= 1.  Two paths give the powers ell >= 2, chosen only by
-    whether the rows cover the window:
-
-    - every window site: :func:`_first_step_powers`, a backward recurrence
-      on the first step of the walk, O(N * W * (L - 1) * B) for L =
-      max(ells); it sums only nonnegative terms, so no entry is negative and
-      Q^(ell)_n is exactly 0 for n < ell;
-    - a subset: Q^(ell)(z) = R(z) C(z)^(ell-1) by FFT over the time axis,
-      R the rows' history and C its band rows.  The transform of C^(ell-1)
-      is cut back to n <= N after each product, so M >= 2N + 1 points hold
-      every product without wrap-around.  The C powers are transformed
-      first; then R is transformed a block of ``_ROW_BLOCK`` rows at a
-      time, time last so that every FFT runs along contiguous memory, mixed
-      with each power by B^2 multiply-adds and transformed back into its
-      rows of the preallocated outputs, so the peak is the outputs plus one
-      block.  The transforms are ``numpy.fft``'s, at a 5-smooth length
-      (:func:`_fast_len`); their rounding leaves tiny negative entries
-      where the power is 0 or nearly (down to about -3e-19 at N = 4096 on
-      the fixtures).
-
-    The outputs, the recurrence's state and work, and the FFT path's
-    (M, rows, B) transform size are checked before anything is allocated.
+    window site) are the output rows, sorted, with the band rows always
+    added; a row outside the window raises ValidationError.  ``ells`` must
+    be integers >= 1.  Every power ell <= L = max(ells) comes from one
+    backward recurrence on the first step of the walk over the whole window,
+    :func:`_first_step_powers`, O(N * W * L * B) whatever the rows: it sums
+    only nonnegative terms, so no entry is negative and Q^(ell)_n is exactly
+    0 for n < ell.  The outputs, the recurrence's (2, W, L * B) state and its
+    work are checked before anything is allocated.
     """
     asked = list(ells)
     bad = [e for e in asked if isinstance(e, bool) or not isinstance(e, (int, np.integer))
@@ -290,107 +258,76 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
                               "ells is empty: no power to compute")
     ells = sorted({int(e) for e in asked})
     L = max(ells)
+    window.check_margin(model)
     band_lo, band_hi = arrival_band(model)
-    band = range(band_lo, band_hi + 1)
-    sites = list(range(window.lo, window.hi + 1))
-    rows = sorted(set(sites if rows is None else rows) | set(band))
-    full = rows == sites
-    shape = (len(ells), horizon + 1, len(rows), len(band))   # the outputs
-    if full:
-        check_size(shape, (2, window.width, (L - 1) * len(band)))
-        check_work(horizon, window.width * (L - 1) * len(band))
-    else:
-        M = _fast_len(2 * horizon + 1)
-        check_size(shape, (M, len(rows), len(band)))
-        check_work(L - 1, M * len(band) ** 2)
-    hist = build_Q(model, horizon, window, rows=rows)
-    R, C = hist.R, hist.C
-    out = {"band": hist.band, "rows": {x: i for i, x in enumerate(hist.rows)}}
-    del hist   # its survival and leak arrays go before the outputs are allocated
-    if 1 in ells:
-        out[1] = R
-    powers = {ell: np.empty_like(R) for ell in ells if ell > 1}
-    out.update(powers)
-    if not powers:
-        return out
-    if full:
-        _first_step_powers(model, window, C, L, powers)
-        return out
-    Chat = np.fft.rfft(C, n=M, axis=0)
-    cpow, cpows = None, {}   # transforms of C^{(ell-1)}, cut to n <= N, as (B, B, M/2+1)
-    for ell in range(2, L + 1):
-        cpow = Chat if cpow is None else np.fft.rfft(
-            np.fft.irfft(cpow @ Chat, n=M, axis=0)[: horizon + 1], n=M, axis=0)
-        if ell in powers:
-            cpows[ell] = cpow.transpose(1, 2, 0).copy()
-    padded = np.zeros((_ROW_BLOCK, len(band), M))   # a block of R, time last
-    for r in range(0, len(rows), _ROW_BLOCK):
-        block = slice(r, r + _ROW_BLOCK)
-        Rb = padded[: len(rows) - r]
-        Rb[..., : horizon + 1] = R[:, block].transpose(1, 2, 0)
-        Rhat = np.fft.rfft(Rb)
-        mixed, term = np.empty_like(Rhat), np.empty_like(Rhat[:, 0])
-        for ell, cp in cpows.items():
-            for j in range(len(band)):
-                np.multiply(Rhat[:, 0], cp[0, j], out=mixed[:, j])
-                for i in range(1, len(band)):
-                    mixed[:, j] += np.multiply(Rhat[:, i], cp[i, j], out=term)
-            out[ell][:, block] = np.fft.irfft(mixed, n=M)[..., : horizon + 1].transpose(2, 0, 1)
-    return out
+    B = band_hi - band_lo + 1
+    rows = sorted(set(range(window.lo, window.hi + 1) if rows is None else rows)
+                  | set(range(band_lo, band_hi + 1)))
+    keep = np.array([window.index(x) for x in rows])   # the output rows' window indices
+    check_size((len(ells), horizon + 1, len(rows), B))
+    check_size((2, window.width, L * B), lower="max(ells) or the window")
+    check_work(horizon, window.width * L * B)
+    out = {ell: np.empty((horizon + 1, len(rows), B)) for ell in ells}
+    _first_step_powers(model, window, horizon, L,
+                       slice(None) if len(rows) == window.width else keep, out)
+    return {"band": (band_lo, band_hi), "rows": {x: i for i, x in enumerate(rows)}, **out}
 
 
-def _first_step_powers(model: OscillatingModel, window: Window, C: np.ndarray, L: int,
+def _first_step_powers(model: OscillatingModel, window: Window, horizon: int, L: int, keep,
                        out: dict) -> None:
-    """Fill each ``out[ell]``, 2 <= ell <= L, an (N+1, W, B) array, with
-    Q^(ell)_n(x, .) for every window site x, from the walk's first step:
+    """Fill each ``out[ell]``, 1 <= ell <= L, an (N+1, rows, B) array, with
+    Q^(ell)_n(x, .) for the window sites x at indices ``keep``, from the
+    walk's first step:
 
         Q^(ell)_n(x, y) = sum_{x' in x's medium} P(x, x') Q^(ell)_{n-1}(x', y)
-                          + sum_{z in another medium} P(x, z) Q^(ell-1)_{n-1}(z, y).
+                          + sum_{z in another medium} P(x, z) Q^(ell-1)_{n-1}(z, y),
 
-    Every crossing lands on the arrival band, so layer ell reads the band
-    rows of layer ell - 1 one step back, and layer 2 those of Q^(1) = Q, the
-    (N+1, B, B) ``C``.  The state holds layers 2..L side by side, (W, (L - 1)
-    B); a step is one batched band product with the one-step kernel of
-    :func:`walk_plan`, its crossing jumps removed, plus the crossing jumps
-    of the few rows that can cross.  Every term is >= 0, so no entry is
-    negative, and layer ell is exactly 0 before step ell.  Nothing is
-    flushed: drifted laws leave subnormal entries past N = 4096 on a
-    129-site window, but on states this small they slow a step by a few
-    percent only.
+    Q^(0)_n being the identity at n = 0 and 0 after, so that layer 1 takes
+    the crossing jumps P(x, y) at n = 1 only.  Every crossing lands on the
+    arrival band, so layer ell >= 2 reads the band rows of layer ell - 1 one
+    step back.  The state holds layers 1..L side by side, (W, L B), for
+    every window site; a step is one batched band product with the one-step
+    kernel of :func:`walk_plan`, its crossing jumps removed, plus the
+    crossing jumps of the few rows that can cross.  Every term is >= 0, so
+    no entry is negative, and layer ell is exactly 0 before step ell.
+    Nothing is flushed: drifted laws leave subnormal entries past N = 4096
+    on a 129-site window, but on states this small they slow a step by a
+    few percent only.
     """
-    horizon, B = len(C) - 1, C.shape[1]
     op = walk_plan(model, window, steps=1)
     P, lo = _band(op, float, transpose=True)   # P[i, d] = P(x, x + lo + d), x = window.lo + i
     cross = op.rows >= op.band_rows.start      # a jump out of its medium, onto the band
     src, land = op.cols[cross], op.rows[cross] - op.band_rows.start
     bands = slice(op.band[0] - window.lo, op.band[1] - window.lo + 1)
+    B = bands.stop - bands.start
     P[src, bands.start + land - src - lo] = 0.0
     x0, x1 = int(src.min()), int(src.max()) + 1
     X = np.zeros((x1 - x0, B))   # X[i, j] = P(window.lo + x0 + i, band[0] + j), a crossing
     X[src - x0, land] = op.vals[cross]
-    into_2 = X @ C   # layer 2's crossings, by the step they are taken in
     span = P.shape[1] - 1
     # two states, each -lo zero rows above and span + lo below, so that row i
-    # of the band product reads its span + 1 rows as one window
-    bufs = np.zeros((2, window.width + span, (L - 1) * B))
+    # of the band product reads its span + 1 rows as one window; step n
+    # writes state n % 2
+    bufs = np.zeros((2, window.width + span, L * B))
     states = bufs[:, -lo:window.width - lo]
     windows = sliding_window_view(bufs, span + 1, axis=1)
     kernel = P[:, :, None]
-    # per parity of n - 1, the views a step reads and writes
-    plan = [(windows[k], states[1 - k][:, :, None], states[1 - k][x0:x1, :B],
-             states[1 - k][x0:x1, B:], states[k][bands, :-B],
-             [(a, states[1 - k][:, (ell - 2) * B:(ell - 1) * B]) for ell, a in out.items()])
+    # per parity of n, the views a step reads and writes
+    plan = [(windows[1 - k], states[k][:, :, None], states[k][x0:x1, B:],
+             states[1 - k][bands, :-B],
+             [(a, states[k][:, (ell - 1) * B:ell * B]) for ell, a in out.items()])
             for k in (0, 1)]
-    term = np.empty_like(plan[0][3])
+    term = np.empty_like(plan[0][2])
+    states[1][x0:x1, :B] = X   # step 1: the crossings, into layer 1 only
     for a in out.values():
         a[0] = 0.0
     for n in range(1, horizon + 1):
-        old, new, new_2, new_rest, old_band, layers = plan[(n - 1) % 2]
-        np.matmul(old, kernel, out=new)
-        new_2 += into_2[n - 1]
-        new_rest += np.matmul(X, old_band, out=term)
+        old, new, new_rest, old_band, layers = plan[n % 2]
+        if n > 1:
+            np.matmul(old, kernel, out=new)
+            new_rest += np.matmul(X, old_band, out=term)
         for a, layer in layers:
-            a[n] = layer
+            a[n] = layer[keep]
 
 
 def switching_time_marginals(model: OscillatingModel, xs: Sequence[int], horizon: int,

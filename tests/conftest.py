@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscillax.evolve import KernelTable, StepKernels
+from oscillax.evolve import KernelTable, StepKernels, _advance, check_size, walk_plan
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import common_denominator
 
@@ -109,6 +109,34 @@ def reference_step(state, model, window, kernels=None, crossed=None):
                 if b < hi:
                     _reference_scatter(crossed, window, arr, base, b + 1, hi)
     return new, (lk_lo, lk_hi)
+
+
+def step(state, model, window, plan=None, crossed=None):
+    """One step of the oscillating walk on the package's DP engine; returns
+    (new_state, leaked).
+
+    ``plan`` is the ``walk_plan`` of the model and window, built once by the
+    caller; it defaults to the float laws, or the Fraction laws for an
+    object-dtype state.  leaked is a pair (below_lo, above_hi); conservation
+    sum(new) + sum(leaked) == sum(state) holds exactly in rational mode.  A
+    float step sets every new entry below the smallest normal double to 0, so
+    in float mode it holds up to rounding and that flushed mass, which
+    ``leaked`` does not count.  If ``crossed`` (a window-indexed array) is
+    given, the mass that changes medium on this step is added into it at its
+    landing site.
+    """
+    if plan is None:
+        plan = walk_plan(model, window, state.dtype == object, steps=1)
+    _, new, F, _ = next(_advance(plan, [plan.below, plan.above, *plan.band_rows], state, 1))
+    if crossed is not None:
+        crossed[plan.band[0] - window.lo:plan.band[1] - window.lo + 1] += F[0, 2:]
+    return new, (F[0, 0], F[0, 1])
+
+
+def transition_matrix(model, window):
+    """Dense one-step transition matrix of the walk restricted to the window."""
+    check_size((window.width, window.width))
+    return walk_plan(model, window, steps=1).dense(range(window.width)).T
 
 
 def reference_marginal_sequence(model, x, y, horizon, window, exact=False, rescaled=False):

@@ -11,7 +11,9 @@ import time
 
 import numpy as np
 
-from oscillax.evolve import Window, first_passage_rows, marginal_sequence, step, transition_matrix
+from conftest import step, transition_matrix
+
+from oscillax.evolve import Window, first_passage_rows, marginal_sequence
 from oscillax.ladder import LadderVariant, fluctuation_constants, ladder_potentials
 from oscillax.regimes import classify, predicted_constant_Cy, select_tilt
 from oscillax.switching import (

@@ -11,6 +11,8 @@ from conftest import (
     enumerate_marginal,
     reference_marginal_sequence,
     reference_step,
+    step,
+    transition_matrix,
 )
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax import evolve
@@ -23,8 +25,6 @@ from oscillax.evolve import (
     excursion_functions,
     first_passage_rows,
     marginal_sequence,
-    step,
-    transition_matrix,
     walk_plan,
 )
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES

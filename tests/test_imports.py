@@ -54,7 +54,6 @@ def test_no_unused_imports():
 
 # public names no code in the package calls, each kept for a stated reader
 UNCALLED_ALLOWED = {
-    "step", "transition_matrix",                    # test references for the DP
     "fluctuation_constants",                        # criterion 8
     "limit_operator_E", "limit_operator_E_ell",     # criterion 10
     # benchmark entry points
@@ -152,7 +151,7 @@ def loaded(code: str) -> list[str]:
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # the DPs, the Green solves and the renewal transforms use no scipy
+    # the DPs, the Green solves and the kernel powers use no scipy
     assert loaded("import oscillax.cli") == []
 
 
@@ -184,9 +183,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 
 def test_spectrum_and_classify_load_no_scipy(tmp_path):
     # the killed-walk Green solves run by characteristic roots and the
-    # renewal transforms by numpy.fft, so neither command, nor the banded
-    # powers of a full window (the recurrence) or of a row subset (the
-    # transforms), loads any scipy module
+    # kernel powers by a first-step recurrence in numpy, so neither command,
+    # nor the banded powers of a full window or of a row subset, loads any
+    # scipy module
     argv = [["fixtures", "-o", str(tmp_path)]]
     argv += [["spectrum", str(tmp_path / f"{name}.json"), "-o", str(tmp_path / name)]
              for name in ("FIX-ZZ", "FIX-PN", "FIX-ZP", "FIX-PP")]

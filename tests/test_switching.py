@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import as_fractions, reference_marginal_sequence, reference_step
+from conftest import (
+    as_fractions,
+    reference_marginal_sequence,
+    reference_step,
+    step,
+    transition_matrix,
+)
 from oscillax import evolve, ladder
 from oscillax.errors import ConventionMismatch, ValidationError
 from oscillax.evolve import (
@@ -15,8 +21,6 @@ from oscillax.evolve import (
     default_window,
     first_passage_rows,
     marginal_sequence,
-    step,
-    transition_matrix,
     walk_plan,
 )
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
@@ -35,10 +39,8 @@ from oscillax.model import (
 )
 from oscillax.regimes import invariant_profile
 from oscillax.switching import (
-    _ROW_BLOCK,
     SwitchingKernel,
     WeightSpec,
-    _fast_len,
     banded_power_sequences,
     build_Q,
     default_weight,
@@ -321,9 +323,9 @@ class TestPowerSequences:
 
 
 def full_array_powers(model, horizon, window, ells, rows=None):
-    """Q^(l) by one time-axis FFT of the whole (N+1, rows, B) stack: the
-    full-size transforms that banded_power_sequences streams over row blocks
-    for a row subset, and the reference of its recurrence on a full window."""
+    """Q^(l) = R C^(l-1) by one time-axis FFT of build_Q's whole (N+1, rows, B)
+    stack: the independent reference of banded_power_sequences' first-step
+    recurrence."""
     band_lo, band_hi = arrival_band(model)
     band = range(band_lo, band_hi + 1)
     rows = window_rows(window) if rows is None else sorted(set(rows) | set(band))
@@ -340,23 +342,21 @@ def full_array_powers(model, horizon, window, ells, rows=None):
 
 
 class TestBlockedPowers:
-    """banded_power_sequences gives the powers of a full window by the
-    first-step recurrence and those of a row subset by transforming R a block
-    of rows at a time; both equal the full-array transform up to rounding."""
+    """banded_power_sequences gives every power, for any row set, by one
+    first-step recurrence over the window; it equals the full-array transform
+    up to rounding, and a row subset is those rows of the full-window call."""
 
     @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PN", "FIX-PP", "FIX-ZP"])
     @pytest.mark.parametrize("rows,ells", [
         (None, [1, 2, 3]),                # every window site: the recurrence
         ([-7, 3, 5], [2, 3]),             # a subset, with the band rows added
-        (list(range(-10, 10)), [1, 2, 3]),   # 20 rows: two blocks and a partial one
+        (list(range(-10, 10)), [1, 2, 3]),   # 20 rows: all but the window's last
         (None, [2, 5]),                   # layers 3 and 4 run, not returned
     ], ids=["full-window", "rows-subset", "partial-block", "ells-2-5"])
     def test_matches_full_array(self, name, rows, ells):
         model, w, N = FIXTURES[name](), Window(-10, 10), 200
         got = banded_power_sequences(model, N, w, ells=ells, rows=rows)
         ref = full_array_powers(model, N, w, ells, rows)
-        if rows is not None and len(rows) > _ROW_BLOCK:
-            assert len(got["rows"]) % _ROW_BLOCK != 0
         assert sorted(k for k in got if isinstance(k, int)) == sorted(ells)
         for ell in ells:
             assert got[ell].shape == ref[ell].shape and got[ell].dtype == ref[ell].dtype
@@ -389,48 +389,53 @@ class TestBlockedPowers:
 
     @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PN", "FIX-PP", "FIX-ZP"])
     def test_full_window_powers_are_nonnegative(self, name):
-        # the recurrence sums nonnegative terms only, where the transforms
-        # leave entries down to about -3e-19 at this size; and Q^(ell)_n is
-        # 0 for n < ell, exactly
-        got = banded_power_sequences(FIXTURES[name](), 4096, Window(-64, 64),
-                                     ells=[1, 2, 3, 4, 5])
-        for ell in range(1, 6):
-            assert np.all(got[ell] >= 0.0), ell
-            assert not np.any(got[ell][:ell]), ell
+        # the recurrence sums nonnegative terms only, where FFTs leave entries
+        # down to about -3e-19 at this size; and Q^(ell)_n is 0 for n < ell,
+        # exactly; on the full window and on a row subset
+        for rows in (None, [-7, 3, 5]):
+            got = banded_power_sequences(FIXTURES[name](), 4096, Window(-64, 64),
+                                         ells=[1, 2, 3, 4, 5], rows=rows)
+            for ell in range(1, 6):
+                assert np.all(got[ell] >= 0.0), (rows, ell)
+                assert not np.any(got[ell][:ell]), (rows, ell)
+
+    @pytest.mark.parametrize("name", [*FIXTURES, "origin-0"])
+    def test_row_subset_is_the_full_windows_rows(self, name):
+        # one recurrence over the whole window whatever the rows: a subset
+        # (band rows added) is bit for bit those rows of the full-window call
+        model, w, ells = RENEWAL_MODELS[name](), Window(-64, 64), [1, 2, 3, 4, 5]
+        full = banded_power_sequences(model, 1024, w, ells=ells)
+        sub = banded_power_sequences(model, 1024, w, ells=ells, rows=[5, -7, 3])
+        band = range(sub["band"][0], sub["band"][1] + 1)
+        assert list(sub["rows"]) == sorted({-7, 3, 5, *band})
+        for ell in ells:
+            assert np.array_equal(sub[ell], full[ell][:, [full["rows"][x] for x in sub["rows"]]])
 
     @pytest.mark.parametrize("ells,bad", [
         ([], "empty"), ([0], r"\[0\]"), ([-1, 2], r"\[-1\]"), ([2.5], r"\[2\.5\]"),
         ([1, True], r"\[True\]"),
     ], ids=["empty", "zero", "negative", "fraction", "bool"])
     def test_bad_ells_are_refused(self, fix_zz, monkeypatch, ells, bad):
-        # one ValidationError naming the bad entries, before any DP runs
+        # one ValidationError naming the bad entries, before the recurrence's
+        # kernel is built
         def no_dp(*args, **kwargs):
-            raise AssertionError("build_Q ran")
+            raise AssertionError("walk_plan ran")
 
-        monkeypatch.setattr("oscillax.switching.build_Q", no_dp)
+        monkeypatch.setattr("oscillax.switching.walk_plan", no_dp)
         with pytest.raises(ValidationError, match=bad):
             banded_power_sequences(fix_zz, 16, Window(-8, 8), ells=ells)
 
     @pytest.mark.parametrize("name", ["FIX-ZZ", "FIX-PP"])
     def test_first_power_is_the_history(self, name):
+        # layer 1 of the recurrence is build_Q's first-passage history, which
+        # sums in another order: within 1e-14 of its scale
         model, w = FIXTURES[name](), Window(-10, 10)
         got = banded_power_sequences(model, 64, w, ells=[1])
         assert [k for k in got if isinstance(k, int)] == [1]
-        assert np.array_equal(got[1], build_Q(model, 64, w, rows=window_rows(w)).R)
-
-    def test_fast_len_is_scipys(self):
-        lengths = [*range(1, 5000), 8193, 2**20 + 1, 3**13 + 1, 10**7 + 3]
-        assert [_fast_len(n) for n in lengths] == [
-            scipy.fft.next_fast_len(n, real=True) for n in lengths]
-
-    def test_numpy_fft_is_scipy_fft_bit_for_bit(self, fix_zz, monkeypatch):
-        # the renewal workload's size on all window rows but one, which the
-        # transforms serve, then again with scipy.fft's transforms
-        args = (fix_zz, 4096, Window(-64, 64))
-        got = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5], rows=range(-64, 64))
-        monkeypatch.setattr(np, "fft", scipy.fft)
-        ref = banded_power_sequences(*args, ells=[1, 2, 3, 4, 5], rows=range(-64, 64))
-        assert all(np.array_equal(got[ell], ref[ell]) for ell in range(1, 6))
+        ref = build_Q(model, 64, w, rows=window_rows(w)).R
+        scale = np.max(np.abs(ref))
+        assert got[1].shape == ref.shape and scale > 0
+        assert np.max(np.abs(got[1] - ref)) <= 1e-14 * scale
 
     @staticmethod
     def _peak_and_outputs(model, rows):
@@ -452,9 +457,9 @@ class TestBlockedPowers:
         assert outputs == 5 * 4097 * 129 * 3 * 8
         assert peak <= 1.25 * outputs
 
-    def test_transforms_peak_memory_within_outputs(self, fix_zz):
-        # the transforms on all window rows but one: five (4097, 128, 3)
-        # outputs; the peak is theirs plus one row block
+    def test_row_subset_peak_memory_within_outputs(self, fix_zz):
+        # all window rows but one: five (4097, 128, 3) outputs; the peak is
+        # theirs plus the recurrence's state over the whole window
         peak, outputs = self._peak_and_outputs(fix_zz, range(-64, 64))
         assert outputs == 5 * 4097 * 128 * 3 * 8
         assert peak <= 1.25 * outputs
@@ -752,36 +757,41 @@ HUGE = 10 ** 6
 WIDE_LAW = dist({-1: F(20000, 40002), 0: F(20001, 40002), 20000: F(1, 40002)})
 
 
+SIZED_BY_RUN = "the horizon or the window"
+
+
 class TestSizeGuard:
     # each call would allocate far over MAX_ARRAY_BYTES (switching_time_marginals
     # would run 10^6 steps over 32001 sites, refused as a 238 GiB table would
-    # be); it must be refused before allocating anything
-    @pytest.mark.parametrize("call", [
-        lambda m: switching_time_marginals(m, 0, HUGE, default_window(m, HUGE)),
-        lambda m: build_Q(m, 1000 * HUGE, Window(-64, 64)),
-        lambda m: banded_power_sequences(m, HUGE, Window(-64, 64), ells=[1]),
-        lambda m: first_passage_rows(m.media[0], list(range(-16000, 0)), 10,
-                                     Window(-16000, 16000)),
-        lambda m: marginal_sequence(m, 0, 0, 1000 * HUGE),
-        lambda m: transition_matrix(m, Window(-16000, 16000)),
+    # be); it must be refused before allocating anything, and the refusal
+    # names the inputs that size the array
+    @pytest.mark.parametrize("call,lower", [
+        (lambda m: switching_time_marginals(m, 0, HUGE, default_window(m, HUGE)), SIZED_BY_RUN),
+        (lambda m: build_Q(m, 1000 * HUGE, Window(-64, 64)), SIZED_BY_RUN),
+        (lambda m: banded_power_sequences(m, HUGE, Window(-64, 64), ells=[1]), SIZED_BY_RUN),
+        (lambda m: first_passage_rows(m.media[0], list(range(-16000, 0)), 10,
+                                      Window(-16000, 16000)), SIZED_BY_RUN),
+        (lambda m: marginal_sequence(m, 0, 0, 1000 * HUGE), SIZED_BY_RUN),
+        (lambda m: transition_matrix(m, Window(-16000, 16000)), SIZED_BY_RUN),
         # ten steps, but the bands of A^8 and its squarings on 6e6 sites hold 1.2e9 entries
-        lambda m: marginal_sequence(m, 0, 0, 10, Window(-3_000_000, 3_000_000)),
+        (lambda m: marginal_sequence(m, 0, 0, 10, Window(-3_000_000, 3_000_000)), SIZED_BY_RUN),
         # band columns R on 2e8 + 1 sites: 4.47 GiB
-        lambda m: switching_kernel(m, Window(-100 * HUGE, 100 * HUGE)),
+        (lambda m: switching_kernel(m, Window(-100 * HUGE, 100 * HUGE)), SIZED_BY_RUN),
         # direct_constant's solve on 40001 sites: p = 20000, 8.94 GiB a table
-        lambda m: ladder._cyclic_solve(WIDE_LAW, np.zeros(40001)),
-        # the power recurrence's state of 10^9 - 1 layers: 5.77e3 GiB
-        lambda m: banded_power_sequences(m, 64, Window(-64, 64), ells=[10 ** 9]),
+        (lambda m: ladder._cyclic_solve(WIDE_LAW, np.zeros(40001)), SIZED_BY_RUN),
+        # the power recurrence's state of 10^9 layers: 5.77e3 GiB
+        (lambda m: banded_power_sequences(m, 64, Window(-64, 64), ells=[10 ** 9]),
+         r"max\(ells\) or the window"),
         # polyroots' companion matrix of a law on [-1, 20000]: 2.98 GiB
-        lambda m: ladder.small_roots(WIDE_LAW),
+        (lambda m: ladder.small_roots(WIDE_LAW), "the law's jump span"),
     ], ids=["switching_time_marginals", "build_Q", "banded_power_sequences",
             "first_passage_rows", "marginal_sequence", "transition_matrix",
             "marginal_sequence-operator", "switching_kernel", "cyclic_solve",
             "banded_power_sequences-ells", "small_roots"])
-    def test_refused_before_allocating(self, fix_zz, call):
+    def test_refused_before_allocating(self, fix_zz, call, lower):
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match="GiB"):
+            with pytest.raises(ValidationError, match=f"GiB.*: lower {lower}$"):
                 call(fix_zz)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -809,18 +819,31 @@ class TestSizeGuard:
             build_Q(fix_zz, HUGE, Window(-16000, 16000), rows=[-1])
 
 
-    @pytest.mark.parametrize("rows,ells", [(None, [10 ** 4]), ([-1], [10 ** 9])],
-                             ids=["recurrence", "transforms"])
-    def test_power_work_refused_before_dp(self, fix_zz, monkeypatch, rows, ells):
-        # every array fits, but 4096 steps of 9999 layers over 129 sites and
-        # 3 band columns are 1.6e10 cell-steps, and 10^9 - 1 powers of C's
-        # 9 sequences of 8640 points 7.8e13: refused before build_Q runs
+    @pytest.mark.parametrize("rows", [None, [-1]], ids=["recurrence", "row-subset"])
+    def test_power_work_refused_before_dp(self, fix_zz, monkeypatch, rows):
+        # every array fits, but 4096 steps of 10^4 layers over all 129 sites
+        # and 3 band columns are 1.6e10 cell-steps, whatever the output rows:
+        # refused before the recurrence's kernel is built
         def no_dp(*args, **kwargs):
-            raise AssertionError("build_Q ran")
+            raise AssertionError("walk_plan ran")
 
-        monkeypatch.setattr("oscillax.switching.build_Q", no_dp)
+        monkeypatch.setattr("oscillax.switching.walk_plan", no_dp)
         with pytest.raises(ValidationError, match="word-steps"):
-            banded_power_sequences(fix_zz, 4096, Window(-64, 64), ells=ells, rows=rows)
+            banded_power_sequences(fix_zz, 4096, Window(-64, 64), ells=[10 ** 4], rows=rows)
+
+    def test_row_outside_window_refused_before_allocating(self, fix_zz):
+        # the outputs of 10^5 steps would take 48 MB; a row one past the
+        # window is refused before they, or the recurrence's kernel, exist
+        w = Window(-64, 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="outside window"):
+                banded_power_sequences(fix_zz, 10 ** 5, w, ells=[1, 2, 3, 4, 5],
+                                       rows=[w.hi + 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_operators_never_advanced_are_sized_by_one_step(self, fix_zz, monkeypatch):
         # on 101 sites the bands a 1-step DP builds fit in 100 kB and those of
