@@ -3,21 +3,22 @@
 Everything here evolves probability vectors indexed by an integer window
 [lo, hi].  Mass that steps outside the window is accumulated as *leak*, which
 is a rigorous bound on the truncation error of every reported probability.
-Every DP runs one engine, :func:`_advance`: a block of steps is one batched
-matmul of a dense band of the block's kernel power over the sites that hold
-mass (numpy only).  A float DP advances up to ``BLOCK`` steps a block, and
-sets every state entry below the smallest normal double to 0 after each
-block, so that no product reads a subnormal, and counts that mass as leak
-too.  A rational mode backs the exact-identity tests: after n steps every
-mass is an integer over D**n (D = ``common_denominator`` of the laws), so
-the DP runs on Python-int numerators (object arrays) with the integer
-weights p * D, one step a block and with no flush, and returns them: an
-exact record's entry at step n means num / D**n, its D is in
-``KernelTable.meta["D"]`` or ``StepKernels.D`` (1 on a float record), and its
-leak totals stay integers as leak_n = leak_{n-1} * D + lost_n.  A float
-full-walk DP scales its state by powers of two, which changes no rounding, so
-transient sequences stay representable far past the underflow point of raw
-doubles.
+Every forward DP runs one engine, :func:`_advance`: a block of steps is one
+batched matmul of a dense band of the block's kernel power over the sites
+that hold mass (numpy only).  The kernel powers run a second, backward one,
+the first-step recurrence ``switching._first_step_powers``.  A float DP
+advances up to ``BLOCK`` steps a block, and sets every state entry below the
+smallest normal double to 0 after each block, so that no product reads a
+subnormal, and counts that mass as leak too.  A rational mode backs the
+exact-identity tests: after n steps every mass is an integer over D**n (D =
+``common_denominator`` of the laws), so the DP runs on Python-int numerators
+(object arrays) with the integer weights p * D, one step a block and with no
+flush, and returns them: an exact record's entry at step n means num / D**n,
+its D is in ``KernelTable.meta["D"]`` or ``StepKernels.D`` (1 on a float
+record), and its leak totals stay integers as leak_n = leak_{n-1} * D +
+lost_n.  A float full-walk DP scales its state by powers of two, which
+changes no rounding, so transient sequences stay representable far past the
+underflow point of raw doubles.
 """
 
 from __future__ import annotations
@@ -94,16 +95,18 @@ def check_size(*shapes, D: int = 1, horizon: int = 0,
             f"over the {MAX_ARRAY_BYTES / 2**30:.3g} GiB limit: lower {lower}")
 
 
-def check_work(horizon: int, sites: int, D: int = 1) -> None:
+def check_work(horizon: int, sites: int, D: int = 1,
+               lower: str = "the horizon or the window") -> None:
     """Refuse a DP of more than ``MAX_WORK`` steps x sites x words, called
     after :func:`check_size`: a word is 64 numerator bits, horizon * log2(D)
-    / 64 of them an exact entry over D**horizon, 1 a float one."""
+    / 64 of them an exact entry over D**horizon, 1 a float one.  The refusal
+    advises to lower ``lower``, as :func:`check_size`'s does."""
     words = max(1, math.ceil(horizon * math.log2(D) / 64))
     if horizon * sites * words > MAX_WORK:
         raise ValidationError(
             f"{horizon} steps over {sites} sites at {words} words an entry are "
             f"{horizon * sites * words:.3g} word-steps, over the {MAX_WORK:.3g} "
-            f"limit: lower the horizon or the window")
+            f"limit: lower {lower}")
 
 
 @dataclass

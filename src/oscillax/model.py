@@ -49,6 +49,17 @@ class DriftCase(Enum):
     NZ = "(N,Z)"
     NN = "(N,N)"
 
+    @property
+    def markovian(self) -> bool:
+        """No outer law drifts away from the interface: the switching chain
+        switches forever ((P,N), (P,Z), (Z,Z), (Z,N))."""
+        return self.value[1] in "PZ" and self.value[3] in "NZ"
+
+    @property
+    def centered_side(self) -> bool:
+        """An outer law has zero drift."""
+        return "Z" in self.value
+
 
 @dataclass(frozen=True)
 class LatticeDist:
@@ -115,20 +126,6 @@ class LatticeDist:
     @property
     def exact(self) -> bool:
         return self.fracs is not None
-
-    def pmf(self, v: int) -> float:
-        try:
-            return float(self.probs[self.values.index(v)])
-        except ValueError:
-            return 0.0
-
-    def pmf_frac(self, v: int) -> Fraction:
-        if self.fracs is None:
-            raise ValidationError("distribution carries no exact probabilities")
-        try:
-            return self.fracs[self.values.index(v)]
-        except ValueError:
-            return Fraction(0)
 
     def tail_ge(self, w: int) -> float:
         """mu[w, +inf)."""
@@ -446,10 +443,6 @@ def validate_media(media, _allow_o3_violation: bool = False) -> OscillatingModel
         raise NotAperiodic("left law is not strongly aperiodic")
     if not is_strongly_aperiodic(right):
         raise NotAperiodic("right law is not strongly aperiodic")
-    if model.D < 1:
-        raise SupportOneSided("left law has no atom on the positive half-line")
-    if model.Dprime > -1:
-        raise SupportOneSided("right law has no atom on the negative half-line")
     if model.D * model.Dprime > -2 and not _allow_o3_violation:
         raise O3Violated(model.D, model.Dprime)
     if not (origin.min_support < 0 < origin.max_support):
@@ -544,7 +537,11 @@ def load_model(source) -> OscillatingModel:
         two_media = payload.get("two_media", False)
         if type(two_media) is not bool:   # bool("false") is True
             raise ValidationError(f"two_media must be true or false, not {two_media!r}")
-        origin = left if two_media else _pairs_from_json(payload["origin"])
+        origin = _pairs_from_json(payload.get("origin", payload["left"]) if two_media
+                                  else payload["origin"])
+        if two_media and origin.as_pairs() != left.as_pairs():
+            raise ValidationError("a two-media model's origin is its left law, and this "
+                                  "origin differs: drop two_media for a three-media model")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed model file: {exc}") from exc
     return validate_model(left, origin, right, two_media=two_media)

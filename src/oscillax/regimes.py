@@ -375,7 +375,7 @@ def predicted_constant_Cy(
     plateau on a law with long jumps.
     """
     case = model.drift_case
-    if case not in (DriftCase.ZZ, DriftCase.PZ, DriftCase.ZN):
+    if not (case.markovian and case.centered_side):
         raise ValidationError(f"C_y formula applies to (Z,Z)/(P,Z)/(Z,N), not {case.value}")
     half = max(256, 128 * model.max_jump)
     window = window or Window(-half, half)
@@ -395,14 +395,14 @@ def predict(model: OscillatingModel) -> dict:
     """Full regime report: classification, tilt plan, and constants."""
     pred = classify(model)
     report = pred.report()
-    if pred.drift_case in (DriftCase.NP, DriftCase.PP) and not pred.mirrored:
-        plan = select_tilt(model, pred)
+    if pred.subcase is not None:   # (N,N) is planned, like its details, in its mirror's terms
+        plan = select_tilt(mirror_model(model) if pred.mirrored else model, pred)
         report["tilt_t"] = plan.single_t
         report["tilt_branch"] = plan.branch
         report["base_case_after_tilt"] = plan.base_case.value
         report["tilt_r"] = plan.r
     constants = {"kind": report["constant_kind"]}
-    if pred.drift_case in (DriftCase.ZZ, DriftCase.PZ, DriftCase.ZN):
+    if pred.constant_kind == "local_constant":
         c0, prof = predicted_constant_Cy(model, 0)
         constants["C_0"] = c0
         constants["lambda_X_minus_inf"] = prof.lam_minus_inf

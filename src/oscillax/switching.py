@@ -39,7 +39,6 @@ from .evolve import (
 )
 from .ladder import SQRT_2PI, LadderVariant, centered_sides, killed_green
 from .model import (
-    DriftCase,
     OscillatingModel,
     argmin_laplace,
     arrival_band,
@@ -102,10 +101,11 @@ def default_weight(model: OscillatingModel, delta: Optional[float] = None,
     """The weight of ``kind``: polynomial psi(x) = 1 + |x|^(1+delta), delta
     0.5 by default, or exponential psi(x) = exp((|lambda'| + delta)|x|) for
     x <= 0 and exp((|lambda| + delta) x) else, delta 0.1 by default.
-    ``auto`` is exponential for (N,P)/(P,P)/(N,N) and polynomial otherwise."""
+    ``auto`` is exponential when no outer law is centered and one drifts
+    away from the interface ((N,P), (P,P), (N,N)), polynomial otherwise."""
     if kind == "auto":
-        kind = ("exponential" if model.drift_case.value in ("(N,P)", "(P,P)", "(N,N)")
-                else "polynomial")
+        case = model.drift_case
+        kind = "polynomial" if case.markovian or case.centered_side else "exponential"
     if kind == "polynomial":
         return WeightSpec("polynomial", 0.5 if delta is None else delta)
     if kind != "exponential":
@@ -148,8 +148,7 @@ class SwitchingKernel:
 
     @property
     def markovian(self) -> bool:
-        # no outer medium drifts away from the interface
-        return self.model.drift_case in (DriftCase.PN, DriftCase.PZ, DriftCase.ZZ, DriftCase.ZN)
+        return self.model.drift_case.markovian
 
 
 def switching_kernel(model: OscillatingModel, window: Window) -> SwitchingKernel:
@@ -266,7 +265,7 @@ def banded_power_sequences(model: OscillatingModel, horizon: int, window: Window
     keep = np.array([window.index(x) for x in rows])   # the output rows' window indices
     check_size((len(ells), horizon + 1, len(rows), B))
     check_size((2, window.width, L * B), lower="max(ells) or the window")
-    check_work(horizon, window.width * L * B)
+    check_work(horizon, window.width * L * B, lower="the horizon, max(ells) or the window")
     out = {ell: np.empty((horizon + 1, len(rows), B)) for ell in ells}
     _first_step_powers(model, window, horizon, L,
                        slice(None) if len(rows) == window.width else keep, out)

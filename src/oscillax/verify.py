@@ -27,7 +27,6 @@ from .evolve import (
 )
 from .ladder import centered_tail_sums, direct_constant
 from .model import (
-    DriftCase,
     LatticeDist,
     Medium,
     OscillatingModel,
@@ -217,9 +216,6 @@ class SimResult:
     n_steps: int
     c1_histogram: dict           # first switch time -> paths (None key: no switch)
     switch_counts: dict          # total switches by n_steps -> paths
-
-    def marginal(self, n: int) -> dict:
-        return {y: h / self.paths for y, h in self.counts[n].items()}
 
     def report(self) -> dict:
         """The ``simulate.json`` payload: the fields, every key a string ("None": no switch)."""
@@ -500,10 +496,12 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
                       window: Optional[Window] = None) -> dict:
     """Operator-renewal convergence diagnostics for a recurrent-switch model.
 
-    Checks the sqrt(n)-rescaled switching-time marginals against the predicted
-    plateau level and the renewal-tail sum against its ladder-constant limit;
-    includes two synthetic scalar sanity checks of the machinery itself.  The
-    report's ``passed`` is the suite's verdict.
+    On a model with a centered side whose switching chain switches forever
+    (``DriftCase.centered_side`` and ``markovian``), checks the
+    sqrt(n)-rescaled switching-time marginals against the predicted plateau
+    level and the renewal-tail sum against its ladder-constant limit; every
+    model gets two synthetic scalar sanity checks of the machinery itself.
+    The report's ``passed`` is the suite's verdict.
     """
     report = {}
     window = window or Window(-512, 512)
@@ -530,9 +528,9 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
         abs(512 ** 1.5 * conv[512] - predicted) / predicted)
 
     case = model.drift_case
-    if case not in (DriftCase.ZZ, DriftCase.PZ, DriftCase.PN):
+    if not case.markovian:
         return _with_convergence_verdict(report)
-    if case in (DriftCase.ZZ, DriftCase.PZ) and horizon < 64:
+    if case.centered_side and horizon < 64:
         raise ValidationError(f"horizon {horizon} is below 64, the first plateau point")
 
     spectral = dominant_eigenpair(switching_kernel(model, window))
@@ -551,7 +549,7 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     tail_level = sum(parts.values())
     report["renewal_tail_parts"] = parts
 
-    if case in (DriftCase.ZZ, DriftCase.PZ):
+    if case.centered_side:
         bold_c = math.pi * tail_level
         report["bold_c"] = bold_c
         T = switching_time_marginals(model, [0], horizon, window)[:, 0]

@@ -21,7 +21,7 @@ from oscillax import verify
 from oscillax.cli import _write_csv, _write_json, build_parser, main
 from oscillax.evolve import Window
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
-from oscillax.model import dist, load_model, save_model, validate_model
+from oscillax.model import dist, load_model, mirror_model, save_model, validate_model
 
 FIXTURE_FILES = [*FIXTURES, *(f"FIX-PP-{name}" for name in SUBCASE_FIXTURES)]
 # sha256 of every file test_fixture_outputs_keep_the_byte_contract writes, per
@@ -402,9 +402,11 @@ class TestCommands:
         ["verify", "FIX-ZZ.json", "--suite", "identities", "-n", "100000000"],
         ["verify", "FIX-ZZ.json", "--suite", "identities", "-W", "3"],
         ["verify", "FIX-ZZ.json", "--suite", "asymptotics", "--float-mode"],
+        # exact arithmetic on float laws
+        ["evolve", "float-laws.json", "--from", "0", "--to", "0", "-n", "8", "--rational"],
     ], ids=["seed-negative", "seed-past-philox-key", "model-is-directory",
             "out-is-file", "zero-denominator", "identities-horizon", "identities-window",
-            "asymptotics-float-mode"])
+            "asymptotics-float-mode", "rational-float-laws"])
     def test_bad_input_exit_two(self, model_dir, tmp_path, capsys, argv):
         # invalid input exits 2 with one error line, never a traceback with
         # exit 1, the code of a verification failure
@@ -414,6 +416,9 @@ class TestCommands:
             {"left": [[-1, "1/2"], [0, "1/0"], [2, "1/4"]],
              "origin": [[-1, "1/2"], [1, "1/2"]],
              "right": [[-2, "1/4"], [0, "1/4"], [1, "1/2"]]}))
+        (tmp_path / "float-laws.json").write_text(json.dumps(
+            {"left": [[-1, 0.5], [0, 0.25], [2, 0.25]], "origin": [[-1, 0.5], [1, 0.5]],
+             "right": [[-2, 0.25], [0, 0.25], [1, 0.5]]}))
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         argv = [str(model_dir / a) if a == "FIX-ZZ.json"
                 else str(tmp_path / a) if (tmp_path / a).exists() else a for a in argv]
@@ -431,7 +436,9 @@ class TestCommands:
         ({"two_media": "false"}, "two_media"),
         # a misspelt two_media would otherwise load as a three-media walk
         ({"twomedia": True}, "'twomedia'"),
-    ], ids=["non-integer-atom", "string-two-media", "unknown-key"])
+        # a two-media model's origin is its left law: another one would be dropped
+        ({"two_media": True, "origin": [[-1, "1/10"], [0, "4/5"], [1, "1/10"]]}, "origin"),
+    ], ids=["non-integer-atom", "string-two-media", "unknown-key", "two-media-origin"])
     def test_misread_model_file_exit_two(self, tmp_path, capsys, payload, named):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"left": [[-1, "1/2"], [0, "1/4"], [2, "1/4"]],
@@ -443,6 +450,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_verify_convergence_on_the_zn_mirror(self, model_dir, tmp_path):
+        # the saved mirror of FIX-PZ is (Z,N): it runs every convergence
+        # check FIX-PZ runs and reads FIX-PZ's values
+        mirror = tmp_path / "FIX-PZ-mirror.json"
+        save_model(mirror_model(load_model(model_dir / "FIX-PZ.json")), mirror)
+        reps = []
+        for path in (model_dir / "FIX-PZ.json", mirror):
+            out = tmp_path / path.stem
+            assert main(["verify", str(path), "--suite", "convergence", "-n", "1024",
+                         "-o", str(out)]) == 0
+            reps.append(json.loads((out / "verify.json").read_text()))
+        pz, zn = (rep["convergence"] for rep in reps)
+        for key in ("bold_c", "sqrt_n_Tn_final", "rn_tail_final"):
+            assert zn[key] == pytest.approx(pz[key], rel=1e-12, abs=0), key
+        assert zn["passed"] is True and reps[1]["passed"] is True
 
     def test_simulate_reproducible_bytes(self, model_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

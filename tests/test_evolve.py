@@ -83,6 +83,12 @@ class TestStep:
         assert state.sum() + leak == 1
 
 
+@pytest.mark.parametrize("lo,hi", [(0, 5), (-5, 0), (2, 5)])
+def test_window_must_straddle_zero(lo, hi):
+    with pytest.raises(ValidationError, match="straddle 0"):
+        Window(lo, hi)
+
+
 class TestMarginalSequence:
     def test_n0_indicator(self, fix_zz):
         t = marginal_sequence(fix_zz, 3, 3, 1, Window(-16, 16))
@@ -415,6 +421,10 @@ class TestUnderflowFlush:
 
 
 class TestExcursions:
+    def test_no_target_refused(self, fix_zz):
+        with pytest.raises(ValidationError, match="no target"):
+            excursion_functions(fix_zz, [], 4, Window(-16, 16))
+
     def test_v0_indicator(self, fix_zz):
         w = Window(-16, 16)
         t = excursion_functions(fix_zz, -2, 4, w)

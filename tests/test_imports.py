@@ -7,18 +7,22 @@ re-exports.  Also: importing the CLI loads no scipy, each engine importing
 what it calls on first use, and each command loads only what it runs; no
 command loads sympy or mpmath, ties included; no module of the package
 imports scipy, so no command, suite or engine loads it.  And one home per
-decision: only ``model.py`` names the drift tolerance, and the private names
-one package module imports from another are pinned.
+decision: only ``model.py`` names the drift tolerance, only ``model.py`` and
+``regimes.py`` name a drift case, and the private names one package module
+imports from another are pinned.  Every public function, class, method and
+property of the package has a caller in it, or a stated reader.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import oscillax
 from oscillax.cli import main
+from oscillax.model import DriftCase
 
 MODULES = sorted(p for p in Path(oscillax.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -55,25 +59,60 @@ def test_no_unused_imports():
 # public names no code in the package calls, each kept for a stated reader
 UNCALLED_ALLOWED = {
     "fluctuation_constants",                        # criterion 8
+    "max_pairwise_rel_diff",                        # criterion 8's agreement
     "limit_operator_E", "limit_operator_E_ell",     # criterion 10
+    "t_ref",                                        # the tilted DP (ROADMAP item 7)
     # benchmark entry points
     "banded_power_sequences", "search_subcase_fixtures", "subcase_witnesses",
 }
 
 
+def _members(cls: ast.ClassDef) -> list:
+    """(name, statement) of each public method or property of a class,
+    ``property(...)`` assignments included."""
+    out = []
+    for k, node in enumerate(cls.body):
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, k))
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name) and node.value.func.id == "property"):
+            out += [(t.id, k) for t in node.targets if isinstance(t, ast.Name)]
+    return [(name, k) for name, k in out if not name.startswith("_")]
+
+
 def uncalled_defs(sources: list[str]) -> set[str]:
-    """Public top-level functions and classes that no code outside their own
-    body names: a docstring mention, a re-export or a self-call is no caller."""
-    defs, callers = {}, {}   # name -> its statement; name -> the statements naming it
+    """Public top-level functions and classes, and the public methods and
+    properties of those classes, that no code outside their own body names:
+    a docstring mention, a re-export or a self-call is no caller.  A member
+    is named only as an attribute, so a local variable of its name is no
+    caller either; names are matched by name alone, so one caller of a
+    method name serves every class that defines it."""
+    defs, callers = {}, {}   # name -> where it is defined; (name, kind) -> where it is named
     for i, tree in enumerate(map(ast.parse, sources)):
         for j, top in enumerate(tree.body):
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
-                defs[top.name] = (i, j)
+                defs.setdefault(top.name, []).append((i, j))
+            # a name inside a member of a class is named from that member
+            where = {}
+            if isinstance(top, ast.ClassDef):
+                for name, k in _members(top):
+                    defs.setdefault(name, []).append((i, j, k))
+                where = {id(node): (i, j, k) for k, member in enumerate(top.body)
+                         for node in ast.walk(member)}
             for node in ast.walk(top):
                 if isinstance(node, (ast.Name, ast.Attribute)):
-                    name = node.id if isinstance(node, ast.Name) else node.attr
-                    callers.setdefault(name, set()).add((i, j))
-    return {name for name, at in defs.items() if not callers.get(name, set()) - {at}}
+                    key = (node.id, ast.Name) if isinstance(node, ast.Name) else (
+                        node.attr, ast.Attribute)
+                    callers.setdefault(key, set()).add(where.get(id(node), (i, j)))
+
+    def outside(name, at):
+        """where ``name`` is named outside every body in ``at``: a top-level
+        def bare or as an attribute, a member only as an attribute"""
+        kinds = (ast.Attribute, ast.Name) if any(len(a) == 2 for a in at) else (ast.Attribute,)
+        return {loc for kind in kinds for loc in callers.get((name, kind), ())
+                if not any(loc[:len(a)] == a for a in at)}
+
+    return {name for name, at in defs.items() if not outside(name, at)}
 
 
 def test_scan_flags_an_uncalled_def():
@@ -82,6 +121,18 @@ def test_scan_flags_an_uncalled_def():
         "def b():\n    pass\n\nclass C:\n    pass\n\nx = C()\n",
         "def _d():\n    pass\n",
     ]) == {"a", "b"}
+
+
+def test_scan_flags_an_uncalled_method_or_property():
+    # e is called by f of its own class and f by nobody; g is a property
+    # that only a local variable of its name meets, h a property()
+    # assignment that code reads, and j a method whose only caller is itself
+    assert uncalled_defs([
+        "class C:\n    def e(self):\n        pass\n\n    def f(self):\n"
+        "        return self.e()\n\n    @property\n    def g(self):\n        return 1\n\n"
+        "    h = property(lambda self: 2)\n\n    def j(self):\n        return self.j()\n\n"
+        "    def _k(self):\n        pass\n\ng = C().h\n",
+    ]) == {"f", "g", "j"}
 
 
 def test_every_public_def_has_a_caller():
@@ -112,6 +163,43 @@ def test_only_model_names_the_drift_tolerance():
     found = {p.name for p in MODULES + [Path(oscillax.__file__)]
              if "ZERO_DRIFT_TOL" in named(p.read_text())}
     assert found == {"model.py"}
+
+
+CASE_STRING = re.compile(r"\([PZN],[PZN]\)")
+
+
+def drift_cases_named(source: str) -> set[str]:
+    """The drift cases a module's code names: each ``DriftCase`` member read
+    as an attribute, and each "(X,Y)" inside a string that is not a
+    docstring."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in DriftCase.__members__:
+            out.add(DriftCase[node.attr].value)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            out.update(CASE_STRING.findall(node.value))
+    return out
+
+
+def test_scan_finds_named_drift_cases():
+    assert drift_cases_named('"""Docs on (P,P)."""\ndef f(m):\n    """(Z,Z)"""\n'
+                             '    return m.drift_case is DriftCase.PZ or m.value in ("(N,N)",)'
+                             ' or f"not {m} (Z,P)"\n') == {"(P,Z)", "(N,N)", "(Z,P)"}
+
+
+def test_only_model_and_regimes_name_a_drift_case():
+    # which drift cases switch forever or have a centered side is decided
+    # once, by DriftCase.markovian and centered_side, and every other
+    # question by regimes.classify: no other module lists drift cases
+    found = {p.name for p in MODULES + [Path(oscillax.__file__)]
+             if drift_cases_named(p.read_text())}
+    assert found == {"model.py", "regimes.py"}
 
 
 def private_imports(source: str) -> set[tuple[str, str]]:

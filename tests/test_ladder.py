@@ -160,7 +160,8 @@ class TestMuALadders:
         # the free first step of FIX-ZZ's left law lands on its top atom 2
         left = fix_zz().left
         _, desc = wiener_hopf_heights(mirror_dist(left))
-        assert desc[-left.max_support] == pytest.approx(left.pmf(left.max_support), abs=1e-12)
+        top = float(left.probs[left.values.index(left.max_support)])
+        assert desc[-left.max_support] == pytest.approx(top, abs=1e-12)
         assert sum(desc.values()) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -192,6 +193,11 @@ class TestFluctuationConstants:
     def test_not_centered(self):
         with pytest.raises(NotCentered):
             fluctuation_constants(dist({-1: F(1, 4), 0: F(1, 4), 2: F(1, 2)}))
+
+    def test_periodic_law_refused(self):
+        # the nearest-neighbor walk has period 2; only an explicit waiver runs it
+        with pytest.raises(ValidationError, match="strongly aperiodic"):
+            fluctuation_constants(TOY)
 
     def test_atom_order_invariance(self):
         d1 = dist([(-1, F(1, 2)), (0, F(1, 4)), (2, F(1, 4))])

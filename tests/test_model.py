@@ -34,6 +34,7 @@ from oscillax.model import (
     TIE_TOL,
     ZERO_DRIFT_TOL,
     DriftCase,
+    LatticeDist,
     Medium,
     _bisect,
     argmin_laplace,
@@ -85,6 +86,36 @@ class TestLatticeDist:
         d = mirror_dist(dist(MU_A))
         assert d.as_pairs() == dist(MU_A_MIRROR).as_pairs()
 
+    @pytest.mark.parametrize("values,probs,reason", [
+        ((), [], "no atoms"),
+        ((1, 0), [0.5, 0.5], "strictly increasing"),
+        ((0, 1), [1.0, 0.0], "> 0"),
+        ((0, 1), [0.5, 0.4], "not 1"),
+    ], ids=["no-atoms", "not-increasing", "zero-probability", "sum-not-one"])
+    def test_refusals(self, values, probs, reason):
+        with pytest.raises(ValidationError, match=reason):
+            LatticeDist(values, np.array(probs))
+
+
+class TestDriftCase:
+    MARKOVIAN = {DriftCase.PN, DriftCase.PZ, DriftCase.ZZ, DriftCase.ZN}
+
+    @pytest.mark.parametrize("case", list(DriftCase), ids=lambda c: c.value)
+    def test_properties_read_from_the_letters(self, case):
+        # markovian: no outer law drifts away from the interface (left N or
+        # right P); centered_side: an outer law is centered
+        left, right = case.value[1], case.value[3]
+        assert case.markovian == (case in self.MARKOVIAN) == (left != "N" and right != "P")
+        assert case.centered_side == ("Z" in (left, right))
+
+    def test_mirror_keeps_both_properties(self):
+        # reflection swaps the sides and P with N, so a model and its mirror
+        # agree on both
+        for fn in [*FIXTURES.values(), *SUBCASE_FIXTURES.values()]:
+            case, mirrored = fn().drift_case, mirror_model(fn()).drift_case
+            assert (mirrored.markovian, mirrored.centered_side) == (case.markovian,
+                                                                   case.centered_side)
+
 
 class TestValidation:
     def test_fix_zz_case(self):
@@ -112,6 +143,18 @@ class TestValidation:
         m = validate_model(toy_left, dist(UNIF_PM1), toy_right,
                            _allow_o3_violation=True)
         assert m.drift_case is DriftCase.ZZ
+
+    @pytest.mark.parametrize("left,right,error", [
+        (MU_A, {-2: F(1, 2), 2: F(1, 2)}, NotAperiodic),
+        # a law with no atom on the far side fails the two-sided support
+        # check, which comes first
+        ({-1: F(1, 2), 0: F(1, 2)}, MU_A_MIRROR, SupportOneSided),
+        (MU_A, {0: F(1, 2), 1: F(1, 2)}, SupportOneSided),
+    ], ids=["periodic-right", "left-no-positive-atom", "right-no-negative-atom"])
+    def test_media_refusals(self, left, right, error):
+        with pytest.raises(error):
+            validate_media([Medium(dist(left), None, -1), Medium(dist(UNIF_PM1), 0, 0),
+                            Medium(dist(right), 1, None)])
 
     def test_o4(self):
         with pytest.raises(O4Violated):
@@ -245,6 +288,11 @@ class TestTilt:
         # matches the float tilt at t = log(1/2)
         ref = tilt(dist(MU_A), math.log(0.5))
         assert np.max(np.abs(d.probs - ref.probs)) <= 1e-15
+
+    @pytest.mark.parametrize("ratio", [F(0), F(-1, 2)])
+    def test_geometric_tilt_refuses_nonpositive_ratio(self, ratio):
+        with pytest.raises(ValidationError, match="positive"):
+            geometric_tilt(dist(MU_A), ratio)
 
 
 class TestCrossPoint:
@@ -492,6 +540,18 @@ class TestModelFiles:
             load_model({"left": [[-1, "1/2"], [0, "1/4"], [2, "1/4"]],
                         "right": [[-2, "1/4"], [0, "1/4"], [1, "1/2"]],
                         "two_media": "false"})
+
+    def test_two_media_origin_must_be_the_left_law(self, fix_pp):
+        # a two-media file's origin is its left law: it may be left out or
+        # equal left (as the saved files write it), and any other origin is
+        # refused rather than silently dropped
+        payload = model_mod.dump_model(fix_pp)
+        assert payload["origin"] == payload["left"]
+        without = {k: v for k, v in payload.items() if k != "origin"}
+        for p in (payload, without):
+            assert load_model(p).origin.as_pairs() == fix_pp.left.as_pairs()
+        with pytest.raises(ValidationError, match="origin"):
+            load_model({**payload, "origin": [[-1, "1/10"], [0, "4/5"], [1, "1/10"]]})
 
     def test_mirror_model_involution(self, fix_pz, fix_pp):
         for model in (fix_pz, fix_pp):

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from oscillax import algebraic
 from oscillax.cli import main
-from oscillax.errors import ConventionMismatch, OscillaxError, TieUnresolvable, ValidationError
+from oscillax.errors import (
+    ConventionMismatch,
+    OscillaxError,
+    PlateauNotReached,
+    TieUnresolvable,
+    ValidationError,
+)
 from oscillax.evolve import Window, default_window, marginal_sequence
-from oscillax.fixtures import MU_A, MU_A_MIRROR, SUBCASE_FIXTURES, _pp, subcase_witnesses
+from oscillax.fixtures import MU_A, MU_A_MIRROR, SUBCASE_FIXTURES, _pp, fix_pp, subcase_witnesses
 from oscillax.model import (
     TIE_TOL,
     DriftCase,
@@ -227,6 +233,17 @@ class TestMirrorSymmetry:
         assert abs(m_plan.t_right + plan.t_left) <= 1e-12
         assert abs(m_plan.rate - plan.rate) <= 1e-12
         assert abs(m_plan.r - plan.r) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["FIX-PP", *SUBCASE_FIXTURES])
+    def test_predict_plans_nn_in_its_mirrors_terms(self, name):
+        # predict answers (N,N) by the plan of its (P,P) mirror, as classify
+        # states (N,N)'s details in the mirror's terms
+        m = fix_pp() if name == "FIX-PP" else SUBCASE_FIXTURES[name]()
+        assert m.drift_case is DriftCase.PP
+        rep, m_rep = predict(m), predict(mirror_model(m))
+        assert m_rep["case"] == "(N,N)" and m_rep["mirrored"] is True
+        for key in ("tilt_t", "tilt_branch", "base_case_after_tilt", "tilt_r"):
+            assert rep[key] is not None and m_rep[key] == rep[key], key
 
     def test_select_tilt_mirrored_pp_raises(self, fix_pp):
         # the mirror of a (P,P) model is (N,N), which select_tilt does not cover
@@ -648,6 +665,17 @@ class TestConstants:
         v = marginal_sequence(m, 0, 0, n, default_window(m, n)).data["values"]
         dp = 2 * math.sqrt(n) * v[n] - math.sqrt(n // 2) * v[n // 2]
         assert report["constants"]["C_0"] == pytest.approx(dp, rel=1e-3, abs=0)
+
+    def test_plateau_not_reached_at_a_narrow_window(self):
+        # the wide-jump model of test_wide_jump_model_constant: at +-256 the
+        # boundary layer of lambda_X still reaches the probe band
+        m = load_model({
+            "left": [[-8, "904/3147"], [-3, "226/1049"], [0, "7/3147"], [5, "574/3147"],
+                     [6, "246/1049"], [8, "82/1049"]],
+            "origin": [[-1, "1/2"], [1, "1/2"]],
+            "right": [[-8, "16/55"], [-6, "8/55"], [-1, "8/55"], [8, "23/55"]]})
+        with pytest.raises(PlateauNotReached, match="probe band"):
+            predicted_constant_Cy(m, 0, Window(-256, 256))
 
     def test_wrong_case_rejected(self, fix_zp):
         with pytest.raises(ValidationError):

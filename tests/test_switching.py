@@ -15,7 +15,7 @@ from conftest import (
     transition_matrix,
 )
 from oscillax import evolve, ladder
-from oscillax.errors import ConventionMismatch, ValidationError
+from oscillax.errors import ConventionMismatch, NoConvergence, ValidationError
 from oscillax.evolve import (
     Window,
     default_window,
@@ -37,7 +37,7 @@ from oscillax.model import (
     mirror_model,
     validate_model,
 )
-from oscillax.regimes import invariant_profile
+from oscillax.regimes import classify, invariant_profile
 from oscillax.switching import (
     SwitchingKernel,
     WeightSpec,
@@ -146,7 +146,7 @@ class TestBuildQ:
             expected = np.full(hist.R[:, i].shape, F(0), dtype=object)
             medium = model.media[model.medium_index(x)]
             if medium.lo == medium.hi == 0:   # the three-media origin: stay put, then jump
-                p0 = model.origin.pmf_frac(0)
+                p0 = dict(zip(model.origin.values, model.origin.fracs)).get(0, F(0))
                 for v, p in zip(model.origin.values, model.origin.fracs):
                     if v != 0:
                         expected[1:, v - bl] = [p0 ** (n - 1) * p for n in range(1, N + 1)]
@@ -499,6 +499,16 @@ class TestSpectra:
         with pytest.raises(ValidationError):
             WeightSpec("polynomial", -1.0).values(Window(-8, 8))
 
+    @pytest.mark.parametrize("spec,reason", [
+        (WeightSpec("cubic"), "unknown weight kind"),
+        (WeightSpec("exponential", 0.1, rate_neg=-1.0, rate_pos=1.0), ">= 1 everywhere"),
+        # e^(0.001 * 10) at the edges stays below 1 + 10
+        (WeightSpec("exponential", 0.1, rate_neg=0.001, rate_pos=0.001), "dominate"),
+    ], ids=["unknown-kind", "below-one", "not-dominating"])
+    def test_weight_values_refusals(self, spec, reason):
+        with pytest.raises(ValidationError, match=reason):
+            spec.values(Window(-10, 10))
+
     @pytest.mark.parametrize("kind,delta", [
         ("polynomial", -5.0), ("polynomial", -1.0), ("polynomial", 0.0),
         ("polynomial", float("nan")), ("polynomial", float("inf")),
@@ -532,6 +542,14 @@ class TestSpectra:
         assert default_weight(fix_zz, 0.2, "exponential").kind == "exponential"
         with pytest.raises(ValidationError):
             default_weight(fix_zz, kind="gaussian")
+
+    def test_auto_weight_is_exponential_on_the_transform_subcases(self):
+        # exponential exactly where classify reads a transform-geometry
+        # subcase: (N,P), (P,P) and, through its mirror, (N,N)
+        for fn in [*FIXTURES.values(), *SUBCASE_FIXTURES.values()]:
+            for m in (fn(), mirror_model(fn())):
+                kind = "exponential" if classify(m).subcase else "polynomial"
+                assert default_weight(m).kind == kind, m.drift_case
 
 
 SPECTRAL_MODELS = [*sorted(FIXTURES), "period-2"]
@@ -568,6 +586,20 @@ class TestDominantEigenpair:
     def test_residual_at_w512(self, name):
         sd = dominant_eigenpair(switching_kernel(FIXTURES[name](), Window(-512, 512)))
         assert sd.residual <= 1e-12
+
+    def test_no_positive_eigenvalue(self, fix_zz):
+        sk = switching_kernel(fix_zz, Window(-32, 32))
+        with pytest.raises(NoConvergence, match="no positive eigenvalue"):
+            dominant_eigenpair(SwitchingKernel(sk.window, np.zeros_like(sk.R), sk.band,
+                                               sk.defect, fix_zz))
+
+    def test_eigenfunction_not_positive(self, fix_zz):
+        # the band block diag(1, 0, 0): its Perron vector is 0 on two band sites
+        sk = switching_kernel(fix_zz, Window(-32, 32))
+        R = np.zeros_like(sk.R)
+        R[sk.band_rows.start, 0] = 1.0
+        with pytest.raises(NoConvergence, match="not positive"):
+            dominant_eigenpair(SwitchingKernel(sk.window, R, sk.band, sk.defect, fix_zz))
 
     def test_no_dense_kernel(self, fix_zz):
         # the dense W x W kernel alone would be 537 MB at W = 4096
@@ -805,7 +837,7 @@ class TestSizeGuard:
             raise AssertionError("the DP ran")
 
         monkeypatch.setattr("oscillax.switching._advance", no_dp)
-        with pytest.raises(ValidationError, match="word-steps"):
+        with pytest.raises(ValidationError, match=f"word-steps.*: lower {SIZED_BY_RUN}$"):
             switching_time_marginals(fix_zz, range(-64, 65), 100_000, Window(-512, 512))
 
     def test_first_passage_work_refused_before_dp(self, fix_zz, monkeypatch):
@@ -815,7 +847,7 @@ class TestSizeGuard:
             raise AssertionError("the DP ran")
 
         monkeypatch.setattr("oscillax.evolve._advance", no_dp)
-        with pytest.raises(ValidationError, match="word-steps"):
+        with pytest.raises(ValidationError, match=f"word-steps.*: lower {SIZED_BY_RUN}$"):
             build_Q(fix_zz, HUGE, Window(-16000, 16000), rows=[-1])
 
 
@@ -823,12 +855,14 @@ class TestSizeGuard:
     def test_power_work_refused_before_dp(self, fix_zz, monkeypatch, rows):
         # every array fits, but 4096 steps of 10^4 layers over all 129 sites
         # and 3 band columns are 1.6e10 cell-steps, whatever the output rows:
-        # refused before the recurrence's kernel is built
+        # refused before the recurrence's kernel is built, with advice that
+        # names max(ells), the input that grew, not only the horizon and window
         def no_dp(*args, **kwargs):
             raise AssertionError("walk_plan ran")
 
         monkeypatch.setattr("oscillax.switching.walk_plan", no_dp)
-        with pytest.raises(ValidationError, match="word-steps"):
+        with pytest.raises(ValidationError,
+                           match=r"word-steps.*: lower the horizon, max\(ells\) or the window$"):
             banded_power_sequences(fix_zz, 4096, Window(-64, 64), ells=[10 ** 4], rows=rows)
 
     def test_row_outside_window_refused_before_allocating(self, fix_zz):
@@ -867,14 +901,16 @@ class TestOriginMedium:
     def test_switching_kernel_row(self):
         m = origin_zero_model()
         sk = switching_kernel(m, self.W)
-        p0 = m.origin.pmf(0)
+        pmf = {v: float(p) for v, p in zip(m.origin.values, m.origin.probs)}
+        p0 = pmf.get(0, 0.0)
         row = sk.R[self.W.index(0)]
         for j, y in enumerate(range(sk.band[0], sk.band[1] + 1)):
-            assert row[j] == (0.0 if y == 0 else m.origin.pmf(y) / (1.0 - p0))
+            assert row[j] == (0.0 if y == 0 else pmf.get(y, 0.0) / (1.0 - p0))
 
     def test_invariant_profile_at_origin(self):
         m = origin_zero_model()
         nu = dominant_eigenpair(switching_kernel(m, self.W)).nu
         vals = invariant_profile(m, nu, self.W).values
         i0 = self.W.index(0)
-        assert vals[i0] == nu[i0] / (1.0 - m.origin.pmf(0))
+        p0 = float(m.origin.probs[m.origin.values.index(0)])
+        assert vals[i0] == nu[i0] / (1.0 - p0)

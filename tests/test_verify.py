@@ -21,6 +21,7 @@ from oscillax.evolve import (
 from oscillax.fixtures import FIXTURES, SUBCASE_FIXTURES
 from oscillax.model import (
     ZERO_DRIFT_TOL,
+    DriftCase,
     argmin_laplace,
     arrival_band,
     common_denominator,
@@ -87,6 +88,14 @@ class TestFitter:
     def test_window_beyond_horizon(self):
         with pytest.raises(ValidationError):
             fit_rate_exponent(log_values=np.zeros(100), fit_window=(10, 500))
+
+    def test_no_consecutive_points(self):
+        # a value at every even n only: 113 usable points, but no two
+        # consecutive, so no dyadic block holds a ratio
+        lv = np.full(257, np.nan)
+        lv[2::2] = -0.5 * np.log(np.arange(2, 257, 2))
+        with pytest.raises(SequenceTooNoisy, match="consecutive"):
+            fit_rate_exponent(log_values=lv, fit_window=(32, 256))
 
 
 class TestEffectiveLeak:
@@ -281,7 +290,7 @@ class TestSimulate:
 
     def test_one_step_frequencies(self, fix_zz):
         r = simulate(fix_zz, 0, 1, 100_000, seed=11)
-        m = r.marginal(1)
+        m = {y: h / r.paths for y, h in r.counts[1].items()}
         se = 4.0 / math.sqrt(r.paths)
         assert abs(m[-1] - 0.5) <= se and abs(m[1] - 0.5) <= se
 
@@ -289,7 +298,7 @@ class TestSimulate:
         r = simulate(fix_zz, 0, 2, 100_000, seed=11)
         p = 0.25
         se = 4.0 * math.sqrt(p * (1 - p) / r.paths)
-        assert abs(r.marginal(2).get(1, 0.0) - p) <= se
+        assert abs(r.counts[2].get(1, 0) / r.paths - p) <= se
 
     def test_switching_statistics_by_regime(self, fix_pn, fix_pp):
         n = 120
@@ -466,6 +475,20 @@ class TestScalarChecks:
         assert [n for n, _ in rep["sqrt_n_Tn_plateau"]] == [64, 128]
         for n, val in rep["sqrt_n_Tn_plateau"]:
             assert val == pytest.approx(math.sqrt(n) * T[n] * rep["bold_c"] / nu0, rel=1e-12)
+
+    def test_zn_runs_every_check_of_its_pz_mirror(self, fix_pz):
+        # (Z,N) switches forever and has a centered side, as (P,Z) does: the
+        # mirror of FIX-PZ runs the plateau and tail checks too, and on the
+        # symmetric default window the exact reflection gives FIX-PZ's values,
+        # its tail part on the other side
+        zn = mirror_model(fix_pz)
+        assert zn.drift_case is DriftCase.ZN
+        rep, m_rep = convergence_suite(fix_pz), convergence_suite(zn)
+        for key in ("bold_c", "sqrt_n_Tn_final", "rn_tail_final"):
+            assert m_rep[key] == pytest.approx(rep[key], rel=1e-12, abs=0), key
+        assert m_rep["renewal_tail_parts"]["left"] == pytest.approx(
+            rep["renewal_tail_parts"]["right"], rel=1e-12, abs=0)
+        assert m_rep["passed"] is True
 
     def test_mirror_tail_parts_are_equal(self, fix_zz):
         # FIX-ZZ is its own mirror, so nu(-x) == nu(x) and the two sides' tail
