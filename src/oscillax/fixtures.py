@@ -22,8 +22,12 @@ MU_B_MIRROR = {-2: F(1, 2), 0: F(1, 4), 1: F(1, 4)}
 MU_BP = {-2: F(1, 8), 0: F(1, 8), 1: F(3, 4)}     # mean +1/2
 
 
-def _model(left, right, origin=UNIF_PM1, two_media=False) -> OscillatingModel:
-    return validate_model(dist(left), dist(origin), dist(right), two_media=two_media)
+def _model(left, right) -> OscillatingModel:
+    return validate_model(dist(left), dist(UNIF_PM1), dist(right))
+
+
+def _pp(left, right) -> OscillatingModel:
+    return validate_model(dist(left), dist(left), dist(right), two_media=True)
 
 
 def fix_pn() -> OscillatingModel:
@@ -48,7 +52,7 @@ def fix_zp() -> OscillatingModel:
 
 def fix_pp() -> OscillatingModel:
     """Two-media doubly-positive model; lands in the dominated subcase B2."""
-    return _model(MU_B, MU_BP, two_media=True)
+    return _pp(MU_B, MU_BP)
 
 
 FIXTURES = {
@@ -58,10 +62,6 @@ FIXTURES = {
     "FIX-ZP": fix_zp,
     "FIX-PP": fix_pp,
 }
-
-
-def _pp(left, right) -> OscillatingModel:
-    return validate_model(dist(left), dist(left), dist(right), two_media=True)
 
 
 # One two-media (P,P) fixture per subcase of the transform-geometry table.

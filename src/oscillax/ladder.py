@@ -6,8 +6,8 @@ Two independent computational routes are provided and cross-checked in tests:
   (:func:`small_roots`): the Wiener-Hopf factorization of 1 - phi(u) into
   ascending and descending ladder factors, exact up to root-finding error,
   whose height laws feed the renewal functions of :func:`ladder_potentials`,
-  hence E(x, y), the tail sums nu(V), the ladder means and the ladder-mean
-  fluctuation constant; and :func:`killed_green`, the killed walk's Green
+  hence E(x, y), the tail levels nu(V) / |E H|, the ladder means and the
+  ladder-mean fluctuation constant; and :func:`killed_green`, the killed walk's Green
   function on a segment, whose homogeneous runs are combinations of the
   powers of the same roots;
 * killed-walk Green rows by block cyclic reduction of the banded I - A
@@ -42,6 +42,7 @@ from .model import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 ZETA_3_2 = 2.612375348685488   # zeta(3/2), float(scipy.special.zeta(1.5)) bit for bit
 SOLVE_WINDOW = 40000   # sites of the killed-walk Green solve in direct_constant
 # root finding splits a repeated root by about sqrt(machine eps); roots this
@@ -486,19 +487,30 @@ def centered_sides(model: OscillatingModel) -> list:
             for name, law, s, theta in sides if law.centered]
 
 
-def centered_tail_sums(model: OscillatingModel, nu: np.ndarray, window) -> list:
-    """Each centered side with its tail sum: (name, law, potentials, nu(V_strict_asc)).
+def centered_tail_levels(model: OscillatingModel, nu: np.ndarray, window) -> dict:
+    """The tail level of each centered side, {name: nu(V_strict_asc) / |E H_weak_desc|}.
 
-    The tail sum is sum_x nu(x) V_strict_asc(theta - s x) over a window-indexed
-    measure ``nu``, in the left form of :func:`centered_sides`.  It runs over
-    nu's support only: nu is exactly 0 off the arrival band, and V is 0 at
-    distances <= 0 (the other medium).
+    nu(V_strict_asc) = sum_x nu(x) V_strict_asc(theta - s x) over a
+    window-indexed measure ``nu``, in the left form of :func:`centered_sides`;
+    it runs over nu's support only: nu is exactly 0 off the arrival band, and
+    V is 0 at distances <= 0 (the other medium).  By the ladder identities the
+    level is lambda_X(-inf) on the left and lambda_X(+inf) on the right.  A
+    drifted side, visited finitely often, has no entry.
     """
     support = np.flatnonzero(nu)
     xs = window.positions()[support]
-    return [(name, law, pot,
-             float(sum(nu[support] * pot.V(LadderVariant.STRICT_ASC, theta - s * xs))))
-            for name, law, pot, s, theta in centered_sides(model)]
+    return {name: float(sum(nu[support] * pot.V(LadderVariant.STRICT_ASC, theta - s * xs)))
+            / abs(pot.height_mean(LadderVariant.WEAK_DESC))
+            for name, _, pot, s, theta in centered_sides(model)}
+
+
+def tail_normaliser(model: OscillatingModel, levels: dict) -> float:
+    """sqrt(pi/2) (sigma lambda(-inf) + sigma' lambda(+inf)) from the
+    :func:`centered_tail_levels` ``levels``: the renewal-tail normaliser, with
+    C_y = lambda_X(y) / normaliser and pi times the limit of sqrt(n) times
+    the tail sum_{j>n} r_j.  A drifted side, without a level, drops its term."""
+    return SQRT_PI_OVER_2 * (model.left.sigma * levels.get("left", 0.0)
+                             + model.right.sigma * levels.get("right", 0.0))
 
 
 # ---------------------------------------------------------------------------

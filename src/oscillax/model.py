@@ -89,7 +89,7 @@ class LatticeDist:
         if np.any(probs <= 0):
             raise ValidationError("every atom probability must be > 0")
         if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValidationError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         m = float(probs @ vals)
         var = float(probs @ vals**2) - m * m
         object.__setattr__(self, "probs", probs)
@@ -419,10 +419,14 @@ def validate_model(
     """Check the structural hypotheses and assemble a model.
 
     Raises NotAperiodic / SupportOneSided / O3Violated / O4Violated.  Two
-    media put the origin in the left medium, so ``origin`` is then ignored
-    (origin := left).  ``_allow_o3_violation`` exists only for closed-form test
-    oracles and is rejected by the CLI.
+    media put the origin in the left medium, so ``origin`` must then be the
+    left law: any other raises ValidationError rather than being dropped.
+    ``_allow_o3_violation`` exists only for closed-form test oracles and is
+    rejected by the CLI.
     """
+    if two_media and origin.as_pairs() != left.as_pairs():
+        raise ValidationError("a two-media model's origin is its left law, and this "
+                              "origin differs: drop two_media for a three-media model")
     if two_media:
         media = (Medium(left, None, 0), Medium(right, 1, None))
     else:
@@ -539,9 +543,6 @@ def load_model(source) -> OscillatingModel:
             raise ValidationError(f"two_media must be true or false, not {two_media!r}")
         origin = _pairs_from_json(payload.get("origin", payload["left"]) if two_media
                                   else payload["origin"])
-        if two_media and origin.as_pairs() != left.as_pairs():
-            raise ValidationError("a two-media model's origin is its left law, and this "
-                                  "origin differs: drop two_media for a three-media model")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed model file: {exc}") from exc
     return validate_model(left, origin, right, two_media=two_media)

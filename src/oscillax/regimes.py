@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .evolve import Window
-from .ladder import LadderVariant, centered_tail_sums, killed_green
+from .ladder import centered_tail_levels, killed_green, tail_normaliser
 from .model import (
     DriftCase,
     LatticeDist,
@@ -42,7 +42,6 @@ from .model import (
 )
 from .switching import dominant_eigenpair, switching_kernel
 
-SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 PLATEAU_REL_TOL = 0.02   # largest relative spread of lambda_X over a probe band
 
 _MIRROR = {
@@ -326,7 +325,7 @@ def invariant_profile(
 ) -> InvariantProfile:
     """Occupation-time invariant measure lambda_X and its tail levels.
 
-    The tail levels come from the ladder identities
+    The tail levels are :func:`ladder.centered_tail_levels`, the ladder identities
     lambda_X(-inf) = nu(V_strict_asc(|.|)) / |E weak-desc height| (left side)
     and symmetrically on the right; the plateau of lambda_X over a probe band
     is required to agree within PLATEAU_REL_TOL as a consistency check.
@@ -350,14 +349,13 @@ def invariant_profile(
 
     plateaus = {"left": plateau(-1), "right": plateau(+1)}
     # tail levels of the centered sides (a drifted side is visited finitely often: 0)
-    lam = {"left": 0.0, "right": 0.0}
-    for name, _, pot, nu_v in centered_tail_sums(model, nu, window):
-        lam[name] = nu_v / abs(pot.height_mean(LadderVariant.WEAK_DESC))
+    lam = centered_tail_levels(model, nu, window)
+    for name in lam:
         spread = plateaus[name][1]
         if spread > PLATEAU_REL_TOL:
             raise PlateauNotReached(
                 f"{name} tail of lambda_X varies {spread:.1%} over the probe band")
-    return InvariantProfile(window, vals, lam["left"], lam["right"],
+    return InvariantProfile(window, vals, lam.get("left", 0.0), lam.get("right", 0.0),
                             plateaus["left"], plateaus["right"])
 
 
@@ -385,9 +383,7 @@ def predicted_constant_Cy(
                                    prof.lam_minus_inf, prof.plateau_plus, prof.plateau_minus)
     spectral = dominant_eigenpair(switching_kernel(model, window))
     prof = invariant_profile(model, spectral.nu, window)
-    # a drifted side has tail level 0, which drops its term in the (P,Z) case
-    denom = SQRT_PI_OVER_2 * (model.left.sigma * prof.lam_minus_inf
-                              + model.right.sigma * prof.lam_plus_inf)
+    denom = tail_normaliser(model, {"left": prof.lam_minus_inf, "right": prof.lam_plus_inf})
     return float(prof.values[window.index(y)] / denom), prof
 
 
@@ -395,6 +391,7 @@ def predict(model: OscillatingModel) -> dict:
     """Full regime report: classification, tilt plan, and constants."""
     pred = classify(model)
     report = pred.report()
+    report["tilt_branch"] = report["tilt_r"] = None   # every report has the plan's keys
     if pred.subcase is not None:   # (N,N) is planned, like its details, in its mirror's terms
         plan = select_tilt(mirror_model(model) if pred.mirrored else model, pred)
         report["tilt_t"] = plan.single_t

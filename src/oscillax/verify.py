@@ -25,7 +25,7 @@ from .evolve import (
     marginal_sequence,
     powers,
 )
-from .ladder import centered_tail_sums, direct_constant
+from .ladder import centered_tail_levels, tail_normaliser
 from .model import (
     LatticeDist,
     Medium,
@@ -35,6 +35,7 @@ from .model import (
     common_denominator,
     geometric_tilt,
     laplace,
+    mirror_model,
 )
 from .regimes import classify
 from .switching import (
@@ -501,7 +502,8 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     sqrt(n)-rescaled switching-time marginals against the predicted plateau
     level and the renewal-tail sum against its ladder-constant limit; every
     model gets two synthetic scalar sanity checks of the machinery itself.
-    The report's ``passed`` is the suite's verdict.
+    A model :func:`regimes.classify` answers by its mirror is read off that
+    mirror, as its C_y is.  The report's ``passed`` is the suite's verdict.
     """
     report = {}
     window = window or Window(-512, 512)
@@ -530,52 +532,37 @@ def convergence_suite(model: OscillatingModel, horizon: int = 4096,
     case = model.drift_case
     if not case.markovian:
         return _with_convergence_verdict(report)
+    if classify(model).mirrored:   # (Z,N): read off its (P,Z) mirror, as C_y is
+        report = convergence_suite(mirror_model(model), horizon, Window(-window.hi, -window.lo))
+        return {**report, "renewal_tail_parts": {"left": report["renewal_tail_parts"]["right"]}}
     if case.centered_side and horizon < 64:
         raise ValidationError(f"horizon {horizon} is below 64, the first plateau point")
 
     spectral = dominant_eigenpair(switching_kernel(model, window))
     nu = spectral.nu
-    # renewal-tail level: pi * (tail sum limit) is the plateau normalizer,
-    # summed over the centered sides in left form
-    # one killed-walk solve per distinct law (FIX-ZZ's mirrored right law is
-    # its left law), keyed on values and probabilities: a LatticeDist holds
-    # an ndarray and does not compare with ==
-    constants, parts = {}, {}
-    for side, law, _, nu_v in centered_tail_sums(model, nu, window):
-        key = (law.values, law.probs.tobytes())
-        if key not in constants:
-            constants[key] = direct_constant(law)
-        parts[side] = 2 * constants[key] * nu_v
-    tail_level = sum(parts.values())
-    report["renewal_tail_parts"] = parts
-
+    # renewal-tail parts sigma lambda / sqrt(2 pi) of the centered sides: their
+    # sum is the limit of sqrt(n) sum_{j>n} r_j, and pi times it C_y's normaliser
+    levels = centered_tail_levels(model, nu, window)
+    report["renewal_tail_parts"] = {side: tail_normaliser(model, {side: lam}) / math.pi
+                                    for side, lam in levels.items()}
     if case.centered_side:
-        bold_c = math.pi * tail_level
-        report["bold_c"] = bold_c
-        T = switching_time_marginals(model, [0], horizon, window)[:, 0]
-        j0 = 0 - arrival_band(model)[0]   # the band column of the origin
-        series = []
-        n = 64
-        while n <= horizon:
-            val = math.sqrt(n) * T[n, j0] * bold_c / float(nu[window.index(0)])
-            series.append((n, float(val)))
-            n *= 2
-        report["sqrt_n_Tn_plateau"] = series
-        report["sqrt_n_Tn_final"] = series[-1][1]
+        bold_c = report["bold_c"] = tail_normaliser(model, levels)
+        ns = [64 << k for k in range((horizon // 64).bit_length())]   # 64, 128, ... <= horizon
+        # T_n(0, 0), read at the band column of the origin
+        T = switching_time_marginals(model, [0], horizon, window)[:, 0, -arrival_band(model)[0]]
+        nu0 = float(nu[window.index(0)])
+        report["sqrt_n_Tn_plateau"] = [(n, float(math.sqrt(n) * T[n] * bold_c / nu0)) for n in ns]
 
-        # tail of r_n: sqrt(n) * sum_{j>n} r_j  ->  tail_level
+        # tail of r_n: sqrt(n) * sum_{j>n} r_j  ->  bold_c / pi
         rows = [int(x) for x in window.positions()
                 if nu[window.index(int(x))] > 1e-10 and abs(int(x)) <= 4 * model.max_jump]
         survival = build_Q(model, horizon, window, rows=rows).survival
-        tail_series = []
-        n = 64
-        while n <= horizon:
-            s = sum(float(nu[window.index(xx)]) * float(survival[i, n])
-                    for i, xx in enumerate(rows))
-            tail_series.append((n, math.sqrt(n) * s / tail_level))
-            n *= 2
-        report["rn_tail_plateau"] = tail_series
-        report["rn_tail_final"] = tail_series[-1][1]
+        weights = [float(nu[window.index(x)]) for x in rows]
+        tails = [sum(w * float(survival[i, n]) for i, w in enumerate(weights)) for n in ns]
+        report["rn_tail_plateau"] = [(n, math.sqrt(n) * s / (bold_c / math.pi))
+                                     for n, s in zip(ns, tails)]
+        report["sqrt_n_Tn_final"] = report["sqrt_n_Tn_plateau"][-1][1]
+        report["rn_tail_final"] = report["rn_tail_plateau"][-1][1]
     return _with_convergence_verdict(report)
 
 

@@ -436,7 +436,7 @@ class TestCommands:
         ({"two_media": "false"}, "two_media"),
         # a misspelt two_media would otherwise load as a three-media walk
         ({"twomedia": True}, "'twomedia'"),
-        # a two-media model's origin is its left law: another one would be dropped
+        # a two-media model's origin is its left law: another one is refused
         ({"two_media": True, "origin": [[-1, "1/10"], [0, "4/5"], [1, "1/10"]]}, "origin"),
     ], ids=["non-integer-atom", "string-two-media", "unknown-key", "two-media-origin"])
     def test_misread_model_file_exit_two(self, tmp_path, capsys, payload, named):

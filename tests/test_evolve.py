@@ -481,8 +481,8 @@ class TestExcursions:
         tot = a + b + c
         left = dist({-1: F(a, tot), 0: F(b, tot), 2: F(c, tot)})
         right = dist({-2: F(c, tot), 0: F(b, tot), 1: F(a, tot)})
-        m = validate_model(left, dist({-1: F(1, 2), 1: F(1, 2)}), right,
-                           two_media=two_media)
+        m = validate_model(left, left if two_media else dist({-1: F(1, 2), 1: F(1, 2)}),
+                           right, two_media=two_media)
         w, horizon = Window(-7, 7), 5   # narrow, so the window cuts paths too
         V = as_fractions(excursion_functions(m, y, horizon, w, exact=True)).data["V"]
         law = m.law_at(y)
@@ -579,7 +579,7 @@ def _exact_models(draw, two_media):
     left, origin, right = draw(_three_atom_laws), draw(_three_atom_laws), draw(_three_atom_laws)
     # overshoot hypothesis: max left jump times min right jump is at most -2
     assume(left.max_support * right.min_support <= -2)
-    return validate_model(left, origin, right, two_media=two_media)
+    return validate_model(left, left if two_media else origin, right, two_media=two_media)
 
 
 ALL_FIXTURES = {**FIXTURES, **{f"FIX-PP-{k}": fn for k, fn in SUBCASE_FIXTURES.items()}}

@@ -96,6 +96,11 @@ class TestLatticeDist:
         with pytest.raises(ValidationError, match=reason):
             LatticeDist(values, np.array(probs))
 
+    def test_sum_refusal_prints_a_plain_float(self):
+        # numpy 2's repr of the sum would read "np.float64(0.9)"
+        with pytest.raises(ValidationError, match=r"^probabilities sum to 0\.9, not 1$"):
+            LatticeDist((0, 1), np.array([0.5, 0.4]))
+
 
 class TestDriftCase:
     MARKOVIAN = {DriftCase.PN, DriftCase.PZ, DriftCase.ZZ, DriftCase.ZN}
@@ -161,8 +166,14 @@ class TestValidation:
             validate_model(dist(MU_A), dist({1: F(1, 2), 2: F(1, 2)}),
                            dist(MU_A_MIRROR))
 
-    def test_two_media_forces_origin(self):
-        m = validate_model(dist(MU_B), dist(UNIF_PM1), dist(MU_BP), two_media=True)
+    def test_two_media_refuses_another_origin(self):
+        # two media put the origin in the left medium: an origin law other
+        # than the left one is refused, not dropped (B2's laws with a sticky
+        # origin are a three-media walk with another rate)
+        for origin in (UNIF_PM1, {-1: F(1, 10), 0: F(4, 5), 1: F(1, 10)}):
+            with pytest.raises(ValidationError, match="origin"):
+                validate_model(dist(MU_B), dist(origin), dist(MU_BP), two_media=True)
+        m = validate_model(dist(MU_B), dist(MU_B), dist(MU_BP), two_media=True)
         assert m.origin.as_pairs() == m.left.as_pairs()
 
     @pytest.mark.parametrize("ends", [

@@ -17,7 +17,15 @@ from oscillax.errors import (
     ValidationError,
 )
 from oscillax.evolve import Window, default_window, marginal_sequence
-from oscillax.fixtures import MU_A, MU_A_MIRROR, SUBCASE_FIXTURES, _pp, fix_pp, subcase_witnesses
+from oscillax.fixtures import (
+    FIXTURES,
+    MU_A,
+    MU_A_MIRROR,
+    SUBCASE_FIXTURES,
+    _pp,
+    fix_pp,
+    subcase_witnesses,
+)
 from oscillax.model import (
     TIE_TOL,
     DriftCase,
@@ -244,6 +252,15 @@ class TestMirrorSymmetry:
         assert m_rep["case"] == "(N,N)" and m_rep["mirrored"] is True
         for key in ("tilt_t", "tilt_branch", "base_case_after_tilt", "tilt_r"):
             assert rep[key] is not None and m_rep[key] == rep[key], key
+
+    def test_every_report_has_the_same_keys(self):
+        # classify.json's key set does not depend on the drift case: a model
+        # without a tilt plan writes the plan's keys as null
+        reports = [predict(m) for make in (*FIXTURES.values(), *SUBCASE_FIXTURES.values())
+                   for m in (make(), mirror_model(make()))]
+        assert len({frozenset(rep) for rep in reports}) == 1
+        assert {"tilt_t", "tilt_branch", "base_case_after_tilt", "tilt_r"} <= set(reports[0])
+        assert reports[0]["case"] == "(P,N)" and reports[0]["tilt_branch"] is None
 
     def test_select_tilt_mirrored_pp_raises(self, fix_pp):
         # the mirror of a (P,P) model is (N,N), which select_tilt does not cover

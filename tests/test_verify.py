@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import as_fractions
 from oscillax.errors import LeakDominated, SequenceTooNoisy, ValidationError
-from oscillax import evolve, verify
+from oscillax import evolve, ladder, regimes, verify
 from oscillax.evolve import (
     KernelTable,
     Window,
@@ -30,7 +30,7 @@ from oscillax.model import (
     mirror_model,
     validate_model,
 )
-from oscillax.regimes import classify
+from oscillax.regimes import classify, predicted_constant_Cy
 from oscillax.verify import (
     CHUNK,
     G,
@@ -478,16 +478,15 @@ class TestScalarChecks:
 
     def test_zn_runs_every_check_of_its_pz_mirror(self, fix_pz):
         # (Z,N) switches forever and has a centered side, as (P,Z) does: the
-        # mirror of FIX-PZ runs the plateau and tail checks too, and on the
-        # symmetric default window the exact reflection gives FIX-PZ's values,
-        # its tail part on the other side
+        # mirror of FIX-PZ runs the plateau and tail checks too, read off
+        # FIX-PZ itself, so on the symmetric default window it gives FIX-PZ's
+        # values to the bit, its tail part on the other side
         zn = mirror_model(fix_pz)
         assert zn.drift_case is DriftCase.ZN
         rep, m_rep = convergence_suite(fix_pz), convergence_suite(zn)
         for key in ("bold_c", "sqrt_n_Tn_final", "rn_tail_final"):
-            assert m_rep[key] == pytest.approx(rep[key], rel=1e-12, abs=0), key
-        assert m_rep["renewal_tail_parts"]["left"] == pytest.approx(
-            rep["renewal_tail_parts"]["right"], rel=1e-12, abs=0)
+            assert m_rep[key] == rep[key], key
+        assert m_rep["renewal_tail_parts"] == {"left": rep["renewal_tail_parts"]["right"]}
         assert m_rep["passed"] is True
 
     def test_mirror_tail_parts_are_equal(self, fix_zz):
@@ -497,18 +496,31 @@ class TestScalarChecks:
         parts = convergence_suite(fix_zz, horizon=64)["renewal_tail_parts"]
         assert parts["left"] == parts["right"]
 
-    def test_one_direct_constant_per_law(self, fix_zz, monkeypatch):
-        # FIX-ZZ's right law mirrored is its left law: one killed-walk solve
-        laws = []
+    def test_reads_the_tail_levels_without_a_green_row_solve(self, fix_zz, fix_pz, monkeypatch):
+        # the suite's normaliser comes from the ladder tail levels; the
+        # killed-walk Green row solve serves the direct fluctuation constant only
+        calls = []
+        solve = ladder._cyclic_solve
+        monkeypatch.setattr(ladder, "_cyclic_solve", lambda *a: calls.append(a) or solve(*a))
+        for model in (fix_zz, fix_pz):
+            assert convergence_suite(model, horizon=64, window=Window(-64, 64))["passed"]
+        assert calls == []
+        ladder.fluctuation_constants(fix_zz.left, spitzer_horizon=64)
+        assert len(calls) == 2   # one Green row: a solve and its halved-cut refinement
 
-        def counting(law):
-            laws.append(law)
-            return direct_constant(law)
-
-        direct_constant = verify.direct_constant
-        monkeypatch.setattr(verify, "direct_constant", counting)
-        rep = convergence_suite(fix_zz, horizon=64, window=Window(-64, 64))
-        assert len(laws) == 1 and set(rep["renewal_tail_parts"]) == {"left", "right"}
+    @pytest.mark.parametrize("which", ["FIX-ZZ", "FIX-PZ", "mirror of FIX-PZ"])
+    def test_bold_c_is_the_cy_normaliser_to_the_bit(self, fix_zz, fix_pz, which, monkeypatch):
+        # one tail level and one normaliser: bold_c is the denominator
+        # predicted_constant_Cy divides lambda_X(y) by, on the same window,
+        # (Z,N) included, whose C_y is read off its (P,Z) mirror
+        model = {"FIX-ZZ": fix_zz, "FIX-PZ": fix_pz}.get(which) or mirror_model(fix_pz)
+        w = Window(-64, 80)
+        denominators = []
+        normaliser = regimes.tail_normaliser
+        monkeypatch.setattr(regimes, "tail_normaliser",
+                            lambda *a: denominators.append(normaliser(*a)) or denominators[-1])
+        predicted_constant_Cy(model, 0, w)
+        assert denominators == [convergence_suite(model, horizon=64, window=w)["bold_c"]]
 
 
 class TestAsymptoticsSuite:
